@@ -18,7 +18,6 @@ from .cycle import (
     CycleReport,
     carnot,
     efficiency,
-    friction_work,
     otto_ideal,
     stage_energies,
     temperature_ratio_bound,
@@ -28,6 +27,7 @@ from .metrology import (
     SensitivityPoint,
     SnlSolution,
     SupersensitivityRange,
+    delta_phi,
     minimize_sensitivity,
     sensitivity,
     snl,
@@ -53,7 +53,6 @@ __all__ = [
     "CycleReport",
     "carnot",
     "efficiency",
-    "friction_work",
     "otto_ideal",
     "stage_energies",
     "temperature_ratio_bound",
@@ -61,6 +60,7 @@ __all__ = [
     "SensitivityPoint",
     "SnlSolution",
     "SupersensitivityRange",
+    "delta_phi",
     "minimize_sensitivity",
     "sensitivity",
     "snl",

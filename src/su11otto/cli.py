@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -33,13 +34,14 @@ from .core import (
     angles_from,
     chi_from,
     chi_max,
+    chi_of,
     phi_max,
     theta_from,
 )
 from .cycle import carnot, otto_ideal, works_and_heats
 from .errors import EngineError
 from .gate import run_gate
-from .metrology import sensitivity, snl, solve_zeta_snl, supersensitivity_range
+from .metrology import delta_phi, snl, solve_zeta_snl, supersensitivity_range
 from .reports import fmt, write_csv
 
 UNITS_HEADER = "units: hbar = k_B = 1; frequencies and temperatures on a common energy scale"
@@ -89,13 +91,10 @@ def cmd_cycle(args, config: ScenarioConfig) -> int:
     phis = _phi_grid(config.phi_points)
     rows = []
     for zeta in config.zeta_panels:
-        for phi in phis:
-            chi = chi_from(InterferometerAngles(zeta=zeta, phi=phi))
-            rep = works_and_heats(engine, chi)
-            rows.append(
-                (phi, zeta, chi, rep.w_ab, rep.q_bc, rep.w_cd, rep.q_da,
-                 rep.w_net, rep.eta, rep.eta / eta_c, rep.w_fric)
-            )
+        chi = chi_of(zeta, phis)
+        rep = works_and_heats(engine, chi)
+        rows.extend(zip(phis, repeat(zeta), chi, rep.w_ab, rep.q_bc, rep.w_cd, rep.q_da,
+                        rep.w_net, rep.eta, rep.eta / eta_c, rep.w_fric))
     path = write_csv(
         Path(args.out) / "cycle_sweep.csv",
         ("phi", "zeta", "chi", "w_ab", "q_bc", "w_cd", "q_da", "w_net", "eta", "eta_norm", "w_fric"),
@@ -116,14 +115,12 @@ def cmd_figure3(args, config: ScenarioConfig) -> int:
     header = _engine_header(config) + [INPUT_HEADER, f"derivative_mode: {mode}"]
     summary_rows = []
     for zeta in config.zeta_panels:
-        rows = []
-        for phi in phis:
-            pt = sensitivity(engine, zeta, phi, mode)
-            rep = works_and_heats(engine, chi_from(InterferometerAngles(zeta=zeta, phi=phi)))
-            rows.append(
-                (phi, pt.delta_phi_n, pt.delta_phi_h, pt.snl, pt.norm_n, pt.norm_h,
-                 rep.eta, rep.eta / eta_c, mode)
-            )
+        d_n, d_h = delta_phi(engine, zeta, phis, mode)
+        benchmark = snl(engine, zeta)
+        norm_n, norm_h = d_n / benchmark, d_h / benchmark
+        eta = works_and_heats(engine, chi_of(zeta, phis)).eta
+        rows = list(zip(phis, d_n, d_h, repeat(benchmark), norm_n, norm_h,
+                        eta, eta / eta_c, repeat(mode)))
         path = write_csv(
             Path(args.out) / f"figure3_zeta{zeta:g}.csv",
             ("phi", "delta_phi_n", "delta_phi_h", "snl", "norm_n", "norm_h",
@@ -133,8 +130,7 @@ def cmd_figure3(args, config: ScenarioConfig) -> int:
         )
         rng_n = supersensitivity_range(engine, zeta, "number", mode)
         rng_h = supersensitivity_range(engine, zeta, "energy", mode)
-        min_norm_n = min(r[4] for r in rows)
-        min_norm_h = min(r[5] for r in rows)
+        min_norm_n, min_norm_h = norm_n.min(), norm_h.min()
         summary_rows.append(
             (zeta, eta_o, eta_c, phi_max(zeta, chi_bound), min_norm_n, min_norm_h,
              rng_n.lo, rng_n.hi, rng_n.empty, rng_h.lo, rng_h.hi, rng_h.empty, mode)
@@ -252,14 +248,14 @@ def cmd_oracle(args, config: ScenarioConfig) -> int:
     oracle = config.oracle
     result = run_gate(
         config.engine,
-        n_max=int(oracle["n_max"]),
-        algebra_n_max=int(oracle["algebra_n_max"]),
-        beta_omegas=tuple(oracle["beta_omega"]),
-        zeta_grid=tuple(oracle["zeta_grid"]),
-        phi_grid=tuple(oracle["phi_grid"]),
-        leak_tol=float(oracle["leak_tol"]),
-        thermal_leak_tol=float(oracle["thermal_leak_tol"]),
-        convergence_n=int(oracle["convergence_n"]),
+        n_max=oracle.n_max,
+        algebra_n_max=oracle.algebra_n_max,
+        beta_omegas=oracle.beta_omega,
+        zeta_grid=oracle.zeta_grid,
+        phi_grid=oracle.phi_grid,
+        leak_tol=oracle.leak_tol,
+        thermal_leak_tol=oracle.thermal_leak_tol,
+        convergence_n=oracle.convergence_n,
         threads=args.threads,
     )
     rows = []

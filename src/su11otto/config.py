@@ -2,7 +2,9 @@
 
 The config file is plain JSON with the same nesting as the defaults below.
 Parsing is strict: unknown sections or keys are fatal, because silently
-ignored physics parameters are the classic way sweeps go wrong.  Units are
+ignored physics parameters are the classic way sweeps go wrong, and so is
+a value whose JSON type differs from its default's (an integer may stand
+for a number; true/false never does).  Units are
 annotated in the key names where dimensional (_h henry, _f farad,
 _kelvin); the engine block is in natural units (hbar = k_B = 1,
 frequencies and temperatures on a common energy scale).
@@ -19,7 +21,7 @@ from .core import EngineConfig
 from .errors import ConfigError
 from .metrology import DERIVATIVE_MODES, OBSERVABLES
 
-__all__ = ["ScenarioConfig", "DEFAULTS", "load_config"]
+__all__ = ["OracleConfig", "ScenarioConfig", "DEFAULTS", "load_config"]
 
 DEFAULTS: dict = {
     "engine": {
@@ -68,6 +70,37 @@ DEFAULTS: dict = {
 
 
 @dataclass(frozen=True)
+class OracleConfig:
+    """Basis sizes, grids and leakage budgets of the Fock-oracle gate, checked on construction."""
+
+    n_max: int
+    algebra_n_max: int
+    beta_omega: tuple[float, ...]
+    zeta_grid: tuple[float, ...]
+    phi_grid: tuple[float, ...]
+    leak_tol: float
+    thermal_leak_tol: float
+    convergence_n: int
+
+    def __post_init__(self):
+        for name in ("beta_omega", "zeta_grid", "phi_grid"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+            if not getattr(self, name):
+                raise ConfigError(f"oracle.{name} must not be empty")
+        for name, ok, rule in (
+            ("n_max", self.n_max >= 1, ">= 1"),
+            ("algebra_n_max", self.algebra_n_max >= 2, ">= 2"),
+            ("convergence_n", self.convergence_n >= 1, ">= 1"),
+            ("leak_tol", self.leak_tol > 0.0, "> 0"),
+            ("thermal_leak_tol", self.thermal_leak_tol > 0.0, "> 0"),
+            ("beta_omega", all(b > 0.0 for b in self.beta_omega), "positive"),
+            ("zeta_grid", all(z >= 0.0 for z in self.zeta_grid), "non-negative"),
+        ):
+            if not ok:
+                raise ConfigError(f"oracle.{name} must be {rule}, got {getattr(self, name)!r}")
+
+
+@dataclass(frozen=True)
 class ScenarioConfig:
     """Validated run configuration for the command-line surface."""
 
@@ -77,9 +110,31 @@ class ScenarioConfig:
     derivative_mode: str
     observable: str
     zeta_bracket: tuple[float, float]
-    oracle: dict = field(repr=False)
+    oracle: OracleConfig = field(repr=False)
     circuit: CircuitParams = field(repr=False)
     circuit_t_f_points: int = 512
+
+
+_JSON_TYPES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+# circuit keys whose CircuitParams field drops the unit suffix
+_CIRCUIT_FIELDS = {
+    "inductance_h": "inductance",
+    "capacitance_f": "capacitance",
+    "josephson_scale_j_per_f": "josephson_scale",
+}
+
+
+def _checked_leaf(default, value, where: str):
+    """value if its JSON type matches the default's, an int widened where a float is due."""
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        return [_checked_leaf(default[0], v, f"{where}[{i}]") for i, v in enumerate(value)]
+    if type(default) is float and type(value) is int:
+        return float(value)
+    if type(value) is not type(default):
+        raise ConfigError(f"{where} must be {_JSON_TYPES[type(default)]}, got {value!r}")
+    return value
 
 
 def _merge_strict(defaults: dict, override: dict, path: str = "") -> dict:
@@ -93,7 +148,7 @@ def _merge_strict(defaults: dict, override: dict, path: str = "") -> dict:
                 raise ConfigError(f"{where} must be a table of settings")
             merged[key] = _merge_strict(defaults[key], value, where)
         else:
-            merged[key] = value
+            merged[key] = _checked_leaf(defaults[key], value, where)
     return merged
 
 
@@ -112,41 +167,26 @@ def _build(raw: dict) -> ScenarioConfig:
         raise ConfigError(
             f"metrology.observable must be one of {OBSERVABLES}, got {met['observable']!r}"
         )
-    bracket = tuple(float(x) for x in met["zeta_bracket"])
+    bracket = tuple(met["zeta_bracket"])
     if len(bracket) != 2 or not bracket[0] < bracket[1]:
         raise ConfigError(f"metrology.zeta_bracket must be [lo, hi] with lo < hi, got {bracket}")
     sweep = raw["sweep"]
-    if int(sweep["phi_points"]) < 8:
+    if sweep["phi_points"] < 8:
         raise ConfigError("sweep.phi_points must be at least 8")
     circ = dict(raw["circuit"])
-    t_f_points = int(circ.pop("t_f_points"))
+    t_f_points = circ.pop("t_f_points")
     try:
-        params = CircuitParams(
-            inductance=circ["inductance_h"],
-            capacitance=circ["capacitance_f"],
-            josephson_scale=circ["josephson_scale_j_per_f"],
-            amp_a=circ["amp_a"],
-            amp_b=circ["amp_b"],
-            rapidity=circ["rapidity"],
-            rapidity_absolute=bool(circ["rapidity_absolute"]),
-            n_cell=int(circ["n_cell"]),
-            mode_index=int(circ["mode_index"]),
-            t_hot_kelvin=circ["t_hot_kelvin"],
-            t_cold_kelvin=circ["t_cold_kelvin"],
-        )
+        params = CircuitParams(**{_CIRCUIT_FIELDS.get(k, k): v for k, v in circ.items()})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"circuit block invalid: {exc}") from exc
-    oracle = dict(raw["oracle"])
-    if int(oracle["n_max"]) < 1 or int(oracle["algebra_n_max"]) < 2:
-        raise ConfigError("oracle basis sizes must be positive")
     return ScenarioConfig(
         engine=engine,
-        zeta_panels=tuple(float(z) for z in sweep["zeta_panels"]),
-        phi_points=int(sweep["phi_points"]),
+        zeta_panels=tuple(sweep["zeta_panels"]),
+        phi_points=sweep["phi_points"],
         derivative_mode=met["derivative_mode"],
         observable=met["observable"],
-        zeta_bracket=(bracket[0], bracket[1]),
-        oracle=oracle,
+        zeta_bracket=bracket,
+        oracle=OracleConfig(**raw["oracle"]),
         circuit=params,
         circuit_t_f_points=t_f_points,
     )

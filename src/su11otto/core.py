@@ -115,6 +115,21 @@ class EngineConfig:
     def beta_c(self) -> float:
         return 1.0 / self.t_cold
 
+    @property
+    def coth_hot(self) -> float:
+        """coth(bh w2/2) = N_in + 1 of the hot thermal state entering the expansion."""
+        return _bath_coth(self.beta_h, self.omega2)
+
+    @property
+    def coth_cold(self) -> float:
+        """coth(bc w1/2) = N_in + 1 of the cold thermal state entering the compression."""
+        return _bath_coth(self.beta_c, self.omega1)
+
+
+def _bath_coth(beta: float, omega: float) -> float:
+    """coth(beta omega / 2), the bath factor of a thermal oscillator pair."""
+    return 1.0 / math.tanh(beta * omega / 2.0)
+
 
 def chi_of(zeta, phi):
     """Effective squeezing chi(zeta, phi); accepts scalars or numpy arrays.
@@ -233,8 +248,8 @@ def chi_max_from_params(omega1: float, omega2: float, beta_c: float, beta_h: flo
 
     Raises NoEngineRegimeError when the ratio is < 1 (no chi produces work).
     """
-    cc = 1.0 / math.tanh(beta_c * omega1 / 2.0)
-    ch = 1.0 / math.tanh(beta_h * omega2 / 2.0)
+    cc = _bath_coth(beta_c, omega1)
+    ch = _bath_coth(beta_h, omega2)
     rhs = (omega1 * cc + omega2 * ch) / (omega2 * cc + omega1 * ch)
     if rhs < 1.0 - DOMAIN_EPS:
         raise NoEngineRegimeError(

@@ -15,6 +15,11 @@ cost into a sum of small-block costs and is what makes n_max = 120
 routine.  `BlockOperator.to_dense()` assembles the full matrix for
 small-basis algebra checks.
 
+Operators are immutable: blocks, diagonal and the `hermitian` flag are
+fixed at construction.  An evolved observable U+ O U comes from
+`O.heisenberg(U)`, which carries O's hermiticity over, so callers never
+patch flags after the fact.
+
 Truncation honesty
 ------------------
 Truncation corrupts matrix elements near the n_max boundary first, and
@@ -29,7 +34,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -42,7 +47,6 @@ __all__ = [
     "BlockOperator",
     "ThermalState",
     "GeneratorSet",
-    "build_generators",
     "thermal_state",
     "unitary_product",
     "unitary_equiv",
@@ -137,32 +141,34 @@ class FockWorkspace:
         return (n1 <= bound) & (n2 <= bound)
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class BlockOperator:
-    """Operator stored as one dense block per imbalance sector.
+    """Immutable operator stored as one dense block per imbalance sector.
 
     `diags` is set for diagonal operators, letting products with them run
-    in O(m^2) per block instead of a full matrix multiply.
+    in O(m^2) per block instead of a full matrix multiply.  `hermitian` is
+    fixed at construction and selects the row-norm path in `variance`.
     """
 
-    def __init__(self, ws: FockWorkspace, blocks, *, hermitian=False, unitary=False, diags=None):
-        self.ws = ws
-        self.blocks = list(blocks)
-        self.hermitian = bool(hermitian)
-        self.unitary = bool(unitary)
-        self.diags = None if diags is None else list(diags)
+    ws: FockWorkspace
+    blocks: tuple
+    hermitian: bool = False
+    diags: tuple | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "blocks", tuple(self.blocks))
+        if self.diags is not None:
+            object.__setattr__(self, "diags", tuple(self.diags))
 
     @classmethod
     def from_diagonal(cls, ws: FockWorkspace, diags, *, hermitian=True) -> "BlockOperator":
         diags = [np.asarray(v) for v in diags]
-        blocks = [np.diag(v) for v in diags]
-        return cls(ws, blocks, hermitian=hermitian, unitary=False, diags=diags)
+        return cls(ws, [np.diag(v) for v in diags], hermitian=hermitian, diags=diags)
 
     def dag(self) -> "BlockOperator":
         blocks = [b.conj().T for b in self.blocks]
         diags = None if self.diags is None else [v.conj() for v in self.diags]
-        return BlockOperator(
-            self.ws, blocks, hermitian=self.hermitian, unitary=self.unitary, diags=diags
-        )
+        return BlockOperator(self.ws, blocks, hermitian=self.hermitian, diags=diags)
 
     def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
         if not isinstance(other, BlockOperator):
@@ -178,9 +184,14 @@ class BlockOperator:
         diags = None
         if self.diags is not None and other.diags is not None:
             diags = [u * v for u, v in zip(self.diags, other.diags)]
-        return BlockOperator(
-            self.ws, blocks, unitary=self.unitary and other.unitary, diags=diags
-        )
+        return BlockOperator(self.ws, blocks, diags=diags)
+
+    def heisenberg(self, u: "BlockOperator") -> "BlockOperator":
+        """Heisenberg-picture image U+ O U of this operator under the unitary u.
+
+        Hermitian exactly when O is, since u is unitary.
+        """
+        return replace(u.dag() @ (self @ u), hermitian=self.hermitian)
 
     def diagonal(self) -> list[np.ndarray]:
         if self.diags is not None:
@@ -209,7 +220,13 @@ class BlockOperator:
 
 
 class GeneratorSet:
-    """The su(1,1) generators, the number operator and (dense) mode ladders."""
+    """K_x, K_y, K_z and N on the workspace, plus dense a1/a2 on demand.
+
+    K_x = (a1+ a2+ + a1 a2)/2, K_y = i (a1 a2 - a1+ a2+)/2,
+    K_z = (a1+ a1 + a2 a2+)/2 = (N + 1)/2; the commutators
+    [K_x, K_y] = -i K_z, [K_y, K_z] = i K_x, [K_z, K_x] = i K_y hold on the
+    interior block of the truncated space.
+    """
 
     def __init__(self, ws: FockWorkspace):
         self.ws = ws
@@ -237,17 +254,6 @@ def _dense_annihilator(n_max: int) -> np.ndarray:
     ns = np.arange(1, n_max + 1)
     a[ns - 1, ns] = np.sqrt(ns)
     return a
-
-
-def build_generators(ws: FockWorkspace) -> GeneratorSet:
-    """K_x, K_y, K_z and N on the workspace, plus dense a1/a2 on demand.
-
-    K_x = (a1+ a2+ + a1 a2)/2, K_y = i (a1 a2 - a1+ a2+)/2,
-    K_z = (a1+ a1 + a2 a2+)/2 = (N + 1)/2; the commutators
-    [K_x, K_y] = -i K_z, [K_y, K_z] = i K_x, [K_z, K_x] = i K_y hold on the
-    interior block of the truncated space.
-    """
-    return GeneratorSet(ws)
 
 
 @dataclass(frozen=True)
@@ -315,7 +321,7 @@ def _exp_i_kx(ws: FockWorkspace, s: float) -> BlockOperator:
     blocks = []
     for lam, vec in ws.kx_eig:
         blocks.append((vec * np.exp(1j * s * lam)) @ vec.T)
-    return BlockOperator(ws, blocks, unitary=True)
+    return BlockOperator(ws, blocks)
 
 
 def _exp_i_ky(ws: FockWorkspace, s: float) -> BlockOperator:
@@ -325,14 +331,12 @@ def _exp_i_ky(ws: FockWorkspace, s: float) -> BlockOperator:
         d = (-1j) ** np.arange(sec.size)
         e = (vec * np.exp(1j * s * lam)) @ vec.T
         blocks.append((d[:, None] * e) * d.conj()[None, :])
-    return BlockOperator(ws, blocks, unitary=True)
+    return BlockOperator(ws, blocks)
 
 
 def _phase_kz(ws: FockWorkspace, s: float) -> BlockOperator:
     diags = [np.exp(1j * s * kz) for kz in ws.kz_diags]
-    op = BlockOperator.from_diagonal(ws, diags, hermitian=False)
-    op.unitary = True
-    return op
+    return BlockOperator.from_diagonal(ws, diags, hermitian=False)
 
 
 def boundary_occupancy(op: BlockOperator, state: ThermalState) -> float:

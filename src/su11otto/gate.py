@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,8 +33,8 @@ from .core import EngineConfig, InterferometerAngles, ProtocolEndpoints, chi_of,
 from .errors import TruncationError
 from .fock import (
     FockWorkspace,
+    GeneratorSet,
     boundary_occupancy,
-    build_generators,
     evolution_endpoint,
     expect,
     hamiltonian_final,
@@ -119,17 +119,7 @@ def _cmp(quantity, analytic, oracle, tol, n_max, leakage=0.0, *, relative=False)
 def _expected_mismatch(quantity, analytic, oracle, tol, n_max, *, relative=False) -> GateRecord:
     """Record a printed formula the oracle arbitrates; 'discrepancy' when it loses."""
     rec = _cmp(quantity, analytic, oracle, tol, n_max, relative=relative)
-    if rec.status == "fail":
-        rec = GateRecord(
-            quantity=rec.quantity,
-            analytic=rec.analytic,
-            oracle=rec.oracle,
-            tolerance=rec.tolerance,
-            n_max=rec.n_max,
-            leakage=rec.leakage,
-            status="discrepancy",
-        )
-    return rec
+    return replace(rec, status="discrepancy") if rec.status == "fail" else rec
 
 
 def _algebra_records(n_max: int) -> list[GateRecord]:
@@ -142,7 +132,7 @@ def _algebra_records(n_max: int) -> list[GateRecord]:
     tolerance and is far cheaper than dense products anyway.
     """
     ws = FockWorkspace(n_max)
-    gen = build_generators(ws)
+    gen = GeneratorSet(ws)
 
     def mm(a, b):
         # broadcast matmul so the reduction stays in long-double ufunc arithmetic
@@ -255,24 +245,14 @@ def _equivalence_point(ws, state, bw, zeta, phi, leak_tol):
         u2 = unitary_equiv(ProtocolEndpoints(chi, theta), ws, state=state, leak_tol=leak_tol)
         u3 = evolution_endpoint(-chi, -theta, ws, state=state, leak_tol=leak_tol)
     except TruncationError:
-        return [
-            GateRecord(
-                quantity=f"equivalence{tag}",
-                analytic=math.nan,
-                oracle=math.nan,
-                tolerance=1e-8,
-                n_max=ws.n_max,
-                leakage=math.nan,
-                status="skipped",
-            )
-        ]
+        skipped = _cmp(f"equivalence{tag}", math.nan, math.nan, 1e-8, ws.n_max, math.nan)
+        return [replace(skipped, status="skipped")]
     n_op = number_operator(ws)
     coth_in = 1.0 / math.tanh(bw / 2.0)
     recs = []
     means = []
     for name, u in (("un1", u1), ("un2", u2), ("tiev", u3)):
-        m = u.dag() @ (n_op @ u)
-        m.hermitian = True  # U+ N U with N real diagonal
+        m = n_op.heisenberg(u)
         mean_n = expect(m, state)
         means.append((name, mean_n, m))
         recs.append(
@@ -286,33 +266,13 @@ def _equivalence_point(ws, state, bw, zeta, phi, leak_tol):
         )
     leak = max(boundary_occupancy(u, state) for u in (u1, u2, u3))
     for (na, ma, _), (nb, mb, _) in ((means[0], means[1]), (means[0], means[2]), (means[1], means[2])):
-        recs.append(
-            GateRecord(
-                quantity=f"mean_n_{na}_vs_{nb}{tag}",
-                analytic=ma,
-                oracle=mb,
-                tolerance=1e-8,
-                n_max=ws.n_max,
-                leakage=leak,
-                status="pass" if abs(ma - mb) <= 1e-8 else "fail",
-            )
-        )
+        recs.append(_cmp(f"mean_n_{na}_vs_{nb}{tag}", ma, mb, 1e-8, ws.n_max, leak))
     # <H> after the stroke: the evolved observable 2 w_f K_z = w_f (N + 1),
     # evaluated at unit final frequency
     omega_f = 1.0
     analytic_h = omega_f * math.cosh(chi) * coth_in
     oracle_h = omega_f * (means[1][1] + 1.0)
-    recs.append(
-        GateRecord(
-            quantity=f"mean_h_vs_closed_form{tag}",
-            analytic=analytic_h,
-            oracle=oracle_h,
-            tolerance=1e-7,
-            n_max=ws.n_max,
-            leakage=leak,
-            status="pass" if abs(analytic_h - oracle_h) <= 1e-7 else "fail",
-        )
-    )
+    recs.append(_cmp(f"mean_h_vs_closed_form{tag}", analytic_h, oracle_h, 1e-7, ws.n_max, leak))
     # number variance against the printed closed form (this one is expected to hold)
     var_closed = 0.5 * (math.cosh(2.0 * chi) * coth_in**2 - 1.0)
     var_oracle = variance(means[1][2], state)
@@ -339,11 +299,10 @@ def _variance_arbitration(config: EngineConfig, ws: FockWorkspace, leak_tol) -> 
         var_oracle = variance(h_final, state)
         mean_oracle = expect(h_final, state)
         tag = f"[chi={chi:g}]"
-        coth_in = 1.0 / math.tanh(config.beta_h * config.omega2 / 2.0)
         recs.append(
             _cmp(
                 f"mean_h_static{tag}",
-                config.omega1 * math.cosh(chi) * coth_in,
+                config.omega1 * math.cosh(chi) * config.coth_hot,
                 mean_oracle,
                 1e-7,
                 ws.n_max,
@@ -374,7 +333,7 @@ def _variance_arbitration(config: EngineConfig, ws: FockWorkspace, leak_tol) -> 
 
 def _derivative_arbitration(config: EngineConfig) -> list[GateRecord]:
     """Central finite differences of the composed N(phi) map vs both printed forms."""
-    n_in = 1.0 / math.tanh(config.beta_h * config.omega2 / 2.0) - 1.0
+    n_in = config.coth_hot - 1.0
     step = 1e-5
     recs = []
     for zeta, phi in ((2.0, 0.1), (1.2, 0.6), (3.0, 0.05), (0.7, 1.9)):
@@ -413,9 +372,7 @@ def _convergence_record(bw, zeta, phi, n_small, leak_tol) -> GateRecord:
         ws = FockWorkspace(n_max)
         state = thermal_state(ws, bw, 1.0)
         u = unitary_product(InterferometerAngles(zeta, phi), ws, state=state, leak_tol=leak_tol)
-        m = u.dag() @ (number_operator(ws) @ u)
-        m.hermitian = True
-        means.append(expect(m, state))
+        means.append(expect(number_operator(ws).heisenberg(u), state))
     return _cmp(
         f"truncation_convergence[bw={bw:g},zeta={zeta:g},phi={phi:g},n={n_small}->{2*n_small}]",
         means[0],

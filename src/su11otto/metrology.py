@@ -48,6 +48,7 @@ __all__ = [
     "variance_h",
     "dn_dphi_paper",
     "dn_dphi_chain",
+    "delta_phi",
     "sensitivity",
     "photon_number_at_phase",
     "snl",
@@ -101,10 +102,6 @@ class SnlSolution:
     derivative_mode: str
 
 
-def _hot_coth(config: EngineConfig) -> float:
-    return 1.0 / math.tanh(config.beta_h * config.omega2 / 2.0)
-
-
 def variance_n(config: EngineConfig, chi) -> float:
     """Number variance after the expansion stroke,
 
@@ -112,7 +109,7 @@ def variance_n(config: EngineConfig, chi) -> float:
 
     At chi = 0 this is the two-mode thermal value 2 nbar (nbar + 1).
     """
-    c = _hot_coth(config)
+    c = config.coth_hot
     return 0.5 * (np.cosh(2.0 * np.asarray(chi)) * c * c - 1.0)
 
 
@@ -126,14 +123,13 @@ def variance_h(config: EngineConfig, chi) -> float:
     direct linear algebra gives w1^2 Delta^2 N instead; the oracle gate
     records the discrepancy rather than silently correcting it.
     """
-    c = _hot_coth(config)
+    c = config.coth_hot
     return 2.0 * config.omega1**2 * (variance_n(config, chi) + 0.25 * (c * c + 1.0))
 
 
 def dn_dphi_paper(config: EngineConfig, zeta, phi) -> float:
     """Printed phase derivative of the mean number: sin(phi) sinh^2(zeta) coth^2(bh w2/2)."""
-    c = _hot_coth(config)
-    return np.sin(np.asarray(phi)) * np.sinh(zeta) ** 2 * c * c
+    return dn_dphi_chain(config, zeta, phi) * config.coth_hot
 
 
 def dn_dphi_chain(config: EngineConfig, zeta, phi) -> float:
@@ -144,8 +140,7 @@ def dn_dphi_chain(config: EngineConfig, zeta, phi) -> float:
     one power of coth lower than the printed form; matches central finite
     differences of the composed map.
     """
-    c = _hot_coth(config)
-    return np.sin(np.asarray(phi)) * np.sinh(zeta) ** 2 * c
+    return np.sin(np.asarray(phi)) * np.sinh(zeta) ** 2 * config.coth_hot
 
 
 def _dn_dphi(config: EngineConfig, zeta, phi, derivative_mode: str):
@@ -176,12 +171,19 @@ def snl(config: EngineConfig, zeta: float) -> float:
 
     N_in + 1 = coth(bh w2/2); strictly decreasing in zeta.
     """
-    n_in = _hot_coth(config) - 1.0
+    n_in = config.coth_hot - 1.0
     return 1.0 / math.sqrt(photon_number_at_phase(n_in, zeta))
 
 
-def _delta_phi_arrays(config: EngineConfig, zeta: float, phi, derivative_mode: str):
-    """(delta_phi_n, delta_phi_h) over an array of phases; inf where the derivative vanishes."""
+def delta_phi(config: EngineConfig, zeta: float, phi, derivative_mode: str = "chain"):
+    """(delta_phi_n, delta_phi_h) at one or many phases; +inf where dN/dphi vanishes.
+
+    The array entry point behind every sensitivity: phi may be a scalar or
+    an array, and both results have its shape.  The energy derivative is
+    dH/dphi = w1 dN/dphi, so the w1 factors cancel in delta_phi_h and the
+    strict ordering delta_phi_h > delta_phi_n comes entirely from the extra
+    vacuum term in the printed energy variance.
+    """
     phi = np.asarray(phi, dtype=float)
     chi = chi_of(zeta, phi)
     dn = np.abs(_dn_dphi(config, zeta, phi, derivative_mode))
@@ -196,15 +198,12 @@ def _delta_phi_arrays(config: EngineConfig, zeta: float, phi, derivative_mode: s
 def sensitivity(
     config: EngineConfig, zeta: float, phi: float, derivative_mode: str = "chain"
 ) -> SensitivityPoint:
-    """Sensitivities of number and energy at one phase, with the shot-noise benchmark.
+    """delta_phi at one phase, with the shot-noise benchmark and normalized values.
 
-    The energy derivative is dH/dphi = w1 dN/dphi, so the w1 factors cancel
-    in delta_phi_h and the strict ordering delta_phi_h > delta_phi_n comes
-    entirely from the extra vacuum term in the printed energy variance.
     Returns +inf sensitivities with diverged=True where dN/dphi vanishes
     (phi -> 0 or pi).
     """
-    d_n, d_h = _delta_phi_arrays(config, zeta, phi, derivative_mode)
+    d_n, d_h = delta_phi(config, zeta, phi, derivative_mode)
     d_n, d_h = float(d_n), float(d_h)
     benchmark = snl(config, zeta)
     return SensitivityPoint(
@@ -219,12 +218,9 @@ def sensitivity(
 
 
 def _delta_phi_grid(config, zeta, phis, observable, derivative_mode):
-    d_n, d_h = _delta_phi_arrays(config, zeta, phis, derivative_mode)
-    if observable == "number":
-        return d_n
-    if observable == "energy":
-        return d_h
-    raise ValueError(f"observable must be one of {OBSERVABLES}, got {observable!r}")
+    if observable not in OBSERVABLES:
+        raise ValueError(f"observable must be one of {OBSERVABLES}, got {observable!r}")
+    return delta_phi(config, zeta, phis, derivative_mode)[OBSERVABLES.index(observable)]
 
 
 def _golden_section(f, lo: float, hi: float, xtol: float) -> float:

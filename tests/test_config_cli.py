@@ -3,11 +3,21 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from su11otto import (
+    InterferometerAngles,
+    carnot,
+    chi_from,
+    sensitivity,
+    stage_energies,
+    works_and_heats,
+)
 from su11otto.cli import main
-from su11otto.config import DEFAULTS, load_config
+from su11otto.config import DEFAULTS, OracleConfig, load_config
 from su11otto.errors import ConfigError
+from su11otto.reports import fmt
 
 
 class TestConfig:
@@ -51,6 +61,48 @@ class TestConfig:
 
     def test_defaults_dict_is_complete(self):
         assert set(DEFAULTS) == {"engine", "sweep", "metrology", "oracle", "circuit"}
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            # the five inputs the loader used to accept
+            {"circuit": {"rapidity_absolute": "false"}},  # bool("false") is True
+            {"sweep": {"phi_points": 2000.9}},  # int() truncated it to 2000
+            {"oracle": {"leak_tol": -1}},  # every point would be skipped
+            {"oracle": {"beta_omega": []}},
+            {"sweep": {"zeta_panels": "2"}},  # iterated into (2.0,)
+            # the remaining type and oracle rules
+            {"engine": {"omega1": True}},
+            {"sweep": {"zeta_panels": [2.0, "3"]}},
+            {"metrology": {"observable": 1}},
+            {"oracle": {"n_max": 0}},
+            {"oracle": {"algebra_n_max": 1}},
+            {"oracle": {"convergence_n": 0}},
+            {"oracle": {"thermal_leak_tol": 0.0}},
+            {"oracle": {"zeta_grid": [0.4, -0.1]}},
+            {"oracle": {"phi_grid": []}},
+        ],
+    )
+    def test_wrong_type_or_invalid_value_fatal(self, tmp_path, override):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(override))
+        section, key = next((s, k) for s, block in override.items() for k in block)
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+            load_config(path)
+
+    def test_integer_stands_for_number(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"engine": {"t_hot": 2}, "sweep": {"zeta_panels": [2, 3]}}))
+        cfg = load_config(path)
+        assert type(cfg.engine.t_hot) is float and cfg.engine.t_hot == 2.0
+        assert all(type(z) is float for z in cfg.zeta_panels)
+
+    def test_oracle_block_is_typed_and_frozen(self):
+        oracle = load_config().oracle
+        assert isinstance(oracle, OracleConfig)
+        assert oracle.beta_omega == (0.25, 0.5, 1.0) and oracle.n_max == 120
+        with pytest.raises(AttributeError):
+            oracle.n_max = 10
 
 
 class TestConvertCommand:
@@ -156,3 +208,74 @@ class TestCsvCommands:
         ) == 0
         text = (tmp_path / "figure3_zeta2.csv").read_text()
         assert ",paper" in text and ",chain" not in text
+
+
+def _csv_rows(path):
+    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    cols = lines[0].split(",")
+    return [dict(zip(cols, (float(v) if v not in ("chain", "paper") else v
+                            for v in l.split(",")))) for l in lines[1:]]
+
+
+def _agrees(got, want, scale=0.0):
+    """Relative 1e-12, plus 1e-12 * scale for cells formed by cancellation."""
+    if not np.isfinite(want):
+        return got == want or (np.isnan(got) and np.isnan(want))
+    return abs(got - want) <= 1e-12 * (abs(want) + scale)
+
+
+def _scalar_cycle(engine, zeta, phi):
+    """Per-point reference: the report at chi(zeta, phi) and its cancellation scale max|h|."""
+    chi = chi_from(InterferometerAngles(zeta=zeta, phi=phi))
+    rep = works_and_heats(engine, chi)
+    energies = stage_energies(engine, chi)
+    for value in (*vars(rep).values(), *vars(energies).values()):
+        # reports.fmt prints a 0-d array through str(), which would change CSV bytes
+        assert not isinstance(value, np.ndarray)
+        assert fmt(value) == fmt(value.item() if hasattr(value, "item") else value)
+    return chi, rep, max(abs(h) for h in vars(energies).values())
+
+
+class TestArraySweepsMatchScalarPath:
+    """The vectorized cycle/figure3 panels against the per-point scalar path."""
+
+    CONFIG = {"sweep": {"zeta_panels": [2.0, 3.4], "phi_points": 64}}
+
+    def test_every_row(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.CONFIG))
+        for command in ("cycle", "figure3"):
+            assert main(["--config", str(cfg), "--out", str(tmp_path), command]) == 0
+        engine = load_config(cfg).engine
+        eta_c = carnot(engine)
+
+        def eta_cells(rep, h):
+            h_eta = h / abs(rep.q_bc)  # eta = w_net / q_bc inherits w_net's absolute error
+            return {"eta": (rep.eta, h_eta), "eta_norm": (rep.eta / eta_c, h_eta / eta_c)}
+
+        rows = _csv_rows(tmp_path / "cycle_sweep.csv")
+        assert len(rows) == 2 * 63
+        for row in rows:
+            chi, rep, h = _scalar_cycle(engine, row["zeta"], row["phi"])
+            expected = {
+                "chi": (chi, 0.0), "w_ab": (rep.w_ab, h), "q_bc": (rep.q_bc, h),
+                "w_cd": (rep.w_cd, h), "q_da": (rep.q_da, h), "w_net": (rep.w_net, h),
+                "w_fric": (rep.w_fric, 0.0), **eta_cells(rep, h),
+            }
+            for col, (want, scale) in expected.items():
+                assert _agrees(row[col], want, scale), (col, row[col], want)
+
+        for zeta, name in ((2.0, "figure3_zeta2.csv"), (3.4, "figure3_zeta3.4.csv")):
+            rows = _csv_rows(tmp_path / name)
+            assert len(rows) == 63
+            for row in rows:
+                pt = sensitivity(engine, zeta, row["phi"], "chain")
+                assert all(type(v) in (float, bool) for v in vars(pt).values())
+                _, rep, h = _scalar_cycle(engine, zeta, row["phi"])
+                expected = {
+                    "delta_phi_n": (pt.delta_phi_n, 0.0), "delta_phi_h": (pt.delta_phi_h, 0.0),
+                    "snl": (pt.snl, 0.0), "norm_n": (pt.norm_n, 0.0), "norm_h": (pt.norm_h, 0.0),
+                    **eta_cells(rep, h),
+                }
+                for col, (want, scale) in expected.items():
+                    assert _agrees(row[col], want, scale), (col, row[col], want)

@@ -14,14 +14,13 @@ from su11otto import (
     carnot,
     chi_max,
     efficiency,
-    friction_work,
     otto_ideal,
     stage_energies,
     temperature_ratio_bound,
     works_and_heats,
 )
 from su11otto.cycle import works_and_heats_from_params
-from su11otto.errors import NotAnEngineError, RegimeWarning
+from su11otto.errors import NoEngineRegimeError, NotAnEngineError, RegimeWarning
 
 H_A = 0.10000908039820193755  # 0.1 * coth(5)
 H_C = 4.0829881650735965683  # coth(0.25)
@@ -104,11 +103,24 @@ class TestEfficiency:
         cfg = EngineConfig(omega1=1.0 - 1e-12, omega2=1.0, t_hot=2.0, t_cold=0.01)
         assert otto_ideal(cfg) == pytest.approx(0.0, abs=1e-11)
 
-    def test_matches_work_heat_ratio(self, fig3_config):
-        rep = works_and_heats(fig3_config, 0.5)
-        assert efficiency(fig3_config, 0.5) == pytest.approx(
-            -(rep.w_ab + rep.w_cd) / rep.q_bc, abs=1e-12
-        )
+    def test_matches_work_heat_ratio(self, rng):
+        # second route: the printed closed form
+        # 1 - (w1/w2) (cosh(chi) coth_h - coth_c) / (coth_h - cosh(chi) coth_c)
+        checked = 0
+        for config in _random_engine_configs(rng, 100):
+            try:
+                bound = chi_max(config)
+            except NoEngineRegimeError:
+                continue
+            chi = rng.uniform(0.0, 0.95) * bound
+            coth_h = 1.0 / math.tanh(config.omega2 / (2.0 * config.t_hot))
+            coth_c = 1.0 / math.tanh(config.omega1 / (2.0 * config.t_cold))
+            closed = 1.0 - (config.omega1 / config.omega2) * (
+                math.cosh(chi) * coth_h - coth_c
+            ) / (coth_h - math.cosh(chi) * coth_c)
+            assert efficiency(config, chi) == pytest.approx(closed, rel=1e-12, abs=1e-12)
+            checked += 1
+        assert checked > 50
 
     def test_not_an_engine_past_chi_max(self, fig3_config):
         with pytest.raises(NotAnEngineError):
@@ -132,12 +144,10 @@ class TestEfficiency:
 
 class TestFriction:
     def test_zero_at_adiabatic_limit(self, fig3_config):
-        w_fric, _ = friction_work(fig3_config, 0.0)
-        assert w_fric == 0.0
+        assert works_and_heats(fig3_config, 0.0).w_fric == 0.0
 
     def test_reference_value(self, fig3_config):
-        w_fric, _ = friction_work(fig3_config, 1.0)
-        assert w_fric == pytest.approx(W_FRIC_1, abs=1e-12)
+        assert works_and_heats(fig3_config, 1.0).w_fric == pytest.approx(W_FRIC_1, abs=1e-12)
 
     def test_decomposition_identity(self, rng):
         for config in _random_engine_configs(rng, 100):

@@ -9,9 +9,10 @@ import pytest
 from su11otto.core import InterferometerAngles, ProtocolEndpoints, chi_of, theta_of
 from su11otto.errors import TruncationError
 from su11otto.fock import (
+    BlockOperator,
     FockWorkspace,
+    GeneratorSet,
     boundary_occupancy,
-    build_generators,
     evolution_endpoint,
     expect,
     hamiltonian_final,
@@ -50,19 +51,19 @@ class TestWorkspace:
 
 class TestGenerators:
     def test_vacuum_kz_eigenvalue(self):
-        gen = build_generators(FockWorkspace(4))
+        gen = GeneratorSet(FockWorkspace(4))
         assert gen.kz.to_dense()[0, 0].real == 0.5
 
     def test_kz_is_half_n_plus_one(self):
         ws = FockWorkspace(6)
-        gen = build_generators(ws)
+        gen = GeneratorSet(ws)
         assert np.array_equal(
             gen.kz.to_dense(), (gen.n.to_dense() + np.eye(ws.dim)) / 2.0
         )
 
     def test_ladder_representation(self):
         ws = FockWorkspace(5)
-        gen = build_generators(ws)
+        gen = GeneratorSet(ws)
         a1, a2 = gen.a1, gen.a2
         kx_ref = (a1.conj().T @ a2.conj().T + a1 @ a2) / 2.0
         ky_ref = 1j * (a1 @ a2 - a1.conj().T @ a2.conj().T) / 2.0
@@ -133,8 +134,7 @@ class TestUnitaries:
         ws = FockWorkspace(30)
         state = thermal_state(ws, 1.0, 1.0)
         u = evolution_endpoint(0.0, 1.3, ws, state=state)
-        m = u.dag() @ (number_operator(ws) @ u)
-        m.hermitian = True
+        m = number_operator(ws).heisenberg(u)
         assert expect(m, state) == pytest.approx(state.mean_number(), abs=1e-12)
 
     def test_unitarity_defects(self):
@@ -157,9 +157,7 @@ class TestUnitaries:
             unitary_equiv(ProtocolEndpoints(chi, theta), ws, state=state),
             evolution_endpoint(-chi, -theta, ws, state=state),
         ):
-            m = u.dag() @ (number_operator(ws) @ u)
-            m.hermitian = True
-            means.append(expect(m, state))
+            means.append(expect(number_operator(ws).heisenberg(u), state))
         analytic = (state.mean_number() + 1.0) * math.cosh(chi) - 1.0
         assert means[0] == pytest.approx(means[1], abs=1e-10)
         assert means[1] == pytest.approx(means[2], abs=1e-12)
@@ -227,10 +225,35 @@ class TestExpectations:
         with pytest.raises(ValueError):
             op.to_dense()
 
+    def test_heisenberg_image_keeps_hermiticity(self):
+        ws = FockWorkspace(12)
+        u = unitary_product(InterferometerAngles(zeta=0.4, phi=0.9), ws)
+        n_op = number_operator(ws)
+        m = n_op.heisenberg(u)
+        assert m.hermitian and m.hermiticity_defect() < 1e-13
+        assert np.max(np.abs(m.to_dense() - (u.dag() @ (n_op @ u)).to_dense())) == 0.0
+        assert not u.heisenberg(u).hermitian  # a non-Hermitian operator stays so
+
     def test_diagonal_fast_path_matches_generic(self):
         ws = FockWorkspace(12)
-        gen = build_generators(ws)
+        gen = GeneratorSet(ws)
         diag = number_operator(ws)
         lhs = (diag @ gen.kx).to_dense()
         rhs = diag.to_dense() @ gen.kx.to_dense()
         assert np.max(np.abs(lhs - rhs)) < 1e-14
+
+
+class TestImmutability:
+    @pytest.mark.parametrize("attr", ["hermitian", "blocks", "diags"])
+    def test_assignment_raises(self, attr):
+        op = number_operator(FockWorkspace(4))
+        with pytest.raises(AttributeError):
+            setattr(op, attr, getattr(op, attr))
+
+    def test_constructor_freezes_block_lists(self):
+        ws = FockWorkspace(3)
+        blocks = [np.eye(s.size) for s in ws.sectors]
+        op = BlockOperator(ws, blocks, diags=[np.ones(s.size) for s in ws.sectors])
+        blocks.append(np.eye(2))
+        assert isinstance(op.blocks, tuple) and isinstance(op.diags, tuple)
+        assert len(op.blocks) == len(ws.sectors) and not op.hermitian

@@ -71,9 +71,7 @@ class TestVariances:
         ws = FockWorkspace(160)
         state = thermal_state(ws, fig3_config.beta_h, fig3_config.omega2)
         u = unitary_equiv(ProtocolEndpoints(chi=0.8, theta=0.3), ws, state=state)
-        m = u.dag() @ (number_operator(ws) @ u)
-        m.hermitian = True
-        oracle = variance(m, state)
+        oracle = variance(number_operator(ws).heisenberg(u), state)
         assert float(variance_n(fig3_config, 0.8)) == pytest.approx(oracle, rel=1e-6)
 
 
