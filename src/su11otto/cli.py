@@ -256,7 +256,6 @@ def cmd_oracle(args, config: ScenarioConfig) -> int:
         leak_tol=oracle.leak_tol,
         thermal_leak_tol=oracle.thermal_leak_tol,
         convergence_n=oracle.convergence_n,
-        threads=args.threads,
     )
     rows = []
     for rec in result.records:
@@ -297,8 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="derivative_mode",
         help="override the configured dN/dphi convention",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for independent oracle grid points")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_convert = sub.add_parser("convert", help="map between (zeta, phi) and (chi, theta)")

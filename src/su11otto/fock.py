@@ -25,9 +25,13 @@ Truncation honesty
 Truncation corrupts matrix elements near the n_max boundary first, and
 squeezing amplifies tails, so variances break before means.  Thermal
 states report their tail leakage and refuse to renormalize silently past
-a tolerance; evolution helpers can check the boundary occupancy of the
-intermediate and final states against a leakage budget and raise instead
-of returning quietly wrong numbers.
+a tolerance.  Given a state, each unitary builder checks the boundary
+occupancy of every squeezed partial product of the very product it
+returns, interior phases included, against a leakage budget, and raises
+instead of returning quietly wrong numbers.  For the Fock-diagonal
+states used here, `evolved_populations` gives the diagonal of U rho U+,
+from which the moments of N and the boundary mass follow without forming
+U+ N U.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ __all__ = [
     "variance",
     "boundary_occupancy",
     "evolved_boundary_occupancy",
+    "evolved_populations",
 ]
 
 _DENSE_LIMIT = 4096  # refuse to assemble dense matrices larger than this
@@ -147,7 +152,7 @@ class BlockOperator:
 
     `diags` is set for diagonal operators, letting products with them run
     in O(m^2) per block instead of a full matrix multiply.  `hermitian` is
-    fixed at construction and selects the row-norm path in `variance`.
+    fixed at construction; `variance` accepts only Hermitian operators.
     """
 
     ws: FockWorkspace
@@ -350,32 +355,45 @@ def boundary_occupancy(op: BlockOperator, state: ThermalState) -> float:
     return w
 
 
+def evolved_populations(u: BlockOperator, state: ThermalState) -> list[np.ndarray]:
+    """Per-sector diagonal of U rho U+ for the Fock-diagonal state: |U|^2 p."""
+    if u.ws is not state.ws:
+        raise ValueError("operator and state live on different workspaces")
+    return [(np.abs(b) ** 2) @ p for b, p in zip(u.blocks, state.probs)]
+
+
+def _guarded_product(factors, state, leak_tol=math.inf, label="chain"):
+    """The product of `factors` (ordered as applied to the state) and the
+    worst boundary occupancy of the state along the chain.
+
+    Each partial product is formed once and read after every non-diagonal
+    factor; diagonal phases move no population but stay in the product.
+    Raises TruncationError past leak_tol; with no state nothing is checked.
+    """
+    acc = None
+    worst = 0.0
+    for f in factors:
+        acc = f if acc is None else f @ acc
+        if state is None or f.diags is not None:
+            continue
+        worst = max(worst, boundary_occupancy(acc, state))
+        if worst > leak_tol:
+            raise TruncationError(
+                f"{label}: boundary occupancy {worst:.3e} exceeds leakage budget "
+                f"{leak_tol:.1e} at n_max={state.ws.n_max}; increase n_max or reduce "
+                "the squeezing"
+            )
+    return acc, worst
+
+
 def evolved_boundary_occupancy(factors, state: ThermalState) -> float:
     """Worst boundary occupancy along the chain rho -> F1 rho F1+ -> (F2 F1) rho ....
 
     `factors` are the unitary factors ordered as they are applied to the
-    state (rightmost factor of the operator product first).  Diagonal
-    phase factors cannot move population, so they are skipped.
+    state (rightmost factor of the operator product first); interior phases
+    act on the partial products.
     """
-    worst = 0.0
-    acc = None
-    for f in factors:
-        if f.diags is not None:
-            continue
-        acc = f if acc is None else f @ acc
-        worst = max(worst, boundary_occupancy(acc, state))
-    return worst
-
-
-def _guard_leakage(factors, state, leak_tol: float, label: str) -> None:
-    if state is None:
-        return
-    leak = evolved_boundary_occupancy(factors, state)
-    if leak > leak_tol:
-        raise TruncationError(
-            f"{label}: boundary occupancy {leak:.3e} exceeds leakage budget {leak_tol:.1e} "
-            f"at n_max={state.ws.n_max}; increase n_max or reduce the squeezing"
-        )
+    return _guarded_product(factors, state)[1]
 
 
 def unitary_product(
@@ -393,11 +411,12 @@ def unitary_product(
     intermediate squeeze is the binding constraint: it spreads the state by
     zeta even when the composed chi is small).
     """
-    first = _exp_i_kx(ws, angles.zeta)
-    mid = _phase_kz(ws, -angles.phi)
-    last = _exp_i_kx(ws, -angles.zeta)
-    _guard_leakage((first, mid, last), state, leak_tol, "unitary_product")
-    return last @ (mid @ first)
+    factors = (
+        _exp_i_kx(ws, angles.zeta),
+        _phase_kz(ws, -angles.phi),
+        _exp_i_kx(ws, -angles.zeta),
+    )
+    return _guarded_product(factors, state, leak_tol, "unitary_product")[0]
 
 
 def unitary_equiv(
@@ -408,11 +427,12 @@ def unitary_equiv(
     leak_tol: float = 1e-8,
 ) -> BlockOperator:
     """The endpoint form exp(i theta K_z) exp(i chi K_y) exp(-i theta K_z)."""
-    first = _phase_kz(ws, -endpoints.theta)
-    mid = _exp_i_ky(ws, endpoints.chi)
-    last = _phase_kz(ws, endpoints.theta)
-    _guard_leakage((first, mid, last), state, leak_tol, "unitary_equiv")
-    return last @ (mid @ first)
+    factors = (
+        _phase_kz(ws, -endpoints.theta),
+        _exp_i_ky(ws, endpoints.chi),
+        _phase_kz(ws, endpoints.theta),
+    )
+    return _guarded_product(factors, state, leak_tol, "unitary_equiv")[0]
 
 
 def evolution_endpoint(
@@ -424,10 +444,8 @@ def evolution_endpoint(
     leak_tol: float = 1e-8,
 ) -> BlockOperator:
     """The time-ordered endpoint unitary exp(-i f_z K_z) exp(-i f_y K_y)."""
-    first = _exp_i_ky(ws, -f_y_tf)
-    last = _phase_kz(ws, -f_z_tf)
-    _guard_leakage((first, last), state, leak_tol, "evolution_endpoint")
-    return last @ first
+    factors = (_exp_i_ky(ws, -f_y_tf), _phase_kz(ws, -f_z_tf))
+    return _guarded_product(factors, state, leak_tol, "evolution_endpoint")[0]
 
 
 def hamiltonian_final(omega_f: float, f_y_tf: float, ws: FockWorkspace) -> BlockOperator:
@@ -459,20 +477,16 @@ def expect(op: BlockOperator, state: ThermalState) -> float:
 
 
 def variance(op: BlockOperator, state: ThermalState) -> float:
-    """Tr[O^2 rho] - Tr[O rho]^2; the Hermitian path uses row norms of O
+    """Tr[O^2 rho] - Tr[O rho]^2 for a Hermitian O, from the row norms of O
     instead of forming O^2."""
     if op.ws is not state.ws:
         raise ValueError("operator and state live on different workspaces")
+    if not op.hermitian:
+        raise ValueError("variance needs a Hermitian operator")
     mean = expect(op, state)
-    if op.hermitian:
-        # (O^2)_jj = sum_k |O_jk|^2 for Hermitian O
-        second = sum(
-            float(np.dot((np.abs(b) ** 2).sum(axis=1), p))
-            for b, p in zip(op.blocks, state.probs)
-        )
-    else:
-        second = sum(
-            float(np.real(np.dot(np.diagonal(b @ b), p)))
-            for b, p in zip(op.blocks, state.probs)
-        )
+    # (O^2)_jj = sum_k |O_jk|^2 for Hermitian O
+    second = sum(
+        float(np.dot((np.abs(b) ** 2).sum(axis=1), p))
+        for b, p in zip(op.blocks, state.probs)
+    )
     return second - mean * mean

@@ -186,20 +186,6 @@ class TestCsvCommands:
         assert main(["--config", str(cfg), "--out", str(tmp_path), "circuit"]) == 1
         assert "static line" in capsys.readouterr().err
 
-    def test_oracle_thread_count_does_not_change_records(self):
-        from su11otto.config import load_config as lc
-        from su11otto.gate import run_gate
-
-        engine = lc().engine
-        kwargs = dict(
-            n_max=60, algebra_n_max=10, beta_omegas=(1.0,), zeta_grid=(0.3, 0.6),
-            phi_grid=(0.5, 1.5), convergence_n=60,
-        )
-        serial = run_gate(engine, threads=1, **kwargs)
-        threaded = run_gate(engine, threads=4, **kwargs)
-        assert [r.quantity for r in serial.records] == [r.quantity for r in threaded.records]
-        assert [r.oracle for r in serial.records] == [r.oracle for r in threaded.records]
-
     def test_derivative_mode_flag(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sweep": {"zeta_panels": [2.0], "phi_points": 32}}))

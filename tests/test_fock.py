@@ -12,8 +12,12 @@ from su11otto.fock import (
     BlockOperator,
     FockWorkspace,
     GeneratorSet,
+    _exp_i_kx,
+    _phase_kz,
     boundary_occupancy,
     evolution_endpoint,
+    evolved_boundary_occupancy,
+    evolved_populations,
     expect,
     hamiltonian_final,
     number_operator,
@@ -169,11 +173,50 @@ class TestUnitaries:
         with pytest.raises(TruncationError):
             unitary_product(InterferometerAngles(zeta=2.5, phi=1.0), ws, state=state)
 
+    def test_guard_reads_the_interior_phase(self):
+        # the phase between squeeze and anti-squeeze stops them cancelling, so the
+        # final state leaks past the budget although squeeze and un-squeeze alone do not
+        ws = FockWorkspace(30)
+        state = thermal_state(ws, 2.0, 1.0)
+        angles = InterferometerAngles(0.8, 3.0)
+        with pytest.raises(TruncationError):
+            unitary_product(angles, ws, state=state)
+        u = unitary_product(angles, ws)
+        chain = (_exp_i_kx(ws, 0.8), _phase_kz(ws, -3.0), _exp_i_kx(ws, -0.8))
+        assert boundary_occupancy(u, state) > 1e-8
+        assert evolved_boundary_occupancy(chain, state) >= boundary_occupancy(u, state)
+
     def test_boundary_occupancy_small_in_guarded_regime(self):
         ws = FockWorkspace(60)
         state = thermal_state(ws, 1.0, 1.0)
         u = unitary_equiv(ProtocolEndpoints(chi=0.6, theta=0.0), ws, state=state)
         assert boundary_occupancy(u, state) < 1e-12
+
+
+class TestPopulations:
+    def test_population_route_matches_operator_route(self):
+        # <N>, Delta^2 N and the boundary mass from |U|^2 p against U+ N U, for
+        # each builder at seeded points inside the guard
+        ws = FockWorkspace(40)
+        n_op = number_operator(ws)
+        rng = np.random.default_rng(20240611)
+        for _ in range(4):
+            bw, zeta, phi = rng.uniform(1.0, 3.0), rng.uniform(0.05, 0.6), rng.uniform(0.1, 3.0)
+            state = thermal_state(ws, bw, 1.0)
+            chi, theta = float(chi_of(zeta, phi)), float(theta_of(zeta, phi))
+            for u in (
+                unitary_product(InterferometerAngles(zeta, phi), ws, state=state),
+                unitary_equiv(ProtocolEndpoints(chi, theta), ws, state=state),
+                evolution_endpoint(-chi, -theta, ws, state=state),
+            ):
+                pops = evolved_populations(u, state)
+                mean = sum(n @ p for n, p in zip(ws.n_diags, pops))
+                second = sum((n * n) @ p for n, p in zip(ws.n_diags, pops))
+                edge = sum(p[m].sum() for p, m in zip(pops, ws.boundary_masks))
+                m = n_op.heisenberg(u)
+                assert mean == pytest.approx(expect(m, state), rel=1e-12)
+                assert second - mean**2 == pytest.approx(variance(m, state), rel=1e-12)
+                assert edge == pytest.approx(boundary_occupancy(u, state), rel=1e-12)
 
 
 class TestHamiltonianFinal:
@@ -219,6 +262,13 @@ class TestExpectations:
         state = thermal_state(ws_b, 3.0, 1.0)
         with pytest.raises(ValueError):
             expect(number_operator(ws_a), state)
+
+    def test_variance_rejects_non_hermitian_operator(self):
+        ws = FockWorkspace(12)
+        state = thermal_state(ws, 3.0, 1.0)
+        u = unitary_product(InterferometerAngles(zeta=0.3, phi=0.5), ws)
+        with pytest.raises(ValueError, match="Hermitian"):
+            variance(u, state)
 
     def test_dense_assembly_guard(self):
         op = number_operator(FockWorkspace(80))
