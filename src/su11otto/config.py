@@ -19,7 +19,7 @@ from pathlib import Path
 from .circuit import CircuitParams
 from .core import EngineConfig
 from .errors import ConfigError
-from .metrology import DERIVATIVE_MODES, OBSERVABLES
+from .metrology import DERIVATIVE_MODES
 
 __all__ = ["OracleConfig", "ScenarioConfig", "DEFAULTS", "load_config"]
 
@@ -39,7 +39,6 @@ DEFAULTS: dict = {
         # "chain" reproduces the published headline numbers; "paper"
         # evaluates the printed coth^2 derivative literally
         "derivative_mode": "chain",
-        "observable": "energy",
         "zeta_bracket": [0.5, 8.0],
     },
     "oracle": {
@@ -108,7 +107,6 @@ class ScenarioConfig:
     zeta_panels: tuple[float, ...]
     phi_points: int
     derivative_mode: str
-    observable: str
     zeta_bracket: tuple[float, float]
     oracle: OracleConfig = field(repr=False)
     circuit: CircuitParams = field(repr=False)
@@ -163,10 +161,6 @@ def _build(raw: dict) -> ScenarioConfig:
             f"metrology.derivative_mode must be one of {DERIVATIVE_MODES}, "
             f"got {met['derivative_mode']!r}"
         )
-    if met["observable"] not in OBSERVABLES:
-        raise ConfigError(
-            f"metrology.observable must be one of {OBSERVABLES}, got {met['observable']!r}"
-        )
     bracket = tuple(met["zeta_bracket"])
     if len(bracket) != 2 or not bracket[0] < bracket[1]:
         raise ConfigError(f"metrology.zeta_bracket must be [lo, hi] with lo < hi, got {bracket}")
@@ -184,7 +178,6 @@ def _build(raw: dict) -> ScenarioConfig:
         zeta_panels=tuple(sweep["zeta_panels"]),
         phi_points=sweep["phi_points"],
         derivative_mode=met["derivative_mode"],
-        observable=met["observable"],
         zeta_bracket=bracket,
         oracle=OracleConfig(**raw["oracle"]),
         circuit=params,

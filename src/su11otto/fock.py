@@ -15,6 +15,11 @@ cost into a sum of small-block costs and is what makes n_max = 120
 routine.  `BlockOperator.to_dense()` assembles the full matrix for
 small-basis algebra checks.
 
+Every exponential comes from one cached eigendecomposition of K_x: the
+eigenvectors are real, so exp(-i s K_x) is the conjugate of exp(i s K_x),
+and K_y and its exponentials are the K_x ones turned a quarter turn about
+K_z by the exact phases diag((-i)^k).
+
 Operators are immutable: blocks, diagonal and the `hermitian` flag are
 fixed at construction.  An evolved observable U+ O U comes from
 `O.heisenberg(U)`, which carries O's hermiticity over, so callers never
@@ -86,9 +91,8 @@ class FockWorkspace:
     """Truncated two-mode basis with per-sector caches.
 
     The eigendecomposition of the K_x block is computed once per sector and
-    reused by every exponential (K_y shares it through a diagonal phase
-    similarity), so repeated unitary construction costs only matrix
-    multiplies.
+    reused by every exponential, so repeated unitary construction costs
+    only matrix multiplies.
     """
 
     def __init__(self, n_max: int):
@@ -133,17 +137,6 @@ class FockWorkspace:
     @cached_property
     def boundary_masks(self) -> tuple[np.ndarray, ...]:
         return tuple((s.n1 == self.n_max) | (s.n2 == self.n_max) for s in self.sectors)
-
-    def interior_mask(self, layers: int = 1) -> np.ndarray:
-        """Global boolean mask of states at least `layers` below the cutoff.
-
-        Products of k truncated operators are exact on columns k layers in,
-        so commutator checks use layers=1 and double-commutator/Casimir
-        checks use layers=2.
-        """
-        n1, n2 = np.divmod(np.arange(self.dim), self.n_max + 1)
-        bound = self.n_max - layers
-        return (n1 <= bound) & (n2 <= bound)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -236,11 +229,7 @@ class GeneratorSet:
     def __init__(self, ws: FockWorkspace):
         self.ws = ws
         self.kx = BlockOperator(ws, [b.copy() for b in ws.kx_blocks], hermitian=True)
-        phases = [(-1j) ** np.arange(s.size) for s in ws.sectors]
-        ky_blocks = [
-            (p[:, None] * kx) * p.conj()[None, :] for p, kx in zip(phases, ws.kx_blocks)
-        ]
-        self.ky = BlockOperator(ws, ky_blocks, hermitian=True)
+        self.ky = _quarter_turn(self.kx)
         self.kz = BlockOperator.from_diagonal(ws, ws.kz_diags)
         self.n = BlockOperator.from_diagonal(ws, ws.n_diags)
 
@@ -329,14 +318,18 @@ def _exp_i_kx(ws: FockWorkspace, s: float) -> BlockOperator:
     return BlockOperator(ws, blocks)
 
 
-def _exp_i_ky(ws: FockWorkspace, s: float) -> BlockOperator:
-    """exp(i s K_y) = D exp(i s K_x) D+ with D = diag((-i)^k) per sector."""
+def _quarter_turn(op: BlockOperator) -> BlockOperator:
+    """D op D+ with D = diag((-i)^k) per sector, k the position in the sector.
+
+    D is exp(-i pi/2 K_z) up to a phase per sector, so this quarter turn
+    about K_z takes K_x to K_y and exp(i s K_x) to exp(i s K_y).
+    """
     blocks = []
-    for (lam, vec), sec in zip(ws.kx_eig, ws.sectors):
-        d = (-1j) ** np.arange(sec.size)
-        e = (vec * np.exp(1j * s * lam)) @ vec.T
-        blocks.append((d[:, None] * e) * d.conj()[None, :])
-    return BlockOperator(ws, blocks)
+    for sec, b in zip(op.ws.sectors, op.blocks):
+        # numpy's complex power is exact only below k = 100
+        d = (-1j) ** (np.arange(sec.size) % 4)
+        blocks.append((d[:, None] * b) * d.conj()[None, :])
+    return BlockOperator(op.ws, blocks, hermitian=op.hermitian)
 
 
 def _phase_kz(ws: FockWorkspace, s: float) -> BlockOperator:
@@ -404,17 +397,19 @@ def unitary_product(
     leak_tol: float = 1e-8,
 ) -> BlockOperator:
     """The squeeze / phase / anti-squeeze product
-    exp(-i zeta K_x) exp(-i phi K_z) exp(i zeta K_x).
+    exp(-i zeta K_x) exp(-i phi K_z) exp(i zeta K_x), the anti-squeeze
+    taken as the complex conjugate of the squeeze.
 
     When a state is supplied, the boundary occupancy of the intermediate
     squeezed state and of the final state is checked against leak_tol (the
     intermediate squeeze is the binding constraint: it spreads the state by
     zeta even when the composed chi is small).
     """
+    squeeze = _exp_i_kx(ws, angles.zeta)
     factors = (
-        _exp_i_kx(ws, angles.zeta),
+        squeeze,
         _phase_kz(ws, -angles.phi),
-        _exp_i_kx(ws, -angles.zeta),
+        BlockOperator(ws, [b.conj() for b in squeeze.blocks]),
     )
     return _guarded_product(factors, state, leak_tol, "unitary_product")[0]
 
@@ -429,7 +424,7 @@ def unitary_equiv(
     """The endpoint form exp(i theta K_z) exp(i chi K_y) exp(-i theta K_z)."""
     factors = (
         _phase_kz(ws, -endpoints.theta),
-        _exp_i_ky(ws, endpoints.chi),
+        _quarter_turn(_exp_i_kx(ws, endpoints.chi)),
         _phase_kz(ws, endpoints.theta),
     )
     return _guarded_product(factors, state, leak_tol, "unitary_equiv")[0]
@@ -444,7 +439,7 @@ def evolution_endpoint(
     leak_tol: float = 1e-8,
 ) -> BlockOperator:
     """The time-ordered endpoint unitary exp(-i f_z K_z) exp(-i f_y K_y)."""
-    factors = (_exp_i_ky(ws, -f_y_tf), _phase_kz(ws, -f_z_tf))
+    factors = (_quarter_turn(_exp_i_kx(ws, -f_y_tf)), _phase_kz(ws, -f_z_tf))
     return _guarded_product(factors, state, leak_tol, "evolution_endpoint")[0]
 
 

@@ -284,9 +284,11 @@ def _equivalence_point(ws, state, bw, zeta, phi, leak_tol):
     return recs
 
 
-def _variance_arbitration(config: EngineConfig, ws: FockWorkspace, leak_tol) -> list[GateRecord]:
+def _variance_arbitration(
+    config: EngineConfig, ws: FockWorkspace, thermal_leak_tol
+) -> list[GateRecord]:
     """Both routes to the energy variance at a representative operating point."""
-    state = thermal_state(ws, config.beta_h, config.omega2)
+    state = thermal_state(ws, config.beta_h, config.omega2, leak_tol=thermal_leak_tol)
     recs = []
     for chi in (0.36057837857760945, 0.8):
         h_final = hamiltonian_final(config.omega1, -chi, ws)
@@ -359,12 +361,12 @@ def _derivative_arbitration(config: EngineConfig) -> list[GateRecord]:
     return recs
 
 
-def _convergence_record(bw, zeta, phi, n_small, leak_tol) -> GateRecord:
+def _convergence_record(bw, zeta, phi, n_small, leak_tol, thermal_leak_tol) -> GateRecord:
     """Doubling the basis must leave a guarded average unchanged to 1e-8."""
     means = []
     for n_max in (n_small, 2 * n_small):
         ws = FockWorkspace(n_max)
-        state = thermal_state(ws, bw, 1.0)
+        state = thermal_state(ws, bw, 1.0, leak_tol=thermal_leak_tol)
         u = unitary_product(InterferometerAngles(zeta, phi), ws, state=state, leak_tol=leak_tol)
         means.append(_number_moments(u, state)[0])
     return _cmp(
@@ -406,7 +408,7 @@ def run_gate(
             for f in phi_grid:
                 records.extend(_equivalence_point(ws, states[bw], bw, z, f, leak_tol))
 
-    records.extend(_variance_arbitration(config, ws, leak_tol))
+    records.extend(_variance_arbitration(config, ws, thermal_leak_tol))
     records.extend(_derivative_arbitration(config))
-    records.append(_convergence_record(0.5, 0.4, 0.9, convergence_n, leak_tol))
+    records.append(_convergence_record(0.5, 0.4, 0.9, convergence_n, leak_tol, thermal_leak_tol))
     return GateResult(records=records)

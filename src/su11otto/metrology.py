@@ -310,10 +310,11 @@ def supersensitivity_range(
         fa = h(a)
         while b - a > resolution:
             m = 0.5 * (a + b)
-            if fa * h(m) <= 0.0:
+            fm = h(m)
+            if fa * fm <= 0.0:
                 b = m
             else:
-                a, fa = m, h(m)
+                a, fa = m, fm
         return 0.5 * (a + b)
 
     idx = np.flatnonzero(below)

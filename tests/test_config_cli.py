@@ -74,7 +74,7 @@ class TestConfig:
             # the remaining type and oracle rules
             {"engine": {"omega1": True}},
             {"sweep": {"zeta_panels": [2.0, "3"]}},
-            {"metrology": {"observable": 1}},
+            {"metrology": {"derivative_mode": 1}},
             {"oracle": {"n_max": 0}},
             {"oracle": {"algebra_n_max": 1}},
             {"oracle": {"convergence_n": 0}},
@@ -179,6 +179,17 @@ class TestCsvCommands:
         cfg.write_text(json.dumps({"oracle": {"n_max": 10}}))
         assert main(["--config", str(cfg), "--out", str(tmp_path), "oracle"]) == 1
         assert "increase n_max" in capsys.readouterr().err
+
+    def test_oracle_thermal_leak_tol_reaches_every_stage(self, tmp_path, capsys):
+        # the grid state (bw=1) fits the 1e-14 budget at n_max=60; the variance
+        # arbitration's hot state (bw=0.5) leaks ~1.1e-13, so the budget must reach it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"oracle": {
+            "n_max": 60, "algebra_n_max": 6, "beta_omega": [1.0], "zeta_grid": [0.4],
+            "phi_grid": [0.9], "thermal_leak_tol": 1e-14,
+        }}))
+        assert main(["--config", str(cfg), "--out", str(tmp_path), "oracle"]) == 1
+        assert "thermal tail beyond n_max=60" in capsys.readouterr().err
 
     def test_static_circuit_reports_clean_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from su11otto.core import InterferometerAngles, ProtocolEndpoints, chi_of, theta_of
 from su11otto.errors import TruncationError
@@ -47,11 +48,6 @@ class TestWorkspace:
             seen.update(s.idx.tolist())
         assert seen == set(range(ws.dim))
 
-    def test_interior_mask_layers(self):
-        ws = FockWorkspace(3)
-        assert ws.interior_mask(1).sum() == 9  # states with n1, n2 <= 2
-        assert ws.interior_mask(2).sum() == 4
-
 
 class TestGenerators:
     def test_vacuum_kz_eigenvalue(self):
@@ -75,6 +71,13 @@ class TestGenerators:
         assert np.max(np.abs(gen.kx.to_dense() - kx_ref)) < 1e-14
         assert np.max(np.abs(gen.ky.to_dense() - ky_ref)) < 1e-14
         assert np.max(np.abs(gen.n.to_dense() - n_ref)) < 1e-14
+
+    def test_ky_is_an_exact_quarter_turn_of_kx(self):
+        # sectors longer than 100 states: (-1j) ** k loses exactness there
+        gen = GeneratorSet(FockWorkspace(120))
+        for kx, ky in zip(gen.kx.blocks, gen.ky.blocks):
+            assert np.array_equal(ky, 1j * (np.triu(kx) - np.tril(kx)))
+        assert gen.ky.hermitian
 
     def test_algebra_suite_passes_at_small_basis(self):
         records = _algebra_records(12)
@@ -191,6 +194,52 @@ class TestUnitaries:
         state = thermal_state(ws, 1.0, 1.0)
         u = unitary_equiv(ProtocolEndpoints(chi=0.6, theta=0.0), ws, state=state)
         assert boundary_occupancy(u, state) < 1e-12
+
+
+class TestAgainstDenseExponentials:
+    """Each builder against scipy's expm of dense generators made from the
+    ladder operators, so no block of the oracle is reused."""
+
+    TOL = 1e-12
+
+    @pytest.fixture(scope="class")
+    def dense(self):
+        ws = FockWorkspace(10)
+        gen = GeneratorSet(ws)
+        a1, a2 = gen.a1, gen.a2
+        kx = (a1.T @ a2.T + a1 @ a2) / 2.0
+        ky = 1j * (a1 @ a2 - a1.T @ a2.T) / 2.0
+        kz = (a1.T @ a1 + a2.T @ a2 + np.eye(ws.dim)) / 2.0
+        return ws, kx, ky, kz
+
+    @staticmethod
+    def _points():
+        rng = np.random.default_rng(4033)
+        return [rng.uniform((0.1, 0.1, -1.5), (1.5, 3.0, 1.5)) for _ in range(4)]
+
+    def test_unitary_product(self, dense):
+        ws, kx, _, kz = dense
+        for zeta, phi, _ in self._points():
+            ref = expm(-1j * zeta * kx) @ expm(-1j * phi * kz) @ expm(1j * zeta * kx)
+            u = unitary_product(InterferometerAngles(zeta, phi), ws)
+            assert np.max(np.abs(u.to_dense() - ref)) < self.TOL
+
+    def test_unitary_equiv(self, dense):
+        ws, _, ky, kz = dense
+        for chi, theta, _ in self._points():
+            ref = expm(1j * theta * kz) @ expm(1j * chi * ky) @ expm(-1j * theta * kz)
+            u = unitary_equiv(ProtocolEndpoints(chi, theta), ws)
+            assert np.max(np.abs(u.to_dense() - ref)) < self.TOL
+
+    def test_evolution_endpoint(self, dense):
+        ws, _, ky, kz = dense
+        signs = set()
+        for _, f_z, f_y in self._points():
+            ref = expm(-1j * f_z * kz) @ expm(-1j * f_y * ky)
+            u = evolution_endpoint(f_y, f_z, ws)
+            assert np.max(np.abs(u.to_dense() - ref)) < self.TOL
+            signs.add(np.sign(f_y))
+        assert signs == {-1.0, 1.0}
 
 
 class TestPopulations:
