@@ -54,46 +54,58 @@ KELVIN_TO_RAD_PER_S = K_BOLTZMANN / HBAR  # temperature in natural frequency uni
 
 BRANCHES = ("compression", "expansion")
 
+# largest |Im{alpha beta}| the real-coupling protocol map accepts
+_IM_TOL = 1e-3
+# published normalized (eta, delta_phi) pair the scenario reports its deviation from
+REFERENCE_ETA_NORM = 0.23
+REFERENCE_DPHI_NORM = 0.56
+
 
 @dataclass(frozen=True)
 class CircuitParams:
-    """Transmission-line constants.
+    """Transmission-line constants: the `circuit` config block, key for key.
 
-    josephson_scale is E_0/C in J/F (only the ratio is physical here).
-    rapidity nu is dimensionless by default, measured in units of the
-    expansion-branch initial frequency; set rapidity_absolute=True to pass
-    rad/s directly.  mode_index selects the degenerate +/-k pair.
+    Shipped values live in `config.DEFAULTS["circuit"]`; every field is
+    required here.  Units are in the names (_h henry, _f farad, _kelvin).
+    josephson_scale_j_per_f is E_0/C (only the ratio is physical here).
+    rapidity nu is in units of the expansion-branch initial frequency unless
+    rapidity_absolute is true, when it is in rad/s.  mode_index selects the
+    degenerate +/-k pair; t_f_points is the number of stop times sampled
+    over one period of theta by `circuit_scenario`.
     """
 
-    inductance: float = 60e-12  # H
-    capacitance: float = 0.4e-12  # F
-    josephson_scale: float = 1e-9  # J/F, = E_0/C
-    amp_a: float = 1.0
-    amp_b: float = 0.78
-    rapidity: float = 20.0
-    rapidity_absolute: bool = False
-    n_cell: int = 100
-    mode_index: int = 1
-    t_hot_kelvin: float = 2.0
-    t_cold_kelvin: float = 0.01
+    inductance_h: float
+    capacitance_f: float
+    josephson_scale_j_per_f: float
+    amp_a: float
+    amp_b: float
+    rapidity: float
+    rapidity_absolute: bool
+    n_cell: int
+    mode_index: int
+    t_hot_kelvin: float
+    t_cold_kelvin: float
+    t_f_points: int
 
     def __post_init__(self):
-        for name in ("inductance", "capacitance", "josephson_scale", "rapidity"):
+        for name in ("inductance_h", "capacitance_f", "josephson_scale_j_per_f", "rapidity"):
             if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+                raise ValueError(f"circuit.{name} must be positive, got {getattr(self, name)!r}")
         if not self.amp_a > self.amp_b >= 0.0:
             raise ValueError(
                 f"need amp_a > amp_b >= 0 so both asymptotic Josephson energies are "
                 f"positive, got A={self.amp_a}, B={self.amp_b}"
             )
         if self.n_cell < 2:
-            raise ValueError("n_cell must be >= 2")
+            raise ValueError(f"circuit.n_cell must be >= 2, got {self.n_cell!r}")
         if not (1 <= self.mode_index < self.n_cell):
             raise ValueError(
-                f"mode_index must satisfy 1 <= j < n_cell, got {self.mode_index}"
+                f"circuit.mode_index must satisfy 1 <= j < n_cell, got {self.mode_index}"
             )
         if not self.t_hot_kelvin > self.t_cold_kelvin > 0.0:
             raise ValueError("need t_hot_kelvin > t_cold_kelvin > 0")
+        if self.t_f_points < 1:
+            raise ValueError(f"circuit.t_f_points must be >= 1, got {self.t_f_points!r}")
 
 
 @dataclass(frozen=True)
@@ -120,7 +132,8 @@ def josephson_energy(t: float, params: CircuitParams, branch: str) -> float:
     """
     sign = _branch_sign(branch)
     nu = _absolute_rapidity(params)
-    return params.josephson_scale * (params.amp_a + sign * params.amp_b * math.tanh(nu * t))
+    scale = params.josephson_scale_j_per_f
+    return scale * (params.amp_a + sign * params.amp_b * math.tanh(nu * t))
 
 
 def _branch_sign(branch: str) -> float:
@@ -142,7 +155,7 @@ def dispersion(j: int, e_over_c: float, params: CircuitParams) -> float:
     if e_over_c < 0.0:
         raise ValueError("Josephson energy must be >= 0")
     lattice = 4.0 * math.sin(math.pi * j / params.n_cell) ** 2 / (
-        params.inductance * params.capacitance
+        params.inductance_h * params.capacitance_f
     )
     plasma = (2.0 * math.pi / FLUX_QUANTUM) ** 2 * e_over_c
     return math.sqrt(lattice + plasma)
@@ -154,8 +167,8 @@ def asymptotic_frequencies(params: CircuitParams, branch: str) -> tuple[float, f
     Expansion lowers the frequency (omega_f < omega_i), compression raises it.
     """
     sign = _branch_sign(branch)
-    e_initial = params.josephson_scale * (params.amp_a - sign * params.amp_b)
-    e_final = params.josephson_scale * (params.amp_a + sign * params.amp_b)
+    e_initial = params.josephson_scale_j_per_f * (params.amp_a - sign * params.amp_b)
+    e_final = params.josephson_scale_j_per_f * (params.amp_a + sign * params.amp_b)
     j = params.mode_index
     return dispersion(j, e_initial, params), dispersion(j, e_final, params)
 
@@ -221,22 +234,20 @@ def coupling_coefficients(pair: BogoliubovPair) -> tuple[float, float]:
     return ab.real, ab.imag
 
 
-def map_to_protocol(
-    pair: BogoliubovPair, t_f: float, *, im_tol: float = 1e-3
-) -> ProtocolEndpoints:
+def map_to_protocol(pair: BogoliubovPair, t_f: float) -> ProtocolEndpoints:
     """Protocol endpoints (chi, theta) realized by the ramp, valid when the
     coupling is (nearly) real.
 
     chi = arccosh(1 + 2 |beta|^2) >= 0 (any sign lives in theta, matching
     the endpoint convention) and theta = -omega_f t_f wrapped to (-pi, pi].
-    Raises ImaginaryCouplingError when |Im{alpha beta}| exceeds im_tol:
+    Raises ImaginaryCouplingError when |Im{alpha beta}| exceeds _IM_TOL:
     outside the fast-ramp regime the final Hamiltonian has a quadrature
     component this two-parameter protocol cannot represent.
     """
     re_ab, im_ab = coupling_coefficients(pair)
-    if abs(im_ab) > im_tol:
+    if abs(im_ab) > _IM_TOL:
         raise ImaginaryCouplingError(
-            f"|Im(alpha beta)| = {abs(im_ab):.3e} > {im_tol}: ramp too slow for the "
+            f"|Im(alpha beta)| = {abs(im_ab):.3e} > {_IM_TOL}: ramp too slow for the "
             "real-coupling protocol mapping"
         )
     chi = math.acosh(1.0 + 2.0 * pair.n_created)
@@ -276,18 +287,16 @@ class ScenarioReport:
     eta_norm: float
     points: list[ScenarioPoint] = field(repr=False)
     best: ScenarioPoint | None
-    reference_eta_norm: float = 0.23
-    reference_dphi_norm: float = 0.56
 
     @property
     def eta_norm_deviation(self) -> float:
-        return self.eta_norm - self.reference_eta_norm
+        return self.eta_norm - REFERENCE_ETA_NORM
 
     @property
     def dphi_norm_deviation(self) -> float:
         if self.best is None:
             return math.nan
-        return self.best.dphi_norm - self.reference_dphi_norm
+        return self.best.dphi_norm - REFERENCE_DPHI_NORM
 
 
 def engine_config_from_circuit(params: CircuitParams) -> EngineConfig:
@@ -306,22 +315,17 @@ def engine_config_from_circuit(params: CircuitParams) -> EngineConfig:
     )
 
 
-def circuit_scenario(
-    params: CircuitParams,
-    *,
-    t_f_points: int = 512,
-    derivative_mode: str = "chain",
-    im_tol: float = 1e-3,
-) -> ScenarioReport:
+def circuit_scenario(params: CircuitParams, *, derivative_mode: str) -> ScenarioReport:
     """Run the full pipeline: ramp -> Bogoliubov pair -> engine + sensitivity sweep.
 
     The ramp fixes chi, so the cycle efficiency is one number; sweeping the
-    stop time t_f over one 2*pi period of theta = -omega_f t_f moves the
-    operating point along the fixed-chi family of (zeta, phi).  Sweep
-    points whose theta is incompatible with chi are flagged and skipped
-    (they correspond to no real (zeta, phi)); the sensitivity-optimal valid
-    point is reported together with the deviation from the reference
-    normalized pair (0.23, 0.56), which is NOT asserted: the stop time, the
+    stop time t_f at params.t_f_points samples over one 2*pi period of
+    theta = -omega_f t_f moves the operating point along the fixed-chi
+    family of (zeta, phi).  Sweep points whose theta is incompatible with
+    chi are flagged and skipped (they correspond to no real (zeta, phi));
+    the sensitivity-optimal valid point is reported together with the
+    deviation from the reference normalized pair (REFERENCE_ETA_NORM,
+    REFERENCE_DPHI_NORM), which is NOT asserted: the stop time, the
     rapidity units and the kelvin mapping are modeling choices recorded in
     the report header.
     """
@@ -331,7 +335,7 @@ def circuit_scenario(
         branch: bogoliubov(*asymptotic_frequencies(params, branch), nu) for branch in BRANCHES
     }
     pair = pairs["expansion"]
-    endpoints0 = map_to_protocol(pair, 0.0, im_tol=im_tol)
+    endpoints0 = map_to_protocol(pair, 0.0)
     chi = endpoints0.chi
     chi_bound = chi_max(engine)
     eta = efficiency(engine, chi)
@@ -339,9 +343,9 @@ def circuit_scenario(
     points: list[ScenarioPoint] = []
     best: ScenarioPoint | None = None
     period = 2.0 * math.pi / pair.omega_f
-    for k in range(1, t_f_points + 1):
-        t_f = k * period / t_f_points
-        endpoints = map_to_protocol(pair, t_f, im_tol=im_tol)
+    for k in range(1, params.t_f_points + 1):
+        t_f = k * period / params.t_f_points
+        endpoints = map_to_protocol(pair, t_f)
         try:
             angles = angles_from(endpoints)
         except NoSolutionError:

@@ -207,9 +207,7 @@ def cmd_snl(args, config: ScenarioConfig) -> int:
 
 def cmd_circuit(args, config: ScenarioConfig) -> int:
     mode = args.derivative_mode or config.derivative_mode
-    report = circuit_mod.circuit_scenario(
-        config.circuit, t_f_points=config.circuit_t_f_points, derivative_mode=mode
-    )
+    report = circuit_mod.circuit_scenario(config.circuit, derivative_mode=mode)
     pair = report.pairs["expansion"]
     rows = [
         (p.t_f, p.theta, p.zeta, p.phi, p.chi, p.eta, p.eta_norm, p.dphi_h, p.dphi_norm, p.flag)
@@ -222,7 +220,8 @@ def cmd_circuit(args, config: ScenarioConfig) -> int:
         f"expansion ramp: omega_i={fmt(pair.omega_i)} omega_f={fmt(pair.omega_f)} rad/s, "
         f"|beta|^2={fmt(pair.n_created)}",
         f"derivative_mode: {mode}",
-        "reference values (not asserted): eta_norm=0.23 dphi_norm=0.56",
+        f"reference values (not asserted): eta_norm={circuit_mod.REFERENCE_ETA_NORM:g} "
+        f"dphi_norm={circuit_mod.REFERENCE_DPHI_NORM:g}",
     ]
     path = write_csv(
         Path(args.out) / "circuit_scenario.csv",

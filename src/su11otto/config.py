@@ -2,17 +2,20 @@
 
 The config file is plain JSON with the same nesting as the defaults below.
 Parsing is strict: unknown sections or keys are fatal, because silently
-ignored physics parameters are the classic way sweeps go wrong, and so is
-a value whose JSON type differs from its default's (an integer may stand
-for a number; true/false never does).  Units are
-annotated in the key names where dimensional (_h henry, _f farad,
-_kelvin); the engine block is in natural units (hbar = k_B = 1,
-frequencies and temperatures on a common energy scale).
+ignored physics parameters are the classic way sweeps go wrong, and so are
+a NaN, an infinity and a value whose JSON type differs from its default's
+(an integer may stand for a number; true/false never does).  DEFAULTS is
+the one home of every shipped value: the library's functions and
+dataclasses take these settings explicitly.  Units are annotated in the key
+names where dimensional (_h henry, _f farad, _kelvin); the engine block is
+in natural units (hbar = k_B = 1, frequencies and temperatures on a common
+energy scale).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -110,20 +113,13 @@ class ScenarioConfig:
     zeta_bracket: tuple[float, float]
     oracle: OracleConfig = field(repr=False)
     circuit: CircuitParams = field(repr=False)
-    circuit_t_f_points: int = 512
 
 
 _JSON_TYPES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
-# circuit keys whose CircuitParams field drops the unit suffix
-_CIRCUIT_FIELDS = {
-    "inductance_h": "inductance",
-    "capacitance_f": "capacitance",
-    "josephson_scale_j_per_f": "josephson_scale",
-}
 
 
 def _checked_leaf(default, value, where: str):
-    """value if its JSON type matches the default's, an int widened where a float is due."""
+    """value if finite and of its default's JSON type, an int widened where a float is due."""
     if isinstance(default, list):
         if not isinstance(value, list):
             raise ConfigError(f"{where} must be a list, got {value!r}")
@@ -132,6 +128,8 @@ def _checked_leaf(default, value, where: str):
         return float(value)
     if type(value) is not type(default):
         raise ConfigError(f"{where} must be {_JSON_TYPES[type(default)]}, got {value!r}")
+    if type(value) is float and not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
     return value
 
 
@@ -167,10 +165,8 @@ def _build(raw: dict) -> ScenarioConfig:
     sweep = raw["sweep"]
     if sweep["phi_points"] < 8:
         raise ConfigError("sweep.phi_points must be at least 8")
-    circ = dict(raw["circuit"])
-    t_f_points = circ.pop("t_f_points")
     try:
-        params = CircuitParams(**{_CIRCUIT_FIELDS.get(k, k): v for k, v in circ.items()})
+        params = CircuitParams(**raw["circuit"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"circuit block invalid: {exc}") from exc
     return ScenarioConfig(
@@ -181,7 +177,6 @@ def _build(raw: dict) -> ScenarioConfig:
         zeta_bracket=bracket,
         oracle=OracleConfig(**raw["oracle"]),
         circuit=params,
-        circuit_t_f_points=t_f_points,
     )
 
 

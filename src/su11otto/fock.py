@@ -196,11 +196,11 @@ class BlockOperator:
             return [np.asarray(v) for v in self.diags]
         return [np.diagonal(b) for b in self.blocks]
 
-    def to_dense(self, *, force: bool = False) -> np.ndarray:
-        if self.ws.dim > _DENSE_LIMIT and not force:
+    def to_dense(self) -> np.ndarray:
+        if self.ws.dim > _DENSE_LIMIT:
             raise ValueError(
-                f"dense assembly of a {self.ws.dim}x{self.ws.dim} matrix; pass force=True "
-                "if you really want it"
+                f"dense assembly of a {self.ws.dim}x{self.ws.dim} matrix exceeds the "
+                f"{_DENSE_LIMIT} limit"
             )
         out = np.zeros((self.ws.dim, self.ws.dim), dtype=complex)
         for s, b in zip(self.ws.sectors, self.blocks):

@@ -381,16 +381,18 @@ def _convergence_record(bw, zeta, phi, n_small, leak_tol, thermal_leak_tol) -> G
 def run_gate(
     config: EngineConfig,
     *,
-    n_max: int = 120,
-    algebra_n_max: int = 30,
-    beta_omegas=(0.25, 0.5, 1.0),
-    zeta_grid=(0.4, 0.8, 1.2),
-    phi_grid=(0.3, 0.9, 2.0),
-    leak_tol: float = 1e-8,
-    thermal_leak_tol: float = 1e-10,
-    convergence_n: int = 60,
+    n_max: int,
+    algebra_n_max: int,
+    beta_omegas,
+    zeta_grid,
+    phi_grid,
+    leak_tol: float,
+    thermal_leak_tol: float,
+    convergence_n: int,
 ) -> GateResult:
     """Run every oracle check and return the classified records.
+
+    The settings are those of the `oracle` config block (`OracleConfig`).
 
     The equivalence grid runs per (beta*omega, zeta, phi) point; points the
     truncation guard rejects are recorded as skipped, never silently

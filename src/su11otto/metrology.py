@@ -34,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EngineConfig, chi_of
+from .core import EngineConfig, chi_of, n_out
 from .cycle import efficiency
-from .errors import NonUnimodalWarning, NoSolutionError, PhotonNumberError, NonConvergenceError
+from .errors import NonUnimodalWarning, NoSolutionError, PhotonNumberError
 
 __all__ = [
     "DERIVATIVE_MODES",
@@ -64,6 +64,15 @@ OBSERVABLES = ("number", "energy")
 # diverges (sentinel +inf), so sweeps across phi = 0 complete instead of
 # raising.
 _DERIVATIVE_FLOOR = 1e-300
+
+# solver settings: the phi scans stay this far inside (0, pi), the minimum
+# is refined to _PHI_XTOL, range edges to _RANGE_RESOLUTION, zeta_snl to _ZETA_TOL
+_PHI_LO = 1e-6
+_COARSE_POINTS = 2000
+_PHI_XTOL = 1e-10
+_RANGE_RESOLUTION = 1e-6
+_RANGE_SCAN_POINTS = 4096
+_ZETA_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -157,7 +166,7 @@ def photon_number_at_phase(n_in: float, zeta: float) -> float:
     Raises PhotonNumberError when nonpositive (vacuum input with no
     squeezing leaves nothing to modulate).
     """
-    n_phi = (n_in + 1.0) * math.cosh(zeta) - 1.0
+    n_phi = n_out(n_in, zeta)
     if n_phi <= 0.0:
         raise PhotonNumberError(
             f"N_phi = {n_phi:.6g} <= 0 for n_in = {n_in}, zeta = {zeta}: "
@@ -175,7 +184,7 @@ def snl(config: EngineConfig, zeta: float) -> float:
     return 1.0 / math.sqrt(photon_number_at_phase(n_in, zeta))
 
 
-def delta_phi(config: EngineConfig, zeta: float, phi, derivative_mode: str = "chain"):
+def delta_phi(config: EngineConfig, zeta: float, phi, derivative_mode: str):
     """(delta_phi_n, delta_phi_h) at one or many phases; +inf where dN/dphi vanishes.
 
     The array entry point behind every sensitivity: phi may be a scalar or
@@ -196,7 +205,7 @@ def delta_phi(config: EngineConfig, zeta: float, phi, derivative_mode: str = "ch
 
 
 def sensitivity(
-    config: EngineConfig, zeta: float, phi: float, derivative_mode: str = "chain"
+    config: EngineConfig, zeta: float, phi: float, derivative_mode: str
 ) -> SensitivityPoint:
     """delta_phi at one phase, with the shot-noise benchmark and normalized values.
 
@@ -242,24 +251,33 @@ def _golden_section(f, lo: float, hi: float, xtol: float) -> float:
     return 0.5 * (a + b)
 
 
+def _bisect(f, a: float, b: float, fa: float, tol: float) -> float:
+    """Midpoint of the sign-change bracket [a, b] of f halved down to width tol.
+
+    fa = f(a) is passed in, already known to the caller; with a == b the
+    loop does not run and a is returned.
+    """
+    while b - a > tol:
+        m = 0.5 * (a + b)
+        fm = f(m)
+        if fa * fm <= 0.0:
+            b = m
+        else:
+            a, fa = m, fm
+    return 0.5 * (a + b)
+
+
 def minimize_sensitivity(
-    config: EngineConfig,
-    zeta: float,
-    observable: str = "energy",
-    derivative_mode: str = "chain",
-    *,
-    phi_lo: float = 1e-6,
-    coarse_points: int = 2000,
-    xtol: float = 1e-10,
+    config: EngineConfig, zeta: float, observable: str, derivative_mode: str
 ) -> tuple[float, float]:
-    """Global minimum of delta_phi(phi) on (phi_lo, pi - phi_lo).
+    """Global minimum of delta_phi(phi) on (_PHI_LO, pi - _PHI_LO).
 
     A coarse scan locates the basin (delta_phi is smooth but not proven
     unimodal; a NonUnimodalWarning is emitted if a second local minimum
-    comes within 1% of the best), then golden-section refines to xtol.
+    comes within 1% of the best), then golden-section refines to _PHI_XTOL.
     Returns (phi_star, delta_phi_min).
     """
-    phis = np.linspace(phi_lo, math.pi - phi_lo, coarse_points)
+    phis = np.linspace(_PHI_LO, math.pi - _PHI_LO, _COARSE_POINTS)
     vals = _delta_phi_grid(config, zeta, phis, observable, derivative_mode)
     i_best = int(np.argmin(vals))
     interior = np.flatnonzero(
@@ -278,27 +296,21 @@ def minimize_sensitivity(
 
     lo = phis[max(i_best - 1, 0)]
     hi = phis[min(i_best + 1, len(phis) - 1)]
-    phi_star = _golden_section(f, lo, hi, xtol)
+    phi_star = _golden_section(f, lo, hi, _PHI_XTOL)
     return phi_star, f(phi_star)
 
 
 def supersensitivity_range(
-    config: EngineConfig,
-    zeta: float,
-    observable: str = "energy",
-    derivative_mode: str = "chain",
-    *,
-    resolution: float = 1e-6,
-    scan_points: int = 4096,
+    config: EngineConfig, zeta: float, observable: str, derivative_mode: str
 ) -> SupersensitivityRange:
     """The phi interval where delta_phi(phi) < 1/sqrt(N_phi), if any.
 
     delta_phi diverges at both ends of (0, pi), so when the minimum dips
     below the benchmark the sub-shot-noise set is an interior interval;
-    its edges are located by sign-change bisection to `resolution`.
+    its edges are located by sign-change bisection to _RANGE_RESOLUTION.
     """
     benchmark = snl(config, zeta)
-    phis = np.linspace(resolution, math.pi - resolution, scan_points)
+    phis = np.linspace(_RANGE_RESOLUTION, math.pi - _RANGE_RESOLUTION, _RANGE_SCAN_POINTS)
     below = _delta_phi_grid(config, zeta, phis, observable, derivative_mode) < benchmark
     if not below.any():
         return SupersensitivityRange(lo=math.nan, hi=math.nan, empty=True)
@@ -307,15 +319,7 @@ def supersensitivity_range(
         return float(_delta_phi_grid(config, zeta, p, observable, derivative_mode)) - benchmark
 
     def bisect(a: float, b: float) -> float:
-        fa = h(a)
-        while b - a > resolution:
-            m = 0.5 * (a + b)
-            fm = h(m)
-            if fa * fm <= 0.0:
-                b = m
-            else:
-                a, fa = m, fm
-        return 0.5 * (a + b)
+        return _bisect(h, a, b, h(a), _RANGE_RESOLUTION)
 
     idx = np.flatnonzero(below)
     first, last = int(idx[0]), int(idx[-1])
@@ -326,19 +330,17 @@ def supersensitivity_range(
 
 def solve_zeta_snl(
     config: EngineConfig,
-    observable: str = "energy",
-    derivative_mode: str = "chain",
+    observable: str,
+    derivative_mode: str,
     *,
-    zeta_bracket: tuple[float, float] = (0.5, 8.0),
-    ztol: float = 1e-6,
-    max_iter: int = 200,
+    zeta_bracket: tuple[float, float],
 ) -> SnlSolution:
     """Minimum squeezing zeta_snl with min_phi delta_phi(zeta) = 1/sqrt(N_phi).
 
-    Bisection on g(zeta) = delta_phi_min(zeta) - snl(zeta) over the bracket;
-    raises NoSolutionError when g has one sign across it.  The solution
-    carries the minimizing phase, the implied chi and the cycle efficiency
-    at that chi.
+    Bisection on g(zeta) = delta_phi_min(zeta) - snl(zeta) over the bracket
+    to _ZETA_TOL; raises NoSolutionError when g has one sign across it.  The
+    solution carries the minimizing phase, the implied chi and the cycle
+    efficiency at that chi.
     """
 
     def g(z: float) -> float:
@@ -356,18 +358,7 @@ def solve_zeta_snl(
             f"no sign change of delta_phi_min - snl over zeta in {zeta_bracket}: "
             f"g({lo}) = {g_lo:.4g}, g({hi}) = {g_hi:.4g}"
         )
-    it = 0
-    while hi - lo > ztol:
-        if it >= max_iter:
-            raise NonConvergenceError(f"bisection exceeded {max_iter} iterations")
-        mid = 0.5 * (lo + hi)
-        g_mid = g(mid)
-        if g_lo * g_mid <= 0.0:
-            hi = mid
-        else:
-            lo, g_lo = mid, g_mid
-        it += 1
-    zeta_snl = 0.5 * (lo + hi)
+    zeta_snl = _bisect(g, lo, hi, g_lo, _ZETA_TOL)
     phi_snl, d_min = minimize_sensitivity(config, zeta_snl, observable, derivative_mode)
     chi_snl = float(chi_of(zeta_snl, phi_snl))
     return SnlSolution(

@@ -24,6 +24,7 @@ from su11otto import (
     works_and_heats,
 )
 from su11otto.cli import main
+from su11otto.config import load_config
 from su11otto.core import chi_of, n_out, phi_max
 from su11otto.cycle import works_and_heats_from_params
 from su11otto.gate import run_gate
@@ -130,7 +131,18 @@ def test_criterion_03_figure3_structure(tmp_path):
 
 def test_criterion_04_oracle_equivalence_suite():
     t0 = time.perf_counter()
-    result = run_gate(FIG3)  # defaults: n_max=120, full grid, sector blocking
+    oracle = load_config().oracle  # shipped: n_max=120, full grid, sector blocking
+    result = run_gate(
+        FIG3,
+        n_max=oracle.n_max,
+        algebra_n_max=oracle.algebra_n_max,
+        beta_omegas=oracle.beta_omega,
+        zeta_grid=oracle.zeta_grid,
+        phi_grid=oracle.phi_grid,
+        leak_tol=oracle.leak_tol,
+        thermal_leak_tol=oracle.thermal_leak_tol,
+        convergence_n=oracle.convergence_n,
+    )
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     assert not result.failures

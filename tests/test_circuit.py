@@ -10,6 +10,7 @@ tests pin the log-Gamma route against.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -26,6 +27,7 @@ from su11otto.circuit import (
     josephson_energy,
     map_to_protocol,
 )
+from su11otto.config import load_config
 from su11otto.core import chi_max
 from su11otto.errors import ImaginaryCouplingError
 
@@ -41,7 +43,7 @@ PLASMA_TERM = 9.232694316859482e21  # (2 pi / Phi_0)^2 (E0/C) A, s^-2
 
 @pytest.fixture(scope="module")
 def params() -> CircuitParams:
-    return CircuitParams()
+    return load_config().circuit
 
 
 def _closed_form_moduli(wi, wf, nu):
@@ -53,14 +55,14 @@ def _closed_form_moduli(wi, wf, nu):
 class TestRampAndDispersion:
     def test_ramp_midpoint_and_asymptotes(self, params):
         assert josephson_energy(0.0, params, "expansion") == pytest.approx(
-            params.josephson_scale * params.amp_a, rel=1e-15
+            params.josephson_scale_j_per_f * params.amp_a, rel=1e-15
         )
         t_late = 1e-6  # many 1/nu, tanh saturated
         assert josephson_energy(t_late, params, "expansion") == pytest.approx(
-            params.josephson_scale * (params.amp_a - params.amp_b), rel=1e-12
+            params.josephson_scale_j_per_f * (params.amp_a - params.amp_b), rel=1e-12
         )
         assert josephson_energy(t_late, params, "compression") == pytest.approx(
-            params.josephson_scale * (params.amp_a + params.amp_b), rel=1e-12
+            params.josephson_scale_j_per_f * (params.amp_a + params.amp_b), rel=1e-12
         )
 
     def test_asymptotic_energy_ratio(self, params):
@@ -71,21 +73,21 @@ class TestRampAndDispersion:
         assert ratio == pytest.approx(0.22 / 1.78, rel=1e-12)
 
     def test_dispersion_terms(self, params):
-        e_a = params.josephson_scale * params.amp_a
+        e_a = params.josephson_scale_j_per_f * params.amp_a
         assert dispersion(1, e_a, params) ** 2 == pytest.approx(
             LATTICE_TERM + PLASMA_TERM, rel=1e-12
         )
         # j = 0: the lattice term vanishes
         assert dispersion(0, e_a, params) == pytest.approx(math.sqrt(PLASMA_TERM), rel=1e-12)
         # band edge: sin^2 = 1
-        half = CircuitParams(n_cell=100, mode_index=50)
+        half = replace(params, n_cell=100, mode_index=50)
         assert dispersion(50, e_a, half) ** 2 == pytest.approx(
-            4.0 / (params.inductance * params.capacitance) + PLASMA_TERM, rel=1e-12
+            4.0 / (params.inductance_h * params.capacitance_f) + PLASMA_TERM, rel=1e-12
         )
 
     def test_cell_length_cancels(self, params):
-        scaled = CircuitParams(n_cell=200, mode_index=2)
-        e = params.josephson_scale * 1.3
+        scaled = replace(params, n_cell=200, mode_index=2)
+        e = params.josephson_scale_j_per_f * 1.3
         assert dispersion(1, e, params) == pytest.approx(
             dispersion(2, e, scaled), rel=1e-15
         )
@@ -98,8 +100,8 @@ class TestRampAndDispersion:
         ci, cf = asymptotic_frequencies(params, "compression")
         assert (ci, cf) == (wf, wi)
 
-    def test_static_line_keeps_frequency(self):
-        static = CircuitParams(amp_b=0.0)
+    def test_static_line_keeps_frequency(self, params):
+        static = replace(params, amp_b=0.0)
         wi, wf = asymptotic_frequencies(static, "expansion")
         assert wi == wf
 
@@ -204,7 +206,9 @@ class TestScenario:
         )
 
     def test_published_parameter_run(self, params):
-        report = circuit_scenario(params, t_f_points=256)
+        report = circuit_scenario(
+            replace(params, t_f_points=256), derivative_mode=load_config().derivative_mode
+        )
         assert report.chi == pytest.approx(CHI_CIRCUIT, rel=1e-10)
         assert report.chi_max == pytest.approx(CHI_MAX_CIRCUIT, rel=1e-10)
         assert report.chi < report.chi_max  # engine regime
@@ -216,11 +220,11 @@ class TestScenario:
         assert math.isfinite(report.eta_norm_deviation)
         assert math.isfinite(report.dphi_norm_deviation)
 
-    def test_frictionless_line_hits_ideal_otto(self):
+    def test_frictionless_line_hits_ideal_otto(self, params):
         # amp_b = 0: no ramp, no squeezing; eta equals 1 - omega1/omega2 at
         # the dispersion-ratio frequencies.  A tiny asymmetry keeps the
         # frequencies distinct so the engine config stays valid.
-        params = CircuitParams(amp_b=1e-9)
+        params = replace(params, amp_b=1e-9)
         engine = engine_config_from_circuit(params)
         from su11otto.cycle import efficiency, otto_ideal
 
@@ -230,10 +234,10 @@ class TestScenario:
         assert chi < 1e-8
         assert efficiency(engine, chi) == pytest.approx(otto_ideal(engine), abs=1e-8)
 
-    def test_validation(self):
+    def test_validation(self, params):
         with pytest.raises(ValueError):
-            CircuitParams(amp_a=0.5, amp_b=0.8)
+            replace(params, amp_a=0.5, amp_b=0.8)
         with pytest.raises(ValueError):
-            CircuitParams(mode_index=0)
+            replace(params, mode_index=0)
         with pytest.raises(ValueError):
-            CircuitParams(mode_index=100, n_cell=100)
+            replace(params, mode_index=100, n_cell=100)

@@ -81,6 +81,15 @@ class TestConfig:
             {"oracle": {"thermal_leak_tol": 0.0}},
             {"oracle": {"zeta_grid": [0.4, -0.1]}},
             {"oracle": {"phi_grid": []}},
+            # non-finite leaves: an infinite budget switched the truncation guard
+            # off; an infinite temperature divided by zero in the bath factor
+            {"oracle": {"leak_tol": math.inf}},
+            {"engine": {"t_hot": math.inf}},
+            {"sweep": {"zeta_panels": [2.0, math.nan]}},
+            {"metrology": {"zeta_bracket": [-math.inf, 8.0]}},
+            # an empty stop-time sweep
+            {"circuit": {"t_f_points": 0}},
+            {"circuit": {"t_f_points": -5}},
         ],
     )
     def test_wrong_type_or_invalid_value_fatal(self, tmp_path, override):

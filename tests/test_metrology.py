@@ -21,6 +21,7 @@ from su11otto import (
     variance_h,
     variance_n,
 )
+from su11otto.config import load_config
 from su11otto.core import chi_of, n_out
 from su11otto.errors import NoSolutionError, PhotonNumberError
 from su11otto.fock import FockWorkspace, number_operator, thermal_state, unitary_equiv, variance
@@ -37,6 +38,7 @@ DN_PAPER_2_01 = 21.89242435583839271
 DN_CHAIN_2_01 = 5.3618632900063226053
 N_PHI_34 = 60.239664268440508526
 SNL_34 = 0.12884237704231612421
+ZETA_BRACKET = load_config().zeta_bracket
 
 
 class TestVariances:
@@ -206,13 +208,13 @@ class TestMinimizer:
 
 class TestSnlSolver:
     def test_chain_energy_solution(self, fig3_config):
-        sol = solve_zeta_snl(fig3_config, "energy", "chain")
+        sol = solve_zeta_snl(fig3_config, "energy", "chain", zeta_bracket=ZETA_BRACKET)
         assert sol.zeta_snl == pytest.approx(3.4, abs=0.1)
         assert sol.eta_snl == pytest.approx(0.705, abs=0.01)
         assert sol.delta_phi_min == pytest.approx(sol.snl_value, rel=1e-4)
 
     def test_chi_is_definitional(self, fig3_config):
-        sol = solve_zeta_snl(fig3_config, "number", "chain")
+        sol = solve_zeta_snl(fig3_config, "number", "chain", zeta_bracket=ZETA_BRACKET)
         assert sol.chi_snl == pytest.approx(
             float(chi_of(sol.zeta_snl, sol.phi_snl)), abs=1e-10
         )
@@ -220,7 +222,7 @@ class TestSnlSolver:
     def test_paper_mode_converges_to_its_own_root(self, fig3_config):
         # the literal coth^2 derivative gives a much smaller threshold; both
         # roots are reported side by side by the snl command
-        sol = solve_zeta_snl(fig3_config, "energy", "paper")
+        sol = solve_zeta_snl(fig3_config, "energy", "paper", zeta_bracket=ZETA_BRACKET)
         assert sol.zeta_snl == pytest.approx(1.049, abs=0.05)
 
     def test_no_crossing_raises(self, fig3_config):
