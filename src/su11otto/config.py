@@ -163,6 +163,8 @@ def _build(raw: dict) -> ScenarioConfig:
     if len(bracket) != 2 or not bracket[0] < bracket[1]:
         raise ConfigError(f"metrology.zeta_bracket must be [lo, hi] with lo < hi, got {bracket}")
     sweep = raw["sweep"]
+    if not sweep["zeta_panels"]:
+        raise ConfigError("sweep.zeta_panels must not be empty")
     if sweep["phi_points"] < 8:
         raise ConfigError("sweep.phi_points must be at least 8")
     try:

@@ -12,8 +12,18 @@ Every generator used here commutes with the mode imbalance n1 - n2, so all
 heavy operations run block-diagonally per imbalance sector d = n1 - n2
 (block size n_max - |d| + 1).  That turns one dim^3 = (n_max+1)^6 dense
 cost into a sum of small-block costs and is what makes n_max = 120
-routine.  `BlockOperator.to_dense()` assembles the full matrix for
-small-basis algebra checks.
+routine.
+
+K_x, K_y, K_z, N, the thermal state and the boundary layer are all
+unchanged by the mode swap a1 <-> a2, which maps sector -d onto sector d
+position by position.  So only the sectors d >= 0 are stored: the block of
+sector -d is the mode-swap image of the block of sector d, identical entry
+for entry.  The multiplicity lives in one place: `ThermalState.probs`
+carries weight 2 for every d > 0, so populations and traces are folded
+(each d > 0 entry holds both mirror states) and every trace over the stored
+sectors counts both.  `BlockOperator.to_dense()`, which assembles the full
+matrix for small-basis algebra checks, is the one place that writes the
+mirror blocks out.
 
 Every exponential comes from one cached eigendecomposition of K_x: the
 eigenvectors are real, so exp(-i s K_x) is the conjugate of exp(i s K_x),
@@ -43,6 +53,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -77,10 +88,10 @@ _IMAG_RESIDUE_TOL = 1e-10
 class Sector:
     """One conserved-imbalance block: the states with n1 - n2 = d."""
 
-    d: int
+    d: int  # >= 0; sector -d is its mode-swap image
     n1: np.ndarray
     n2: np.ndarray
-    idx: np.ndarray  # global indices, ordered by min(n1, n2) ascending
+    idx: np.ndarray  # global indices, ordered by n2 ascending
 
     @property
     def size(self) -> int:
@@ -88,7 +99,7 @@ class Sector:
 
 
 class FockWorkspace:
-    """Truncated two-mode basis with per-sector caches.
+    """Truncated two-mode basis with per-sector caches over d = 0 ... n_max.
 
     The eigendecomposition of the K_x block is computed once per sector and
     reused by every exponential, so repeated unitary construction costs
@@ -101,10 +112,9 @@ class FockWorkspace:
         self.n_max = int(n_max)
         self.dim = (self.n_max + 1) ** 2
         sectors = []
-        for d in range(-self.n_max, self.n_max + 1):
-            low = np.arange(0, self.n_max - abs(d) + 1)
-            n1 = low + d if d >= 0 else low
-            n2 = low if d >= 0 else low - d
+        for d in range(self.n_max + 1):
+            n2 = np.arange(0, self.n_max - d + 1)
+            n1 = n2 + d
             sectors.append(Sector(d=d, n1=n1, n2=n2, idx=n1 * (self.n_max + 1) + n2))
         self.sectors: tuple[Sector, ...] = tuple(sectors)
 
@@ -141,27 +151,30 @@ class FockWorkspace:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class BlockOperator:
-    """Immutable operator stored as one dense block per imbalance sector.
+    """Immutable operator stored as one dense block per stored sector d >= 0.
 
-    `diags` is set for diagonal operators, letting products with them run
-    in O(m^2) per block instead of a full matrix multiply.  `hermitian` is
-    fixed at construction; `variance` accepts only Hermitian operators.
+    The operator is mode-swap symmetric: the block of sector -d is that of
+    sector d.  `diags` is set for diagonal operators, letting products with
+    them run in O(m^2) per block instead of a full matrix multiply; pass
+    `blocks=None` with `diags` and the dense blocks are only built when
+    read.  `hermitian` is fixed at construction; `variance` accepts only
+    Hermitian operators.
     """
 
     ws: FockWorkspace
-    blocks: tuple
+    blocks: Sequence | None
     hermitian: bool = False
     diags: tuple | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(self.blocks))
         if self.diags is not None:
             object.__setattr__(self, "diags", tuple(self.diags))
+        blocks = _DiagonalBlocks(self.diags) if self.blocks is None else tuple(self.blocks)
+        object.__setattr__(self, "blocks", blocks)
 
     @classmethod
     def from_diagonal(cls, ws: FockWorkspace, diags, *, hermitian=True) -> "BlockOperator":
-        diags = [np.asarray(v) for v in diags]
-        return cls(ws, [np.diag(v) for v in diags], hermitian=hermitian, diags=diags)
+        return cls(ws, None, hermitian=hermitian, diags=[np.asarray(v) for v in diags])
 
     def dag(self) -> "BlockOperator":
         blocks = [b.conj().T for b in self.blocks]
@@ -173,16 +186,16 @@ class BlockOperator:
             return NotImplemented
         if other.ws is not self.ws:
             raise ValueError("operators live on different workspaces")
+        if self.diags is not None and other.diags is not None:
+            diags = [u * v for u, v in zip(self.diags, other.diags)]
+            return BlockOperator(self.ws, None, diags=diags)
         if self.diags is not None:
             blocks = [v[:, None] * b for v, b in zip(self.diags, other.blocks)]
         elif other.diags is not None:
             blocks = [b * v[None, :] for b, v in zip(self.blocks, other.diags)]
         else:
             blocks = [a @ b for a, b in zip(self.blocks, other.blocks)]
-        diags = None
-        if self.diags is not None and other.diags is not None:
-            diags = [u * v for u, v in zip(self.diags, other.diags)]
-        return BlockOperator(self.ws, blocks, diags=diags)
+        return BlockOperator(self.ws, blocks)
 
     def heisenberg(self, u: "BlockOperator") -> "BlockOperator":
         """Heisenberg-picture image U+ O U of this operator under the unitary u.
@@ -205,6 +218,9 @@ class BlockOperator:
         out = np.zeros((self.ws.dim, self.ws.dim), dtype=complex)
         for s, b in zip(self.ws.sectors, self.blocks):
             out[np.ix_(s.idx, s.idx)] = b
+            if s.d > 0:
+                mirror = s.n2 * (self.ws.n_max + 1) + s.n1
+                out[np.ix_(mirror, mirror)] = b
         return out
 
     def hermiticity_defect(self) -> float:
@@ -215,6 +231,23 @@ class BlockOperator:
             float(np.max(np.abs(b.conj().T @ b - np.eye(b.shape[0]))))
             for b in self.blocks
         )
+
+
+class _DiagonalBlocks(Sequence):
+    """The dense np.diag blocks of a diagonal operator, built on first read."""
+
+    def __init__(self, diags):
+        self._diags = diags
+
+    @cached_property
+    def _dense(self) -> tuple:
+        return tuple(np.diag(v) for v in self._diags)
+
+    def __len__(self) -> int:
+        return len(self._diags)
+
+    def __getitem__(self, i):
+        return self._dense[i]
 
 
 class GeneratorSet:
@@ -255,8 +288,12 @@ class ThermalState:
     """Gibbs state of two degenerate oscillators, diagonal in the Fock basis.
 
     probs hold the per-sector diagonal after renormalizing away the
-    truncation tail; partition_function is the exact closed form
-    [2 sinh(beta omega / 2)]^-2 and leakage the tail weight that was cut.
+    truncation tail, folded over the mode swap: only the sectors d >= 0 are
+    stored, sector -d is the mode-swap image of sector d, and every d > 0
+    entry carries weight 2 (its own state and its mirror), so the probs sum
+    to 1 and a trace over the stored sectors counts both mirrors.
+    partition_function is the exact closed form [2 sinh(beta omega / 2)]^-2
+    and leakage the tail weight that was cut.
     """
 
     ws: FockWorkspace
@@ -290,13 +327,15 @@ def thermal_state(
     norm = (1.0 - q) ** 2
     z = math.exp(-beta * omega) / norm if norm > 0.0 else math.inf
     raw = [norm * q ** (s.n1 + s.n2).astype(float) for s in ws.sectors]
-    retained = float(sum(p.sum() for p in raw))
+    folded = [p if s.d == 0 else 2.0 * p for s, p in zip(ws.sectors, raw)]
+    retained = float(sum(p.sum() for p in folded))
     leakage = 1.0 - retained
     if leakage > leak_tol:
         raise TruncationError(
             f"thermal tail beyond n_max={ws.n_max} holds {leakage:.3e} > {leak_tol:.1e} "
             f"of the weight (beta*omega = {beta * omega:.3g}); increase n_max"
         )
+    # per state, not folded over the mirror pair
     boundary = max(
         float(p[m].max()) if m.any() else 0.0 for p, m in zip(raw, ws.boundary_masks)
     )
@@ -304,7 +343,7 @@ def thermal_state(
         raise TruncationError(
             f"thermal occupancy {boundary:.3e} at the n_max boundary exceeds 1e-12"
         )
-    probs = tuple(p / retained for p in raw)
+    probs = tuple(p / retained for p in folded)
     return ThermalState(
         ws=ws, beta=beta, omega=omega, probs=probs, partition_function=z, leakage=leakage
     )
@@ -349,7 +388,12 @@ def boundary_occupancy(op: BlockOperator, state: ThermalState) -> float:
 
 
 def evolved_populations(u: BlockOperator, state: ThermalState) -> list[np.ndarray]:
-    """Per-sector diagonal of U rho U+ for the Fock-diagonal state: |U|^2 p."""
+    """Per-sector diagonal of U rho U+ for the Fock-diagonal state: |U|^2 p.
+
+    One array per stored sector d >= 0.  Like `ThermalState.probs` they are
+    folded over the mode swap: a d > 0 entry is the population of a state
+    plus that of its mirror in sector -d, so plain sums are full traces.
+    """
     if u.ws is not state.ws:
         raise ValueError("operator and state live on different workspaces")
     return [(np.abs(b) ** 2) @ p for b, p in zip(u.blocks, state.probs)]

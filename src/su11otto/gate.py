@@ -128,6 +128,12 @@ def _algebra_records(n_max: int) -> list[GateRecord]:
     accumulation (which alone reaches ~1e-12 at this basis size); extended
     precision per sector keeps the arithmetic noise orders below the
     tolerance and is far cheaper than dense products anyway.
+
+    The blockwise checks run over the stored sectors d >= 0 only: the
+    mirror block of sector -d is identical entry for entry, so it has the
+    same residuals.  The dense records (`to_dense()` of K_z, N and K_x)
+    include the mirror blocks, and `kx_ladder_representation` checks their
+    placement at the swapped indices against K_x built from a1 and a2.
     """
     ws = FockWorkspace(n_max)
     gen = GeneratorSet(ws)

@@ -1,7 +1,21 @@
+import os
+
 import numpy as np
 import pytest
 
+# hypothesis caches the constants it parses from source files in its storage
+# directory even without an example database; an unwritable path keeps the
+# suite from leaving a .hypothesis/ directory behind
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY", os.devnull)
+
+from hypothesis import settings  # noqa: E402
+
 from su11otto import EngineConfig
+
+# property tests draw the same examples on every run, keep no example
+# database and time no single example
+settings.register_profile("su11otto", derandomize=True, database=None, deadline=None)
+settings.load_profile("su11otto")
 
 
 @pytest.fixture(scope="session")

@@ -13,6 +13,8 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from su11otto.circuit import (
     KELVIN_TO_RAD_PER_S,
@@ -115,6 +117,20 @@ class TestBogoliubov:
         a2, b2 = _closed_form_moduli(1.0, ratio, nu)
         assert abs(pair.alpha) ** 2 == pytest.approx(a2, rel=1e-10)
         assert abs(pair.beta) ** 2 == pytest.approx(b2, rel=1e-10)
+
+    @given(
+        omega_i=st.floats(1e-3, 1e3),
+        omega_f=st.floats(1e-3, 1e3),
+        omega_over_nu=st.floats(1e-6, 1e3),
+    )
+    def test_identity_holds_across_frequencies_and_rates(self, omega_i, omega_f, omega_over_nu):
+        # |Im z| of the Gamma arguments reaches omega/nu = 1e3, the range the
+        # log-Gamma route is built for; the identity is a difference of two
+        # moduli that grow with the frequency ratio, so it holds to rounding
+        # relative to their sum
+        pair = bogoliubov(omega_i, omega_f, max(omega_i, omega_f) / omega_over_nu)
+        a2, b2 = abs(pair.alpha) ** 2, abs(pair.beta) ** 2
+        assert abs(a2 - b2 - 1.0) <= 1e-11 * (a2 + b2)
 
     def test_degenerate_frequencies(self):
         pair = bogoliubov(1.0, 1.0, 3.0)

@@ -71,6 +71,7 @@ class TestConfig:
             {"oracle": {"leak_tol": -1}},  # every point would be skipped
             {"oracle": {"beta_omega": []}},
             {"sweep": {"zeta_panels": "2"}},  # iterated into (2.0,)
+            {"sweep": {"zeta_panels": []}},  # a 0-row cycle sweep, a header-only summary
             # the remaining type and oracle rules
             {"engine": {"omega1": True}},
             {"sweep": {"zeta_panels": [2.0, "3"]}},

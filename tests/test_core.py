@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from su11otto import (
@@ -29,6 +31,7 @@ from su11otto.errors import (
     DegeneratePhaseError,
     NoEngineRegimeError,
     NoSolutionError,
+    NonConvergenceError,
 )
 
 CHI_2_01 = 0.36057837857760945363  # arccosh((1-cos 0.1) cosh^2 2 + cos 0.1)
@@ -133,6 +136,30 @@ class TestAnglesFrom:
     def test_identity_endpoint_rejected(self):
         with pytest.raises(ValueError):
             angles_from(ProtocolEndpoints(chi=0.0, theta=0.4))
+
+    @given(
+        chi=st.floats(1e-12, 20.0),
+        edge_fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        negate=st.booleans(),
+    )
+    def test_round_trip_over_the_whole_domain(self, chi, edge_fraction, negate):
+        # theta runs across (edge, pi - edge), where tan^2(theta) = sinh^2(chi/2) at
+        # the edges; the last assumption keeps one part in 1e12 clear of the edge,
+        # beyond the rounding of either side of the inequality
+        edge = math.atan(math.sinh(chi / 2.0))
+        theta = edge + edge_fraction * (math.pi - 2.0 * edge)
+        assume(math.tan(theta) ** 2 > math.sinh(chi / 2.0) ** 2 * (1.0 + 1e-12))
+        endpoints = ProtocolEndpoints(chi=chi, theta=-theta if negate else theta)
+        try:
+            angles = angles_from(endpoints)
+        except NonConvergenceError:
+            # the documented refusal: the forward map of the solution misses the
+            # inputs by more than 1e-10; never NoSolutionError inside the domain
+            return
+        assert angles.zeta > 0.0
+        assert (angles.phi <= math.pi) == (theta <= math.pi / 2.0)
+        assert abs(chi_from(angles) - chi) <= 1e-10
+        assert abs(math.cos(theta_from(angles)) - math.cos(theta)) <= 1e-10
 
     def test_degenerate_limit_returns_minimal_zeta(self):
         with pytest.warns(DegenerateLimitWarning):

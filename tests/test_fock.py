@@ -36,17 +36,22 @@ class TestWorkspace:
     def test_dimensions(self):
         ws = FockWorkspace(7)
         assert ws.dim == 64
-        assert len(ws.sectors) == 15
-        assert sum(s.size for s in ws.sectors) == ws.dim
+        assert len(ws.sectors) == ws.n_max + 1
+        assert [s.d for s in ws.sectors] == list(range(ws.n_max + 1))
+        # a stored sector d > 0 stands for itself and its mirror -d
+        assert sum((1 if s.d == 0 else 2) * s.size for s in ws.sectors) == ws.dim
 
     def test_index_bookkeeping(self):
+        # each global index is covered exactly once by a stored index or its mirror
         ws = FockWorkspace(5)
-        seen = set()
+        seen = []
         for s in ws.sectors:
             assert np.all(s.n1 - s.n2 == s.d)
             assert np.all(s.idx == s.n1 * 6 + s.n2)
-            seen.update(s.idx.tolist())
-        assert seen == set(range(ws.dim))
+            seen.extend(s.idx.tolist())
+            if s.d > 0:
+                seen.extend((s.n2 * 6 + s.n1).tolist())
+        assert sorted(seen) == list(range(ws.dim))
 
 
 class TestGenerators:
@@ -71,6 +76,28 @@ class TestGenerators:
         assert np.max(np.abs(gen.kx.to_dense() - kx_ref)) < 1e-14
         assert np.max(np.abs(gen.ky.to_dense() - ky_ref)) < 1e-14
         assert np.max(np.abs(gen.n.to_dense() - n_ref)) < 1e-14
+
+    def test_dense_operators_commute_with_the_mode_swap(self):
+        # the mirror blocks of to_dense() must sit at the swapped indices
+        ws = FockWorkspace(6)
+        gen = GeneratorSet(ws)
+        n = ws.n_max + 1
+        swap = np.zeros((ws.dim, ws.dim))
+        for n1 in range(n):
+            for n2 in range(n):
+                swap[n2 * n + n1, n1 * n + n2] = 1.0
+        assert np.array_equal(swap @ gen.a1 @ swap, gen.a2)
+        ops = (
+            gen.kx,
+            gen.ky,
+            gen.kz,
+            unitary_product(InterferometerAngles(0.7, 1.3), ws),
+            unitary_equiv(ProtocolEndpoints(0.9, 0.4), ws),
+            evolution_endpoint(-0.6, 1.1, ws),
+        )
+        for op in ops:
+            dense = op.to_dense()
+            assert np.array_equal(swap @ dense, dense @ swap)
 
     def test_ky_is_an_exact_quarter_turn_of_kx(self):
         # sectors longer than 100 states: (-1j) ** k loses exactness there
