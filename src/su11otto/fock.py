@@ -43,10 +43,17 @@ states report their tail leakage and refuse to renormalize silently past
 a tolerance.  Given a state, each unitary builder checks the boundary
 occupancy of every squeezed partial product of the very product it
 returns, interior phases included, against a leakage budget, and raises
-instead of returning quietly wrong numbers.  For the Fock-diagonal
-states used here, `evolved_populations` gives the diagonal of U rho U+,
-from which the moments of N and the boundary mass follow without forming
-U+ N U.
+instead of returning quietly wrong numbers.  The unitaries do not depend
+on the state, so each builder keeps its last chain on the workspace, keyed
+by its exact arguments: the product and |.|^2 of the boundary rows of
+every guarded partial product.  A repeat call with the same arguments
+composes nothing and re-guards the kept rows against the state it is
+given, by the same occupancy sum, so every guard decision is the one a
+fresh build would make.
+
+For the Fock-diagonal states used here, `evolved_populations` gives the
+diagonal of U rho U+, from which the moments of N and the boundary mass
+follow without forming U+ N U.
 """
 
 from __future__ import annotations
@@ -117,6 +124,8 @@ class FockWorkspace:
             n1 = n2 + d
             sectors.append(Sector(d=d, n1=n1, n2=n2, idx=n1 * (self.n_max + 1) + n2))
         self.sectors: tuple[Sector, ...] = tuple(sectors)
+        # builder name -> (argument key, _Chain) of that builder's last product
+        self._kept_chains: dict = {}
 
     @cached_property
     def kz_diags(self) -> tuple[np.ndarray, ...]:
@@ -376,15 +385,26 @@ def _phase_kz(ws: FockWorkspace, s: float) -> BlockOperator:
     return BlockOperator.from_diagonal(ws, diags, hermitian=False)
 
 
+def _boundary_rows(op: BlockOperator) -> tuple:
+    """|op|^2 on the boundary rows of every sector: all a boundary read needs."""
+    return tuple(
+        np.abs(block[mask, :]) ** 2 for block, mask in zip(op.blocks, op.ws.boundary_masks)
+    )
+
+
+def _occupancy(rows, state: ThermalState) -> float:
+    """Total boundary weight of op rho op+ from the `_boundary_rows` of op."""
+    w = 0.0
+    for r, p in zip(rows, state.probs):
+        w += float((r @ p).sum())
+    return w
+
+
 def boundary_occupancy(op: BlockOperator, state: ThermalState) -> float:
     """Total weight of op rho op+ on the n_max boundary layer."""
     if op.ws is not state.ws:
         raise ValueError("operator and state live on different workspaces")
-    w = 0.0
-    for block, p, mask in zip(op.blocks, state.probs, op.ws.boundary_masks):
-        if mask.any():
-            w += float((np.abs(block[mask, :]) ** 2 @ p).sum())
-    return w
+    return _occupancy(_boundary_rows(op), state)
 
 
 def evolved_populations(u: BlockOperator, state: ThermalState) -> list[np.ndarray]:
@@ -399,28 +419,64 @@ def evolved_populations(u: BlockOperator, state: ThermalState) -> list[np.ndarra
     return [(np.abs(b) ** 2) @ p for b, p in zip(u.blocks, state.probs)]
 
 
-def _guarded_product(factors, state, leak_tol=math.inf, label="chain"):
-    """The product of `factors` (ordered as applied to the state) and the
-    worst boundary occupancy of the state along the chain.
+@dataclass(frozen=True)
+class _Chain:
+    """A product and the `_boundary_rows` of each guarded partial product, in order."""
 
-    Each partial product is formed once and read after every non-diagonal
-    factor; diagonal phases move no population but stay in the product.
-    Raises TruncationError past leak_tol; with no state nothing is checked.
+    product: BlockOperator
+    guarded_rows: tuple
+
+
+def _compose(factors) -> _Chain:
+    """Compose `factors` (ordered as applied to the state) into one chain.
+
+    Each partial product is formed once; its boundary rows are kept after
+    every non-diagonal factor, since diagonal phases move no population.
     """
     acc = None
-    worst = 0.0
+    guarded = []
     for f in factors:
         acc = f if acc is None else f @ acc
-        if state is None or f.diags is not None:
-            continue
-        worst = max(worst, boundary_occupancy(acc, state))
+        if f.diags is None:
+            guarded.append(_boundary_rows(acc))
+    return _Chain(acc, tuple(guarded))
+
+
+def _guard(chain: _Chain, state: ThermalState, leak_tol=math.inf, label="chain") -> float:
+    """Worst boundary occupancy of the state along the chain; raises
+    TruncationError at the first partial product past leak_tol."""
+    if chain.product.ws is not state.ws:
+        raise ValueError("operator and state live on different workspaces")
+    worst = 0.0
+    for rows in chain.guarded_rows:
+        worst = max(worst, _occupancy(rows, state))
         if worst > leak_tol:
             raise TruncationError(
                 f"{label}: boundary occupancy {worst:.3e} exceeds leakage budget "
                 f"{leak_tol:.1e} at n_max={state.ws.n_max}; increase n_max or reduce "
                 "the squeezing"
             )
-    return acc, worst
+    return worst
+
+
+def _kept_product(ws, label, args, factors, state, leak_tol) -> BlockOperator:
+    """The product of the chain `factors()` builds, guarded against the state.
+
+    The workspace keeps each builder's last chain under its exact arguments,
+    so a repeat call composes nothing and only re-reads the kept boundary
+    rows against the new state.
+    """
+    key = tuple(float(a).hex() for a in args)
+    kept = ws._kept_chains.get(label)
+    if kept is None or kept[0] != key:
+        kept = (key, _compose(factors()))
+        for b in kept[1].product.blocks:
+            b.flags.writeable = False  # shared by every repeat call
+        ws._kept_chains[label] = kept
+    chain = kept[1]
+    if state is not None:
+        _guard(chain, state, leak_tol, label)
+    return chain.product
 
 
 def evolved_boundary_occupancy(factors, state: ThermalState) -> float:
@@ -430,7 +486,7 @@ def evolved_boundary_occupancy(factors, state: ThermalState) -> float:
     state (rightmost factor of the operator product first); interior phases
     act on the partial products.
     """
-    return _guarded_product(factors, state)[1]
+    return _guard(_compose(factors), state)
 
 
 def unitary_product(
@@ -449,13 +505,17 @@ def unitary_product(
     intermediate squeeze is the binding constraint: it spreads the state by
     zeta even when the composed chi is small).
     """
-    squeeze = _exp_i_kx(ws, angles.zeta)
-    factors = (
-        squeeze,
-        _phase_kz(ws, -angles.phi),
-        BlockOperator(ws, [b.conj() for b in squeeze.blocks]),
-    )
-    return _guarded_product(factors, state, leak_tol, "unitary_product")[0]
+
+    def factors():
+        squeeze = _exp_i_kx(ws, angles.zeta)
+        return (
+            squeeze,
+            _phase_kz(ws, -angles.phi),
+            BlockOperator(ws, [b.conj() for b in squeeze.blocks]),
+        )
+
+    args = (angles.zeta, angles.phi)
+    return _kept_product(ws, "unitary_product", args, factors, state, leak_tol)
 
 
 def unitary_equiv(
@@ -466,12 +526,16 @@ def unitary_equiv(
     leak_tol: float = 1e-8,
 ) -> BlockOperator:
     """The endpoint form exp(i theta K_z) exp(i chi K_y) exp(-i theta K_z)."""
-    factors = (
-        _phase_kz(ws, -endpoints.theta),
-        _quarter_turn(_exp_i_kx(ws, endpoints.chi)),
-        _phase_kz(ws, endpoints.theta),
-    )
-    return _guarded_product(factors, state, leak_tol, "unitary_equiv")[0]
+
+    def factors():
+        return (
+            _phase_kz(ws, -endpoints.theta),
+            _quarter_turn(_exp_i_kx(ws, endpoints.chi)),
+            _phase_kz(ws, endpoints.theta),
+        )
+
+    args = (endpoints.chi, endpoints.theta)
+    return _kept_product(ws, "unitary_equiv", args, factors, state, leak_tol)
 
 
 def evolution_endpoint(
@@ -483,8 +547,12 @@ def evolution_endpoint(
     leak_tol: float = 1e-8,
 ) -> BlockOperator:
     """The time-ordered endpoint unitary exp(-i f_z K_z) exp(-i f_y K_y)."""
-    factors = (_quarter_turn(_exp_i_kx(ws, -f_y_tf)), _phase_kz(ws, -f_z_tf))
-    return _guarded_product(factors, state, leak_tol, "evolution_endpoint")[0]
+
+    def factors():
+        return (_quarter_turn(_exp_i_kx(ws, -f_y_tf)), _phase_kz(ws, -f_z_tf))
+
+    args = (f_y_tf, f_z_tf)
+    return _kept_product(ws, "evolution_endpoint", args, factors, state, leak_tol)
 
 
 def hamiltonian_final(omega_f: float, f_y_tf: float, ws: FockWorkspace) -> BlockOperator:

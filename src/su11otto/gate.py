@@ -19,6 +19,11 @@ expected to contradict (those do not fail the gate; they exit with the
 dedicated discrepancy code so automation can tell the outcomes apart).
 Grid points whose squeezed states cannot be represented at the configured
 basis size raise the truncation guard and are recorded as "skipped".
+
+The three endpoint unitaries depend on (zeta, phi) only; the bath enters
+through the thermal input state alone.  So the equivalence grid is
+evaluated (zeta, phi)-major, each unitary built and checked for unitarity
+once and guarded per beta*omega, and reported beta*omega-major.
 """
 
 from __future__ import annotations
@@ -249,31 +254,19 @@ def _number_moments(u, state):
     return mean, second - mean * mean, leak
 
 
-def _equivalence_point(ws, state, bw, zeta, phi, leak_tol):
-    """Records for one (beta*omega, zeta, phi) grid point, or 'skipped'."""
-    chi = float(chi_of(zeta, phi))
-    theta = float(theta_of(zeta, phi))
-    tag = f"[bw={bw:g},zeta={zeta:g},phi={phi:g}]"
-    try:
-        guard = dict(state=state, leak_tol=leak_tol)
-        forms = {
-            "un1": unitary_product(InterferometerAngles(zeta, phi), ws, **guard),
-            "un2": unitary_equiv(ProtocolEndpoints(chi, theta), ws, **guard),
-            "tiev": evolution_endpoint(-chi, -theta, ws, **guard),
-        }
-    except TruncationError:
-        skipped = _cmp(f"equivalence{tag}", math.nan, math.nan, 1e-8, ws.n_max, math.nan)
-        return [replace(skipped, status="skipped")]
+def _admitted_records(forms, defects, state, bw, chi, tag) -> list[GateRecord]:
+    """Records of one admitted grid point from its three forms and their defects."""
+    n_max = state.ws.n_max
     coth_in = 1.0 / math.tanh(bw / 2.0)
     recs = [
-        _cmp(f"unitarity_defect[{name}]{tag}", 0.0, u.unitarity_defect(), 1e-10, ws.n_max)
-        for name, u in forms.items()
+        _cmp(f"unitarity_defect[{name}]{tag}", 0.0, defects[name], 1e-10, n_max)
+        for name in forms
     ]
     moments = {name: _number_moments(u, state) for name, u in forms.items()}
     leak = max(m[2] for m in moments.values())
     for na, nb in (("un1", "un2"), ("un1", "tiev"), ("un2", "tiev")):
         recs.append(
-            _cmp(f"mean_n_{na}_vs_{nb}{tag}", moments[na][0], moments[nb][0], 1e-8, ws.n_max, leak)
+            _cmp(f"mean_n_{na}_vs_{nb}{tag}", moments[na][0], moments[nb][0], 1e-8, n_max, leak)
         )
     mean_n, var_n, _ = moments["un2"]
     # <H> after the stroke: the evolved observable 2 w_f K_z = w_f (N + 1),
@@ -281,13 +274,48 @@ def _equivalence_point(ws, state, bw, zeta, phi, leak_tol):
     omega_f = 1.0
     analytic_h = omega_f * math.cosh(chi) * coth_in
     oracle_h = omega_f * (mean_n + 1.0)
-    recs.append(_cmp(f"mean_h_vs_closed_form{tag}", analytic_h, oracle_h, 1e-7, ws.n_max, leak))
+    recs.append(_cmp(f"mean_h_vs_closed_form{tag}", analytic_h, oracle_h, 1e-7, n_max, leak))
     # number variance against the printed closed form (this one is expected to hold)
     var_closed = 0.5 * (math.cosh(2.0 * chi) * coth_in**2 - 1.0)
     recs.append(
-        _cmp(f"delta2_n_formula{tag}", var_closed, var_n, 1e-6, ws.n_max, leak, relative=True)
+        _cmp(f"delta2_n_formula{tag}", var_closed, var_n, 1e-6, n_max, leak, relative=True)
     )
     return recs
+
+
+def _equivalence_records(ws, states, zeta_grid, phi_grid, leak_tol) -> list[GateRecord]:
+    """Records of every (beta*omega, zeta, phi) grid point, beta*omega-major.
+
+    The three forms depend on (zeta, phi) only, so the grid runs
+    (zeta, phi)-major: the builders compose each form once and re-guard it
+    per thermal state, and each form's unitarity defect is computed once.
+    A point whose guard trips at one beta*omega is 'skipped' there alone.
+    """
+    per_bath = [[] for _ in states]
+    for zeta in zeta_grid:
+        for phi in phi_grid:
+            chi = float(chi_of(zeta, phi))
+            theta = float(theta_of(zeta, phi))
+            defects = {}
+            for recs, (bw, state) in zip(per_bath, states):
+                tag = f"[bw={bw:g},zeta={zeta:g},phi={phi:g}]"
+                guard = dict(state=state, leak_tol=leak_tol)
+                try:
+                    forms = {
+                        "un1": unitary_product(InterferometerAngles(zeta, phi), ws, **guard),
+                        "un2": unitary_equiv(ProtocolEndpoints(chi, theta), ws, **guard),
+                        "tiev": evolution_endpoint(-chi, -theta, ws, **guard),
+                    }
+                except TruncationError:
+                    nan = math.nan
+                    skipped = _cmp(f"equivalence{tag}", nan, nan, 1e-8, ws.n_max, nan)
+                    recs.append(replace(skipped, status="skipped"))
+                    continue
+                for name, u in forms.items():
+                    if name not in defects:
+                        defects[name] = u.unitarity_defect()
+                recs.extend(_admitted_records(forms, defects, state, bw, chi, tag))
+    return [rec for recs in per_bath for rec in recs]
 
 
 def _variance_arbitration(
@@ -367,11 +395,16 @@ def _derivative_arbitration(config: EngineConfig) -> list[GateRecord]:
     return recs
 
 
-def _convergence_record(bw, zeta, phi, n_small, leak_tol, thermal_leak_tol) -> GateRecord:
-    """Doubling the basis must leave a guarded average unchanged to 1e-8."""
+def _convergence_record(
+    bw, zeta, phi, n_small, leak_tol, thermal_leak_tol, grid_ws: FockWorkspace
+) -> GateRecord:
+    """Doubling the basis must leave a guarded average unchanged to 1e-8.
+
+    A basis the size of the grid's workspace reuses it.
+    """
     means = []
     for n_max in (n_small, 2 * n_small):
-        ws = FockWorkspace(n_max)
+        ws = grid_ws if grid_ws.n_max == n_max else FockWorkspace(n_max)
         state = thermal_state(ws, bw, 1.0, leak_tol=thermal_leak_tol)
         u = unitary_product(InterferometerAngles(zeta, phi), ws, state=state, leak_tol=leak_tol)
         means.append(_number_moments(u, state)[0])
@@ -400,9 +433,9 @@ def run_gate(
 
     The settings are those of the `oracle` config block (`OracleConfig`).
 
-    The equivalence grid runs per (beta*omega, zeta, phi) point; points the
-    truncation guard rejects are recorded as skipped, never silently
-    dropped.
+    The equivalence grid is reported per (beta*omega, zeta, phi) point,
+    beta*omega-major; points the truncation guard rejects are recorded as
+    skipped, never silently dropped.
     """
     records: list[GateRecord] = []
     records.extend(_algebra_records(algebra_n_max))
@@ -410,13 +443,12 @@ def run_gate(
     ws = FockWorkspace(n_max)
     records.extend(_thermal_records(ws, beta_omegas, thermal_leak_tol))
 
-    states = {bw: thermal_state(ws, bw, 1.0, leak_tol=thermal_leak_tol) for bw in beta_omegas}
-    for bw in beta_omegas:
-        for z in zeta_grid:
-            for f in phi_grid:
-                records.extend(_equivalence_point(ws, states[bw], bw, z, f, leak_tol))
+    states = [(bw, thermal_state(ws, bw, 1.0, leak_tol=thermal_leak_tol)) for bw in beta_omegas]
+    records.extend(_equivalence_records(ws, states, zeta_grid, phi_grid, leak_tol))
 
     records.extend(_variance_arbitration(config, ws, thermal_leak_tol))
     records.extend(_derivative_arbitration(config))
-    records.append(_convergence_record(0.5, 0.4, 0.9, convergence_n, leak_tol, thermal_leak_tol))
+    records.append(
+        _convergence_record(0.5, 0.4, 0.9, convergence_n, leak_tol, thermal_leak_tol, ws)
+    )
     return GateResult(records=records)

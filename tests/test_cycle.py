@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from su11otto import (
     EngineConfig,
@@ -75,6 +77,26 @@ class TestWorksAndHeats:
         for config in _random_engine_configs(rng, 200):
             rep = works_and_heats(config, rng.uniform(0.0, 2.5))
             assert abs(rep.w_ab + rep.q_bc + rep.w_cd + rep.q_da) < 1e-10
+
+    @given(
+        omega1=st.floats(1e-3, 1e3),
+        omega_ratio=st.floats(1.0, 100.0, exclude_min=True),
+        t_cold=st.floats(1e-3, 1e3),
+        t_ratio=st.floats(1.0, 1e3, exclude_min=True),
+        chi=st.floats(0.0, 10.0),
+    )
+    def test_first_law_and_friction_split_over_the_domain(
+        self, omega1, omega_ratio, t_cold, t_ratio, chi
+    ):
+        # every valid EngineConfig and chi >= 0; each identity holds to rounding of
+        # the largest stage energy
+        config = EngineConfig(omega1, omega1 * omega_ratio, t_cold * t_ratio, t_cold)
+        rep = works_and_heats(config, chi)
+        e = stage_energies(config, chi)
+        scale = max(e.h_a, e.h_b, e.h_c, e.h_d)
+        assert abs(rep.w_ab + rep.q_bc + rep.w_cd + rep.q_da) <= 1e-14 * scale
+        assert rep.w_fric >= 0.0
+        assert abs(rep.w_cd - (rep.w_ad + rep.w_fric)) <= 1e-14 * scale
 
     def test_exchange_symmetry(self, rng):
         # swapping the frequencies and the two baths maps W_AB onto W_CD

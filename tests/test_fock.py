@@ -223,6 +223,71 @@ class TestUnitaries:
         assert boundary_occupancy(u, state) < 1e-12
 
 
+# each builder on two scalar arguments: (zeta, phi), (chi, theta) and (f_y, f_z)
+BUILDERS = {
+    "unitary_product": lambda a, b, ws, **kw: unitary_product(
+        InterferometerAngles(a, b), ws, **kw
+    ),
+    "unitary_equiv": lambda a, b, ws, **kw: unitary_equiv(ProtocolEndpoints(a, b), ws, **kw),
+    "evolution_endpoint": lambda a, b, ws, **kw: evolution_endpoint(a, b, ws, **kw),
+}
+# at n_max = 30 each builder's chain at these arguments is admitted for the
+# cold state (beta omega = 3) and trips the guard for the hot one (beta omega = 1)
+_CHI, _THETA = float(chi_of(0.9, 1.5)), float(theta_of(0.9, 1.5))
+BAND_ARGS = {
+    "unitary_product": (0.9, 1.5),
+    "unitary_equiv": (_CHI, _THETA),
+    "evolution_endpoint": (-_CHI, -_THETA),
+}
+
+
+def _same_blocks(u, v):
+    return all(np.array_equal(a, b) for a, b in zip(u.blocks, v.blocks))
+
+
+class TestKeptChains:
+    """A builder keeps its last chain on the workspace and re-guards it per state."""
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_repeat_call_reguards_every_state(self, name):
+        build, args = BUILDERS[name], BAND_ARGS[name]
+        ws = FockWorkspace(30)
+        cold, hot = thermal_state(ws, 3.0, 1.0), thermal_state(ws, 1.0, 1.0)
+        u = build(*args, ws, state=cold)
+        # the hot state reaches the kept chain second and must still be guarded
+        with pytest.raises(TruncationError):
+            build(*args, ws, state=hot)
+        assert build(*args, ws, state=cold) is u
+        assert build(*args, ws) is u
+        assert not any(b.flags.writeable for b in u.blocks)
+        # the same decisions and the same product as builds on fresh workspaces
+        fresh = FockWorkspace(30)
+        assert _same_blocks(u, build(*args, fresh, state=thermal_state(fresh, 3.0, 1.0)))
+        fresh = FockWorkspace(30)
+        with pytest.raises(TruncationError):
+            build(*args, fresh, state=thermal_state(fresh, 1.0, 1.0))
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_changed_argument_rebuilds(self, name, which):
+        build = BUILDERS[name]
+        args = (0.4, 0.7)
+        changed = tuple(v + 0.25 if i == which else v for i, v in enumerate(args))
+        ws = FockWorkspace(12)
+        u = build(*args, ws)
+        v = build(*changed, ws)
+        assert v is not u and not _same_blocks(u, v)
+        assert _same_blocks(v, build(*changed, FockWorkspace(12)))
+        # and back: the first arguments are rebuilt, not served from a stale chain
+        assert _same_blocks(build(*args, ws), u)
+
+    def test_builders_keep_separate_chains(self):
+        ws = FockWorkspace(12)
+        products = {name: build(0.4, 0.7, ws) for name, build in BUILDERS.items()}
+        for name, build in BUILDERS.items():
+            assert build(0.4, 0.7, ws) is products[name]
+
+
 class TestAgainstDenseExponentials:
     """Each builder against scipy's expm of dense generators made from the
     ladder operators, so no block of the oracle is reused."""

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import loggamma as scipy_loggamma
 
 from su11otto.errors import GammaPoleError
@@ -67,3 +69,15 @@ def test_real_axis_matches_scipy():
             float(scipy_loggamma(x)), rel=1e-14
         )
         assert complex_log_gamma(x).imag == 0.0
+
+
+@given(
+    re=st.floats(-30.0, 30.0),
+    im=st.floats(1e-6, 1e3),
+    below=st.booleans(),
+)
+def test_matches_scipy_off_the_real_axis(re, im, below):
+    z = complex(re, -im if below else im)
+    mine = complex_log_gamma(z)
+    ref = complex(scipy_loggamma(z))
+    assert abs(mine - ref) <= 1e-13 * max(1.0, abs(ref)), f"z={z}"

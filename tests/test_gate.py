@@ -1,0 +1,95 @@
+"""The gate's equivalence grid against a point-by-point reference loop."""
+
+import dataclasses
+import math
+
+from su11otto.core import (
+    EngineConfig,
+    InterferometerAngles,
+    ProtocolEndpoints,
+    chi_of,
+    theta_of,
+)
+from su11otto.errors import TruncationError
+from su11otto.fock import (
+    FockWorkspace,
+    evolution_endpoint,
+    thermal_state,
+    unitary_equiv,
+    unitary_product,
+)
+from su11otto.gate import GateRecord, _admitted_records, run_gate
+
+N_MAX = 30
+# the cold bath first: at n_max = 30, (zeta, phi) = (0.9, 1.5) and (0.6, 3.0) are
+# admitted at beta omega = 3 and skipped at beta omega = 1, (0.9, 3.0) skipped at both.
+# The point (1, 0.9, 0.5) is admitted yet records mean_n_un1_vs_un2 and
+# mean_n_un1_vs_tiev as `fail` (1.4e-8 > 1e-8): the guard bounds a probability,
+# not the error of a mean
+BETA_OMEGAS = (3.0, 1.0)
+ZETAS = (0.6, 0.9)
+PHIS = (0.5, 1.5, 3.0)
+LEAK_TOL = 1e-8
+THERMAL_LEAK_TOL = 1e-10
+# a hot bath cold enough (beta_h omega2 = 2) for the variance records at n_max = 30
+CONFIG = EngineConfig(omega1=0.1, omega2=1.0, t_hot=0.5, t_cold=0.01)
+
+
+def _reference_records():
+    """Each (beta omega, zeta, phi) point's three forms built on a fresh workspace."""
+    records = []
+    for bw in BETA_OMEGAS:
+        for zeta in ZETAS:
+            for phi in PHIS:
+                ws = FockWorkspace(N_MAX)
+                state = thermal_state(ws, bw, 1.0, leak_tol=THERMAL_LEAK_TOL)
+                chi, theta = float(chi_of(zeta, phi)), float(theta_of(zeta, phi))
+                tag = f"[bw={bw:g},zeta={zeta:g},phi={phi:g}]"
+                guard = dict(state=state, leak_tol=LEAK_TOL)
+                try:
+                    forms = {
+                        "un1": unitary_product(InterferometerAngles(zeta, phi), ws, **guard),
+                        "un2": unitary_equiv(ProtocolEndpoints(chi, theta), ws, **guard),
+                        "tiev": evolution_endpoint(-chi, -theta, ws, **guard),
+                    }
+                except TruncationError:
+                    nan = math.nan
+                    records.append(
+                        GateRecord(f"equivalence{tag}", nan, nan, 1e-8, N_MAX, nan, "skipped")
+                    )
+                    continue
+                defects = {name: u.unitarity_defect() for name, u in forms.items()}
+                records.extend(_admitted_records(forms, defects, state, bw, chi, tag))
+    return records
+
+
+def _fields(records):
+    # repr keeps every bit of a float and lets nan equal nan
+    return [repr(dataclasses.astuple(r)) for r in records]
+
+
+def test_equivalence_grid_matches_point_by_point_reference():
+    result = run_gate(
+        CONFIG,
+        n_max=N_MAX,
+        algebra_n_max=4,
+        beta_omegas=BETA_OMEGAS,
+        zeta_grid=ZETAS,
+        phi_grid=PHIS,
+        leak_tol=LEAK_TOL,
+        thermal_leak_tol=THERMAL_LEAK_TOL,
+        convergence_n=60,
+    )
+    grid = [
+        r for r in result.records
+        if ",zeta=" in r.quantity and not r.quantity.startswith("truncation_convergence")
+    ]
+    reference = _reference_records()
+    assert _fields(grid) == _fields(reference)
+    skipped = [r.quantity for r in grid if r.status == "skipped"]
+    assert skipped == [
+        "equivalence[bw=3,zeta=0.9,phi=3]",
+        "equivalence[bw=1,zeta=0.6,phi=3]",
+        "equivalence[bw=1,zeta=0.9,phi=1.5]",
+        "equivalence[bw=1,zeta=0.9,phi=3]",
+    ]
