@@ -40,16 +40,13 @@ Truncation honesty
 Truncation corrupts matrix elements near the n_max boundary first, and
 squeezing amplifies tails, so variances break before means.  Thermal
 states report their tail leakage and refuse to renormalize silently past
-a tolerance.  Given a state, each unitary builder checks the boundary
-occupancy of every squeezed partial product of the very product it
-returns, interior phases included, against a leakage budget, and raises
-instead of returning quietly wrong numbers.  The unitaries do not depend
-on the state, so each builder keeps its last chain on the workspace, keyed
-by its exact arguments: the product and |.|^2 of the boundary rows of
-every guarded partial product.  A repeat call with the same arguments
-composes nothing and re-guards the kept rows against the state it is
-given, by the same occupancy sum, so every guard decision is the one a
-fresh build would make.
+a tolerance.  The unitaries do not depend on the state, so each unitary
+builder returns a `Chain`: the product and |.|^2 of the boundary rows of
+every squeezed partial product of that very product, interior phases
+included.  `Chain.guard(state, leak_tol)` checks the boundary occupancy
+of each of them against a leakage budget and raises instead of letting
+quietly wrong numbers through; one chain can be guarded against any
+number of states.
 
 For the Fock-diagonal states used here, `evolved_populations` gives the
 diagonal of U rho U+, from which the moments of N and the boundary mass
@@ -74,6 +71,7 @@ __all__ = [
     "BlockOperator",
     "ThermalState",
     "GeneratorSet",
+    "Chain",
     "thermal_state",
     "unitary_product",
     "unitary_equiv",
@@ -124,8 +122,6 @@ class FockWorkspace:
             n1 = n2 + d
             sectors.append(Sector(d=d, n1=n1, n2=n2, idx=n1 * (self.n_max + 1) + n2))
         self.sectors: tuple[Sector, ...] = tuple(sectors)
-        # builder name -> (argument key, _Chain) of that builder's last product
-        self._kept_chains: dict = {}
 
     @cached_property
     def kz_diags(self) -> tuple[np.ndarray, ...]:
@@ -232,9 +228,6 @@ class BlockOperator:
                 out[np.ix_(mirror, mirror)] = b
         return out
 
-    def hermiticity_defect(self) -> float:
-        return max(float(np.max(np.abs(b - b.conj().T))) for b in self.blocks)
-
     def unitarity_defect(self) -> float:
         return max(
             float(np.max(np.abs(b.conj().T @ b - np.eye(b.shape[0]))))
@@ -260,7 +253,7 @@ class _DiagonalBlocks(Sequence):
 
 
 class GeneratorSet:
-    """K_x, K_y, K_z and N on the workspace, plus dense a1/a2 on demand.
+    """K_x, K_y and K_z on the workspace, plus dense a1/a2 on demand.
 
     K_x = (a1+ a2+ + a1 a2)/2, K_y = i (a1 a2 - a1+ a2+)/2,
     K_z = (a1+ a1 + a2 a2+)/2 = (N + 1)/2; the commutators
@@ -273,7 +266,6 @@ class GeneratorSet:
         self.kx = BlockOperator(ws, [b.copy() for b in ws.kx_blocks], hermitian=True)
         self.ky = _quarter_turn(self.kx)
         self.kz = BlockOperator.from_diagonal(ws, ws.kz_diags)
-        self.n = BlockOperator.from_diagonal(ws, ws.n_diags)
 
     @cached_property
     def a1(self) -> np.ndarray:
@@ -319,7 +311,7 @@ class ThermalState:
 
 
 def thermal_state(
-    ws: FockWorkspace, beta: float, omega: float, *, leak_tol: float = 1e-10
+    ws: FockWorkspace, beta: float, omega: float, *, leak_tol: float
 ) -> ThermalState:
     """Thermal state with diagonal weights exp(-beta omega (n1+n2+1)) / Z.
 
@@ -420,14 +412,36 @@ def evolved_populations(u: BlockOperator, state: ThermalState) -> list[np.ndarra
 
 
 @dataclass(frozen=True)
-class _Chain:
-    """A product and the `_boundary_rows` of each guarded partial product, in order."""
+class Chain:
+    """A unitary product with the `_boundary_rows` of each guarded partial
+    product, in the order they act on the state, and the name of its builder.
+
+    The product does not depend on the state, so one chain serves every
+    state it is guarded against.
+    """
 
     product: BlockOperator
     guarded_rows: tuple
+    label: str
+
+    def guard(self, state: ThermalState, leak_tol: float) -> float:
+        """Worst boundary occupancy of the state along the chain; raises
+        TruncationError at the first partial product past leak_tol."""
+        if self.product.ws is not state.ws:
+            raise ValueError("operator and state live on different workspaces")
+        worst = 0.0
+        for rows in self.guarded_rows:
+            worst = max(worst, _occupancy(rows, state))
+            if worst > leak_tol:
+                raise TruncationError(
+                    f"{self.label}: boundary occupancy {worst:.3e} exceeds leakage budget "
+                    f"{leak_tol:.1e} at n_max={state.ws.n_max}; increase n_max or reduce "
+                    "the squeezing"
+                )
+        return worst
 
 
-def _compose(factors) -> _Chain:
+def _compose(label: str, factors) -> Chain:
     """Compose `factors` (ordered as applied to the state) into one chain.
 
     Each partial product is formed once; its boundary rows are kept after
@@ -439,44 +453,7 @@ def _compose(factors) -> _Chain:
         acc = f if acc is None else f @ acc
         if f.diags is None:
             guarded.append(_boundary_rows(acc))
-    return _Chain(acc, tuple(guarded))
-
-
-def _guard(chain: _Chain, state: ThermalState, leak_tol=math.inf, label="chain") -> float:
-    """Worst boundary occupancy of the state along the chain; raises
-    TruncationError at the first partial product past leak_tol."""
-    if chain.product.ws is not state.ws:
-        raise ValueError("operator and state live on different workspaces")
-    worst = 0.0
-    for rows in chain.guarded_rows:
-        worst = max(worst, _occupancy(rows, state))
-        if worst > leak_tol:
-            raise TruncationError(
-                f"{label}: boundary occupancy {worst:.3e} exceeds leakage budget "
-                f"{leak_tol:.1e} at n_max={state.ws.n_max}; increase n_max or reduce "
-                "the squeezing"
-            )
-    return worst
-
-
-def _kept_product(ws, label, args, factors, state, leak_tol) -> BlockOperator:
-    """The product of the chain `factors()` builds, guarded against the state.
-
-    The workspace keeps each builder's last chain under its exact arguments,
-    so a repeat call composes nothing and only re-reads the kept boundary
-    rows against the new state.
-    """
-    key = tuple(float(a).hex() for a in args)
-    kept = ws._kept_chains.get(label)
-    if kept is None or kept[0] != key:
-        kept = (key, _compose(factors()))
-        for b in kept[1].product.blocks:
-            b.flags.writeable = False  # shared by every repeat call
-        ws._kept_chains[label] = kept
-    chain = kept[1]
-    if state is not None:
-        _guard(chain, state, leak_tol, label)
-    return chain.product
+    return Chain(acc, tuple(guarded), label)
 
 
 def evolved_boundary_occupancy(factors, state: ThermalState) -> float:
@@ -486,73 +463,37 @@ def evolved_boundary_occupancy(factors, state: ThermalState) -> float:
     state (rightmost factor of the operator product first); interior phases
     act on the partial products.
     """
-    return _guard(_compose(factors), state)
+    return _compose("chain", factors).guard(state, math.inf)
 
 
-def unitary_product(
-    angles: InterferometerAngles,
-    ws: FockWorkspace,
-    *,
-    state: ThermalState | None = None,
-    leak_tol: float = 1e-8,
-) -> BlockOperator:
-    """The squeeze / phase / anti-squeeze product
+def unitary_product(angles: InterferometerAngles, ws: FockWorkspace) -> Chain:
+    """The chain of the squeeze / phase / anti-squeeze product
     exp(-i zeta K_x) exp(-i phi K_z) exp(i zeta K_x), the anti-squeeze
     taken as the complex conjugate of the squeeze.
 
-    When a state is supplied, the boundary occupancy of the intermediate
-    squeezed state and of the final state is checked against leak_tol (the
-    intermediate squeeze is the binding constraint: it spreads the state by
-    zeta even when the composed chi is small).
+    The chain guards the intermediate squeezed state and the final state
+    (the intermediate squeeze is the binding constraint: it spreads the
+    state by zeta even when the composed chi is small).
     """
-
-    def factors():
-        squeeze = _exp_i_kx(ws, angles.zeta)
-        return (
-            squeeze,
-            _phase_kz(ws, -angles.phi),
-            BlockOperator(ws, [b.conj() for b in squeeze.blocks]),
-        )
-
-    args = (angles.zeta, angles.phi)
-    return _kept_product(ws, "unitary_product", args, factors, state, leak_tol)
+    squeeze = _exp_i_kx(ws, angles.zeta)
+    anti_squeeze = BlockOperator(ws, [b.conj() for b in squeeze.blocks])
+    return _compose("unitary_product", (squeeze, _phase_kz(ws, -angles.phi), anti_squeeze))
 
 
-def unitary_equiv(
-    endpoints: ProtocolEndpoints,
-    ws: FockWorkspace,
-    *,
-    state: ThermalState | None = None,
-    leak_tol: float = 1e-8,
-) -> BlockOperator:
-    """The endpoint form exp(i theta K_z) exp(i chi K_y) exp(-i theta K_z)."""
-
-    def factors():
-        return (
-            _phase_kz(ws, -endpoints.theta),
-            _quarter_turn(_exp_i_kx(ws, endpoints.chi)),
-            _phase_kz(ws, endpoints.theta),
-        )
-
-    args = (endpoints.chi, endpoints.theta)
-    return _kept_product(ws, "unitary_equiv", args, factors, state, leak_tol)
+def unitary_equiv(endpoints: ProtocolEndpoints, ws: FockWorkspace) -> Chain:
+    """The chain of the endpoint form exp(i theta K_z) exp(i chi K_y) exp(-i theta K_z)."""
+    factors = (
+        _phase_kz(ws, -endpoints.theta),
+        _quarter_turn(_exp_i_kx(ws, endpoints.chi)),
+        _phase_kz(ws, endpoints.theta),
+    )
+    return _compose("unitary_equiv", factors)
 
 
-def evolution_endpoint(
-    f_y_tf: float,
-    f_z_tf: float,
-    ws: FockWorkspace,
-    *,
-    state: ThermalState | None = None,
-    leak_tol: float = 1e-8,
-) -> BlockOperator:
-    """The time-ordered endpoint unitary exp(-i f_z K_z) exp(-i f_y K_y)."""
-
-    def factors():
-        return (_quarter_turn(_exp_i_kx(ws, -f_y_tf)), _phase_kz(ws, -f_z_tf))
-
-    args = (f_y_tf, f_z_tf)
-    return _kept_product(ws, "evolution_endpoint", args, factors, state, leak_tol)
+def evolution_endpoint(f_y_tf: float, f_z_tf: float, ws: FockWorkspace) -> Chain:
+    """The chain of the time-ordered endpoint unitary exp(-i f_z K_z) exp(-i f_y K_y)."""
+    factors = (_quarter_turn(_exp_i_kx(ws, -f_y_tf)), _phase_kz(ws, -f_z_tf))
+    return _compose("evolution_endpoint", factors)
 
 
 def hamiltonian_final(omega_f: float, f_y_tf: float, ws: FockWorkspace) -> BlockOperator:

@@ -22,8 +22,9 @@ basis size raise the truncation guard and are recorded as "skipped".
 
 The three endpoint unitaries depend on (zeta, phi) only; the bath enters
 through the thermal input state alone.  So the equivalence grid is
-evaluated (zeta, phi)-major, each unitary built and checked for unitarity
-once and guarded per beta*omega, and reported beta*omega-major.
+evaluated (zeta, phi)-major: each form's chain is built and its product
+checked for unitarity once, the chain is guarded against each
+beta*omega's state, and the records are reported beta*omega-major.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .fock import (
     evolved_populations,
     expect,
     hamiltonian_final,
+    number_operator,
     thermal_state,
     unitary_equiv,
     unitary_product,
@@ -190,7 +192,7 @@ def _algebra_records(n_max: int) -> list[GateRecord]:
         )
 
     kz_dense = gen.kz.to_dense()
-    n_dense = gen.n.to_dense()
+    n_dense = number_operator(ws).to_dense()
     kx_dense = gen.kx.to_dense()
     rep_kx = (gen.a1.conj().T @ gen.a2.conj().T + gen.a1 @ gen.a2) / 2.0
     return [
@@ -287,33 +289,33 @@ def _equivalence_records(ws, states, zeta_grid, phi_grid, leak_tol) -> list[Gate
     """Records of every (beta*omega, zeta, phi) grid point, beta*omega-major.
 
     The three forms depend on (zeta, phi) only, so the grid runs
-    (zeta, phi)-major: the builders compose each form once and re-guard it
-    per thermal state, and each form's unitarity defect is computed once.
-    A point whose guard trips at one beta*omega is 'skipped' there alone.
+    (zeta, phi)-major: each form's chain is built and its unitarity defect
+    computed once, then the three chains are guarded against each thermal
+    state in turn.  A point whose guard trips at one beta*omega is
+    'skipped' there alone.
     """
     per_bath = [[] for _ in states]
     for zeta in zeta_grid:
         for phi in phi_grid:
             chi = float(chi_of(zeta, phi))
             theta = float(theta_of(zeta, phi))
-            defects = {}
+            chains = {
+                "un1": unitary_product(InterferometerAngles(zeta, phi), ws),
+                "un2": unitary_equiv(ProtocolEndpoints(chi, theta), ws),
+                "tiev": evolution_endpoint(-chi, -theta, ws),
+            }
+            forms = {name: chain.product for name, chain in chains.items()}
+            defects = {name: u.unitarity_defect() for name, u in forms.items()}
             for recs, (bw, state) in zip(per_bath, states):
                 tag = f"[bw={bw:g},zeta={zeta:g},phi={phi:g}]"
-                guard = dict(state=state, leak_tol=leak_tol)
                 try:
-                    forms = {
-                        "un1": unitary_product(InterferometerAngles(zeta, phi), ws, **guard),
-                        "un2": unitary_equiv(ProtocolEndpoints(chi, theta), ws, **guard),
-                        "tiev": evolution_endpoint(-chi, -theta, ws, **guard),
-                    }
+                    for chain in chains.values():
+                        chain.guard(state, leak_tol)
                 except TruncationError:
                     nan = math.nan
                     skipped = _cmp(f"equivalence{tag}", nan, nan, 1e-8, ws.n_max, nan)
                     recs.append(replace(skipped, status="skipped"))
                     continue
-                for name, u in forms.items():
-                    if name not in defects:
-                        defects[name] = u.unitarity_defect()
                 recs.extend(_admitted_records(forms, defects, state, bw, chi, tag))
     return [rec for recs in per_bath for rec in recs]
 
@@ -406,8 +408,9 @@ def _convergence_record(
     for n_max in (n_small, 2 * n_small):
         ws = grid_ws if grid_ws.n_max == n_max else FockWorkspace(n_max)
         state = thermal_state(ws, bw, 1.0, leak_tol=thermal_leak_tol)
-        u = unitary_product(InterferometerAngles(zeta, phi), ws, state=state, leak_tol=leak_tol)
-        means.append(_number_moments(u, state)[0])
+        chain = unitary_product(InterferometerAngles(zeta, phi), ws)
+        chain.guard(state, leak_tol)
+        means.append(_number_moments(chain.product, state)[0])
     return _cmp(
         f"truncation_convergence[bw={bw:g},zeta={zeta:g},phi={phi:g},n={n_small}->{2*n_small}]",
         means[0],

@@ -3,6 +3,8 @@
 import dataclasses
 import math
 
+import pytest
+
 from su11otto.core import (
     EngineConfig,
     InterferometerAngles,
@@ -18,7 +20,8 @@ from su11otto.fock import (
     unitary_equiv,
     unitary_product,
 )
-from su11otto.gate import GateRecord, _admitted_records, run_gate
+from su11otto import gate
+from su11otto.gate import GateRecord, _admitted_records, _equivalence_records, run_gate
 
 N_MAX = 30
 # the cold bath first: at n_max = 30, (zeta, phi) = (0.9, 1.5) and (0.6, 3.0) are
@@ -45,19 +48,21 @@ def _reference_records():
                 state = thermal_state(ws, bw, 1.0, leak_tol=THERMAL_LEAK_TOL)
                 chi, theta = float(chi_of(zeta, phi)), float(theta_of(zeta, phi))
                 tag = f"[bw={bw:g},zeta={zeta:g},phi={phi:g}]"
-                guard = dict(state=state, leak_tol=LEAK_TOL)
+                chains = {
+                    "un1": unitary_product(InterferometerAngles(zeta, phi), ws),
+                    "un2": unitary_equiv(ProtocolEndpoints(chi, theta), ws),
+                    "tiev": evolution_endpoint(-chi, -theta, ws),
+                }
                 try:
-                    forms = {
-                        "un1": unitary_product(InterferometerAngles(zeta, phi), ws, **guard),
-                        "un2": unitary_equiv(ProtocolEndpoints(chi, theta), ws, **guard),
-                        "tiev": evolution_endpoint(-chi, -theta, ws, **guard),
-                    }
+                    for chain in chains.values():
+                        chain.guard(state, LEAK_TOL)
                 except TruncationError:
                     nan = math.nan
                     records.append(
                         GateRecord(f"equivalence{tag}", nan, nan, 1e-8, N_MAX, nan, "skipped")
                     )
                     continue
+                forms = {name: chain.product for name, chain in chains.items()}
                 defects = {name: u.unitarity_defect() for name, u in forms.items()}
                 records.extend(_admitted_records(forms, defects, state, bw, chi, tag))
     return records
@@ -93,3 +98,20 @@ def test_equivalence_grid_matches_point_by_point_reference():
         "equivalence[bw=1,zeta=0.9,phi=1.5]",
         "equivalence[bw=1,zeta=0.9,phi=3]",
     ]
+
+
+@pytest.mark.parametrize("builder", ["unitary_product", "unitary_equiv", "evolution_endpoint"])
+def test_point_skipped_when_any_one_form_trips(monkeypatch, builder):
+    # one form gets the guard rows of a chain squeezed far past n_max = 30, the
+    # other two keep their own: every point must be skipped at every bath
+    ws = FockWorkspace(N_MAX)
+    over_squeezed = unitary_product(InterferometerAngles(3.0, 1.0), ws).guarded_rows
+    build = getattr(gate, builder)
+    monkeypatch.setattr(
+        gate,
+        builder,
+        lambda *args: dataclasses.replace(build(*args), guarded_rows=over_squeezed),
+    )
+    states = [(bw, thermal_state(ws, bw, 1.0, leak_tol=THERMAL_LEAK_TOL)) for bw in BETA_OMEGAS]
+    records = _equivalence_records(ws, states, ZETAS, PHIS, LEAK_TOL)
+    assert [r.status for r in records] == ["skipped"] * (len(BETA_OMEGAS) * len(ZETAS) * len(PHIS))
