@@ -289,10 +289,10 @@ def _equivalence_records(ws, states, zeta_grid, phi_grid, leak_tol) -> list[Gate
     """Records of every (beta*omega, zeta, phi) grid point, beta*omega-major.
 
     The three forms depend on (zeta, phi) only, so the grid runs
-    (zeta, phi)-major: each form's chain is built and its unitarity defect
-    computed once, then the three chains are guarded against each thermal
-    state in turn.  A point whose guard trips at one beta*omega is
-    'skipped' there alone.
+    (zeta, phi)-major: each form's chain is built once and guarded against
+    each thermal state in turn, and its unitarity defect is computed once,
+    at the first beta*omega that admits it.  A point whose guard trips at
+    one beta*omega is 'skipped' there alone.
     """
     per_bath = [[] for _ in states]
     for zeta in zeta_grid:
@@ -305,7 +305,7 @@ def _equivalence_records(ws, states, zeta_grid, phi_grid, leak_tol) -> list[Gate
                 "tiev": evolution_endpoint(-chi, -theta, ws),
             }
             forms = {name: chain.product for name, chain in chains.items()}
-            defects = {name: u.unitarity_defect() for name, u in forms.items()}
+            defects = None  # computed at the first admitted beta*omega
             for recs, (bw, state) in zip(per_bath, states):
                 tag = f"[bw={bw:g},zeta={zeta:g},phi={phi:g}]"
                 try:
@@ -316,6 +316,7 @@ def _equivalence_records(ws, states, zeta_grid, phi_grid, leak_tol) -> list[Gate
                     skipped = _cmp(f"equivalence{tag}", nan, nan, 1e-8, ws.n_max, nan)
                     recs.append(replace(skipped, status="skipped"))
                     continue
+                defects = defects or {name: u.unitarity_defect() for name, u in forms.items()}
                 recs.extend(_admitted_records(forms, defects, state, bw, chi, tag))
     return [rec for recs in per_bath for rec in recs]
 
