@@ -25,10 +25,14 @@ sectors counts both.  `BlockOperator.to_dense()`, which assembles the full
 matrix for small-basis algebra checks, is the one place that writes the
 mirror blocks out.
 
-Every exponential comes from one cached eigendecomposition of K_x: the
-eigenvectors are real, so exp(-i s K_x) is the conjugate of exp(i s K_x),
-and K_y and its exponentials are the K_x ones turned a quarter turn about
-K_z by the exact phases diag((-i)^k).
+Every exponential is the one real kernel `_exp_i_ky`: exp(i s K_y) is
+real orthogonal in the Fock basis (Yurke, McCall & Klauder, PRA 33, 4033
+(1986)).  K_x = V L V^T is tridiagonal with a zero diagonal, so
+cos(s K_x) lives on the even checkerboard (j - k even) and sin(s K_x) on
+the odd one, and the quarter turn D = diag((-i)^k) about K_z gives
+exp(i s K_y)_jk = (-1)^floor((j-k)/2) [cos or sin](s K_x)_jk.  Then
+exp(+-i s K_x) = D+ exp(+-i s K_y) D exactly, and exp(-i s K_y) is the
+transpose of exp(i s K_y).
 
 Operators are immutable: blocks, diagonal and the `hermitian` flag are
 fixed at construction.  An evolved observable U+ O U comes from
@@ -40,17 +44,18 @@ Truncation honesty
 Truncation corrupts matrix elements near the n_max boundary first, and
 squeezing amplifies tails, so variances break before means.  Thermal
 states report their tail leakage and refuse to renormalize silently past
-a tolerance.  The unitaries do not depend on the state, so each unitary
-builder returns a `Chain`: the product and |.|^2 of the boundary rows of
-every squeezed partial product of that very product, interior phases
-included.  `Chain.guard(state, leak_tol)` checks the boundary occupancy
-of each of them against a leakage budget and raises instead of letting
-quietly wrong numbers through; one chain can be guarded against any
-number of states.
-
-For the Fock-diagonal states used here, `evolved_populations` gives the
-diagonal of U rho U+, from which the moments of N and the boundary mass
-follow without forming U+ N U.
+a tolerance.  The unitaries do not depend on the state, so each builder
+returns a `Chain` that reduces its product U = L C R once (L, R the outer
+diagonal phases, the core C the rest, interior phases included) to the
+guard weights and moment weights of the core (`Chain`) and, when read,
+its unitarity defect.  Outer phases move no population, and with e the
+largest |1 - |phase|^2| of L and R,
+U+ U - 1 = R+ (C+ C - 1) R + R+ C+ (L+ L - 1) C R + (R+ R - 1), so
+defect(U) <= defect(C) + 2 e to first order (e = 0 for the exact D
+phases, 1 ulp for exp(i theta K_z)).  Each read against a state is a dot
+product with its concatenated populations; `Chain.guard(state, leak_tol)`
+raises instead of letting quietly wrong numbers through.
+`evolved_populations` (|U|^2 p) is the reference route for the reads.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -147,7 +152,12 @@ class FockWorkspace:
 
     @cached_property
     def kx_eig(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        return tuple(np.linalg.eigh(kx) for kx in self.kx_blocks)
+        """Per sector, the eigenvalues L of K_x = V L V^T and the eigenvectors
+        W = T V with row k signed by T = diag((-1)^floor(k/2)), as `_exp_i_ky`
+        reads them."""
+        signs = 1.0 - 2.0 * (np.arange(self.n_max + 1) // 2 % 2)
+        eigs = (np.linalg.eigh(kx) for kx in self.kx_blocks)
+        return tuple((lam, signs[: len(lam), None] * vec) for lam, vec in eigs)
 
     @cached_property
     def boundary_masks(self) -> tuple[np.ndarray, ...]:
@@ -182,9 +192,10 @@ class BlockOperator:
         return cls(ws, None, hermitian=hermitian, diags=[np.asarray(v) for v in diags])
 
     def dag(self) -> "BlockOperator":
-        blocks = [b.conj().T for b in self.blocks]
-        diags = None if self.diags is None else [v.conj() for v in self.diags]
-        return BlockOperator(self.ws, blocks, hermitian=self.hermitian, diags=diags)
+        h = self.hermitian
+        if self.diags is not None:  # stays diagonal, no dense blocks
+            return BlockOperator.from_diagonal(self.ws, [v.conj() for v in self.diags], hermitian=h)
+        return BlockOperator(self.ws, [b.conj().T for b in self.blocks], hermitian=h)
 
     def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
         if not isinstance(other, BlockOperator):
@@ -199,7 +210,7 @@ class BlockOperator:
         elif other.diags is not None:
             blocks = [b * v[None, :] for b, v in zip(self.blocks, other.diags)]
         else:
-            blocks = [a @ b for a, b in zip(self.blocks, other.blocks)]
+            blocks = [_mm(a, b) for a, b in zip(self.blocks, other.blocks)]
         return BlockOperator(self.ws, blocks)
 
     def heisenberg(self, u: "BlockOperator") -> "BlockOperator":
@@ -229,10 +240,21 @@ class BlockOperator:
         return out
 
     def unitarity_defect(self) -> float:
-        return max(
-            float(np.max(np.abs(b.conj().T @ b - np.eye(b.shape[0]))))
-            for b in self.blocks
-        )
+        worst = 0.0
+        for b in self.blocks:
+            gram = b.conj().T @ b
+            gram.flat[:: gram.shape[0] + 1] -= 1.0
+            worst = max(worst, float(np.max(np.abs(gram))))
+        return worst
+
+
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b; a real a times a complex b runs as one real product a @ [Re | Im],
+    b viewed as real with interleaved columns, not as a complex product."""
+    if np.isrealobj(a) and np.iscomplexobj(b):
+        b = np.ascontiguousarray(b)
+        return (a @ b.view(b.real.dtype)).view(b.dtype)
+    return a @ b
 
 
 class _DiagonalBlocks(Sequence):
@@ -258,13 +280,15 @@ class GeneratorSet:
     K_x = (a1+ a2+ + a1 a2)/2, K_y = i (a1 a2 - a1+ a2+)/2,
     K_z = (a1+ a1 + a2 a2+)/2 = (N + 1)/2; the commutators
     [K_x, K_y] = -i K_z, [K_y, K_z] = i K_x, [K_z, K_x] = i K_y hold on the
-    interior block of the truncated space.
+    interior block of the truncated space.  K_y = D K_x D+ with
+    D = diag((-i)^k): i times the upper minus the lower triangle of K_x.
     """
 
     def __init__(self, ws: FockWorkspace):
         self.ws = ws
         self.kx = BlockOperator(ws, [b.copy() for b in ws.kx_blocks], hermitian=True)
-        self.ky = _quarter_turn(self.kx)
+        ky = [1j * (np.triu(b) - np.tril(b)) for b in ws.kx_blocks]
+        self.ky = BlockOperator(ws, ky, hermitian=True)
         self.kz = BlockOperator.from_diagonal(ws, ws.kz_diags)
 
     @cached_property
@@ -309,6 +333,11 @@ class ThermalState:
             sum(nd @ p for nd, p in zip(self.ws.n_diags, self.probs))
         )
 
+    @cached_property
+    def flat_probs(self) -> np.ndarray:
+        """`probs` concatenated over the stored sectors, the operand of every chain read."""
+        return np.concatenate(self.probs)
+
 
 def thermal_state(
     ws: FockWorkspace, beta: float, omega: float, *, leak_tol: float
@@ -350,26 +379,29 @@ def thermal_state(
     )
 
 
-def _exp_i_kx(ws: FockWorkspace, s: float) -> BlockOperator:
-    """exp(i s K_x) per sector from the cached eigendecomposition (exactly unitary)."""
+def _exp_i_ky(ws: FockWorkspace, s: float) -> BlockOperator:
+    """exp(i s K_y) per sector as a real orthogonal block.
+
+    The sign (-1)^floor((j-k)/2) of entry jk (module docstring) is t_j t_k,
+    t_k = (-1)^floor(k/2), negated where j is even and k odd.  So one product
+    [W cos(s L); W sin(s L)] W^T with W = T V gives T cos(s K_x) T and
+    T sin(s K_x) T; each entry is copied from the one owning its checkerboard,
+    so the other's rounding noise on its known zeros never enters."""
     blocks = []
-    for lam, vec in ws.kx_eig:
-        blocks.append((vec * np.exp(1j * s * lam)) @ vec.T)
+    for lam, w in ws.kx_eig:
+        m = len(lam)
+        cs = np.concatenate((w * np.cos(s * lam), w * np.sin(s * lam))) @ w.T
+        y, sin = cs[:m], cs[m:]
+        y[1::2, 0::2] = sin[1::2, 0::2]
+        np.negative(sin[0::2, 1::2], out=y[0::2, 1::2])
+        blocks.append(y.copy())
     return BlockOperator(ws, blocks)
 
 
-def _quarter_turn(op: BlockOperator) -> BlockOperator:
-    """D op D+ with D = diag((-i)^k) per sector, k the position in the sector.
-
-    D is exp(-i pi/2 K_z) up to a phase per sector, so this quarter turn
-    about K_z takes K_x to K_y and exp(i s K_x) to exp(i s K_y).
-    """
-    blocks = []
-    for sec, b in zip(op.ws.sectors, op.blocks):
-        # numpy's complex power is exact only below k = 100
-        d = (-1j) ** (np.arange(sec.size) % 4)
-        blocks.append((d[:, None] * b) * d.conj()[None, :])
-    return BlockOperator(op.ws, blocks, hermitian=op.hermitian)
+def _quarter_phases(ws: FockWorkspace) -> BlockOperator:
+    """D = diag((-i)^k) per sector, k the position in the sector, exactly."""
+    cycle = np.array([1.0, -1j, -1.0, 1j])
+    return BlockOperator.from_diagonal(ws, [cycle[s.n2 % 4] for s in ws.sectors], hermitian=False)
 
 
 def _phase_kz(ws: FockWorkspace, s: float) -> BlockOperator:
@@ -377,26 +409,25 @@ def _phase_kz(ws: FockWorkspace, s: float) -> BlockOperator:
     return BlockOperator.from_diagonal(ws, diags, hermitian=False)
 
 
-def _boundary_rows(op: BlockOperator) -> tuple:
-    """|op|^2 on the boundary rows of every sector: all a boundary read needs."""
-    return tuple(
-        np.abs(block[mask, :]) ** 2 for block, mask in zip(op.blocks, op.ws.boundary_masks)
-    )
+def _abs2(b: np.ndarray) -> np.ndarray:
+    return b * b if np.isrealobj(b) else b.real**2 + b.imag**2
 
 
-def _occupancy(rows, state: ThermalState) -> float:
-    """Total boundary weight of op rho op+ from the `_boundary_rows` of op."""
-    w = 0.0
-    for r, p in zip(rows, state.probs):
-        w += float((r @ p).sum())
-    return w
+def _boundary_weights(op: BlockOperator) -> np.ndarray:
+    """Boundary-row column sums of |op|^2 over the concatenated sectors."""
+    masks = op.ws.boundary_masks
+    return np.concatenate([_abs2(b[m]).sum(axis=0) for b, m in zip(op.blocks, masks)])
+
+
+def _flat_probs(op: BlockOperator, state: ThermalState) -> np.ndarray:
+    if op.ws is not state.ws:
+        raise ValueError("operator and state live on different workspaces")
+    return state.flat_probs
 
 
 def boundary_occupancy(op: BlockOperator, state: ThermalState) -> float:
     """Total weight of op rho op+ on the n_max boundary layer."""
-    if op.ws is not state.ws:
-        raise ValueError("operator and state live on different workspaces")
-    return _occupancy(_boundary_rows(op), state)
+    return float(_boundary_weights(op) @ _flat_probs(op, state))
 
 
 def evolved_populations(u: BlockOperator, state: ThermalState) -> list[np.ndarray]:
@@ -413,25 +444,39 @@ def evolved_populations(u: BlockOperator, state: ThermalState) -> list[np.ndarra
 
 @dataclass(frozen=True)
 class Chain:
-    """A unitary product with the `_boundary_rows` of each guarded partial
-    product, in the order they act on the state, and the name of its builder.
+    """A unitary product reduced once to what its reads need, and its builder's name.
 
-    The product does not depend on the state, so one chain serves every
-    state it is guarded against.
+    `before` and `after` are the outer diagonal factors around the `core`.
+    `guard_weights` holds the `_boundary_weights` of each guarded partial
+    product of the core, in the order they act on the state;
+    `moment_weights` stacks n^T |core|^2, (n^2)^T |core|^2 and
+    boundary^T |core|^2 over the concatenated sectors.  The product is
+    formed only when read.
     """
 
-    product: BlockOperator
-    guarded_rows: tuple
+    core: BlockOperator
+    before: tuple
+    after: tuple
+    guard_weights: tuple
+    moment_weights: np.ndarray
     label: str
+
+    @cached_property
+    def product(self) -> BlockOperator:
+        return reduce(lambda acc, f: f @ acc, (*self.before, self.core, *self.after))
+
+    @cached_property
+    def defect(self) -> float:
+        """Unitarity defect of the core, which bounds the product's (module docstring)."""
+        return self.core.unitarity_defect()
 
     def guard(self, state: ThermalState, leak_tol: float) -> float:
         """Worst boundary occupancy of the state along the chain; raises
         TruncationError at the first partial product past leak_tol."""
-        if self.product.ws is not state.ws:
-            raise ValueError("operator and state live on different workspaces")
+        p = _flat_probs(self.core, state)
         worst = 0.0
-        for rows in self.guarded_rows:
-            worst = max(worst, _occupancy(rows, state))
+        for w in self.guard_weights:
+            worst = max(worst, float(w @ p))
             if worst > leak_tol:
                 raise TruncationError(
                     f"{self.label}: boundary occupancy {worst:.3e} exceeds leakage budget "
@@ -440,59 +485,70 @@ class Chain:
                 )
         return worst
 
+    def moments(self, state: ThermalState) -> tuple[float, float, float]:
+        """<N>, Delta^2 N and the boundary mass of U rho U+."""
+        mean, second, edge = (float(v) for v in self.moment_weights @ _flat_probs(self.core, state))
+        return mean, second - mean * mean, edge
+
 
 def _compose(label: str, factors) -> Chain:
     """Compose `factors` (ordered as applied to the state) into one chain.
 
-    Each partial product is formed once; its boundary rows are kept after
-    every non-diagonal factor, since diagonal phases move no population.
+    The leading and trailing diagonal factors stay outer; the rest multiply
+    into the core, each partial product once, with its guard weights kept
+    after every non-diagonal factor (diagonal phases move no population).
     """
-    acc = None
-    guarded = []
-    for f in factors:
-        acc = f if acc is None else f @ acc
+    dense = [f.diags is None for f in factors]
+    first, stop = dense.index(True), len(dense) - dense[::-1].index(True)
+    core, guarded = None, []
+    for f in factors[first:stop]:
+        core = f if core is None else f @ core
         if f.diags is None:
-            guarded.append(_boundary_rows(acc))
-    return Chain(acc, tuple(guarded), label)
+            guarded.append(_boundary_weights(core))
+    ws = core.ws
+    moments = [
+        np.stack((n, n * n, edge)) @ _abs2(b)
+        for b, n, edge in zip(core.blocks, ws.n_diags, ws.boundary_masks)
+    ]
+    outer = tuple(factors[:first]), tuple(factors[stop:])
+    return Chain(core, *outer, tuple(guarded), np.concatenate(moments, axis=1), label)
 
 
 def evolved_boundary_occupancy(factors, state: ThermalState) -> float:
-    """Worst boundary occupancy along the chain rho -> F1 rho F1+ -> (F2 F1) rho ....
-
-    `factors` are the unitary factors ordered as they are applied to the
-    state (rightmost factor of the operator product first); interior phases
-    act on the partial products.
-    """
+    """Worst boundary occupancy along rho -> F1 rho F1+ -> (F2 F1) rho ...,
+    `factors` ordered as applied to the state (rightmost operator first)."""
     return _compose("chain", factors).guard(state, math.inf)
 
 
 def unitary_product(angles: InterferometerAngles, ws: FockWorkspace) -> Chain:
     """The chain of the squeeze / phase / anti-squeeze product
-    exp(-i zeta K_x) exp(-i phi K_z) exp(i zeta K_x), the anti-squeeze
-    taken as the complex conjugate of the squeeze.
+    exp(-i zeta K_x) exp(-i phi K_z) exp(i zeta K_x) = D+ Y^T P Y D, with
+    Y = exp(i zeta K_y) real, P = exp(-i phi K_z) and D = diag((-i)^k) outer.
 
-    The chain guards the intermediate squeezed state and the final state
-    (the intermediate squeeze is the binding constraint: it spreads the
-    state by zeta even when the composed chi is small).
-    """
-    squeeze = _exp_i_kx(ws, angles.zeta)
-    anti_squeeze = BlockOperator(ws, [b.conj() for b in squeeze.blocks])
-    return _compose("unitary_product", (squeeze, _phase_kz(ws, -angles.phi), anti_squeeze))
+    It guards the intermediate squeezed state Y D and the final state (the
+    intermediate squeeze is the binding constraint: it spreads the state
+    by zeta even when the composed chi is small)."""
+    y = _exp_i_ky(ws, angles.zeta)
+    y_t = BlockOperator(ws, [b.T for b in y.blocks])
+    d = _quarter_phases(ws)
+    return _compose("unitary_product", (d, y, _phase_kz(ws, -angles.phi), y_t, d.dag()))
 
 
 def unitary_equiv(endpoints: ProtocolEndpoints, ws: FockWorkspace) -> Chain:
-    """The chain of the endpoint form exp(i theta K_z) exp(i chi K_y) exp(-i theta K_z)."""
+    """The chain of the endpoint form exp(i theta K_z) exp(i chi K_y) exp(-i theta K_z);
+    its core is the real exp(i chi K_y)."""
     factors = (
         _phase_kz(ws, -endpoints.theta),
-        _quarter_turn(_exp_i_kx(ws, endpoints.chi)),
+        _exp_i_ky(ws, endpoints.chi),
         _phase_kz(ws, endpoints.theta),
     )
     return _compose("unitary_equiv", factors)
 
 
 def evolution_endpoint(f_y_tf: float, f_z_tf: float, ws: FockWorkspace) -> Chain:
-    """The chain of the time-ordered endpoint unitary exp(-i f_z K_z) exp(-i f_y K_y)."""
-    factors = (_quarter_turn(_exp_i_kx(ws, -f_y_tf)), _phase_kz(ws, -f_z_tf))
+    """The chain of the time-ordered endpoint unitary exp(-i f_z K_z) exp(-i f_y K_y);
+    its core is the real exp(-i f_y K_y)."""
+    factors = (_exp_i_ky(ws, -f_y_tf), _phase_kz(ws, -f_z_tf))
     return _compose("evolution_endpoint", factors)
 
 

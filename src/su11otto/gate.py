@@ -22,9 +22,9 @@ basis size raise the truncation guard and are recorded as "skipped".
 
 The three endpoint unitaries depend on (zeta, phi) only; the bath enters
 through the thermal input state alone.  So the equivalence grid is
-evaluated (zeta, phi)-major: each form's chain is built and its product
-checked for unitarity once, the chain is guarded against each
-beta*omega's state, and the records are reported beta*omega-major.
+evaluated (zeta, phi)-major: each form's chain is built and its core
+checked for unitarity once, the chain is guarded against and read by
+each beta*omega's state, and the records are reported beta*omega-major.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .fock import (
     FockWorkspace,
     GeneratorSet,
     evolution_endpoint,
-    evolved_populations,
     expect,
     hamiltonian_final,
     number_operator,
@@ -145,12 +144,9 @@ def _algebra_records(n_max: int) -> list[GateRecord]:
     ws = FockWorkspace(n_max)
     gen = GeneratorSet(ws)
 
-    def mm(a, b):
-        # broadcast matmul so the reduction stays in long-double ufunc arithmetic
-        return (a[:, :, None] * b[None, :, :]).sum(axis=1)
-
     def comm(a, b):
-        return mm(a, b) - mm(b, a)
+        # clongdouble has no BLAS: numpy's own loop keeps the sums in 80 bits
+        return a @ b - b @ a
 
     unit_i = np.clongdouble(1j)
     phase_cycle = np.array([1.0, -unit_i, -1.0, unit_i], dtype=np.clongdouble)
@@ -183,7 +179,7 @@ def _algebra_records(n_max: int) -> list[GateRecord]:
         dev_zx = max(dev_zx, dev(comm(kz, kx) - unit_i * ky, in1))
         jac = comm(kx, comm(ky, kz)) + comm(ky, comm(kz, kx)) + comm(kz, comm(kx, ky))
         dev_jac = max(dev_jac, dev(jac, in2))
-        casimir = mm(kz, kz) - mm(kx, kx) - mm(ky, ky)
+        casimir = kz @ kz - kx @ kx - ky @ ky
         dev_cas = max(
             dev_cas,
             dev(comm(casimir, kx), in2),
@@ -194,6 +190,10 @@ def _algebra_records(n_max: int) -> list[GateRecord]:
     kz_dense = gen.kz.to_dense()
     n_dense = number_operator(ws).to_dense()
     kx_dense = gen.kx.to_dense()
+    # K_z and N commute as real matrices once their imaginary parts are zero
+    kz_re, n_re = kz_dense.real, n_dense.real
+    dev_kz_n = max(float(np.max(np.abs(m))) for m in (kz_dense.imag, n_dense.imag))
+    dev_kz_n = max(dev_kz_n, float(np.max(np.abs(kz_re @ n_re - n_re @ kz_re))))
     rep_kx = (gen.a1.conj().T @ gen.a2.conj().T + gen.a1 @ gen.a2) / 2.0
     return [
         _cmp("comm_xy_plus_i_kz", 0.0, dev_xy, 1e-12, n_max),
@@ -208,9 +208,7 @@ def _algebra_records(n_max: int) -> list[GateRecord]:
             0.0,
             n_max,
         ),
-        _cmp(
-            "comm_kz_n", 0.0, float(np.max(np.abs(kz_dense @ n_dense - n_dense @ kz_dense))), 0.0, n_max
-        ),
+        _cmp("comm_kz_n", 0.0, dev_kz_n, 0.0, n_max),
         _cmp("vacuum_kz", 0.5, float(kz_dense[0, 0].real), 0.0, n_max),
         _cmp(
             "kx_ladder_representation",
@@ -246,25 +244,15 @@ def _thermal_records(ws: FockWorkspace, beta_omegas, thermal_leak_tol) -> list[G
     return recs
 
 
-def _number_moments(u, state):
-    """<N>, Delta^2 N and the boundary mass of U rho U+, all from |U|^2 p."""
-    pops = evolved_populations(u, state)
-    ws = state.ws
-    mean = sum(float(n @ p) for n, p in zip(ws.n_diags, pops))
-    second = sum(float((n * n) @ p) for n, p in zip(ws.n_diags, pops))
-    leak = sum(float(p[m].sum()) for p, m in zip(pops, ws.boundary_masks))
-    return mean, second - mean * mean, leak
-
-
-def _admitted_records(forms, defects, state, bw, chi, tag) -> list[GateRecord]:
-    """Records of one admitted grid point from its three forms and their defects."""
+def _admitted_records(chains, state, bw, chi, tag) -> list[GateRecord]:
+    """Records of one admitted grid point from the chains of its three forms."""
     n_max = state.ws.n_max
     coth_in = 1.0 / math.tanh(bw / 2.0)
     recs = [
-        _cmp(f"unitarity_defect[{name}]{tag}", 0.0, defects[name], 1e-10, n_max)
-        for name in forms
+        _cmp(f"unitarity_defect[{name}]{tag}", 0.0, chain.defect, 1e-10, n_max)
+        for name, chain in chains.items()
     ]
-    moments = {name: _number_moments(u, state) for name, u in forms.items()}
+    moments = {name: chain.moments(state) for name, chain in chains.items()}
     leak = max(m[2] for m in moments.values())
     for na, nb in (("un1", "un2"), ("un1", "tiev"), ("un2", "tiev")):
         recs.append(
@@ -289,10 +277,10 @@ def _equivalence_records(ws, states, zeta_grid, phi_grid, leak_tol) -> list[Gate
     """Records of every (beta*omega, zeta, phi) grid point, beta*omega-major.
 
     The three forms depend on (zeta, phi) only, so the grid runs
-    (zeta, phi)-major: each form's chain is built once and guarded against
-    each thermal state in turn, and its unitarity defect is computed once,
-    at the first beta*omega that admits it.  A point whose guard trips at
-    one beta*omega is 'skipped' there alone.
+    (zeta, phi)-major: each form's chain is built once, guarded against and
+    read by each thermal state in turn; its unitarity defect is computed at
+    the first beta*omega that admits it.  A point whose guard trips at one
+    beta*omega is 'skipped' there alone.
     """
     per_bath = [[] for _ in states]
     for zeta in zeta_grid:
@@ -304,8 +292,6 @@ def _equivalence_records(ws, states, zeta_grid, phi_grid, leak_tol) -> list[Gate
                 "un2": unitary_equiv(ProtocolEndpoints(chi, theta), ws),
                 "tiev": evolution_endpoint(-chi, -theta, ws),
             }
-            forms = {name: chain.product for name, chain in chains.items()}
-            defects = None  # computed at the first admitted beta*omega
             for recs, (bw, state) in zip(per_bath, states):
                 tag = f"[bw={bw:g},zeta={zeta:g},phi={phi:g}]"
                 try:
@@ -316,8 +302,7 @@ def _equivalence_records(ws, states, zeta_grid, phi_grid, leak_tol) -> list[Gate
                     skipped = _cmp(f"equivalence{tag}", nan, nan, 1e-8, ws.n_max, nan)
                     recs.append(replace(skipped, status="skipped"))
                     continue
-                defects = defects or {name: u.unitarity_defect() for name, u in forms.items()}
-                recs.extend(_admitted_records(forms, defects, state, bw, chi, tag))
+                recs.extend(_admitted_records(chains, state, bw, chi, tag))
     return [rec for recs in per_bath for rec in recs]
 
 
@@ -411,7 +396,7 @@ def _convergence_record(
         state = thermal_state(ws, bw, 1.0, leak_tol=thermal_leak_tol)
         chain = unitary_product(InterferometerAngles(zeta, phi), ws)
         chain.guard(state, leak_tol)
-        means.append(_number_moments(chain.product, state)[0])
+        means.append(chain.moments(state)[0])
     return _cmp(
         f"truncation_convergence[bw={bw:g},zeta={zeta:g},phi={phi:g},n={n_small}->{2*n_small}]",
         means[0],

@@ -55,6 +55,10 @@ EXPECTED_SKIPS = {
 }
 
 
+# (status, quantity) of every default record, in report order
+DEFAULT_STATUSES = Path(__file__).with_name("oracle_default_statuses.txt")
+
+
 def _read_csv(path: Path):
     lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
     reader = csv.DictReader(lines)
@@ -153,6 +157,12 @@ def test_criterion_04_oracle_equivalence_suite():
     assert len(pairwise) == 22 * 3 and all(r.status == "pass" for r in pairwise)
     assert all(r.abs_err <= 1e-8 for r in pairwise)
     assert len(analytic) == 22 and all(r.abs_err <= 1e-7 for r in analytic)
+    pinned = [
+        tuple(line.split(" ", 1))
+        for line in DEFAULT_STATUSES.read_text().splitlines()
+        if not line.startswith("#")
+    ]
+    assert [(r.status, r.quantity) for r in result.records] == pinned
     print(f"\nACCEPTANCE 04 PASS: 22 guarded grid points, {len(pairwise)} pairwise "
           f"mean agreements <= 1e-8, 22 closed-form <H> matches <= 1e-7, "
           f"5 truncation-guarded skips as expected; runtime {elapsed:.1f}s < 60s")

@@ -13,8 +13,9 @@ from su11otto.fock import (
     BlockOperator,
     FockWorkspace,
     GeneratorSet,
-    _exp_i_kx,
+    _exp_i_ky,
     _phase_kz,
+    _quarter_phases,
     boundary_occupancy,
     evolution_endpoint,
     evolved_boundary_occupancy,
@@ -103,10 +104,25 @@ class TestGenerators:
 
     def test_ky_is_an_exact_quarter_turn_of_kx(self):
         # sectors longer than 100 states: (-1j) ** k loses exactness there
-        gen = GeneratorSet(FockWorkspace(120))
-        for kx, ky in zip(gen.kx.blocks, gen.ky.blocks):
-            assert np.array_equal(ky, 1j * (np.triu(kx) - np.tril(kx)))
+        ws = FockWorkspace(120)
+        gen = GeneratorSet(ws)
+        d = _quarter_phases(ws)
+        turned = d @ gen.kx @ d.dag()
+        for s, phase, ky, ref in zip(ws.sectors, d.diags, gen.ky.blocks, turned.blocks):
+            assert np.array_equal(phase, np.array([1, -1j, -1, 1j])[np.arange(s.size) % 4])
+            assert np.array_equal(ky, ref)
         assert gen.ky.hermitian
+
+    def test_extended_precision_products_sum_in_order(self):
+        # the algebra records multiply clongdouble blocks with `@`: numpy's own
+        # loop, bit for bit the in-order long-double sum of a broadcast product
+        rng = np.random.default_rng(31)
+        for m in (2, 9, 31):
+            a, b = (
+                (rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))).astype(np.clongdouble) / 3
+                for _ in range(2)
+            )
+            assert np.array_equal(a @ b, (a[:, :, None] * b[None, :, :]).sum(axis=1))
 
     def test_algebra_suite_passes_at_small_basis(self):
         records = _algebra_records(12)
@@ -218,7 +234,11 @@ class TestUnitaries:
         chain = unitary_product(angles, ws)
         with pytest.raises(TruncationError):
             chain.guard(state, LEAK_TOL)
-        factors = (_exp_i_kx(ws, 0.8), _phase_kz(ws, -3.0), _exp_i_kx(ws, -0.8))
+        # exp(+-0.8 i K_x) = D+ exp(+-0.8 i K_y) D as whole factors
+        d, y = _quarter_phases(ws), _exp_i_ky(ws, 0.8)
+        squeeze = d.dag() @ y @ d
+        anti_squeeze = d.dag() @ BlockOperator(ws, [b.T for b in y.blocks]) @ d
+        factors = (squeeze, _phase_kz(ws, -3.0), anti_squeeze)
         assert boundary_occupancy(chain.product, state) > LEAK_TOL
         assert evolved_boundary_occupancy(factors, state) >= boundary_occupancy(
             chain.product, state
@@ -319,6 +339,13 @@ class TestAgainstDenseExponentials:
             u = unitary_equiv(ProtocolEndpoints(chi, theta), ws).product
             assert np.max(np.abs(u.to_dense() - ref)) < self.TOL
 
+    def test_real_kernel(self, dense):
+        ws, _, ky, _ = dense
+        for s, _, s_neg in self._points():
+            for angle in (s, s_neg):
+                y = _exp_i_ky(ws, angle)
+                assert np.max(np.abs(y.to_dense() - expm(1j * angle * ky))) < self.TOL
+
     def test_evolution_endpoint(self, dense):
         ws, _, ky, kz = dense
         signs = set()
@@ -328,6 +355,52 @@ class TestAgainstDenseExponentials:
             assert np.max(np.abs(u.to_dense() - ref)) < self.TOL
             signs.add(np.sign(f_y))
         assert signs == {-1.0, 1.0}
+
+
+class TestRealKernel:
+    """exp(i s K_y) as one real orthogonal block per sector."""
+
+    def test_blocks_are_real_orthogonal_checkerboards(self):
+        ws = FockWorkspace(120)
+        for s in (0.4, 1.2, -2.3):
+            for y, y_back in zip(_exp_i_ky(ws, s).blocks, _exp_i_ky(ws, -s).blocks):
+                m = y.shape[0]
+                assert y.dtype == np.float64
+                assert np.max(np.abs(y.T @ y - np.eye(m))) <= 1e-13
+                # the cos(s K_x) part is even in s and lives on j - k even, the
+                # sin(s K_x) part odd in s on j - k odd: each is exactly zero on
+                # the other's checkerboard, so neither leaks into the other
+                odd = np.subtract.outer(np.arange(m), np.arange(m)) % 2 == 1
+                assert not np.any((y + y_back)[odd])
+                assert not np.any((y - y_back)[~odd])
+
+
+# the chain of each builder at n_max = 30; at (0.9, 0.5) the intermediate squeeze
+# of unitary_product holds more boundary weight than its final state
+SUMMARY_CASES = sorted(BAND_ARGS.items()) + [("unitary_product", (0.9, 0.5))]
+
+
+class TestChainSummaries:
+    """The dot-product reads of a chain against its product."""
+
+    @pytest.mark.parametrize("name, args", SUMMARY_CASES)
+    def test_moments_and_guard_match_the_product_route(self, name, args):
+        ws = FockWorkspace(30)
+        chain = BUILDERS[name](*args, ws)
+        for bw in (1.0, 3.0):
+            state = thermal_state(ws, bw, 1.0, leak_tol=THERMAL_LEAK_TOL)
+            pops = evolved_populations(chain.product, state)
+            mean = sum(n @ p for n, p in zip(ws.n_diags, pops))
+            second = sum((n * n) @ p for n, p in zip(ws.n_diags, pops))
+            edge = boundary_occupancy(chain.product, state)
+            got = chain.moments(state)
+            assert got == pytest.approx((mean, second - mean**2, edge), rel=1e-13)
+            partials = [edge]
+            if name == "unitary_product":
+                # the intermediate squeeze exp(i zeta K_x) has the |.|^2 of exp(i zeta K_y)
+                squeeze = evolution_endpoint(-args[0], 0.0, ws).product
+                partials.append(boundary_occupancy(squeeze, state))
+            assert chain.guard(state, math.inf) == pytest.approx(max(partials), rel=1e-13)
 
 
 class TestPopulations:

@@ -14,6 +14,7 @@ from su11otto.core import (
 )
 from su11otto.errors import TruncationError
 from su11otto.fock import (
+    BlockOperator,
     FockWorkspace,
     evolution_endpoint,
     thermal_state,
@@ -62,9 +63,7 @@ def _reference_records():
                         GateRecord(f"equivalence{tag}", nan, nan, 1e-8, N_MAX, nan, "skipped")
                     )
                     continue
-                forms = {name: chain.product for name, chain in chains.items()}
-                defects = {name: u.unitarity_defect() for name, u in forms.items()}
-                records.extend(_admitted_records(forms, defects, state, bw, chi, tag))
+                records.extend(_admitted_records(chains, state, bw, chi, tag))
     return records
 
 
@@ -105,13 +104,39 @@ def test_point_skipped_when_any_one_form_trips(monkeypatch, builder):
     # one form gets the guard rows of a chain squeezed far past n_max = 30, the
     # other two keep their own: every point must be skipped at every bath
     ws = FockWorkspace(N_MAX)
-    over_squeezed = unitary_product(InterferometerAngles(3.0, 1.0), ws).guarded_rows
+    over_squeezed = unitary_product(InterferometerAngles(3.0, 1.0), ws).guard_weights
     build = getattr(gate, builder)
     monkeypatch.setattr(
         gate,
         builder,
-        lambda *args: dataclasses.replace(build(*args), guarded_rows=over_squeezed),
+        lambda *args: dataclasses.replace(build(*args), guard_weights=over_squeezed),
     )
     states = [(bw, thermal_state(ws, bw, 1.0, leak_tol=THERMAL_LEAK_TOL)) for bw in BETA_OMEGAS]
     records = _equivalence_records(ws, states, ZETAS, PHIS, LEAK_TOL)
     assert [r.status for r in records] == ["skipped"] * (len(BETA_OMEGAS) * len(ZETAS) * len(PHIS))
+
+
+@pytest.mark.parametrize(
+    "builder, name",
+    [("unitary_product", "un1"), ("unitary_equiv", "un2"), ("evolution_endpoint", "tiev")],
+)
+def test_scaled_core_block_fails_its_defect_record(monkeypatch, builder, name):
+    # one core block scaled by 1 + 1e-9 is no longer unitary: that form's
+    # defect record, and only that one, must fail
+    build = getattr(gate, builder)
+
+    def scaled(*args):
+        chain = build(*args)
+        blocks = list(chain.core.blocks)
+        blocks[5] = blocks[5] * (1.0 + 1e-9)
+        return dataclasses.replace(chain, core=BlockOperator(chain.core.ws, blocks))
+
+    monkeypatch.setattr(gate, builder, scaled)
+    ws = FockWorkspace(N_MAX)
+    states = [(3.0, thermal_state(ws, 3.0, 1.0, leak_tol=THERMAL_LEAK_TOL))]
+    records = _equivalence_records(ws, states, (0.6,), (0.5,), LEAK_TOL)
+    defects = {r.quantity: r.status for r in records if r.quantity.startswith("unitarity_defect")}
+    assert defects == {
+        f"unitarity_defect[{form}][bw=3,zeta=0.6,phi=0.5]": "fail" if form == name else "pass"
+        for form in ("un1", "un2", "tiev")
+    }
