@@ -22,9 +22,13 @@ from pathlib import Path
 from .circuit import CircuitParams
 from .core import EngineConfig
 from .errors import ConfigError
+from .fock import _DENSE_LIMIT
 from .metrology import DERIVATIVE_MODES
 
 __all__ = ["OracleConfig", "ScenarioConfig", "DEFAULTS", "load_config"]
+
+# the largest oracle.algebra_n_max whose dense (n + 1)^2-square algebra records fit
+_MAX_DENSE_N = math.isqrt(_DENSE_LIMIT) - 1
 
 DEFAULTS: dict = {
     "engine": {
@@ -91,7 +95,7 @@ class OracleConfig:
                 raise ConfigError(f"oracle.{name} must not be empty")
         for name, ok, rule in (
             ("n_max", self.n_max >= 1, ">= 1"),
-            ("algebra_n_max", self.algebra_n_max >= 2, ">= 2"),
+            ("algebra_n_max", 2 <= self.algebra_n_max <= _MAX_DENSE_N, f"in [2, {_MAX_DENSE_N}]"),
             ("convergence_n", self.convergence_n >= 1, ">= 1"),
             ("leak_tol", self.leak_tol > 0.0, "> 0"),
             ("thermal_leak_tol", self.thermal_leak_tol > 0.0, "> 0"),

@@ -23,7 +23,9 @@ carries weight 2 for every d > 0, so populations and traces are folded
 (each d > 0 entry holds both mirror states) and every trace over the stored
 sectors counts both.  `BlockOperator.to_dense()`, which assembles the full
 matrix for small-basis algebra checks, is the one place that writes the
-mirror blocks out.
+mirror blocks out, in the blocks' own dtype (real for K_x, K_z and N).
+`_kx_block` is the one construction of the K_x band: in double precision
+for the workspace, in long double for the gate's algebra records.
 
 Every exponential is the one real kernel `_exp_i_ky`: exp(i s K_y) is
 real orthogonal in the Fock basis (Yurke, McCall & Klauder, PRA 33, 4033
@@ -138,17 +140,7 @@ class FockWorkspace:
 
     @cached_property
     def kx_blocks(self) -> tuple[np.ndarray, ...]:
-        out = []
-        for s in self.sectors:
-            m = s.size
-            kx = np.zeros((m, m))
-            if m > 1:
-                off = 0.5 * np.sqrt((s.n1[:-1] + 1.0) * (s.n2[:-1] + 1.0))
-                rows = np.arange(m - 1)
-                kx[rows + 1, rows] = off
-                kx[rows, rows + 1] = off
-            out.append(kx)
-        return tuple(out)
+        return tuple(_kx_block(s, np.float64) for s in self.sectors)
 
     @cached_property
     def kx_eig(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -162,6 +154,18 @@ class FockWorkspace:
     @cached_property
     def boundary_masks(self) -> tuple[np.ndarray, ...]:
         return tuple((s.n1 == self.n_max) | (s.n2 == self.n_max) for s in self.sectors)
+
+
+def _kx_block(s: Sector, dtype) -> np.ndarray:
+    """The K_x block of sector s: the band 1/2 sqrt((n1+1)(n2+1)), from the
+    exact integer product, with the root taken in `dtype`."""
+    m = s.size
+    kx = np.zeros((m, m), dtype=dtype)
+    off = 0.5 * np.sqrt(((s.n1[:-1] + 1) * (s.n2[:-1] + 1)).astype(dtype))
+    rows = np.arange(m - 1)
+    kx[rows + 1, rows] = off
+    kx[rows, rows + 1] = off
+    return kx
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -202,9 +206,6 @@ class BlockOperator:
             return NotImplemented
         if other.ws is not self.ws:
             raise ValueError("operators live on different workspaces")
-        if self.diags is not None and other.diags is not None:
-            diags = [u * v for u, v in zip(self.diags, other.diags)]
-            return BlockOperator(self.ws, None, diags=diags)
         if self.diags is not None:
             blocks = [v[:, None] * b for v, b in zip(self.diags, other.blocks)]
         elif other.diags is not None:
@@ -226,12 +227,13 @@ class BlockOperator:
         return [np.diagonal(b) for b in self.blocks]
 
     def to_dense(self) -> np.ndarray:
+        """The full matrix, mirror blocks included, in the blocks' common dtype."""
         if self.ws.dim > _DENSE_LIMIT:
             raise ValueError(
                 f"dense assembly of a {self.ws.dim}x{self.ws.dim} matrix exceeds the "
                 f"{_DENSE_LIMIT} limit"
             )
-        out = np.zeros((self.ws.dim, self.ws.dim), dtype=complex)
+        out = np.zeros((self.ws.dim, self.ws.dim), dtype=np.result_type(*self.blocks))
         for s, b in zip(self.ws.sectors, self.blocks):
             out[np.ix_(s.idx, s.idx)] = b
             if s.d > 0:

@@ -34,11 +34,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import EngineConfig, InterferometerAngles, ProtocolEndpoints, chi_of, theta_of, n_out
+from .core import (
+    EngineConfig, InterferometerAngles, ProtocolEndpoints, _bath_coth, chi_of, n_out, theta_of,
+)
+from .cycle import stage_energies
 from .errors import TruncationError
 from .fock import (
+    BlockOperator,
     FockWorkspace,
-    GeneratorSet,
+    _dense_annihilator,
+    _kx_block,
     evolution_endpoint,
     expect,
     hamiltonian_final,
@@ -105,19 +110,18 @@ class GateResult:
 
 
 def _cmp(quantity, analytic, oracle, tol, n_max, leakage=0.0, *, relative=False) -> GateRecord:
-    err = abs(analytic - oracle)
-    if relative:
-        scale = max(abs(analytic), abs(oracle), 1e-300)
-        err = err / scale
-    return GateRecord(
+    rec = GateRecord(
         quantity=quantity,
         analytic=float(analytic),
         oracle=float(oracle),
         tolerance=tol,
         n_max=n_max,
         leakage=leakage,
-        status="pass" if err <= tol else "fail",
+        status="fail",
     )
+    err = rec.rel_err if relative else rec.abs_err
+    # a NaN abs_err fails even where rel_err reads 0 (a NaN leading its scale)
+    return replace(rec, status="pass") if err <= tol and not math.isnan(rec.abs_err) else rec
 
 
 def _expected_mismatch(quantity, analytic, oracle, tol, n_max, *, relative=False) -> GateRecord:
@@ -133,16 +137,20 @@ def _algebra_records(n_max: int) -> list[GateRecord]:
     comparisons should test the algebra and not double-precision matmul
     accumulation (which alone reaches ~1e-12 at this basis size); extended
     precision per sector keeps the arithmetic noise orders below the
-    tolerance and is far cheaper than dense products anyway.
+    tolerance and is far cheaper than dense products anyway.  K_x is the
+    workspace's own `_kx_block` with the root taken in long double (the
+    double-rounded roots of the cached blocks would dominate the residuals
+    after squaring), K_y its exact quarter turn and K_z the exact halves of
+    `kz_diags`; each commutator is formed once and reused by the Jacobi sum.
 
     The blockwise checks run over the stored sectors d >= 0 only: the
     mirror block of sector -d is identical entry for entry, so it has the
-    same residuals.  The dense records (`to_dense()` of K_z, N and K_x)
-    include the mirror blocks, and `kx_ladder_representation` checks their
-    placement at the swapped indices against K_x built from a1 and a2.
+    same residuals.  The dense records read `to_dense()` of the workspace's
+    K_z, N and K_x, mirror blocks included, and `kx_ladder_representation`
+    checks their placement at the swapped indices against
+    (a1+ a2+ + a1 a2)/2 = (P^T + P)/2 with P = a (x) a.
     """
     ws = FockWorkspace(n_max)
-    gen = GeneratorSet(ws)
 
     def comm(a, b):
         # clongdouble has no BLAS: numpy's own loop keeps the sums in 80 bits
@@ -151,22 +159,12 @@ def _algebra_records(n_max: int) -> list[GateRecord]:
     unit_i = np.clongdouble(1j)
     phase_cycle = np.array([1.0, -unit_i, -1.0, unit_i], dtype=np.clongdouble)
     dev_xy = dev_yz = dev_zx = dev_jac = dev_cas = 0.0
-    for sec in ws.sectors:
+    for sec, kz_diag in zip(ws.sectors, ws.kz_diags):
         m = sec.size
-        # rebuild the blocks in extended precision from the integer quantum
-        # numbers; the double-rounded sqrt entries of the cached blocks would
-        # otherwise dominate the residuals after squaring
-        kx = np.zeros((m, m), dtype=np.clongdouble)
-        if m > 1:
-            off = 0.5 * np.sqrt(
-                ((sec.n1[:-1] + 1) * (sec.n2[:-1] + 1)).astype(np.longdouble)
-            )
-            rows = np.arange(m - 1)
-            kx[rows + 1, rows] = off
-            kx[rows, rows + 1] = off
+        kx = _kx_block(sec, np.longdouble).astype(np.clongdouble)
         ph = phase_cycle[np.arange(m) % 4]  # (-i)^k exactly
         ky = (ph[:, None] * kx) * ph.conj()[None, :]
-        kz = np.diag(((sec.n1 + sec.n2 + 1).astype(np.longdouble) / 2).astype(np.clongdouble))
+        kz = np.diag(kz_diag.astype(np.clongdouble))
         in1 = slice(0, max(m - 1, 0))  # products of one pair exact off the last basis state
         in2 = slice(0, max(m - 2, 0))  # two products deep: two boundary layers
 
@@ -174,11 +172,11 @@ def _algebra_records(n_max: int) -> list[GateRecord]:
             block = mat[sl, sl]
             return float(np.max(np.abs(block))) if block.size else 0.0
 
-        dev_xy = max(dev_xy, dev(comm(kx, ky) + unit_i * kz, in1))
-        dev_yz = max(dev_yz, dev(comm(ky, kz) - unit_i * kx, in1))
-        dev_zx = max(dev_zx, dev(comm(kz, kx) - unit_i * ky, in1))
-        jac = comm(kx, comm(ky, kz)) + comm(ky, comm(kz, kx)) + comm(kz, comm(kx, ky))
-        dev_jac = max(dev_jac, dev(jac, in2))
+        c_xy, c_yz, c_zx = comm(kx, ky), comm(ky, kz), comm(kz, kx)
+        dev_xy = max(dev_xy, dev(c_xy + unit_i * kz, in1))
+        dev_yz = max(dev_yz, dev(c_yz - unit_i * kx, in1))
+        dev_zx = max(dev_zx, dev(c_zx - unit_i * ky, in1))
+        dev_jac = max(dev_jac, dev(comm(kx, c_yz) + comm(ky, c_zx) + comm(kz, c_xy), in2))
         casimir = kz @ kz - kx @ kx - ky @ ky
         dev_cas = max(
             dev_cas,
@@ -187,48 +185,35 @@ def _algebra_records(n_max: int) -> list[GateRecord]:
             dev(comm(casimir, kz), in2),
         )
 
-    kz_dense = gen.kz.to_dense()
+    kz_dense = BlockOperator.from_diagonal(ws, ws.kz_diags).to_dense()
     n_dense = number_operator(ws).to_dense()
-    kx_dense = gen.kx.to_dense()
-    # K_z and N commute as real matrices once their imaginary parts are zero
-    kz_re, n_re = kz_dense.real, n_dense.real
-    dev_kz_n = max(float(np.max(np.abs(m))) for m in (kz_dense.imag, n_dense.imag))
-    dev_kz_n = max(dev_kz_n, float(np.max(np.abs(kz_re @ n_re - n_re @ kz_re))))
-    rep_kx = (gen.a1.conj().T @ gen.a2.conj().T + gen.a1 @ gen.a2) / 2.0
+    kx_dense = BlockOperator(ws, ws.kx_blocks).to_dense()
+    a = _dense_annihilator(n_max)
+    ladder = np.kron(a, a)  # a1 a2; a1+ a2+ is its transpose
+    dev_kz_half = float(np.max(np.abs(kz_dense - (n_dense + np.eye(ws.dim)) / 2)))
+    dev_kz_n = float(np.max(np.abs(kz_dense @ n_dense - n_dense @ kz_dense)))
+    dev_ladder = float(np.max(np.abs(kx_dense - (ladder.T + ladder) / 2.0)))
     return [
         _cmp("comm_xy_plus_i_kz", 0.0, dev_xy, 1e-12, n_max),
         _cmp("comm_yz_minus_i_kx", 0.0, dev_yz, 1e-12, n_max),
         _cmp("comm_zx_minus_i_ky", 0.0, dev_zx, 1e-12, n_max),
         _cmp("jacobi_identity", 0.0, dev_jac, 1e-12, n_max),
         _cmp("casimir_commutes_generators", 0.0, dev_cas, 1e-12, n_max),
-        _cmp(
-            "kz_minus_half_n_plus_1",
-            0.0,
-            float(np.max(np.abs(kz_dense - (n_dense + np.eye(ws.dim)) / 2))),
-            0.0,
-            n_max,
-        ),
+        _cmp("kz_minus_half_n_plus_1", 0.0, dev_kz_half, 0.0, n_max),
         _cmp("comm_kz_n", 0.0, dev_kz_n, 0.0, n_max),
-        _cmp("vacuum_kz", 0.5, float(kz_dense[0, 0].real), 0.0, n_max),
-        _cmp(
-            "kx_ladder_representation",
-            0.0,
-            float(np.max(np.abs(kx_dense - rep_kx))),
-            1e-13,
-            n_max,
-        ),
+        _cmp("vacuum_kz", 0.5, float(kz_dense[0, 0]), 0.0, n_max),
+        _cmp("kx_ladder_representation", 0.0, dev_ladder, 1e-13, n_max),
     ]
 
 
-def _thermal_records(ws: FockWorkspace, beta_omegas, thermal_leak_tol) -> list[GateRecord]:
+def _thermal_records(states) -> list[GateRecord]:
+    """Mean occupation and partition function of each (beta*omega, state) pair."""
     recs = []
-    for bw in beta_omegas:
-        state = thermal_state(ws, bw, 1.0, leak_tol=thermal_leak_tol)
+    for bw, state in states:
+        n_max = state.ws.n_max
         mean = state.mean_number()
-        closed = 1.0 / math.tanh(bw / 2.0) - 1.0
-        recs.append(
-            _cmp(f"thermal_mean_n[bw={bw:g}]", closed, mean, 1e-7, ws.n_max, state.leakage)
-        )
+        closed = _bath_coth(bw, 1.0) - 1.0
+        recs.append(_cmp(f"thermal_mean_n[bw={bw:g}]", closed, mean, 1e-7, n_max, state.leakage))
         z_closed = (2.0 * math.sinh(bw / 2.0)) ** -2
         recs.append(
             _cmp(
@@ -236,7 +221,7 @@ def _thermal_records(ws: FockWorkspace, beta_omegas, thermal_leak_tol) -> list[G
                 z_closed,
                 state.partition_function,
                 1e-14,
-                ws.n_max,
+                n_max,
                 state.leakage,
                 relative=True,
             )
@@ -247,7 +232,7 @@ def _thermal_records(ws: FockWorkspace, beta_omegas, thermal_leak_tol) -> list[G
 def _admitted_records(chains, state, bw, chi, tag) -> list[GateRecord]:
     """Records of one admitted grid point from the chains of its three forms."""
     n_max = state.ws.n_max
-    coth_in = 1.0 / math.tanh(bw / 2.0)
+    coth_in = _bath_coth(bw, 1.0)
     recs = [
         _cmp(f"unitarity_defect[{name}]{tag}", 0.0, chain.defect, 1e-10, n_max)
         for name, chain in chains.items()
@@ -320,7 +305,7 @@ def _variance_arbitration(
         recs.append(
             _cmp(
                 f"mean_h_static{tag}",
-                config.omega1 * math.cosh(chi) * config.coth_hot,
+                stage_energies(config, chi).h_d,
                 mean_oracle,
                 1e-7,
                 ws.n_max,
@@ -430,9 +415,8 @@ def run_gate(
     records.extend(_algebra_records(algebra_n_max))
 
     ws = FockWorkspace(n_max)
-    records.extend(_thermal_records(ws, beta_omegas, thermal_leak_tol))
-
     states = [(bw, thermal_state(ws, bw, 1.0, leak_tol=thermal_leak_tol)) for bw in beta_omegas]
+    records.extend(_thermal_records(states))
     records.extend(_equivalence_records(ws, states, zeta_grid, phi_grid, leak_tol))
 
     records.extend(_variance_arbitration(config, ws, thermal_leak_tol))

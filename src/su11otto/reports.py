@@ -9,7 +9,6 @@ bytes.
 
 from __future__ import annotations
 
-import math
 import os
 from pathlib import Path
 
@@ -19,11 +18,7 @@ __all__ = ["fmt", "write_csv"]
 def fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
+    if isinstance(value, float):  # nan, inf and -inf print as such
         return f"{value:.17g}"
     return str(value)
 

@@ -78,6 +78,8 @@ class TestConfig:
             {"metrology": {"derivative_mode": 1}},
             {"oracle": {"n_max": 0}},
             {"oracle": {"algebra_n_max": 1}},
+            # the dense algebra records would need a 4225x4225 matrix
+            {"oracle": {"algebra_n_max": 64}},
             {"oracle": {"convergence_n": 0}},
             {"oracle": {"thermal_leak_tol": 0.0}},
             {"oracle": {"zeta_grid": [0.4, -0.1]}},
@@ -175,6 +177,8 @@ class TestCsvCommands:
         phi = float(rows[10][0])
         pt = sensitivity(engine, 3.4, phi, "chain")
         assert float(rows[10][1]) == pt.delta_phi_n  # exact, 17 significant digits
+        nan, inf = math.nan, math.inf
+        assert [fmt(v) for v in (nan, -nan, inf, -inf)] == ["nan", "nan", "inf", "-inf"]
 
     def test_snl_outside_engine_regime_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

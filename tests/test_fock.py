@@ -14,6 +14,7 @@ from su11otto.fock import (
     FockWorkspace,
     GeneratorSet,
     _exp_i_ky,
+    _kx_block,
     _phase_kz,
     _quarter_phases,
     boundary_occupancy,
@@ -101,6 +102,20 @@ class TestGenerators:
         for op in ops:
             dense = op.to_dense()
             assert np.array_equal(swap @ dense, dense @ swap)
+        # to_dense() keeps the blocks' dtype: real generators and kernels stay real
+        for op in (gen.kx, gen.kz, number_operator(ws), _exp_i_ky(ws, 0.7)):
+            assert op.to_dense().dtype == np.float64
+        assert ops[3].to_dense().dtype == np.complex128
+
+    def test_extended_precision_kx_band_rounds_to_the_cached_one(self):
+        # the algebra records take the K_x band with the root in long double;
+        # rounded back it is within 1 ulp of the workspace's double block, and
+        # at this basis size no root rounds twice to a different double
+        ws = FockWorkspace(120)
+        for s, kx in zip(ws.sectors, ws.kx_blocks):
+            wide = _kx_block(s, np.longdouble)
+            assert wide.dtype == np.longdouble
+            assert np.array_equal(wide.astype(np.float64), kx)
 
     def test_ky_is_an_exact_quarter_turn_of_kx(self):
         # sectors longer than 100 states: (-1j) ** k loses exactness there

@@ -2,21 +2,26 @@
 
 bench/spans.py wraps each of its TARGETS at run time; a renamed or deleted
 function would only surface when a traced benchmark run fails, so every
-target is resolved here against the package.
+target is resolved here against the package, and a small traced oracle run
+must emit every per-layer metric the benchmark declares.
 """
 
+import contextlib
 import importlib
 import importlib.util
 import inspect
+import io
+import json
 from pathlib import Path
 
+from su11otto import cli
 from su11otto.gate import run_gate
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _spans_module():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+def _bench_module(name, filename):
+    spec = importlib.util.spec_from_file_location(name, BENCH / filename)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -24,7 +29,7 @@ def _spans_module():
 
 def test_every_target_resolves():
     missing = []
-    for _, module_name, target in _spans_module().TARGETS:
+    for _, module_name, target in _bench_module("bench_spans", "spans.py").TARGETS:
         owner = vars(importlib.import_module(module_name))
         *cls_name, attr = target.split(".")
         if cls_name:  # "Class.attr": the tracer replaces the entry in the class dict
@@ -38,3 +43,20 @@ def test_gate_keywords_read_by_the_tracer():
     params = inspect.signature(run_gate).parameters
     for name in ("beta_omegas", "zeta_grid", "phi_grid"):
         assert params[name].kind is inspect.Parameter.KEYWORD_ONLY
+
+
+def test_traced_oracle_emits_every_layer_metric(tmp_path):
+    # the tiny oracle of the benchmark's own checks, run under its span tracer
+    bench = _bench_module("bench_test_bench", "test_bench.py")
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps(bench.TINY_ORACLE))
+    tracer = bench.Tracer()
+    instr = bench.Instrumentation(tracer)
+    with instr, contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["--config", str(config), "--out", str(tmp_path), "oracle"])
+    assert code == 2 and instr.restored()
+    metrics = bench.layer_metrics(tracer)
+    spec = json.loads((BENCH.parent / "BENCHMARK.json").read_text())
+    # trace.overhead_s compares a traced with an untraced pass: bench/run.py adds it
+    assert set(metrics) == {m["name"] for m in spec["per_layer"]} - {"trace.overhead_s"}
+    assert metrics["fock.matmul_flop"] > 0 and metrics["gate.skipped"] > 0
