@@ -103,7 +103,7 @@ class CircuitParams:
                 f"circuit.mode_index must satisfy 1 <= j < n_cell, got {self.mode_index}"
             )
         if not self.t_hot_kelvin > self.t_cold_kelvin > 0.0:
-            raise ValueError("need t_hot_kelvin > t_cold_kelvin > 0")
+            raise ValueError("need circuit.t_hot_kelvin > circuit.t_cold_kelvin > 0")
         if self.t_f_points < 1:
             raise ValueError(f"circuit.t_f_points must be >= 1, got {self.t_f_points!r}")
 

@@ -41,7 +41,7 @@ from .core import (
 from .cycle import carnot, otto_ideal, works_and_heats
 from .errors import EngineError
 from .gate import run_gate
-from .metrology import delta_phi, snl, solve_zeta_snl, supersensitivity_range
+from .metrology import DERIVATIVE_MODES, delta_phi, snl, solve_zeta_snl, supersensitivity_range
 from .reports import fmt, write_csv
 
 UNITS_HEADER = "units: hbar = k_B = 1; frequencies and temperatures on a common energy scale"
@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="out", help="output directory for CSV reports")
     parser.add_argument(
         "--derivative-mode",
-        choices=("paper", "chain"),
+        choices=DERIVATIVE_MODES,
         default=None,
         dest="derivative_mode",
         help="override the configured dN/dphi convention",

@@ -37,15 +37,9 @@ from .errors import (
 
 TWO_PI = 2.0 * math.pi
 
-# Tolerance for clamping arccos/arccosh arguments that rounding pushed
-# marginally out of domain.  Anything further out is a caller bug.
+# How far rounding may push the arccosh argument of chi_max_from_params below
+# 1 before the ratio counts as having no engine regime.
 DOMAIN_EPS = 1e-12
-
-
-def _clip_unit(x: float, eps: float = DOMAIN_EPS) -> float:
-    if x > 1.0 + eps or x < -1.0 - eps:
-        raise ValueError(f"value {x!r} outside [-1, 1] beyond tolerance {eps}")
-    return min(1.0, max(-1.0, x))
 
 
 @dataclass(frozen=True)
@@ -190,7 +184,8 @@ def angles_from(endpoints: ProtocolEndpoints) -> InterferometerAngles:
     solution exists iff tan^2(theta) > sinh^2(chi/2); otherwise the
     requested (chi, theta) are incompatible and NoSolutionError reports
     the residual.  The result is verified to reproduce the inputs to
-    1e-10 before returning.
+    1e-10 before returning.  The arcsine needs no clamp: sin^2(phi/2) is
+    sin^2(theta) <= 1 minus a non-negative term, in floating point too.
     """
     chi = endpoints.chi
     if chi <= 0.0:
@@ -211,7 +206,6 @@ def angles_from(endpoints: ProtocolEndpoints) -> InterferometerAngles:
             f"incompatible endpoints chi={chi}, theta={endpoints.theta}: "
             f"sin^2(phi/2) would be {u:.3e} (needs tan^2(theta) > sinh^2(chi/2))"
         )
-    u = min(u, 1.0)
     half_phi = math.asin(math.sqrt(u))
     phi = 2.0 * half_phi if theta <= math.pi / 2.0 else TWO_PI - 2.0 * half_phi
     zeta = math.asinh(math.sqrt(sh2 / u))
@@ -268,10 +262,12 @@ def phi_max(zeta: float, chi_max_value: float) -> float:
     """Largest phase keeping the cycle inside the engine regime at fixed zeta.
 
     Solves chi(zeta, phi_max) = chi_max via
-    cos(phi_max) = 1 - 2 sinh^2(chi_max/2) / sinh^2(zeta).  Returns pi when
-    the right-hand side falls below -1 (chi never reaches chi_max, the whole
-    half-range (0, pi) operates as an engine) and also at zeta = 0, where
-    chi vanishes identically and the engine is phase-insensitive.
+    sin^2(phi_max/2) = r = sinh^2(chi_max/2) / sinh^2(zeta).  Returns pi when
+    r >= 1 (chi never reaches chi_max, the whole half-range (0, pi) operates
+    as an engine) and also at zeta = 0, where chi vanishes identically and
+    the engine is phase-insensitive.  Past those returns r lies in [0, 1),
+    so 2 asin(sqrt(r)) needs no clamp and lies in [0, pi); unlike
+    arccos(1 - 2 r) it keeps every digit as r -> 0.  A NaN input gives NaN.
     """
     if chi_max_value < 0.0:
         raise ValueError(f"chi_max must be >= 0, got {chi_max_value}")
@@ -283,4 +279,4 @@ def phi_max(zeta: float, chi_max_value: float) -> float:
     r = math.sinh(chi_max_value / 2.0) ** 2 / sh2_zeta
     if r >= 1.0:
         return math.pi
-    return math.acos(_clip_unit(1.0 - 2.0 * r))
+    return 2.0 * math.asin(math.sqrt(r))

@@ -56,6 +56,3 @@ class RegimeWarning(UserWarning):
 class DegenerateLimitWarning(UserWarning):
     """Inputs sit at a degenerate limit; the returned value is a limiting representative."""
 
-
-class NonUnimodalWarning(UserWarning):
-    """A scan found a competing local minimum close to the best one."""

@@ -29,14 +29,13 @@ linear algebra (see the gate module).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import EngineConfig, chi_of, n_out
 from .cycle import efficiency
-from .errors import NonUnimodalWarning, NoSolutionError, PhotonNumberError
+from .errors import NoSolutionError, PhotonNumberError
 
 __all__ = [
     "DERIVATIVE_MODES",
@@ -270,26 +269,21 @@ def _bisect(f, a: float, b: float, fa: float, tol: float) -> float:
 def minimize_sensitivity(
     config: EngineConfig, zeta: float, observable: str, derivative_mode: str
 ) -> tuple[float, float]:
-    """Global minimum of delta_phi(phi) on (_PHI_LO, pi - _PHI_LO).
+    """Global minimum of delta_phi(phi) on (_PHI_LO, pi - _PHI_LO): (phi_star, delta_phi_min).
 
-    A coarse scan locates the basin (delta_phi is smooth but not proven
-    unimodal; a NonUnimodalWarning is emitted if a second local minimum
-    comes within 1% of the best), then golden-section refines to _PHI_XTOL.
-    Returns (phi_star, delta_phi_min).
+    With x = sin^2(phi/2), S = sinh^2(zeta) and c = coth(bh w2/2), every mode
+    and observable gives delta_phi^2 = (A + B x + C x^2) / (K x (1 - x)):
+    A = c^2 - 1 (+ (c^2 + 1)/2 for energy), B = 8 c^2 S, C = 8 c^2 S^2 and
+    K = 8 c^2 S^2 (number) or 4 c^2 S^2 (energy), times c^2 in "paper" mode.
+    Its x-derivative has the sign of q(x) = (B + C) x^2 + 2 A x - A, convex
+    with q(0) = -A < 0 < q(1) = A + B + C for A > 0 (c > 1 at any finite
+    temperature): one root in (0, 1), so for zeta > 0 delta_phi is unimodal
+    in phi on (0, pi).  A coarse scan brackets the minimum; golden-section
+    refines it to _PHI_XTOL.
     """
     phis = np.linspace(_PHI_LO, math.pi - _PHI_LO, _COARSE_POINTS)
     vals = _delta_phi_grid(config, zeta, phis, observable, derivative_mode)
     i_best = int(np.argmin(vals))
-    interior = np.flatnonzero(
-        (vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:])
-    ) + 1  # indices of local minima of the scan
-    rivals = [i for i in interior if abs(i - i_best) > 1 and vals[i] <= 1.01 * vals[i_best]]
-    if rivals:
-        warnings.warn(
-            f"second local minimum within 1% of the best at phi ~ {phis[rivals[0]]:.4f}",
-            NonUnimodalWarning,
-            stacklevel=2,
-        )
 
     def f(p: float) -> float:
         return float(_delta_phi_grid(config, zeta, p, observable, derivative_mode))
@@ -305,9 +299,11 @@ def supersensitivity_range(
 ) -> SupersensitivityRange:
     """The phi interval where delta_phi(phi) < 1/sqrt(N_phi), if any.
 
-    delta_phi diverges at both ends of (0, pi), so when the minimum dips
-    below the benchmark the sub-shot-noise set is an interior interval;
-    its edges are located by sign-change bisection to _RANGE_RESOLUTION.
+    In minimize_sensitivity's notation the condition reads
+    (C + T) x^2 + (B - T) x + A < 0 with T = K/N_phi: convex, A > 0 at x = 0
+    and A + B + C > 0 at x = 1, so it holds on one interval inside (0, 1) or
+    nowhere.  A scan finds the interval; bisection locates its edges to
+    _RANGE_RESOLUTION.
     """
     benchmark = snl(config, zeta)
     phis = np.linspace(_RANGE_RESOLUTION, math.pi - _RANGE_RESOLUTION, _RANGE_SCAN_POINTS)

@@ -18,6 +18,11 @@ settings.register_profile("su11otto", derandomize=True, database=None, deadline=
 settings.load_profile("su11otto")
 
 
+def pytest_configure(config):
+    # every warning the package raises is an error here unless a test expects it
+    config.addinivalue_line("filterwarnings", "error")
+
+
 @pytest.fixture(scope="session")
 def fig3_config() -> EngineConfig:
     """The default operating point used throughout: omega1=0.1, omega2=1,

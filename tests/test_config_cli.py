@@ -93,13 +93,34 @@ class TestConfig:
             # an empty stop-time sweep
             {"circuit": {"t_f_points": 0}},
             {"circuit": {"t_f_points": -5}},
+            # the range rules of the sweep, metrology and circuit blocks
+            {"sweep": {"phi_points": 7}},
+            {"metrology": {"zeta_bracket": [8.0, 0.5]}},
+            {"metrology": {"zeta_bracket": [0.5, 4.0, 8.0]}},
+            {"circuit": {"inductance_h": 0.0}},
+            {"circuit": {"n_cell": 1}},
+            {"circuit": {"t_hot_kelvin": 0.01}},
+            # a section that is not a table
+            {"engine": 3},
         ],
     )
     def test_wrong_type_or_invalid_value_fatal(self, tmp_path, override):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(override))
-        section, key = next((s, k) for s, block in override.items() for k in block)
-        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+        (section, block), = override.items()
+        where = f"{section}.{next(iter(block))}" if isinstance(block, dict) else section
+        with pytest.raises(ConfigError, match=where):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [(None, "cannot read config file"), ("[1, 2]", "must contain a JSON object")],
+    )
+    def test_unusable_file_fatal(self, tmp_path, text, message):
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
             load_config(path)
 
     def test_integer_stands_for_number(self, tmp_path):

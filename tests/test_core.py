@@ -234,6 +234,20 @@ class TestPhiMax:
             pm = phi_max(zeta, bound)
             assert float(chi_of(zeta, pm)) == pytest.approx(bound, abs=1e-9)
 
+    @given(zeta=st.floats(0.05, 8.0), chi_max_value=st.floats(1e-6, 5.0))
+    def test_solves_its_defining_relation(self, zeta, chi_max_value):
+        # sin^2(phi_max/2) sinh^2(zeta) = sinh^2(chi_max/2) to rounding, also where
+        # the ratio r is tiny and arccos(1 - 2 r) would have lost every digit
+        pm = phi_max(zeta, chi_max_value)
+        assert 0.0 <= pm <= math.pi
+        target = math.sinh(chi_max_value / 2.0) ** 2
+        if target < math.sinh(zeta) ** 2:
+            reached = math.sin(pm / 2.0) ** 2 * math.sinh(zeta) ** 2
+            assert reached == pytest.approx(target, rel=1e-13)
+
+    def test_nan_squeezing_gives_nan(self):
+        assert math.isnan(phi_max(math.nan, CHI_MAX_FIG3))
+
 
 class TestTypes:
     def test_phi_wrapping(self):

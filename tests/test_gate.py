@@ -140,3 +140,23 @@ def test_scaled_core_block_fails_its_defect_record(monkeypatch, builder, name):
         f"unitarity_defect[{form}][bw=3,zeta=0.6,phi=0.5]": "fail" if form == name else "pass"
         for form in ("un1", "un2", "tiev")
     }
+
+
+@pytest.mark.parametrize("relative", [False, True])
+@pytest.mark.parametrize("analytic, oracle", [(math.nan, 1.0), (1.0, math.nan)])
+def test_nan_value_fails(analytic, oracle, relative):
+    rec = gate._cmp("q", analytic, oracle, 1e-8, N_MAX, relative=relative)
+    assert rec.status == "fail" and math.isnan(rec.rel_err)
+
+
+@pytest.mark.parametrize(
+    "statuses, code",
+    [
+        (("pass", "skipped"), gate.EXIT_OK),
+        (("pass", "discrepancy"), gate.EXIT_DISCREPANCY_ONLY),
+        (("discrepancy", "fail", "pass"), gate.EXIT_HARD_FAILURE),
+    ],
+)
+def test_exit_code_reports_the_worst_status(statuses, code):
+    records = [GateRecord("q", 1.0, 1.0, 1e-8, N_MAX, 0.0, status) for status in statuses]
+    assert gate.GateResult(records).exit_code == code

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from su11otto import (
@@ -39,6 +41,45 @@ DN_CHAIN_2_01 = 5.3618632900063226053
 N_PHI_34 = 60.239664268440508526
 SNL_34 = 0.12884237704231612421
 ZETA_BRACKET = load_config().zeta_bracket
+
+
+def _quadratic_coefficients(config, zeta, observable, derivative_mode):
+    """(A, B, C, K) of delta_phi^2 = (A + B x + C x^2) / (K x (1 - x)), x = sin^2(phi/2).
+
+    An independent reference for the solvers: A is written as
+    1 / sinh^2(bh w2/2), which does not cancel at low temperature.
+    """
+    c = config.coth_hot
+    s = math.sinh(zeta) ** 2
+    a = math.sinh(config.omega2 / (2.0 * config.t_hot)) ** -2
+    k = 8.0 * c * c * s * s
+    if observable == "energy":
+        a += 0.5 * (c * c + 1.0)
+        k /= 2.0
+    if derivative_mode == "paper":
+        k *= c * c
+    return a, 8.0 * c * c * s, 8.0 * c * c * s * s, k
+
+
+def _phase_of(x):
+    return 2.0 * math.asin(math.sqrt(x))
+
+
+# valid engines with bh w2 in [0.01, 10], each with a squeezing, an observable and a mode
+OPERATING_POINTS = dict(
+    config=st.builds(
+        lambda bw, ratio, omega2, cold: EngineConfig(
+            omega1=ratio * omega2, omega2=omega2, t_hot=omega2 / bw, t_cold=cold * omega2 / bw
+        ),
+        bw=st.floats(0.01, 10.0),
+        ratio=st.floats(1e-3, 1.0, exclude_min=True, exclude_max=True),
+        omega2=st.floats(0.1, 10.0),
+        cold=st.floats(1e-3, 1.0, exclude_max=True),
+    ),
+    zeta=st.floats(0.05, 8.0),
+    observable=st.sampled_from(["number", "energy"]),
+    derivative_mode=st.sampled_from(["paper", "chain"]),
+)
 
 
 class TestVariances:
@@ -183,6 +224,28 @@ class TestSupersensitivity:
             pt = sensitivity(fig3_config, 4.0, edge, "chain")
             assert pt.delta_phi_h == pytest.approx(benchmark, rel=1e-4)
 
+    @settings(max_examples=150)
+    @given(**OPERATING_POINTS)
+    def test_matches_the_closed_form_interval(self, config, zeta, observable, derivative_mode):
+        # delta_phi^2 < 1/N_phi is (C + T) x^2 + (B - T) x + A < 0, T = K/N_phi:
+        # the interval between its two roots, empty unless both are real and positive
+        a, b, c, k = _quadratic_coefficients(config, zeta, observable, derivative_mode)
+        t = k / (config.coth_hot * math.cosh(zeta) - 1.0)
+        disc = (b - t) ** 2 - 4.0 * (c + t) * a
+        rng = supersensitivity_range(config, zeta, observable, derivative_mode)
+        if disc <= 0.0 or b >= t:
+            assert rng.empty
+            return
+        x_lo = 2.0 * a / (t - b + math.sqrt(disc))
+        x_hi = (t - b + math.sqrt(disc)) / (2.0 * (c + t))
+        lo, hi = _phase_of(x_lo), _phase_of(x_hi)
+        if rng.empty:
+            # only an interval narrower than two scan steps may slip between them
+            assert hi - lo < 2.0 * math.pi / 4095
+            return
+        assert rng.lo == pytest.approx(lo, abs=2e-6)
+        assert rng.hi == pytest.approx(hi, abs=2e-6)
+
 
 class TestMinimizer:
     def test_local_minimality(self, fig3_config):
@@ -205,6 +268,17 @@ class TestMinimizer:
     def test_touches_benchmark_at_published_squeezing(self, fig3_config):
         _, d_min = minimize_sensitivity(fig3_config, 3.4, "energy", "chain")
         assert d_min / snl(fig3_config, 3.4) == pytest.approx(1.0, abs=0.02)
+
+    @settings(max_examples=150)
+    @given(**OPERATING_POINTS)
+    def test_matches_the_closed_form_minimum(self, config, zeta, observable, derivative_mode):
+        # the one stationary point: (B + C) x^2 + 2 A x - A = 0, in its cancellation-free form
+        a, b, c, k = _quadratic_coefficients(config, zeta, observable, derivative_mode)
+        x = a / (math.sqrt(a * a + a * (b + c)) + a)
+        d_min = math.sqrt((a + b * x + c * x * x) / (k * x * (1.0 - x)))
+        phi_star, value = minimize_sensitivity(config, zeta, observable, derivative_mode)
+        assert value == pytest.approx(d_min, rel=1e-12)
+        assert phi_star == pytest.approx(_phase_of(x), abs=1e-6)
 
 
 class TestSnlSolver:
