@@ -41,7 +41,7 @@ from .core import (
 from .cycle import carnot, otto_ideal, works_and_heats
 from .errors import EngineError
 from .gate import run_gate
-from .metrology import DERIVATIVE_MODES, delta_phi, snl, solve_zeta_snl, supersensitivity_range
+from .metrology import delta_phi, snl, solve_zeta_snl, supersensitivity_range
 from .reports import fmt, write_csv
 
 UNITS_HEADER = "units: hbar = k_B = 1; frequencies and temperatures on a common energy scale"
@@ -107,7 +107,7 @@ def cmd_cycle(args, config: ScenarioConfig) -> int:
 
 def cmd_figure3(args, config: ScenarioConfig) -> int:
     engine = config.engine
-    mode = args.derivative_mode or config.derivative_mode
+    mode = config.derivative_mode
     eta_c = carnot(engine)
     eta_o = otto_ideal(engine)
     chi_bound = chi_max(engine)
@@ -206,7 +206,7 @@ def cmd_snl(args, config: ScenarioConfig) -> int:
 
 
 def cmd_circuit(args, config: ScenarioConfig) -> int:
-    mode = args.derivative_mode or config.derivative_mode
+    mode = config.derivative_mode
     report = circuit_mod.circuit_scenario(config.circuit, derivative_mode=mode)
     pair = report.pairs["expansion"]
     rows = [
@@ -252,9 +252,6 @@ def cmd_oracle(args, config: ScenarioConfig) -> int:
         beta_omegas=oracle.beta_omega,
         zeta_grid=oracle.zeta_grid,
         phi_grid=oracle.phi_grid,
-        leak_tol=oracle.leak_tol,
-        thermal_leak_tol=oracle.thermal_leak_tol,
-        convergence_n=oracle.convergence_n,
     )
     rows = []
     for rec in result.records:
@@ -288,13 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON config file overriding the built-in defaults")
     parser.add_argument("--out", default="out", help="output directory for CSV reports")
-    parser.add_argument(
-        "--derivative-mode",
-        choices=DERIVATIVE_MODES,
-        default=None,
-        dest="derivative_mode",
-        help="override the configured dN/dphi convention",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_convert = sub.add_parser("convert", help="map between (zeta, phi) and (chi, theta)")

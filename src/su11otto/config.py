@@ -5,11 +5,12 @@ Parsing is strict: unknown sections or keys are fatal, because silently
 ignored physics parameters are the classic way sweeps go wrong, and so are
 a NaN, an infinity and a value whose JSON type differs from its default's
 (an integer may stand for a number; true/false never does).  DEFAULTS is
-the one home of every shipped value: the library's functions and
-dataclasses take these settings explicitly.  Units are annotated in the key
-names where dimensional (_h henry, _f farad, _kelvin); the engine block is
-in natural units (hbar = k_B = 1, frequencies and temperatures on a common
-energy scale).
+the one home of every shipped setting: the library's functions and
+dataclasses take these settings explicitly.  The oracle's truncation
+budgets are not settings but constants of `fock`, so no config can switch
+the guard off.  Units are annotated in the key names where dimensional
+(_h henry, _f farad, _kelvin); the engine block is in natural units
+(hbar = k_B = 1, frequencies and temperatures on a common energy scale).
 """
 
 from __future__ import annotations
@@ -54,9 +55,6 @@ DEFAULTS: dict = {
         "beta_omega": [0.25, 0.5, 1.0],
         "zeta_grid": [0.4, 0.8, 1.2],
         "phi_grid": [0.3, 0.9, 2.0],
-        "leak_tol": 1e-8,
-        "thermal_leak_tol": 1e-10,
-        "convergence_n": 60,
     },
     "circuit": {
         "inductance_h": 60e-12,
@@ -77,16 +75,13 @@ DEFAULTS: dict = {
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Basis sizes, grids and leakage budgets of the Fock-oracle gate, checked on construction."""
+    """Basis sizes and grids of the Fock-oracle gate, checked on construction."""
 
     n_max: int
     algebra_n_max: int
     beta_omega: tuple[float, ...]
     zeta_grid: tuple[float, ...]
     phi_grid: tuple[float, ...]
-    leak_tol: float
-    thermal_leak_tol: float
-    convergence_n: int
 
     def __post_init__(self):
         for name in ("beta_omega", "zeta_grid", "phi_grid"):
@@ -96,9 +91,6 @@ class OracleConfig:
         for name, ok, rule in (
             ("n_max", self.n_max >= 1, ">= 1"),
             ("algebra_n_max", 2 <= self.algebra_n_max <= _MAX_DENSE_N, f"in [2, {_MAX_DENSE_N}]"),
-            ("convergence_n", self.convergence_n >= 1, ">= 1"),
-            ("leak_tol", self.leak_tol > 0.0, "> 0"),
-            ("thermal_leak_tol", self.thermal_leak_tol > 0.0, "> 0"),
             ("beta_omega", all(b > 0.0 for b in self.beta_omega), "positive"),
             ("zeta_grid", all(z >= 0.0 for z in self.zeta_grid), "non-negative"),
         ):
@@ -129,7 +121,10 @@ def _checked_leaf(default, value, where: str):
             raise ConfigError(f"{where} must be a list, got {value!r}")
         return [_checked_leaf(default[0], v, f"{where}[{i}]") for i, v in enumerate(value)]
     if type(default) is float and type(value) is int:
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{where} must be finite, got an integer past the float range") from None
     if type(value) is not type(default):
         raise ConfigError(f"{where} must be {_JSON_TYPES[type(default)]}, got {value!r}")
     if type(value) is float and not math.isfinite(value):
@@ -196,7 +191,7 @@ def load_config(path: str | Path | None = None) -> ScenarioConfig:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         try:
             override = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer past int's digit limit
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(override, dict):
             raise ConfigError("config file must contain a JSON object")

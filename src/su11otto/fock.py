@@ -44,20 +44,22 @@ patch flags after the fact.
 Truncation honesty
 ------------------
 Truncation corrupts matrix elements near the n_max boundary first, and
-squeezing amplifies tails, so variances break before means.  Thermal
-states report their tail leakage and refuse to renormalize silently past
-a tolerance.  The unitaries do not depend on the state, so each builder
-returns a `Chain` that reduces its product U = L C R once (L, R the outer
-diagonal phases, the core C the rest, interior phases included) to the
-guard weights and moment weights of the core (`Chain`) and, when read,
-its unitarity defect.  Outer phases move no population, and with e the
-largest |1 - |phase|^2| of L and R,
+squeezing amplifies tails, so variances break before means.  The three
+budgets are module constants, not settings: a thermal state refuses to
+cut more than THERMAL_LEAK_TOL of its weight or to hold more than
+THERMAL_BOUNDARY_TOL on a boundary state, and `Chain.guard(state)` raises
+past a boundary occupancy of LEAK_TOL instead of letting quietly wrong
+numbers through.  The unitaries do not depend on the state, so each
+builder returns a `Chain` that reduces its product U = L C R once (L, R
+the outer diagonal phases, the core C the rest, interior phases included)
+to the guard weights and moment weights of the core (`Chain`) and, when
+read, its unitarity defect.  Outer phases move no population, and with e
+the largest |1 - |phase|^2| of L and R,
 U+ U - 1 = R+ (C+ C - 1) R + R+ C+ (L+ L - 1) C R + (R+ R - 1), so
 defect(U) <= defect(C) + 2 e to first order (e = 0 for the exact D
 phases, 1 ulp for exp(i theta K_z)).  Each read against a state is a dot
-product with its concatenated populations; `Chain.guard(state, leak_tol)`
-raises instead of letting quietly wrong numbers through.
-`evolved_populations` (|U|^2 p) is the reference route for the reads.
+product with its concatenated populations.  `evolved_populations`
+(|U|^2 p) is the reference route for the reads.
 """
 
 from __future__ import annotations
@@ -94,6 +96,10 @@ __all__ = [
 
 _DENSE_LIMIT = 4096  # refuse to assemble dense matrices larger than this
 _IMAG_RESIDUE_TOL = 1e-10
+
+LEAK_TOL = 1e-8  # boundary occupancy of an evolved state
+THERMAL_LEAK_TOL = 1e-10  # thermal tail weight cut off past n_max
+THERMAL_BOUNDARY_TOL = 1e-12  # per boundary state: later squeezing amplifies it
 
 
 @dataclass(frozen=True)
@@ -341,14 +347,12 @@ class ThermalState:
         return np.concatenate(self.probs)
 
 
-def thermal_state(
-    ws: FockWorkspace, beta: float, omega: float, *, leak_tol: float
-) -> ThermalState:
+def thermal_state(ws: FockWorkspace, beta: float, omega: float) -> ThermalState:
     """Thermal state with diagonal weights exp(-beta omega (n1+n2+1)) / Z.
 
     Raises TruncationError when the retained basis misses more than
-    leak_tol of the distribution, or when the boundary layer itself is
-    populated above 1e-12 (squeezing applied later would amplify it).
+    THERMAL_LEAK_TOL of the distribution, or when a boundary state itself
+    is populated above THERMAL_BOUNDARY_TOL.
     """
     if beta * omega <= 0.0:
         raise ValueError(f"beta*omega must be positive, got beta={beta}, omega={omega}")
@@ -362,18 +366,18 @@ def thermal_state(
     folded = [p if s.d == 0 else 2.0 * p for s, p in zip(ws.sectors, raw)]
     retained = float(sum(p.sum() for p in folded))
     leakage = 1.0 - retained
-    if leakage > leak_tol:
+    if leakage > THERMAL_LEAK_TOL:
         raise TruncationError(
-            f"thermal tail beyond n_max={ws.n_max} holds {leakage:.3e} > {leak_tol:.1e} "
+            f"thermal tail beyond n_max={ws.n_max} holds {leakage:.3e} > {THERMAL_LEAK_TOL:.1e} "
             f"of the weight (beta*omega = {beta * omega:.3g}); increase n_max"
         )
     # per state, not folded over the mirror pair
     boundary = max(
         float(p[m].max()) if m.any() else 0.0 for p, m in zip(raw, ws.boundary_masks)
     )
-    if boundary > 1e-12:
+    if boundary > THERMAL_BOUNDARY_TOL:
         raise TruncationError(
-            f"thermal occupancy {boundary:.3e} at the n_max boundary exceeds 1e-12"
+            f"thermal occupancy {boundary:.3e} at the n_max boundary exceeds {THERMAL_BOUNDARY_TOL:.0e}"
         )
     probs = tuple(p / retained for p in folded)
     return ThermalState(
@@ -472,17 +476,17 @@ class Chain:
         """Unitarity defect of the core, which bounds the product's (module docstring)."""
         return self.core.unitarity_defect()
 
-    def guard(self, state: ThermalState, leak_tol: float) -> float:
+    def guard(self, state: ThermalState) -> float:
         """Worst boundary occupancy of the state along the chain; raises
-        TruncationError at the first partial product past leak_tol."""
+        TruncationError at the first partial product past LEAK_TOL."""
         p = _flat_probs(self.core, state)
         worst = 0.0
         for w in self.guard_weights:
             worst = max(worst, float(w @ p))
-            if worst > leak_tol:
+            if worst > LEAK_TOL:
                 raise TruncationError(
                     f"{self.label}: boundary occupancy {worst:.3e} exceeds leakage budget "
-                    f"{leak_tol:.1e} at n_max={state.ws.n_max}; increase n_max or reduce "
+                    f"{LEAK_TOL:.1e} at n_max={state.ws.n_max}; increase n_max or reduce "
                     "the squeezing"
                 )
         return worst
@@ -519,7 +523,9 @@ def _compose(label: str, factors) -> Chain:
 def evolved_boundary_occupancy(factors, state: ThermalState) -> float:
     """Worst boundary occupancy along rho -> F1 rho F1+ -> (F2 F1) rho ...,
     `factors` ordered as applied to the state (rightmost operator first)."""
-    return _compose("chain", factors).guard(state, math.inf)
+    chain = _compose("chain", factors)
+    p = _flat_probs(chain.core, state)
+    return max(float(w @ p) for w in chain.guard_weights)
 
 
 def unitary_product(angles: InterferometerAngles, ws: FockWorkspace) -> Chain:

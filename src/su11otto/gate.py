@@ -61,6 +61,9 @@ EXIT_OK = 0
 EXIT_HARD_FAILURE = 1
 EXIT_DISCREPANCY_ONLY = 2
 
+# the small basis of the truncation-convergence record, doubled once
+_CONVERGENCE_N = 60
+
 
 @dataclass(frozen=True)
 class GateRecord:
@@ -257,7 +260,7 @@ def _admitted_records(chains, state, bw, chi, tag) -> list[GateRecord]:
     return recs
 
 
-def _equivalence_records(ws, states, zeta_grid, phi_grid, leak_tol) -> list[GateRecord]:
+def _equivalence_records(ws, states, zeta_grid, phi_grid) -> list[GateRecord]:
     """Records of every (beta*omega, zeta, phi) grid point, beta*omega-major.
 
     The three forms depend on (zeta, phi) only, so the grid runs
@@ -280,7 +283,7 @@ def _equivalence_records(ws, states, zeta_grid, phi_grid, leak_tol) -> list[Gate
                 tag = f"[bw={bw:g},zeta={zeta:g},phi={phi:g}]"
                 try:
                     for chain in chains.values():
-                        chain.guard(state, leak_tol)
+                        chain.guard(state)
                 except TruncationError:
                     nan = math.nan
                     skipped = _cmp(f"equivalence{tag}", nan, nan, 1e-8, ws.n_max, nan)
@@ -290,11 +293,9 @@ def _equivalence_records(ws, states, zeta_grid, phi_grid, leak_tol) -> list[Gate
     return [rec for recs in per_bath for rec in recs]
 
 
-def _variance_arbitration(
-    config: EngineConfig, ws: FockWorkspace, thermal_leak_tol
-) -> list[GateRecord]:
+def _variance_arbitration(config: EngineConfig, ws: FockWorkspace) -> list[GateRecord]:
     """Both routes to the energy variance at a representative operating point."""
-    state = thermal_state(ws, config.beta_h, config.omega2, leak_tol=thermal_leak_tol)
+    state = thermal_state(ws, config.beta_h, config.omega2)
     recs = []
     for chi in (0.36057837857760945, 0.8):
         h_final = hamiltonian_final(config.omega1, -chi, ws)
@@ -367,27 +368,19 @@ def _derivative_arbitration(config: EngineConfig) -> list[GateRecord]:
     return recs
 
 
-def _convergence_record(
-    bw, zeta, phi, n_small, leak_tol, thermal_leak_tol, grid_ws: FockWorkspace
-) -> GateRecord:
-    """Doubling the basis must leave a guarded average unchanged to 1e-8.
-
-    A basis the size of the grid's workspace reuses it.
-    """
+def _convergence_record(bw, zeta, phi, grid_ws: FockWorkspace) -> GateRecord:
+    """Doubling the basis from _CONVERGENCE_N must leave a guarded average
+    unchanged to 1e-8.  A basis the size of the grid's workspace reuses it."""
+    n = _CONVERGENCE_N
     means = []
-    for n_max in (n_small, 2 * n_small):
+    for n_max in (n, 2 * n):
         ws = grid_ws if grid_ws.n_max == n_max else FockWorkspace(n_max)
-        state = thermal_state(ws, bw, 1.0, leak_tol=thermal_leak_tol)
+        state = thermal_state(ws, bw, 1.0)
         chain = unitary_product(InterferometerAngles(zeta, phi), ws)
-        chain.guard(state, leak_tol)
+        chain.guard(state)
         means.append(chain.moments(state)[0])
-    return _cmp(
-        f"truncation_convergence[bw={bw:g},zeta={zeta:g},phi={phi:g},n={n_small}->{2*n_small}]",
-        means[0],
-        means[1],
-        1e-8,
-        2 * n_small,
-    )
+    tag = f"[bw={bw:g},zeta={zeta:g},phi={phi:g},n={n}->{2 * n}]"
+    return _cmp(f"truncation_convergence{tag}", means[0], means[1], 1e-8, 2 * n)
 
 
 def run_gate(
@@ -398,13 +391,11 @@ def run_gate(
     beta_omegas,
     zeta_grid,
     phi_grid,
-    leak_tol: float,
-    thermal_leak_tol: float,
-    convergence_n: int,
 ) -> GateResult:
     """Run every oracle check and return the classified records.
 
-    The settings are those of the `oracle` config block (`OracleConfig`).
+    The settings are those of the `oracle` config block (`OracleConfig`);
+    the truncation budgets are the constants of `fock`.
 
     The equivalence grid is reported per (beta*omega, zeta, phi) point,
     beta*omega-major; points the truncation guard rejects are recorded as
@@ -414,13 +405,11 @@ def run_gate(
     records.extend(_algebra_records(algebra_n_max))
 
     ws = FockWorkspace(n_max)
-    states = [(bw, thermal_state(ws, bw, 1.0, leak_tol=thermal_leak_tol)) for bw in beta_omegas]
+    states = [(bw, thermal_state(ws, bw, 1.0)) for bw in beta_omegas]
     records.extend(_thermal_records(states))
-    records.extend(_equivalence_records(ws, states, zeta_grid, phi_grid, leak_tol))
+    records.extend(_equivalence_records(ws, states, zeta_grid, phi_grid))
 
-    records.extend(_variance_arbitration(config, ws, thermal_leak_tol))
+    records.extend(_variance_arbitration(config, ws))
     records.extend(_derivative_arbitration(config))
-    records.append(
-        _convergence_record(0.5, 0.4, 0.9, convergence_n, leak_tol, thermal_leak_tol, ws)
-    )
+    records.append(_convergence_record(0.5, 0.4, 0.9, ws))
     return GateResult(records=records)

@@ -143,9 +143,6 @@ def test_criterion_04_oracle_equivalence_suite():
         beta_omegas=oracle.beta_omega,
         zeta_grid=oracle.zeta_grid,
         phi_grid=oracle.phi_grid,
-        leak_tol=oracle.leak_tol,
-        thermal_leak_tol=oracle.thermal_leak_tol,
-        convergence_n=oracle.convergence_n,
     )
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0

@@ -14,7 +14,7 @@ from su11otto import (
     stage_energies,
     works_and_heats,
 )
-from su11otto.cli import main
+from su11otto.cli import build_parser, main
 from su11otto.config import DEFAULTS, OracleConfig, load_config
 from su11otto.errors import ConfigError
 from su11otto.reports import fmt
@@ -68,7 +68,7 @@ class TestConfig:
             # the five inputs the loader used to accept
             {"circuit": {"rapidity_absolute": "false"}},  # bool("false") is True
             {"sweep": {"phi_points": 2000.9}},  # int() truncated it to 2000
-            {"oracle": {"leak_tol": -1}},  # every point would be skipped
+            {"oracle": {"leak_tol": -1}},  # unknown: the truncation budgets are fock constants
             {"oracle": {"beta_omega": []}},
             {"sweep": {"zeta_panels": "2"}},  # iterated into (2.0,)
             {"sweep": {"zeta_panels": []}},  # a 0-row cycle sweep, a header-only summary
@@ -80,14 +80,16 @@ class TestConfig:
             {"oracle": {"algebra_n_max": 1}},
             # the dense algebra records would need a 4225x4225 matrix
             {"oracle": {"algebra_n_max": 64}},
-            {"oracle": {"convergence_n": 0}},
+            {"oracle": {"convergence_n": 0}},  # unknown too
             {"oracle": {"thermal_leak_tol": 0.0}},
             {"oracle": {"zeta_grid": [0.4, -0.1]}},
             {"oracle": {"phi_grid": []}},
-            # non-finite leaves: an infinite budget switched the truncation guard
-            # off; an infinite temperature divided by zero in the bath factor
+            # non-finite leaves: an infinite budget would switch the truncation guard
+            # off (an unknown key as well); an infinite temperature divides by zero
+            # in the bath factor
             {"oracle": {"leak_tol": math.inf}},
             {"engine": {"t_hot": math.inf}},
+            {"engine": {"t_hot": 10**400}},  # past the float range: float() overflows
             {"sweep": {"zeta_panels": [2.0, math.nan]}},
             {"metrology": {"zeta_bracket": [-math.inf, 8.0]}},
             # an empty stop-time sweep
@@ -114,7 +116,13 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "text, message",
-        [(None, "cannot read config file"), ("[1, 2]", "must contain a JSON object")],
+        [
+            (None, "cannot read config file"),
+            ("[1, 2]", "must contain a JSON object"),
+            # json.loads refuses this many digits with a plain ValueError where
+            # Python limits int conversion; elsewhere the float widening refuses it
+            ('{"engine": {"t_hot": %s}}' % ("9" * 5000), "not valid JSON|engine.t_hot"),
+        ],
     )
     def test_unusable_file_fatal(self, tmp_path, text, message):
         path = tmp_path / "cfg.json"
@@ -122,6 +130,39 @@ class TestConfig:
             path.write_text(text)
         with pytest.raises(ConfigError, match=message):
             load_config(path)
+
+    def test_truncation_budget_is_not_a_setting(self, tmp_path):
+        # a budget of 1e300 would switch the guard off and turn the 5 default
+        # skips into formula fails
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"oracle": {"leak_tol": 1e300}}))
+        with pytest.raises(ConfigError, match=r"^unknown config key: oracle\.leak_tol$"):
+            load_config(path)
+
+    def test_settable_surface_is_pinned(self):
+        # adding a config key or a global option is a deliberate edit of this list
+        def paths(table, prefix=""):
+            for key, value in table.items():
+                if isinstance(value, dict):
+                    yield from paths(value, f"{prefix}{key}.")
+                else:
+                    yield prefix + key
+
+        assert sorted(paths(DEFAULTS)) == [
+            "circuit.amp_a", "circuit.amp_b", "circuit.capacitance_f",
+            "circuit.inductance_h", "circuit.josephson_scale_j_per_f", "circuit.mode_index",
+            "circuit.n_cell", "circuit.rapidity", "circuit.rapidity_absolute",
+            "circuit.t_cold_kelvin", "circuit.t_f_points", "circuit.t_hot_kelvin",
+            "engine.omega1", "engine.omega2", "engine.t_cold", "engine.t_hot",
+            "metrology.derivative_mode", "metrology.zeta_bracket",
+            "oracle.algebra_n_max", "oracle.beta_omega", "oracle.n_max", "oracle.phi_grid",
+            "oracle.zeta_grid",
+            "sweep.phi_points", "sweep.zeta_panels",
+        ]
+        options = {
+            opt for action in build_parser()._actions for opt in action.option_strings
+        }
+        assert options - {"-h", "--help"} == {"--config", "--out"}
 
     def test_integer_stands_for_number(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -215,17 +256,6 @@ class TestCsvCommands:
         assert main(["--config", str(cfg), "--out", str(tmp_path), "oracle"]) == 1
         assert "increase n_max" in capsys.readouterr().err
 
-    def test_oracle_thermal_leak_tol_reaches_every_stage(self, tmp_path, capsys):
-        # the grid state (bw=1) fits the 1e-14 budget at n_max=60; the variance
-        # arbitration's hot state (bw=0.5) leaks ~1.1e-13, so the budget must reach it
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"oracle": {
-            "n_max": 60, "algebra_n_max": 6, "beta_omega": [1.0], "zeta_grid": [0.4],
-            "phi_grid": [0.9], "thermal_leak_tol": 1e-14,
-        }}))
-        assert main(["--config", str(cfg), "--out", str(tmp_path), "oracle"]) == 1
-        assert "thermal tail beyond n_max=60" in capsys.readouterr().err
-
     def test_static_circuit_reports_clean_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"circuit": {"amp_b": 0.0}}))
@@ -234,10 +264,11 @@ class TestCsvCommands:
 
     def test_derivative_mode_flag(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"sweep": {"zeta_panels": [2.0], "phi_points": 32}}))
-        assert main(
-            ["--config", str(cfg), "--out", str(tmp_path), "--derivative-mode", "paper", "figure3"]
-        ) == 0
+        cfg.write_text(json.dumps({
+            "sweep": {"zeta_panels": [2.0], "phi_points": 32},
+            "metrology": {"derivative_mode": "paper"},
+        }))
+        assert main(["--config", str(cfg), "--out", str(tmp_path), "figure3"]) == 0
         text = (tmp_path / "figure3_zeta2.csv").read_text()
         assert ",paper" in text and ",chain" not in text
 

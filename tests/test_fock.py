@@ -10,6 +10,9 @@ from scipy.linalg import expm
 from su11otto.core import InterferometerAngles, ProtocolEndpoints, chi_of, theta_of
 from su11otto.errors import TruncationError
 from su11otto.fock import (
+    LEAK_TOL,
+    THERMAL_BOUNDARY_TOL,
+    THERMAL_LEAK_TOL,
     BlockOperator,
     FockWorkspace,
     GeneratorSet,
@@ -32,8 +35,6 @@ from su11otto.fock import (
 from su11otto.gate import _algebra_records
 
 MEAN_N_BETA_HALF = 3.0829881650735965683  # coth(0.25) - 1
-THERMAL_LEAK_TOL = 1e-10  # the shipped oracle.thermal_leak_tol
-LEAK_TOL = 1e-8  # the shipped oracle.leak_tol
 
 
 class TestWorkspace:
@@ -147,35 +148,43 @@ class TestGenerators:
 class TestThermalState:
     def test_zero_temperature_is_vacuum(self):
         ws = FockWorkspace(20)
-        state = thermal_state(ws, 1e3, 1.0, leak_tol=THERMAL_LEAK_TOL)
+        state = thermal_state(ws, 1e3, 1.0)
         assert state.mean_number() == pytest.approx(0.0, abs=1e-12)
         vac = [p[0] for s, p in zip(ws.sectors, state.probs) if s.d == 0]
         assert vac[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_mean_occupation_matches_closed_form(self):
-        state = thermal_state(FockWorkspace(60), 0.5, 1.0, leak_tol=THERMAL_LEAK_TOL)
+        state = thermal_state(FockWorkspace(60), 0.5, 1.0)
         assert state.mean_number() == pytest.approx(MEAN_N_BETA_HALF, abs=1e-7)
 
     def test_trace_normalized_and_leakage_reported(self):
         ws = FockWorkspace(120)
-        state = thermal_state(ws, 0.25, 1.0, leak_tol=THERMAL_LEAK_TOL)
+        state = thermal_state(ws, 0.25, 1.0)
         assert sum(float(p.sum()) for p in state.probs) == pytest.approx(1.0, abs=1e-14)
         # geometric tail: 1 - (1 - q^(n_max+1))^2 with q = exp(-beta omega)
         q = math.exp(-0.25)
         assert state.leakage == pytest.approx(
             1.0 - (1.0 - q**121) ** 2, rel=1e-3
         )
-        assert state.leakage < 1e-10
+        assert state.leakage < THERMAL_LEAK_TOL
 
     def test_partition_function_closed_form(self):
-        state = thermal_state(FockWorkspace(60), 0.5, 1.0, leak_tol=THERMAL_LEAK_TOL)
+        state = thermal_state(FockWorkspace(60), 0.5, 1.0)
         assert state.partition_function == pytest.approx(
             (2.0 * math.sinh(0.25)) ** -2, rel=1e-15
         )
 
     def test_undersized_basis_rejected(self):
-        with pytest.raises(TruncationError):
-            thermal_state(FockWorkspace(10), 0.25, 1.0, leak_tol=THERMAL_LEAK_TOL)
+        with pytest.raises(TruncationError, match="thermal tail beyond n_max=10"):
+            thermal_state(FockWorkspace(10), 0.25, 1.0)
+
+    def test_populated_boundary_rejected(self):
+        # q = 0.01 at n_max = 5: the cut tail (~2e-12) fits THERMAL_LEAK_TOL, but the
+        # boundary state |5, 0> holds (1 - q)^2 q^5 ~ 1e-10
+        ws = FockWorkspace(5)
+        with pytest.raises(TruncationError, match=f"exceeds {THERMAL_BOUNDARY_TOL:.0e}"):
+            thermal_state(ws, math.log(100.0), 1.0)
+        assert thermal_state(ws, math.log(1e3), 1.0).leakage < THERMAL_LEAK_TOL
 
 
 class TestUnitaries:
@@ -199,9 +208,9 @@ class TestUnitaries:
 
     def test_pure_phase_endpoint_preserves_diagonal_averages(self):
         ws = FockWorkspace(30)
-        state = thermal_state(ws, 1.0, 1.0, leak_tol=THERMAL_LEAK_TOL)
+        state = thermal_state(ws, 1.0, 1.0)
         chain = evolution_endpoint(0.0, 1.3, ws)
-        chain.guard(state, LEAK_TOL)
+        chain.guard(state)
         m = number_operator(ws).heisenberg(chain.product)
         assert expect(m, state) == pytest.approx(state.mean_number(), abs=1e-12)
 
@@ -216,7 +225,7 @@ class TestUnitaries:
 
     def test_three_forms_share_diagonal_averages(self):
         ws = FockWorkspace(40)
-        state = thermal_state(ws, 1.0, 1.0, leak_tol=THERMAL_LEAK_TOL)
+        state = thermal_state(ws, 1.0, 1.0)
         zeta, phi = 0.5, 1.1
         chi, theta = float(chi_of(zeta, phi)), float(theta_of(zeta, phi))
         means = []
@@ -225,7 +234,7 @@ class TestUnitaries:
             unitary_equiv(ProtocolEndpoints(chi, theta), ws),
             evolution_endpoint(-chi, -theta, ws),
         ):
-            chain.guard(state, LEAK_TOL)
+            chain.guard(state)
             means.append(expect(number_operator(ws).heisenberg(chain.product), state))
         analytic = (state.mean_number() + 1.0) * math.cosh(chi) - 1.0
         assert means[0] == pytest.approx(means[1], abs=1e-10)
@@ -235,20 +244,20 @@ class TestUnitaries:
     def test_truncation_guard_trips_on_aggressive_squeezing(self):
         ws = FockWorkspace(28)
         # fits comfortably unsqueezed
-        state = thermal_state(ws, 1.0, 1.0, leak_tol=THERMAL_LEAK_TOL)
+        state = thermal_state(ws, 1.0, 1.0)
         chain = unitary_product(InterferometerAngles(zeta=2.5, phi=1.0), ws)
         with pytest.raises(TruncationError, match="unitary_product: boundary occupancy"):
-            chain.guard(state, LEAK_TOL)
+            chain.guard(state)
 
     def test_guard_reads_the_interior_phase(self):
         # the phase between squeeze and anti-squeeze stops them cancelling, so the
         # final state leaks past the budget although squeeze and un-squeeze alone do not
         ws = FockWorkspace(30)
-        state = thermal_state(ws, 2.0, 1.0, leak_tol=THERMAL_LEAK_TOL)
+        state = thermal_state(ws, 2.0, 1.0)
         angles = InterferometerAngles(0.8, 3.0)
         chain = unitary_product(angles, ws)
         with pytest.raises(TruncationError):
-            chain.guard(state, LEAK_TOL)
+            chain.guard(state)
         # exp(+-0.8 i K_x) = D+ exp(+-0.8 i K_y) D as whole factors
         d, y = _quarter_phases(ws), _exp_i_ky(ws, 0.8)
         squeeze = d.dag() @ y @ d
@@ -261,9 +270,9 @@ class TestUnitaries:
 
     def test_boundary_occupancy_small_in_guarded_regime(self):
         ws = FockWorkspace(60)
-        state = thermal_state(ws, 1.0, 1.0, leak_tol=THERMAL_LEAK_TOL)
+        state = thermal_state(ws, 1.0, 1.0)
         chain = unitary_equiv(ProtocolEndpoints(chi=0.6, theta=0.0), ws)
-        assert chain.guard(state, LEAK_TOL) < 1e-12
+        assert chain.guard(state) < 1e-12
         assert boundary_occupancy(chain.product, state) < 1e-12
 
 
@@ -294,7 +303,7 @@ class TestKeptChains:
     def _guard(chain, bw):
         ws = chain.product.ws
         try:
-            return chain.guard(thermal_state(ws, bw, 1.0, leak_tol=THERMAL_LEAK_TOL), LEAK_TOL)
+            return chain.guard(thermal_state(ws, bw, 1.0))
         except TruncationError:
             return None
 
@@ -314,9 +323,9 @@ class TestKeptChains:
 
     def test_state_of_another_workspace_rejected(self):
         chain = unitary_product(InterferometerAngles(0.4, 0.7), FockWorkspace(12))
-        state = thermal_state(FockWorkspace(12), 3.0, 1.0, leak_tol=THERMAL_LEAK_TOL)
+        state = thermal_state(FockWorkspace(12), 3.0, 1.0)
         with pytest.raises(ValueError, match="different workspaces"):
-            chain.guard(state, LEAK_TOL)
+            chain.guard(state)
 
 
 class TestAgainstDenseExponentials:
@@ -403,7 +412,7 @@ class TestChainSummaries:
         ws = FockWorkspace(30)
         chain = BUILDERS[name](*args, ws)
         for bw in (1.0, 3.0):
-            state = thermal_state(ws, bw, 1.0, leak_tol=THERMAL_LEAK_TOL)
+            state = thermal_state(ws, bw, 1.0)
             pops = evolved_populations(chain.product, state)
             mean = sum(n @ p for n, p in zip(ws.n_diags, pops))
             second = sum((n * n) @ p for n, p in zip(ws.n_diags, pops))
@@ -415,7 +424,11 @@ class TestChainSummaries:
                 # the intermediate squeeze exp(i zeta K_x) has the |.|^2 of exp(i zeta K_y)
                 squeeze = evolution_endpoint(-args[0], 0.0, ws).product
                 partials.append(boundary_occupancy(squeeze, state))
-            assert chain.guard(state, math.inf) == pytest.approx(max(partials), rel=1e-13)
+            if max(partials) > LEAK_TOL:
+                with pytest.raises(TruncationError):
+                    chain.guard(state)
+            else:
+                assert chain.guard(state) == pytest.approx(max(partials), rel=1e-13)
 
 
 class TestPopulations:
@@ -427,14 +440,14 @@ class TestPopulations:
         rng = np.random.default_rng(20240611)
         for _ in range(4):
             bw, zeta, phi = rng.uniform(1.0, 3.0), rng.uniform(0.05, 0.6), rng.uniform(0.1, 3.0)
-            state = thermal_state(ws, bw, 1.0, leak_tol=THERMAL_LEAK_TOL)
+            state = thermal_state(ws, bw, 1.0)
             chi, theta = float(chi_of(zeta, phi)), float(theta_of(zeta, phi))
             for chain in (
                 unitary_product(InterferometerAngles(zeta, phi), ws),
                 unitary_equiv(ProtocolEndpoints(chi, theta), ws),
                 evolution_endpoint(-chi, -theta, ws),
             ):
-                chain.guard(state, LEAK_TOL)
+                chain.guard(state)
                 u = chain.product
                 pops = evolved_populations(u, state)
                 mean = sum(n @ p for n, p in zip(ws.n_diags, pops))
@@ -456,7 +469,7 @@ class TestHamiltonianFinal:
     def test_thermal_average_closed_form(self):
         ws = FockWorkspace(60)
         beta, omega_i, omega_f, chi = 1.0, 1.0, 0.35, 0.9
-        state = thermal_state(ws, beta, omega_i, leak_tol=THERMAL_LEAK_TOL)
+        state = thermal_state(ws, beta, omega_i)
         h = hamiltonian_final(omega_f, -chi, ws)
         analytic = omega_f * math.cosh(chi) / math.tanh(beta * omega_i / 2.0)
         assert expect(h, state) == pytest.approx(analytic, abs=1e-9)
@@ -464,7 +477,7 @@ class TestHamiltonianFinal:
     def test_variance_is_affine_image_of_number_variance(self):
         ws = FockWorkspace(80)
         beta, omega_f, chi = 0.5, 0.1, 0.36057837857760945
-        state = thermal_state(ws, beta, 1.0, leak_tol=THERMAL_LEAK_TOL)
+        state = thermal_state(ws, beta, 1.0)
         h = hamiltonian_final(omega_f, -chi, ws)
         coth = 1.0 / math.tanh(beta / 2.0)
         expected = omega_f**2 * 0.5 * (math.cosh(2 * chi) * coth**2 - 1.0)
@@ -474,25 +487,25 @@ class TestHamiltonianFinal:
 class TestExpectations:
     def test_vacuum_number_expectation(self):
         ws = FockWorkspace(20)
-        state = thermal_state(ws, 1e3, 1.0, leak_tol=THERMAL_LEAK_TOL)
+        state = thermal_state(ws, 1e3, 1.0)
         assert expect(number_operator(ws), state) == pytest.approx(0.0, abs=1e-12)
 
     def test_thermal_number_expectation(self):
         ws = FockWorkspace(60)
-        state = thermal_state(ws, 0.5, 1.0, leak_tol=THERMAL_LEAK_TOL)
+        state = thermal_state(ws, 0.5, 1.0)
         assert expect(number_operator(ws), state) == pytest.approx(
             MEAN_N_BETA_HALF, abs=1e-7
         )
 
     def test_workspace_mismatch_rejected(self):
         ws_a, ws_b = FockWorkspace(10), FockWorkspace(12)
-        state = thermal_state(ws_b, 3.0, 1.0, leak_tol=THERMAL_LEAK_TOL)
+        state = thermal_state(ws_b, 3.0, 1.0)
         with pytest.raises(ValueError):
             expect(number_operator(ws_a), state)
 
     def test_variance_rejects_non_hermitian_operator(self):
         ws = FockWorkspace(12)
-        state = thermal_state(ws, 3.0, 1.0, leak_tol=THERMAL_LEAK_TOL)
+        state = thermal_state(ws, 3.0, 1.0)
         u = unitary_product(InterferometerAngles(zeta=0.3, phi=0.5), ws).product
         with pytest.raises(ValueError, match="Hermitian"):
             variance(u, state)

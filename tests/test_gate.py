@@ -12,8 +12,8 @@ from su11otto.core import (
     chi_of,
     theta_of,
 )
-from su11otto.errors import TruncationError
 from su11otto.fock import (
+    LEAK_TOL,
     BlockOperator,
     FockWorkspace,
     evolution_endpoint,
@@ -33,8 +33,6 @@ N_MAX = 30
 BETA_OMEGAS = (3.0, 1.0)
 ZETAS = (0.6, 0.9)
 PHIS = (0.5, 1.5, 3.0)
-LEAK_TOL = 1e-8
-THERMAL_LEAK_TOL = 1e-10
 # a hot bath cold enough (beta_h omega2 = 2) for the variance records at n_max = 30
 CONFIG = EngineConfig(omega1=0.1, omega2=1.0, t_hot=0.5, t_cold=0.01)
 
@@ -46,7 +44,7 @@ def _reference_records():
         for zeta in ZETAS:
             for phi in PHIS:
                 ws = FockWorkspace(N_MAX)
-                state = thermal_state(ws, bw, 1.0, leak_tol=THERMAL_LEAK_TOL)
+                state = thermal_state(ws, bw, 1.0)
                 chi, theta = float(chi_of(zeta, phi)), float(theta_of(zeta, phi))
                 tag = f"[bw={bw:g},zeta={zeta:g},phi={phi:g}]"
                 chains = {
@@ -54,10 +52,11 @@ def _reference_records():
                     "un2": unitary_equiv(ProtocolEndpoints(chi, theta), ws),
                     "tiev": evolution_endpoint(-chi, -theta, ws),
                 }
-                try:
-                    for chain in chains.values():
-                        chain.guard(state, LEAK_TOL)
-                except TruncationError:
+                # the worst boundary occupancy after any guarded partial product
+                occupancy = max(
+                    float(w @ state.flat_probs) for c in chains.values() for w in c.guard_weights
+                )
+                if occupancy > LEAK_TOL:
                     nan = math.nan
                     records.append(
                         GateRecord(f"equivalence{tag}", nan, nan, 1e-8, N_MAX, nan, "skipped")
@@ -80,9 +79,6 @@ def test_equivalence_grid_matches_point_by_point_reference():
         beta_omegas=BETA_OMEGAS,
         zeta_grid=ZETAS,
         phi_grid=PHIS,
-        leak_tol=LEAK_TOL,
-        thermal_leak_tol=THERMAL_LEAK_TOL,
-        convergence_n=60,
     )
     grid = [
         r for r in result.records
@@ -111,8 +107,8 @@ def test_point_skipped_when_any_one_form_trips(monkeypatch, builder):
         builder,
         lambda *args: dataclasses.replace(build(*args), guard_weights=over_squeezed),
     )
-    states = [(bw, thermal_state(ws, bw, 1.0, leak_tol=THERMAL_LEAK_TOL)) for bw in BETA_OMEGAS]
-    records = _equivalence_records(ws, states, ZETAS, PHIS, LEAK_TOL)
+    states = [(bw, thermal_state(ws, bw, 1.0)) for bw in BETA_OMEGAS]
+    records = _equivalence_records(ws, states, ZETAS, PHIS)
     assert [r.status for r in records] == ["skipped"] * (len(BETA_OMEGAS) * len(ZETAS) * len(PHIS))
 
 
@@ -133,8 +129,8 @@ def test_scaled_core_block_fails_its_defect_record(monkeypatch, builder, name):
 
     monkeypatch.setattr(gate, builder, scaled)
     ws = FockWorkspace(N_MAX)
-    states = [(3.0, thermal_state(ws, 3.0, 1.0, leak_tol=THERMAL_LEAK_TOL))]
-    records = _equivalence_records(ws, states, (0.6,), (0.5,), LEAK_TOL)
+    states = [(3.0, thermal_state(ws, 3.0, 1.0))]
+    records = _equivalence_records(ws, states, (0.6,), (0.5,))
     defects = {r.quantity: r.status for r in records if r.quantity.startswith("unitarity_defect")}
     assert defects == {
         f"unitarity_defect[{form}][bw=3,zeta=0.6,phi=0.5]": "fail" if form == name else "pass"

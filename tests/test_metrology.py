@@ -112,9 +112,9 @@ class TestVariances:
     def test_number_variance_matches_fock_oracle_at_large_basis(self, fig3_config):
         # spec point: beta_h*omega2 = 0.5, chi = 0.8, basis 160
         ws = FockWorkspace(160)
-        state = thermal_state(ws, fig3_config.beta_h, fig3_config.omega2, leak_tol=1e-10)
+        state = thermal_state(ws, fig3_config.beta_h, fig3_config.omega2)
         chain = unitary_equiv(ProtocolEndpoints(chi=0.8, theta=0.3), ws)
-        chain.guard(state, 1e-8)
+        chain.guard(state)
         oracle = variance(number_operator(ws).heisenberg(chain.product), state)
         assert float(variance_n(fig3_config, 0.8)) == pytest.approx(oracle, rel=1e-6)
 

@@ -17,7 +17,6 @@ TINY_ORACLE = {
         "beta_omega": [2.0],
         "zeta_grid": [0.3],
         "phi_grid": [0.5],
-        "convergence_n": 60,
     }
 }
 
