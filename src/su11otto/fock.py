@@ -476,19 +476,20 @@ class Chain:
         """Unitarity defect of the core, which bounds the product's (module docstring)."""
         return self.core.unitarity_defect()
 
-    def guard(self, state: ThermalState) -> float:
-        """Worst boundary occupancy of the state along the chain; raises
-        TruncationError at the first partial product past LEAK_TOL."""
+    def occupancy(self, state: ThermalState) -> float:
+        """Worst boundary occupancy of the state after any guarded partial product."""
         p = _flat_probs(self.core, state)
-        worst = 0.0
-        for w in self.guard_weights:
-            worst = max(worst, float(w @ p))
-            if worst > LEAK_TOL:
-                raise TruncationError(
-                    f"{self.label}: boundary occupancy {worst:.3e} exceeds leakage budget "
-                    f"{LEAK_TOL:.1e} at n_max={state.ws.n_max}; increase n_max or reduce "
-                    "the squeezing"
-                )
+        return max(float(w @ p) for w in self.guard_weights)
+
+    def guard(self, state: ThermalState) -> float:
+        """The chain's `occupancy`; raises TruncationError past LEAK_TOL."""
+        worst = self.occupancy(state)
+        if worst > LEAK_TOL:
+            raise TruncationError(
+                f"{self.label}: boundary occupancy {worst:.3e} exceeds leakage budget "
+                f"{LEAK_TOL:.1e} at n_max={state.ws.n_max}; increase n_max or reduce "
+                "the squeezing"
+            )
         return worst
 
     def moments(self, state: ThermalState) -> tuple[float, float, float]:
@@ -523,9 +524,7 @@ def _compose(label: str, factors) -> Chain:
 def evolved_boundary_occupancy(factors, state: ThermalState) -> float:
     """Worst boundary occupancy along rho -> F1 rho F1+ -> (F2 F1) rho ...,
     `factors` ordered as applied to the state (rightmost operator first)."""
-    chain = _compose("chain", factors)
-    p = _flat_probs(chain.core, state)
-    return max(float(w @ p) for w in chain.guard_weights)
+    return _compose("chain", factors).occupancy(state)
 
 
 def unitary_product(angles: InterferometerAngles, ws: FockWorkspace) -> Chain:

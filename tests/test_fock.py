@@ -424,11 +424,12 @@ class TestChainSummaries:
                 # the intermediate squeeze exp(i zeta K_x) has the |.|^2 of exp(i zeta K_y)
                 squeeze = evolution_endpoint(-args[0], 0.0, ws).product
                 partials.append(boundary_occupancy(squeeze, state))
+            assert chain.occupancy(state) == pytest.approx(max(partials), rel=1e-13)
             if max(partials) > LEAK_TOL:
                 with pytest.raises(TruncationError):
                     chain.guard(state)
             else:
-                assert chain.guard(state) == pytest.approx(max(partials), rel=1e-13)
+                assert chain.guard(state) == chain.occupancy(state)
 
 
 class TestPopulations:

@@ -52,11 +52,7 @@ def _reference_records():
                     "un2": unitary_equiv(ProtocolEndpoints(chi, theta), ws),
                     "tiev": evolution_endpoint(-chi, -theta, ws),
                 }
-                # the worst boundary occupancy after any guarded partial product
-                occupancy = max(
-                    float(w @ state.flat_probs) for c in chains.values() for w in c.guard_weights
-                )
-                if occupancy > LEAK_TOL:
+                if max(c.occupancy(state) for c in chains.values()) > LEAK_TOL:
                     nan = math.nan
                     records.append(
                         GateRecord(f"equivalence{tag}", nan, nan, 1e-8, N_MAX, nan, "skipped")
