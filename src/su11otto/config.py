@@ -159,11 +159,11 @@ def _build(raw: dict) -> ScenarioConfig:
             f"got {met['derivative_mode']!r}"
         )
     bracket = tuple(met["zeta_bracket"])
-    if len(bracket) != 2 or not bracket[0] < bracket[1]:
-        raise ConfigError(f"metrology.zeta_bracket must be [lo, hi] with lo < hi, got {bracket}")
+    if len(bracket) != 2 or not 0.0 <= bracket[0] < bracket[1]:
+        raise ConfigError(f"metrology.zeta_bracket must be [lo, hi] with 0 <= lo < hi, got {bracket}")
     sweep = raw["sweep"]
-    if not sweep["zeta_panels"]:
-        raise ConfigError("sweep.zeta_panels must not be empty")
+    if not sweep["zeta_panels"] or min(sweep["zeta_panels"]) < 0.0:
+        raise ConfigError(f"sweep.zeta_panels must be non-empty and >= 0, got {sweep['zeta_panels']}")
     if sweep["phi_points"] < 8:
         raise ConfigError("sweep.phi_points must be at least 8")
     try:

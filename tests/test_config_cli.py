@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,6 +103,10 @@ class TestConfig:
             {"sweep": {"phi_points": 7}},
             {"metrology": {"zeta_bracket": [8.0, 0.5]}},
             {"metrology": {"zeta_bracket": [0.5, 4.0, 8.0]}},
+            # a negative squeezing strength: snl would report a negative zeta_SNL,
+            # figure3 a figure3_zeta-2.csv panel
+            {"metrology": {"zeta_bracket": [-8.0, -0.5]}},
+            {"sweep": {"zeta_panels": [-2.0]}},
             {"circuit": {"inductance_h": 0.0}},
             {"circuit": {"n_cell": 1}},
             {"circuit": {"t_hot_kelvin": 0.01}},
@@ -180,6 +188,15 @@ class TestConfig:
 
 
 class TestConvertCommand:
+    def test_module_entry_point_runs_the_command(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        run = subprocess.run(
+            [sys.executable, "-m", "su11otto.cli", "convert", "--zeta", "1", "--phi", "1"],
+            capture_output=True, text=True, env=env,
+        )
+        assert run.returncode == 0
+        assert "chi=" in run.stdout
+
     def test_forward(self, capsys):
         assert main(["convert", "--zeta", "2", "--phi", "0.1"]) == 0
         out = capsys.readouterr().out

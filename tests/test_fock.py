@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from su11otto.config import DEFAULTS
 from su11otto.core import InterferometerAngles, ProtocolEndpoints, chi_of, theta_of
 from su11otto.errors import TruncationError
 from su11otto.fock import (
@@ -240,6 +241,23 @@ class TestUnitaries:
         assert means[0] == pytest.approx(means[1], abs=1e-10)
         assert means[1] == pytest.approx(means[2], abs=1e-12)
         assert means[1] == pytest.approx(analytic, abs=1e-9)
+
+    @pytest.mark.parametrize("zeta", DEFAULTS["oracle"]["zeta_grid"])
+    @pytest.mark.parametrize("phi", DEFAULTS["oracle"]["phi_grid"])
+    def test_time_ordered_form_is_the_equiv_chain_times_a_phase(self, zeta, phi):
+        # the gate reads the tiev records from the un2 chain: both have the
+        # core exp(i chi K_y), and U_tiev = U_equiv exp(i theta K_z)
+        ws = FockWorkspace(30)
+        chi, theta = float(chi_of(zeta, phi)), float(theta_of(zeta, phi))
+        tiev = evolution_endpoint(-chi, -theta, ws)
+        un2 = unitary_equiv(ProtocolEndpoints(chi, theta), ws)
+        assert all(np.array_equal(a, b) for a, b in zip(tiev.core.blocks, un2.core.blocks))
+        assert len(tiev.guard_weights) == len(un2.guard_weights)
+        assert all(np.array_equal(a, b) for a, b in zip(tiev.guard_weights, un2.guard_weights))
+        assert np.array_equal(tiev.moment_weights, un2.moment_weights)
+        shifted = un2.product @ _phase_kz(ws, theta)
+        for a, b in zip(tiev.product.blocks, shifted.blocks):
+            assert np.max(np.abs(a - b)) <= 1e-14
 
     def test_truncation_guard_trips_on_aggressive_squeezing(self):
         ws = FockWorkspace(28)

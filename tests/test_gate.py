@@ -21,7 +21,7 @@ from su11otto.fock import (
     unitary_equiv,
     unitary_product,
 )
-from su11otto import gate
+from su11otto import fock, gate
 from su11otto.gate import GateRecord, _admitted_records, _equivalence_records, run_gate
 
 N_MAX = 30
@@ -38,7 +38,8 @@ CONFIG = EngineConfig(omega1=0.1, omega2=1.0, t_hot=0.5, t_cold=0.01)
 
 
 def _reference_records():
-    """Each (beta omega, zeta, phi) point's three forms built on a fresh workspace."""
+    """Each (beta omega, zeta, phi) point's three forms built on a fresh workspace,
+    tiev by its own `evolution_endpoint` where the gate reads the un2 chain."""
     records = []
     for bw in BETA_OMEGAS:
         for zeta in ZETAS:
@@ -67,7 +68,18 @@ def _fields(records):
     return [repr(dataclasses.astuple(r)) for r in records]
 
 
-def test_equivalence_grid_matches_point_by_point_reference():
+def test_equivalence_grid_matches_point_by_point_reference(monkeypatch):
+    # the tiev records read the un2 chain: one unitary_product and one
+    # unitary_equiv per (zeta, phi), plus the convergence record's two products
+    calls = dict.fromkeys(("unitary_product", "unitary_equiv", "evolution_endpoint"), 0)
+    for name in calls:
+        build = getattr(fock, name)
+
+        def counted(*args, name=name, build=build):
+            calls[name] += 1
+            return build(*args)
+
+        monkeypatch.setattr(gate, name, counted, raising=False)
     result = run_gate(
         CONFIG,
         n_max=N_MAX,
@@ -80,6 +92,7 @@ def test_equivalence_grid_matches_point_by_point_reference():
         r for r in result.records
         if ",zeta=" in r.quantity and not r.quantity.startswith("truncation_convergence")
     ]
+    assert calls == {"unitary_product": 8, "unitary_equiv": 6, "evolution_endpoint": 0}
     reference = _reference_records()
     assert _fields(grid) == _fields(reference)
     skipped = [r.quantity for r in grid if r.status == "skipped"]
@@ -91,10 +104,10 @@ def test_equivalence_grid_matches_point_by_point_reference():
     ]
 
 
-@pytest.mark.parametrize("builder", ["unitary_product", "unitary_equiv", "evolution_endpoint"])
+@pytest.mark.parametrize("builder", ["unitary_product", "unitary_equiv"])
 def test_point_skipped_when_any_one_form_trips(monkeypatch, builder):
-    # one form gets the guard rows of a chain squeezed far past n_max = 30, the
-    # other two keep their own: every point must be skipped at every bath
+    # one chain gets the guard rows of a chain squeezed far past n_max = 30, the
+    # other keeps its own: every point must be skipped at every bath
     ws = FockWorkspace(N_MAX)
     over_squeezed = unitary_product(InterferometerAngles(3.0, 1.0), ws).guard_weights
     build = getattr(gate, builder)
@@ -109,12 +122,13 @@ def test_point_skipped_when_any_one_form_trips(monkeypatch, builder):
 
 
 @pytest.mark.parametrize(
-    "builder, name",
-    [("unitary_product", "un1"), ("unitary_equiv", "un2"), ("evolution_endpoint", "tiev")],
+    "builder, names",
+    [("unitary_product", {"un1"}), ("unitary_equiv", {"un2", "tiev"})],
+    ids=["unitary_product-un1", "unitary_equiv-un2"],
 )
-def test_scaled_core_block_fails_its_defect_record(monkeypatch, builder, name):
-    # one core block scaled by 1 + 1e-9 is no longer unitary: that form's
-    # defect record, and only that one, must fail
+def test_scaled_core_block_fails_its_defect_record(monkeypatch, builder, names):
+    # one core block scaled by 1 + 1e-9 is no longer unitary: the defect records
+    # of the forms that read that chain (tiev reads un2's), and only those, must fail
     build = getattr(gate, builder)
 
     def scaled(*args):
@@ -129,7 +143,7 @@ def test_scaled_core_block_fails_its_defect_record(monkeypatch, builder, name):
     records = _equivalence_records(ws, states, (0.6,), (0.5,))
     defects = {r.quantity: r.status for r in records if r.quantity.startswith("unitarity_defect")}
     assert defects == {
-        f"unitarity_defect[{form}][bw=3,zeta=0.6,phi=0.5]": "fail" if form == name else "pass"
+        f"unitarity_defect[{form}][bw=3,zeta=0.6,phi=0.5]": "fail" if form in names else "pass"
         for form in ("un1", "un2", "tiev")
     }
 
