@@ -29,9 +29,14 @@ for the workspace, in long double for the gate's algebra records.
 
 Every exponential is the one real kernel `_exp_i_ky`: exp(i s K_y) is
 real orthogonal in the Fock basis (Yurke, McCall & Klauder, PRA 33, 4033
-(1986)).  K_x = V L V^T is tridiagonal with a zero diagonal, so
-cos(s K_x) lives on the even checkerboard (j - k even) and sin(s K_x) on
-the odd one, and the quarter turn D = diag((-i)^k) about K_z gives
+(1986)).  K_x is tridiagonal with a zero diagonal, so it only couples the
+even positions E of a sector to the odd ones O: K_x = [[0, B], [B^T, 0]]
+with the bidiagonal B = U S V^T of size ceil(m/2) x floor(m/2).  Hence
+cos(s K_x) is U cos(sS) U^T on EE (1 on U's null column when m is odd) and
+V cos(sS) V^T on OO, and sin(s K_x) is U sin(sS) V^T on EO and its
+transpose on OE: the even checkerboard (j - k even) holds the cosine and
+the odd one the sine, each exactly zero on the other.  The quarter turn
+D = diag((-i)^k) about K_z gives
 exp(i s K_y)_jk = (-1)^floor((j-k)/2) [cos or sin](s K_x)_jk.  Then
 exp(+-i s K_x) = D+ exp(+-i s K_y) D exactly, and exp(-i s K_y) is the
 transpose of exp(i s K_y).
@@ -44,7 +49,11 @@ patch flags after the fact.
 Truncation honesty
 ------------------
 Truncation corrupts matrix elements near the n_max boundary first, and
-squeezing amplifies tails, so variances break before means.  The three
+squeezing amplifies tails, so variances break before means.  The boundary
+layer is the states with n1 = n_max or n2 = n_max; in a stored sector
+d >= 0, n1 = n2 + d <= n_max caps n2 at n_max - d, so its one boundary
+state is its last (n2 = n_max - d), and every boundary read is a read of
+row or entry -1.  The three
 budgets are module constants, not settings: a thermal state refuses to
 cut more than THERMAL_LEAK_TOL of its weight or to hold more than
 THERMAL_BOUNDARY_TOL on a boundary state, and `Chain.guard(state)` raises
@@ -72,7 +81,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .core import InterferometerAngles, ProtocolEndpoints
+from .core import ProtocolEndpoints
 from .errors import TruncationError
 
 __all__ = [
@@ -119,9 +128,9 @@ class Sector:
 class FockWorkspace:
     """Truncated two-mode basis with per-sector caches over d = 0 ... n_max.
 
-    The eigendecomposition of the K_x block is computed once per sector and
-    reused by every exponential, so repeated unitary construction costs
-    only matrix multiplies.
+    The SVD of the K_x parity block is computed once per sector and reused
+    by every exponential, so repeated unitary construction costs only
+    matrix multiplies.
     """
 
     def __init__(self, n_max: int):
@@ -149,17 +158,26 @@ class FockWorkspace:
         return tuple(_kx_block(s, np.float64) for s in self.sectors)
 
     @cached_property
-    def kx_eig(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per sector, the eigenvalues L of K_x = V L V^T and the eigenvectors
-        W = T V with row k signed by T = diag((-1)^floor(k/2)), as `_exp_i_ky`
-        reads them."""
-        signs = 1.0 - 2.0 * (np.arange(self.n_max + 1) // 2 % 2)
-        eigs = (np.linalg.eigh(kx) for kx in self.kx_blocks)
-        return tuple((lam, signs[: len(lam), None] * vec) for lam, vec in eigs)
+    def kx_eig(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Per sector, the SVD B = U S V^T of the bidiagonal even-row x
+        odd-column block of K_x (module docstring) as (S, T U, T V): the rows
+        of U (square) and V signed by T = diag((-1)^floor(k/2)), k the row's
+        position in the sector, as `_exp_i_ky` reads them, and S given one
+        entry per column of U, a singular value 0 for U's null column when
+        the sector size is odd."""
+        signs = 1.0 - 2.0 * (np.arange(self.n_max // 2 + 1) % 2)
+        svds = (np.linalg.svd(kx[0::2, 1::2]) for kx in self.kx_blocks)
+        return tuple(
+            (np.pad(sigma, (0, len(u) - len(sigma))), signs[: len(u), None] * u,
+             signs[: len(vt), None] * vt.T)
+            for u, sigma, vt in svds
+        )
 
     @cached_property
-    def boundary_masks(self) -> tuple[np.ndarray, ...]:
-        return tuple((s.n1 == self.n_max) | (s.n2 == self.n_max) for s in self.sectors)
+    def moment_rows(self) -> tuple[np.ndarray, ...]:
+        """Per sector, the rows n, n^2 and boundary (one-hot on the last state)
+        that `_compose` multiplies into |core|^2."""
+        return tuple(np.stack((n, n * n, np.arange(len(n)) == len(n) - 1)) for n in self.n_diags)
 
 
 def _kx_block(s: Sector, dtype) -> np.ndarray:
@@ -246,6 +264,12 @@ class BlockOperator:
                 mirror = s.n2 * (self.ws.n_max + 1) + s.n1
                 out[np.ix_(mirror, mirror)] = b
         return out
+
+    @cached_property
+    def boundary_weights(self) -> np.ndarray:
+        """Boundary-row column sums of |op|^2 over the concatenated sectors:
+        the squared last row of each block."""
+        return np.concatenate([_abs2(b[-1]) for b in self.blocks])
 
     def unitarity_defect(self) -> float:
         worst = 0.0
@@ -372,9 +396,7 @@ def thermal_state(ws: FockWorkspace, beta: float, omega: float) -> ThermalState:
             f"of the weight (beta*omega = {beta * omega:.3g}); increase n_max"
         )
     # per state, not folded over the mirror pair
-    boundary = max(
-        float(p[m].max()) if m.any() else 0.0 for p, m in zip(raw, ws.boundary_masks)
-    )
+    boundary = max(float(p[-1]) for p in raw)
     if boundary > THERMAL_BOUNDARY_TOL:
         raise TruncationError(
             f"thermal occupancy {boundary:.3e} at the n_max boundary exceeds {THERMAL_BOUNDARY_TOL:.0e}"
@@ -389,18 +411,23 @@ def _exp_i_ky(ws: FockWorkspace, s: float) -> BlockOperator:
     """exp(i s K_y) per sector as a real orthogonal block.
 
     The sign (-1)^floor((j-k)/2) of entry jk (module docstring) is t_j t_k,
-    t_k = (-1)^floor(k/2), negated where j is even and k odd.  So one product
-    [W cos(s L); W sin(s L)] W^T with W = T V gives T cos(s K_x) T and
-    T sin(s K_x) T; each entry is copied from the one owning its checkerboard,
-    so the other's rounding noise on its known zeros never enters."""
+    t_k = (-1)^floor(k/2), negated where j is even and k odd.  With the
+    signed singular vectors U~ = T U and V~ = T V of `kx_eig`, the block is
+    U~ cos(sS) U~^T on EE (cos(0) = 1 on U's null column), V~ cos(sS) V~^T
+    on OO, V~ sin(sS) U~^T on OE and minus its transpose on EO: three
+    half-size products, and the known zeros of each checkerboard part are
+    never computed."""
     blocks = []
-    for lam, w in ws.kx_eig:
-        m = len(lam)
-        cs = np.concatenate((w * np.cos(s * lam), w * np.sin(s * lam))) @ w.T
-        y, sin = cs[:m], cs[m:]
-        y[1::2, 0::2] = sin[1::2, 0::2]
-        np.negative(sin[0::2, 1::2], out=y[0::2, 1::2])
-        blocks.append(y.copy())
+    for sigma, u, v in ws.kx_eig:
+        odd = len(v)
+        cos, sin = np.cos(s * sigma), np.sin(s * sigma)
+        y = np.empty((len(u) + odd,) * 2)
+        y[0::2, 0::2] = (u * cos) @ u.T
+        y[1::2, 1::2] = (v * cos[:odd]) @ v.T
+        y[1::2, 0::2] = oe = (v * sin[:odd]) @ u[:, :odd].T
+        # from oe, not from y: numpy 2.4 misreads a transposed view of y here
+        np.negative(oe.T, out=y[0::2, 1::2])
+        blocks.append(y)
     return BlockOperator(ws, blocks)
 
 
@@ -419,12 +446,6 @@ def _abs2(b: np.ndarray) -> np.ndarray:
     return b * b if np.isrealobj(b) else b.real**2 + b.imag**2
 
 
-def _boundary_weights(op: BlockOperator) -> np.ndarray:
-    """Boundary-row column sums of |op|^2 over the concatenated sectors."""
-    masks = op.ws.boundary_masks
-    return np.concatenate([_abs2(b[m]).sum(axis=0) for b, m in zip(op.blocks, masks)])
-
-
 def _flat_probs(op: BlockOperator, state: ThermalState) -> np.ndarray:
     if op.ws is not state.ws:
         raise ValueError("operator and state live on different workspaces")
@@ -433,7 +454,7 @@ def _flat_probs(op: BlockOperator, state: ThermalState) -> np.ndarray:
 
 def boundary_occupancy(op: BlockOperator, state: ThermalState) -> float:
     """Total weight of op rho op+ on the n_max boundary layer."""
-    return float(_boundary_weights(op) @ _flat_probs(op, state))
+    return float(op.boundary_weights @ _flat_probs(op, state))
 
 
 def evolved_populations(u: BlockOperator, state: ThermalState) -> list[np.ndarray]:
@@ -453,7 +474,7 @@ class Chain:
     """A unitary product reduced once to what its reads need, and its builder's name.
 
     `before` and `after` are the outer diagonal factors around the `core`.
-    `guard_weights` holds the `_boundary_weights` of each guarded partial
+    `guard_weights` holds the `boundary_weights` of each guarded partial
     product of the core, in the order they act on the state;
     `moment_weights` stacks n^T |core|^2, (n^2)^T |core|^2 and
     boundary^T |core|^2 over the concatenated sectors.  The product is
@@ -504,21 +525,22 @@ def _compose(label: str, factors) -> Chain:
     The leading and trailing diagonal factors stay outer; the rest multiply
     into the core, each partial product once, with its guard weights kept
     after every non-diagonal factor (diagonal phases move no population).
+    |core|^2 is taken once, for the moment weights; their boundary row is
+    the full core's guard weights, bit for bit, since it is one-hot on each
+    sector's last state.
     """
     dense = [f.diags is None for f in factors]
     first, stop = dense.index(True), len(dense) - dense[::-1].index(True)
-    core, guarded = None, []
+    core, partials = None, []
     for f in factors[first:stop]:
         core = f if core is None else f @ core
         if f.diags is None:
-            guarded.append(_boundary_weights(core))
-    ws = core.ws
-    moments = [
-        np.stack((n, n * n, edge)) @ _abs2(b)
-        for b, n, edge in zip(core.blocks, ws.n_diags, ws.boundary_masks)
-    ]
+            partials.append(core)
+    rows = core.ws.moment_rows
+    moments = np.concatenate([r @ _abs2(b) for r, b in zip(rows, core.blocks)], axis=1)
+    guarded = (*(p.boundary_weights for p in partials[:-1]), moments[2])
     outer = tuple(factors[:first]), tuple(factors[stop:])
-    return Chain(core, *outer, tuple(guarded), np.concatenate(moments, axis=1), label)
+    return Chain(core, *outer, guarded, moments, label)
 
 
 def evolved_boundary_occupancy(factors, state: ThermalState) -> float:
@@ -527,18 +549,21 @@ def evolved_boundary_occupancy(factors, state: ThermalState) -> float:
     return _compose("chain", factors).occupancy(state)
 
 
-def unitary_product(angles: InterferometerAngles, ws: FockWorkspace) -> Chain:
+def unitary_product(y: BlockOperator, phi: float) -> Chain:
     """The chain of the squeeze / phase / anti-squeeze product
     exp(-i zeta K_x) exp(-i phi K_z) exp(i zeta K_x) = D+ Y^T P Y D, with
-    Y = exp(i zeta K_y) real, P = exp(-i phi K_z) and D = diag((-i)^k) outer.
+    Y = exp(i zeta K_y) = `_exp_i_ky(ws, zeta)` real, P = exp(-i phi K_z)
+    and D = diag((-i)^k) outer.  Y depends on zeta alone, so a caller
+    builds it once and passes the same operator for every phi; the guard
+    weights of the squeezed state are memoised on it.
 
     It guards the intermediate squeezed state Y D and the final state (the
     intermediate squeeze is the binding constraint: it spreads the state
     by zeta even when the composed chi is small)."""
-    y = _exp_i_ky(ws, angles.zeta)
+    ws = y.ws
     y_t = BlockOperator(ws, [b.T for b in y.blocks])
     d = _quarter_phases(ws)
-    return _compose("unitary_product", (d, y, _phase_kz(ws, -angles.phi), y_t, d.dag()))
+    return _compose("unitary_product", (d, y, _phase_kz(ws, -phi), y_t, d.dag()))
 
 
 def unitary_equiv(endpoints: ProtocolEndpoints, ws: FockWorkspace) -> Chain:

@@ -26,6 +26,9 @@ through the thermal input state alone.  So the equivalence grid is
 evaluated (zeta, phi)-major: each distinct chain is built and its core
 checked for unitarity once, the chain is guarded against and read by
 each beta*omega's state, and the records are reported beta*omega-major.
+Within it the grid runs zeta-major: the squeeze exp(i zeta K_y) of the
+product form un1 depends on zeta alone, so it is built once per zeta and
+every phi's `unitary_product` composes that same operator.
 """
 
 from __future__ import annotations
@@ -35,15 +38,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (
-    EngineConfig, InterferometerAngles, ProtocolEndpoints, _bath_coth, chi_of, n_out, theta_of,
-)
+from .core import EngineConfig, ProtocolEndpoints, _bath_coth, chi_of, n_out, theta_of
 from .cycle import stage_energies
 from .errors import TruncationError
 from .fock import (
     BlockOperator,
     FockWorkspace,
     _dense_annihilator,
+    _exp_i_ky,
     _kx_block,
     expect,
     hamiltonian_final,
@@ -143,7 +145,9 @@ def _algebra_records(n_max: int) -> list[GateRecord]:
     workspace's own `_kx_block` with the root taken in long double (the
     double-rounded roots of the cached blocks would dominate the residuals
     after squaring), K_y its exact quarter turn and K_z the exact halves of
-    `kz_diags`; each commutator is formed once and reused by the Jacobi sum.
+    `kz_diags`, applied as the diagonal it is (a column or row scaling, the
+    same bits as the product with diag(K_z)); each commutator is formed
+    once and reused by the Jacobi sum.
 
     The blockwise checks run over the stored sectors d >= 0 only: the
     mirror block of sector -d is identical entry for entry, so it has the
@@ -166,7 +170,8 @@ def _algebra_records(n_max: int) -> list[GateRecord]:
         kx = _kx_block(sec, np.longdouble).astype(np.clongdouble)
         ph = phase_cycle[np.arange(m) % 4]  # (-i)^k exactly
         ky = (ph[:, None] * kx) * ph.conj()[None, :]
-        kz = np.diag(kz_diag.astype(np.clongdouble))
+        kz = kz_diag.astype(np.clongdouble)
+        kz_row, kz_col = kz[None, :], kz[:, None]  # a @ K_z = a * kz_row, K_z @ a = kz_col * a
         in1 = slice(0, max(m - 1, 0))  # products of one pair exact off the last basis state
         in2 = slice(0, max(m - 2, 0))  # two products deep: two boundary layers
 
@@ -174,17 +179,20 @@ def _algebra_records(n_max: int) -> list[GateRecord]:
             block = mat[sl, sl]
             return float(np.max(np.abs(block))) if block.size else 0.0
 
-        c_xy, c_yz, c_zx = comm(kx, ky), comm(ky, kz), comm(kz, kx)
-        dev_xy = max(dev_xy, dev(c_xy + unit_i * kz, in1))
+        c_xy = comm(kx, ky)
+        c_yz = ky * kz_row - kz_col * ky
+        c_zx = kz_col * kx - kx * kz_row
+        dev_xy = max(dev_xy, dev(c_xy + np.diag(unit_i * kz), in1))
         dev_yz = max(dev_yz, dev(c_yz - unit_i * kx, in1))
         dev_zx = max(dev_zx, dev(c_zx - unit_i * ky, in1))
-        dev_jac = max(dev_jac, dev(comm(kx, c_yz) + comm(ky, c_zx) + comm(kz, c_xy), in2))
-        casimir = kz @ kz - kx @ kx - ky @ ky
+        jacobi = comm(kx, c_yz) + comm(ky, c_zx) + (kz_col * c_xy - c_xy * kz_row)
+        dev_jac = max(dev_jac, dev(jacobi, in2))
+        casimir = np.diag(kz * kz) - kx @ kx - ky @ ky
         dev_cas = max(
             dev_cas,
             dev(comm(casimir, kx), in2),
             dev(comm(casimir, ky), in2),
-            dev(comm(casimir, kz), in2),
+            dev(casimir * kz_row - kz_col * casimir, in2),
         )
 
     kz_dense = BlockOperator.from_diagonal(ws, ws.kz_diags).to_dense()
@@ -288,10 +296,11 @@ def _equivalence_records(ws, states, zeta_grid, phi_grid) -> list[GateRecord]:
     """
     per_bath = [[] for _ in states]
     for zeta in zeta_grid:
+        squeeze = _exp_i_ky(ws, zeta)
         for phi in phi_grid:
             chi = float(chi_of(zeta, phi))
             theta = float(theta_of(zeta, phi))
-            un1 = unitary_product(InterferometerAngles(zeta, phi), ws)
+            un1 = unitary_product(squeeze, phi)
             un2 = unitary_equiv(ProtocolEndpoints(chi, theta), ws)
             chains = {"un1": un1, "un2": un2, "tiev": un2}
             for recs, (bw, state) in zip(per_bath, states):
@@ -391,7 +400,7 @@ def _convergence_record(bw, zeta, phi, grid_ws: FockWorkspace) -> GateRecord:
     for n_max in (n, 2 * n):
         ws = grid_ws if grid_ws.n_max == n_max else FockWorkspace(n_max)
         state = thermal_state(ws, bw, 1.0)
-        chain = unitary_product(InterferometerAngles(zeta, phi), ws)
+        chain = unitary_product(_exp_i_ky(ws, zeta), phi)
         chain.guard(state)
         means.append(chain.moments(state)[0])
     tag = f"[bw={bw:g},zeta={zeta:g},phi={phi:g},n={n}->{2 * n}]"

@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import expm
 
 from su11otto.config import DEFAULTS
-from su11otto.core import InterferometerAngles, ProtocolEndpoints, chi_of, theta_of
+from su11otto.core import ProtocolEndpoints, chi_of, theta_of
 from su11otto.errors import TruncationError
 from su11otto.fock import (
     LEAK_TOL,
@@ -38,6 +38,11 @@ from su11otto.gate import _algebra_records
 MEAN_N_BETA_HALF = 3.0829881650735965683  # coth(0.25) - 1
 
 
+def _boundary_masks(ws):
+    """Per stored sector, the states with n1 = n_max or n2 = n_max."""
+    return [(s.n1 == ws.n_max) | (s.n2 == ws.n_max) for s in ws.sectors]
+
+
 class TestWorkspace:
     def test_dimensions(self):
         ws = FockWorkspace(7)
@@ -58,6 +63,17 @@ class TestWorkspace:
             if s.d > 0:
                 seen.extend((s.n2 * 6 + s.n1).tolist())
         assert sorted(seen) == list(range(ws.dim))
+
+    @pytest.mark.parametrize("n_max", [1, 2, 7, 30])
+    def test_boundary_state_is_the_last_of_its_sector(self, n_max):
+        # every boundary read takes row or entry -1 of a stored sector
+        ws = FockWorkspace(n_max)
+        for mask in _boundary_masks(ws):
+            assert np.flatnonzero(mask).tolist() == [len(mask) - 1]
+        rng = np.random.default_rng(n_max)
+        op = BlockOperator(ws, [rng.normal(size=(s.size, s.size)) for s in ws.sectors])
+        masked = [(b[m] ** 2).sum(axis=0) for b, m in zip(op.blocks, _boundary_masks(ws))]
+        assert np.array_equal(op.boundary_weights, np.concatenate(masked))
 
 
 class TestGenerators:
@@ -97,7 +113,7 @@ class TestGenerators:
             gen.kx,
             gen.ky,
             gen.kz,
-            unitary_product(InterferometerAngles(0.7, 1.3), ws).product,
+            unitary_product(_exp_i_ky(ws, 0.7), 1.3).product,
             unitary_equiv(ProtocolEndpoints(0.9, 0.4), ws).product,
             evolution_endpoint(-0.6, 1.1, ws).product,
         )
@@ -191,13 +207,13 @@ class TestThermalState:
 class TestUnitaries:
     def test_zero_squeezing_is_pure_phase(self):
         ws = FockWorkspace(8)
-        u = unitary_product(InterferometerAngles(zeta=0.0, phi=0.7), ws).product
+        u = unitary_product(_exp_i_ky(ws, 0.0), 0.7).product
         for block, kz in zip(u.blocks, ws.kz_diags):
             assert np.max(np.abs(block - np.diag(np.exp(-0.7j * kz)))) < 1e-14
 
     def test_zero_phase_is_identity(self):
         ws = FockWorkspace(8)
-        u = unitary_product(InterferometerAngles(zeta=1.1, phi=0.0), ws).product
+        u = unitary_product(_exp_i_ky(ws, 1.1), 0.0).product
         for block in u.blocks:
             assert np.max(np.abs(block - np.eye(block.shape[0]))) < 1e-12
 
@@ -218,7 +234,7 @@ class TestUnitaries:
     def test_unitarity_defects(self):
         ws = FockWorkspace(30)
         for chain in (
-            unitary_product(InterferometerAngles(zeta=0.8, phi=0.7), ws),
+            unitary_product(_exp_i_ky(ws, 0.8), 0.7),
             unitary_equiv(ProtocolEndpoints(chi=0.9, theta=0.4), ws),
             evolution_endpoint(-0.9, -0.4, ws),
         ):
@@ -231,7 +247,7 @@ class TestUnitaries:
         chi, theta = float(chi_of(zeta, phi)), float(theta_of(zeta, phi))
         means = []
         for chain in (
-            unitary_product(InterferometerAngles(zeta, phi), ws),
+            unitary_product(_exp_i_ky(ws, zeta), phi),
             unitary_equiv(ProtocolEndpoints(chi, theta), ws),
             evolution_endpoint(-chi, -theta, ws),
         ):
@@ -259,11 +275,22 @@ class TestUnitaries:
         for a, b in zip(tiev.product.blocks, shifted.blocks):
             assert np.max(np.abs(a - b)) <= 1e-14
 
+    def test_phis_share_the_squeeze_and_its_guard_weights(self):
+        # the squeezed state's guard row is memoised on the shared kernel; the
+        # final guard row is the moments' boundary row, the core's last rows
+        ws = FockWorkspace(30)
+        y = _exp_i_ky(ws, 0.9)
+        chains = [unitary_product(y, phi) for phi in (0.5, 1.5)]
+        assert chains[0].guard_weights[0] is chains[1].guard_weights[0] is y.boundary_weights
+        for chain in chains:
+            assert np.array_equal(chain.guard_weights[-1], chain.core.boundary_weights)
+            assert np.array_equal(chain.moment_weights[2], chain.core.boundary_weights)
+
     def test_truncation_guard_trips_on_aggressive_squeezing(self):
         ws = FockWorkspace(28)
         # fits comfortably unsqueezed
         state = thermal_state(ws, 1.0, 1.0)
-        chain = unitary_product(InterferometerAngles(zeta=2.5, phi=1.0), ws)
+        chain = unitary_product(_exp_i_ky(ws, 2.5), 1.0)
         with pytest.raises(TruncationError, match="unitary_product: boundary occupancy"):
             chain.guard(state)
 
@@ -272,12 +299,11 @@ class TestUnitaries:
         # final state leaks past the budget although squeeze and un-squeeze alone do not
         ws = FockWorkspace(30)
         state = thermal_state(ws, 2.0, 1.0)
-        angles = InterferometerAngles(0.8, 3.0)
-        chain = unitary_product(angles, ws)
+        d, y = _quarter_phases(ws), _exp_i_ky(ws, 0.8)
+        chain = unitary_product(y, 3.0)
         with pytest.raises(TruncationError):
             chain.guard(state)
         # exp(+-0.8 i K_x) = D+ exp(+-0.8 i K_y) D as whole factors
-        d, y = _quarter_phases(ws), _exp_i_ky(ws, 0.8)
         squeeze = d.dag() @ y @ d
         anti_squeeze = d.dag() @ BlockOperator(ws, [b.T for b in y.blocks]) @ d
         factors = (squeeze, _phase_kz(ws, -3.0), anti_squeeze)
@@ -296,7 +322,7 @@ class TestUnitaries:
 
 # each builder on two scalar arguments: (zeta, phi), (chi, theta) and (f_y, f_z)
 BUILDERS = {
-    "unitary_product": lambda a, b, ws: unitary_product(InterferometerAngles(a, b), ws),
+    "unitary_product": lambda a, b, ws: unitary_product(_exp_i_ky(ws, a), b),
     "unitary_equiv": lambda a, b, ws: unitary_equiv(ProtocolEndpoints(a, b), ws),
     "evolution_endpoint": evolution_endpoint,
 }
@@ -340,7 +366,7 @@ class TestKeptChains:
         assert _same_blocks(chain.product, build(*args, FockWorkspace(30)).product)
 
     def test_state_of_another_workspace_rejected(self):
-        chain = unitary_product(InterferometerAngles(0.4, 0.7), FockWorkspace(12))
+        chain = unitary_product(_exp_i_ky(FockWorkspace(12), 0.4), 0.7)
         state = thermal_state(FockWorkspace(12), 3.0, 1.0)
         with pytest.raises(ValueError, match="different workspaces"):
             chain.guard(state)
@@ -371,7 +397,7 @@ class TestAgainstDenseExponentials:
         ws, kx, _, kz = dense
         for zeta, phi, _ in self._points():
             ref = expm(-1j * zeta * kx) @ expm(-1j * phi * kz) @ expm(1j * zeta * kx)
-            u = unitary_product(InterferometerAngles(zeta, phi), ws).product
+            u = unitary_product(_exp_i_ky(ws, zeta), phi).product
             assert np.max(np.abs(u.to_dense() - ref)) < self.TOL
 
     def test_unitary_equiv(self, dense):
@@ -401,6 +427,20 @@ class TestAgainstDenseExponentials:
 
 class TestRealKernel:
     """exp(i s K_y) as one real orthogonal block per sector."""
+
+    @pytest.mark.parametrize("n_max", [1, 2, 5])
+    def test_parity_block_kernel_matches_dense_exponential(self, n_max):
+        # n_max = 1 and 2 have a 1x1 sector with no odd state; odd sizes give U
+        # one more column than V, a null column with singular value 0
+        ws = FockWorkspace(n_max)
+        for s, (sigma, u, v) in zip(ws.sectors, ws.kx_eig):
+            assert u.shape == (-(-s.size // 2),) * 2 and v.shape == (s.size // 2,) * 2
+            assert len(sigma) == len(u) and (s.size % 2 == 0 or sigma[-1] == 0.0)
+        gen = GeneratorSet(ws)
+        ky = 1j * (gen.a1 @ gen.a2 - gen.a1.T @ gen.a2.T) / 2.0
+        for angle in (0.9, -1.7):
+            ref = expm(1j * angle * ky)
+            assert np.max(np.abs(_exp_i_ky(ws, angle).to_dense() - ref)) < 1e-13
 
     def test_blocks_are_real_orthogonal_checkerboards(self):
         ws = FockWorkspace(120)
@@ -462,7 +502,7 @@ class TestPopulations:
             state = thermal_state(ws, bw, 1.0)
             chi, theta = float(chi_of(zeta, phi)), float(theta_of(zeta, phi))
             for chain in (
-                unitary_product(InterferometerAngles(zeta, phi), ws),
+                unitary_product(_exp_i_ky(ws, zeta), phi),
                 unitary_equiv(ProtocolEndpoints(chi, theta), ws),
                 evolution_endpoint(-chi, -theta, ws),
             ):
@@ -471,7 +511,7 @@ class TestPopulations:
                 pops = evolved_populations(u, state)
                 mean = sum(n @ p for n, p in zip(ws.n_diags, pops))
                 second = sum((n * n) @ p for n, p in zip(ws.n_diags, pops))
-                edge = sum(p[m].sum() for p, m in zip(pops, ws.boundary_masks))
+                edge = sum(p[m].sum() for p, m in zip(pops, _boundary_masks(ws)))
                 m = n_op.heisenberg(u)
                 assert mean == pytest.approx(expect(m, state), rel=1e-12)
                 assert second - mean**2 == pytest.approx(variance(m, state), rel=1e-12)
@@ -525,7 +565,7 @@ class TestExpectations:
     def test_variance_rejects_non_hermitian_operator(self):
         ws = FockWorkspace(12)
         state = thermal_state(ws, 3.0, 1.0)
-        u = unitary_product(InterferometerAngles(zeta=0.3, phi=0.5), ws).product
+        u = unitary_product(_exp_i_ky(ws, 0.3), 0.5).product
         with pytest.raises(ValueError, match="Hermitian"):
             variance(u, state)
 
@@ -536,7 +576,7 @@ class TestExpectations:
 
     def test_heisenberg_image_keeps_hermiticity(self):
         ws = FockWorkspace(12)
-        u = unitary_product(InterferometerAngles(zeta=0.4, phi=0.9), ws).product
+        u = unitary_product(_exp_i_ky(ws, 0.4), 0.9).product
         n_op = number_operator(ws)
         m = n_op.heisenberg(u)
         dense = m.to_dense()

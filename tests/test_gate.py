@@ -1,13 +1,14 @@
-"""The gate's equivalence grid against a point-by-point reference loop."""
+"""The gate's equivalence grid against a point-by-point reference loop, and its
+algebra records against the product form."""
 
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from su11otto.core import (
     EngineConfig,
-    InterferometerAngles,
     ProtocolEndpoints,
     chi_of,
     theta_of,
@@ -16,13 +17,23 @@ from su11otto.fock import (
     LEAK_TOL,
     BlockOperator,
     FockWorkspace,
+    _dense_annihilator,
+    _kx_block,
     evolution_endpoint,
+    number_operator,
     thermal_state,
     unitary_equiv,
     unitary_product,
 )
 from su11otto import fock, gate
-from su11otto.gate import GateRecord, _admitted_records, _equivalence_records, run_gate
+from su11otto.gate import (
+    GateRecord,
+    _admitted_records,
+    _algebra_records,
+    _cmp,
+    _equivalence_records,
+    run_gate,
+)
 
 N_MAX = 30
 # the cold bath first: at n_max = 30, (zeta, phi) = (0.9, 1.5) and (0.6, 3.0) are
@@ -49,7 +60,7 @@ def _reference_records():
                 chi, theta = float(chi_of(zeta, phi)), float(theta_of(zeta, phi))
                 tag = f"[bw={bw:g},zeta={zeta:g},phi={phi:g}]"
                 chains = {
-                    "un1": unitary_product(InterferometerAngles(zeta, phi), ws),
+                    "un1": unitary_product(fock._exp_i_ky(ws, zeta), phi),
                     "un2": unitary_equiv(ProtocolEndpoints(chi, theta), ws),
                     "tiev": evolution_endpoint(-chi, -theta, ws),
                 }
@@ -80,6 +91,15 @@ def test_equivalence_grid_matches_point_by_point_reference(monkeypatch):
             return build(*args)
 
         monkeypatch.setattr(gate, name, counted, raising=False)
+    # the un1 squeeze depends on zeta alone: the grid builds it once per zeta,
+    # not once per (zeta, phi); the convergence record builds its own two
+    kernels = []
+
+    def counted_kernel(ws, s):
+        kernels.append((ws.n_max, s))
+        return fock._exp_i_ky(ws, s)
+
+    monkeypatch.setattr(gate, "_exp_i_ky", counted_kernel)
     result = run_gate(
         CONFIG,
         n_max=N_MAX,
@@ -93,6 +113,7 @@ def test_equivalence_grid_matches_point_by_point_reference(monkeypatch):
         if ",zeta=" in r.quantity and not r.quantity.startswith("truncation_convergence")
     ]
     assert calls == {"unitary_product": 8, "unitary_equiv": 6, "evolution_endpoint": 0}
+    assert kernels == [(N_MAX, 0.6), (N_MAX, 0.9), (60, 0.4), (120, 0.4)]
     reference = _reference_records()
     assert _fields(grid) == _fields(reference)
     skipped = [r.quantity for r in grid if r.status == "skipped"]
@@ -109,7 +130,7 @@ def test_point_skipped_when_any_one_form_trips(monkeypatch, builder):
     # one chain gets the guard rows of a chain squeezed far past n_max = 30, the
     # other keeps its own: every point must be skipped at every bath
     ws = FockWorkspace(N_MAX)
-    over_squeezed = unitary_product(InterferometerAngles(3.0, 1.0), ws).guard_weights
+    over_squeezed = unitary_product(fock._exp_i_ky(ws, 3.0), 1.0).guard_weights
     build = getattr(gate, builder)
     monkeypatch.setattr(
         gate,
@@ -166,3 +187,70 @@ def test_nan_value_fails(analytic, oracle, relative):
 def test_exit_code_reports_the_worst_status(statuses, code):
     records = [GateRecord("q", 1.0, 1.0, 1e-8, N_MAX, 0.0, status) for status in statuses]
     assert gate.GateResult(records).exit_code == code
+
+
+def _product_form_algebra_records(n_max):
+    """The algebra records with K_z as the dense matrix diag(K_z) in every product."""
+    ws = FockWorkspace(n_max)
+
+    def comm(a, b):
+        return a @ b - b @ a
+
+    unit_i = np.clongdouble(1j)
+    phase_cycle = np.array([1.0, -unit_i, -1.0, unit_i], dtype=np.clongdouble)
+    dev_xy = dev_yz = dev_zx = dev_jac = dev_cas = 0.0
+    for sec, kz_diag in zip(ws.sectors, ws.kz_diags):
+        m = sec.size
+        kx = _kx_block(sec, np.longdouble).astype(np.clongdouble)
+        ph = phase_cycle[np.arange(m) % 4]
+        ky = (ph[:, None] * kx) * ph.conj()[None, :]
+        kz = np.diag(kz_diag.astype(np.clongdouble))
+        in1, in2 = slice(0, max(m - 1, 0)), slice(0, max(m - 2, 0))
+
+        def dev(mat, sl):
+            block = mat[sl, sl]
+            return float(np.max(np.abs(block))) if block.size else 0.0
+
+        c_xy, c_yz, c_zx = comm(kx, ky), comm(ky, kz), comm(kz, kx)
+        dev_xy = max(dev_xy, dev(c_xy + unit_i * kz, in1))
+        dev_yz = max(dev_yz, dev(c_yz - unit_i * kx, in1))
+        dev_zx = max(dev_zx, dev(c_zx - unit_i * ky, in1))
+        dev_jac = max(dev_jac, dev(comm(kx, c_yz) + comm(ky, c_zx) + comm(kz, c_xy), in2))
+        casimir = kz @ kz - kx @ kx - ky @ ky
+        dev_cas = max(dev_cas, *(dev(comm(casimir, g), in2) for g in (kx, ky, kz)))
+    kz_dense = BlockOperator.from_diagonal(ws, ws.kz_diags).to_dense()
+    n_dense = number_operator(ws).to_dense()
+    kx_dense = BlockOperator(ws, ws.kx_blocks).to_dense()
+    ladder = np.kron(_dense_annihilator(n_max), _dense_annihilator(n_max))
+    return [
+        _cmp("comm_xy_plus_i_kz", 0.0, dev_xy, 1e-12, n_max),
+        _cmp("comm_yz_minus_i_kx", 0.0, dev_yz, 1e-12, n_max),
+        _cmp("comm_zx_minus_i_ky", 0.0, dev_zx, 1e-12, n_max),
+        _cmp("jacobi_identity", 0.0, dev_jac, 1e-12, n_max),
+        _cmp("casimir_commutes_generators", 0.0, dev_cas, 1e-12, n_max),
+        _cmp(
+            "kz_minus_half_n_plus_1",
+            0.0,
+            float(np.max(np.abs(kz_dense - (n_dense + np.eye(ws.dim)) / 2))),
+            0.0,
+            n_max,
+        ),
+        _cmp(
+            "comm_kz_n", 0.0, float(np.max(np.abs(kz_dense @ n_dense - n_dense @ kz_dense))), 0.0,
+            n_max,
+        ),
+        _cmp("vacuum_kz", 0.5, float(kz_dense[0, 0]), 0.0, n_max),
+        _cmp(
+            "kx_ladder_representation",
+            0.0,
+            float(np.max(np.abs(kx_dense - (ladder.T + ladder) / 2.0))),
+            1e-13,
+            n_max,
+        ),
+    ]
+
+
+def test_diagonal_kz_gives_the_product_form_records_to_the_bit():
+    # the algebra records scale rows and columns by K_z instead of multiplying
+    # by diag(K_z): the same floats, so the same records
+    assert _fields(_algebra_records(8)) == _fields(_product_form_algebra_records(8))
