@@ -349,26 +349,15 @@ def circuit_scenario(params: CircuitParams, *, derivative_mode: str) -> Scenario
         try:
             angles = angles_from(endpoints)
         except NoSolutionError:
-            points.append(
-                ScenarioPoint(
-                    t_f=t_f, theta=endpoints.theta, zeta=math.nan, phi=math.nan, chi=chi,
-                    eta=eta, eta_norm=eta / eta_c, dphi_h=math.nan, dphi_norm=math.nan,
-                    flag="no-solution",
-                )
-            )
-            continue
-        point = sensitivity(engine, angles.zeta, angles.phi, derivative_mode)
+            zeta = phi = dphi_h = dphi_norm = math.nan
+            flag = "no-solution"
+        else:
+            zeta, phi, flag = angles.zeta, angles.phi, ""
+            point = sensitivity(engine, zeta, phi, derivative_mode)
+            dphi_h, dphi_norm = point.delta_phi_h, point.norm_h
         sp = ScenarioPoint(
-            t_f=t_f,
-            theta=endpoints.theta,
-            zeta=angles.zeta,
-            phi=angles.phi,
-            chi=chi,
-            eta=eta,
-            eta_norm=eta / eta_c,
-            dphi_h=point.delta_phi_h,
-            dphi_norm=point.norm_h,
-            flag="",
+            t_f=t_f, theta=endpoints.theta, zeta=zeta, phi=phi, chi=chi, eta=eta,
+            eta_norm=eta / eta_c, dphi_h=dphi_h, dphi_norm=dphi_norm, flag=flag,
         )
         points.append(sp)
         if math.isfinite(sp.dphi_norm) and (best is None or sp.dphi_norm < best.dphi_norm):

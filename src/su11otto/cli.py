@@ -322,7 +322,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         return args.func(args, config)
-    except (EngineError, ValueError) as exc:
+    except (EngineError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

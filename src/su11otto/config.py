@@ -73,6 +73,18 @@ DEFAULTS: dict = {
 }
 
 
+def _check_labels(values, where: str) -> None:
+    """Grid values name records and files by their %g label, so two values
+    with one label would repeat or overwrite each other's output."""
+    seen: dict[str, int] = {}
+    for i, v in enumerate(values):
+        j = seen.setdefault(f"{v:g}", i)
+        if j != i:
+            raise ConfigError(
+                f"{where}[{j}] = {values[j]!r} and {where}[{i}] = {v!r} share the %g label {v:g}"
+            )
+
+
 @dataclass(frozen=True)
 class OracleConfig:
     """Basis sizes and grids of the Fock-oracle gate, checked on construction."""
@@ -88,6 +100,7 @@ class OracleConfig:
             object.__setattr__(self, name, tuple(getattr(self, name)))
             if not getattr(self, name):
                 raise ConfigError(f"oracle.{name} must not be empty")
+            _check_labels(getattr(self, name), f"oracle.{name}")
         for name, ok, rule in (
             ("n_max", self.n_max >= 1, ">= 1"),
             ("algebra_n_max", 2 <= self.algebra_n_max <= _MAX_DENSE_N, f"in [2, {_MAX_DENSE_N}]"),
@@ -164,6 +177,7 @@ def _build(raw: dict) -> ScenarioConfig:
     sweep = raw["sweep"]
     if not sweep["zeta_panels"] or min(sweep["zeta_panels"]) < 0.0:
         raise ConfigError(f"sweep.zeta_panels must be non-empty and >= 0, got {sweep['zeta_panels']}")
+    _check_labels(sweep["zeta_panels"], "sweep.zeta_panels")
     if sweep["phi_points"] < 8:
         raise ConfigError("sweep.phi_points must be at least 8")
     try:

@@ -42,9 +42,7 @@ exp(+-i s K_x) = D+ exp(+-i s K_y) D exactly, and exp(-i s K_y) is the
 transpose of exp(i s K_y).
 
 Operators are immutable: blocks, diagonal and the `hermitian` flag are
-fixed at construction.  An evolved observable U+ O U comes from
-`O.heisenberg(U)`, which carries O's hermiticity over, so callers never
-patch flags after the fact.
+fixed at construction.
 
 Truncation honesty
 ------------------
@@ -67,8 +65,9 @@ the largest |1 - |phase|^2| of L and R,
 U+ U - 1 = R+ (C+ C - 1) R + R+ C+ (L+ L - 1) C R + (R+ R - 1), so
 defect(U) <= defect(C) + 2 e to first order (e = 0 for the exact D
 phases, 1 ulp for exp(i theta K_z)).  Each read against a state is a dot
-product with its concatenated populations.  `evolved_populations`
-(|U|^2 p) is the reference route for the reads.
+product with its concatenated populations.  The tests check these reads
+against dense linear algebra: |U|^2 p with U from `to_dense()` and the
+thermal weights written out over the full, unfolded basis.
 """
 
 from __future__ import annotations
@@ -76,7 +75,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
@@ -88,7 +87,6 @@ __all__ = [
     "FockWorkspace",
     "BlockOperator",
     "ThermalState",
-    "GeneratorSet",
     "Chain",
     "thermal_state",
     "unitary_product",
@@ -100,7 +98,6 @@ __all__ = [
     "variance",
     "boundary_occupancy",
     "evolved_boundary_occupancy",
-    "evolved_populations",
 ]
 
 _DENSE_LIMIT = 4096  # refuse to assemble dense matrices larger than this
@@ -238,13 +235,6 @@ class BlockOperator:
             blocks = [_mm(a, b) for a, b in zip(self.blocks, other.blocks)]
         return BlockOperator(self.ws, blocks)
 
-    def heisenberg(self, u: "BlockOperator") -> "BlockOperator":
-        """Heisenberg-picture image U+ O U of this operator under the unitary u.
-
-        Hermitian exactly when O is, since u is unitary.
-        """
-        return replace(u.dag() @ (self @ u), hermitian=self.hermitian)
-
     def diagonal(self) -> list[np.ndarray]:
         if self.diags is not None:
             return [np.asarray(v) for v in self.diags]
@@ -306,33 +296,6 @@ class _DiagonalBlocks(Sequence):
         return self._dense[i]
 
 
-class GeneratorSet:
-    """K_x, K_y and K_z on the workspace, plus dense a1/a2 on demand.
-
-    K_x = (a1+ a2+ + a1 a2)/2, K_y = i (a1 a2 - a1+ a2+)/2,
-    K_z = (a1+ a1 + a2 a2+)/2 = (N + 1)/2; the commutators
-    [K_x, K_y] = -i K_z, [K_y, K_z] = i K_x, [K_z, K_x] = i K_y hold on the
-    interior block of the truncated space.  K_y = D K_x D+ with
-    D = diag((-i)^k): i times the upper minus the lower triangle of K_x.
-    """
-
-    def __init__(self, ws: FockWorkspace):
-        self.ws = ws
-        self.kx = BlockOperator(ws, [b.copy() for b in ws.kx_blocks], hermitian=True)
-        ky = [1j * (np.triu(b) - np.tril(b)) for b in ws.kx_blocks]
-        self.ky = BlockOperator(ws, ky, hermitian=True)
-        self.kz = BlockOperator.from_diagonal(ws, ws.kz_diags)
-
-    @cached_property
-    def a1(self) -> np.ndarray:
-        """Dense annihilator of mode 1; breaks the imbalance blocking, so dense only."""
-        return np.kron(_dense_annihilator(self.ws.n_max), np.eye(self.ws.n_max + 1))
-
-    @cached_property
-    def a2(self) -> np.ndarray:
-        return np.kron(np.eye(self.ws.n_max + 1), _dense_annihilator(self.ws.n_max))
-
-
 def _dense_annihilator(n_max: int) -> np.ndarray:
     a = np.zeros((n_max + 1, n_max + 1))
     ns = np.arange(1, n_max + 1)
@@ -354,8 +317,6 @@ class ThermalState:
     """
 
     ws: FockWorkspace
-    beta: float
-    omega: float
     probs: tuple
     partition_function: float
     leakage: float
@@ -402,9 +363,7 @@ def thermal_state(ws: FockWorkspace, beta: float, omega: float) -> ThermalState:
             f"thermal occupancy {boundary:.3e} at the n_max boundary exceeds {THERMAL_BOUNDARY_TOL:.0e}"
         )
     probs = tuple(p / retained for p in folded)
-    return ThermalState(
-        ws=ws, beta=beta, omega=omega, probs=probs, partition_function=z, leakage=leakage
-    )
+    return ThermalState(ws=ws, probs=probs, partition_function=z, leakage=leakage)
 
 
 def _exp_i_ky(ws: FockWorkspace, s: float) -> BlockOperator:
@@ -455,18 +414,6 @@ def _flat_probs(op: BlockOperator, state: ThermalState) -> np.ndarray:
 def boundary_occupancy(op: BlockOperator, state: ThermalState) -> float:
     """Total weight of op rho op+ on the n_max boundary layer."""
     return float(op.boundary_weights @ _flat_probs(op, state))
-
-
-def evolved_populations(u: BlockOperator, state: ThermalState) -> list[np.ndarray]:
-    """Per-sector diagonal of U rho U+ for the Fock-diagonal state: |U|^2 p.
-
-    One array per stored sector d >= 0.  Like `ThermalState.probs` they are
-    folded over the mode swap: a d > 0 entry is the population of a state
-    plus that of its mirror in sector -d, so plain sums are full traces.
-    """
-    if u.ws is not state.ws:
-        raise ValueError("operator and state live on different workspaces")
-    return [(np.abs(b) ** 2) @ p for b, p in zip(u.blocks, state.probs)]
 
 
 @dataclass(frozen=True)

@@ -247,9 +247,7 @@ def _admitted_records(chains, state, bw, chi, tag) -> list[GateRecord]:
         _cmp(f"unitarity_defect[{name}]{tag}", 0.0, chain.defect, 1e-10, n_max)
         for name, chain in chains.items()
     ]
-    distinct = {id(chain): chain for chain in chains.values()}
-    reads = {key: chain.moments(state) for key, chain in distinct.items()}
-    moments = {name: reads[id(chain)] for name, chain in chains.items()}
+    moments = {name: chain.moments(state) for name, chain in chains.items()}
     leak = max(m[2] for m in moments.values())
     for na, nb in (("un1", "un2"), ("un1", "tiev"), ("un2", "tiev")):
         recs.append(

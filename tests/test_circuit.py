@@ -250,6 +250,20 @@ class TestScenario:
         assert chi < 1e-8
         assert efficiency(engine, chi) == pytest.approx(otto_ideal(engine), abs=1e-8)
 
+    def test_absolute_rapidity_in_rad_per_s_is_the_same_ramp(self, params):
+        # the default rapidity is in units of the expansion branch's omega_i;
+        # rapidity_absolute takes it in rad/s as given
+        params = replace(params, t_f_points=64)
+        omega_i = asymptotic_frequencies(params, "expansion")[0]
+        absolute = replace(params, rapidity=params.rapidity * omega_i, rapidity_absolute=True)
+        mode = load_config().derivative_mode
+        relative_report = circuit_scenario(params, derivative_mode=mode)
+        absolute_report = circuit_scenario(absolute, derivative_mode=mode)
+        # repr: flagged points hold nan, which never compares equal
+        assert repr(absolute_report.points) == repr(relative_report.points)
+        assert any(p.flag for p in relative_report.points)
+        assert any(not p.flag for p in relative_report.points)
+
     def test_validation(self, params):
         with pytest.raises(ValueError):
             replace(params, amp_a=0.5, amp_b=0.8)

@@ -112,6 +112,10 @@ class TestConfig:
             {"circuit": {"t_hot_kelvin": 0.01}},
             # a section that is not a table
             {"engine": 3},
+            # values whose %g labels coincide: figure3 would write figure3_zeta3.csv
+            # twice, and the oracle would print each [bw=1,...] record twice
+            {"sweep": {"zeta_panels": [3.0000001, 3.0000002]}},
+            {"oracle": {"beta_omega": [1.0, 1.0000001]}},
         ],
     )
     def test_wrong_type_or_invalid_value_fatal(self, tmp_path, override):
@@ -278,6 +282,16 @@ class TestCsvCommands:
         cfg.write_text(json.dumps({"circuit": {"amp_b": 0.0}}))
         assert main(["--config", str(cfg), "--out", str(tmp_path), "circuit"]) == 1
         assert "static line" in capsys.readouterr().err
+
+    def test_unwritable_output_directory_reports_clean_error(self, tmp_path, capsys):
+        # the output directory would sit inside a regular file
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweep": {"zeta_panels": [2.0], "phi_points": 16}}))
+        assert main(["--config", str(cfg), "--out", str(blocker / "x"), "cycle"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_derivative_mode_flag(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

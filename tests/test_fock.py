@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from su11otto import fock
 from su11otto.config import DEFAULTS
 from su11otto.core import ProtocolEndpoints, chi_of, theta_of
 from su11otto.errors import TruncationError
@@ -16,7 +17,7 @@ from su11otto.fock import (
     THERMAL_LEAK_TOL,
     BlockOperator,
     FockWorkspace,
-    GeneratorSet,
+    _dense_annihilator,
     _exp_i_ky,
     _kx_block,
     _phase_kz,
@@ -24,7 +25,6 @@ from su11otto.fock import (
     boundary_occupancy,
     evolution_endpoint,
     evolved_boundary_occupancy,
-    evolved_populations,
     expect,
     hamiltonian_final,
     number_operator,
@@ -41,6 +41,55 @@ MEAN_N_BETA_HALF = 3.0829881650735965683  # coth(0.25) - 1
 def _boundary_masks(ws):
     """Per stored sector, the states with n1 = n_max or n2 = n_max."""
     return [(s.n1 == ws.n_max) | (s.n2 == ws.n_max) for s in ws.sectors]
+
+
+def _ladder(n_max):
+    """Dense a1 = a (x) 1 and a2 = 1 (x) a on the full (n_max + 1)^2 basis."""
+    a, eye = _dense_annihilator(n_max), np.eye(n_max + 1)
+    return np.kron(a, eye), np.kron(eye, a)
+
+
+def _dense_generators(n_max):
+    """Dense K_x, K_y and K_z from the ladder operators, so no block of the
+    oracle is reused."""
+    a1, a2 = _ladder(n_max)
+    pair = a1 @ a2  # a1+ a2+ is its transpose
+    kz = (a1.T @ a1 + a2.T @ a2 + np.eye(len(pair))) / 2.0
+    return (pair.T + pair) / 2.0, 1j * (pair - pair.T) / 2.0, kz
+
+
+def _block_generators(ws):
+    """K_x from the workspace's blocks and K_y = D K_x D+, its quarter turn
+    about K_z."""
+    kx = BlockOperator(ws, ws.kx_blocks, hermitian=True)
+    d = _quarter_phases(ws)
+    return kx, d @ kx @ d.dag()
+
+
+def _dense_reads(u, bw):
+    """<N>, Delta^2 N and the boundary mass of U rho U+ by dense linear
+    algebra: |U|^2 p with U from `to_dense()` and the thermal weights
+    q^(n1+n2) (1-q)^2 written out over the full, unfolded basis."""
+    n_max = u.ws.n_max
+    n1, n2 = np.divmod(np.arange(u.ws.dim), n_max + 1)
+    n = (n1 + n2).astype(float)
+    q = math.exp(-bw)
+    p = q**n * (1.0 - q) ** 2
+    pops = np.abs(u.to_dense()) ** 2 @ (p / p.sum())
+    mean = n @ pops
+    edge = pops[(n1 == n_max) | (n2 == n_max)].sum()
+    return mean, (n * n) @ pops - mean**2, edge
+
+
+def test_public_surface_is_pinned():
+    # a new export, a test-only reference route included, is a deliberate edit of this list
+    assert sorted(fock.__all__) == [
+        "BlockOperator", "Chain", "FockWorkspace", "ThermalState",
+        "boundary_occupancy", "evolution_endpoint", "evolved_boundary_occupancy", "expect",
+        "hamiltonian_final", "number_operator", "thermal_state", "unitary_equiv",
+        "unitary_product", "variance",
+    ]
+    assert all(hasattr(fock, name) for name in fock.__all__)
 
 
 class TestWorkspace:
@@ -78,41 +127,42 @@ class TestWorkspace:
 
 class TestGenerators:
     def test_vacuum_kz_eigenvalue(self):
-        gen = GeneratorSet(FockWorkspace(4))
-        assert gen.kz.to_dense()[0, 0].real == 0.5
+        ws = FockWorkspace(4)
+        assert BlockOperator.from_diagonal(ws, ws.kz_diags).to_dense()[0, 0] == 0.5
 
     def test_kz_is_half_n_plus_one(self):
         ws = FockWorkspace(6)
-        gen = GeneratorSet(ws)
         assert np.array_equal(
-            gen.kz.to_dense(), (number_operator(ws).to_dense() + np.eye(ws.dim)) / 2.0
+            BlockOperator.from_diagonal(ws, ws.kz_diags).to_dense(),
+            (number_operator(ws).to_dense() + np.eye(ws.dim)) / 2.0,
         )
 
     def test_ladder_representation(self):
         ws = FockWorkspace(5)
-        gen = GeneratorSet(ws)
-        a1, a2 = gen.a1, gen.a2
-        kx_ref = (a1.conj().T @ a2.conj().T + a1 @ a2) / 2.0
-        ky_ref = 1j * (a1 @ a2 - a1.conj().T @ a2.conj().T) / 2.0
-        n_ref = a1.conj().T @ a1 + a2.conj().T @ a2
-        assert np.max(np.abs(gen.kx.to_dense() - kx_ref)) < 1e-14
-        assert np.max(np.abs(gen.ky.to_dense() - ky_ref)) < 1e-14
-        assert np.max(np.abs(number_operator(ws).to_dense() - n_ref)) < 1e-14
+        a1, a2 = _ladder(ws.n_max)
+        kx_ref, ky_ref, kz_ref = _dense_generators(ws.n_max)
+        kx, ky = _block_generators(ws)
+        assert np.max(np.abs(kx.to_dense() - kx_ref)) < 1e-14
+        assert np.max(np.abs(ky.to_dense() - ky_ref)) < 1e-14
+        assert np.max(np.abs(BlockOperator.from_diagonal(ws, ws.kz_diags).to_dense() - kz_ref)) < 1e-14
+        assert np.max(np.abs(number_operator(ws).to_dense() - (a1.T @ a1 + a2.T @ a2))) < 1e-14
 
     def test_dense_operators_commute_with_the_mode_swap(self):
         # the mirror blocks of to_dense() must sit at the swapped indices
         ws = FockWorkspace(6)
-        gen = GeneratorSet(ws)
+        a1, a2 = _ladder(ws.n_max)
+        kx, ky = _block_generators(ws)
+        kz = BlockOperator.from_diagonal(ws, ws.kz_diags)
         n = ws.n_max + 1
         swap = np.zeros((ws.dim, ws.dim))
         for n1 in range(n):
             for n2 in range(n):
                 swap[n2 * n + n1, n1 * n + n2] = 1.0
-        assert np.array_equal(swap @ gen.a1 @ swap, gen.a2)
+        assert np.array_equal(swap @ a1 @ swap, a2)
         ops = (
-            gen.kx,
-            gen.ky,
-            gen.kz,
+            kx,
+            ky,
+            kz,
             unitary_product(_exp_i_ky(ws, 0.7), 1.3).product,
             unitary_equiv(ProtocolEndpoints(0.9, 0.4), ws).product,
             evolution_endpoint(-0.6, 1.1, ws).product,
@@ -121,7 +171,7 @@ class TestGenerators:
             dense = op.to_dense()
             assert np.array_equal(swap @ dense, dense @ swap)
         # to_dense() keeps the blocks' dtype: real generators and kernels stay real
-        for op in (gen.kx, gen.kz, number_operator(ws), _exp_i_ky(ws, 0.7)):
+        for op in (kx, kz, number_operator(ws), _exp_i_ky(ws, 0.7)):
             assert op.to_dense().dtype == np.float64
         assert ops[3].to_dense().dtype == np.complex128
 
@@ -138,13 +188,12 @@ class TestGenerators:
     def test_ky_is_an_exact_quarter_turn_of_kx(self):
         # sectors longer than 100 states: (-1j) ** k loses exactness there
         ws = FockWorkspace(120)
-        gen = GeneratorSet(ws)
         d = _quarter_phases(ws)
-        turned = d @ gen.kx @ d.dag()
-        for s, phase, ky, ref in zip(ws.sectors, d.diags, gen.ky.blocks, turned.blocks):
+        _, turned = _block_generators(ws)
+        for s, phase, kx, ky in zip(ws.sectors, d.diags, ws.kx_blocks, turned.blocks):
             assert np.array_equal(phase, np.array([1, -1j, -1, 1j])[np.arange(s.size) % 4])
-            assert np.array_equal(ky, ref)
-        assert gen.ky.hermitian
+            # K_y = i (a1 a2 - a1+ a2+)/2: i times the upper minus the lower band of K_x
+            assert np.array_equal(ky, 1j * (np.triu(kx) - np.tril(kx)))
 
     def test_extended_precision_products_sum_in_order(self):
         # the algebra records multiply clongdouble blocks with `@`: numpy's own
@@ -228,8 +277,7 @@ class TestUnitaries:
         state = thermal_state(ws, 1.0, 1.0)
         chain = evolution_endpoint(0.0, 1.3, ws)
         chain.guard(state)
-        m = number_operator(ws).heisenberg(chain.product)
-        assert expect(m, state) == pytest.approx(state.mean_number(), abs=1e-12)
+        assert chain.moments(state)[0] == pytest.approx(state.mean_number(), abs=1e-12)
 
     def test_unitarity_defects(self):
         ws = FockWorkspace(30)
@@ -252,7 +300,7 @@ class TestUnitaries:
             evolution_endpoint(-chi, -theta, ws),
         ):
             chain.guard(state)
-            means.append(expect(number_operator(ws).heisenberg(chain.product), state))
+            means.append(chain.moments(state)[0])
         analytic = (state.mean_number() + 1.0) * math.cosh(chi) - 1.0
         assert means[0] == pytest.approx(means[1], abs=1e-10)
         assert means[1] == pytest.approx(means[2], abs=1e-12)
@@ -380,13 +428,7 @@ class TestAgainstDenseExponentials:
 
     @pytest.fixture(scope="class")
     def dense(self):
-        ws = FockWorkspace(10)
-        gen = GeneratorSet(ws)
-        a1, a2 = gen.a1, gen.a2
-        kx = (a1.T @ a2.T + a1 @ a2) / 2.0
-        ky = 1j * (a1 @ a2 - a1.T @ a2.T) / 2.0
-        kz = (a1.T @ a1 + a2.T @ a2 + np.eye(ws.dim)) / 2.0
-        return ws, kx, ky, kz
+        return (FockWorkspace(10), *_dense_generators(10))
 
     @staticmethod
     def _points():
@@ -436,8 +478,7 @@ class TestRealKernel:
         for s, (sigma, u, v) in zip(ws.sectors, ws.kx_eig):
             assert u.shape == (-(-s.size // 2),) * 2 and v.shape == (s.size // 2,) * 2
             assert len(sigma) == len(u) and (s.size % 2 == 0 or sigma[-1] == 0.0)
-        gen = GeneratorSet(ws)
-        ky = 1j * (gen.a1 @ gen.a2 - gen.a1.T @ gen.a2.T) / 2.0
+        _, ky, _ = _dense_generators(n_max)
         for angle in (0.9, -1.7):
             ref = expm(1j * angle * ky)
             assert np.max(np.abs(_exp_i_ky(ws, angle).to_dense() - ref)) < 1e-13
@@ -463,7 +504,8 @@ SUMMARY_CASES = sorted(BAND_ARGS.items()) + [("unitary_product", (0.9, 0.5))]
 
 
 class TestChainSummaries:
-    """The dot-product reads of a chain against its product."""
+    """The dot-product reads of a chain against dense linear algebra on its
+    product, over the full basis with no sector folding."""
 
     @pytest.mark.parametrize("name, args", SUMMARY_CASES)
     def test_moments_and_guard_match_the_product_route(self, name, args):
@@ -471,17 +513,13 @@ class TestChainSummaries:
         chain = BUILDERS[name](*args, ws)
         for bw in (1.0, 3.0):
             state = thermal_state(ws, bw, 1.0)
-            pops = evolved_populations(chain.product, state)
-            mean = sum(n @ p for n, p in zip(ws.n_diags, pops))
-            second = sum((n * n) @ p for n, p in zip(ws.n_diags, pops))
-            edge = boundary_occupancy(chain.product, state)
-            got = chain.moments(state)
-            assert got == pytest.approx((mean, second - mean**2, edge), rel=1e-13)
-            partials = [edge]
+            reference = _dense_reads(chain.product, bw)
+            assert chain.moments(state) == pytest.approx(reference, rel=1e-13)
+            partials = [reference[2]]
             if name == "unitary_product":
                 # the intermediate squeeze exp(i zeta K_x) has the |.|^2 of exp(i zeta K_y)
                 squeeze = evolution_endpoint(-args[0], 0.0, ws).product
-                partials.append(boundary_occupancy(squeeze, state))
+                partials.append(_dense_reads(squeeze, bw)[2])
             assert chain.occupancy(state) == pytest.approx(max(partials), rel=1e-13)
             if max(partials) > LEAK_TOL:
                 with pytest.raises(TruncationError):
@@ -492,10 +530,11 @@ class TestChainSummaries:
 
 class TestPopulations:
     def test_population_route_matches_operator_route(self):
-        # <N>, Delta^2 N and the boundary mass from |U|^2 p against U+ N U, for
+        # <N> and Delta^2 N of a chain's |U|^2 p read against the evolved operator
+        # U+ (N + 1) U = 2 [cosh(chi) K_z - sinh(chi) K_x] (`hamiltonian_final` at
+        # unit frequency), and its boundary mass against the dense reference, for
         # each builder at seeded points inside the guard
         ws = FockWorkspace(40)
-        n_op = number_operator(ws)
         rng = np.random.default_rng(20240611)
         for _ in range(4):
             bw, zeta, phi = rng.uniform(1.0, 3.0), rng.uniform(0.05, 0.6), rng.uniform(0.1, 3.0)
@@ -507,15 +546,11 @@ class TestPopulations:
                 evolution_endpoint(-chi, -theta, ws),
             ):
                 chain.guard(state)
-                u = chain.product
-                pops = evolved_populations(u, state)
-                mean = sum(n @ p for n, p in zip(ws.n_diags, pops))
-                second = sum((n * n) @ p for n, p in zip(ws.n_diags, pops))
-                edge = sum(p[m].sum() for p, m in zip(pops, _boundary_masks(ws)))
-                m = n_op.heisenberg(u)
-                assert mean == pytest.approx(expect(m, state), rel=1e-12)
-                assert second - mean**2 == pytest.approx(variance(m, state), rel=1e-12)
-                assert edge == pytest.approx(boundary_occupancy(u, state), rel=1e-12)
+                mean, var, edge = chain.moments(state)
+                evolved = hamiltonian_final(1.0, -chi, ws)
+                assert mean + 1.0 == pytest.approx(expect(evolved, state), rel=1e-12)
+                assert var == pytest.approx(variance(evolved, state), rel=1e-12)
+                assert edge == pytest.approx(_dense_reads(chain.product, bw)[2], rel=1e-12)
 
 
 class TestHamiltonianFinal:
@@ -574,22 +609,12 @@ class TestExpectations:
         with pytest.raises(ValueError):
             op.to_dense()
 
-    def test_heisenberg_image_keeps_hermiticity(self):
-        ws = FockWorkspace(12)
-        u = unitary_product(_exp_i_ky(ws, 0.4), 0.9).product
-        n_op = number_operator(ws)
-        m = n_op.heisenberg(u)
-        dense = m.to_dense()
-        assert m.hermitian and np.max(np.abs(dense - dense.conj().T)) < 1e-13
-        assert np.max(np.abs(m.to_dense() - (u.dag() @ (n_op @ u)).to_dense())) == 0.0
-        assert not u.heisenberg(u).hermitian  # a non-Hermitian operator stays so
-
     def test_diagonal_fast_path_matches_generic(self):
         ws = FockWorkspace(12)
-        gen = GeneratorSet(ws)
+        kx, _ = _block_generators(ws)
         diag = number_operator(ws)
-        lhs = (diag @ gen.kx).to_dense()
-        rhs = diag.to_dense() @ gen.kx.to_dense()
+        lhs = (diag @ kx).to_dense()
+        rhs = diag.to_dense() @ kx.to_dense()
         assert np.max(np.abs(lhs - rhs)) < 1e-14
 
 

@@ -26,7 +26,7 @@ from su11otto import (
 from su11otto.config import load_config
 from su11otto.core import chi_of, n_out
 from su11otto.errors import NoSolutionError, PhotonNumberError
-from su11otto.fock import FockWorkspace, number_operator, thermal_state, unitary_equiv, variance
+from su11otto.fock import FockWorkspace, thermal_state, unitary_equiv
 from su11otto.core import ProtocolEndpoints
 from su11otto.metrology import (
     dn_dphi_chain,
@@ -115,7 +115,7 @@ class TestVariances:
         state = thermal_state(ws, fig3_config.beta_h, fig3_config.omega2)
         chain = unitary_equiv(ProtocolEndpoints(chi=0.8, theta=0.3), ws)
         chain.guard(state)
-        oracle = variance(number_operator(ws).heisenberg(chain.product), state)
+        oracle = chain.moments(state)[1]
         assert float(variance_n(fig3_config, 0.8)) == pytest.approx(oracle, rel=1e-6)
 
 
