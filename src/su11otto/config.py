@@ -28,7 +28,8 @@ from .metrology import DERIVATIVE_MODES
 
 __all__ = ["OracleConfig", "ScenarioConfig", "DEFAULTS", "load_config"]
 
-# the largest oracle.algebra_n_max whose dense (n + 1)^2-square algebra records fit
+# the largest oracle.algebra_n_max whose dense (n + 1)^2-square K_x fits for the
+# kx_ladder_representation record, the one algebra record that assembles a dense matrix
 _MAX_DENSE_N = math.isqrt(_DENSE_LIMIT) - 1
 
 DEFAULTS: dict = {

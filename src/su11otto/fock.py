@@ -22,10 +22,10 @@ for entry.  The multiplicity lives in one place: `ThermalState.probs`
 carries weight 2 for every d > 0, so populations and traces are folded
 (each d > 0 entry holds both mirror states) and every trace over the stored
 sectors counts both.  `BlockOperator.to_dense()`, which assembles the full
-matrix for small-basis algebra checks, is the one place that writes the
-mirror blocks out, in the blocks' own dtype (real for K_x, K_z and N).
-`_kx_block` is the one construction of the K_x band: in double precision
-for the workspace, in long double for the gate's algebra records.
+matrix for the small-basis ladder check and the tests, is the one place
+that writes the mirror blocks out, in the blocks' own dtype (real for K_x,
+K_z and N).  `_kx_block` is the one construction of the K_x band, in double
+precision; the gate's algebra records read the workspace's own blocks.
 
 Every exponential is the one real kernel `_exp_i_ky`: exp(i s K_y) is
 real orthogonal in the Fock basis (Yurke, McCall & Klauder, PRA 33, 4033
@@ -93,7 +93,6 @@ __all__ = [
     "unitary_equiv",
     "evolution_endpoint",
     "hamiltonian_final",
-    "number_operator",
     "expect",
     "variance",
     "boundary_occupancy",
@@ -152,7 +151,7 @@ class FockWorkspace:
 
     @cached_property
     def kx_blocks(self) -> tuple[np.ndarray, ...]:
-        return tuple(_kx_block(s, np.float64) for s in self.sectors)
+        return tuple(_kx_block(s) for s in self.sectors)
 
     @cached_property
     def kx_eig(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
@@ -177,12 +176,12 @@ class FockWorkspace:
         return tuple(np.stack((n, n * n, np.arange(len(n)) == len(n) - 1)) for n in self.n_diags)
 
 
-def _kx_block(s: Sector, dtype) -> np.ndarray:
+def _kx_block(s: Sector) -> np.ndarray:
     """The K_x block of sector s: the band 1/2 sqrt((n1+1)(n2+1)), from the
-    exact integer product, with the root taken in `dtype`."""
+    exact integer product."""
     m = s.size
-    kx = np.zeros((m, m), dtype=dtype)
-    off = 0.5 * np.sqrt(((s.n1[:-1] + 1) * (s.n2[:-1] + 1)).astype(dtype))
+    kx = np.zeros((m, m))
+    off = 0.5 * np.sqrt(((s.n1[:-1] + 1) * (s.n2[:-1] + 1)).astype(float))
     rows = np.arange(m - 1)
     kx[rows + 1, rows] = off
     kx[rows, rows + 1] = off
@@ -540,10 +539,6 @@ def hamiltonian_final(omega_f: float, f_y_tf: float, ws: FockWorkspace) -> Block
     for kz, kx in zip(ws.kz_diags, ws.kx_blocks):
         blocks.append(2.0 * omega_f * (ch * np.diag(kz) - sh * kx))
     return BlockOperator(ws, blocks, hermitian=True)
-
-
-def number_operator(ws: FockWorkspace) -> BlockOperator:
-    return BlockOperator.from_diagonal(ws, ws.n_diags)
 
 
 def expect(op: BlockOperator, state: ThermalState) -> float:

@@ -2,8 +2,10 @@
 
 Runs the whole dual-route check suite and returns typed records:
 
-* algebra: commutators, Jacobi identity, Casimir commutation, K_z = (N+1)/2
-  on interior blocks of a small dense basis;
+* algebra: commutators, Jacobi identity, the scalar Casimir and
+  K_z = (N+1)/2 as O(m) identities on the K_x band and K_z diagonal of the
+  grid's own workspace, in double precision; the band's placement against
+  the ladder operators on a small dense basis;
 * thermal machinery: partition function, mean occupation, tail leakage;
 * the endpoint equivalence of the product form un1 and the endpoint form
   un2, with the time-ordered form tiev read from the un2 chain it provably
@@ -46,10 +48,8 @@ from .fock import (
     FockWorkspace,
     _dense_annihilator,
     _exp_i_ky,
-    _kx_block,
     expect,
     hamiltonian_final,
-    number_operator,
     thermal_state,
     unitary_equiv,
     unitary_product,
@@ -134,85 +134,71 @@ def _expected_mismatch(quantity, analytic, oracle, tol, n_max, *, relative=False
     return replace(rec, status="discrepancy") if rec.status == "fail" else rec
 
 
-def _algebra_records(n_max: int) -> list[GateRecord]:
-    """Structure-constant checks, blockwise in 80-bit precision.
+def _algebra_records(ws: FockWorkspace, algebra_n_max: int) -> list[GateRecord]:
+    """Structure-constant checks: O(m) identities on the band of the grid's K_x.
 
-    The identities are exact on the interior of the truncated space, so the
-    comparisons should test the algebra and not double-precision matmul
-    accumulation (which alone reaches ~1e-12 at this basis size); extended
-    precision per sector keeps the arithmetic noise orders below the
-    tolerance and is far cheaper than dense products anyway.  K_x is the
-    workspace's own `_kx_block` with the root taken in long double (the
-    double-rounded roots of the cached blocks would dominate the residuals
-    after squaring), K_y its exact quarter turn and K_z the exact halves of
-    `kz_diags`, applied as the diagonal it is (a column or row scaling, the
-    same bits as the product with diag(K_z)); each commutator is formed
-    once and reused by the Jacobi sum.
+    Each stored sector d carries the discrete series D+(k) of su(1,1), with
+    Bargmann index k = (d + 1)/2 (Bargmann, Ann. Math. 48, 568 (1947)): at
+    position j, K_z,j = k + j, and K_x is symmetric tridiagonal with a zero
+    diagonal and the band b_j = K_x[j, j+1], b_j^2 = (j + 1)(j + 2k)/4.
+    K_y = i(upper - lower band) is its quarter turn about K_z.  On the
+    interior rows j <= m - 2 (b_-1 = 0) each identity is one line:
 
-    The blockwise checks run over the stored sectors d >= 0 only: the
-    mirror block of sector -d is identical entry for entry, so it has the
-    same residuals.  The dense records read `to_dense()` of the workspace's
-    K_z, N and K_x, mirror blocks included, and `kx_ladder_representation`
-    checks their placement at the swapped indices against
-    (a1+ a2+ + a1 a2)/2 = (P^T + P)/2 with P = a (x) a.
+    * [K_x, K_y] = -i K_z  <=>  2(b_j^2 - b_j-1^2) = K_z,j: the diagonal of
+      [K_x, K_y] is -2i(b_j^2 - b_j-1^2), and at (j, j +- 2) both of its
+      products are the same i b_j b_j+1, which cancel exactly, in floating
+      point too;
+    * [K_y, K_z] = i K_x and [K_z, K_x] = i K_y  <=>  K_z,j+1 - K_z,j = 1;
+    * the Casimir K_z^2 - K_x^2 - K_y^2 is diagonal (the (j, j +- 2)
+      entries of K_x^2 and K_y^2 cancel the same way) with the entries
+      K_z,j^2 - 2(b_j^2 + b_j-1^2) = k(k - 1): a scalar, which is stronger
+      than commuting with the generators;
+    * Jacobi: once the commutators close, each term [K_a, [K_b, K_c]] is
+      a multiple of [K_a, K_a] = 0 by itself, so `jacobi_identity` is the
+      largest commutator residual and cannot fail on its own.
+
+    An entry off the band, or an asymmetric band, breaks the commutators:
+    the largest such |entry| is folded into the three commutator records.
+    The [K_x, K_y] and Casimir residuals are relative to K_z,j and K_z,j^2,
+    since b_j^2 rounds at the ulp of ~K_z^2.  Only the stored sectors
+    d >= 0 are read: the mirror block of sector -d is identical entry for
+    entry.  The K_z and N records read the diagonals.  Only
+    `kx_ladder_representation` is dense: on `FockWorkspace(algebra_n_max)`
+    it checks the band's placement in the basis, mirror blocks included,
+    against (a1+ a2+ + a1 a2)/2 = (P^T + P)/2 with P = a (x) a.
     """
-    ws = FockWorkspace(n_max)
+    dev_xy = dev_step = dev_cas = dev_kz_half = dev_kz_n = 0.0
+    for sec, kx, kz, n in zip(ws.sectors, ws.kx_blocks, ws.kz_diags, ws.n_diags):
+        b = np.diagonal(kx, 1)
+        # 0 exactly when the block is symmetric tridiagonal with a zero diagonal
+        shape = np.max(np.abs(kx - np.diag(b, 1) - np.diag(b, -1)))
+        b2 = np.concatenate(([0.0], b * b))  # b_j-1^2 for j = 0 ... m - 1
+        kz_in = kz[:-1]  # the interior rows
+        k = (sec.d + 1) / 2.0
+        xy = np.abs(2.0 * (b2[1:] - b2[:-1]) - kz_in) / kz_in
+        cas = np.abs(kz_in * kz_in - 2.0 * (b2[1:] + b2[:-1]) - k * (k - 1.0)) / (kz_in * kz_in)
+        dev_xy = max(dev_xy, shape, np.max(xy, initial=0.0))
+        dev_step = max(dev_step, shape, np.max(np.abs(np.diff(kz) - 1.0), initial=0.0))
+        dev_cas = max(dev_cas, np.max(cas, initial=0.0))
+        dev_kz_half = max(dev_kz_half, np.max(np.abs(kz - (n + 1.0) / 2.0)))
+        dev_kz_n = max(dev_kz_n, np.max(np.abs(kz * n - n * kz)))
 
-    def comm(a, b):
-        # clongdouble has no BLAS: numpy's own loop keeps the sums in 80 bits
-        return a @ b - b @ a
-
-    unit_i = np.clongdouble(1j)
-    phase_cycle = np.array([1.0, -unit_i, -1.0, unit_i], dtype=np.clongdouble)
-    dev_xy = dev_yz = dev_zx = dev_jac = dev_cas = 0.0
-    for sec, kz_diag in zip(ws.sectors, ws.kz_diags):
-        m = sec.size
-        kx = _kx_block(sec, np.longdouble).astype(np.clongdouble)
-        ph = phase_cycle[np.arange(m) % 4]  # (-i)^k exactly
-        ky = (ph[:, None] * kx) * ph.conj()[None, :]
-        kz = kz_diag.astype(np.clongdouble)
-        kz_row, kz_col = kz[None, :], kz[:, None]  # a @ K_z = a * kz_row, K_z @ a = kz_col * a
-        in1 = slice(0, max(m - 1, 0))  # products of one pair exact off the last basis state
-        in2 = slice(0, max(m - 2, 0))  # two products deep: two boundary layers
-
-        def dev(mat, sl):
-            block = mat[sl, sl]
-            return float(np.max(np.abs(block))) if block.size else 0.0
-
-        c_xy = comm(kx, ky)
-        c_yz = ky * kz_row - kz_col * ky
-        c_zx = kz_col * kx - kx * kz_row
-        dev_xy = max(dev_xy, dev(c_xy + np.diag(unit_i * kz), in1))
-        dev_yz = max(dev_yz, dev(c_yz - unit_i * kx, in1))
-        dev_zx = max(dev_zx, dev(c_zx - unit_i * ky, in1))
-        jacobi = comm(kx, c_yz) + comm(ky, c_zx) + (kz_col * c_xy - c_xy * kz_row)
-        dev_jac = max(dev_jac, dev(jacobi, in2))
-        casimir = np.diag(kz * kz) - kx @ kx - ky @ ky
-        dev_cas = max(
-            dev_cas,
-            dev(comm(casimir, kx), in2),
-            dev(comm(casimir, ky), in2),
-            dev(casimir * kz_row - kz_col * casimir, in2),
-        )
-
-    kz_dense = BlockOperator.from_diagonal(ws, ws.kz_diags).to_dense()
-    n_dense = number_operator(ws).to_dense()
-    kx_dense = BlockOperator(ws, ws.kx_blocks).to_dense()
-    a = _dense_annihilator(n_max)
+    small = FockWorkspace(algebra_n_max)
+    kx_dense = BlockOperator(small, small.kx_blocks).to_dense()
+    a = _dense_annihilator(algebra_n_max)
     ladder = np.kron(a, a)  # a1 a2; a1+ a2+ is its transpose
-    dev_kz_half = float(np.max(np.abs(kz_dense - (n_dense + np.eye(ws.dim)) / 2)))
-    dev_kz_n = float(np.max(np.abs(kz_dense @ n_dense - n_dense @ kz_dense)))
-    dev_ladder = float(np.max(np.abs(kx_dense - (ladder.T + ladder) / 2.0)))
+    dev_ladder = np.max(np.abs(kx_dense - (ladder.T + ladder) / 2.0))
+    n_max = ws.n_max
     return [
         _cmp("comm_xy_plus_i_kz", 0.0, dev_xy, 1e-12, n_max),
-        _cmp("comm_yz_minus_i_kx", 0.0, dev_yz, 1e-12, n_max),
-        _cmp("comm_zx_minus_i_ky", 0.0, dev_zx, 1e-12, n_max),
-        _cmp("jacobi_identity", 0.0, dev_jac, 1e-12, n_max),
+        _cmp("comm_yz_minus_i_kx", 0.0, dev_step, 1e-12, n_max),
+        _cmp("comm_zx_minus_i_ky", 0.0, dev_step, 1e-12, n_max),
+        _cmp("jacobi_identity", 0.0, max(dev_xy, dev_step), 1e-12, n_max),
         _cmp("casimir_commutes_generators", 0.0, dev_cas, 1e-12, n_max),
         _cmp("kz_minus_half_n_plus_1", 0.0, dev_kz_half, 0.0, n_max),
         _cmp("comm_kz_n", 0.0, dev_kz_n, 0.0, n_max),
-        _cmp("vacuum_kz", 0.5, float(kz_dense[0, 0]), 0.0, n_max),
-        _cmp("kx_ladder_representation", 0.0, dev_ladder, 1e-13, n_max),
+        _cmp("vacuum_kz", 0.5, ws.kz_diags[0][0], 0.0, n_max),
+        _cmp("kx_ladder_representation", 0.0, dev_ladder, 1e-13, algebra_n_max),
     ]
 
 
@@ -423,10 +409,8 @@ def run_gate(
     beta*omega-major; points the truncation guard rejects are recorded as
     skipped, never silently dropped.
     """
-    records: list[GateRecord] = []
-    records.extend(_algebra_records(algebra_n_max))
-
     ws = FockWorkspace(n_max)
+    records = _algebra_records(ws, algebra_n_max)
     states = [(bw, thermal_state(ws, bw, 1.0)) for bw in beta_omegas]
     records.extend(_thermal_records(states))
     records.extend(_equivalence_records(ws, states, zeta_grid, phi_grid))

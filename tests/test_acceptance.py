@@ -166,9 +166,10 @@ def test_criterion_04_oracle_equivalence_suite():
 
 
 def test_criterion_05_algebra_property_suite():
+    from su11otto.fock import FockWorkspace
     from su11otto.gate import _algebra_records
 
-    algebra = {r.quantity: r for r in _algebra_records(30)}
+    algebra = {r.quantity: r for r in _algebra_records(FockWorkspace(30), 30)}
     for name in ("comm_xy_plus_i_kz", "comm_yz_minus_i_kx", "comm_zx_minus_i_ky",
                  "jacobi_identity", "casimir_commutes_generators"):
         assert algebra[name].status == "pass" and algebra[name].oracle <= 1e-12, name

@@ -82,7 +82,7 @@ class TestConfig:
             {"metrology": {"derivative_mode": 1}},
             {"oracle": {"n_max": 0}},
             {"oracle": {"algebra_n_max": 1}},
-            # the dense algebra records would need a 4225x4225 matrix
+            # the dense ladder record would need a 4225x4225 matrix
             {"oracle": {"algebra_n_max": 64}},
             {"oracle": {"convergence_n": 0}},  # unknown too
             {"oracle": {"thermal_leak_tol": 0.0}},

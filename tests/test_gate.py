@@ -1,5 +1,5 @@
 """The gate's equivalence grid against a point-by-point reference loop, and its
-algebra records against the product form."""
+algebra records against dense products of the same blocks."""
 
 import dataclasses
 import math
@@ -18,9 +18,7 @@ from su11otto.fock import (
     BlockOperator,
     FockWorkspace,
     _dense_annihilator,
-    _kx_block,
     evolution_endpoint,
-    number_operator,
     thermal_state,
     unitary_equiv,
     unitary_product,
@@ -189,9 +187,10 @@ def test_exit_code_reports_the_worst_status(statuses, code):
     assert gate.GateResult(records).exit_code == code
 
 
-def _product_form_algebra_records(n_max):
-    """The algebra records with K_z as the dense matrix diag(K_z) in every product."""
-    ws = FockWorkspace(n_max)
+def _product_form_algebra_records(ws, algebra_n_max):
+    """The algebra records from dense clongdouble products of the workspace's own
+    blocks: K_x is `ws.kx_blocks` cast, K_y its quarter turn D K_x D+ and K_z the
+    dense diag(K_z), with absolute residuals on the interior blocks."""
 
     def comm(a, b):
         return a @ b - b @ a
@@ -199,9 +198,9 @@ def _product_form_algebra_records(n_max):
     unit_i = np.clongdouble(1j)
     phase_cycle = np.array([1.0, -unit_i, -1.0, unit_i], dtype=np.clongdouble)
     dev_xy = dev_yz = dev_zx = dev_jac = dev_cas = 0.0
-    for sec, kz_diag in zip(ws.sectors, ws.kz_diags):
+    for sec, kz_diag, kx_block in zip(ws.sectors, ws.kz_diags, ws.kx_blocks):
         m = sec.size
-        kx = _kx_block(sec, np.longdouble).astype(np.clongdouble)
+        kx = kx_block.astype(np.clongdouble)
         ph = phase_cycle[np.arange(m) % 4]
         ky = (ph[:, None] * kx) * ph.conj()[None, :]
         kz = np.diag(kz_diag.astype(np.clongdouble))
@@ -219,9 +218,11 @@ def _product_form_algebra_records(n_max):
         casimir = kz @ kz - kx @ kx - ky @ ky
         dev_cas = max(dev_cas, *(dev(comm(casimir, g), in2) for g in (kx, ky, kz)))
     kz_dense = BlockOperator.from_diagonal(ws, ws.kz_diags).to_dense()
-    n_dense = number_operator(ws).to_dense()
-    kx_dense = BlockOperator(ws, ws.kx_blocks).to_dense()
-    ladder = np.kron(_dense_annihilator(n_max), _dense_annihilator(n_max))
+    n_dense = BlockOperator.from_diagonal(ws, ws.n_diags).to_dense()
+    small = FockWorkspace(algebra_n_max)
+    kx_dense = BlockOperator(small, small.kx_blocks).to_dense()
+    ladder = np.kron(_dense_annihilator(algebra_n_max), _dense_annihilator(algebra_n_max))
+    n_max = ws.n_max
     return [
         _cmp("comm_xy_plus_i_kz", 0.0, dev_xy, 1e-12, n_max),
         _cmp("comm_yz_minus_i_kx", 0.0, dev_yz, 1e-12, n_max),
@@ -245,12 +246,66 @@ def _product_form_algebra_records(n_max):
             0.0,
             float(np.max(np.abs(kx_dense - (ladder.T + ladder) / 2.0))),
             1e-13,
-            n_max,
+            algebra_n_max,
         ),
     ]
 
 
-def test_diagonal_kz_gives_the_product_form_records_to_the_bit():
-    # the algebra records scale rows and columns by K_z instead of multiplying
-    # by diag(K_z): the same floats, so the same records
-    assert _fields(_algebra_records(8)) == _fields(_product_form_algebra_records(8))
+def _statuses(records):
+    return [(r.quantity, r.status, r.n_max) for r in records]
+
+
+@pytest.mark.parametrize("n_max", [8, 30])
+def test_band_records_match_the_dense_reference(n_max):
+    # the O(m) band identities and the dense products classify every record alike
+    ws = FockWorkspace(n_max)
+    band = _algebra_records(ws, n_max)
+    assert _statuses(band) == _statuses(_product_form_algebra_records(ws, n_max))
+    assert all(r.status == "pass" for r in band)
+
+
+def test_band_records_hold_at_the_grid_basis():
+    # the residuals are relative: at n_max = 120, b_j^2 rounds at the ulp of
+    # ~K_z^2, and the absolute residuals would reach past 1e-12
+    records = _algebra_records(FockWorkspace(120), 2)
+    assert all(r.abs_err <= 1e-13 for r in records)
+
+
+def _band_under_the_root(s, kx):
+    rows = np.arange(s.size - 1)
+    kx[rows, rows + 1] = kx[rows + 1, rows] = 0.5 * np.sqrt(
+        (s.n1[:-1] + 1) * (s.n2[:-1] + 1) + 0.01
+    )
+    return kx
+
+
+def _entry_off_the_band(s, kx):
+    if s.d == 0:
+        kx[3, 7] = 1e-9
+    return kx
+
+
+def _kz_scaled(s, kz):
+    return kz * (1.0 + 1e-9)
+
+
+COMMUTATORS = {"comm_xy_plus_i_kz", "comm_yz_minus_i_kx", "comm_zx_minus_i_ky"}
+
+
+@pytest.mark.parametrize(
+    "cache, mutate, failing",
+    [
+        ("kx_blocks", _band_under_the_root, {"comm_xy_plus_i_kz", "casimir_commutes_generators"}),
+        ("kx_blocks", _entry_off_the_band, COMMUTATORS),
+        ("kz_diags", _kz_scaled, {"comm_yz_minus_i_kx", "comm_zx_minus_i_ky"}),
+    ],
+    ids=["band+0.01-under-the-root", "1e-9-off-the-band", "kz-scaled-1e-9"],
+)
+def test_mutated_workspace_fails_the_algebra_records(cache, mutate, failing):
+    # the mutation replaces the workspace's cached blocks or diagonals: both
+    # routes read them, and both must fail the records the mutation breaks
+    ws = FockWorkspace(12)
+    ws.__dict__[cache] = tuple(mutate(s, v.copy()) for s, v in zip(ws.sectors, getattr(ws, cache)))
+    for route in (_algebra_records, _product_form_algebra_records):
+        failed = {r.quantity for r in route(ws, 4) if r.status == "fail"}
+        assert failing <= failed, route.__name__

@@ -1,5 +1,6 @@
 """The runtime needs numpy only: pyproject.toml declares no other dependency,
-so no su11otto module may load scipy, not even through the oracle."""
+so no su11otto module may load scipy, not even through the oracle.  Nor may
+one take a long double, whose width differs across platforms."""
 
 import json
 import os
@@ -44,3 +45,10 @@ def test_oracle_run_loads_no_scipy(tmp_path):
     assert outcome["exit"] == 2  # the printed discrepancies, nothing failed
     assert outcome["scipy"] == []
     assert (tmp_path / "oracle_report.csv").exists()
+
+
+def test_no_module_takes_a_long_double():
+    # np.longdouble is 80-bit on x86 Linux but plain double on MSVC and macOS
+    # arm64: a check that leans on it passes on one platform and fails on another
+    users = sorted(p.name for p in (SRC / "su11otto").glob("*.py") if "longdouble" in p.read_text())
+    assert users == []
