@@ -280,7 +280,7 @@ class ScenarioReport:
 
     params: CircuitParams
     engine: EngineConfig
-    pairs: dict[str, BogoliubovPair]
+    pair: BogoliubovPair  # the expansion ramp's
     chi: float
     chi_max: float
     eta: float
@@ -331,10 +331,7 @@ def circuit_scenario(params: CircuitParams, *, derivative_mode: str) -> Scenario
     """
     engine = engine_config_from_circuit(params)
     nu = _absolute_rapidity(params)
-    pairs = {
-        branch: bogoliubov(*asymptotic_frequencies(params, branch), nu) for branch in BRANCHES
-    }
-    pair = pairs["expansion"]
+    pair = bogoliubov(*asymptotic_frequencies(params, "expansion"), nu)
     endpoints0 = map_to_protocol(pair, 0.0)
     chi = endpoints0.chi
     chi_bound = chi_max(engine)
@@ -365,7 +362,7 @@ def circuit_scenario(params: CircuitParams, *, derivative_mode: str) -> Scenario
     return ScenarioReport(
         params=params,
         engine=engine,
-        pairs=pairs,
+        pair=pair,
         chi=chi,
         chi_max=chi_bound,
         eta=eta,

@@ -208,7 +208,7 @@ def cmd_snl(args, config: ScenarioConfig) -> int:
 def cmd_circuit(args, config: ScenarioConfig) -> int:
     mode = config.derivative_mode
     report = circuit_mod.circuit_scenario(config.circuit, derivative_mode=mode)
-    pair = report.pairs["expansion"]
+    pair = report.pair
     rows = [
         (p.t_f, p.theta, p.zeta, p.phi, p.chi, p.eta, p.eta_norm, p.dphi_h, p.dphi_norm, p.flag)
         for p in report.points

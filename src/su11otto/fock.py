@@ -41,8 +41,9 @@ exp(i s K_y)_jk = (-1)^floor((j-k)/2) [cos or sin](s K_x)_jk.  Then
 exp(+-i s K_x) = D+ exp(+-i s K_y) D exactly, and exp(-i s K_y) is the
 transpose of exp(i s K_y).
 
-Operators are immutable: blocks, diagonal and the `hermitian` flag are
-fixed at construction.
+Operators are immutable: blocks and diagonal are fixed at construction,
+and an operator reads its hermiticity from them, once, when `expect` or
+`variance` first asks.
 
 Truncation honesty
 ------------------
@@ -57,10 +58,10 @@ cut more than THERMAL_LEAK_TOL of its weight or to hold more than
 THERMAL_BOUNDARY_TOL on a boundary state, and `Chain.guard(state)` raises
 past a boundary occupancy of LEAK_TOL instead of letting quietly wrong
 numbers through.  The unitaries do not depend on the state, so each
-builder returns a `Chain` that reduces its product U = L C R once (L, R
-the outer diagonal phases, the core C the rest, interior phases included)
-to the guard weights and moment weights of the core (`Chain`) and, when
-read, its unitarity defect.  Outer phases move no population, and with e
+builder states its product U = L C R as a `Chain` (L, R the outer
+diagonal phases, the core C the rest, interior phases included), which
+reduces it once to the guard weights and moment weights of the core and,
+when read, its unitarity defect.  Outer phases move no population, and with e
 the largest |1 - |phase|^2| of L and R,
 U+ U - 1 = R+ (C+ C - 1) R + R+ C+ (L+ L - 1) C R + (R+ R - 1), so
 defect(U) <= defect(C) + 2 e to first order (e = 0 for the exact D
@@ -73,10 +74,10 @@ thermal weights written out over the full, unfolded basis.
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -100,7 +101,6 @@ __all__ = [
 ]
 
 _DENSE_LIMIT = 4096  # refuse to assemble dense matrices larger than this
-_IMAG_RESIDUE_TOL = 1e-10
 
 LEAK_TOL = 1e-8  # boundary occupancy of an evolved state
 THERMAL_LEAK_TOL = 1e-10  # thermal tail weight cut off past n_max
@@ -172,7 +172,7 @@ class FockWorkspace:
     @cached_property
     def moment_rows(self) -> tuple[np.ndarray, ...]:
         """Per sector, the rows n, n^2 and boundary (one-hot on the last state)
-        that `_compose` multiplies into |core|^2."""
+        that `_chain` multiplies into |core|^2."""
         return tuple(np.stack((n, n * n, np.arange(len(n)) == len(n) - 1)) for n in self.n_diags)
 
 
@@ -196,13 +196,11 @@ class BlockOperator:
     sector d.  `diags` is set for diagonal operators, letting products with
     them run in O(m^2) per block instead of a full matrix multiply; pass
     `blocks=None` with `diags` and the dense blocks are only built when
-    read.  `hermitian` is fixed at construction; `variance` accepts only
-    Hermitian operators.
+    read.  `expect` and `variance` accept only Hermitian operators.
     """
 
     ws: FockWorkspace
     blocks: Sequence | None
-    hermitian: bool = False
     diags: tuple | None = None
 
     def __post_init__(self):
@@ -212,20 +210,25 @@ class BlockOperator:
         object.__setattr__(self, "blocks", blocks)
 
     @classmethod
-    def from_diagonal(cls, ws: FockWorkspace, diags, *, hermitian=True) -> "BlockOperator":
-        return cls(ws, None, hermitian=hermitian, diags=[np.asarray(v) for v in diags])
+    def from_diagonal(cls, ws: FockWorkspace, diags) -> "BlockOperator":
+        return cls(ws, None, diags=[np.asarray(v) for v in diags])
 
     def dag(self) -> "BlockOperator":
-        h = self.hermitian
         if self.diags is not None:  # stays diagonal, no dense blocks
-            return BlockOperator.from_diagonal(self.ws, [v.conj() for v in self.diags], hermitian=h)
-        return BlockOperator(self.ws, [b.conj().T for b in self.blocks], hermitian=h)
+            return BlockOperator.from_diagonal(self.ws, [v.conj() for v in self.diags])
+        return BlockOperator(self.ws, [b.conj().T for b in self.blocks])
+
+    @cached_property
+    def is_hermitian(self) -> bool:
+        """Each block equals its conjugate transpose exactly; a diagonal is real."""
+        if self.diags is not None:
+            return all(np.array_equal(v, v.conj()) for v in self.diags)
+        return all(np.array_equal(b, b.conj().T) for b in self.blocks)
 
     def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
         if not isinstance(other, BlockOperator):
             return NotImplemented
-        if other.ws is not self.ws:
-            raise ValueError("operators live on different workspaces")
+        _same_workspace(self, other)
         if self.diags is not None:
             blocks = [v[:, None] * b for v, b in zip(self.diags, other.blocks)]
         elif other.diags is not None:
@@ -267,6 +270,13 @@ class BlockOperator:
             gram.flat[:: gram.shape[0] + 1] -= 1.0
             worst = max(worst, float(np.max(np.abs(gram))))
         return worst
+
+
+def _same_workspace(a, b):
+    """b, once it is checked to live on a's workspace."""
+    if a.ws is not b.ws:
+        raise ValueError(f"{type(a).__name__} and {type(b).__name__} live on different workspaces")
+    return b
 
 
 def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -311,13 +321,11 @@ class ThermalState:
     stored, sector -d is the mode-swap image of sector d, and every d > 0
     entry carries weight 2 (its own state and its mirror), so the probs sum
     to 1 and a trace over the stored sectors counts both mirrors.
-    partition_function is the exact closed form [2 sinh(beta omega / 2)]^-2
-    and leakage the tail weight that was cut.
+    leakage is the tail weight that was cut.
     """
 
     ws: FockWorkspace
     probs: tuple
-    partition_function: float
     leakage: float
 
     def mean_number(self) -> float:
@@ -345,7 +353,6 @@ def thermal_state(ws: FockWorkspace, beta: float, omega: float) -> ThermalState:
     # zero-temperature limit where Z itself underflows
     q = math.exp(-beta * omega)
     norm = (1.0 - q) ** 2
-    z = math.exp(-beta * omega) / norm if norm > 0.0 else math.inf
     raw = [norm * q ** (s.n1 + s.n2).astype(float) for s in ws.sectors]
     folded = [p if s.d == 0 else 2.0 * p for s, p in zip(ws.sectors, raw)]
     retained = float(sum(p.sum() for p in folded))
@@ -362,7 +369,7 @@ def thermal_state(ws: FockWorkspace, beta: float, omega: float) -> ThermalState:
             f"thermal occupancy {boundary:.3e} at the n_max boundary exceeds {THERMAL_BOUNDARY_TOL:.0e}"
         )
     probs = tuple(p / retained for p in folded)
-    return ThermalState(ws=ws, probs=probs, partition_function=z, leakage=leakage)
+    return ThermalState(ws=ws, probs=probs, leakage=leakage)
 
 
 def _exp_i_ky(ws: FockWorkspace, s: float) -> BlockOperator:
@@ -392,34 +399,28 @@ def _exp_i_ky(ws: FockWorkspace, s: float) -> BlockOperator:
 def _quarter_phases(ws: FockWorkspace) -> BlockOperator:
     """D = diag((-i)^k) per sector, k the position in the sector, exactly."""
     cycle = np.array([1.0, -1j, -1.0, 1j])
-    return BlockOperator.from_diagonal(ws, [cycle[s.n2 % 4] for s in ws.sectors], hermitian=False)
+    return BlockOperator.from_diagonal(ws, [cycle[s.n2 % 4] for s in ws.sectors])
 
 
 def _phase_kz(ws: FockWorkspace, s: float) -> BlockOperator:
-    diags = [np.exp(1j * s * kz) for kz in ws.kz_diags]
-    return BlockOperator.from_diagonal(ws, diags, hermitian=False)
+    return BlockOperator.from_diagonal(ws, [np.exp(1j * s * kz) for kz in ws.kz_diags])
 
 
 def _abs2(b: np.ndarray) -> np.ndarray:
     return b * b if np.isrealobj(b) else b.real**2 + b.imag**2
 
 
-def _flat_probs(op: BlockOperator, state: ThermalState) -> np.ndarray:
-    if op.ws is not state.ws:
-        raise ValueError("operator and state live on different workspaces")
-    return state.flat_probs
-
-
 def boundary_occupancy(op: BlockOperator, state: ThermalState) -> float:
     """Total weight of op rho op+ on the n_max boundary layer."""
-    return float(op.boundary_weights @ _flat_probs(op, state))
+    return float(op.boundary_weights @ _same_workspace(op, state).flat_probs)
 
 
 @dataclass(frozen=True)
 class Chain:
     """A unitary product reduced once to what its reads need, and its builder's name.
 
-    `before` and `after` are the outer diagonal factors around the `core`.
+    Each builder states its chain through `_chain`.  `before` and `after`
+    are the outer diagonal factors around the `core`.
     `guard_weights` holds the `boundary_weights` of each guarded partial
     product of the core, in the order they act on the state;
     `moment_weights` stacks n^T |core|^2, (n^2)^T |core|^2 and
@@ -445,7 +446,7 @@ class Chain:
 
     def occupancy(self, state: ThermalState) -> float:
         """Worst boundary occupancy of the state after any guarded partial product."""
-        p = _flat_probs(self.core, state)
+        p = _same_workspace(self.core, state).flat_probs
         return max(float(w @ p) for w in self.guard_weights)
 
     def guard(self, state: ThermalState) -> float:
@@ -461,38 +462,32 @@ class Chain:
 
     def moments(self, state: ThermalState) -> tuple[float, float, float]:
         """<N>, Delta^2 N and the boundary mass of U rho U+."""
-        mean, second, edge = (float(v) for v in self.moment_weights @ _flat_probs(self.core, state))
+        p = _same_workspace(self.core, state).flat_probs
+        mean, second, edge = (float(v) for v in self.moment_weights @ p)
         return mean, second - mean * mean, edge
 
 
-def _compose(label: str, factors) -> Chain:
-    """Compose `factors` (ordered as applied to the state) into one chain.
+def _chain(label: str, core: BlockOperator, before=(), after=(), squeezed=()) -> Chain:
+    """The chain `before`, `core`, `after`, each ordered as applied to the state.
 
-    The leading and trailing diagonal factors stay outer; the rest multiply
-    into the core, each partial product once, with its guard weights kept
-    after every non-diagonal factor (diagonal phases move no population).
-    |core|^2 is taken once, for the moment weights; their boundary row is
-    the full core's guard weights, bit for bit, since it is one-hot on each
-    sector's last state.
+    The outer diagonal phases `before` and `after` move no population, so
+    every read is of the core: the guard weights of each `squeezed` partial
+    product of the core, then of the core itself, and the moment weights
+    from |core|^2, taken once.  Their boundary row is the core's guard
+    weights, bit for bit, since it is one-hot on each sector's last state.
     """
-    dense = [f.diags is None for f in factors]
-    first, stop = dense.index(True), len(dense) - dense[::-1].index(True)
-    core, partials = None, []
-    for f in factors[first:stop]:
-        core = f if core is None else f @ core
-        if f.diags is None:
-            partials.append(core)
     rows = core.ws.moment_rows
     moments = np.concatenate([r @ _abs2(b) for r, b in zip(rows, core.blocks)], axis=1)
-    guarded = (*(p.boundary_weights for p in partials[:-1]), moments[2])
-    outer = tuple(factors[:first]), tuple(factors[stop:])
-    return Chain(core, *outer, guarded, moments, label)
+    guarded = (*(s.boundary_weights for s in squeezed), moments[2])
+    return Chain(core, before, after, guarded, moments, label)
 
 
 def evolved_boundary_occupancy(factors, state: ThermalState) -> float:
     """Worst boundary occupancy along rho -> F1 rho F1+ -> (F2 F1) rho ...,
-    `factors` ordered as applied to the state (rightmost operator first)."""
-    return _compose("chain", factors).occupancy(state)
+    `factors` ordered as applied to the state (rightmost operator first),
+    read after each non-diagonal factor (diagonal phases move no population)."""
+    partials = accumulate(factors, lambda acc, f: f @ acc)
+    return max(boundary_occupancy(p, state) for p, f in zip(partials, factors) if f.diags is None)
 
 
 def unitary_product(y: BlockOperator, phi: float) -> Chain:
@@ -507,27 +502,23 @@ def unitary_product(y: BlockOperator, phi: float) -> Chain:
     intermediate squeeze is the binding constraint: it spreads the state
     by zeta even when the composed chi is small)."""
     ws = y.ws
-    y_t = BlockOperator(ws, [b.T for b in y.blocks])
     d = _quarter_phases(ws)
-    return _compose("unitary_product", (d, y, _phase_kz(ws, -phi), y_t, d.dag()))
+    core = BlockOperator(ws, [b.T for b in y.blocks]) @ (_phase_kz(ws, -phi) @ y)
+    return _chain("unitary_product", core, (d,), (d.dag(),), squeezed=(y,))
 
 
 def unitary_equiv(endpoints: ProtocolEndpoints, ws: FockWorkspace) -> Chain:
     """The chain of the endpoint form exp(i theta K_z) exp(i chi K_y) exp(-i theta K_z);
     its core is the real exp(i chi K_y)."""
-    factors = (
-        _phase_kz(ws, -endpoints.theta),
-        _exp_i_ky(ws, endpoints.chi),
-        _phase_kz(ws, endpoints.theta),
-    )
-    return _compose("unitary_equiv", factors)
+    theta = endpoints.theta
+    core = _exp_i_ky(ws, endpoints.chi)
+    return _chain("unitary_equiv", core, (_phase_kz(ws, -theta),), (_phase_kz(ws, theta),))
 
 
 def evolution_endpoint(f_y_tf: float, f_z_tf: float, ws: FockWorkspace) -> Chain:
     """The chain of the time-ordered endpoint unitary exp(-i f_z K_z) exp(-i f_y K_y);
     its core is the real exp(-i f_y K_y)."""
-    factors = (_exp_i_ky(ws, -f_y_tf), _phase_kz(ws, -f_z_tf))
-    return _compose("evolution_endpoint", factors)
+    return _chain("evolution_endpoint", _exp_i_ky(ws, -f_y_tf), after=(_phase_kz(ws, -f_z_tf),))
 
 
 def hamiltonian_final(omega_f: float, f_y_tf: float, ws: FockWorkspace) -> BlockOperator:
@@ -538,29 +529,20 @@ def hamiltonian_final(omega_f: float, f_y_tf: float, ws: FockWorkspace) -> Block
     blocks = []
     for kz, kx in zip(ws.kz_diags, ws.kx_blocks):
         blocks.append(2.0 * omega_f * (ch * np.diag(kz) - sh * kx))
-    return BlockOperator(ws, blocks, hermitian=True)
+    return BlockOperator(ws, blocks)
 
 
 def expect(op: BlockOperator, state: ThermalState) -> float:
-    """Tr[O rho] for the diagonal state; warns if the imaginary residue
-    exceeds 1e-10 (it should only ever be rounding noise)."""
-    if op.ws is not state.ws:
-        raise ValueError("operator and state live on different workspaces")
-    val = sum(complex(np.dot(d, p)) for d, p in zip(op.diagonal(), state.probs))
-    if abs(val.imag) > _IMAG_RESIDUE_TOL:
-        warnings.warn(
-            f"expectation has imaginary residue {val.imag:.3e}", stacklevel=2
-        )
-    return float(val.real)
+    """Tr[O rho] for a Hermitian O and the diagonal state."""
+    probs = _same_workspace(op, state).probs
+    if not op.is_hermitian:
+        raise ValueError("expect needs a Hermitian operator")
+    return sum(float(np.dot(d.real, p)) for d, p in zip(op.diagonal(), probs))
 
 
 def variance(op: BlockOperator, state: ThermalState) -> float:
     """Tr[O^2 rho] - Tr[O rho]^2 for a Hermitian O, from the row norms of O
     instead of forming O^2."""
-    if op.ws is not state.ws:
-        raise ValueError("operator and state live on different workspaces")
-    if not op.hermitian:
-        raise ValueError("variance needs a Hermitian operator")
     mean = expect(op, state)
     # (O^2)_jj = sum_k |O_jk|^2 for Hermitian O
     second = sum(

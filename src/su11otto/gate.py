@@ -203,19 +203,21 @@ def _algebra_records(ws: FockWorkspace, algebra_n_max: int) -> list[GateRecord]:
 
 
 def _thermal_records(states) -> list[GateRecord]:
-    """Mean occupation and partition function of each (beta*omega, state) pair."""
+    """Mean occupation of each (beta*omega, state) pair, and the partition
+    function of its beta*omega in two closed forms."""
     recs = []
     for bw, state in states:
         n_max = state.ws.n_max
         mean = state.mean_number()
         closed = _bath_coth(bw, 1.0) - 1.0
         recs.append(_cmp(f"thermal_mean_n[bw={bw:g}]", closed, mean, 1e-7, n_max, state.leakage))
-        z_closed = (2.0 * math.sinh(bw / 2.0)) ** -2
+        # Z = sum_n (n + 1) q^(n + 1) with q = exp(-bw); neither form is a Fock sum
+        q = math.exp(-bw)
         recs.append(
             _cmp(
                 f"thermal_partition_fn[bw={bw:g}]",
-                z_closed,
-                state.partition_function,
+                (2.0 * math.sinh(bw / 2.0)) ** -2,
+                q / (1.0 - q) ** 2,
                 1e-14,
                 n_max,
                 state.leakage,
@@ -270,9 +272,9 @@ def _equivalence_records(ws, states, zeta_grid, phi_grid) -> list[GateRecord]:
     1. U_tiev = exp(i theta K_z) exp(i chi K_y)
               = [exp(i theta K_z) exp(i chi K_y) exp(-i theta K_z)] exp(i theta K_z)
               = U_un2 exp(i theta K_z).
-    2. `fock._compose` keeps the leading and trailing diagonal factors
-       outside the core, so both chains have the core `_exp_i_ky(ws, chi)`;
-       the trailing exp(i theta K_z) of step 1 and un2's leading
+    2. Both builders pass their K_z phases to `fock._chain` as outer
+       factors, so both chains have the core `_exp_i_ky(ws, chi)`; the
+       trailing exp(i theta K_z) of step 1 and un2's leading
        exp(-i theta K_z) are outer phases.
     3. Outer phases move no population: the guard weights, the moment
        weights and the core's unitarity defect are functions of the core

@@ -2,7 +2,8 @@
 
 Floats are printed at 17 significant digits so round-tripping the files
 reproduces the doubles bit for bit; files are written to a temp name and
-renamed into place so a crashed run never leaves a half-written sweep.
+renamed into place so a crashed run never leaves a half-written sweep;
+a write that fails removes its temp file.
 No timestamps or environment echoes: identical inputs give identical
 bytes.
 """
@@ -28,11 +29,15 @@ def write_csv(path: str | Path, columns, rows, header_comments=()) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        for line in header_comments:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            for line in header_comments:
+                fh.write(f"# {line}\n")
+            fh.write(",".join(columns) + "\n")
+            for row in rows:
+                fh.write(",".join(fmt(v) for v in row) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path

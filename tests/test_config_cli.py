@@ -21,7 +21,7 @@ from su11otto import (
 from su11otto.cli import build_parser, main
 from su11otto.config import DEFAULTS, OracleConfig, load_config
 from su11otto.errors import ConfigError
-from su11otto.reports import fmt
+from su11otto.reports import fmt, write_csv
 
 
 class TestConfig:
@@ -292,6 +292,15 @@ class TestCsvCommands:
         assert main(["--config", str(cfg), "--out", str(blocker / "x"), "cycle"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("unprintable cell")
+
+        with pytest.raises(RuntimeError, match="unprintable cell"):
+            write_csv(tmp_path / "x.csv", ("a",), [(1.0,), (Unprintable(),)])
+        assert list(tmp_path.iterdir()) == []
 
     def test_derivative_mode_flag(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

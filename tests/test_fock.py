@@ -59,7 +59,7 @@ def _dense_generators(n_max):
 def _block_generators(ws):
     """K_x from the workspace's blocks and K_y = D K_x D+, its quarter turn
     about K_z."""
-    kx = BlockOperator(ws, ws.kx_blocks, hermitian=True)
+    kx = BlockOperator(ws, ws.kx_blocks)
     d = _quarter_phases(ws)
     return kx, d @ kx @ d.dag()
 
@@ -211,12 +211,6 @@ class TestThermalState:
             1.0 - (1.0 - q**121) ** 2, rel=1e-3
         )
         assert state.leakage < THERMAL_LEAK_TOL
-
-    def test_partition_function_closed_form(self):
-        state = thermal_state(FockWorkspace(60), 0.5, 1.0)
-        assert state.partition_function == pytest.approx(
-            (2.0 * math.sinh(0.25)) ** -2, rel=1e-15
-        )
 
     def test_undersized_basis_rejected(self):
         with pytest.raises(TruncationError, match="thermal tail beyond n_max=10"):
@@ -577,6 +571,18 @@ class TestExpectations:
         with pytest.raises(ValueError):
             expect(BlockOperator.from_diagonal(ws_a, ws_a.n_diags), state)
 
+    def test_hermiticity_is_read_from_the_blocks(self):
+        # a diagonal of complex phases is not Hermitian, whatever built it
+        ws = FockWorkspace(12)
+        state = thermal_state(ws, 3.0, 1.0)
+        phases = BlockOperator.from_diagonal(ws, [np.exp(1j * 0.7 * kz) for kz in ws.kz_diags])
+        for read in (expect, variance):
+            with pytest.raises(ValueError, match="Hermitian"):
+                read(phases, state)
+        for op in (hamiltonian_final(0.35, -0.9, ws), BlockOperator.from_diagonal(ws, ws.n_diags)):
+            assert op.is_hermitian
+            assert math.isfinite(expect(op, state)) and variance(op, state) > 0.0
+
     def test_variance_rejects_non_hermitian_operator(self):
         ws = FockWorkspace(12)
         state = thermal_state(ws, 3.0, 1.0)
@@ -600,7 +606,7 @@ class TestExpectations:
 
 
 class TestImmutability:
-    @pytest.mark.parametrize("attr", ["hermitian", "blocks", "diags"])
+    @pytest.mark.parametrize("attr", ["blocks", "diags"])
     def test_assignment_raises(self, attr):
         ws = FockWorkspace(4)
         op = BlockOperator.from_diagonal(ws, ws.n_diags)
@@ -613,4 +619,4 @@ class TestImmutability:
         op = BlockOperator(ws, blocks, diags=[np.ones(s.size) for s in ws.sectors])
         blocks.append(np.eye(2))
         assert isinstance(op.blocks, tuple) and isinstance(op.diags, tuple)
-        assert len(op.blocks) == len(ws.sectors) and not op.hermitian
+        assert len(op.blocks) == len(ws.sectors)

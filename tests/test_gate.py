@@ -167,6 +167,14 @@ def test_scaled_core_block_fails_its_defect_record(monkeypatch, builder, names):
     }
 
 
+def test_partition_function_closed_form():
+    # the record compares (2 sinh(bw/2))^-2 with q / (1 - q)^2, q = exp(-bw)
+    state = thermal_state(FockWorkspace(60), 0.5, 1.0)
+    _, rec = gate._thermal_records([(0.5, state)])
+    assert rec.quantity == "thermal_partition_fn[bw=0.5]" and rec.status == "pass"
+    assert rec.oracle == pytest.approx((2.0 * math.sinh(0.25)) ** -2, rel=1e-15)
+
+
 @pytest.mark.parametrize("relative", [False, True])
 @pytest.mark.parametrize("analytic, oracle", [(math.nan, 1.0), (1.0, math.nan)])
 def test_nan_value_fails(analytic, oracle, relative):
