@@ -5,12 +5,12 @@ element, carries flux-field modes with dispersion
 
     omega_j = sqrt( 4 sin^2(pi j / N_cell) / (L C) + (2 pi / Phi_0)^2 E(t)/C )
 
-where E(t)/C = (E_0/C) [A -/+ B tanh(nu t)] ramps the Josephson energy
-between two plateaus (upper sign: expansion, lower: compression; only the
-ratio E_0/C ever enters).  A mode pair driven through the ramp undergoes a
-two-mode Bogoliubov transformation whose coefficients are Gamma-function
-quotients; in the fast-ramp regime the coupling is real and maps onto the
-engine's protocol endpoints via cosh(f_y) = 1 + 2|beta|^2,
+where E(t)/C = (E_0/C) [A - B tanh(nu t)] lowers the Josephson energy
+between two plateaus: the expansion stroke, which compression reverses
+(only the ratio E_0/C ever enters).  A mode pair driven through the ramp
+undergoes a two-mode Bogoliubov transformation whose coefficients are
+Gamma-function quotients; in the fast-ramp regime the coupling is real and
+maps onto the engine's protocol endpoints via cosh(f_y) = 1 + 2|beta|^2,
 sinh(f_y) = -2 Re{alpha beta}, theta ~ -omega_f t_f.
 
 Kelvin temperatures are converted to natural units (hbar = k_B = 1) at
@@ -38,7 +38,6 @@ __all__ = [
     "BogoliubovPair",
     "ScenarioPoint",
     "ScenarioReport",
-    "josephson_energy",
     "dispersion",
     "asymptotic_frequencies",
     "bogoliubov",
@@ -51,8 +50,6 @@ HBAR = 1.054571817e-34  # J s
 K_BOLTZMANN = 1.380649e-23  # J / K
 FLUX_QUANTUM = 2.067833848e-15  # Wb
 KELVIN_TO_RAD_PER_S = K_BOLTZMANN / HBAR  # temperature in natural frequency units
-
-BRANCHES = ("compression", "expansion")
 
 # largest |Im{alpha beta}| the real-coupling protocol map accepts
 _IM_TOL = 1e-3
@@ -68,10 +65,10 @@ class CircuitParams:
     Shipped values live in `config.DEFAULTS["circuit"]`; every field is
     required here.  Units are in the names (_h henry, _f farad, _kelvin).
     josephson_scale_j_per_f is E_0/C (only the ratio is physical here).
-    rapidity nu is in units of the expansion-branch initial frequency unless
-    rapidity_absolute is true, when it is in rad/s.  mode_index selects the
-    degenerate +/-k pair; t_f_points is the number of stop times sampled
-    over one period of theta by `circuit_scenario`.
+    rapidity nu is in units of the ramp's initial frequency omega_i (at the
+    upper plateau) unless rapidity_absolute is true, when it is in rad/s.
+    mode_index selects the degenerate +/-k pair; t_f_points is the number
+    of stop times sampled over one period of theta by `circuit_scenario`.
     """
 
     inductance_h: float
@@ -122,26 +119,10 @@ class BogoliubovPair:
     def n_created(self) -> float:
         return abs(self.beta) ** 2
 
-
-def josephson_energy(t: float, params: CircuitParams, branch: str) -> float:
-    """Josephson energy per capacitance E(t)/C in J/F along the ramp.
-
-    E(t)/C = (E_0/C) [A + B tanh(nu t)] for compression (frequency rises),
-    A - B tanh(nu t) for expansion.  E(0)/C = (E_0/C) A on both branches.
-    The time axis is in seconds; the rapidity is resolved to rad/s first.
-    """
-    sign = _branch_sign(branch)
-    nu = _absolute_rapidity(params)
-    scale = params.josephson_scale_j_per_f
-    return scale * (params.amp_a + sign * params.amp_b * math.tanh(nu * t))
-
-
-def _branch_sign(branch: str) -> float:
-    if branch == "compression":
-        return 1.0
-    if branch == "expansion":
-        return -1.0
-    raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
+    @property
+    def identity_residual(self) -> float:
+        """| |alpha|^2 - |beta|^2 - 1 |: rounding noise on an exact pair."""
+        return abs(abs(self.alpha) ** 2 - abs(self.beta) ** 2 - 1.0)
 
 
 def dispersion(j: int, e_over_c: float, params: CircuitParams) -> float:
@@ -161,23 +142,12 @@ def dispersion(j: int, e_over_c: float, params: CircuitParams) -> float:
     return math.sqrt(lattice + plasma)
 
 
-def asymptotic_frequencies(params: CircuitParams, branch: str) -> tuple[float, float]:
-    """(omega_i, omega_f): mode frequency at the two ramp plateaus (t -> -/+ inf).
-
-    Expansion lowers the frequency (omega_f < omega_i), compression raises it.
-    """
-    sign = _branch_sign(branch)
-    e_initial = params.josephson_scale_j_per_f * (params.amp_a - sign * params.amp_b)
-    e_final = params.josephson_scale_j_per_f * (params.amp_a + sign * params.amp_b)
+def asymptotic_frequencies(params: CircuitParams) -> tuple[float, float]:
+    """(omega_i, omega_f): the expansion ramp's plateau frequencies, at E/C =
+    (E_0/C)(A + B) and (E_0/C)(A - B).  Compression is the same pair reversed."""
+    scale, a, b = params.josephson_scale_j_per_f, params.amp_a, params.amp_b
     j = params.mode_index
-    return dispersion(j, e_initial, params), dispersion(j, e_final, params)
-
-
-def _absolute_rapidity(params: CircuitParams) -> float:
-    if params.rapidity_absolute:
-        return params.rapidity
-    omega_i_exp, _ = asymptotic_frequencies(params, "expansion")
-    return params.rapidity * omega_i_exp
+    return dispersion(j, scale * (a + b), params), dispersion(j, scale * (a - b), params)
 
 
 def bogoliubov(omega_i: float, omega_f: float, nu: float) -> BogoliubovPair:
@@ -217,14 +187,13 @@ def bogoliubov(omega_i: float, omega_f: float, nu: float) -> BogoliubovPair:
         - complex_log_gamma(1j * w_minus / nu)
         - complex_log_gamma(1.0 + 1j * w_minus / nu)
     )
-    alpha, beta = cmath.exp(log_alpha), cmath.exp(log_beta)
-    residual = abs(abs(alpha) ** 2 - abs(beta) ** 2 - 1.0)
-    if residual > 1e-8:
+    pair = BogoliubovPair(cmath.exp(log_alpha), cmath.exp(log_beta), omega_i, omega_f, nu)
+    if pair.identity_residual > 1e-8:
         raise IdentityViolationError(
-            f"|alpha|^2 - |beta|^2 deviates from 1 by {residual:.3e} "
+            f"|alpha|^2 - |beta|^2 deviates from 1 by {pair.identity_residual:.3e} "
             f"(omega_i={omega_i}, omega_f={omega_f}, nu={nu})"
         )
-    return BogoliubovPair(alpha=alpha, beta=beta, omega_i=omega_i, omega_f=omega_f, nu=nu)
+    return pair
 
 
 def coupling_coefficients(pair: BogoliubovPair) -> tuple[float, float]:
@@ -278,7 +247,6 @@ class ScenarioPoint:
 class ScenarioReport:
     """End-to-end circuit run: ramp data, engine mapping and the t_f sweep."""
 
-    params: CircuitParams
     engine: EngineConfig
     pair: BogoliubovPair  # the expansion ramp's
     chi: float
@@ -301,7 +269,7 @@ class ScenarioReport:
 
 def engine_config_from_circuit(params: CircuitParams) -> EngineConfig:
     """Engine frequencies/temperatures implied by the expansion ramp, in rad/s."""
-    omega_i, omega_f = asymptotic_frequencies(params, "expansion")
+    omega_i, omega_f = asymptotic_frequencies(params)
     if omega_f >= omega_i:
         raise NoSolutionError(
             "static line (amp_b = 0): the ramp leaves the mode frequency unchanged, "
@@ -330,8 +298,9 @@ def circuit_scenario(params: CircuitParams, *, derivative_mode: str) -> Scenario
     the report header.
     """
     engine = engine_config_from_circuit(params)
-    nu = _absolute_rapidity(params)
-    pair = bogoliubov(*asymptotic_frequencies(params, "expansion"), nu)
+    omega_i, omega_f = engine.omega2, engine.omega1
+    nu = params.rapidity if params.rapidity_absolute else params.rapidity * omega_i
+    pair = bogoliubov(omega_i, omega_f, nu)
     endpoints0 = map_to_protocol(pair, 0.0)
     chi = endpoints0.chi
     chi_bound = chi_max(engine)
@@ -360,7 +329,6 @@ def circuit_scenario(params: CircuitParams, *, derivative_mode: str) -> Scenario
         if math.isfinite(sp.dphi_norm) and (best is None or sp.dphi_norm < best.dphi_norm):
             best = sp
     return ScenarioReport(
-        params=params,
         engine=engine,
         pair=pair,
         chi=chi,

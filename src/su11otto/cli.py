@@ -162,8 +162,7 @@ def cmd_figure4(args, config: ScenarioConfig) -> int:
     for nu in FIG4_NU_GRID:
         pair = circuit_mod.bogoliubov(FIG4_OMEGA_I, FIG4_OMEGA_F, float(nu))
         re_ab, im_ab = circuit_mod.coupling_coefficients(pair)
-        residual = abs(abs(pair.alpha) ** 2 - abs(pair.beta) ** 2 - 1.0)
-        rows.append((nu, re_ab, im_ab, residual))
+        rows.append((nu, re_ab, im_ab, pair.identity_residual))
     path = write_csv(
         Path(args.out) / "figure4_coupling.csv",
         ("nu", "re_alphabeta", "im_alphabeta", "identity_residual"),

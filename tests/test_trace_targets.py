@@ -3,7 +3,8 @@
 bench/spans.py wraps each of its TARGETS at run time; a renamed or deleted
 function would only surface when a traced benchmark run fails, so every
 target is resolved here against the package, and a small traced oracle run
-must emit every per-layer metric the benchmark declares.
+must emit every per-layer metric the benchmark declares.  Likewise every
+seeded config of bench/workloads.py must pass the strict config loader.
 """
 
 import contextlib
@@ -12,9 +13,11 @@ import importlib.util
 import inspect
 import io
 import json
+import sys
 from pathlib import Path
 
 from su11otto import cli
+from su11otto.config import load_config
 from su11otto.gate import run_gate
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -23,6 +26,7 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 def _bench_module(name, filename):
     spec = importlib.util.spec_from_file_location(name, BENCH / filename)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses resolve their module by name
     spec.loader.exec_module(module)
     return module
 
@@ -37,6 +41,22 @@ def test_every_target_resolves():
         if attr not in owner:
             missing.append(f"{module_name}.{target}")
     assert missing == []
+
+
+def test_every_workload_config_loads(tmp_path):
+    # each seeded override the benchmark hands the CLI must pass the strict loader
+    # and reach the config it sets
+    workloads = _bench_module("bench_workloads", "workloads.py")
+    for name in workloads.WORKLOADS:
+        for seed in range(4):
+            path = tmp_path / f"{name}-{seed}.json"
+            override = workloads.write_config(name, seed, path)
+            config = load_config(path)
+            assert list(config.zeta_panels) == override["sweep"]["zeta_panels"]
+            for key, value in override["oracle"].items():
+                assert getattr(config.oracle, key) == (
+                    tuple(value) if isinstance(value, list) else value
+                ), (name, seed, key)
 
 
 def test_gate_keywords_read_by_the_tracer():
