@@ -166,8 +166,9 @@ def bogoliubov(omega_i: float, omega_f: float, nu: float) -> BogoliubovPair:
     Degenerate frequencies (w- = 0 would sit on Gamma poles) take the
     no-particle-creation limit beta = 0, alpha = 1.
     """
-    if omega_i <= 0.0 or omega_f <= 0.0 or nu <= 0.0:
-        raise ValueError("omega_i, omega_f and nu must all be positive")
+    for name, value in (("omega_i", omega_i), ("omega_f", omega_f), ("nu", nu)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     if abs(omega_f - omega_i) <= 1e-12 * (omega_i + omega_f):
         return BogoliubovPair(alpha=1.0 + 0j, beta=0j, omega_i=omega_i, omega_f=omega_f, nu=nu)
     w_plus = 0.5 * (omega_i + omega_f)

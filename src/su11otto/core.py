@@ -12,7 +12,7 @@ two-mode working substance:
 The forward map is
 
     cosh(chi) = 1 + 2 sin^2(phi/2) sinh^2(zeta)
-    cos(theta) = sin(phi) / sqrt(sin^2(phi) + (1 - cos(phi))^2 cosh^2(zeta))
+    tan(theta) = tan(phi/2) cosh(zeta)
 
 and this module also provides the exact inverse, the particle-number
 output law and the engine operating-range bounds chi_max / phi_max.
@@ -46,15 +46,18 @@ DOMAIN_EPS = 1e-12
 class InterferometerAngles:
     """Squeezing strength and internal phase of the equivalent interferometer.
 
-    phi is wrapped into [0, 2*pi) on construction; zeta must be >= 0.
+    phi is wrapped into [0, 2*pi) on construction; zeta must be >= 0.  Both
+    must be finite.
     """
 
     zeta: float
     phi: float
 
     def __post_init__(self):
-        if not (self.zeta >= 0.0):
-            raise ValueError(f"zeta must be >= 0, got {self.zeta}")
+        if not 0.0 <= self.zeta < math.inf:
+            raise ValueError(f"zeta must be finite and >= 0, got {self.zeta}")
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phi must be finite, got {self.phi}")
         object.__setattr__(self, "phi", float(self.phi) % TWO_PI)
         object.__setattr__(self, "zeta", float(self.zeta))
 
@@ -64,15 +67,18 @@ class ProtocolEndpoints:
     """End-of-stroke protocol values (chi, theta) of the composed transformation.
 
     chi is stored non-negative: cosh is even, so the sign of chi is never
-    observable and any sign freedom is absorbed into theta.
+    observable and any sign freedom is absorbed into theta.  Both must be
+    finite.
     """
 
     chi: float
     theta: float
 
     def __post_init__(self):
-        if not (self.chi >= 0.0):
-            raise ValueError(f"chi must be >= 0, got {self.chi}")
+        if not 0.0 <= self.chi < math.inf:
+            raise ValueError(f"chi must be finite and >= 0, got {self.chi}")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta}")
         object.__setattr__(self, "chi", float(self.chi))
         object.__setattr__(self, "theta", float(self.theta))
 
@@ -136,20 +142,16 @@ def chi_of(zeta, phi):
 
 
 def theta_of(zeta, phi):
-    """Accumulated phase theta(zeta, phi) on the principal branch (0, pi].
+    """Accumulated phase theta(zeta, phi) on the principal branch (0, pi).
 
-    Only cos(theta) is fixed by the constituent relations; we take
-    theta in (0, pi), which makes sin(theta) carry the sign of
-    (1 - cos(phi)) cosh(zeta) >= 0.  Array-friendly; phi = 0 gives nan
-    (use theta_from for the guarded scalar version).
+    The constituent relations fix tan(theta) = tan(phi/2) cosh(zeta), and
+    on this branch sin(theta) carries the sign of (1 - cos(phi)) cosh(zeta)
+    >= 0.  Evaluated as atan2(2 sin^2(phi/2) cosh(zeta), sin(phi)), with no
+    1 - cos(phi) and no arccos near +-1 to lose digits at small phi.
+    Array-friendly; phi = 0 gives 0 (theta_from raises there).
     """
-    zeta = np.asarray(zeta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    s, c1 = np.sin(phi), 1.0 - np.cos(phi)
-    denom = np.sqrt(s**2 + c1**2 * np.cosh(zeta) ** 2)
-    with np.errstate(invalid="ignore"):
-        out = np.arccos(s / denom)
-    return out
+    return np.arctan2(2.0 * np.sin(phi / 2.0) ** 2 * np.cosh(zeta), np.sin(phi))
 
 
 def chi_from(angles: InterferometerAngles) -> float:

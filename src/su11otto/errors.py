@@ -14,7 +14,7 @@ class NoSolutionError(EngineError):
 
 
 class NonConvergenceError(EngineError):
-    """An iterative solve exhausted its iteration budget."""
+    """A closed-form inversion failed its own check: its forward map misses the inputs."""
 
 
 class NoEngineRegimeError(EngineError):

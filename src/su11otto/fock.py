@@ -55,18 +55,18 @@ state is its last (n2 = n_max - d), and every boundary read is a read of
 row or entry -1.  The three
 budgets are module constants, not settings: a thermal state refuses to
 cut more than THERMAL_LEAK_TOL of its weight or to hold more than
-THERMAL_BOUNDARY_TOL on a boundary state, and `Chain.guard(state)` raises
-past a boundary occupancy of LEAK_TOL instead of letting quietly wrong
-numbers through.  The unitaries do not depend on the state, so each
-builder states its product U = L C R as a `Chain` (L, R the outer
-diagonal phases, the core C the rest, interior phases included), which
-reduces it once to the guard weights and moment weights of the core and,
+THERMAL_BOUNDARY_TOL on a boundary state, and `Chain.read(state)`, the one
+read of a chain's moments, raises past a boundary occupancy of LEAK_TOL
+instead of letting quietly wrong numbers through.  The unitaries do not
+depend on the state, so each builder states its product U = L C R as a
+`Chain` (L, R the outer diagonal phases, the core C the rest, interior
+phases included), which reduces it once to the weights of the core and,
 when read, its unitarity defect.  Outer phases move no population, and with e
 the largest |1 - |phase|^2| of L and R,
 U+ U - 1 = R+ (C+ C - 1) R + R+ C+ (L+ L - 1) C R + (R+ R - 1), so
 defect(U) <= defect(C) + 2 e to first order (e = 0 for the exact D
 phases, 1 ulp for exp(i theta K_z)).  Each read against a state is a dot
-product with its concatenated populations.  The tests check these reads
+product with its one population vector.  The tests check these reads
 against dense linear algebra: |U|^2 p with U from `to_dense()` and the
 thermal weights written out over the full, unfolded basis.
 """
@@ -316,27 +316,20 @@ def _dense_annihilator(n_max: int) -> np.ndarray:
 class ThermalState:
     """Gibbs state of two degenerate oscillators, diagonal in the Fock basis.
 
-    probs hold the per-sector diagonal after renormalizing away the
-    truncation tail, folded over the mode swap: only the sectors d >= 0 are
-    stored, sector -d is the mode-swap image of sector d, and every d > 0
-    entry carries weight 2 (its own state and its mirror), so the probs sum
-    to 1 and a trace over the stored sectors counts both mirrors.
-    leakage is the tail weight that was cut.
+    probs is the diagonal after renormalizing away the truncation tail, one
+    vector over the concatenated stored sectors d >= 0 that every read dots.
+    Sector -d is the mode-swap image of sector d, so every d > 0 entry
+    carries weight 2 (its own state and its mirror): probs sums to 1 and a
+    trace over the stored sectors counts both mirrors.  leakage is the tail
+    weight that was cut.
     """
 
     ws: FockWorkspace
-    probs: tuple
+    probs: np.ndarray
     leakage: float
 
     def mean_number(self) -> float:
-        return float(
-            sum(nd @ p for nd, p in zip(self.ws.n_diags, self.probs))
-        )
-
-    @cached_property
-    def flat_probs(self) -> np.ndarray:
-        """`probs` concatenated over the stored sectors, the operand of every chain read."""
-        return np.concatenate(self.probs)
+        return float(np.concatenate(self.ws.n_diags) @ self.probs)
 
 
 def thermal_state(ws: FockWorkspace, beta: float, omega: float) -> ThermalState:
@@ -346,8 +339,8 @@ def thermal_state(ws: FockWorkspace, beta: float, omega: float) -> ThermalState:
     THERMAL_LEAK_TOL of the distribution, or when a boundary state itself
     is populated above THERMAL_BOUNDARY_TOL.
     """
-    if beta * omega <= 0.0:
-        raise ValueError(f"beta*omega must be positive, got beta={beta}, omega={omega}")
+    if not 0.0 < beta * omega < math.inf:
+        raise ValueError(f"beta*omega must be positive and finite, got beta={beta}, omega={omega}")
     # weights e^{-beta omega (n1+n2+1)} / Z rewritten as q^(n1+n2) (1-q)^2 with
     # q = e^{-beta omega}: identical distribution, but stable deep in the
     # zero-temperature limit where Z itself underflows
@@ -368,8 +361,7 @@ def thermal_state(ws: FockWorkspace, beta: float, omega: float) -> ThermalState:
         raise TruncationError(
             f"thermal occupancy {boundary:.3e} at the n_max boundary exceeds {THERMAL_BOUNDARY_TOL:.0e}"
         )
-    probs = tuple(p / retained for p in folded)
-    return ThermalState(ws=ws, probs=probs, leakage=leakage)
+    return ThermalState(ws=ws, probs=np.concatenate(folded) / retained, leakage=leakage)
 
 
 def _exp_i_ky(ws: FockWorkspace, s: float) -> BlockOperator:
@@ -412,7 +404,7 @@ def _abs2(b: np.ndarray) -> np.ndarray:
 
 def boundary_occupancy(op: BlockOperator, state: ThermalState) -> float:
     """Total weight of op rho op+ on the n_max boundary layer."""
-    return float(op.boundary_weights @ _same_workspace(op, state).flat_probs)
+    return float(op.boundary_weights @ _same_workspace(op, state).probs)
 
 
 @dataclass(frozen=True)
@@ -420,19 +412,17 @@ class Chain:
     """A unitary product reduced once to what its reads need, and its builder's name.
 
     Each builder states its chain through `_chain`.  `before` and `after`
-    are the outer diagonal factors around the `core`.
-    `guard_weights` holds the `boundary_weights` of each guarded partial
-    product of the core, in the order they act on the state;
-    `moment_weights` stacks n^T |core|^2, (n^2)^T |core|^2 and
-    boundary^T |core|^2 over the concatenated sectors.  The product is
-    formed only when read.
+    are the outer diagonal factors around the `core`.  The rows of
+    `weights` are n^T |core|^2, (n^2)^T |core|^2 and boundary^T |core|^2
+    over the concatenated sectors, then the `boundary_weights` of each
+    squeezed partial product of the core.  The product is formed only
+    when read.
     """
 
     core: BlockOperator
     before: tuple
     after: tuple
-    guard_weights: tuple
-    moment_weights: np.ndarray
+    weights: np.ndarray
     label: str
 
     @cached_property
@@ -446,40 +436,37 @@ class Chain:
 
     def occupancy(self, state: ThermalState) -> float:
         """Worst boundary occupancy of the state after any guarded partial product."""
-        p = _same_workspace(self.core, state).flat_probs
-        return max(float(w @ p) for w in self.guard_weights)
+        return max(self._dots(state)[2:])
 
-    def guard(self, state: ThermalState) -> float:
-        """The chain's `occupancy`; raises TruncationError past LEAK_TOL."""
-        worst = self.occupancy(state)
+    def read(self, state: ThermalState) -> tuple[float, float, float]:
+        """<N>, Delta^2 N and the boundary mass of U rho U+; raises
+        TruncationError past an `occupancy` of LEAK_TOL."""
+        mean, second, *boundary = self._dots(state)
+        worst = max(boundary)
         if worst > LEAK_TOL:
             raise TruncationError(
                 f"{self.label}: boundary occupancy {worst:.3e} exceeds leakage budget "
                 f"{LEAK_TOL:.1e} at n_max={state.ws.n_max}; increase n_max or reduce "
                 "the squeezing"
             )
-        return worst
+        return mean, second - mean * mean, boundary[0]
 
-    def moments(self, state: ThermalState) -> tuple[float, float, float]:
-        """<N>, Delta^2 N and the boundary mass of U rho U+."""
-        p = _same_workspace(self.core, state).flat_probs
-        mean, second, edge = (float(v) for v in self.moment_weights @ p)
-        return mean, second - mean * mean, edge
+    def _dots(self, state: ThermalState) -> list[float]:
+        return (self.weights @ _same_workspace(self.core, state).probs).tolist()
 
 
 def _chain(label: str, core: BlockOperator, before=(), after=(), squeezed=()) -> Chain:
     """The chain `before`, `core`, `after`, each ordered as applied to the state.
 
     The outer diagonal phases `before` and `after` move no population, so
-    every read is of the core: the guard weights of each `squeezed` partial
-    product of the core, then of the core itself, and the moment weights
-    from |core|^2, taken once.  Their boundary row is the core's guard
-    weights, bit for bit, since it is one-hot on each sector's last state.
+    every read is of the core: the moment rows from |core|^2, taken once,
+    whose boundary row is the core's `boundary_weights` bit for bit (it is
+    one-hot on each sector's last state), then those of each `squeezed`
+    partial product of the core.
     """
-    rows = core.ws.moment_rows
-    moments = np.concatenate([r @ _abs2(b) for r, b in zip(rows, core.blocks)], axis=1)
-    guarded = (*(s.boundary_weights for s in squeezed), moments[2])
-    return Chain(core, before, after, guarded, moments, label)
+    moments = np.hstack([r @ _abs2(b) for r, b in zip(core.ws.moment_rows, core.blocks)])
+    weights = np.vstack([moments, *(s.boundary_weights for s in squeezed)])
+    return Chain(core, before, after, weights, label)
 
 
 def evolved_boundary_occupancy(factors, state: ThermalState) -> float:
@@ -495,7 +482,7 @@ def unitary_product(y: BlockOperator, phi: float) -> Chain:
     exp(-i zeta K_x) exp(-i phi K_z) exp(i zeta K_x) = D+ Y^T P Y D, with
     Y = exp(i zeta K_y) = `_exp_i_ky(ws, zeta)` real, P = exp(-i phi K_z)
     and D = diag((-i)^k) outer.  Y depends on zeta alone, so a caller
-    builds it once and passes the same operator for every phi; the guard
+    builds it once and passes the same operator for every phi; the boundary
     weights of the squeezed state are memoised on it.
 
     It guards the intermediate squeezed state Y D and the final state (the
@@ -537,7 +524,7 @@ def expect(op: BlockOperator, state: ThermalState) -> float:
     probs = _same_workspace(op, state).probs
     if not op.is_hermitian:
         raise ValueError("expect needs a Hermitian operator")
-    return sum(float(np.dot(d.real, p)) for d, p in zip(op.diagonal(), probs))
+    return float(np.concatenate(op.diagonal()).real @ probs)
 
 
 def variance(op: BlockOperator, state: ThermalState) -> float:
@@ -545,8 +532,5 @@ def variance(op: BlockOperator, state: ThermalState) -> float:
     instead of forming O^2."""
     mean = expect(op, state)
     # (O^2)_jj = sum_k |O_jk|^2 for Hermitian O
-    second = sum(
-        float(np.dot((np.abs(b) ** 2).sum(axis=1), p))
-        for b, p in zip(op.blocks, state.probs)
-    )
+    second = float(np.concatenate([_abs2(b).sum(axis=1) for b in op.blocks]) @ state.probs)
     return second - mean * mean

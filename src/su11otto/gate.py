@@ -26,8 +26,8 @@ basis size raise the truncation guard and are recorded as "skipped".
 The endpoint unitaries depend on (zeta, phi) only; the bath enters
 through the thermal input state alone.  So the equivalence grid is
 evaluated (zeta, phi)-major: each distinct chain is built and its core
-checked for unitarity once, the chain is guarded against and read by
-each beta*omega's state, and the records are reported beta*omega-major.
+checked for unitarity once, each beta*omega's state reads the chain
+under the truncation guard, and the records are reported beta*omega-major.
 Within it the grid runs zeta-major: the squeeze exp(i zeta K_y) of the
 product form un1 depends on zeta alone, so it is built once per zeta and
 every phi's `unitary_product` composes that same operator.
@@ -227,21 +227,19 @@ def _thermal_records(states) -> list[GateRecord]:
     return recs
 
 
-def _admitted_records(chains, state, bw, chi, tag) -> list[GateRecord]:
-    """Records of one admitted grid point from the chains of its three forms."""
-    n_max = state.ws.n_max
+def _admitted_records(chains, reads, n_max, bw, chi, tag) -> list[GateRecord]:
+    """Records of one admitted grid point from its three forms' chains and reads."""
     coth_in = _bath_coth(bw, 1.0)
     recs = [
         _cmp(f"unitarity_defect[{name}]{tag}", 0.0, chain.defect, 1e-10, n_max)
         for name, chain in chains.items()
     ]
-    moments = {name: chain.moments(state) for name, chain in chains.items()}
-    leak = max(m[2] for m in moments.values())
+    leak = max(m[2] for m in reads.values())
     for na, nb in (("un1", "un2"), ("un1", "tiev"), ("un2", "tiev")):
         recs.append(
-            _cmp(f"mean_n_{na}_vs_{nb}{tag}", moments[na][0], moments[nb][0], 1e-8, n_max, leak)
+            _cmp(f"mean_n_{na}_vs_{nb}{tag}", reads[na][0], reads[nb][0], 1e-8, n_max, leak)
         )
-    mean_n, var_n, _ = moments["un2"]
+    mean_n, var_n, _ = reads["un2"]
     # <H> after the stroke: the evolved observable 2 w_f K_z = w_f (N + 1),
     # evaluated at unit final frequency
     omega_f = 1.0
@@ -260,10 +258,10 @@ def _equivalence_records(ws, states, zeta_grid, phi_grid) -> list[GateRecord]:
     """Records of every (beta*omega, zeta, phi) grid point, beta*omega-major.
 
     The forms depend on (zeta, phi) only, so the grid runs (zeta, phi)-major:
-    each distinct chain is built once, guarded against and read by each
-    thermal state in turn; its unitarity defect is computed at the first
-    beta*omega that admits it.  A point whose guard trips at one beta*omega
-    is 'skipped' there alone.
+    each distinct chain is built once and read by each thermal state in
+    turn; its unitarity defect is computed at the first beta*omega that
+    admits it.  A point where a read trips the guard at one beta*omega is
+    'skipped' there alone.
 
     Two chains per (zeta, phi) suffice: the time-ordered form tiev,
     `evolution_endpoint(-chi, -theta)`, reads the un2 chain
@@ -276,9 +274,9 @@ def _equivalence_records(ws, states, zeta_grid, phi_grid) -> list[GateRecord]:
        factors, so both chains have the core `_exp_i_ky(ws, chi)`; the
        trailing exp(i theta K_z) of step 1 and un2's leading
        exp(-i theta K_z) are outer phases.
-    3. Outer phases move no population: the guard weights, the moment
-       weights and the core's unitarity defect are functions of the core
-       alone, so they are the same arrays and the same float in both chains.
+    3. Outer phases move no population: the weights and the core's
+       unitarity defect are functions of the core alone, so they are the
+       same array and the same float in both chains.
     """
     per_bath = [[] for _ in states]
     for zeta in zeta_grid:
@@ -292,20 +290,26 @@ def _equivalence_records(ws, states, zeta_grid, phi_grid) -> list[GateRecord]:
             for recs, (bw, state) in zip(per_bath, states):
                 tag = f"[bw={bw:g},zeta={zeta:g},phi={phi:g}]"
                 try:
-                    un1.guard(state)
-                    un2.guard(state)
+                    reads = {"un1": un1.read(state), "un2": un2.read(state)}
                 except TruncationError:
                     nan = math.nan
                     skipped = _cmp(f"equivalence{tag}", nan, nan, 1e-8, ws.n_max, nan)
                     recs.append(replace(skipped, status="skipped"))
                     continue
-                recs.extend(_admitted_records(chains, state, bw, chi, tag))
+                reads["tiev"] = reads["un2"]
+                recs.extend(_admitted_records(chains, reads, ws.n_max, bw, chi, tag))
     return [rec for recs in per_bath for rec in recs]
 
 
 def _variance_arbitration(config: EngineConfig, ws: FockWorkspace) -> list[GateRecord]:
     """Both routes to the energy variance at a representative operating point."""
-    state = thermal_state(ws, config.beta_h, config.omega2)
+    try:
+        state = thermal_state(ws, config.beta_h, config.omega2)
+    except TruncationError as err:
+        raise TruncationError(
+            "the variance arbitration's hot state (beta = 1/engine.t_hot, omega = "
+            f"engine.omega2) needs a larger oracle.n_max: {err}"
+        ) from err
     recs = []
     for chi in (0.36057837857760945, 0.8):
         h_final = hamiltonian_final(config.omega1, -chi, ws)
@@ -386,9 +390,7 @@ def _convergence_record(bw, zeta, phi, grid_ws: FockWorkspace) -> GateRecord:
     for n_max in (n, 2 * n):
         ws = grid_ws if grid_ws.n_max == n_max else FockWorkspace(n_max)
         state = thermal_state(ws, bw, 1.0)
-        chain = unitary_product(_exp_i_ky(ws, zeta), phi)
-        chain.guard(state)
-        means.append(chain.moments(state)[0])
+        means.append(unitary_product(_exp_i_ky(ws, zeta), phi).read(state)[0])
     tag = f"[bw={bw:g},zeta={zeta:g},phi={phi:g},n={n}->{2 * n}]"
     return _cmp(f"truncation_convergence{tag}", means[0], means[1], 1e-8, 2 * n)
 

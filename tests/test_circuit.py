@@ -122,6 +122,20 @@ class TestBogoliubov:
         a2, b2 = abs(pair.alpha) ** 2, abs(pair.beta) ** 2
         assert abs(a2 - b2 - 1.0) <= 1e-11 * (a2 + b2)
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            ((math.inf, 0.35, 5.0), "omega_i"),
+            ((math.nan, 0.35, 5.0), "omega_i"),
+            ((1.0, math.nan, 5.0), "omega_f"),
+            ((1.0, 0.35, math.inf), "nu"),
+            ((1.0, 0.35, 0.0), "nu"),
+        ],
+    )
+    def test_non_finite_or_nonpositive_input_rejected_by_name(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            bogoliubov(*args)
+
     def test_degenerate_frequencies(self):
         pair = bogoliubov(1.0, 1.0, 3.0)
         assert pair.beta == 0.0

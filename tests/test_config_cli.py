@@ -220,6 +220,14 @@ class TestConvertCommand:
         assert main(["convert", "--chi", "1.0", "--theta", "0.05"]) == 1
         assert "incompatible" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [(["--chi", "1", "--theta", "nan"], "theta"), (["--zeta", "1", "--phi", "nan"], "phi")],
+    )
+    def test_non_finite_input_names_the_field(self, capsys, argv, name):
+        assert main(["convert", *argv]) == 1
+        assert f"error: {name} must be finite, got nan" in capsys.readouterr().err
+
     def test_usage_error(self):
         with pytest.raises(SystemExit):
             main(["convert", "--zeta", "2"])
@@ -276,6 +284,19 @@ class TestCsvCommands:
         cfg.write_text(json.dumps({"oracle": {"n_max": 10}}))
         assert main(["--config", str(cfg), "--out", str(tmp_path), "oracle"]) == 1
         assert "increase n_max" in capsys.readouterr().err
+
+    def test_oracle_variance_arbitration_basis_is_named(self, tmp_path, capsys):
+        # every configured bath fits n_max = 40; the variance arbitration's
+        # beta_h omega2 = 0.5 does not, and the error says which keys set it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"oracle": {
+            "n_max": 40, "beta_omega": [1.0], "zeta_grid": [0.4], "phi_grid": [0.5],
+        }}))
+        assert main(["--config", str(cfg), "--out", str(tmp_path), "oracle"]) == 1
+        err = capsys.readouterr().err
+        assert "error: the variance arbitration's hot state" in err
+        assert all(key in err for key in ("engine.t_hot", "engine.omega2", "oracle.n_max"))
+        assert "beta*omega = 0.5" in err
 
     def test_static_circuit_reports_clean_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -95,6 +95,27 @@ class TestThetaFrom:
         thetas = theta_of(zetas, phis)
         assert np.all((thetas > 0.0) & (thetas < math.pi))
 
+    @given(
+        zeta=st.floats(0.0, 4.0),
+        phi=st.floats(1e-12, math.pi, exclude_max=True),
+        upper=st.booleans(),
+    )
+    def test_matches_the_tangent_identity_to_a_few_ulp(self, zeta, phi, upper):
+        # tan(theta) = tan(phi/2) cosh(zeta) exactly; on (pi, 2 pi) tan(phi/2) < 0
+        # and theta = pi + atan(...) lies in (pi/2, pi)
+        if upper:
+            phi = 2.0 * math.pi - phi
+            assume(math.pi < phi < 2.0 * math.pi)
+        reference = math.atan(math.tan(phi / 2.0) * math.cosh(zeta)) + (math.pi if upper else 0.0)
+        assert float(theta_of(zeta, phi)) == pytest.approx(reference, rel=1e-15, abs=0.0)
+
+    def test_small_phase_keeps_every_digit(self):
+        # the arccos of a ratio near 1 lost every digit here: it gave 1.8812e-06
+        assert float(theta_of(2.0, 1e-6)) == pytest.approx(1.8810978455397533e-06, rel=1e-15)
+
+    def test_zero_phase_gives_zero(self):
+        assert float(theta_of(1.3, 0.0)) == 0.0
+
 
 class TestAnglesFrom:
     def test_round_trip_reference(self):
@@ -267,3 +288,18 @@ class TestTypes:
             EngineConfig(omega1=1.0, omega2=0.5, t_hot=2.0, t_cold=0.01)
         with pytest.raises(ValueError):
             EngineConfig(omega1=0.1, omega2=1.0, t_hot=0.01, t_cold=2.0)
+
+    @pytest.mark.parametrize(
+        "cls, kwargs, name",
+        [
+            (InterferometerAngles, {"zeta": math.inf, "phi": 0.5}, "zeta"),
+            (InterferometerAngles, {"zeta": 1.0, "phi": math.nan}, "phi"),
+            (InterferometerAngles, {"zeta": 1.0, "phi": -math.inf}, "phi"),
+            (ProtocolEndpoints, {"chi": math.inf, "theta": 0.5}, "chi"),
+            (ProtocolEndpoints, {"chi": 1.0, "theta": math.nan}, "theta"),
+        ],
+        ids=["zeta-inf", "phi-nan", "phi-minus-inf", "chi-inf", "theta-nan"],
+    )
+    def test_non_finite_input_rejected_by_name(self, cls, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            cls(**kwargs)

@@ -68,7 +68,8 @@ def _reference_records():
                         GateRecord(f"equivalence{tag}", nan, nan, 1e-8, N_MAX, nan, "skipped")
                     )
                     continue
-                records.extend(_admitted_records(chains, state, bw, chi, tag))
+                reads = {name: chain.read(state) for name, chain in chains.items()}
+                records.extend(_admitted_records(chains, reads, N_MAX, bw, chi, tag))
     return records
 
 
@@ -125,16 +126,18 @@ def test_equivalence_grid_matches_point_by_point_reference(monkeypatch):
 
 @pytest.mark.parametrize("builder", ["unitary_product", "unitary_equiv"])
 def test_point_skipped_when_any_one_form_trips(monkeypatch, builder):
-    # one chain gets the guard rows of a chain squeezed far past n_max = 30, the
-    # other keeps its own: every point must be skipped at every bath
+    # one chain gets the boundary rows of a chain squeezed far past n_max = 30
+    # appended to its weights, the other keeps its own: every point must be
+    # skipped at every bath
     ws = FockWorkspace(N_MAX)
-    over_squeezed = unitary_product(fock._exp_i_ky(ws, 3.0), 1.0).guard_weights
+    over_squeezed = unitary_product(fock._exp_i_ky(ws, 3.0), 1.0).weights[2:]
     build = getattr(gate, builder)
-    monkeypatch.setattr(
-        gate,
-        builder,
-        lambda *args: dataclasses.replace(build(*args), guard_weights=over_squeezed),
-    )
+
+    def tripping(*args):
+        chain = build(*args)
+        return dataclasses.replace(chain, weights=np.vstack([chain.weights, over_squeezed]))
+
+    monkeypatch.setattr(gate, builder, tripping)
     states = [(bw, thermal_state(ws, bw, 1.0)) for bw in BETA_OMEGAS]
     records = _equivalence_records(ws, states, ZETAS, PHIS)
     assert [r.status for r in records] == ["skipped"] * (len(BETA_OMEGAS) * len(ZETAS) * len(PHIS))

@@ -114,8 +114,7 @@ class TestVariances:
         ws = FockWorkspace(160)
         state = thermal_state(ws, fig3_config.beta_h, fig3_config.omega2)
         chain = unitary_equiv(ProtocolEndpoints(chi=0.8, theta=0.3), ws)
-        chain.guard(state)
-        oracle = chain.moments(state)[1]
+        oracle = chain.read(state)[1]
         assert float(variance_n(fig3_config, 0.8)) == pytest.approx(oracle, rel=1e-6)
 
 
