@@ -271,9 +271,9 @@ def cmd_oracle(args, config: ScenarioConfig) -> int:
             "(exit code 2); skipped = outside the truncation guard at this n_max",
         ],
     )
-    n_pass = sum(1 for r in result.records if r.status == "pass")
-    print(f"wrote {path}: {n_pass} pass, {len(result.failures)} fail, "
-          f"{len(result.discrepancies)} discrepancy, {len(result.skipped)} skipped")
+    counts = result.counts
+    print(f"wrote {path}: {counts['pass']} pass, {counts['fail']} fail, "
+          f"{counts['discrepancy']} discrepancy, {counts['skipped']} skipped")
     return result.exit_code
 
 

@@ -16,12 +16,13 @@ Runs the whole dual-route check suite and returns typed records:
 * derivative arbitration: the two printed forms of dN/dphi against central
   finite differences of the composed map.
 
-Each record carries a status: "pass"/"fail" for checks the formulas must
-satisfy, and "discrepancy" for printed expressions that the oracle is
-expected to contradict (those do not fail the gate; they exit with the
-dedicated discrepancy code so automation can tell the outcomes apart).
-Grid points whose squeezed states cannot be represented at the configured
-basis size raise the truncation guard and are recorded as "skipped".
+Each record's status is decided once, where `_cmp` builds it: "pass"
+within tolerance, else the record's miss status.  That is "fail" for
+checks the formulas must satisfy, "discrepancy" for printed expressions
+the oracle is expected to contradict (they do not fail the gate; they exit
+with the dedicated discrepancy code so automation can tell the outcomes
+apart), and "skipped" for grid points the truncation guard refuses at the
+configured basis size, with the worst guarded occupancy as their leakage.
 
 The endpoint unitaries depend on (zeta, phi) only; the bath enters
 through the thermal input state alone.  So the equivalence grid is
@@ -36,6 +37,7 @@ every phi's `unitary_product` composes that same operator.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -94,44 +96,26 @@ class GateResult:
     records: list[GateRecord]
 
     @property
-    def failures(self) -> list[GateRecord]:
-        return [r for r in self.records if r.status == "fail"]
-
-    @property
-    def discrepancies(self) -> list[GateRecord]:
-        return [r for r in self.records if r.status == "discrepancy"]
-
-    @property
-    def skipped(self) -> list[GateRecord]:
-        return [r for r in self.records if r.status == "skipped"]
+    def counts(self) -> Counter:
+        return Counter(r.status for r in self.records)
 
     @property
     def exit_code(self) -> int:
-        if self.failures:
+        counts = self.counts
+        if counts["fail"]:
             return EXIT_HARD_FAILURE
-        if self.discrepancies:
+        if counts["discrepancy"]:
             return EXIT_DISCREPANCY_ONLY
         return EXIT_OK
 
 
-def _cmp(quantity, analytic, oracle, tol, n_max, leakage=0.0, *, relative=False) -> GateRecord:
-    rec = GateRecord(
-        quantity=quantity,
-        analytic=float(analytic),
-        oracle=float(oracle),
-        tolerance=tol,
-        n_max=n_max,
-        leakage=leakage,
-        status="fail",
-    )
+def _cmp(
+    quantity, analytic, oracle, tol, n_max, leakage=0.0, *, relative=False, miss="fail"
+) -> GateRecord:
+    """The record: "pass" within tol, else `miss`; a NaN error is never within tol."""
+    rec = GateRecord(quantity, float(analytic), float(oracle), tol, n_max, leakage, "pass")
     err = rec.rel_err if relative else rec.abs_err
-    return replace(rec, status="pass") if err <= tol else rec
-
-
-def _expected_mismatch(quantity, analytic, oracle, tol, n_max, *, relative=False) -> GateRecord:
-    """Record a printed formula the oracle arbitrates; 'discrepancy' when it loses."""
-    rec = _cmp(quantity, analytic, oracle, tol, n_max, relative=relative)
-    return replace(rec, status="discrepancy") if rec.status == "fail" else rec
+    return rec if err <= tol else replace(rec, status=miss)
 
 
 def _algebra_records(ws: FockWorkspace, algebra_n_max: int) -> list[GateRecord]:
@@ -292,9 +276,11 @@ def _equivalence_records(ws, states, zeta_grid, phi_grid) -> list[GateRecord]:
                 try:
                     reads = {"un1": un1.read(state), "un2": un2.read(state)}
                 except TruncationError:
+                    leak = max(un1.occupancy(state), un2.occupancy(state))
                     nan = math.nan
-                    skipped = _cmp(f"equivalence{tag}", nan, nan, 1e-8, ws.n_max, nan)
-                    recs.append(replace(skipped, status="skipped"))
+                    recs.append(
+                        _cmp(f"equivalence{tag}", nan, nan, 1e-8, ws.n_max, leak, miss="skipped")
+                    )
                     continue
                 reads["tiev"] = reads["un2"]
                 recs.extend(_admitted_records(chains, reads, ws.n_max, bw, chi, tag))
@@ -326,13 +312,14 @@ def _variance_arbitration(config: EngineConfig, ws: FockWorkspace) -> list[GateR
             )
         )
         recs.append(
-            _expected_mismatch(
+            _cmp(
                 f"delta2_h_printed_formula{tag}",
                 float(variance_h(config, chi)),
                 var_oracle,
                 1e-6,
                 ws.n_max,
                 relative=True,
+                miss="discrepancy",
             )
         )
         recs.append(
@@ -370,13 +357,14 @@ def _derivative_arbitration(config: EngineConfig) -> list[GateRecord]:
             )
         )
         recs.append(
-            _expected_mismatch(
+            _cmp(
                 f"dn_dphi_paper_vs_fd{tag}",
                 float(dn_dphi_paper(config, zeta, phi)),
                 fd,
                 1e-6,
                 0,
                 relative=True,
+                miss="discrepancy",
             )
         )
     return recs

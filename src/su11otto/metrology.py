@@ -279,7 +279,8 @@ def minimize_sensitivity(
     with q(0) = -A < 0 < q(1) = A + B + C for A > 0 (c > 1 at any finite
     temperature): one root in (0, 1), so for zeta > 0 delta_phi is unimodal
     in phi on (0, pi).  A coarse scan brackets the minimum; golden-section
-    refines it to _PHI_XTOL.
+    refines it to _PHI_XTOL.  A minimum refined onto the scan floor _PHI_LO
+    (past zeta ~ 14.7 on the default engine) is not the minimum: NoSolutionError.
     """
     phis = np.linspace(_PHI_LO, math.pi - _PHI_LO, _COARSE_POINTS)
     vals = _delta_phi_grid(config, zeta, phis, observable, derivative_mode)
@@ -291,6 +292,8 @@ def minimize_sensitivity(
     lo = phis[max(i_best - 1, 0)]
     hi = phis[min(i_best + 1, len(phis) - 1)]
     phi_star = _golden_section(f, lo, hi, _PHI_XTOL)
+    if phi_star - phis[0] < _PHI_XTOL:
+        raise NoSolutionError(f"zeta = {zeta:g}: the optimal phi is below the scan floor {_PHI_LO:g}")
     return phi_star, f(phi_star)
 
 

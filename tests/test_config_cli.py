@@ -3,8 +3,10 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -284,6 +286,22 @@ class TestCsvCommands:
         cfg.write_text(json.dumps({"oracle": {"n_max": 10}}))
         assert main(["--config", str(cfg), "--out", str(tmp_path), "oracle"]) == 1
         assert "increase n_max" in capsys.readouterr().err
+
+    def test_oracle_summary_counts_the_printed_records(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"oracle": {
+            "n_max": 60, "algebra_n_max": 6, "beta_omega": [1.0, 2.0],
+            "zeta_grid": [0.2, 2.5], "phi_grid": [0.5, 2.0],
+        }}))
+        assert main(["--config", str(cfg), "--out", str(tmp_path), "oracle"]) == 2
+        *records, summary = capsys.readouterr().out.splitlines()
+        printed = Counter(line.split()[0] for line in records)
+        counts = re.fullmatch(
+            r"wrote .*: (\d+) pass, (\d+) fail, (\d+) discrepancy, (\d+) skipped", summary
+        ).groups()
+        markers = ("PASS", "FAIL", "DISCREPANCY", "SKIP")
+        assert [int(n) for n in counts] == [printed[m] for m in markers]
+        assert set(printed) <= set(markers) and printed["SKIP"] > 0
 
     def test_oracle_variance_arbitration_basis_is_named(self, tmp_path, capsys):
         # every configured bath fits n_max = 40; the variance arbitration's

@@ -62,10 +62,11 @@ def _reference_records():
                     "un2": unitary_equiv(ProtocolEndpoints(chi, theta), ws),
                     "tiev": evolution_endpoint(-chi, -theta, ws),
                 }
-                if max(c.occupancy(state) for c in chains.values()) > LEAK_TOL:
+                leak = max(c.occupancy(state) for c in chains.values())
+                if leak > LEAK_TOL:
                     nan = math.nan
                     records.append(
-                        GateRecord(f"equivalence{tag}", nan, nan, 1e-8, N_MAX, nan, "skipped")
+                        GateRecord(f"equivalence{tag}", nan, nan, 1e-8, N_MAX, leak, "skipped")
                     )
                     continue
                 reads = {name: chain.read(state) for name, chain in chains.items()}
@@ -183,6 +184,20 @@ def test_partition_function_closed_form():
 def test_nan_value_fails(analytic, oracle, relative):
     rec = gate._cmp("q", analytic, oracle, 1e-8, N_MAX, relative=relative)
     assert rec.status == "fail" and math.isnan(rec.rel_err)
+    # a NaN error is never within tolerance: it takes whatever status a miss takes
+    for miss in ("fail", "discrepancy", "skipped"):
+        rec = gate._cmp("q", analytic, oracle, 1e-8, N_MAX, relative=relative, miss=miss)
+        assert rec.status == miss and math.isnan(rec.rel_err)
+
+
+def test_skipped_record_carries_the_worst_guarded_occupancy():
+    # the leakage of a point the guard refuses says how far past LEAK_TOL it was
+    ws = FockWorkspace(N_MAX)
+    states = [(bw, thermal_state(ws, bw, 1.0)) for bw in BETA_OMEGAS]
+    records = _equivalence_records(ws, states, ZETAS, PHIS)
+    skipped = [r for r in records if r.status == "skipped"]
+    assert len(skipped) == 4
+    assert all(math.isfinite(r.leakage) and r.leakage > LEAK_TOL for r in skipped)
 
 
 @pytest.mark.parametrize(

@@ -279,6 +279,16 @@ class TestMinimizer:
         assert value == pytest.approx(d_min, rel=1e-12)
         assert phi_star == pytest.approx(_phase_of(x), abs=1e-6)
 
+    @pytest.mark.parametrize("derivative_mode", ["chain", "paper"])
+    @pytest.mark.parametrize("observable", ["number", "energy"])
+    def test_optimum_below_the_scan_floor_raises(self, fig3_config, observable, derivative_mode):
+        # past zeta ~ 14.7 the optimum phase falls below _PHI_LO = 1e-6 (at zeta = 20
+        # the number optimum is 4.8e-9); the floor's delta_phi is no minimum
+        a, b, c, _ = _quadratic_coefficients(fig3_config, 20.0, observable, derivative_mode)
+        assert _phase_of(a / (math.sqrt(a * a + a * (b + c)) + a)) < 1e-6
+        with pytest.raises(NoSolutionError, match=r"^zeta = 20: .* scan floor 1e-06$"):
+            minimize_sensitivity(fig3_config, 20.0, observable, derivative_mode)
+
 
 class TestSnlSolver:
     def test_chain_energy_solution(self, fig3_config):
@@ -298,6 +308,12 @@ class TestSnlSolver:
         # roots are reported side by side by the snl command
         sol = solve_zeta_snl(fig3_config, "energy", "paper", zeta_bracket=ZETA_BRACKET)
         assert sol.zeta_snl == pytest.approx(1.049, abs=0.05)
+
+    def test_bracket_past_the_scan_floor_fails(self, fig3_config):
+        # at zeta = 30 the floor's delta_phi would put g(30) above 0, where the
+        # true g(30) < 0, and the bracket [0.5, 30] would lose the root at 3.4
+        with pytest.raises(NoSolutionError, match="zeta = 30: .* scan floor"):
+            solve_zeta_snl(fig3_config, "energy", "chain", zeta_bracket=(0.5, 30.0))
 
     def test_no_crossing_raises(self, fig3_config):
         with pytest.raises(NoSolutionError):

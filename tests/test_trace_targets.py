@@ -4,7 +4,8 @@ bench/spans.py wraps each of its TARGETS at run time; a renamed or deleted
 function would only surface when a traced benchmark run fails, so every
 target is resolved here against the package, and a small traced oracle run
 must emit every per-layer metric the benchmark declares.  Likewise every
-seeded config of bench/workloads.py must pass the strict config loader.
+seeded config of bench/workloads.py must pass the strict config loader, and
+the seed-0 outputs must pass the benchmark's own correctness checks.
 """
 
 import contextlib
@@ -80,3 +81,26 @@ def test_traced_oracle_emits_every_layer_metric(tmp_path):
     # trace.overhead_s compares a traced with an untraced pass: bench/run.py adds it
     assert set(metrics) == {m["name"] for m in spec["per_layer"]} - {"trace.overhead_s"}
     assert metrics["fock.matmul_flop"] > 0 and metrics["gate.skipped"] > 0
+
+
+def test_seed0_outputs_pass_the_benchmark_checks(tmp_path):
+    # bench/checks.py at seed 0: every sweep cell within 1e-12 of the reference and
+    # every oracle status as recorded, so drift fails here before a benchmark run
+    workloads = _bench_module("bench_workloads", "workloads.py")
+    checks = _bench_module("bench_checks", "checks.py")
+    for name in ("sweeps", "oracle-small-basis"):
+        spec = workloads.WORKLOADS[name]
+        path = tmp_path / f"{name}.json"
+        override = workloads.write_config(name, 0, path)
+        ref = checks.load_reference(name)
+        out = tmp_path / name
+        for command in spec.commands:
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = cli.main(["--config", str(path), "--out", str(out), command])
+            assert code == spec.expected_exit, (name, command)
+            if command == "oracle":
+                problems, _ = checks.check_oracle(stdout.getvalue(), out, 0, ref)
+            else:
+                problems = checks.check_sweep_command(command, out, override, 0, ref)
+            assert problems == [], (name, command)
