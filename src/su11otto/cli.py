@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +41,7 @@ from .cycle import carnot, otto_ideal, works_and_heats
 from .errors import EngineError
 from .gate import run_gate
 from .metrology import delta_phi, snl, solve_zeta_snl, supersensitivity_range
-from .reports import fmt, write_csv
+from .reports import fmt, table, write_csv
 
 UNITS_HEADER = "units: hbar = k_B = 1; frequencies and temperatures on a common energy scale"
 INPUT_HEADER = "expansion input state: hot thermal at (beta_h, omega2); N_in + 1 = coth(beta_h*omega2/2)"
@@ -89,12 +88,13 @@ def cmd_cycle(args, config: ScenarioConfig) -> int:
     engine = config.engine
     eta_c = carnot(engine)
     phis = _phi_grid(config.phi_points)
-    rows = []
+    panels = []
     for zeta in config.zeta_panels:
         chi = chi_of(zeta, phis)
         rep = works_and_heats(engine, chi)
-        rows.extend(zip(phis, repeat(zeta), chi, rep.w_ab, rep.q_bc, rep.w_cd, rep.q_da,
-                        rep.w_net, rep.eta, rep.eta / eta_c, rep.w_fric))
+        panels.append((phis, np.full_like(phis, zeta), chi, rep.w_ab, rep.q_bc, rep.w_cd,
+                       rep.q_da, rep.w_net, rep.eta, rep.eta / eta_c, rep.w_fric))
+    rows = table(*map(np.concatenate, zip(*panels)))
     path = write_csv(
         Path(args.out) / "cycle_sweep.csv",
         ("phi", "zeta", "chi", "w_ab", "q_bc", "w_cd", "q_da", "w_net", "eta", "eta_norm", "w_fric"),
@@ -119,22 +119,19 @@ def cmd_figure3(args, config: ScenarioConfig) -> int:
         benchmark = snl(engine, zeta)
         norm_n, norm_h = d_n / benchmark, d_h / benchmark
         eta = works_and_heats(engine, chi_of(zeta, phis)).eta
-        rows = list(zip(phis, d_n, d_h, repeat(benchmark), norm_n, norm_h,
-                        eta, eta / eta_c, repeat(mode)))
         path = write_csv(
             Path(args.out) / f"figure3_zeta{zeta:g}.csv",
             ("phi", "delta_phi_n", "delta_phi_h", "snl", "norm_n", "norm_h",
              "eta", "eta_norm", "derivative_mode"),
-            rows,
+            table(phis, d_n, d_h, np.full_like(phis, benchmark), norm_n, norm_h,
+                  eta, eta / eta_c, [mode] * phis.size),
             header + [f"zeta: {fmt(zeta)}"],
         )
         rng_n = supersensitivity_range(engine, zeta, "number", mode)
         rng_h = supersensitivity_range(engine, zeta, "energy", mode)
         min_norm_n, min_norm_h = norm_n.min(), norm_h.min()
-        summary_rows.append(
-            (zeta, eta_o, eta_c, phi_max(zeta, chi_bound), min_norm_n, min_norm_h,
-             rng_n.lo, rng_n.hi, rng_n.empty, rng_h.lo, rng_h.hi, rng_h.empty, mode)
-        )
+        summary_rows.append((zeta, eta_o, eta_c, phi_max(zeta, chi_bound), min_norm_n, min_norm_h,
+                             rng_n.lo, rng_n.hi, rng_n.empty, rng_h.lo, rng_h.hi, rng_h.empty, mode))
         print(f"panel zeta={zeta:g}: min norm dphi_N={min_norm_n:.4f} "
               f"min norm dphi_H={min_norm_h:.4f} "
               f"supersensitive(N)={'-' if rng_n.empty else f'({rng_n.lo:.4f},{rng_n.hi:.4f})'} "
@@ -145,7 +142,7 @@ def cmd_figure3(args, config: ScenarioConfig) -> int:
         ("zeta", "eta_otto", "eta_carnot", "phi_max", "min_norm_n", "min_norm_h",
          "range_n_lo", "range_n_hi", "range_n_empty",
          "range_h_lo", "range_h_hi", "range_h_empty", "derivative_mode"),
-        summary_rows,
+        table(*zip(*summary_rows)),
         header,
     )
     print(f"eta_otto={fmt(eta_o)} eta_carnot={fmt(eta_c)}  wrote {spath}")
@@ -158,20 +155,17 @@ FIG4_NU_GRID = np.linspace(0.2, 100.0, 500)  # includes nu = 5 and 50 exactly
 
 
 def cmd_figure4(args, config: ScenarioConfig) -> int:
-    rows = []
-    for nu in FIG4_NU_GRID:
-        pair = circuit_mod.bogoliubov(FIG4_OMEGA_I, FIG4_OMEGA_F, float(nu))
-        re_ab, im_ab = circuit_mod.coupling_coefficients(pair)
-        rows.append((nu, re_ab, im_ab, pair.identity_residual))
+    pairs = [circuit_mod.bogoliubov(FIG4_OMEGA_I, FIG4_OMEGA_F, float(nu)) for nu in FIG4_NU_GRID]
+    re_ab, im_ab = zip(*map(circuit_mod.coupling_coefficients, pairs))
+    residual = [pair.identity_residual for pair in pairs]
     path = write_csv(
         Path(args.out) / "figure4_coupling.csv",
         ("nu", "re_alphabeta", "im_alphabeta", "identity_residual"),
-        rows,
+        table(FIG4_NU_GRID, re_ab, im_ab, residual),
         [f"reference ramp frequencies: omega_i={fmt(FIG4_OMEGA_I)} omega_f={fmt(FIG4_OMEGA_F)}",
          "nu in units of omega_i"],
     )
-    worst = max(r[3] for r in rows)
-    print(f"wrote {path} ({len(rows)} rows); worst |alpha|^2-|beta|^2 residual {worst:.3e}")
+    print(f"wrote {path} ({len(pairs)} rows); worst |alpha|^2-|beta|^2 residual {max(residual):.3e}")
     return 0
 
 
@@ -182,13 +176,9 @@ def cmd_snl(args, config: ScenarioConfig) -> int:
           f"{'chi_snl':>10} {'eta_snl':>10} {'min/snl':>10}")
     for observable in ("energy", "number"):
         for mode in ("chain", "paper"):
-            sol = solve_zeta_snl(
-                engine, observable, mode, zeta_bracket=config.zeta_bracket
-            )
-            rows.append(
-                (observable, mode, sol.zeta_snl, sol.phi_snl, sol.chi_snl, sol.eta_snl,
-                 sol.delta_phi_min, sol.snl_value, sol.delta_phi_min / sol.snl_value)
-            )
+            sol = solve_zeta_snl(engine, observable, mode, zeta_bracket=config.zeta_bracket)
+            rows.append((observable, mode, sol.zeta_snl, sol.phi_snl, sol.chi_snl, sol.eta_snl,
+                         sol.delta_phi_min, sol.snl_value, sol.delta_phi_min / sol.snl_value))
             print(f"{observable:>10} {mode:>6} {sol.zeta_snl:10.5f} {sol.phi_snl:10.6f} "
                   f"{sol.chi_snl:10.6f} {sol.eta_snl:10.6f} "
                   f"{sol.delta_phi_min / sol.snl_value:10.6f}")
@@ -196,7 +186,7 @@ def cmd_snl(args, config: ScenarioConfig) -> int:
         Path(args.out) / "snl_solutions.csv",
         ("observable", "derivative_mode", "zeta_snl", "phi_snl", "chi_snl", "eta_snl",
          "delta_phi_min", "snl", "norm_min"),
-        rows,
+        table(*zip(*rows)),
         _engine_header(config) + [INPUT_HEADER,
                                   "solver: coarse scan + golden section in phi, bisection in zeta"],
     )
@@ -208,10 +198,8 @@ def cmd_circuit(args, config: ScenarioConfig) -> int:
     mode = config.derivative_mode
     report = circuit_mod.circuit_scenario(config.circuit, derivative_mode=mode)
     pair = report.pair
-    rows = [
-        (p.t_f, p.theta, p.zeta, p.phi, p.chi, p.eta, p.eta_norm, p.dphi_h, p.dphi_norm, p.flag)
-        for p in report.points
-    ]
+    rows = [(p.t_f, p.theta, p.zeta, p.phi, p.chi, p.eta, p.eta_norm, p.dphi_h, p.dphi_norm, p.flag)
+            for p in report.points]
     header = [
         UNITS_HEADER,
         f"kelvin -> rad/s conversion: k_B/hbar = {fmt(circuit_mod.KELVIN_TO_RAD_PER_S)}",
@@ -225,7 +213,7 @@ def cmd_circuit(args, config: ScenarioConfig) -> int:
     path = write_csv(
         Path(args.out) / "circuit_scenario.csv",
         ("t_f", "theta", "zeta", "phi", "chi", "eta", "eta_norm", "dphi_h", "dphi_norm", "flags"),
-        rows,
+        table(*zip(*rows)),
         header,
     )
     skipped = sum(1 for p in report.points if p.flag)
@@ -244,28 +232,19 @@ def cmd_circuit(args, config: ScenarioConfig) -> int:
 
 def cmd_oracle(args, config: ScenarioConfig) -> int:
     oracle = config.oracle
-    result = run_gate(
-        config.engine,
-        n_max=oracle.n_max,
-        algebra_n_max=oracle.algebra_n_max,
-        beta_omegas=oracle.beta_omega,
-        zeta_grid=oracle.zeta_grid,
-        phi_grid=oracle.phi_grid,
-    )
-    rows = []
+    result = run_gate(config.engine, n_max=oracle.n_max, algebra_n_max=oracle.algebra_n_max,
+                      beta_omegas=oracle.beta_omega, zeta_grid=oracle.zeta_grid,
+                      phi_grid=oracle.phi_grid)
     for rec in result.records:
-        rows.append(
-            (rec.quantity, rec.analytic, rec.oracle, rec.abs_err, rec.rel_err,
-             rec.n_max, rec.leakage)
-        )
         marker = {"pass": "PASS", "fail": "FAIL", "discrepancy": "DISCREPANCY",
                   "skipped": "SKIP"}[rec.status]
         print(f"{marker:11s} {rec.quantity}  analytic={fmt(rec.analytic)} "
               f"oracle={fmt(rec.oracle)} abs_err={rec.abs_err:.3e}")
+    columns = ("quantity", "analytic", "oracle", "abs_err", "rel_err", "n_max", "leakage")
     path = write_csv(
         Path(args.out) / "oracle_report.csv",
-        ("quantity", "analytic", "oracle", "abs_err", "rel_err", "n_max", "leakage"),
-        rows,
+        columns,
+        table(*([getattr(rec, name) for rec in result.records] for name in columns)),
         _engine_header(config) + [
             "status legend: discrepancy = printed formula contradicted by the oracle "
             "(exit code 2); skipped = outside the truncation guard at this n_max",

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from su11otto import (
     InterferometerAngles,
@@ -23,7 +25,7 @@ from su11otto import (
 from su11otto.cli import build_parser, main
 from su11otto.config import DEFAULTS, OracleConfig, load_config
 from su11otto.errors import ConfigError
-from su11otto.reports import fmt, write_csv
+from su11otto.reports import fmt, table, write_csv
 
 
 class TestConfig:
@@ -333,12 +335,16 @@ class TestCsvCommands:
         assert err.startswith("error: ") and "Traceback" not in err
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
-        class Unprintable:
-            def __str__(self):
-                raise RuntimeError("unprintable cell")
+        tmp = tmp_path / "x.csv.tmp"
 
-        with pytest.raises(RuntimeError, match="unprintable cell"):
-            write_csv(tmp_path / "x.csv", ("a",), [(1.0,), (Unprintable(),)])
+        class Unprintable(str):
+            # a str cell, so its column passes the type check; printing it
+            # fails on the second row, once the temp file is open
+            def __str__(self):
+                raise RuntimeError(f"unprintable cell (temp file open: {tmp.exists()})")
+
+        with pytest.raises(RuntimeError, match=r"unprintable cell \(temp file open: True\)"):
+            write_csv(tmp_path / "x.csv", ("a", "b"), table([1.0, 2.0], ["ok", Unprintable()]))
         assert list(tmp_path.iterdir()) == []
 
     def test_derivative_mode_flag(self, tmp_path, capsys):
@@ -350,6 +356,59 @@ class TestCsvCommands:
         assert main(["--config", str(cfg), "--out", str(tmp_path), "figure3"]) == 0
         text = (tmp_path / "figure3_zeta2.csv").read_text()
         assert ",paper" in text and ",chain" not in text
+
+
+_TEXT = st.text(st.characters(codec="utf-8", exclude_characters="\x00"))
+_CELLS = {
+    float: st.floats(allow_subnormal=True) | st.sampled_from(
+        [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1e-300, -1e-300,
+         math.nan, math.inf, -math.inf]),
+    bool: st.booleans(),
+    int: st.integers(),
+    str: _TEXT,  # no NUL, which numpy str arrays drop from the end of a cell
+}
+
+
+@st.composite
+def _csv_tables(draw):
+    """(names, Python columns, the same columns as handed to `table`, comments)."""
+    n_rows = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.sampled_from(list(_CELLS)), min_size=1, max_size=5))
+    columns = [draw(st.lists(_CELLS[k], min_size=n_rows, max_size=n_rows)) for k in kinds]
+    # a column reaches `table` as a list, a tuple or an ndarray (ints past int64 give dtype object)
+    passed = [draw(st.sampled_from([list, tuple, np.array]))(c) for c in columns]
+    names = [f"c{i}" for i in range(len(columns))]
+    return names, columns, passed, draw(st.lists(_TEXT, max_size=3))
+
+
+class TestWriteCsv:
+    """`write_csv` against the cell-by-cell `fmt` reference."""
+
+    @given(_csv_tables())
+    def test_bytes_equal_the_per_cell_reference(self, tmp_path_factory, drawn):
+        names, columns, passed, comments = drawn
+        path = tmp_path_factory.getbasetemp() / "property.csv"
+        write_csv(path, names, table(*passed), comments)
+        expected = "".join(
+            [f"# {line}\n" for line in comments] + [",".join(names) + "\n"]
+            + [",".join(fmt(v) for v in row) + "\n" for row in zip(*columns)]
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("cells, held", [
+        ([1.0, "x"], "<class 'float'> and <class 'str'>"),
+        ([1, 2.5], "<class 'float'> and <class 'int'>"),
+        ([True, 1], "<class 'bool'> and <class 'int'>"),
+        (["", 0.0], "<class 'float'> and <class 'str'>"),
+        ([1j, 2j], "<class 'complex'>"),
+        (np.array([1j]), "<class 'complex'>"),
+        ([np.True_], "<class 'numpy.bool"),  # numpy.bool_ before numpy 2
+    ])
+    def test_mixed_or_unprintable_column_is_refused_by_name(self, tmp_path, cells, held):
+        # refused before the temp file opens, not printed cell by cell
+        with pytest.raises(TypeError, match=re.escape(f"column 'b' holds {held}")):
+            write_csv(tmp_path / "x.csv", ("a", "b"), table(np.zeros(len(cells)), cells))
+        assert list(tmp_path.iterdir()) == []
 
 
 def _csv_rows(path):
