@@ -69,6 +69,20 @@ phases, 1 ulp for exp(i theta K_z)).  Each read against a state is a dot
 product with its one population vector.  The tests check these reads
 against dense linear algebra: |U|^2 p with U from `to_dense()` and the
 thermal weights written out over the full, unfolded basis.
+
+Unitarity of the product form
+-----------------------------
+The product form's core C = Y^T P Y (Y = exp(i zeta K_y) real and shared
+by every phi, P = exp(-i phi K_z) diagonal) forms no Gram of its own.
+Exactly, C+ C - 1 = G + Y^T (P+ P - 1) Y + Y^T P+ (Y Y^T - 1) P Y with
+G = Y^T Y - 1, and ||Y Y^T - 1||_2 = ||G||_2 for square Y.  So one real
+Gram per zeta, memoised on Y (`gram_norms`), and max |1 - |p|^2|, O(m) per
+phi, bound its defect, plus the rounding of that Gram, of fl(P Y) and of
+the real product Y^T fl(P Y) (`Chain.defect` derives every term).  The
+bound is ~m^2 u for the largest block size m and u = 2^-53: 1.97e-12 at
+n_max = 120 and 5.5e-13 at 60, against measured Gram defects near 1e-14.
+Alone it reaches the gate's 1e-10 near n_max = 900 (m = 919), where the
+record would fail falsely, the safe direction.
 """
 
 from __future__ import annotations
@@ -105,6 +119,7 @@ _DENSE_LIMIT = 4096  # refuse to assemble dense matrices larger than this
 LEAK_TOL = 1e-8  # boundary occupancy of an evolved state
 THERMAL_LEAK_TOL = 1e-10  # thermal tail weight cut off past n_max
 THERMAL_BOUNDARY_TOL = 1e-12  # per boundary state: later squeezing amplifies it
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -264,12 +279,21 @@ class BlockOperator:
         return np.concatenate([_abs2(b[-1]) for b in self.blocks])
 
     def unitarity_defect(self) -> float:
-        worst = 0.0
-        for b in self.blocks:
-            gram = b.conj().T @ b
-            gram.flat[:: gram.shape[0] + 1] -= 1.0
-            worst = max(worst, float(np.max(np.abs(gram))))
-        return worst
+        return max(float(np.max(np.abs(_gram_minus_one(b)))) for b in self.blocks)
+
+    @cached_property
+    def gram_norms(self) -> tuple[float, float]:
+        """(delta, eta) over the Grams G = fl(b+ b) - 1 of the blocks: the largest
+        |G| entry, and the largest row or column sum of |G|, which is >= ||G||_2."""
+        grams = (np.abs(_gram_minus_one(b)) for b in self.blocks)
+        norms = [(g.max(), max(g.sum(axis=0).max(), g.sum(axis=1).max())) for g in grams]
+        return tuple(float(v) for v in np.max(norms, axis=0))
+
+
+def _gram_minus_one(b: np.ndarray) -> np.ndarray:
+    gram = b.conj().T @ b
+    gram.flat[:: gram.shape[0] + 1] -= 1.0
+    return gram
 
 
 def _same_workspace(a, b):
@@ -415,7 +439,9 @@ class Chain:
     are the outer diagonal factors around the `core`.  The rows of
     `weights` are n^T |core|^2, (n^2)^T |core|^2 and boundary^T |core|^2
     over the concatenated sectors, then the `boundary_weights` of each
-    squeezed partial product of the core.  The product is formed only
+    squeezed partial product of the core.  `defect_bound`, where the
+    builder gives one, is a proven bound on the core's unitarity defect
+    from its factors (`unitary_product`).  The product is formed only
     when read.
     """
 
@@ -424,6 +450,7 @@ class Chain:
     after: tuple
     weights: np.ndarray
     label: str
+    defect_bound: float | None = None
 
     @cached_property
     def product(self) -> BlockOperator:
@@ -431,8 +458,43 @@ class Chain:
 
     @cached_property
     def defect(self) -> float:
-        """Unitarity defect of the core, which bounds the product's (module docstring)."""
-        return self.core.unitarity_defect()
+        """Unitarity defect max |C+ C - 1| of the core C, which bounds the
+        product's (module docstring): the `defect_bound` if there is one,
+        else the core's own Gram.
+
+        `unitary_product`'s bound for C = fl(Y^T fl(P Y)), Y real, P diagonal,
+        with u = 2^-53, gamma_k = k u / (1 - k u) (Higham, Accuracy and
+        Stability of Numerical Algorithms, 2nd ed., sec. 3.5) and m the
+        largest block size (the bound grows with m and each input, so the
+        worst inputs over the blocks bound every block):
+
+        * inputs: delta = max |G^| and eta = the largest row or column sum of
+          |G^|, >= ||G^||_2, with G^ = fl(Y^T Y) - 1 (Y's `gram_norms`; the
+          - 1 is exact by Sterbenz while delta < 1/2, and past that the bound
+          exceeds any tolerance), and e^ = max |1 - fl(|p|^2)| over P.
+        * exact G = Y^T Y - 1: |G^ - G| <= gamma_m |Y|^T |Y|, so every column
+          has |y_j|^2 = 1 + G_jj <= kappa = (1 + delta) / (1 - gamma_m), every
+          |G - G^|_jk <= gamma_m kappa, and ||G||_2 <= g =
+          (eta + m gamma_m kappa) / (1 - gamma_m), the division covering the
+          rounding of eta's sums; max |1 - |p|^2| <= e = (e^ + gamma_2) / (1 - gamma_2).
+        * exact core: C+ C - 1 = G + Y^T Q Y + Y^T P+ H P Y, Q = P+ P - 1,
+          H = Y Y^T - 1, and ||H||_2 = ||G||_2 for square Y (same
+          eigenvalues).  By Cauchy-Schwarz on the columns,
+          |C+ C - 1|_jk <= delta + gamma_m kappa + e kappa + (1 + e) kappa g.
+        * rounding: fl(P Y) rounds each part of each entry once, u |P| |Y|,
+          and Y^T fl(P Y) is one real product on `_mm`'s interleaved view,
+          gamma_m |Y|^T |fl(P Y)| in each part.  So every entry of the
+          computed core's error R is <= rho = gamma_(m+1) sqrt(1 + e) kappa,
+          every column of R has norm <= sqrt(m) rho, and every column
+          Y^T P y_j of C norm <= ||Y||_2 sqrt((1 + e) kappa) <= c =
+          sqrt((1 + g)(1 + e) kappa).  R adds C+ R + R+ C + R+ R to
+          C+ C - 1, entrywise <= 2 sqrt(m) rho c + m rho^2.
+
+        The sum, times 1 + gamma_64 for the rounding of evaluating it, is the
+        bound.  It certifies Y, P and the rounding of the one product
+        expression, not a core altered after it is built.
+        """
+        return self.core.unitarity_defect() if self.defect_bound is None else self.defect_bound
 
     def occupancy(self, state: ThermalState) -> float:
         """Worst boundary occupancy of the state after any guarded partial product."""
@@ -455,7 +517,9 @@ class Chain:
         return (self.weights @ _same_workspace(self.core, state).probs).tolist()
 
 
-def _chain(label: str, core: BlockOperator, before=(), after=(), squeezed=()) -> Chain:
+def _chain(
+    label: str, core: BlockOperator, before=(), after=(), squeezed=(), defect_bound=None
+) -> Chain:
     """The chain `before`, `core`, `after`, each ordered as applied to the state.
 
     The outer diagonal phases `before` and `after` move no population, so
@@ -466,7 +530,7 @@ def _chain(label: str, core: BlockOperator, before=(), after=(), squeezed=()) ->
     """
     moments = np.hstack([r @ _abs2(b) for r, b in zip(core.ws.moment_rows, core.blocks)])
     weights = np.vstack([moments, *(s.boundary_weights for s in squeezed)])
-    return Chain(core, before, after, weights, label)
+    return Chain(core, before, after, weights, label, defect_bound)
 
 
 def evolved_boundary_occupancy(factors, state: ThermalState) -> float:
@@ -487,11 +551,34 @@ def unitary_product(y: BlockOperator, phi: float) -> Chain:
 
     It guards the intermediate squeezed state Y D and the final state (the
     intermediate squeeze is the binding constraint: it spreads the state
-    by zeta even when the composed chi is small)."""
+    by zeta even when the composed chi is small).  The core's unitarity
+    defect is the bound of `Chain.defect`, from Y's memoised `gram_norms`
+    and P's phases; the chain keeps floats, not Y."""
     ws = y.ws
     d = _quarter_phases(ws)
-    core = BlockOperator(ws, [b.T for b in y.blocks]) @ (_phase_kz(ws, -phi) @ y)
-    return _chain("unitary_product", core, (d,), (d.dag(),), squeezed=(y,))
+    p = _phase_kz(ws, -phi)
+    core = BlockOperator(ws, [b.T for b in y.blocks]) @ (p @ y)
+    eps_p = float(np.max(np.abs(1.0 - _abs2(np.concatenate(p.diags)))))
+    bound = _product_defect_bound(ws.n_max + 1, *y.gram_norms, eps_p)
+    return _chain("unitary_product", core, (d,), (d.dag(),), squeezed=(y,), defect_bound=bound)
+
+
+def _product_defect_bound(m: int, delta: float, eta: float, eps_p: float) -> float:
+    """The bound of `Chain.defect` on the unitarity defect of fl(Y^T fl(P Y)),
+    term by term as derived there."""
+    g_m = _gamma(m)
+    kappa = (1.0 + delta) / (1.0 - g_m)
+    g = (eta + m * g_m * kappa) / (1.0 - g_m)
+    e = (eps_p + _gamma(2)) / (1.0 - _gamma(2))
+    exact = delta + g_m * kappa + e * kappa + (1.0 + e) * kappa * g
+    rho = _gamma(m + 1) * math.sqrt(1.0 + e) * kappa
+    c = math.sqrt((1.0 + g) * (1.0 + e) * kappa)
+    return (exact + 2.0 * math.sqrt(m) * rho * c + m * rho * rho) * (1.0 + _gamma(64))
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), u the unit roundoff of double."""
+    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
 
 
 def unitary_equiv(endpoints: ProtocolEndpoints, ws: FockWorkspace) -> Chain:

@@ -26,12 +26,16 @@ configured basis size, with the worst guarded occupancy as their leakage.
 
 The endpoint unitaries depend on (zeta, phi) only; the bath enters
 through the thermal input state alone.  So the equivalence grid is
-evaluated (zeta, phi)-major: each distinct chain is built and its core
-checked for unitarity once, each beta*omega's state reads the chain
-under the truncation guard, and the records are reported beta*omega-major.
-Within it the grid runs zeta-major: the squeeze exp(i zeta K_y) of the
-product form un1 depends on zeta alone, so it is built once per zeta and
-every phi's `unitary_product` composes that same operator.
+evaluated (zeta, phi)-major: each distinct chain is built once, each
+beta*omega's state reads the chain under the truncation guard, and the
+records are reported beta*omega-major.  Within it the grid runs
+zeta-major: the squeeze exp(i zeta K_y) of the product form un1 depends on
+zeta alone, so it is built once per zeta and every phi's `unitary_product`
+composes that same operator.  The unitarity records read each chain's
+`defect`: for un1 a proven bound from its factors, the squeeze's one real
+Gram per zeta and the phases' moduli, so it certifies the factors and the
+rounding of the one product expression; for un2 (and tiev) the real
+core's own Gram, once per admitted (zeta, phi).
 """
 
 from __future__ import annotations
@@ -243,9 +247,10 @@ def _equivalence_records(ws, states, zeta_grid, phi_grid) -> list[GateRecord]:
 
     The forms depend on (zeta, phi) only, so the grid runs (zeta, phi)-major:
     each distinct chain is built once and read by each thermal state in
-    turn; its unitarity defect is computed at the first beta*omega that
-    admits it.  A point where a read trips the guard at one beta*omega is
-    'skipped' there alone.
+    turn.  un2's core Gram is formed at the first beta*omega that admits
+    it; un1's defect bound is a few floats, taken when its chain is built.
+    A point where a read trips the guard at one beta*omega is 'skipped'
+    there alone.
 
     Two chains per (zeta, phi) suffice: the time-ordered form tiev,
     `evolution_endpoint(-chi, -theta)`, reads the un2 chain

@@ -306,13 +306,18 @@ def supersensitivity_range(
     (C + T) x^2 + (B - T) x + A < 0 with T = K/N_phi: convex, A > 0 at x = 0
     and A + B + C > 0 at x = 1, so it holds on one interval inside (0, 1) or
     nowhere.  A scan finds the interval; bisection locates its edges to
-    _RANGE_RESOLUTION.
+    _RANGE_RESOLUTION.  An interval that already holds the first or last scan
+    point (from zeta ~ 10 on the default engine) has its edge past the scan:
+    NoSolutionError.
     """
     benchmark = snl(config, zeta)
     phis = np.linspace(_RANGE_RESOLUTION, math.pi - _RANGE_RESOLUTION, _RANGE_SCAN_POINTS)
     below = _delta_phi_grid(config, zeta, phis, observable, derivative_mode) < benchmark
     if not below.any():
         return SupersensitivityRange(lo=math.nan, hi=math.nan, empty=True)
+    if below[0] or below[-1]:
+        edge = f"floor {phis[0]:g}" if below[0] else f"ceiling {phis[-1]:g}"
+        raise NoSolutionError(f"zeta = {zeta:g}: delta_phi is below the benchmark at the scan {edge}")
 
     def h(p: float) -> float:
         return float(_delta_phi_grid(config, zeta, p, observable, derivative_mode)) - benchmark
@@ -321,9 +326,8 @@ def supersensitivity_range(
         return _bisect(h, a, b, h(a), _RANGE_RESOLUTION)
 
     idx = np.flatnonzero(below)
-    first, last = int(idx[0]), int(idx[-1])
-    lo = phis[0] if first == 0 else bisect(phis[first - 1], phis[first])
-    hi = phis[-1] if last == len(phis) - 1 else bisect(phis[last], phis[last + 1])
+    lo = bisect(phis[idx[0] - 1], phis[idx[0]])
+    hi = bisect(phis[idx[-1]], phis[idx[-1] + 1])
     return SupersensitivityRange(lo=lo, hi=hi, empty=False)
 
 

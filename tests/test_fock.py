@@ -3,9 +3,12 @@ unitaries and the truncation guards."""
 
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from su11otto import fock
@@ -95,10 +98,10 @@ def test_chain_surface_is_pinned():
     # `read` is the one read of a chain's moments, and it holds the leakage
     # guard: a new field or public method is a deliberate edit of these lists
     assert [f.name for f in dataclasses.fields(fock.Chain)] == [
-        "core", "before", "after", "weights", "label",
+        "core", "before", "after", "weights", "label", "defect_bound",
     ]
     public = sorted(name for name in dir(fock.Chain) if not name.startswith("_"))
-    assert public == ["defect", "occupancy", "product", "read"]
+    assert public == ["defect", "defect_bound", "occupancy", "product", "read"]
 
 
 class TestWorkspace:
@@ -368,6 +371,46 @@ BAND_ARGS = {
     "unitary_equiv": (_CHI, _THETA),
     "evolution_endpoint": (-_CHI, -_THETA),
 }
+
+
+class TestProductDefectBound:
+    """The un1 core's unitarity defect is a bound from its factors (`Chain.defect`)."""
+
+    @settings(max_examples=60)
+    @given(
+        n_max=st.integers(2, 40),
+        zeta=st.floats(0.0, 1.5),
+        phi=st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_bound_is_never_below_the_gram_defect(self, n_max, zeta, phi):
+        chain = unitary_product(_exp_i_ky(FockWorkspace(n_max), zeta), phi)
+        assert chain.defect_bound is not None
+        assert chain.core.unitarity_defect() <= chain.defect < 1e-11
+
+    @pytest.mark.parametrize("n_max", [60, 120])
+    def test_bound_stays_below_1e11_to_n_max_120(self, n_max):
+        # the bound grows with the largest block size m and with each input, so
+        # m = 121 at inputs above any measured here bounds every n_max <= 120
+        y = _exp_i_ky(FockWorkspace(n_max), 1.5)
+        delta, eta = y.gram_norms
+        assert delta < 1e-13 and eta < 1e-12
+        cap = fock._product_defect_bound(121, 1e-13, 1e-12, 1e-15)
+        assert unitary_product(y, 2.0).defect < cap < 1e-11
+
+    def test_bound_reaches_the_gate_tolerance_near_n_max_900(self):
+        # the m^2 u term alone: a false `fail` past there, the safe direction
+        bound = fock._product_defect_bound
+        assert bound(880, 0.0, 0.0, 0.0) < 1e-10 < bound(940, 0.0, 0.0, 0.0)
+
+    def test_chain_does_not_keep_its_squeeze_alive(self):
+        # the chain keeps floats from Y, so each zeta's squeeze is freed once
+        # the caller drops it, before the next zeta's is built
+        y = _exp_i_ky(FockWorkspace(20), 0.7)
+        alive = weakref.ref(y)
+        chain = unitary_product(y, 0.9)
+        del y
+        assert alive() is None
+        assert chain.defect == chain.defect_bound
 
 
 def _same_blocks(u, v):

@@ -144,23 +144,38 @@ def test_point_skipped_when_any_one_form_trips(monkeypatch, builder):
     assert [r.status for r in records] == ["skipped"] * (len(BETA_OMEGAS) * len(ZETAS) * len(PHIS))
 
 
+def _scaled(op):
+    """op with its sector-5 block or phases scaled by 1 + 1e-9."""
+    if op.diags is not None:
+        return BlockOperator.from_diagonal(
+            op.ws, [v * (1.0 + 1e-9) if i == 5 else v for i, v in enumerate(op.diags)]
+        )
+    return BlockOperator(op.ws, [b * (1.0 + 1e-9) if i == 5 else b for i, b in enumerate(op.blocks)])
+
+
 @pytest.mark.parametrize(
-    "builder, names",
-    [("unitary_product", {"un1"}), ("unitary_equiv", {"un2", "tiev"})],
-    ids=["unitary_product-un1", "unitary_equiv-un2"],
+    "module, factor, names",
+    [
+        (gate, "_exp_i_ky", {"un1"}),
+        (fock, "_phase_kz", {"un1"}),
+        (gate, "unitary_equiv", {"un2", "tiev"}),
+    ],
+    ids=["unitary_product-un1", "unitary_product-phase-un1", "unitary_equiv-un2"],
 )
-def test_scaled_core_block_fails_its_defect_record(monkeypatch, builder, names):
-    # one core block scaled by 1 + 1e-9 is no longer unitary: the defect records
-    # of the forms that read that chain (tiev reads un2's), and only those, must fail
-    build = getattr(gate, builder)
+def test_scaled_core_block_fails_its_defect_record(monkeypatch, module, factor, names):
+    # a 1e-9 error in one block is no longer unitary: the defect records of the
+    # forms that read it (tiev reads un2's), and only those, must fail.  un1's
+    # record is a bound from its factors, so its error goes into one block of
+    # the squeeze Y or into |P|; un2's goes into its built core
+    build = getattr(module, factor)
 
     def scaled(*args):
-        chain = build(*args)
-        blocks = list(chain.core.blocks)
-        blocks[5] = blocks[5] * (1.0 + 1e-9)
-        return dataclasses.replace(chain, core=BlockOperator(chain.core.ws, blocks))
+        out = build(*args)
+        if isinstance(out, fock.Chain):
+            return dataclasses.replace(out, core=_scaled(out.core))
+        return _scaled(out)
 
-    monkeypatch.setattr(gate, builder, scaled)
+    monkeypatch.setattr(module, factor, scaled)
     ws = FockWorkspace(N_MAX)
     states = [(3.0, thermal_state(ws, 3.0, 1.0))]
     records = _equivalence_records(ws, states, (0.6,), (0.5,))
@@ -169,6 +184,39 @@ def test_scaled_core_block_fails_its_defect_record(monkeypatch, builder, names):
         f"unitarity_defect[{form}][bw=3,zeta=0.6,phi=0.5]": "fail" if form in names else "pass"
         for form in ("un1", "un2", "tiev")
     }
+
+
+def test_gram_runs_only_on_the_un2_cores(monkeypatch):
+    # un1's defect is a bound from its factors: `unitarity_defect` runs once per
+    # admitted (zeta, phi), on the real core of that point's un2 chain, and never
+    # on a complex block
+    cores, grammed = [], []
+    build, gram = gate.unitary_equiv, BlockOperator.unitarity_defect
+
+    def recording_build(*args):
+        chain = build(*args)
+        cores.append(chain.core)
+        return chain
+
+    def recording_gram(op):
+        grammed.append(op)
+        return gram(op)
+
+    monkeypatch.setattr(gate, "unitary_equiv", recording_build)
+    monkeypatch.setattr(BlockOperator, "unitarity_defect", recording_gram)
+    ws = FockWorkspace(N_MAX)
+    states = [(bw, thermal_state(ws, bw, 1.0)) for bw in BETA_OMEGAS]
+    records = _equivalence_records(ws, states, ZETAS, PHIS)
+    admitted = {
+        r.quantity.split(",", 1)[1]
+        for r in records
+        if r.quantity.startswith("unitarity_defect[un2]")
+    }
+    # (0.9, 3.0) is skipped at both baths
+    assert len(admitted) == len(ZETAS) * len(PHIS) - 1
+    assert len(grammed) == len(admitted) == len({id(op) for op in grammed})
+    assert all(any(op is core for core in cores) for op in grammed)
+    assert all(np.isrealobj(b) for op in grammed for b in op.blocks)
 
 
 def test_partition_function_closed_form():

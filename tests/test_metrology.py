@@ -223,6 +223,15 @@ class TestSupersensitivity:
             pt = sensitivity(fig3_config, 4.0, edge, "chain")
             assert pt.delta_phi_h == pytest.approx(benchmark, rel=1e-4)
 
+    @pytest.mark.parametrize("derivative_mode", ["chain", "paper"])
+    @pytest.mark.parametrize("observable", ["number", "energy"])
+    def test_interval_past_the_scan_floor_raises(self, fig3_config, observable, derivative_mode):
+        # at zeta = 12 the closed-form lower edge lies below _RANGE_RESOLUTION = 1e-6
+        # (5.97e-8 for the number, chain mode): the first scan point is already
+        # inside the interval, and the floor is no edge
+        with pytest.raises(NoSolutionError, match=r"^zeta = 12: .* scan floor 1e-06$"):
+            supersensitivity_range(fig3_config, 12.0, observable, derivative_mode)
+
     @settings(max_examples=150)
     @given(**OPERATING_POINTS)
     def test_matches_the_closed_form_interval(self, config, zeta, observable, derivative_mode):
@@ -231,13 +240,18 @@ class TestSupersensitivity:
         a, b, c, k = _quadratic_coefficients(config, zeta, observable, derivative_mode)
         t = k / (config.coth_hot * math.cosh(zeta) - 1.0)
         disc = (b - t) ** 2 - 4.0 * (c + t) * a
-        rng = supersensitivity_range(config, zeta, observable, derivative_mode)
         if disc <= 0.0 or b >= t:
-            assert rng.empty
+            assert supersensitivity_range(config, zeta, observable, derivative_mode).empty
             return
         x_lo = 2.0 * a / (t - b + math.sqrt(disc))
         x_hi = (t - b + math.sqrt(disc)) / (2.0 * (c + t))
         lo, hi = _phase_of(x_lo), _phase_of(x_hi)
+        if lo < 1e-6 < hi or lo < math.pi - 1e-6 < hi:
+            # the interval holds a scan edge, which is no edge of the interval
+            with pytest.raises(NoSolutionError, match="scan (floor|ceiling)"):
+                supersensitivity_range(config, zeta, observable, derivative_mode)
+            return
+        rng = supersensitivity_range(config, zeta, observable, derivative_mode)
         if rng.empty:
             # only an interval narrower than two scan steps may slip between them
             assert hi - lo < 2.0 * math.pi / 4095
