@@ -9,10 +9,10 @@ Basis and blocking
 ------------------
 States |n1, n2> with 0 <= n1, n2 <= n_max, global index n1*(n_max+1) + n2.
 Every generator used here commutes with the mode imbalance n1 - n2, so all
-heavy operations run block-diagonally per imbalance sector d = n1 - n2
-(block size n_max - |d| + 1).  That turns one dim^3 = (n_max+1)^6 dense
-cost into a sum of small-block costs and is what makes n_max = 120
-routine.
+heavy operations run block-diagonally over the imbalance sectors
+d = n1 - n2 (block size n_max - |d| + 1).  That turns one
+dim^3 = (n_max+1)^6 dense cost into a sum of small-block costs and is what
+makes n_max = 120 routine.
 
 K_x, K_y, K_z, N, the thermal state and the boundary layer are all
 unchanged by the mode swap a1 <-> a2, which maps sector -d onto sector d
@@ -24,8 +24,30 @@ carries weight 2 for every d > 0, so populations and traces are folded
 sectors counts both.  `BlockOperator.to_dense()`, which assembles the full
 matrix for the small-basis ladder check and the tests, is the one place
 that writes the mirror blocks out, in the blocks' own dtype (real for K_x,
-K_z and N).  `_kx_block` is the one construction of the K_x band, in double
-precision; the gate's algebra records read the workspace's own blocks.
+K_z and N).  `FockWorkspace.kx_stacks` is the one construction of the K_x
+band, in double precision; the gate's algebra records read the workspace's
+own blocks.
+
+Size-bucketed stacks.  No kernel loops over sectors: each stored sector is
+padded to the next multiple of _PAD = 8 states, and the sectors of one
+padded size W form a bucket, held as one (k, W, W) stack of blocks (one
+(k, W) stack of diagonals), so each kernel is one numpy call per bucket,
+ceil((n_max + 1) / 8) of them.  The padding invariant, which every kernel
+keeps and relies on:
+
+* the padded rows and columns of every unitary factor are exactly the
+  identity: `kx_eig`'s padded U and V are the identity and its padded
+  singular values 0, so exp(i s K_y) is the identity there; the padded K_z
+  is 0, so every phase there is exactly 1; products of such factors keep
+  it.  Padding adds only exact zeros to every sum, which round nothing, so
+  every rounding bound below keeps m the largest real block size;
+* every read gives the padding weight 0: the padded entries of the moment
+  and boundary rows are 0, a Gram there reads exactly 0, and each sector's
+  boundary row is its last real state, not its last padded one;
+* what leaves the stacks (`ThermalState.probs`, `Chain.weights`, boundary
+  weights) is in the unpadded layout, the stored sectors concatenated,
+  gathered through the one workspace index `FockWorkspace.index`;
+  `BlockOperator.blocks` and `.diags` are per-sector views into the stacks.
 
 Every exponential is the one real kernel `_exp_i_ky`: exp(i s K_y) is
 real orthogonal in the Fock basis (Yurke, McCall & Klauder, PRA 33, 4033
@@ -39,10 +61,12 @@ the odd one the sine, each exactly zero on the other.  The quarter turn
 D = diag((-i)^k) about K_z gives
 exp(i s K_y)_jk = (-1)^floor((j-k)/2) [cos or sin](s K_x)_jk.  Then
 exp(+-i s K_x) = D+ exp(+-i s K_y) D exactly, and exp(-i s K_y) is the
-transpose of exp(i s K_y).
+transpose of exp(i s K_y).  On the padded factors the three half-size
+products and the checkerboard scatter are one batched call each per
+bucket.
 
-Operators are immutable: blocks and diagonal are fixed at construction,
-and an operator reads its hermiticity from them, once, when `expect` or
+Operators are immutable: their stacks are fixed at construction, and an
+operator reads its hermiticity from them, once, when `expect` or
 `variance` first asks.
 
 Truncation honesty
@@ -52,7 +76,7 @@ squeezing amplifies tails, so variances break before means.  The boundary
 layer is the states with n1 = n_max or n2 = n_max; in a stored sector
 d >= 0, n1 = n2 + d <= n_max caps n2 at n_max - d, so its one boundary
 state is its last (n2 = n_max - d), and every boundary read is a read of
-row or entry -1.  The three
+its last real row or entry.  The three
 budgets are module constants, not settings: a thermal state refuses to
 cut more than THERMAL_LEAK_TOL of its weight or to hold more than
 THERMAL_BOUNDARY_TOL on a boundary state, and `Chain.read(state)`, the one
@@ -88,7 +112,6 @@ record would fail falsely, the safe direction.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate
@@ -115,6 +138,7 @@ __all__ = [
 ]
 
 _DENSE_LIMIT = 4096  # refuse to assemble dense matrices larger than this
+_PAD = 8  # every stored sector is padded to a multiple of this many states
 
 LEAK_TOL = 1e-8  # boundary occupancy of an evolved state
 THERMAL_LEAK_TOL = 1e-10  # thermal tail weight cut off past n_max
@@ -136,12 +160,24 @@ class Sector:
         return len(self.idx)
 
 
-class FockWorkspace:
-    """Truncated two-mode basis with per-sector caches over d = 0 ... n_max.
+@dataclass(frozen=True)
+class Bucket:
+    """The stored sectors padded to one `width`, a run of consecutive d: each
+    holds sizes[j] real states, and all of them fill `flat` of the padded
+    concatenation (module docstring)."""
 
-    The SVD of the K_x parity block is computed once per sector and reused
-    by every exponential, so repeated unitary construction costs only
-    matrix multiplies.
+    sizes: np.ndarray
+    width: int
+    flat: slice
+
+
+class FockWorkspace:
+    """Truncated two-mode basis over the stored sectors d = 0 ... n_max, its
+    caches built on first use as size-bucketed stacks (module docstring).
+
+    The SVD of each sector's K_x parity block is computed once and packed
+    into its bucket's stacks, so repeated unitary construction costs only
+    batched matrix multiplies.
     """
 
     def __init__(self, n_max: int):
@@ -149,113 +185,203 @@ class FockWorkspace:
             raise ValueError(f"n_max must be >= 1, got {n_max}")
         self.n_max = int(n_max)
         self.dim = (self.n_max + 1) ** 2
-        sectors = []
-        for d in range(self.n_max + 1):
-            n2 = np.arange(0, self.n_max - d + 1)
-            n1 = n2 + d
-            sectors.append(Sector(d=d, n1=n1, n2=n2, idx=n1 * (self.n_max + 1) + n2))
-        self.sectors: tuple[Sector, ...] = tuple(sectors)
+        self._sizes = sizes = self.n_max + 1 - np.arange(self.n_max + 1)
+        self._widths = -(-sizes // _PAD) * _PAD
+        starts = np.cumsum(sizes) - sizes
+        # the stored states, sector after sector (the unpadded layout); n2 is a
+        # state's position in its sector, n its number of quanta
+        self._n2 = n2 = np.arange(sizes.sum()) - np.repeat(starts, sizes)
+        self._n1 = n1 = n2 + np.repeat(np.arange(self.n_max + 1), sizes)
+        self.n = (n1 + n2).astype(float)
+        self.last = np.cumsum(sizes) - 1  # each sector's boundary state, its last
+        # where each stored state sits in the padded concatenation of the sectors
+        self.index = np.repeat(np.cumsum(self._widths) - self._widths, sizes) + n2
+        self._cuts = starts[1:]
+        per_sector = [np.split(a, self._cuts) for a in (n1, n2, n1 * (self.n_max + 1) + n2)]
+        self.sectors: tuple[Sector, ...] = tuple(map(Sector, range(self.n_max + 1), *per_sector))
+
+    @cached_property
+    def buckets(self) -> tuple[Bucket, ...]:
+        widths, ends = self._widths, np.cumsum(self._widths)
+        cuts = [0, *(np.flatnonzero(np.diff(widths)) + 1), self.n_max + 1]
+        return tuple(
+            Bucket(self._sizes[a:b], int(widths[a]), slice(ends[a] - widths[a], ends[b - 1]))
+            for a, b in zip(cuts, cuts[1:])
+        )
+
+    def _padded(self, values, fill=0.0) -> tuple[np.ndarray, ...]:
+        """Per bucket, (..., k, W) views of `values` over the stored states,
+        padded with `fill`."""
+        lead = np.shape(values)[:-1]
+        out = np.full((*lead, self._widths.sum()), fill, np.result_type(values, fill))
+        out[..., self.index] = values
+        return tuple(out[..., b.flat].reshape(*lead, len(b.sizes), b.width) for b in self.buckets)
+
+    def _gather(self, stacks) -> np.ndarray:
+        """Per-bucket (..., k, W) stacks in the unpadded layout (..., states),
+        C-ordered: a row read by `Chain.read` is then one contiguous dot."""
+        flat = np.concatenate([s.reshape(*s.shape[:-2], -1) for s in stacks], axis=-1)
+        return flat.take(self.index, axis=-1)
+
+    def _views(self, stacks) -> tuple[np.ndarray, ...]:
+        """Per sector, the view of its real part in per-bucket (k, W, W) or
+        (k, W) stacks."""
+        return tuple(
+            s[j, :m, :m] if s.ndim == 3 else s[j, :m]
+            for b, s in zip(self.buckets, stacks) for j, m in enumerate(b.sizes)
+        )
+
+    def _pack(self, arrays, diagonal: bool) -> tuple[np.ndarray, ...]:
+        """Per-sector blocks (or diagonals) copied into per-bucket stacks whose
+        padding is the identity."""
+        arrays = [np.asarray(a) for a in arrays]
+        dtype = np.result_type(*{a.dtype for a in arrays})
+        stacks = tuple(
+            np.ones((len(b.sizes), b.width), dtype) if diagonal
+            else np.tile(np.eye(b.width, dtype=dtype), (len(b.sizes), 1, 1))
+            for b in self.buckets
+        )
+        for view, a in zip(self._views(stacks), arrays, strict=True):
+            view[...] = a
+        return stacks
 
     @cached_property
     def kz_diags(self) -> tuple[np.ndarray, ...]:
-        return tuple((s.n1 + s.n2 + 1) / 2.0 for s in self.sectors)
+        return tuple(np.split((self.n + 1.0) / 2.0, self._cuts))
 
     @cached_property
     def n_diags(self) -> tuple[np.ndarray, ...]:
-        return tuple((s.n1 + s.n2).astype(float) for s in self.sectors)
+        return tuple(np.split(self.n, self._cuts))
+
+    @cached_property
+    def kz_stacks(self) -> tuple[np.ndarray, ...]:
+        """Per bucket, the K_z diagonals, 0 on the padding."""
+        return self._padded((self.n + 1.0) / 2.0)
+
+    @cached_property
+    def kx_stacks(self) -> tuple[np.ndarray, ...]:
+        """Per bucket, the K_x blocks: the band 1/2 sqrt((n1+1)(n2+1)), from the
+        exact integer product, between each state and the next of its sector;
+        0 on the padding."""
+        band = 0.5 * np.sqrt(((self._n1 + 1) * (self._n2 + 1)).astype(float))
+        band[self.last] = 0.0
+        below = (off[:, None, :] * np.eye(off.shape[-1], k=-1) for off in self._padded(band))
+        return tuple(b + b.mT for b in below)
 
     @cached_property
     def kx_blocks(self) -> tuple[np.ndarray, ...]:
-        return tuple(_kx_block(s) for s in self.sectors)
+        return self._views(self.kx_stacks)
 
     @cached_property
     def kx_eig(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        """Per sector, the SVD B = U S V^T of the bidiagonal even-row x
-        odd-column block of K_x (module docstring) as (S, T U, T V): the rows
-        of U (square) and V signed by T = diag((-1)^floor(k/2)), k the row's
-        position in the sector, as `_exp_i_ky` reads them, and S given one
-        entry per column of U, a singular value 0 for U's null column when
-        the sector size is odd."""
+        """Per bucket, stacks (S, T U, T V) of width W/2 from one SVD
+        B = U S V^T per sector of the bidiagonal even-row x odd-column block
+        of K_x (module docstring): the rows of U (square) and V signed by
+        T = diag((-1)^floor(k/2)), k the row's position in the sector, as
+        `_exp_i_ky` reads them, and S given one entry per column of U, a
+        singular value 0 for U's null column when the sector size is odd.
+        The padding is the identity in U and V and 0 in S."""
         signs = 1.0 - 2.0 * (np.arange(self.n_max // 2 + 1) % 2)
-        svds = (np.linalg.svd(kx[0::2, 1::2]) for kx in self.kx_blocks)
-        return tuple(
-            (np.pad(sigma, (0, len(u) - len(sigma))), signs[: len(u), None] * u,
-             signs[: len(vt), None] * vt.T)
-            for u, sigma, vt in svds
-        )
+        packed = []
+        for b, kx in zip(self.buckets, self.kx_stacks):
+            k, half = len(b.sizes), b.width // 2
+            sigma = np.zeros((k, half))
+            us, vs = np.tile(np.eye(half), (2, k, 1, 1))
+            for j, m in enumerate(b.sizes):
+                u, s, vt = np.linalg.svd(kx[j, 0:m:2, 1:m:2])
+                sigma[j, : len(s)] = s
+                us[j, : len(u), : len(u)] = signs[: len(u), None] * u
+                vs[j, : len(vt), : len(vt)] = signs[: len(vt), None] * vt.T
+            packed.append((sigma, us, vs))
+        return tuple(packed)
 
     @cached_property
     def moment_rows(self) -> tuple[np.ndarray, ...]:
-        """Per sector, the rows n, n^2 and boundary (one-hot on the last state)
-        that `_chain` multiplies into |core|^2."""
-        return tuple(np.stack((n, n * n, np.arange(len(n)) == len(n) - 1)) for n in self.n_diags)
+        """Per bucket, (k, 3, W) stacks of the rows n, n^2 and boundary (one-hot
+        on each sector's last real state) that `_chain` multiplies into
+        |core|^2; 0 on the padding."""
+        boundary = np.zeros_like(self.n)
+        boundary[self.last] = 1.0
+        rows = self._padded(np.stack((self.n, self.n * self.n, boundary)))
+        return tuple(np.ascontiguousarray(r.transpose(1, 0, 2)) for r in rows)
 
 
-def _kx_block(s: Sector) -> np.ndarray:
-    """The K_x block of sector s: the band 1/2 sqrt((n1+1)(n2+1)), from the
-    exact integer product."""
-    m = s.size
-    kx = np.zeros((m, m))
-    off = 0.5 * np.sqrt(((s.n1[:-1] + 1) * (s.n2[:-1] + 1)).astype(float))
-    rows = np.arange(m - 1)
-    kx[rows + 1, rows] = off
-    kx[rows, rows + 1] = off
-    return kx
-
-
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class BlockOperator:
-    """Immutable operator stored as one dense block per stored sector d >= 0.
+    """Immutable operator on the stored sectors d >= 0, one stack per size bucket.
 
     The operator is mode-swap symmetric: the block of sector -d is that of
-    sector d.  `diags` is set for diagonal operators, letting products with
-    them run in O(m^2) per block instead of a full matrix multiply; pass
-    `blocks=None` with `diags` and the dense blocks are only built when
-    read.  `expect` and `variance` accept only Hermitian operators.
+    sector d.  `stacks` holds, per bucket, the padded (k, W, W) blocks or,
+    for a diagonal operator (`is_diagonal`), the padded (k, W) diagonals,
+    whose products with blocks run in O(W^2) per block.  `blocks` and
+    `diags` are per-sector views into them, made when read.  `expect` and
+    `variance` accept only Hermitian operators.
     """
 
     ws: FockWorkspace
-    blocks: Sequence | None
-    diags: tuple | None = None
+    stacks: tuple
+    is_diagonal: bool
 
-    def __post_init__(self):
-        if self.diags is not None:
-            object.__setattr__(self, "diags", tuple(self.diags))
-        blocks = _DiagonalBlocks(self.diags) if self.blocks is None else tuple(self.blocks)
-        object.__setattr__(self, "blocks", blocks)
+    def __init__(self, ws: FockWorkspace, blocks, diags=None):
+        """From per-sector `blocks`, or from per-sector `diags` in their place,
+        copied once into stacks padded with the identity."""
+        diagonal = diags is not None
+        self._hold(ws, ws._pack(diags if diagonal else blocks, diagonal), diagonal)
+
+    @classmethod
+    def _of(cls, ws: FockWorkspace, stacks, diagonal: bool = False) -> "BlockOperator":
+        op = cls.__new__(cls)
+        op._hold(ws, stacks, diagonal)
+        return op
+
+    def _hold(self, ws, stacks, diagonal):
+        for name, value in (("ws", ws), ("stacks", tuple(stacks)), ("is_diagonal", diagonal)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_diagonal(cls, ws: FockWorkspace, diags) -> "BlockOperator":
-        return cls(ws, None, diags=[np.asarray(v) for v in diags])
+        return cls(ws, None, diags=diags)
 
     def dag(self) -> "BlockOperator":
-        if self.diags is not None:  # stays diagonal, no dense blocks
-            return BlockOperator.from_diagonal(self.ws, [v.conj() for v in self.diags])
-        return BlockOperator(self.ws, [b.conj().T for b in self.blocks])
+        stacks = [s.conj() if self.is_diagonal else s.conj().mT for s in self.stacks]
+        return BlockOperator._of(self.ws, stacks, self.is_diagonal)
 
     @cached_property
     def is_hermitian(self) -> bool:
         """Each block equals its conjugate transpose exactly; a diagonal is real."""
-        if self.diags is not None:
-            return all(np.array_equal(v, v.conj()) for v in self.diags)
-        return all(np.array_equal(b, b.conj().T) for b in self.blocks)
+        return all(
+            np.array_equal(s, s.conj() if self.is_diagonal else s.conj().mT) for s in self.stacks
+        )
 
     def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
         if not isinstance(other, BlockOperator):
             return NotImplemented
         _same_workspace(self, other)
-        if self.diags is not None:
-            blocks = [v[:, None] * b for v, b in zip(self.diags, other.blocks)]
-        elif other.diags is not None:
-            blocks = [b * v[None, :] for b, v in zip(self.blocks, other.diags)]
+        pairs = zip(self.stacks, other.stacks)
+        if self.is_diagonal and other.is_diagonal:
+            return BlockOperator._of(self.ws, [v * w for v, w in pairs], diagonal=True)
+        if self.is_diagonal:
+            stacks = [v[..., None] * b for v, b in pairs]
+        elif other.is_diagonal:
+            stacks = [b * v[:, None, :] for b, v in pairs]
         else:
-            blocks = [_mm(a, b) for a, b in zip(self.blocks, other.blocks)]
-        return BlockOperator(self.ws, blocks)
+            stacks = [_mm(a, b) for a, b in pairs]
+        return BlockOperator._of(self.ws, stacks)
 
-    def diagonal(self) -> list[np.ndarray]:
-        if self.diags is not None:
-            return [np.asarray(v) for v in self.diags]
-        return [np.diagonal(b) for b in self.blocks]
+    @cached_property
+    def _dense(self) -> tuple:
+        """The (k, W, W) stacks; a diagonal operator's are built on first read."""
+        if not self.is_diagonal:
+            return self.stacks
+        return tuple(v[..., None] * np.eye(v.shape[-1]) for v in self.stacks)
+
+    @cached_property
+    def blocks(self) -> tuple:
+        return self.ws._views(self._dense)
+
+    @cached_property
+    def diags(self) -> tuple | None:
+        return self.ws._views(self.stacks) if self.is_diagonal else None
 
     def to_dense(self) -> np.ndarray:
         """The full matrix, mirror blocks included, in the blocks' common dtype."""
@@ -264,7 +390,7 @@ class BlockOperator:
                 f"dense assembly of a {self.ws.dim}x{self.ws.dim} matrix exceeds the "
                 f"{_DENSE_LIMIT} limit"
             )
-        out = np.zeros((self.ws.dim, self.ws.dim), dtype=np.result_type(*self.blocks))
+        out = np.zeros((self.ws.dim, self.ws.dim), dtype=self.stacks[0].dtype)
         for s, b in zip(self.ws.sectors, self.blocks):
             out[np.ix_(s.idx, s.idx)] = b
             if s.d > 0:
@@ -275,24 +401,26 @@ class BlockOperator:
     @cached_property
     def boundary_weights(self) -> np.ndarray:
         """Boundary-row column sums of |op|^2 over the concatenated sectors:
-        the squared last row of each block."""
-        return np.concatenate([_abs2(b[-1]) for b in self.blocks])
+        the squared last real row of each block."""
+        last = [s[np.arange(len(b.sizes)), b.sizes - 1] for b, s in zip(self.ws.buckets, self._dense)]
+        return self.ws._gather([_abs2(row) for row in last])
 
     def unitarity_defect(self) -> float:
-        return max(float(np.max(np.abs(_gram_minus_one(b)))) for b in self.blocks)
+        return max(float(np.max(np.abs(_gram_minus_one(s)))) for s in self._dense)
 
     @cached_property
     def gram_norms(self) -> tuple[float, float]:
         """(delta, eta) over the Grams G = fl(b+ b) - 1 of the blocks: the largest
         |G| entry, and the largest row or column sum of |G|, which is >= ||G||_2."""
-        grams = (np.abs(_gram_minus_one(b)) for b in self.blocks)
-        norms = [(g.max(), max(g.sum(axis=0).max(), g.sum(axis=1).max())) for g in grams]
+        grams = (np.abs(_gram_minus_one(s)) for s in self._dense)
+        norms = [(g.max(), max(g.sum(axis=1).max(), g.sum(axis=2).max())) for g in grams]
         return tuple(float(v) for v in np.max(norms, axis=0))
 
 
 def _gram_minus_one(b: np.ndarray) -> np.ndarray:
-    gram = b.conj().T @ b
-    gram.flat[:: gram.shape[0] + 1] -= 1.0
+    gram = b.conj().mT @ b
+    diagonal = np.arange(gram.shape[-1])
+    gram[..., diagonal, diagonal] -= 1.0
     return gram
 
 
@@ -304,29 +432,13 @@ def _same_workspace(a, b):
 
 
 def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b; a real a times a complex b runs as one real product a @ [Re | Im],
-    b viewed as real with interleaved columns, not as a complex product."""
+    """a @ b over stacks; a real a times a complex b runs as one real product
+    a @ [Re | Im], b viewed as real with interleaved columns, not as a complex
+    product."""
     if np.isrealobj(a) and np.iscomplexobj(b):
         b = np.ascontiguousarray(b)
         return (a @ b.view(b.real.dtype)).view(b.dtype)
     return a @ b
-
-
-class _DiagonalBlocks(Sequence):
-    """The dense np.diag blocks of a diagonal operator, built on first read."""
-
-    def __init__(self, diags):
-        self._diags = diags
-
-    @cached_property
-    def _dense(self) -> tuple:
-        return tuple(np.diag(v) for v in self._diags)
-
-    def __len__(self) -> int:
-        return len(self._diags)
-
-    def __getitem__(self, i):
-        return self._dense[i]
 
 
 def _dense_annihilator(n_max: int) -> np.ndarray:
@@ -353,7 +465,7 @@ class ThermalState:
     leakage: float
 
     def mean_number(self) -> float:
-        return float(np.concatenate(self.ws.n_diags) @ self.probs)
+        return float(self.ws.n @ self.probs)
 
 
 def thermal_state(ws: FockWorkspace, beta: float, omega: float) -> ThermalState:
@@ -370,9 +482,9 @@ def thermal_state(ws: FockWorkspace, beta: float, omega: float) -> ThermalState:
     # zero-temperature limit where Z itself underflows
     q = math.exp(-beta * omega)
     norm = (1.0 - q) ** 2
-    raw = [norm * q ** (s.n1 + s.n2).astype(float) for s in ws.sectors]
-    folded = [p if s.d == 0 else 2.0 * p for s, p in zip(ws.sectors, raw)]
-    retained = float(sum(p.sum() for p in folded))
+    raw = norm * q**ws.n
+    folded = np.where(ws._n1 > ws._n2, 2.0 * raw, raw)
+    retained = float(folded.sum())
     leakage = 1.0 - retained
     if leakage > THERMAL_LEAK_TOL:
         raise TruncationError(
@@ -380,16 +492,16 @@ def thermal_state(ws: FockWorkspace, beta: float, omega: float) -> ThermalState:
             f"of the weight (beta*omega = {beta * omega:.3g}); increase n_max"
         )
     # per state, not folded over the mirror pair
-    boundary = max(float(p[-1]) for p in raw)
+    boundary = float(raw[ws.last].max())
     if boundary > THERMAL_BOUNDARY_TOL:
         raise TruncationError(
             f"thermal occupancy {boundary:.3e} at the n_max boundary exceeds {THERMAL_BOUNDARY_TOL:.0e}"
         )
-    return ThermalState(ws=ws, probs=np.concatenate(folded) / retained, leakage=leakage)
+    return ThermalState(ws=ws, probs=folded / retained, leakage=leakage)
 
 
 def _exp_i_ky(ws: FockWorkspace, s: float) -> BlockOperator:
-    """exp(i s K_y) per sector as a real orthogonal block.
+    """exp(i s K_y) as real orthogonal blocks, one batched kernel per bucket.
 
     The sign (-1)^floor((j-k)/2) of entry jk (module docstring) is t_j t_k,
     t_k = (-1)^floor(k/2), negated where j is even and k odd.  With the
@@ -397,29 +509,29 @@ def _exp_i_ky(ws: FockWorkspace, s: float) -> BlockOperator:
     U~ cos(sS) U~^T on EE (cos(0) = 1 on U's null column), V~ cos(sS) V~^T
     on OO, V~ sin(sS) U~^T on OE and minus its transpose on EO: three
     half-size products, and the known zeros of each checkerboard part are
-    never computed."""
-    blocks = []
+    never computed.  On the padding, S = 0 and U~ = V~ = 1 give the identity
+    (module docstring), and the extra columns of V~ sin(sS) U~^T are 0."""
+    stacks = []
     for sigma, u, v in ws.kx_eig:
-        odd = len(v)
-        cos, sin = np.cos(s * sigma), np.sin(s * sigma)
-        y = np.empty((len(u) + odd,) * 2)
-        y[0::2, 0::2] = (u * cos) @ u.T
-        y[1::2, 1::2] = (v * cos[:odd]) @ v.T
-        y[1::2, 0::2] = oe = (v * sin[:odd]) @ u[:, :odd].T
+        cos, sin = np.cos(s * sigma)[:, None, :], np.sin(s * sigma)[:, None, :]
+        y = np.empty((len(sigma), *(2 * sigma.shape[1],) * 2))
+        y[:, 0::2, 0::2] = (u * cos) @ u.mT
+        y[:, 1::2, 1::2] = (v * cos) @ v.mT
+        y[:, 1::2, 0::2] = oe = (v * sin) @ u.mT
         # from oe, not from y: numpy 2.4 misreads a transposed view of y here
-        np.negative(oe.T, out=y[0::2, 1::2])
-        blocks.append(y)
-    return BlockOperator(ws, blocks)
+        np.negative(oe.mT, out=y[:, 0::2, 1::2])
+        stacks.append(y)
+    return BlockOperator._of(ws, stacks)
 
 
 def _quarter_phases(ws: FockWorkspace) -> BlockOperator:
-    """D = diag((-i)^k) per sector, k the position in the sector, exactly."""
+    """D = diag((-i)^k), k the position in the sector, exactly; 1 on the padding."""
     cycle = np.array([1.0, -1j, -1.0, 1j])
-    return BlockOperator.from_diagonal(ws, [cycle[s.n2 % 4] for s in ws.sectors])
+    return BlockOperator._of(ws, ws._padded(cycle[ws._n2 % 4], fill=1.0), diagonal=True)
 
 
 def _phase_kz(ws: FockWorkspace, s: float) -> BlockOperator:
-    return BlockOperator.from_diagonal(ws, [np.exp(1j * s * kz) for kz in ws.kz_diags])
+    return BlockOperator._of(ws, [np.exp(1j * s * kz) for kz in ws.kz_stacks], diagonal=True)
 
 
 def _abs2(b: np.ndarray) -> np.ndarray:
@@ -528,8 +640,9 @@ def _chain(
     one-hot on each sector's last state), then those of each `squeezed`
     partial product of the core.
     """
-    moments = np.hstack([r @ _abs2(b) for r, b in zip(core.ws.moment_rows, core.blocks)])
-    weights = np.vstack([moments, *(s.boundary_weights for s in squeezed)])
+    ws = core.ws
+    moments = [(r @ _abs2(c)).transpose(1, 0, 2) for r, c in zip(ws.moment_rows, core.stacks)]
+    weights = np.vstack([ws._gather(moments), *(s.boundary_weights for s in squeezed)])
     return Chain(core, before, after, weights, label, defect_bound)
 
 
@@ -538,7 +651,7 @@ def evolved_boundary_occupancy(factors, state: ThermalState) -> float:
     `factors` ordered as applied to the state (rightmost operator first),
     read after each non-diagonal factor (diagonal phases move no population)."""
     partials = accumulate(factors, lambda acc, f: f @ acc)
-    return max(boundary_occupancy(p, state) for p, f in zip(partials, factors) if f.diags is None)
+    return max(boundary_occupancy(p, state) for p, f in zip(partials, factors) if not f.is_diagonal)
 
 
 def unitary_product(y: BlockOperator, phi: float) -> Chain:
@@ -557,8 +670,8 @@ def unitary_product(y: BlockOperator, phi: float) -> Chain:
     ws = y.ws
     d = _quarter_phases(ws)
     p = _phase_kz(ws, -phi)
-    core = BlockOperator(ws, [b.T for b in y.blocks]) @ (p @ y)
-    eps_p = float(np.max(np.abs(1.0 - _abs2(np.concatenate(p.diags)))))
+    core = BlockOperator._of(ws, [b.mT for b in y.stacks]) @ (p @ y)
+    eps_p = max(float(np.max(np.abs(1.0 - _abs2(v)))) for v in p.stacks)
     bound = _product_defect_bound(ws.n_max + 1, *y.gram_norms, eps_p)
     return _chain("unitary_product", core, (d,), (d.dag(),), squeezed=(y,), defect_bound=bound)
 
@@ -600,10 +713,11 @@ def hamiltonian_final(omega_f: float, f_y_tf: float, ws: FockWorkspace) -> Block
     2 omega_f [cosh(f_y) K_z - sinh(f_y) K_x]; reduces to omega_f (N + 1)
     at f_y = 0."""
     ch, sh = math.cosh(f_y_tf), math.sinh(f_y_tf)
-    blocks = []
-    for kz, kx in zip(ws.kz_diags, ws.kx_blocks):
-        blocks.append(2.0 * omega_f * (ch * np.diag(kz) - sh * kx))
-    return BlockOperator(ws, blocks)
+    stacks = [
+        2.0 * omega_f * (ch * (kz[..., None] * np.eye(kz.shape[-1])) - sh * kx)
+        for kz, kx in zip(ws.kz_stacks, ws.kx_stacks)
+    ]
+    return BlockOperator._of(ws, stacks)
 
 
 def expect(op: BlockOperator, state: ThermalState) -> float:
@@ -611,7 +725,8 @@ def expect(op: BlockOperator, state: ThermalState) -> float:
     probs = _same_workspace(op, state).probs
     if not op.is_hermitian:
         raise ValueError("expect needs a Hermitian operator")
-    return float(np.concatenate(op.diagonal()).real @ probs)
+    diagonal = [np.diagonal(s, axis1=1, axis2=2) for s in op._dense]
+    return float(op.ws._gather(diagonal).real @ probs)
 
 
 def variance(op: BlockOperator, state: ThermalState) -> float:
@@ -619,5 +734,5 @@ def variance(op: BlockOperator, state: ThermalState) -> float:
     instead of forming O^2."""
     mean = expect(op, state)
     # (O^2)_jj = sum_k |O_jk|^2 for Hermitian O
-    second = float(np.concatenate([_abs2(b).sum(axis=1) for b in op.blocks]) @ state.probs)
+    second = float(op.ws._gather([_abs2(s).sum(axis=2) for s in op._dense]) @ state.probs)
     return second - mean * mean

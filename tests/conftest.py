@@ -21,6 +21,13 @@ settings.load_profile("su11otto")
 def pytest_configure(config):
     # every warning the package raises is an error here unless a test expects it
     config.addinivalue_line("filterwarnings", "error")
+    # except one third-party warning: on a failing property test, hypothesis's
+    # report imports libcst, whose class bodies warn about mypy_extensions;
+    # as an error it would crash the report and hide the falsifying example
+    config.addinivalue_line(
+        "filterwarnings",
+        "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning:libcst",
+    )
 
 
 @pytest.fixture(scope="session")

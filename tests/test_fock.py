@@ -7,7 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -502,11 +502,18 @@ class TestRealKernel:
     @pytest.mark.parametrize("n_max", [1, 2, 5])
     def test_parity_block_kernel_matches_dense_exponential(self, n_max):
         # n_max = 1 and 2 have a 1x1 sector with no odd state; odd sizes give U
-        # one more column than V, a null column with singular value 0
+        # one more column than V, a null column with singular value 0.  Each
+        # bucket packs its sectors' U and V (ceil(m/2) and floor(m/2) square)
+        # with the identity and their singular values with 0
         ws = FockWorkspace(n_max)
-        for s, (sigma, u, v) in zip(ws.sectors, ws.kx_eig):
-            assert u.shape == (-(-s.size // 2),) * 2 and v.shape == (s.size // 2,) * 2
-            assert len(sigma) == len(u) and (s.size % 2 == 0 or sigma[-1] == 0.0)
+        for bucket, (sigma, u, v) in zip(ws.buckets, ws.kx_eig):
+            eye = np.eye(bucket.width // 2)
+            assert sigma.shape == (len(bucket.sizes), len(eye)) and u.shape == v.shape == (*sigma.shape, len(eye))
+            for j, m in enumerate(bucket.sizes):
+                for factor, real in ((u[j], -(-m // 2)), (v[j], m // 2)):
+                    assert np.array_equal(factor[real:], eye[real:])
+                    assert np.array_equal(factor[:, real:], eye[:, real:])
+                assert not np.any(sigma[j, m // 2:])
         _, ky, _ = _dense_generators(n_max)
         for angle in (0.9, -1.7):
             ref = expm(1j * angle * ky)
@@ -525,6 +532,71 @@ class TestRealKernel:
                 odd = np.subtract.outer(np.arange(m), np.arange(m)) % 2 == 1
                 assert not np.any((y + y_back)[odd])
                 assert not np.any((y - y_back)[~odd])
+
+
+def _blockwise_reference(n_max, block):
+    """The dense (n_max+1)^2 matrix of an operator that conserves n1 - n2: each
+    imbalance block is block(pair, kz) of that block of the ladder product
+    a1 a2 = a (x) a and of the K_z diagonal, states labelled on the full basis,
+    so no block, stack or index of the oracle is reused."""
+    a = _dense_annihilator(n_max)
+    pair = np.kron(a, a)
+    n1, n2 = np.divmod(np.arange(len(pair)), n_max + 1)
+    kz = (n1 + n2 + 1) / 2.0
+    out = np.zeros(pair.shape, complex)
+    for d in range(-n_max, n_max + 1):
+        idx = np.flatnonzero(n1 - n2 == d)
+        out[np.ix_(idx, idx)] = block(pair[np.ix_(idx, idx)], kz[idx])
+    return out
+
+
+class TestBucketPadding:
+    """Sectors padded to the next multiple of 8 across the bucket edges: the
+    padding of every unitary factor is exactly the identity, and every read
+    gives it weight 0 (`fock` module docstring)."""
+
+    @settings(max_examples=20)
+    @example(n_max=7, zeta=1.5, phi=2.0)
+    @example(n_max=8, zeta=0.9, phi=1.3)
+    @example(n_max=9, zeta=0.4, phi=3.0)
+    @example(n_max=16, zeta=1.2, phi=0.7)
+    @example(n_max=17, zeta=0.0, phi=5.5)
+    @given(n_max=st.integers(1, 40), zeta=st.floats(0.0, 1.5), phi=st.floats(0.0, 2.0 * math.pi))
+    def test_padding_is_the_identity_and_weighs_nothing(self, n_max, zeta, phi):
+        ws = FockWorkspace(n_max)
+        chi, theta = float(chi_of(zeta, phi)), float(theta_of(zeta, phi))
+        y = _exp_i_ky(ws, zeta)
+        un1 = unitary_product(y, phi)
+        un2 = unitary_equiv(ProtocolEndpoints(chi, theta), ws)
+        assert [b.width for b in ws.buckets] == list(range(8 * math.ceil((n_max + 1) / 8), 0, -8))
+        for op in (y, un1.core, un2.core):
+            for b, stack, rows in zip(ws.buckets, op.stacks, ws.moment_rows):
+                positions = np.arange(b.width)
+                real = positions < b.sizes[:, None]
+                padded = ~(real[:, :, None] & real[:, None, :])
+                eye = np.broadcast_to(np.eye(b.width), stack.shape)
+                assert np.array_equal(stack[padded], eye[padded])
+                # the moment rows n, n^2 and the boundary, one-hot on the last real state
+                assert not np.any(rows.transpose(1, 0, 2)[:, ~real])
+                assert np.array_equal(rows[:, 2], positions == b.sizes[:, None] - 1)
+                moments = rows @ np.abs(stack) ** 2
+                assert not np.any(moments.transpose(1, 0, 2)[:, ~real])
+                boundary = stack[np.arange(len(b.sizes)), b.sizes - 1]
+                assert not np.any(boundary[~real])
+            assert len(op.boundary_weights) == len(ws.n)
+        # C-ordered, so that each read is a row dot product: column-major weights
+        # made `Chain.read` sum sequentially, ~3x the rounding at n_max = 120
+        assert un1.weights.flags.c_contiguous and un2.weights.flags.c_contiguous
+        # the views and dense assembly of the stacks against dense exponentials
+        ref_y = _blockwise_reference(n_max, lambda p, kz: expm(-zeta * (p - p.T) / 2.0))
+
+        def product_block(p, kz):
+            kx = (p + p.T) / 2.0
+            return expm(-1j * zeta * kx) @ np.diag(np.exp(-1j * phi * kz)) @ expm(1j * zeta * kx)
+
+        ref_un1 = _blockwise_reference(n_max, product_block)
+        assert np.max(np.abs(y.to_dense() - ref_y)) < 1e-12
+        assert np.max(np.abs(un1.product.to_dense() - ref_un1)) < 1e-12
 
 
 # the chain of each builder at n_max = 30; at (0.9, 0.5) the intermediate squeeze
@@ -654,12 +726,16 @@ class TestExpectations:
             op.to_dense()
 
     def test_diagonal_fast_path_matches_generic(self):
-        ws = FockWorkspace(12)
-        kx, _ = _block_generators(ws)
-        diag = BlockOperator.from_diagonal(ws, ws.n_diags)
-        lhs = (diag @ kx).to_dense()
-        rhs = diag.to_dense() @ kx.to_dense()
-        assert np.max(np.abs(lhs - rhs)) < 1e-14
+        # n_max = 7 stacks 8 sectors of width 8: there a (k, W) diagonal taken for
+        # a (k, W, W) block would broadcast without an error
+        for n_max in (7, 12):
+            ws = FockWorkspace(n_max)
+            kx, _ = _block_generators(ws)
+            diag = BlockOperator.from_diagonal(ws, ws.n_diags)
+            phase = _phase_kz(ws, 0.7)
+            for a, b in ((diag, kx), (kx, diag), (diag, phase)):
+                assert np.max(np.abs((a @ b).to_dense() - a.to_dense() @ b.to_dense())) < 1e-14
+            assert (diag @ phase).is_diagonal
 
 
 class TestImmutability:

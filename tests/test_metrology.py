@@ -74,7 +74,9 @@ OPERATING_POINTS = dict(
         bw=st.floats(0.01, 10.0),
         ratio=st.floats(1e-3, 1.0, exclude_min=True, exclude_max=True),
         omega2=st.floats(0.1, 10.0),
-        cold=st.floats(1e-3, 1.0, exclude_max=True),
+        # t_cold must stay below t_hot after rounding: a cold within an ulp or
+        # so of 1 rounds cold * omega2 / bw up to omega2 / bw, an invalid engine
+        cold=st.floats(1e-3, 1.0 - 1e-9),
     ),
     zeta=st.floats(0.05, 8.0),
     observable=st.sampled_from(["number", "energy"]),
