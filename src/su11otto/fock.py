@@ -107,11 +107,18 @@ bound is ~m^2 u for the largest block size m and u = 2^-53: 1.97e-12 at
 n_max = 120 and 5.5e-13 at 60, against measured Gram defects near 1e-14.
 Alone it reaches the gate's 1e-10 near n_max = 900 (m = 919), where the
 record would fail falsely, the safe direction.
+
+No core is kept: per bucket, Y^T fl(P Y) runs as one real product on the
+interleaved real view of fl(P Y), the chain's one operator product, and
+that fresh buffer, squared in place with its even and odd columns added,
+is |C|^2 bit for bit.  `Chain.core` forms C from the same products, only
+when read.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate
@@ -365,7 +372,7 @@ class BlockOperator:
         elif other.is_diagonal:
             stacks = [b * v[:, None, :] for b, v in pairs]
         else:
-            stacks = [_mm(a, b) for a, b in pairs]
+            stacks = [a @ b for a, b in pairs]
         return BlockOperator._of(self.ws, stacks)
 
     @cached_property
@@ -429,16 +436,6 @@ def _same_workspace(a, b):
     if a.ws is not b.ws:
         raise ValueError(f"{type(a).__name__} and {type(b).__name__} live on different workspaces")
     return b
-
-
-def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over stacks; a real a times a complex b runs as one real product
-    a @ [Re | Im], b viewed as real with interleaved columns, not as a complex
-    product."""
-    if np.isrealobj(a) and np.iscomplexobj(b):
-        b = np.ascontiguousarray(b)
-        return (a @ b.view(b.real.dtype)).view(b.dtype)
-    return a @ b
 
 
 def _dense_annihilator(n_max: int) -> np.ndarray:
@@ -547,22 +544,27 @@ def boundary_occupancy(op: BlockOperator, state: ThermalState) -> float:
 class Chain:
     """A unitary product reduced once to what its reads need, and its builder's name.
 
-    Each builder states its chain through `_chain`.  `before` and `after`
-    are the outer diagonal factors around the `core`.  The rows of
-    `weights` are n^T |core|^2, (n^2)^T |core|^2 and boundary^T |core|^2
-    over the concatenated sectors, then the `boundary_weights` of each
-    squeezed partial product of the core.  `defect_bound`, where the
-    builder gives one, is a proven bound on the core's unitarity defect
-    from its factors (`unitary_product`).  The product is formed only
-    when read.
+    `before` and `after` are the outer diagonal factors around the core
+    that `form_core` forms.  The rows of `weights` are n^T |core|^2,
+    (n^2)^T |core|^2 and boundary^T |core|^2 over the concatenated
+    sectors, then the `boundary_weights` of each squeezed partial product
+    of the core.  `defect_bound`, where the builder gives one, is a proven
+    bound on the core's unitarity defect from its factors
+    (`unitary_product`).  The reads touch only `ws` and the weights; the
+    core and the product are formed only when read.
     """
 
-    core: BlockOperator
+    ws: FockWorkspace
+    form_core: Callable[[], BlockOperator]
     before: tuple
     after: tuple
     weights: np.ndarray
     label: str
     defect_bound: float | None = None
+
+    @cached_property
+    def core(self) -> BlockOperator:
+        return self.form_core()
 
     @cached_property
     def product(self) -> BlockOperator:
@@ -594,13 +596,14 @@ class Chain:
           eigenvalues).  By Cauchy-Schwarz on the columns,
           |C+ C - 1|_jk <= delta + gamma_m kappa + e kappa + (1 + e) kappa g.
         * rounding: fl(P Y) rounds each part of each entry once, u |P| |Y|,
-          and Y^T fl(P Y) is one real product on `_mm`'s interleaved view,
-          gamma_m |Y|^T |fl(P Y)| in each part.  So every entry of the
-          computed core's error R is <= rho = gamma_(m+1) sqrt(1 + e) kappa,
-          every column of R has norm <= sqrt(m) rho, and every column
-          Y^T P y_j of C norm <= ||Y||_2 sqrt((1 + e) kappa) <= c =
-          sqrt((1 + g)(1 + e) kappa).  R adds C+ R + R+ C + R+ R to
-          C+ C - 1, entrywise <= 2 sqrt(m) rho c + m rho^2.
+          and Y^T fl(P Y) is one real product on its interleaved real view
+          (`_product_parts`), gamma_m |Y|^T |fl(P Y)| in each part.  So
+          every entry of the computed core's error R is <= rho =
+          gamma_(m+1) sqrt(1 + e) kappa, every column of R has norm <=
+          sqrt(m) rho, and every column Y^T P y_j of C norm <=
+          ||Y||_2 sqrt((1 + e) kappa) <= c = sqrt((1 + g)(1 + e) kappa).
+          R adds C+ R + R+ C + R+ R to C+ C - 1, entrywise
+          <= 2 sqrt(m) rho c + m rho^2.
 
         The sum, times 1 + gamma_64 for the rounding of evaluating it, is the
         bound.  It certifies Y, P and the rounding of the one product
@@ -626,24 +629,24 @@ class Chain:
         return mean, second - mean * mean, boundary[0]
 
     def _dots(self, state: ThermalState) -> list[float]:
-        return (self.weights @ _same_workspace(self.core, state).probs).tolist()
+        return (self.weights @ _same_workspace(self, state).probs).tolist()
 
 
-def _chain(
-    label: str, core: BlockOperator, before=(), after=(), squeezed=(), defect_bound=None
-) -> Chain:
-    """The chain `before`, `core`, `after`, each ordered as applied to the state.
+def _weights(ws: FockWorkspace, abs2, squeezed=()) -> np.ndarray:
+    """`Chain.weights` from the per-bucket |core|^2 stacks `abs2`, taken one
+    at a time (outer phases move no population, so every read is of the
+    core): the moment rows, whose boundary row is the core's
+    `boundary_weights` bit for bit (one-hot on each sector's last state),
+    then those of each `squeezed` partial product of the core."""
+    moments = [(r @ a).transpose(1, 0, 2) for r, a in zip(ws.moment_rows, abs2)]
+    return np.vstack([ws._gather(moments), *(s.boundary_weights for s in squeezed)])
 
-    The outer diagonal phases `before` and `after` move no population, so
-    every read is of the core: the moment rows from |core|^2, taken once,
-    whose boundary row is the core's `boundary_weights` bit for bit (it is
-    one-hot on each sector's last state), then those of each `squeezed`
-    partial product of the core.
-    """
-    ws = core.ws
-    moments = [(r @ _abs2(c)).transpose(1, 0, 2) for r, c in zip(ws.moment_rows, core.stacks)]
-    weights = np.vstack([ws._gather(moments), *(s.boundary_weights for s in squeezed)])
-    return Chain(core, before, after, weights, label, defect_bound)
+
+def _chain(label: str, core: BlockOperator, before=(), after=()) -> Chain:
+    """The chain `before`, `core`, `after` of a built real core, each ordered
+    as applied to the state."""
+    weights = _weights(core.ws, map(_abs2, core.stacks))
+    return Chain(core.ws, lambda: core, before, after, weights, label)
 
 
 def evolved_boundary_occupancy(factors, state: ThermalState) -> float:
@@ -664,16 +667,38 @@ def unitary_product(y: BlockOperator, phi: float) -> Chain:
 
     It guards the intermediate squeezed state Y D and the final state (the
     intermediate squeeze is the binding constraint: it spreads the state
-    by zeta even when the composed chi is small).  The core's unitarity
-    defect is the bound of `Chain.defect`, from Y's memoised `gram_norms`
-    and P's phases; the chain keeps floats, not Y."""
+    by zeta even when the composed chi is small).  The weights are read
+    from the core one bucket at a time, and the chain keeps Y and phi, not
+    a core: `Chain.core` forms it when read, from the same products.  Its
+    unitarity defect is the bound of `Chain.defect`, from Y's memoised
+    `gram_norms` and P's phases."""
     ws = y.ws
     d = _quarter_phases(ws)
     p = _phase_kz(ws, -phi)
-    core = BlockOperator._of(ws, [b.mT for b in y.stacks]) @ (p @ y)
+    weights = _weights(ws, map(_abs2_interleaved, _product_parts(y, p)), squeezed=(y,))
     eps_p = max(float(np.max(np.abs(1.0 - _abs2(v)))) for v in p.stacks)
     bound = _product_defect_bound(ws.n_max + 1, *y.gram_norms, eps_p)
-    return _chain("unitary_product", core, (d,), (d.dag(),), squeezed=(y,), defect_bound=bound)
+
+    def form_core():
+        parts = _product_parts(y, _phase_kz(ws, -phi))
+        return BlockOperator._of(ws, [r.view(np.complex128) for r in parts])
+
+    return Chain(ws, form_core, (d,), (d.dag(),), weights, "unitary_product", bound)
+
+
+def _product_parts(y: BlockOperator, p: BlockOperator):
+    """Per bucket, the core Y^T (P Y) of `unitary_product` as one real
+    product on the interleaved real view of P Y: a fresh (k, W, 2W) stack
+    whose complex view is the core's (k, W, W) stack, made as it is read."""
+    py = p @ y
+    return (b.mT @ c.view(b.dtype) for b, c in zip(y.stacks, py.stacks))
+
+
+def _abs2_interleaved(r: np.ndarray) -> np.ndarray:
+    """`_abs2` of the complex view of the fresh buffer r, bit for bit,
+    squaring r in place."""
+    np.square(r, out=r)
+    return np.add(r[..., 0::2], r[..., 1::2])
 
 
 def _product_defect_bound(m: int, delta: float, eta: float, eps_p: float) -> float:

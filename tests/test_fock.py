@@ -1,9 +1,10 @@
 """Truncated-Fock machinery: basis bookkeeping, generators, thermal states,
 unitaries and the truncation guards."""
 
+import contextlib
 import dataclasses
 import math
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,10 +99,10 @@ def test_chain_surface_is_pinned():
     # `read` is the one read of a chain's moments, and it holds the leakage
     # guard: a new field or public method is a deliberate edit of these lists
     assert [f.name for f in dataclasses.fields(fock.Chain)] == [
-        "core", "before", "after", "weights", "label", "defect_bound",
+        "ws", "form_core", "before", "after", "weights", "label", "defect_bound",
     ]
     public = sorted(name for name in dir(fock.Chain) if not name.startswith("_"))
-    assert public == ["defect", "defect_bound", "occupancy", "product", "read"]
+    assert public == ["core", "defect", "defect_bound", "occupancy", "product", "read"]
 
 
 class TestWorkspace:
@@ -402,15 +403,24 @@ class TestProductDefectBound:
         bound = fock._product_defect_bound
         assert bound(880, 0.0, 0.0, 0.0) < 1e-10 < bound(940, 0.0, 0.0, 0.0)
 
-    def test_chain_does_not_keep_its_squeeze_alive(self):
-        # the chain keeps floats from Y, so each zeta's squeeze is freed once
-        # the caller drops it, before the next zeta's is built
-        y = _exp_i_ky(FockWorkspace(20), 0.7)
-        alive = weakref.ref(y)
-        chain = unitary_product(y, 0.9)
-        del y
-        assert alive() is None
-        assert chain.defect == chain.defect_bound
+    def test_chain_retains_its_weights_not_a_core(self):
+        # the chain keeps Y, which every phi shares, and reads its weights from the
+        # core one bucket at a time: it retains its weights and outer phases plus a
+        # small fixed overhead, and beside P Y, its one operator product, the build
+        # never holds a second complex core
+        y = _exp_i_ky(FockWorkspace(60), 0.7)
+        unitary_product(y, 0.3)  # memoises Y's Gram norms and boundary weights
+        core_bytes = 2 * sum(s.nbytes for s in y.stacks)  # complex, in Y's shape, as is P Y
+        tracemalloc.start()
+        try:
+            chain = unitary_product(y, 0.9)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        outer = sum(s.nbytes for f in (*chain.before, *chain.after) for s in f.stacks)
+        assert retained < chain.weights.nbytes + outer + 16_384
+        assert peak < core_bytes + 0.75 * core_bytes  # P Y, and under 3/4 of a core beside it
+        assert chain.defect == chain.defect_bound and "core" not in vars(chain)
 
 
 def _same_blocks(u, v):
@@ -628,6 +638,21 @@ class TestChainSummaries:
                     chain.read(state)
             else:
                 assert chain.read(state) == pytest.approx(reference, rel=1e-13)
+
+    @pytest.mark.parametrize("n_max", [1, 7, 8, 9, 30])
+    def test_product_weights_are_those_of_its_lazy_core(self, n_max):
+        # un1's reads reach the weights alone; its core, formed on first read from
+        # the products its weights were read from, gives rows 0-2 bit for bit
+        ws = FockWorkspace(n_max)
+        chain = unitary_product(_exp_i_ky(ws, 0.6), 1.3)
+        state = thermal_state(ws, 40.0, 1.0)
+        chain.occupancy(state)
+        with contextlib.suppress(TruncationError):
+            chain.read(state)
+        assert "core" not in vars(chain)
+        stacks = chain.core.stacks
+        moments = [(r @ fock._abs2(c)).transpose(1, 0, 2) for r, c in zip(ws.moment_rows, stacks)]
+        assert np.array_equal(chain.weights[:3], ws._gather(moments))
 
 
 class TestPopulations:

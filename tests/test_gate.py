@@ -172,7 +172,7 @@ def test_scaled_core_block_fails_its_defect_record(monkeypatch, module, factor, 
     def scaled(*args):
         out = build(*args)
         if isinstance(out, fock.Chain):
-            return dataclasses.replace(out, core=_scaled(out.core))
+            return dataclasses.replace(out, form_core=lambda: _scaled(out.core))
         return _scaled(out)
 
     monkeypatch.setattr(module, factor, scaled)
