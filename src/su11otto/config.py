@@ -28,8 +28,8 @@ from .metrology import DERIVATIVE_MODES
 
 __all__ = ["OracleConfig", "ScenarioConfig", "DEFAULTS", "load_config"]
 
-# the largest oracle.algebra_n_max whose dense (n + 1)^2-square K_x fits for the
-# kx_ladder_representation record, the one algebra record that assembles a dense matrix
+# the largest oracle.algebra_n_max whose dense K_x once fitted; the ladder record is now
+# blockwise, and the bound stays so the config accepts exactly what it did until the key goes
 _MAX_DENSE_N = math.isqrt(_DENSE_LIMIT) - 1
 
 DEFAULTS: dict = {

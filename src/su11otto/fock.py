@@ -22,11 +22,13 @@ for entry.  The multiplicity lives in one place: `ThermalState.probs`
 carries weight 2 for every d > 0, so populations and traces are folded
 (each d > 0 entry holds both mirror states) and every trace over the stored
 sectors counts both.  `BlockOperator.to_dense()`, which assembles the full
-matrix for the small-basis ladder check and the tests, is the one place
-that writes the mirror blocks out, in the blocks' own dtype (real for K_x,
-K_z and N).  `FockWorkspace.kx_stacks` is the one construction of the K_x
-band, in double precision; the gate's algebra records read the workspace's
-own blocks.
+matrix and now serves only the tests, is the one place that writes the
+mirror blocks out, in the blocks' own dtype (real for K_x, K_z and N).
+`FockWorkspace.kx_band` is the one construction of K_x, in double
+precision, O(states): `kx_eig` builds its parity blocks from it,
+`hamiltonian_final` assembles its tridiagonal stacks from it when called,
+and the gate's algebra records read it with the workspace's own K_z and N
+diagonals.
 
 Size-bucketed stacks.  No kernel loops over sectors: each stored sector is
 padded to the next multiple of _PAD = 8 states, and the sectors of one
@@ -253,49 +255,52 @@ class FockWorkspace:
         return stacks
 
     @cached_property
-    def kz_diags(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.split((self.n + 1.0) / 2.0, self._cuts))
-
-    @cached_property
-    def n_diags(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.split(self.n, self._cuts))
+    def kz(self) -> np.ndarray:
+        """The K_z diagonal (n + 1)/2 over the stored states."""
+        return (self.n + 1.0) / 2.0
 
     @cached_property
     def kz_stacks(self) -> tuple[np.ndarray, ...]:
         """Per bucket, the K_z diagonals, 0 on the padding."""
-        return self._padded((self.n + 1.0) / 2.0)
+        return self._padded(self.kz)
 
     @cached_property
-    def kx_stacks(self) -> tuple[np.ndarray, ...]:
-        """Per bucket, the K_x blocks: the band 1/2 sqrt((n1+1)(n2+1)), from the
-        exact integer product, between each state and the next of its sector;
-        0 on the padding."""
+    def kx_band(self) -> np.ndarray:
+        """K_x[j, j+1] = K_x[j+1, j] over the stored states: the band
+        1/2 sqrt((n1+1)(n2+1)), from the exact integer product, between each
+        state and the next of its sector, and 0 at each sector's last state."""
         band = 0.5 * np.sqrt(((self._n1 + 1) * (self._n2 + 1)).astype(float))
         band[self.last] = 0.0
-        below = (off[:, None, :] * np.eye(off.shape[-1], k=-1) for off in self._padded(band))
-        return tuple(b + b.mT for b in below)
+        return band
 
-    @cached_property
-    def kx_blocks(self) -> tuple[np.ndarray, ...]:
-        return self._views(self.kx_stacks)
+    def _parity_blocks(self):
+        """Per bucket, (k, W/2, W/2) stacks of the bidiagonal even-row x
+        odd-column blocks B of K_x, straight from the band and made as they
+        are read: B[i, i] = band[2i], B[i, i-1] = band[2i-1]; sector j's block
+        is [j, :ceil(m/2), :floor(m/2)]."""
+        for band in self._padded(self.kx_band):
+            i = np.arange(band.shape[-1] // 2)
+            block = np.zeros((len(band), len(i), len(i)))
+            block[:, i, i], block[:, i[1:], i[:-1]] = band[:, 0::2], band[:, 1:-1:2]
+            yield block
 
     @cached_property
     def kx_eig(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
         """Per bucket, stacks (S, T U, T V) of width W/2 from one SVD
         B = U S V^T per sector of the bidiagonal even-row x odd-column block
-        of K_x (module docstring): the rows of U (square) and V signed by
-        T = diag((-1)^floor(k/2)), k the row's position in the sector, as
-        `_exp_i_ky` reads them, and S given one entry per column of U, a
-        singular value 0 for U's null column when the sector size is odd.
-        The padding is the identity in U and V and 0 in S."""
+        of K_x (`_parity_blocks`, module docstring): the rows of U (square)
+        and V signed by T = diag((-1)^floor(k/2)), k the row's position in
+        the sector, as `_exp_i_ky` reads them, and S given one entry per
+        column of U, a singular value 0 for U's null column when the sector
+        size is odd.  The padding is the identity in U and V and 0 in S."""
         signs = 1.0 - 2.0 * (np.arange(self.n_max // 2 + 1) % 2)
         packed = []
-        for b, kx in zip(self.buckets, self.kx_stacks):
+        for b, blocks in zip(self.buckets, self._parity_blocks()):
             k, half = len(b.sizes), b.width // 2
             sigma = np.zeros((k, half))
             us, vs = np.tile(np.eye(half), (2, k, 1, 1))
             for j, m in enumerate(b.sizes):
-                u, s, vt = np.linalg.svd(kx[j, 0:m:2, 1:m:2])
+                u, s, vt = np.linalg.svd(blocks[j, : -(-m // 2), : m // 2])
                 sigma[j, : len(s)] = s
                 us[j, : len(u), : len(u)] = signs[: len(u), None] * u
                 vs[j, : len(vt), : len(vt)] = signs[: len(vt), None] * vt.T
@@ -740,9 +745,18 @@ def hamiltonian_final(omega_f: float, f_y_tf: float, ws: FockWorkspace) -> Block
     ch, sh = math.cosh(f_y_tf), math.sinh(f_y_tf)
     stacks = [
         2.0 * omega_f * (ch * (kz[..., None] * np.eye(kz.shape[-1])) - sh * kx)
-        for kz, kx in zip(ws.kz_stacks, ws.kx_stacks)
+        for kz, kx in zip(ws.kz_stacks, _kx_from_band(ws))
     ]
     return BlockOperator._of(ws, stacks)
+
+
+def _kx_from_band(ws: FockWorkspace):
+    """Per bucket, the (k, W, W) K_x blocks assembled from `ws.kx_band`, made
+    as they are read: symmetric tridiagonal with a zero diagonal, 0 on the
+    padding."""
+    for off in ws._padded(ws.kx_band):
+        below = off[:, None, :] * np.eye(off.shape[-1], k=-1)
+        yield below + below.mT
 
 
 def expect(op: BlockOperator, state: ThermalState) -> float:

@@ -3,9 +3,10 @@
 Runs the whole dual-route check suite and returns typed records:
 
 * algebra: commutators, Jacobi identity, the scalar Casimir and
-  K_z = (N+1)/2 as O(m) identities on the K_x band and K_z diagonal of the
-  grid's own workspace, in double precision; the band's placement against
-  the ladder operators on a small dense basis;
+  K_z = (N+1)/2 as O(states) identities, one vectorised pass over the K_x
+  band and the K_z and N diagonals of the grid's own workspace, in double
+  precision; the band's placement against the ladder operators, checked
+  blockwise with no dense matrix;
 * thermal machinery: partition function, mean occupation, tail leakage;
 * the endpoint equivalence of the product form un1 and the endpoint form
   un2, with the time-ordered form tiev read from the un2 chain it provably
@@ -50,7 +51,6 @@ from .core import EngineConfig, ProtocolEndpoints, _bath_coth, chi_of, n_out, th
 from .cycle import stage_energies
 from .errors import TruncationError
 from .fock import (
-    BlockOperator,
     FockWorkspace,
     _dense_annihilator,
     _exp_i_ky,
@@ -123,7 +123,7 @@ def _cmp(
 
 
 def _algebra_records(ws: FockWorkspace, algebra_n_max: int) -> list[GateRecord]:
-    """Structure-constant checks: O(m) identities on the band of the grid's K_x.
+    """Structure-constant checks: O(states) identities on the band of the grid's K_x.
 
     Each stored sector d carries the discrete series D+(k) of su(1,1), with
     Bargmann index k = (d + 1)/2 (Bargmann, Ann. Math. 48, 568 (1947)): at
@@ -145,47 +145,53 @@ def _algebra_records(ws: FockWorkspace, algebra_n_max: int) -> list[GateRecord]:
       a multiple of [K_a, K_a] = 0 by itself, so `jacobi_identity` is the
       largest commutator residual and cannot fail on its own.
 
-    An entry off the band, or an asymmetric band, breaks the commutators:
-    the largest such |entry| is folded into the three commutator records.
+    Every check is one vectorised pass over the concatenated stored states,
+    reading the band `kx_band` and the workspace's own K_z and N diagonals.
     The [K_x, K_y] and Casimir residuals are relative to K_z,j and K_z,j^2,
     since b_j^2 rounds at the ulp of ~K_z^2.  Only the stored sectors
     d >= 0 are read: the mirror block of sector -d is identical entry for
-    entry.  The K_z and N records read the diagonals.  Only
-    `kx_ladder_representation` is dense: on `FockWorkspace(algebra_n_max)`
-    it checks the band's placement in the basis, mirror blocks included,
-    against (a1+ a2+ + a1 a2)/2 = (P^T + P)/2 with P = a (x) a.
+    entry.  `kx_ladder_representation` checks the band's placement
+    blockwise, with no dense matrix, on `FockWorkspace(algebra_n_max)` (the
+    grid's own when the sizes agree): each sector's `idx` is
+    n1 (n_max + 1) + n2 with n1 - n2 = d, so sector -d is its mode swap (a
+    miss counts its index error), and each b_j is <n1+1, n2+1| (a1+ a2+ +
+    a1 a2)/2 |n1, n2> = a[n1_j, n1_j+1] a[n2_j, n2_j+1]/2 of the single-mode
+    annihilator a, read against the next stored state, so 0 at each
+    sector's last state.
     """
-    dev_xy = dev_step = dev_cas = dev_kz_half = dev_kz_n = 0.0
-    for sec, kx, kz, n in zip(ws.sectors, ws.kx_blocks, ws.kz_diags, ws.n_diags):
-        b = np.diagonal(kx, 1)
-        # 0 exactly when the block is symmetric tridiagonal with a zero diagonal
-        shape = np.max(np.abs(kx - np.diag(b, 1) - np.diag(b, -1)))
-        b2 = np.concatenate(([0.0], b * b))  # b_j-1^2 for j = 0 ... m - 1
-        kz_in = kz[:-1]  # the interior rows
-        k = (sec.d + 1) / 2.0
-        xy = np.abs(2.0 * (b2[1:] - b2[:-1]) - kz_in) / kz_in
-        cas = np.abs(kz_in * kz_in - 2.0 * (b2[1:] + b2[:-1]) - k * (k - 1.0)) / (kz_in * kz_in)
-        dev_xy = max(dev_xy, shape, np.max(xy, initial=0.0))
-        dev_step = max(dev_step, shape, np.max(np.abs(np.diff(kz) - 1.0), initial=0.0))
-        dev_cas = max(dev_cas, np.max(cas, initial=0.0))
-        dev_kz_half = max(dev_kz_half, np.max(np.abs(kz - (n + 1.0) / 2.0)))
-        dev_kz_n = max(dev_kz_n, np.max(np.abs(kz * n - n * kz)))
+    kz, n, band = ws.kz, ws.n, ws.kx_band
+    inner = np.ones(len(n), bool)  # the interior rows: all but each sector's last
+    inner[ws.last] = False
+    b2 = band * band
+    # b_j-1^2: 0 on each sector's first row, as the band is 0 at the last row of
+    # the sector before (`kx_ladder_representation` checks it)
+    prev = np.concatenate(([0.0], b2[:-1]))
+    kz_in, b2, prev = kz[inner], b2[inner], prev[inner]
+    k = ((ws._n1 - ws._n2)[inner] + 1) / 2.0
+    xy = np.abs(2.0 * (b2 - prev) - kz_in) / kz_in
+    cas = np.abs(kz_in * kz_in - 2.0 * (b2 + prev) - k * (k - 1.0)) / (kz_in * kz_in)
+    dev_xy = np.max(xy, initial=0.0)
+    dev_step = np.max(np.abs(np.diff(kz)[inner[:-1]] - 1.0), initial=0.0)
 
-    small = FockWorkspace(algebra_n_max)
-    kx_dense = BlockOperator(small, small.kx_blocks).to_dense()
+    small = ws if ws.n_max == algebra_n_max else FockWorkspace(algebra_n_max)
+    sectors = small.sectors
+    n1, n2, idx = (np.concatenate([getattr(s, f) for s in sectors]) for f in ("n1", "n2", "idx"))
+    d = np.repeat([s.d for s in sectors], [s.size for s in sectors])
     a = _dense_annihilator(algebra_n_max)
-    ladder = np.kron(a, a)  # a1 a2; a1+ a2+ is its transpose
-    dev_ladder = np.max(np.abs(kx_dense - (ladder.T + ladder) / 2.0))
+    # a's column 0 is 0: the last stored state has no next one
+    ladder = 0.5 * (a[n1, np.append(n1[1:], 0)] * a[n2, np.append(n2[1:], 0)])
+    misplaced = np.abs(idx - (n1 * (algebra_n_max + 1) + n2)) + np.abs(n1 - n2 - d)
+    dev_ladder = max(np.max(np.abs(small.kx_band - ladder)), np.max(misplaced))
     n_max = ws.n_max
     return [
         _cmp("comm_xy_plus_i_kz", 0.0, dev_xy, 1e-12, n_max),
         _cmp("comm_yz_minus_i_kx", 0.0, dev_step, 1e-12, n_max),
         _cmp("comm_zx_minus_i_ky", 0.0, dev_step, 1e-12, n_max),
         _cmp("jacobi_identity", 0.0, max(dev_xy, dev_step), 1e-12, n_max),
-        _cmp("casimir_commutes_generators", 0.0, dev_cas, 1e-12, n_max),
-        _cmp("kz_minus_half_n_plus_1", 0.0, dev_kz_half, 0.0, n_max),
-        _cmp("comm_kz_n", 0.0, dev_kz_n, 0.0, n_max),
-        _cmp("vacuum_kz", 0.5, ws.kz_diags[0][0], 0.0, n_max),
+        _cmp("casimir_commutes_generators", 0.0, np.max(cas, initial=0.0), 1e-12, n_max),
+        _cmp("kz_minus_half_n_plus_1", 0.0, np.max(np.abs(kz - (n + 1.0) / 2.0)), 0.0, n_max),
+        _cmp("comm_kz_n", 0.0, np.max(np.abs(kz * n - n * kz)), 0.0, n_max),
+        _cmp("vacuum_kz", 0.5, kz[0], 0.0, n_max),
         _cmp("kx_ladder_representation", 0.0, dev_ladder, 1e-13, algebra_n_max),
     ]
 

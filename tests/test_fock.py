@@ -61,10 +61,20 @@ def _dense_generators(n_max):
     return (pair.T + pair) / 2.0, 1j * (pair - pair.T) / 2.0, kz
 
 
+def _diags(ws, values):
+    """Per stored sector, its slice of `values` over the concatenated states."""
+    return np.split(values, ws._cuts)
+
+
+def _diagonal(ws, values):
+    """The diagonal operator of `values` over the concatenated stored states."""
+    return BlockOperator.from_diagonal(ws, _diags(ws, values))
+
+
 def _block_generators(ws):
-    """K_x from the workspace's blocks and K_y = D K_x D+, its quarter turn
-    about K_z."""
-    kx = BlockOperator(ws, ws.kx_blocks)
+    """K_x assembled from the workspace's band as `hamiltonian_final` does, and
+    K_y = D K_x D+, its quarter turn about K_z."""
+    kx = BlockOperator._of(ws, fock._kx_from_band(ws))
     d = _quarter_phases(ws)
     return kx, d @ kx @ d.dag()
 
@@ -141,13 +151,13 @@ class TestWorkspace:
 class TestGenerators:
     def test_vacuum_kz_eigenvalue(self):
         ws = FockWorkspace(4)
-        assert BlockOperator.from_diagonal(ws, ws.kz_diags).to_dense()[0, 0] == 0.5
+        assert _diagonal(ws, ws.kz).to_dense()[0, 0] == 0.5
 
     def test_kz_is_half_n_plus_one(self):
         ws = FockWorkspace(6)
         assert np.array_equal(
-            BlockOperator.from_diagonal(ws, ws.kz_diags).to_dense(),
-            (BlockOperator.from_diagonal(ws, ws.n_diags).to_dense() + np.eye(ws.dim)) / 2.0,
+            _diagonal(ws, ws.kz).to_dense(),
+            (_diagonal(ws, ws.n).to_dense() + np.eye(ws.dim)) / 2.0,
         )
 
     def test_ladder_representation(self):
@@ -157,8 +167,8 @@ class TestGenerators:
         kx, ky = _block_generators(ws)
         assert np.max(np.abs(kx.to_dense() - kx_ref)) < 1e-14
         assert np.max(np.abs(ky.to_dense() - ky_ref)) < 1e-14
-        assert np.max(np.abs(BlockOperator.from_diagonal(ws, ws.kz_diags).to_dense() - kz_ref)) < 1e-14
-        n = BlockOperator.from_diagonal(ws, ws.n_diags)
+        assert np.max(np.abs(_diagonal(ws, ws.kz).to_dense() - kz_ref)) < 1e-14
+        n = _diagonal(ws, ws.n)
         assert np.max(np.abs(n.to_dense() - (a1.T @ a1 + a2.T @ a2))) < 1e-14
 
     def test_dense_operators_commute_with_the_mode_swap(self):
@@ -166,7 +176,7 @@ class TestGenerators:
         ws = FockWorkspace(6)
         a1, a2 = _ladder(ws.n_max)
         kx, ky = _block_generators(ws)
-        kz = BlockOperator.from_diagonal(ws, ws.kz_diags)
+        kz = _diagonal(ws, ws.kz)
         n = ws.n_max + 1
         swap = np.zeros((ws.dim, ws.dim))
         for n1 in range(n):
@@ -185,7 +195,7 @@ class TestGenerators:
             dense = op.to_dense()
             assert np.array_equal(swap @ dense, dense @ swap)
         # to_dense() keeps the blocks' dtype: real generators and kernels stay real
-        for op in (kx, kz, BlockOperator.from_diagonal(ws, ws.n_diags), _exp_i_ky(ws, 0.7)):
+        for op in (kx, kz, _diagonal(ws, ws.n), _exp_i_ky(ws, 0.7)):
             assert op.to_dense().dtype == np.float64
         assert ops[3].to_dense().dtype == np.complex128
 
@@ -193,8 +203,8 @@ class TestGenerators:
         # sectors longer than 100 states: (-1j) ** k loses exactness there
         ws = FockWorkspace(120)
         d = _quarter_phases(ws)
-        _, turned = _block_generators(ws)
-        for s, phase, kx, ky in zip(ws.sectors, d.diags, ws.kx_blocks, turned.blocks):
+        kx_op, turned = _block_generators(ws)
+        for s, phase, kx, ky in zip(ws.sectors, d.diags, kx_op.blocks, turned.blocks):
             assert np.array_equal(phase, np.array([1, -1j, -1, 1j])[np.arange(s.size) % 4])
             # K_y = i (a1 a2 - a1+ a2+)/2: i times the upper minus the lower band of K_x
             assert np.array_equal(ky, 1j * (np.triu(kx) - np.tril(kx)))
@@ -249,7 +259,7 @@ class TestUnitaries:
     def test_zero_squeezing_is_pure_phase(self):
         ws = FockWorkspace(8)
         u = unitary_product(_exp_i_ky(ws, 0.0), 0.7).product
-        for block, kz in zip(u.blocks, ws.kz_diags):
+        for block, kz in zip(u.blocks, _diags(ws, ws.kz)):
             assert np.max(np.abs(block - np.diag(np.exp(-0.7j * kz)))) < 1e-14
 
     def test_zero_phase_is_identity(self):
@@ -683,8 +693,17 @@ class TestHamiltonianFinal:
     def test_reduces_to_number_form_at_zero_fy(self):
         ws = FockWorkspace(10)
         h = hamiltonian_final(0.7, 0.0, ws)
-        for block, nd in zip(h.blocks, ws.n_diags):
+        for block, nd in zip(h.blocks, _diags(ws, ws.n)):
             assert np.max(np.abs(block - 0.7 * np.diag(nd + 1.0))) < 1e-14
+
+    def test_matches_the_ladder_generators(self):
+        # the tridiagonal stacks assembled from the band against K_x and K_z made
+        # from the ladder operators, mirror blocks included
+        ws = FockWorkspace(6)
+        kx, _, kz = _dense_generators(ws.n_max)
+        for f_y in (0.0, -0.9, 1.3):
+            ref = 2.0 * 0.35 * (math.cosh(f_y) * kz - math.sinh(f_y) * kx)
+            assert np.max(np.abs(hamiltonian_final(0.35, f_y, ws).to_dense() - ref)) < 1e-13
 
     def test_thermal_average_closed_form(self):
         ws = FockWorkspace(60)
@@ -708,13 +727,13 @@ class TestExpectations:
     def test_vacuum_number_expectation(self):
         ws = FockWorkspace(20)
         state = thermal_state(ws, 1e3, 1.0)
-        n = BlockOperator.from_diagonal(ws, ws.n_diags)
+        n = _diagonal(ws, ws.n)
         assert expect(n, state) == pytest.approx(0.0, abs=1e-12)
 
     def test_thermal_number_expectation(self):
         ws = FockWorkspace(60)
         state = thermal_state(ws, 0.5, 1.0)
-        n = BlockOperator.from_diagonal(ws, ws.n_diags)
+        n = _diagonal(ws, ws.n)
         assert expect(n, state) == pytest.approx(
             MEAN_N_BETA_HALF, abs=1e-7
         )
@@ -723,17 +742,17 @@ class TestExpectations:
         ws_a, ws_b = FockWorkspace(10), FockWorkspace(12)
         state = thermal_state(ws_b, 3.0, 1.0)
         with pytest.raises(ValueError):
-            expect(BlockOperator.from_diagonal(ws_a, ws_a.n_diags), state)
+            expect(_diagonal(ws_a, ws_a.n), state)
 
     def test_hermiticity_is_read_from_the_blocks(self):
         # a diagonal of complex phases is not Hermitian, whatever built it
         ws = FockWorkspace(12)
         state = thermal_state(ws, 3.0, 1.0)
-        phases = BlockOperator.from_diagonal(ws, [np.exp(1j * 0.7 * kz) for kz in ws.kz_diags])
+        phases = _diagonal(ws, np.exp(1j * 0.7 * ws.kz))
         for read in (expect, variance):
             with pytest.raises(ValueError, match="Hermitian"):
                 read(phases, state)
-        for op in (hamiltonian_final(0.35, -0.9, ws), BlockOperator.from_diagonal(ws, ws.n_diags)):
+        for op in (hamiltonian_final(0.35, -0.9, ws), _diagonal(ws, ws.n)):
             assert op.is_hermitian
             assert math.isfinite(expect(op, state)) and variance(op, state) > 0.0
 
@@ -746,7 +765,7 @@ class TestExpectations:
 
     def test_dense_assembly_guard(self):
         ws = FockWorkspace(80)
-        op = BlockOperator.from_diagonal(ws, ws.n_diags)
+        op = _diagonal(ws, ws.n)
         with pytest.raises(ValueError):
             op.to_dense()
 
@@ -756,7 +775,7 @@ class TestExpectations:
         for n_max in (7, 12):
             ws = FockWorkspace(n_max)
             kx, _ = _block_generators(ws)
-            diag = BlockOperator.from_diagonal(ws, ws.n_diags)
+            diag = _diagonal(ws, ws.n)
             phase = _phase_kz(ws, 0.7)
             for a, b in ((diag, kx), (kx, diag), (diag, phase)):
                 assert np.max(np.abs((a @ b).to_dense() - a.to_dense() @ b.to_dense())) < 1e-14
@@ -767,7 +786,7 @@ class TestImmutability:
     @pytest.mark.parametrize("attr", ["blocks", "diags"])
     def test_assignment_raises(self, attr):
         ws = FockWorkspace(4)
-        op = BlockOperator.from_diagonal(ws, ws.n_diags)
+        op = _diagonal(ws, ws.n)
         with pytest.raises(AttributeError):
             setattr(op, attr, getattr(op, attr))
 

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from su11otto.core import (
     EngineConfig,
@@ -261,10 +263,38 @@ def test_exit_code_reports_the_worst_status(statuses, code):
     assert gate.GateResult(records).exit_code == code
 
 
+def _diags(ws, values):
+    """Per stored sector, its slice of `values` over the concatenated states."""
+    return np.split(values, ws._cuts)
+
+
+def _diagonal(ws, values):
+    """The diagonal operator of `values` over the concatenated stored states."""
+    return BlockOperator.from_diagonal(ws, _diags(ws, values))
+
+
+def _kx_blocks(ws):
+    """Per stored sector, the dense K_x block assembled from `ws.kx_band` as
+    `hamiltonian_final` assembles it."""
+    return ws._views(tuple(fock._kx_from_band(ws)))
+
+
+def _dense_ladder_deviation(ws, algebra_n_max):
+    """max |K_x - (a1+ a2+ + a1 a2)/2| over the full basis on
+    `FockWorkspace(algebra_n_max)` (the grid's own when the sizes agree), K_x
+    assembled densely, mirror blocks included, against (P^T + P)/2 with
+    P = a (x) a."""
+    small = ws if ws.n_max == algebra_n_max else FockWorkspace(algebra_n_max)
+    kx_dense = BlockOperator._of(small, fock._kx_from_band(small)).to_dense()
+    a = _dense_annihilator(algebra_n_max)
+    ladder = np.kron(a, a)  # a1 a2; a1+ a2+ is its transpose
+    return np.max(np.abs(kx_dense - (ladder.T + ladder) / 2.0))
+
+
 def _product_form_algebra_records(ws, algebra_n_max):
     """The algebra records from dense products of the workspace's own blocks: K_x
-    is `ws.kx_blocks`, K_y its quarter turn D K_x D+ and K_z the dense diag(K_z),
-    read on the interior blocks.
+    assembled from `ws.kx_band`, K_y its quarter turn D K_x D+ and K_z the dense
+    diag(K_z), read on the interior blocks.
 
     Each residual is in the units of the band record it checks, as
     `_algebra_records` scales them: row j of a residual built from products of
@@ -281,7 +311,7 @@ def _product_form_algebra_records(ws, algebra_n_max):
 
     phase_cycle = np.array([1.0, -1j, -1.0, 1j])
     dev_xy = dev_yz = dev_zx = dev_jac = dev_cas = 0.0
-    for sec, kz_diag, kx_block in zip(ws.sectors, ws.kz_diags, ws.kx_blocks):
+    for sec, kz_diag, kx_block in zip(ws.sectors, _diags(ws, ws.kz), _kx_blocks(ws)):
         m = sec.size
         kx = kx_block.astype(complex)
         ph = phase_cycle[np.arange(m) % 4]
@@ -300,11 +330,8 @@ def _product_form_algebra_records(ws, algebra_n_max):
         dev_jac = max(dev_jac, dev(comm(kx, c_yz) + comm(ky, c_zx) + comm(kz, c_xy), in2, 2))
         casimir = kz @ kz - kx @ kx - ky @ ky
         dev_cas = max(dev_cas, *(dev(comm(casimir, g), in2, 2) for g in (kx, ky, kz)))
-    kz_dense = BlockOperator.from_diagonal(ws, ws.kz_diags).to_dense()
-    n_dense = BlockOperator.from_diagonal(ws, ws.n_diags).to_dense()
-    small = FockWorkspace(algebra_n_max)
-    kx_dense = BlockOperator(small, small.kx_blocks).to_dense()
-    ladder = np.kron(_dense_annihilator(algebra_n_max), _dense_annihilator(algebra_n_max))
+    kz_dense = _diagonal(ws, ws.kz).to_dense()
+    n_dense = _diagonal(ws, ws.n).to_dense()
     n_max = ws.n_max
     return [
         _cmp("comm_xy_plus_i_kz", 0.0, dev_xy, 1e-12, n_max),
@@ -327,11 +354,78 @@ def _product_form_algebra_records(ws, algebra_n_max):
         _cmp(
             "kx_ladder_representation",
             0.0,
-            float(np.max(np.abs(kx_dense - (ladder.T + ladder) / 2.0))),
+            _dense_ladder_deviation(ws, algebra_n_max),
             1e-13,
             algebra_n_max,
         ),
     ]
+
+
+def _per_sector_algebra_records(ws, algebra_n_max):
+    """The algebra records as a loop over the stored sectors' dense K_x blocks
+    computed them, with the ladder placement from the dense kron(a, a): the
+    reference of `_algebra_records`' one vectorised pass, record for record."""
+    dev_xy = dev_step = dev_cas = dev_kz_half = dev_kz_n = 0.0
+    for sec, kx, kz, n in zip(ws.sectors, _kx_blocks(ws), _diags(ws, ws.kz), _diags(ws, ws.n)):
+        b = np.diagonal(kx, 1)
+        # 0 exactly when the block is symmetric tridiagonal with a zero diagonal
+        shape = np.max(np.abs(kx - np.diag(b, 1) - np.diag(b, -1)))
+        b2 = np.concatenate(([0.0], b * b))  # b_j-1^2 for j = 0 ... m - 1
+        kz_in = kz[:-1]  # the interior rows
+        k = (sec.d + 1) / 2.0
+        xy = np.abs(2.0 * (b2[1:] - b2[:-1]) - kz_in) / kz_in
+        cas = np.abs(kz_in * kz_in - 2.0 * (b2[1:] + b2[:-1]) - k * (k - 1.0)) / (kz_in * kz_in)
+        dev_xy = max(dev_xy, shape, np.max(xy, initial=0.0))
+        dev_step = max(dev_step, shape, np.max(np.abs(np.diff(kz) - 1.0), initial=0.0))
+        dev_cas = max(dev_cas, np.max(cas, initial=0.0))
+        dev_kz_half = max(dev_kz_half, np.max(np.abs(kz - (n + 1.0) / 2.0)))
+        dev_kz_n = max(dev_kz_n, np.max(np.abs(kz * n - n * kz)))
+    n_max = ws.n_max
+    return [
+        _cmp("comm_xy_plus_i_kz", 0.0, dev_xy, 1e-12, n_max),
+        _cmp("comm_yz_minus_i_kx", 0.0, dev_step, 1e-12, n_max),
+        _cmp("comm_zx_minus_i_ky", 0.0, dev_step, 1e-12, n_max),
+        _cmp("jacobi_identity", 0.0, max(dev_xy, dev_step), 1e-12, n_max),
+        _cmp("casimir_commutes_generators", 0.0, dev_cas, 1e-12, n_max),
+        _cmp("kz_minus_half_n_plus_1", 0.0, dev_kz_half, 0.0, n_max),
+        _cmp("comm_kz_n", 0.0, dev_kz_n, 0.0, n_max),
+        _cmp("vacuum_kz", 0.5, _diags(ws, ws.kz)[0][0], 0.0, n_max),
+        _cmp(
+            "kx_ladder_representation",
+            0.0,
+            _dense_ladder_deviation(ws, algebra_n_max),
+            1e-13,
+            algebra_n_max,
+        ),
+    ]
+
+
+def _bits(x):
+    return x.dtype, x.shape, np.ascontiguousarray(x).tobytes()
+
+
+@settings(max_examples=40)
+@example(n_max=7, algebra_n_max=7)
+@example(n_max=8, algebra_n_max=12)
+@example(n_max=9, algebra_n_max=2)
+@example(n_max=16, algebra_n_max=9)
+@example(n_max=17, algebra_n_max=8)
+@given(n_max=st.integers(1, 40), algebra_n_max=st.integers(2, 12))
+def test_band_route_is_bit_identical_to_the_dense_blocks(n_max, algebra_n_max):
+    # kx_eig's parity blocks, built from the band, are the even-row x odd-column
+    # blocks of the dense tridiagonal assembled from the same band, and its
+    # singular values are those of the dense blocks; the vectorised records equal
+    # the per-sector loop's, the blockwise ladder check the dense kron's
+    ws = FockWorkspace(n_max)
+    stacks = zip(ws.buckets, ws._parity_blocks(), fock._kx_from_band(ws), ws.kx_eig)
+    for bucket, parity, kx, (sigma, _, _) in stacks:
+        for j, m in enumerate(bucket.sizes):
+            dense = kx[j, 0:m:2, 1:m:2]
+            assert _bits(parity[j, : -(-m // 2), : m // 2]) == _bits(dense)
+            _, s, _ = np.linalg.svd(dense)
+            assert _bits(sigma[j, : len(s)]) == _bits(s)
+    reference = _per_sector_algebra_records(ws, algebra_n_max)
+    assert _fields(_algebra_records(ws, algebra_n_max)) == _fields(reference)
 
 
 def _statuses(records):
@@ -354,41 +448,58 @@ def test_band_records_hold_at_the_grid_basis():
     assert all(r.abs_err <= 1e-13 for r in records)
 
 
-def _band_under_the_root(s, kx):
-    rows = np.arange(s.size - 1)
-    kx[rows, rows + 1] = kx[rows + 1, rows] = 0.5 * np.sqrt(
-        (s.n1[:-1] + 1) * (s.n2[:-1] + 1) + 0.01
-    )
-    return kx
+def _band_under_the_root(ws):
+    band = 0.5 * np.sqrt((ws._n1 + 1) * (ws._n2 + 1) + 0.01)
+    band[ws.last] = 0.0
+    return {"kx_band": band}
 
 
-def _entry_off_the_band(s, kx):
-    if s.d == 0:
-        kx[3, 7] = 1e-9
-    return kx
+def _kz_scaled(ws):
+    return {"kz": ws.kz * (1.0 + 1e-9)}
 
 
-def _kz_scaled(s, kz):
-    return kz * (1.0 + 1e-9)
+def _band_shifted_one_row(ws):
+    # sector d = 2's band moves one row down: its last entry now leaves the sector
+    band = ws.kx_band.copy()
+    first, last = ws.last[1] + 1, ws.last[2]
+    band[first + 1 : last + 1], band[first] = band[first:last], 0.0
+    return {"kx_band": band}
 
 
-COMMUTATORS = {"comm_xy_plus_i_kz", "comm_yz_minus_i_kx", "comm_zx_minus_i_ky"}
+def _idx_swapped_with_its_mirror(ws):
+    # sector d = 3 placed at the indices of sector -3, n2 (n_max + 1) + n1
+    sectors = list(ws.sectors)
+    s = sectors[3]
+    sectors[3] = dataclasses.replace(s, idx=s.n2 * (ws.n_max + 1) + s.n1)
+    return {"sectors": tuple(sectors)}
+
+
+BOTH_ROUTES = ("_algebra_records", "_product_form_algebra_records")
 
 
 @pytest.mark.parametrize(
-    "cache, mutate, failing",
+    "mutate, failing, routes",
     [
-        ("kx_blocks", _band_under_the_root, {"comm_xy_plus_i_kz", "casimir_commutes_generators"}),
-        ("kx_blocks", _entry_off_the_band, COMMUTATORS),
-        ("kz_diags", _kz_scaled, {"comm_yz_minus_i_kx", "comm_zx_minus_i_ky"}),
+        (_band_under_the_root, {"comm_xy_plus_i_kz", "casimir_commutes_generators"}, BOTH_ROUTES),
+        (_kz_scaled, {"comm_yz_minus_i_kx", "comm_zx_minus_i_ky"}, BOTH_ROUTES),
+        (
+            _band_shifted_one_row,
+            {"comm_xy_plus_i_kz", "casimir_commutes_generators", "kx_ladder_representation"},
+            BOTH_ROUTES,
+        ),
+        # the dense route writes a sector and its mirror as a pair, so it cannot
+        # tell which of the two holds which index
+        (_idx_swapped_with_its_mirror, {"kx_ladder_representation"}, ("_algebra_records",)),
     ],
-    ids=["band+0.01-under-the-root", "1e-9-off-the-band", "kz-scaled-1e-9"],
+    ids=["band+0.01-under-the-root", "kz-scaled-1e-9", "band-shifted-one-row",
+         "idx-swapped-with-its-mirror"],
 )
-def test_mutated_workspace_fails_the_algebra_records(cache, mutate, failing):
-    # the mutation replaces the workspace's cached blocks or diagonals: both
-    # routes read them, and both must fail the records the mutation breaks
+def test_mutated_workspace_fails_the_algebra_records(mutate, failing, routes):
+    # the mutation replaces the workspace's cached band, K_z diagonal or sectors,
+    # on the basis the ladder record reads too: every route named must fail the
+    # records the mutation breaks
     ws = FockWorkspace(12)
-    ws.__dict__[cache] = tuple(mutate(s, v.copy()) for s, v in zip(ws.sectors, getattr(ws, cache)))
-    for route in (_algebra_records, _product_form_algebra_records):
-        failed = {r.quantity for r in route(ws, 4) if r.status == "fail"}
-        assert failing <= failed, route.__name__
+    vars(ws).update(mutate(ws))
+    for route in routes:
+        failed = {r.quantity for r in globals()[route](ws, ws.n_max) if r.status == "fail"}
+        assert failing <= failed, route
