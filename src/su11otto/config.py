@@ -23,14 +23,14 @@ from pathlib import Path
 from .circuit import CircuitParams
 from .core import EngineConfig
 from .errors import ConfigError
-from .fock import _DENSE_LIMIT
 from .metrology import DERIVATIVE_MODES
 
 __all__ = ["OracleConfig", "ScenarioConfig", "DEFAULTS", "load_config"]
 
-# the largest oracle.algebra_n_max whose dense K_x once fitted; the ladder record is now
-# blockwise, and the bound stays so the config accepts exactly what it did until the key goes
-_MAX_DENSE_N = math.isqrt(_DENSE_LIMIT) - 1
+# the largest oracle.algebra_n_max whose dense K_x once fitted a 4096 x 4096 matrix,
+# (63 + 1)^2 = 4096 states; the ladder record is now blockwise, and the bound stays so
+# the config accepts exactly what it did until the key goes
+_MAX_DENSE_N = 63
 
 DEFAULTS: dict = {
     "engine": {

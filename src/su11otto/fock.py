@@ -21,13 +21,12 @@ sector -d is the mode-swap image of the block of sector d, identical entry
 for entry.  The multiplicity lives in one place: `ThermalState.probs`
 carries weight 2 for every d > 0, so populations and traces are folded
 (each d > 0 entry holds both mirror states) and every trace over the stored
-sectors counts both.  `BlockOperator.to_dense()`, which assembles the full
-matrix and now serves only the tests, is the one place that writes the
-mirror blocks out, in the blocks' own dtype (real for K_x, K_z and N).
+sectors counts both.  No matrix over the full basis is assembled here:
+only the tests' dense reference writes the mirror blocks out.
 `FockWorkspace.kx_band` is the one construction of K_x, in double
 precision, O(states): `kx_eig` builds its parity blocks from it,
-`hamiltonian_final` assembles its tridiagonal stacks from it when called,
-and the gate's algebra records read it with the workspace's own K_z and N
+`hamiltonian_final` scales it into the band of its `Tridiagonal`, and the
+gate's algebra records read it with the workspace's own K_z and N
 diagonals.
 
 Size-bucketed stacks.  No kernel loops over sectors: each stored sector is
@@ -67,9 +66,12 @@ transpose of exp(i s K_y).  On the padded factors the three half-size
 products and the checkerboard scatter are one batched call each per
 bucket.
 
-Operators are immutable: their stacks are fixed at construction, and an
-operator reads its hermiticity from them, once, when `expect` or
-`variance` first asks.
+Operators are immutable: a `BlockOperator` holds the stacks it is given,
+and its per-sector views and reads are made from them when first read.
+The one observable read as an operator, the end-of-stroke Hamiltonian, is
+real symmetric tridiagonal by construction, so it is held as a
+`Tridiagonal`, its diagonal and band over the stored states, which
+`expect` and `variance` read in O(states).
 
 Truncation honesty
 ------------------
@@ -93,8 +95,9 @@ U+ U - 1 = R+ (C+ C - 1) R + R+ C+ (L+ L - 1) C R + (R+ R - 1), so
 defect(U) <= defect(C) + 2 e to first order (e = 0 for the exact D
 phases, 1 ulp for exp(i theta K_z)).  Each read against a state is a dot
 product with its one population vector.  The tests check these reads
-against dense linear algebra: |U|^2 p with U from `to_dense()` and the
-thermal weights written out over the full, unfolded basis.
+against dense linear algebra: |U|^2 p with U assembled over the full
+basis, mirror blocks included, and the thermal weights written out over
+the full, unfolded basis.
 
 Unitarity of the product form
 -----------------------------
@@ -122,7 +125,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -133,6 +136,7 @@ from .errors import TruncationError
 __all__ = [
     "FockWorkspace",
     "BlockOperator",
+    "Tridiagonal",
     "ThermalState",
     "Chain",
     "thermal_state",
@@ -146,7 +150,6 @@ __all__ = [
     "evolved_boundary_occupancy",
 ]
 
-_DENSE_LIMIT = 4096  # refuse to assemble dense matrices larger than this
 _PAD = 8  # every stored sector is padded to a multiple of this many states
 
 LEAK_TOL = 1e-8  # boundary occupancy of an evolved state
@@ -240,20 +243,6 @@ class FockWorkspace:
             for b, s in zip(self.buckets, stacks) for j, m in enumerate(b.sizes)
         )
 
-    def _pack(self, arrays, diagonal: bool) -> tuple[np.ndarray, ...]:
-        """Per-sector blocks (or diagonals) copied into per-bucket stacks whose
-        padding is the identity."""
-        arrays = [np.asarray(a) for a in arrays]
-        dtype = np.result_type(*{a.dtype for a in arrays})
-        stacks = tuple(
-            np.ones((len(b.sizes), b.width), dtype) if diagonal
-            else np.tile(np.eye(b.width, dtype=dtype), (len(b.sizes), 1, 1))
-            for b in self.buckets
-        )
-        for view, a in zip(self._views(stacks), arrays, strict=True):
-            view[...] = a
-        return stacks
-
     @cached_property
     def kz(self) -> np.ndarray:
         """The K_z diagonal (n + 1)/2 over the stored states."""
@@ -318,52 +307,26 @@ class FockWorkspace:
         return tuple(np.ascontiguousarray(r.transpose(1, 0, 2)) for r in rows)
 
 
-@dataclass(frozen=True, init=False, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class BlockOperator:
     """Immutable operator on the stored sectors d >= 0, one stack per size bucket.
 
     The operator is mode-swap symmetric: the block of sector -d is that of
-    sector d.  `stacks` holds, per bucket, the padded (k, W, W) blocks or,
-    for a diagonal operator (`is_diagonal`), the padded (k, W) diagonals,
-    whose products with blocks run in O(W^2) per block.  `blocks` and
-    `diags` are per-sector views into them, made when read.  `expect` and
-    `variance` accept only Hermitian operators.
+    sector d.  `stacks` is a tuple holding, per bucket, the padded
+    (k, W, W) blocks or, for a diagonal operator (`is_diagonal`), the
+    padded (k, W) diagonals, whose products with blocks run in O(W^2) per
+    block; the builders make them with the padding of the module
+    docstring, and the operator holds them as given.  `blocks` and `diags`
+    are per-sector views into them, made when read.
     """
 
     ws: FockWorkspace
     stacks: tuple
-    is_diagonal: bool
-
-    def __init__(self, ws: FockWorkspace, blocks, diags=None):
-        """From per-sector `blocks`, or from per-sector `diags` in their place,
-        copied once into stacks padded with the identity."""
-        diagonal = diags is not None
-        self._hold(ws, ws._pack(diags if diagonal else blocks, diagonal), diagonal)
-
-    @classmethod
-    def _of(cls, ws: FockWorkspace, stacks, diagonal: bool = False) -> "BlockOperator":
-        op = cls.__new__(cls)
-        op._hold(ws, stacks, diagonal)
-        return op
-
-    def _hold(self, ws, stacks, diagonal):
-        for name, value in (("ws", ws), ("stacks", tuple(stacks)), ("is_diagonal", diagonal)):
-            object.__setattr__(self, name, value)
-
-    @classmethod
-    def from_diagonal(cls, ws: FockWorkspace, diags) -> "BlockOperator":
-        return cls(ws, None, diags=diags)
+    is_diagonal: bool = False
 
     def dag(self) -> "BlockOperator":
-        stacks = [s.conj() if self.is_diagonal else s.conj().mT for s in self.stacks]
-        return BlockOperator._of(self.ws, stacks, self.is_diagonal)
-
-    @cached_property
-    def is_hermitian(self) -> bool:
-        """Each block equals its conjugate transpose exactly; a diagonal is real."""
-        return all(
-            np.array_equal(s, s.conj() if self.is_diagonal else s.conj().mT) for s in self.stacks
-        )
+        stacks = tuple(s.conj() if self.is_diagonal else s.conj().mT for s in self.stacks)
+        return BlockOperator(self.ws, stacks, self.is_diagonal)
 
     def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
         if not isinstance(other, BlockOperator):
@@ -371,14 +334,14 @@ class BlockOperator:
         _same_workspace(self, other)
         pairs = zip(self.stacks, other.stacks)
         if self.is_diagonal and other.is_diagonal:
-            return BlockOperator._of(self.ws, [v * w for v, w in pairs], diagonal=True)
+            return BlockOperator(self.ws, tuple(v * w for v, w in pairs), True)
         if self.is_diagonal:
-            stacks = [v[..., None] * b for v, b in pairs]
+            stacks = tuple(v[..., None] * b for v, b in pairs)
         elif other.is_diagonal:
-            stacks = [b * v[:, None, :] for b, v in pairs]
+            stacks = tuple(b * v[:, None, :] for b, v in pairs)
         else:
-            stacks = [a @ b for a, b in pairs]
-        return BlockOperator._of(self.ws, stacks)
+            stacks = tuple(a @ b for a, b in pairs)
+        return BlockOperator(self.ws, stacks)
 
     @cached_property
     def _dense(self) -> tuple:
@@ -394,21 +357,6 @@ class BlockOperator:
     @cached_property
     def diags(self) -> tuple | None:
         return self.ws._views(self.stacks) if self.is_diagonal else None
-
-    def to_dense(self) -> np.ndarray:
-        """The full matrix, mirror blocks included, in the blocks' common dtype."""
-        if self.ws.dim > _DENSE_LIMIT:
-            raise ValueError(
-                f"dense assembly of a {self.ws.dim}x{self.ws.dim} matrix exceeds the "
-                f"{_DENSE_LIMIT} limit"
-            )
-        out = np.zeros((self.ws.dim, self.ws.dim), dtype=self.stacks[0].dtype)
-        for s, b in zip(self.ws.sectors, self.blocks):
-            out[np.ix_(s.idx, s.idx)] = b
-            if s.d > 0:
-                mirror = s.n2 * (self.ws.n_max + 1) + s.n1
-                out[np.ix_(mirror, mirror)] = b
-        return out
 
     @cached_property
     def boundary_weights(self) -> np.ndarray:
@@ -523,17 +471,17 @@ def _exp_i_ky(ws: FockWorkspace, s: float) -> BlockOperator:
         # from oe, not from y: numpy 2.4 misreads a transposed view of y here
         np.negative(oe.mT, out=y[:, 0::2, 1::2])
         stacks.append(y)
-    return BlockOperator._of(ws, stacks)
+    return BlockOperator(ws, tuple(stacks))
 
 
 def _quarter_phases(ws: FockWorkspace) -> BlockOperator:
     """D = diag((-i)^k), k the position in the sector, exactly; 1 on the padding."""
     cycle = np.array([1.0, -1j, -1.0, 1j])
-    return BlockOperator._of(ws, ws._padded(cycle[ws._n2 % 4], fill=1.0), diagonal=True)
+    return BlockOperator(ws, ws._padded(cycle[ws._n2 % 4], fill=1.0), True)
 
 
 def _phase_kz(ws: FockWorkspace, s: float) -> BlockOperator:
-    return BlockOperator._of(ws, [np.exp(1j * s * kz) for kz in ws.kz_stacks], diagonal=True)
+    return BlockOperator(ws, tuple(np.exp(1j * s * kz) for kz in ws.kz_stacks), True)
 
 
 def _abs2(b: np.ndarray) -> np.ndarray:
@@ -556,7 +504,7 @@ class Chain:
     of the core.  `defect_bound`, where the builder gives one, is a proven
     bound on the core's unitarity defect from its factors
     (`unitary_product`).  The reads touch only `ws` and the weights; the
-    core and the product are formed only when read.
+    core is formed only when read.
     """
 
     ws: FockWorkspace
@@ -570,10 +518,6 @@ class Chain:
     @cached_property
     def core(self) -> BlockOperator:
         return self.form_core()
-
-    @cached_property
-    def product(self) -> BlockOperator:
-        return reduce(lambda acc, f: f @ acc, (*self.before, self.core, *self.after))
 
     @cached_property
     def defect(self) -> float:
@@ -686,7 +630,7 @@ def unitary_product(y: BlockOperator, phi: float) -> Chain:
 
     def form_core():
         parts = _product_parts(y, _phase_kz(ws, -phi))
-        return BlockOperator._of(ws, [r.view(np.complex128) for r in parts])
+        return BlockOperator(ws, tuple(r.view(np.complex128) for r in parts))
 
     return Chain(ws, form_core, (d,), (d.dag(),), weights, "unitary_product", bound)
 
@@ -738,40 +682,39 @@ def evolution_endpoint(f_y_tf: float, f_z_tf: float, ws: FockWorkspace) -> Chain
     return _chain("evolution_endpoint", _exp_i_ky(ws, -f_y_tf), after=(_phase_kz(ws, -f_z_tf),))
 
 
-def hamiltonian_final(omega_f: float, f_y_tf: float, ws: FockWorkspace) -> BlockOperator:
+@dataclass(frozen=True, eq=False, repr=False)
+class Tridiagonal:
+    """Real symmetric tridiagonal operator on the stored sectors, mode-swap
+    symmetric like `BlockOperator`: its `diagonal` T[j, j] and its `band`
+    T[j, j+1] = T[j+1, j] over the concatenated stored states, the band 0
+    at each sector's last state, so no entry couples two sectors."""
+
+    ws: FockWorkspace
+    diagonal: np.ndarray
+    band: np.ndarray
+
+
+def hamiltonian_final(omega_f: float, f_y_tf: float, ws: FockWorkspace) -> Tridiagonal:
     """End-of-stroke Heisenberg Hamiltonian
-    2 omega_f [cosh(f_y) K_z - sinh(f_y) K_x]; reduces to omega_f (N + 1)
-    at f_y = 0."""
-    ch, sh = math.cosh(f_y_tf), math.sinh(f_y_tf)
-    stacks = [
-        2.0 * omega_f * (ch * (kz[..., None] * np.eye(kz.shape[-1])) - sh * kx)
-        for kz, kx in zip(ws.kz_stacks, _kx_from_band(ws))
-    ]
-    return BlockOperator._of(ws, stacks)
+    2 omega_f [cosh(f_y) K_z - sinh(f_y) K_x], held as its diagonal and band
+    (K_x is the band `ws.kx_band`); reduces to omega_f (N + 1) at f_y = 0."""
+    scale = 2.0 * omega_f
+    return Tridiagonal(
+        ws, scale * (math.cosh(f_y_tf) * ws.kz), scale * (-math.sinh(f_y_tf) * ws.kx_band)
+    )
 
 
-def _kx_from_band(ws: FockWorkspace):
-    """Per bucket, the (k, W, W) K_x blocks assembled from `ws.kx_band`, made
-    as they are read: symmetric tridiagonal with a zero diagonal, 0 on the
-    padding."""
-    for off in ws._padded(ws.kx_band):
-        below = off[:, None, :] * np.eye(off.shape[-1], k=-1)
-        yield below + below.mT
+def expect(op: Tridiagonal, state: ThermalState) -> float:
+    """Tr[O rho] for the diagonal state: its populations against O's diagonal."""
+    return float(op.diagonal @ _same_workspace(op, state).probs)
 
 
-def expect(op: BlockOperator, state: ThermalState) -> float:
-    """Tr[O rho] for a Hermitian O and the diagonal state."""
-    probs = _same_workspace(op, state).probs
-    if not op.is_hermitian:
-        raise ValueError("expect needs a Hermitian operator")
-    diagonal = [np.diagonal(s, axis1=1, axis2=2) for s in op._dense]
-    return float(op.ws._gather(diagonal).real @ probs)
-
-
-def variance(op: BlockOperator, state: ThermalState) -> float:
-    """Tr[O^2 rho] - Tr[O rho]^2 for a Hermitian O, from the row norms of O
-    instead of forming O^2."""
+def variance(op: Tridiagonal, state: ThermalState) -> float:
+    """Tr[O^2 rho] - Tr[O rho]^2 from the diagonal of O^2, O(states):
+    (O^2)_jj = O_jj^2 + b_(j-1)^2 + b_j^2 with b the band.  The band is 0 at
+    each sector's last state, so b_(j-1) is 0 at each sector's first."""
     mean = expect(op, state)
-    # (O^2)_jj = sum_k |O_jk|^2 for Hermitian O
-    second = float(op.ws._gather([_abs2(s).sum(axis=2) for s in op._dense]) @ state.probs)
-    return second - mean * mean
+    squares = op.band * op.band
+    second = op.diagonal * op.diagonal + squares
+    second[1:] += squares[:-1]
+    return float(second @ state.probs) - mean * mean

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fock_reference as ref
 from su11otto.core import (
     EngineConfig,
     ProtocolEndpoints,
@@ -19,7 +20,6 @@ from su11otto.fock import (
     LEAK_TOL,
     BlockOperator,
     FockWorkspace,
-    _dense_annihilator,
     evolution_endpoint,
     thermal_state,
     unitary_equiv,
@@ -148,11 +148,9 @@ def test_point_skipped_when_any_one_form_trips(monkeypatch, builder):
 
 def _scaled(op):
     """op with its sector-5 block or phases scaled by 1 + 1e-9."""
-    if op.diags is not None:
-        return BlockOperator.from_diagonal(
-            op.ws, [v * (1.0 + 1e-9) if i == 5 else v for i, v in enumerate(op.diags)]
-        )
-    return BlockOperator(op.ws, [b * (1.0 + 1e-9) if i == 5 else b for i, b in enumerate(op.blocks)])
+    parts = op.diags if op.is_diagonal else op.blocks
+    scaled = [a * (1.0 + 1e-9) if i == 5 else a for i, a in enumerate(parts)]
+    return ref.block_operator(op.ws, scaled, op.is_diagonal)
 
 
 @pytest.mark.parametrize(
@@ -263,20 +261,9 @@ def test_exit_code_reports_the_worst_status(statuses, code):
     assert gate.GateResult(records).exit_code == code
 
 
-def _diags(ws, values):
-    """Per stored sector, its slice of `values` over the concatenated states."""
-    return np.split(values, ws._cuts)
-
-
-def _diagonal(ws, values):
-    """The diagonal operator of `values` over the concatenated stored states."""
-    return BlockOperator.from_diagonal(ws, _diags(ws, values))
-
-
 def _kx_blocks(ws):
-    """Per stored sector, the dense K_x block assembled from `ws.kx_band` as
-    `hamiltonian_final` assembles it."""
-    return ws._views(tuple(fock._kx_from_band(ws)))
+    """Per stored sector, the dense K_x block assembled from `ws.kx_band`."""
+    return ref.kx(ws).blocks
 
 
 def _dense_ladder_deviation(ws, algebra_n_max):
@@ -285,8 +272,8 @@ def _dense_ladder_deviation(ws, algebra_n_max):
     assembled densely, mirror blocks included, against (P^T + P)/2 with
     P = a (x) a."""
     small = ws if ws.n_max == algebra_n_max else FockWorkspace(algebra_n_max)
-    kx_dense = BlockOperator._of(small, fock._kx_from_band(small)).to_dense()
-    a = _dense_annihilator(algebra_n_max)
+    kx_dense = ref.to_dense(ref.kx(small))
+    a = ref.annihilator(algebra_n_max)
     ladder = np.kron(a, a)  # a1 a2; a1+ a2+ is its transpose
     return np.max(np.abs(kx_dense - (ladder.T + ladder) / 2.0))
 
@@ -311,7 +298,7 @@ def _product_form_algebra_records(ws, algebra_n_max):
 
     phase_cycle = np.array([1.0, -1j, -1.0, 1j])
     dev_xy = dev_yz = dev_zx = dev_jac = dev_cas = 0.0
-    for sec, kz_diag, kx_block in zip(ws.sectors, _diags(ws, ws.kz), _kx_blocks(ws)):
+    for sec, kz_diag, kx_block in zip(ws.sectors, ref.per_sector(ws, ws.kz), _kx_blocks(ws)):
         m = sec.size
         kx = kx_block.astype(complex)
         ph = phase_cycle[np.arange(m) % 4]
@@ -330,8 +317,8 @@ def _product_form_algebra_records(ws, algebra_n_max):
         dev_jac = max(dev_jac, dev(comm(kx, c_yz) + comm(ky, c_zx) + comm(kz, c_xy), in2, 2))
         casimir = kz @ kz - kx @ kx - ky @ ky
         dev_cas = max(dev_cas, *(dev(comm(casimir, g), in2, 2) for g in (kx, ky, kz)))
-    kz_dense = _diagonal(ws, ws.kz).to_dense()
-    n_dense = _diagonal(ws, ws.n).to_dense()
+    kz_dense = ref.to_dense(ref.diagonal(ws, ws.kz))
+    n_dense = ref.to_dense(ref.diagonal(ws, ws.n))
     n_max = ws.n_max
     return [
         _cmp("comm_xy_plus_i_kz", 0.0, dev_xy, 1e-12, n_max),
@@ -366,7 +353,8 @@ def _per_sector_algebra_records(ws, algebra_n_max):
     computed them, with the ladder placement from the dense kron(a, a): the
     reference of `_algebra_records`' one vectorised pass, record for record."""
     dev_xy = dev_step = dev_cas = dev_kz_half = dev_kz_n = 0.0
-    for sec, kx, kz, n in zip(ws.sectors, _kx_blocks(ws), _diags(ws, ws.kz), _diags(ws, ws.n)):
+    kzs, ns = ref.per_sector(ws, ws.kz), ref.per_sector(ws, ws.n)
+    for sec, kx, kz, n in zip(ws.sectors, _kx_blocks(ws), kzs, ns):
         b = np.diagonal(kx, 1)
         # 0 exactly when the block is symmetric tridiagonal with a zero diagonal
         shape = np.max(np.abs(kx - np.diag(b, 1) - np.diag(b, -1)))
@@ -389,7 +377,7 @@ def _per_sector_algebra_records(ws, algebra_n_max):
         _cmp("casimir_commutes_generators", 0.0, dev_cas, 1e-12, n_max),
         _cmp("kz_minus_half_n_plus_1", 0.0, dev_kz_half, 0.0, n_max),
         _cmp("comm_kz_n", 0.0, dev_kz_n, 0.0, n_max),
-        _cmp("vacuum_kz", 0.5, _diags(ws, ws.kz)[0][0], 0.0, n_max),
+        _cmp("vacuum_kz", 0.5, ref.per_sector(ws, ws.kz)[0][0], 0.0, n_max),
         _cmp(
             "kx_ladder_representation",
             0.0,
@@ -417,7 +405,7 @@ def test_band_route_is_bit_identical_to_the_dense_blocks(n_max, algebra_n_max):
     # singular values are those of the dense blocks; the vectorised records equal
     # the per-sector loop's, the blockwise ladder check the dense kron's
     ws = FockWorkspace(n_max)
-    stacks = zip(ws.buckets, ws._parity_blocks(), fock._kx_from_band(ws), ws.kx_eig)
+    stacks = zip(ws.buckets, ws._parity_blocks(), ref.kx(ws).stacks, ws.kx_eig)
     for bucket, parity, kx, (sigma, _, _) in stacks:
         for j, m in enumerate(bucket.sizes):
             dense = kx[j, 0:m:2, 1:m:2]
