@@ -173,17 +173,16 @@ def bogoliubov(omega_i: float, omega_f: float, nu: float) -> BogoliubovPair:
         return BogoliubovPair(alpha=1.0 + 0j, beta=0j, omega_i=omega_i, omega_f=omega_f, nu=nu)
     w_plus = 0.5 * (omega_i + omega_f)
     w_minus = 0.5 * (omega_f - omega_i)
-    half_log_ratio = 0.5 * math.log(omega_f / omega_i)
+    # the log of the factor sqrt(wf/wi) G(1 - i wi/nu) that alpha and beta share
+    head = 0.5 * math.log(omega_f / omega_i) + complex_log_gamma(1.0 - 1j * omega_i / nu)
     log_alpha = (
-        half_log_ratio
-        + complex_log_gamma(1.0 - 1j * omega_i / nu)
+        head
         + complex_log_gamma(-1j * omega_f / nu)
         - complex_log_gamma(-1j * w_plus / nu)
         - complex_log_gamma(1.0 - 1j * w_plus / nu)
     )
     log_beta = (
-        half_log_ratio
-        + complex_log_gamma(1.0 - 1j * omega_i / nu)
+        head
         + complex_log_gamma(1j * omega_f / nu)
         - complex_log_gamma(1j * w_minus / nu)
         - complex_log_gamma(1.0 + 1j * w_minus / nu)

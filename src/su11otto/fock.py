@@ -29,7 +29,8 @@ precision, O(states): `kx_eig` builds its parity blocks from it,
 gate's algebra records read it with the workspace's own K_z and N
 diagonals.
 
-Size-bucketed stacks.  No kernel loops over sectors: each stored sector is
+Size-bucketed stacks.  No kernel loops over sectors, apart from the one-time
+SVD of each sector's K_x parity block in `kx_eig`: each stored sector is
 padded to the next multiple of _PAD = 8 states, and the sectors of one
 padded size W form a bucket, held as one (k, W, W) stack of blocks (one
 (k, W) stack of diagonals), so each kernel is one numpy call per bucket,
@@ -86,15 +87,15 @@ cut more than THERMAL_LEAK_TOL of its weight or to hold more than
 THERMAL_BOUNDARY_TOL on a boundary state, and `Chain.read(state)`, the one
 read of a chain's moments, raises past a boundary occupancy of LEAK_TOL
 instead of letting quietly wrong numbers through.  The unitaries do not
-depend on the state, so each builder states its product U = L C R as a
-`Chain` (L, R the outer diagonal phases, the core C the rest, interior
-phases included), which reduces it once to the weights of the core and,
-when read, its unitarity defect.  Outer phases move no population, and with e
-the largest |1 - |phase|^2| of L and R,
+depend on the state, so each builder states its product
+U = exp(i b K_z) C exp(i a K_z) as a `Chain` of its outer K_z angles
+(a, b) and its core C, the rest, interior phases included; the chain
+reduces U once to the weights of the core and, when read, its unitarity
+defect.  Outer phases move no population, and with L, R the outer factors
+and e <= 1 ulp the largest |1 - |phase|^2| of their entries,
 U+ U - 1 = R+ (C+ C - 1) R + R+ C+ (L+ L - 1) C R + (R+ R - 1), so
-defect(U) <= defect(C) + 2 e to first order (e = 0 for the exact D
-phases, 1 ulp for exp(i theta K_z)).  Each read against a state is a dot
-product with its one population vector.  The tests check these reads
+defect(U) <= defect(C) + 2 e to first order.  Each read against a state is
+a dot product with its one population vector.  The tests check these reads
 against dense linear algebra: |U|^2 p with U assembled over the full
 basis, mirror blocks included, and the thermal weights written out over
 the full, unfolded basis.
@@ -324,10 +325,6 @@ class BlockOperator:
     stacks: tuple
     is_diagonal: bool = False
 
-    def dag(self) -> "BlockOperator":
-        stacks = tuple(s.conj() if self.is_diagonal else s.conj().mT for s in self.stacks)
-        return BlockOperator(self.ws, stacks, self.is_diagonal)
-
     def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
         if not isinstance(other, BlockOperator):
             return NotImplemented
@@ -389,13 +386,6 @@ def _same_workspace(a, b):
     if a.ws is not b.ws:
         raise ValueError(f"{type(a).__name__} and {type(b).__name__} live on different workspaces")
     return b
-
-
-def _dense_annihilator(n_max: int) -> np.ndarray:
-    a = np.zeros((n_max + 1, n_max + 1))
-    ns = np.arange(1, n_max + 1)
-    a[ns - 1, ns] = np.sqrt(ns)
-    return a
 
 
 @dataclass(frozen=True)
@@ -474,12 +464,6 @@ def _exp_i_ky(ws: FockWorkspace, s: float) -> BlockOperator:
     return BlockOperator(ws, tuple(stacks))
 
 
-def _quarter_phases(ws: FockWorkspace) -> BlockOperator:
-    """D = diag((-i)^k), k the position in the sector, exactly; 1 on the padding."""
-    cycle = np.array([1.0, -1j, -1.0, 1j])
-    return BlockOperator(ws, ws._padded(cycle[ws._n2 % 4], fill=1.0), True)
-
-
 def _phase_kz(ws: FockWorkspace, s: float) -> BlockOperator:
     return BlockOperator(ws, tuple(np.exp(1j * s * kz) for kz in ws.kz_stacks), True)
 
@@ -497,20 +481,19 @@ def boundary_occupancy(op: BlockOperator, state: ThermalState) -> float:
 class Chain:
     """A unitary product reduced once to what its reads need, and its builder's name.
 
-    `before` and `after` are the outer diagonal factors around the core
-    that `form_core` forms.  The rows of `weights` are n^T |core|^2,
-    (n^2)^T |core|^2 and boundary^T |core|^2 over the concatenated
-    sectors, then the `boundary_weights` of each squeezed partial product
-    of the core.  `defect_bound`, where the builder gives one, is a proven
-    bound on the core's unitarity defect from its factors
-    (`unitary_product`).  The reads touch only `ws` and the weights; the
-    core is formed only when read.
+    Its unitary is U = exp(i b K_z) C exp(i a K_z), `outer = (a, b)`, C the
+    core that `form_core` forms (the last phase puts e^{-i b} on every
+    product of adjacent rows of U).  The rows of `weights` are n^T |core|^2,
+    (n^2)^T |core|^2 and boundary^T |core|^2 over the concatenated sectors,
+    then the `boundary_weights` of each squeezed partial product of the
+    core.  `defect_bound`, where the builder gives one, is a proven bound on
+    the core's unitarity defect from its factors (`unitary_product`).  The
+    reads touch only `ws` and the weights; the core is formed only when read.
     """
 
     ws: FockWorkspace
     form_core: Callable[[], BlockOperator]
-    before: tuple
-    after: tuple
+    outer: tuple[float, float]
     weights: np.ndarray
     label: str
     defect_bound: float | None = None
@@ -521,9 +504,10 @@ class Chain:
 
     @cached_property
     def defect(self) -> float:
-        """Unitarity defect max |C+ C - 1| of the core C, which bounds the
-        product's (module docstring): the `defect_bound` if there is one,
-        else the core's own Gram.
+        """A bound on the unitarity defect max |C+ C - 1| of the core C, which
+        bounds the product's (module docstring): the `defect_bound` if there
+        is one, else, for a built real core, delta + gamma_m kappa from its own
+        Gram (the exact G step below), times 1 + gamma_8 for its rounding.
 
         `unitary_product`'s bound for C = fl(Y^T fl(P Y)), Y real, P diagonal,
         with u = 2^-53, gamma_k = k u / (1 - k u) (Higham, Accuracy and
@@ -558,7 +542,9 @@ class Chain:
         bound.  It certifies Y, P and the rounding of the one product
         expression, not a core altered after it is built.
         """
-        return self.core.unitarity_defect() if self.defect_bound is None else self.defect_bound
+        if self.defect_bound is not None:
+            return self.defect_bound
+        return _exact_gram(self.ws.n_max + 1, self.core.unitarity_defect())[0] * (1.0 + _gamma(8))
 
     def occupancy(self, state: ThermalState) -> float:
         """Worst boundary occupancy of the state after any guarded partial product."""
@@ -591,11 +577,11 @@ def _weights(ws: FockWorkspace, abs2, squeezed=()) -> np.ndarray:
     return np.vstack([ws._gather(moments), *(s.boundary_weights for s in squeezed)])
 
 
-def _chain(label: str, core: BlockOperator, before=(), after=()) -> Chain:
-    """The chain `before`, `core`, `after` of a built real core, each ordered
-    as applied to the state."""
+def _chain(label: str, core: BlockOperator, outer: tuple[float, float]) -> Chain:
+    """The chain exp(i b K_z) core exp(i a K_z) of a built real core,
+    `outer = (a, b)`."""
     weights = _weights(core.ws, map(_abs2, core.stacks))
-    return Chain(core.ws, lambda: core, before, after, weights, label)
+    return Chain(core.ws, lambda: core, outer, weights, label)
 
 
 def evolved_boundary_occupancy(factors, state: ThermalState) -> float:
@@ -610,9 +596,11 @@ def unitary_product(y: BlockOperator, phi: float) -> Chain:
     """The chain of the squeeze / phase / anti-squeeze product
     exp(-i zeta K_x) exp(-i phi K_z) exp(i zeta K_x) = D+ Y^T P Y D, with
     Y = exp(i zeta K_y) = `_exp_i_ky(ws, zeta)` real, P = exp(-i phi K_z)
-    and D = diag((-i)^k) outer.  Y depends on zeta alone, so a caller
-    builds it once and passes the same operator for every phi; the boundary
-    weights of the squeezed state are memoised on it.
+    and D = diag((-i)^k), which is exp(-i (pi/2) K_z) (K_z = (d + 1)/2 + k
+    on sector d) times one unit-modulus constant per sector that cancels
+    between D and D+: the outer angles are (-pi/2, pi/2).  Y depends on zeta
+    alone, so a caller builds it once and passes the same operator for every
+    phi; the boundary weights of the squeezed state are memoised on it.
 
     It guards the intermediate squeezed state Y D and the final state (the
     intermediate squeeze is the binding constraint: it spreads the state
@@ -622,7 +610,6 @@ def unitary_product(y: BlockOperator, phi: float) -> Chain:
     unitarity defect is the bound of `Chain.defect`, from Y's memoised
     `gram_norms` and P's phases."""
     ws = y.ws
-    d = _quarter_phases(ws)
     p = _phase_kz(ws, -phi)
     weights = _weights(ws, map(_abs2_interleaved, _product_parts(y, p)), squeezed=(y,))
     eps_p = max(float(np.max(np.abs(1.0 - _abs2(v)))) for v in p.stacks)
@@ -632,7 +619,7 @@ def unitary_product(y: BlockOperator, phi: float) -> Chain:
         parts = _product_parts(y, _phase_kz(ws, -phi))
         return BlockOperator(ws, tuple(r.view(np.complex128) for r in parts))
 
-    return Chain(ws, form_core, (d,), (d.dag(),), weights, "unitary_product", bound)
+    return Chain(ws, form_core, (-math.pi / 2, math.pi / 2), weights, "unitary_product", bound)
 
 
 def _product_parts(y: BlockOperator, p: BlockOperator):
@@ -654,13 +641,20 @@ def _product_defect_bound(m: int, delta: float, eta: float, eps_p: float) -> flo
     """The bound of `Chain.defect` on the unitarity defect of fl(Y^T fl(P Y)),
     term by term as derived there."""
     g_m = _gamma(m)
-    kappa = (1.0 + delta) / (1.0 - g_m)
+    gram, kappa = _exact_gram(m, delta)
     g = (eta + m * g_m * kappa) / (1.0 - g_m)
     e = (eps_p + _gamma(2)) / (1.0 - _gamma(2))
-    exact = delta + g_m * kappa + e * kappa + (1.0 + e) * kappa * g
+    exact = gram + e * kappa + (1.0 + e) * kappa * g
     rho = _gamma(m + 1) * math.sqrt(1.0 + e) * kappa
     c = math.sqrt((1.0 + g) * (1.0 + e) * kappa)
     return (exact + 2.0 * math.sqrt(m) * rho * c + m * rho * rho) * (1.0 + _gamma(64))
+
+
+def _exact_gram(m: int, delta: float) -> tuple[float, float]:
+    """`Chain.defect`'s exact G step for a real Y of block size <= m whose Gram
+    reads delta: (delta + gamma_m kappa >= max |Y^T Y - 1|, kappa >= |y_j|^2)."""
+    kappa = (1.0 + delta) / (1.0 - _gamma(m))
+    return delta + _gamma(m) * kappa, kappa
 
 
 def _gamma(k: int) -> float:
@@ -672,14 +666,13 @@ def unitary_equiv(endpoints: ProtocolEndpoints, ws: FockWorkspace) -> Chain:
     """The chain of the endpoint form exp(i theta K_z) exp(i chi K_y) exp(-i theta K_z);
     its core is the real exp(i chi K_y)."""
     theta = endpoints.theta
-    core = _exp_i_ky(ws, endpoints.chi)
-    return _chain("unitary_equiv", core, (_phase_kz(ws, -theta),), (_phase_kz(ws, theta),))
+    return _chain("unitary_equiv", _exp_i_ky(ws, endpoints.chi), (-theta, theta))
 
 
 def evolution_endpoint(f_y_tf: float, f_z_tf: float, ws: FockWorkspace) -> Chain:
     """The chain of the time-ordered endpoint unitary exp(-i f_z K_z) exp(-i f_y K_y);
     its core is the real exp(-i f_y K_y)."""
-    return _chain("evolution_endpoint", _exp_i_ky(ws, -f_y_tf), after=(_phase_kz(ws, -f_z_tf),))
+    return _chain("evolution_endpoint", _exp_i_ky(ws, -f_y_tf), (0.0, -f_z_tf))
 
 
 @dataclass(frozen=True, eq=False, repr=False)

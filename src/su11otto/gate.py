@@ -36,7 +36,8 @@ composes that same operator.  The unitarity records read each chain's
 `defect`: for un1 a proven bound from its factors, the squeeze's one real
 Gram per zeta and the phases' moduli, so it certifies the factors and the
 rounding of the one product expression; for un2 (and tiev) the real
-core's own Gram, once per admitted (zeta, phi).
+core's own Gram plus the most the exact defect can exceed it by, once per
+admitted (zeta, phi).
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .cycle import stage_energies
 from .errors import TruncationError
 from .fock import (
     FockWorkspace,
-    _dense_annihilator,
     _exp_i_ky,
     expect,
     hamiltonian_final,
@@ -177,9 +177,12 @@ def _algebra_records(ws: FockWorkspace, algebra_n_max: int) -> list[GateRecord]:
     sectors = small.sectors
     n1, n2, idx = (np.concatenate([getattr(s, f) for s in sectors]) for f in ("n1", "n2", "idx"))
     d = np.repeat([s.d for s in sectors], [s.size for s in sectors])
-    a = _dense_annihilator(algebra_n_max)
-    # a's column 0 is 0: the last stored state has no next one
-    ladder = 0.5 * (a[n1, np.append(n1[1:], 0)] * a[n2, np.append(n2[1:], 0)])
+    # the single-mode a[n, m] = sqrt(m) [m = n + 1] at each state n and the next
+    # stored state m, m = 0 past the last, which has no next
+    next1, next2 = np.append(n1[1:], 0), np.append(n2[1:], 0)
+    a1 = np.where(next1 == n1 + 1, np.sqrt(next1), 0.0)
+    a2 = np.where(next2 == n2 + 1, np.sqrt(next2), 0.0)
+    ladder = 0.5 * (a1 * a2)
     misplaced = np.abs(idx - (n1 * (algebra_n_max + 1) + n2)) + np.abs(n1 - n2 - d)
     dev_ladder = max(np.max(np.abs(small.kx_band - ladder)), np.max(misplaced))
     n_max = ws.n_max
@@ -266,7 +269,7 @@ def _equivalence_records(ws, states, zeta_grid, phi_grid) -> list[GateRecord]:
               = [exp(i theta K_z) exp(i chi K_y) exp(-i theta K_z)] exp(i theta K_z)
               = U_un2 exp(i theta K_z).
     2. Both builders pass their K_z phases to `fock._chain` as outer
-       factors, so both chains have the core `_exp_i_ky(ws, chi)`; the
+       angles, so both chains have the core `_exp_i_ky(ws, chi)`; the
        trailing exp(i theta K_z) of step 1 and un2's leading
        exp(-i theta K_z) are outer phases.
     3. Outer phases move no population: the weights and the core's

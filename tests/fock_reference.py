@@ -9,6 +9,8 @@ or from the ladder operators on the full (n_max + 1)^2 basis:
 * `block_operator` and `diagonal` pack per-sector blocks or diagonals into
   stacks padded with the identity, as the builders pad theirs;
 * `kx` is K_x as dense blocks, tridiagonal from `FockWorkspace.kx_band`;
+  `quarter_phases` is the exact D = diag((-i)^k) and `dag` an operator's
+  adjoint;
 * `to_dense` writes an operator out over the full basis, mirror blocks
   included, in its stacks' dtype; `product` multiplies out a chain;
 * `generators`, `hamiltonian` and `thermal_weights` are K_x, K_y, K_z, the
@@ -16,8 +18,6 @@ or from the ladder operators on the full (n_max + 1)^2 basis:
   unfolded basis, from `kron` ladder operators, so no block of the oracle
   is reused.
 """
-
-from functools import reduce
 
 import numpy as np
 
@@ -58,6 +58,17 @@ def kx(ws):
     return block_operator(ws, blocks)
 
 
+def quarter_phases(ws):
+    """D = diag((-i)^k), k the position in the sector, exactly; 1 on the padding."""
+    return diagonal(ws, np.array([1.0, -1j, -1.0, 1j])[ws._n2 % 4])
+
+
+def dag(op):
+    """The adjoint of a `BlockOperator`."""
+    stacks = tuple(s.conj() if op.is_diagonal else s.conj().mT for s in op.stacks)
+    return BlockOperator(op.ws, stacks, op.is_diagonal)
+
+
 def to_dense(op):
     """The full matrix of a `BlockOperator`, mirror blocks included, in its
     stacks' dtype."""
@@ -76,8 +87,9 @@ def to_dense(op):
 
 
 def product(chain):
-    """The unitary of a `Chain`: its outer factors around its core, multiplied out."""
-    return reduce(lambda acc, f: f @ acc, (*chain.before, chain.core, *chain.after))
+    """The unitary exp(i b K_z) core exp(i a K_z) of a `Chain`, `outer = (a, b)`."""
+    ws, (a, b) = chain.ws, chain.outer
+    return diagonal(ws, np.exp(1j * b * ws.kz)) @ chain.core @ diagonal(ws, np.exp(1j * a * ws.kz))
 
 
 def annihilator(n_max):

@@ -31,7 +31,7 @@ from su11otto.circuit import (
 )
 from su11otto.config import load_config
 from su11otto.core import chi_max
-from su11otto.errors import ImaginaryCouplingError
+from su11otto.errors import IdentityViolationError, ImaginaryCouplingError
 
 # reference numbers for the default (published) parameter set
 OMEGA_I_EXP = 128835690635.9954  # rad/s at E/C = (E0/C)(A+B)
@@ -140,6 +140,15 @@ class TestBogoliubov:
         pair = bogoliubov(1.0, 1.0, 3.0)
         assert pair.beta == 0.0
         assert abs(pair.alpha) == 1.0
+
+    def test_identity_violation_is_refused(self, monkeypatch):
+        # the identity is checked, never imposed: with every log-Gamma scaled by
+        # 1 + 1e-6, |alpha|^2 - |beta|^2 misses 1 and the pair is refused
+        assert bogoliubov(1.0, 0.35, 2.0).identity_residual < 1e-12
+        log_gamma = circuit.complex_log_gamma
+        monkeypatch.setattr(circuit, "complex_log_gamma", lambda z: (1.0 + 1e-6) * log_gamma(z))
+        with pytest.raises(IdentityViolationError, match="deviates from 1 by"):
+            bogoliubov(1.0, 0.35, 2.0)
 
     def test_sudden_limit(self):
         wi, wf = 1.0, 0.35

@@ -25,7 +25,6 @@ from su11otto.fock import (
     Tridiagonal,
     _exp_i_ky,
     _phase_kz,
-    _quarter_phases,
     boundary_occupancy,
     evolution_endpoint,
     evolved_boundary_occupancy,
@@ -50,8 +49,8 @@ def _block_generators(ws):
     """K_x as dense blocks from the workspace's band, and K_y = D K_x D+, its
     quarter turn about K_z."""
     kx = ref.kx(ws)
-    d = _quarter_phases(ws)
-    return kx, d @ kx @ d.dag()
+    d = ref.quarter_phases(ws)
+    return kx, d @ kx @ ref.dag(d)
 
 
 def _dense_reads(u, bw):
@@ -82,7 +81,7 @@ def test_chain_surface_is_pinned():
     # `read` is the one read of a chain's moments, and it holds the leakage
     # guard: a new field or public method is a deliberate edit of these lists
     assert [f.name for f in dataclasses.fields(fock.Chain)] == [
-        "ws", "form_core", "before", "after", "weights", "label", "defect_bound",
+        "ws", "form_core", "outer", "weights", "label", "defect_bound",
     ]
     public = sorted(name for name in dir(fock.Chain) if not name.startswith("_"))
     assert public == ["core", "defect", "defect_bound", "occupancy", "read"]
@@ -175,7 +174,7 @@ class TestGenerators:
     def test_ky_is_an_exact_quarter_turn_of_kx(self):
         # sectors longer than 100 states: (-1j) ** k loses exactness there
         ws = FockWorkspace(120)
-        d = _quarter_phases(ws)
+        d = ref.quarter_phases(ws)
         kx_op, turned = _block_generators(ws)
         for s, phase, kx, ky in zip(ws.sectors, d.diags, kx_op.blocks, turned.blocks):
             assert np.array_equal(phase, np.array([1, -1j, -1, 1j])[np.arange(s.size) % 4])
@@ -262,6 +261,19 @@ class TestUnitaries:
         ):
             assert ref.product(chain).unitarity_defect() < 1e-12
 
+    @pytest.mark.parametrize("build", ["unitary_equiv", "evolution_endpoint"])
+    def test_real_core_record_bounds_its_exact_gram(self, build):
+        # a built real core's record is its computed Gram plus gamma_m kappa, the
+        # most the exact defect can exceed it by: at or above the Gram's defect
+        # summed in extended precision, whose own rounding is ~1e-18
+        ws = FockWorkspace(40)
+        chain = BUILDERS[build](0.9, 0.4, ws)
+        wide = [b.astype(np.longdouble) for b in chain.core.blocks]
+        exact = max(float(np.max(np.abs(b.T @ b - np.eye(len(b))))) for b in wide)
+        gamma_m = 41 * 2.0**-53 / (1 - 41 * 2.0**-53)
+        assert chain.defect >= chain.core.unitarity_defect() + gamma_m
+        assert exact <= chain.defect < 1e-13
+
     def test_three_forms_share_diagonal_averages(self):
         ws = FockWorkspace(40)
         state = thermal_state(ws, 1.0, 1.0)
@@ -320,13 +332,13 @@ class TestUnitaries:
         # final state leaks past the budget although squeeze and un-squeeze alone do not
         ws = FockWorkspace(30)
         state = thermal_state(ws, 2.0, 1.0)
-        d, y = _quarter_phases(ws), _exp_i_ky(ws, 0.8)
+        d, y = ref.quarter_phases(ws), _exp_i_ky(ws, 0.8)
         chain = unitary_product(y, 3.0)
         with pytest.raises(TruncationError):
             chain.read(state)
         # exp(+-0.8 i K_x) = D+ exp(+-0.8 i K_y) D as whole factors
-        squeeze = d.dag() @ y @ d
-        anti_squeeze = d.dag() @ ref.block_operator(ws, [b.T for b in y.blocks]) @ d
+        squeeze = ref.dag(d) @ y @ d
+        anti_squeeze = ref.dag(d) @ ref.block_operator(ws, [b.T for b in y.blocks]) @ d
         factors = (squeeze, _phase_kz(ws, -3.0), anti_squeeze)
         product = ref.product(chain)
         assert boundary_occupancy(product, state) > LEAK_TOL
@@ -387,9 +399,9 @@ class TestProductDefectBound:
 
     def test_chain_retains_its_weights_not_a_core(self):
         # the chain keeps Y, which every phi shares, and reads its weights from the
-        # core one bucket at a time: it retains its weights and outer phases plus a
-        # small fixed overhead, and beside P Y, its one operator product, the build
-        # never holds a second complex core
+        # core one bucket at a time: it retains its weights plus a small fixed
+        # overhead (its outer phases are two angles), and beside P Y, its one
+        # operator product, the build never holds a second complex core
         y = _exp_i_ky(FockWorkspace(60), 0.7)
         unitary_product(y, 0.3)  # memoises Y's Gram norms and boundary weights
         core_bytes = 2 * sum(s.nbytes for s in y.stacks)  # complex, in Y's shape, as is P Y
@@ -399,8 +411,7 @@ class TestProductDefectBound:
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        outer = sum(s.nbytes for f in (*chain.before, *chain.after) for s in f.stacks)
-        assert retained < chain.weights.nbytes + outer + 16_384
+        assert retained < chain.weights.nbytes + 16_384
         assert peak < core_bytes + 0.75 * core_bytes  # P Y, and under 3/4 of a core beside it
         assert chain.defect == chain.defect_bound and "core" not in vars(chain)
 
