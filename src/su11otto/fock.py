@@ -43,13 +43,14 @@ keeps and relies on:
   is 0, so every phase there is exactly 1; products of such factors keep
   it.  Padding adds only exact zeros to every sum, which round nothing, so
   every rounding bound below keeps m the largest real block size;
-* every read gives the padding weight 0: the padded entries of the moment
-  and boundary rows are 0, a Gram there reads exactly 0, and each sector's
-  boundary row is its last real state, not its last padded one;
-* what leaves the stacks (`ThermalState.probs`, `Chain.weights`, boundary
-  weights) is in the unpadded layout, the stored sectors concatenated,
-  gathered through the one workspace index `FockWorkspace.index`;
-  `BlockOperator.blocks` and `.diags` are per-sector views into the stacks.
+* every read gives the padding weight 0: the padded entries of every
+  observable and state diagonal are 0, a Gram there reads exactly 0, and
+  each sector's boundary row is its last real state, not its last padded
+  one;
+* what leaves the stacks (`ThermalState.probs`, boundary weights) is in the
+  unpadded layout, the stored sectors concatenated, gathered through the
+  one workspace index `FockWorkspace.index`; `BlockOperator.blocks` and
+  `.diags` are per-sector views into the stacks.
 
 Every exponential is the one real kernel `_exp_i_ky`: exp(i s K_y) is
 real orthogonal in the Fock basis (Yurke, McCall & Klauder, PRA 33, 4033
@@ -84,47 +85,73 @@ state is its last (n2 = n_max - d), and every boundary read is a read of
 its last real row or entry.  The three
 budgets are module constants, not settings: a thermal state refuses to
 cut more than THERMAL_LEAK_TOL of its weight or to hold more than
-THERMAL_BOUNDARY_TOL on a boundary state, and `Chain.read(state)`, the one
-read of a chain's moments, raises past a boundary occupancy of LEAK_TOL
+THERMAL_BOUNDARY_TOL on a boundary state, and `GridRead.read`, the one
+read of a form's moments, raises past a boundary occupancy of LEAK_TOL
 instead of letting quietly wrong numbers through.  The unitaries do not
-depend on the state, so each builder states its product
-U = exp(i b K_z) C exp(i a K_z) as a `Chain` of its outer K_z angles
-(a, b) and its core C, the rest, interior phases included; the chain
-reduces U once to the weights of the core and, when read, its unitarity
-defect.  Outer phases move no population, and with L, R the outer factors
-and e <= 1 ulp the largest |1 - |phase|^2| of their entries,
-U+ U - 1 = R+ (C+ C - 1) R + R+ C+ (L+ L - 1) C R + (R+ R - 1), so
-defect(U) <= defect(C) + 2 e to first order.  Each read against a state is
-a dot product with its one population vector.  The tests check these reads
-against dense linear algebra: |U|^2 p with U assembled over the full
-basis, mirror blocks included, and the thermal weights written out over
-the full, unfolded basis.
+depend on the state, and outer K_z phases move no population, so the
+gate's two forms are read at once for every thermal state and grid point,
+one size bucket at a time, and never formed.  The tests check these reads
+against |U|^2 p for dense exponentials over the full, unfolded basis.
 
-Unitarity of the product form
------------------------------
-The product form's core C = Y^T P Y (Y = exp(i zeta K_y) real and shared
-by every phi, P = exp(-i phi K_z) diagonal) forms no Gram of its own.
-Exactly, C+ C - 1 = G + Y^T (P+ P - 1) Y + Y^T P+ (Y Y^T - 1) P Y with
-G = Y^T Y - 1, and ||Y Y^T - 1||_2 = ||G||_2 for square Y.  So one real
-Gram per zeta, memoised on Y (`gram_norms`), and max |1 - |p|^2|, O(m) per
-phi, bound its defect, plus the rounding of that Gram, of fl(P Y) and of
-the real product Y^T fl(P Y) (`Chain.defect` derives every term).  The
-bound is ~m^2 u for the largest block size m and u = 2^-53: 1.97e-12 at
-n_max = 120 and 5.5e-13 at 60, against measured Gram defects near 1e-14.
-Alone it reaches the gate's 1e-10 near n_max = 900 (m = 919), where the
-record would fail falsely, the safe direction.
+Grid reads
+----------
+Each moment is Tr(X U rho U+) for X in {N, N^2} and the diagonal state rho,
+a real series in the grid's angles (o the entrywise product):
 
-No core is kept: per bucket, Y^T fl(P Y) runs as one real product on the
-interleaved real view of fl(P Y), the chain's one operator product, and
-that fresh buffer, squared in place with its even and odd columns added,
-is |C|^2 bit for bit.  `Chain.core` forms C from the same products, only
-when read.
+* un2 = exp(i theta K_z) Y(chi) exp(-i theta K_z), Y(chi) = exp(i chi K_y)
+  = W R W^T up to the exact interleave of the even and odd positions E and
+  O, with W = diag(U~, V~) the signed factors of `kx_eig` and
+  R = [[C, -S], [S, C]], C, S = cos, sin(chi S) (`unitary_equiv`):
+      <X> = c^T [(U~^T X_E U~) o (U~^T rho_E U~) + (V~^T X_O V~) o (V~^T rho_O V~)] c
+          + s^T [(V~^T X_O V~) o (U~^T rho_E U~) + (U~^T X_E U~) o (V~^T rho_O V~)] s,
+  c, s = cos, sin(chi S): half-size congruences once, O(m^2) per chi;
+* un1 = D+ Y^T P Y D, Y = exp(i zeta K_y), P = exp(-i phi K_z)
+  (`unitary_product`): with C = Y^T P Y, M_X = Y X Y^T and R = Y rho Y^T,
+  Tr(X C rho C+) = Tr(M_X P R P+), so
+      <X> = c^T (R o M_X) c + s^T (R o M_X) s,  c, s = cos, sin(phi K_z):
+  the sandwiches once per zeta, O(m^2) per phi.
+
+The boundary mass is sum_j rho_j |U_(last, j)|^2, a sum of squares of each
+sector's evolved boundary row, never a quadratic form in the boundary
+projector, whose cancellations can read a negative mass.  un1 also guards
+its squeezed intermediate state by Y's `boundary_weights`.
+
+Unitarity bounds
+----------------
+`GridRead.defect` bounds max |U+ U - 1| for the exact unitary of the
+computed factors (u = 2^-53, gamma_k = k u / (1 - k u); Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., sec. 3.5).  The shared steps
+(`_exact_norms`): a real factor F of block size <= m whose Gram
+G^ = fl(F^T F) - 1 reads delta = max |G^| and eta = the largest row or
+column sum of |G^|, >= ||G^||_2 (`_gram_norms`; the - 1 is exact by
+Sterbenz while delta < 1/2, and past that the bound exceeds any tolerance),
+has |G^ - G| <= gamma_m |F|^T |F| for the exact G = F^T F - 1, so every
+column has |f_j|^2 = 1 + G_jj <= kappa = (1 + delta) / (1 - gamma_m) and
+||G||_2 <= g = (eta + m gamma_m kappa) / (1 - gamma_m), the division
+covering the rounding of eta's sums; phases whose computed moduli read
+e^ = max |1 - fl(|p|^2)| have max |1 - |p|^2| <= e = (e^ + gamma_2) / (1 - gamma_2).
+
+* un2 (and tiev, which reads it): with H = W W^T - 1 (||H||_2 = ||G||_2
+  for square W) and Q = R^T R - 1 = diag(q, q), q = c^2 + s^2 - 1 (C and S
+  commute), Y^T Y - 1 = H + W Q W^T + W R^T G R W^T exactly.  Rows of W
+  have |w_j|^2 = 1 + H_jj <= 1 + g and ||R||_2^2 <= 1 + e, so every entry
+  is <= g + e (1 + g) + g (1 + e) (1 + g) (`_equiv_defect_bound`), from the
+  Grams of U~ and V~ once per workspace (`kx_eig_gram_norms`, m their rows)
+  and e^ per chi: 8.6e-13 at n_max = 120.  It certifies the factors and the
+  rotation that the series reads, not the series' own rounding, which the
+  pairwise mean records check.
+* un1: from Y's Gram once per zeta (`BlockOperator.gram_norms`) and P's
+  moduli per phi (`_product_defect_bound`).  It also covers the rounding
+  of forming fl(Y^T fl(P Y)), which the series does not incur.  It is
+  ~m^2 u for the largest block size m: 1.97e-12 at n_max = 120, against
+  Gram defects near 1e-14, and alone it reaches the gate's 1e-10 near
+  n_max = 900, where the record would fail falsely, the safe direction.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -139,7 +166,7 @@ __all__ = [
     "BlockOperator",
     "Tridiagonal",
     "ThermalState",
-    "Chain",
+    "GridRead",
     "thermal_state",
     "unitary_product",
     "unitary_equiv",
@@ -232,7 +259,7 @@ class FockWorkspace:
 
     def _gather(self, stacks) -> np.ndarray:
         """Per-bucket (..., k, W) stacks in the unpadded layout (..., states),
-        C-ordered: a row read by `Chain.read` is then one contiguous dot."""
+        C-ordered, so that a row dotted with a state is one contiguous dot."""
         flat = np.concatenate([s.reshape(*s.shape[:-2], -1) for s in stacks], axis=-1)
         return flat.take(self.index, axis=-1)
 
@@ -298,14 +325,19 @@ class FockWorkspace:
         return tuple(packed)
 
     @cached_property
-    def moment_rows(self) -> tuple[np.ndarray, ...]:
-        """Per bucket, (k, 3, W) stacks of the rows n, n^2 and boundary (one-hot
-        on each sector's last real state) that `_chain` multiplies into
-        |core|^2; 0 on the padding."""
-        boundary = np.zeros_like(self.n)
-        boundary[self.last] = 1.0
-        rows = self._padded(np.stack((self.n, self.n * self.n, boundary)))
-        return tuple(np.ascontiguousarray(r.transpose(1, 0, 2)) for r in rows)
+    def kx_eig_gram_norms(self) -> tuple[float, float]:
+        """`_gram_norms` over the signed factors U~ and V~ of `kx_eig`, the
+        factor Grams of un2's bound (module docstring)."""
+        return _gram_norms(np.concatenate((u, v)) for _, u, v in self.kx_eig)
+
+
+@dataclass(frozen=True, eq=False)
+class _BucketSpace:
+    """One bucket of a workspace as a space of its own: a read that streams
+    one bucket at a time multiplies `BlockOperator`s of it, one stack each."""
+
+    buckets: tuple[Bucket]
+    _views = FockWorkspace._views
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -328,7 +360,7 @@ class BlockOperator:
     def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
         if not isinstance(other, BlockOperator):
             return NotImplemented
-        _same_workspace(self, other)
+        _same_workspace(self.ws, other)
         pairs = zip(self.stacks, other.stacks)
         if self.is_diagonal and other.is_diagonal:
             return BlockOperator(self.ws, tuple(v * w for v, w in pairs), True)
@@ -367,11 +399,16 @@ class BlockOperator:
 
     @cached_property
     def gram_norms(self) -> tuple[float, float]:
-        """(delta, eta) over the Grams G = fl(b+ b) - 1 of the blocks: the largest
-        |G| entry, and the largest row or column sum of |G|, which is >= ||G||_2."""
-        grams = (np.abs(_gram_minus_one(s)) for s in self._dense)
-        norms = [(g.max(), max(g.sum(axis=1).max(), g.sum(axis=2).max())) for g in grams]
-        return tuple(float(v) for v in np.max(norms, axis=0))
+        return _gram_norms(self._dense)
+
+
+def _gram_norms(stacks) -> tuple[float, float]:
+    """(delta, eta) over the Grams G = fl(b+ b) - 1 of the blocks of `stacks`:
+    the largest |G| entry, and the largest row or column sum of |G|, which
+    is >= ||G||_2."""
+    grams = (np.abs(_gram_minus_one(s)) for s in stacks)
+    norms = [(g.max(), max(g.sum(axis=1).max(), g.sum(axis=2).max())) for g in grams]
+    return tuple(float(v) for v in np.max(norms, axis=0))
 
 
 def _gram_minus_one(b: np.ndarray) -> np.ndarray:
@@ -381,10 +418,10 @@ def _gram_minus_one(b: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _same_workspace(a, b):
-    """b, once it is checked to live on a's workspace."""
-    if a.ws is not b.ws:
-        raise ValueError(f"{type(a).__name__} and {type(b).__name__} live on different workspaces")
+def _same_workspace(ws, b):
+    """b, once it is checked to live on the workspace ws."""
+    if ws is not b.ws:
+        raise ValueError(f"{type(b).__name__} and its operator live on different workspaces")
     return b
 
 
@@ -464,8 +501,14 @@ def _exp_i_ky(ws: FockWorkspace, s: float) -> BlockOperator:
     return BlockOperator(ws, tuple(stacks))
 
 
+def _kz_phases(ws: FockWorkspace, angles) -> tuple[np.ndarray, ...]:
+    """Per bucket, the (k, W, n) phases exp(i a K_z) of the n angles a, 1 on
+    the padding."""
+    return tuple(np.exp(1j * np.multiply.outer(kz, angles)) for kz in ws.kz_stacks)
+
+
 def _phase_kz(ws: FockWorkspace, s: float) -> BlockOperator:
-    return BlockOperator(ws, tuple(np.exp(1j * s * kz) for kz in ws.kz_stacks), True)
+    return BlockOperator(ws, tuple(z[..., 0] for z in _kz_phases(ws, (s,))), True)
 
 
 def _abs2(b: np.ndarray) -> np.ndarray:
@@ -474,114 +517,162 @@ def _abs2(b: np.ndarray) -> np.ndarray:
 
 def boundary_occupancy(op: BlockOperator, state: ThermalState) -> float:
     """Total weight of op rho op+ on the n_max boundary layer."""
-    return float(op.boundary_weights @ _same_workspace(op, state).probs)
+    return float(op.boundary_weights @ _same_workspace(op.ws, state).probs)
 
 
-@dataclass(frozen=True)
-class Chain:
-    """A unitary product reduced once to what its reads need, and its builder's name.
+@dataclass(frozen=True, eq=False, repr=False)
+class GridRead:
+    """One form's moments at every (thermal state, grid point), and the name of its read.
 
-    Its unitary is U = exp(i b K_z) C exp(i a K_z), `outer = (a, b)`, C the
-    core that `form_core` forms (the last phase puts e^{-i b} on every
-    product of adjacent rows of U).  The rows of `weights` are n^T |core|^2,
-    (n^2)^T |core|^2 and boundary^T |core|^2 over the concatenated sectors,
-    then the `boundary_weights` of each squeezed partial product of the
-    core.  `defect_bound`, where the builder gives one, is a proven bound on
-    the core's unitarity defect from its factors (`unitary_product`).  The
-    reads touch only `ws` and the weights; the core is formed only when read.
+    `moments` is (3, states, points): <N>, <N^2> and the boundary mass of
+    U rho U+.  `occupancy` is (states, points), the worst boundary mass after
+    any guarded partial product.  `bound` evaluates the per-point bound on
+    the unitarity defect of the form's factors (module docstring) when
+    `defect` is first read.
     """
 
     ws: FockWorkspace
-    form_core: Callable[[], BlockOperator]
-    outer: tuple[float, float]
-    weights: np.ndarray
     label: str
-    defect_bound: float | None = None
+    moments: np.ndarray
+    occupancy: np.ndarray
+    bound: Callable[[], np.ndarray]
 
     @cached_property
-    def core(self) -> BlockOperator:
-        return self.form_core()
+    def defect(self) -> np.ndarray:
+        return self.bound()
 
-    @cached_property
-    def defect(self) -> float:
-        """A bound on the unitarity defect max |C+ C - 1| of the core C, which
-        bounds the product's (module docstring): the `defect_bound` if there
-        is one, else, for a built real core, delta + gamma_m kappa from its own
-        Gram (the exact G step below), times 1 + gamma_8 for its rounding.
-
-        `unitary_product`'s bound for C = fl(Y^T fl(P Y)), Y real, P diagonal,
-        with u = 2^-53, gamma_k = k u / (1 - k u) (Higham, Accuracy and
-        Stability of Numerical Algorithms, 2nd ed., sec. 3.5) and m the
-        largest block size (the bound grows with m and each input, so the
-        worst inputs over the blocks bound every block):
-
-        * inputs: delta = max |G^| and eta = the largest row or column sum of
-          |G^|, >= ||G^||_2, with G^ = fl(Y^T Y) - 1 (Y's `gram_norms`; the
-          - 1 is exact by Sterbenz while delta < 1/2, and past that the bound
-          exceeds any tolerance), and e^ = max |1 - fl(|p|^2)| over P.
-        * exact G = Y^T Y - 1: |G^ - G| <= gamma_m |Y|^T |Y|, so every column
-          has |y_j|^2 = 1 + G_jj <= kappa = (1 + delta) / (1 - gamma_m), every
-          |G - G^|_jk <= gamma_m kappa, and ||G||_2 <= g =
-          (eta + m gamma_m kappa) / (1 - gamma_m), the division covering the
-          rounding of eta's sums; max |1 - |p|^2| <= e = (e^ + gamma_2) / (1 - gamma_2).
-        * exact core: C+ C - 1 = G + Y^T Q Y + Y^T P+ H P Y, Q = P+ P - 1,
-          H = Y Y^T - 1, and ||H||_2 = ||G||_2 for square Y (same
-          eigenvalues).  By Cauchy-Schwarz on the columns,
-          |C+ C - 1|_jk <= delta + gamma_m kappa + e kappa + (1 + e) kappa g.
-        * rounding: fl(P Y) rounds each part of each entry once, u |P| |Y|,
-          and Y^T fl(P Y) is one real product on its interleaved real view
-          (`_product_parts`), gamma_m |Y|^T |fl(P Y)| in each part.  So
-          every entry of the computed core's error R is <= rho =
-          gamma_(m+1) sqrt(1 + e) kappa, every column of R has norm <=
-          sqrt(m) rho, and every column Y^T P y_j of C norm <=
-          ||Y||_2 sqrt((1 + e) kappa) <= c = sqrt((1 + g)(1 + e) kappa).
-          R adds C+ R + R+ C + R+ R to C+ C - 1, entrywise
-          <= 2 sqrt(m) rho c + m rho^2.
-
-        The sum, times 1 + gamma_64 for the rounding of evaluating it, is the
-        bound.  It certifies Y, P and the rounding of the one product
-        expression, not a core altered after it is built.
-        """
-        if self.defect_bound is not None:
-            return self.defect_bound
-        return _exact_gram(self.ws.n_max + 1, self.core.unitarity_defect())[0] * (1.0 + _gamma(8))
-
-    def occupancy(self, state: ThermalState) -> float:
-        """Worst boundary occupancy of the state after any guarded partial product."""
-        return max(self._dots(state)[2:])
-
-    def read(self, state: ThermalState) -> tuple[float, float, float]:
-        """<N>, Delta^2 N and the boundary mass of U rho U+; raises
-        TruncationError past an `occupancy` of LEAK_TOL."""
-        mean, second, *boundary = self._dots(state)
-        worst = max(boundary)
+    def read(self, state: int, point: int) -> tuple[float, float, float]:
+        """<N>, Delta^2 N and the boundary mass of U rho U+ at the state and
+        point of these indices; raises TruncationError past an `occupancy` of
+        LEAK_TOL."""
+        worst = float(self.occupancy[state, point])
         if worst > LEAK_TOL:
             raise TruncationError(
                 f"{self.label}: boundary occupancy {worst:.3e} exceeds leakage budget "
-                f"{LEAK_TOL:.1e} at n_max={state.ws.n_max}; increase n_max or reduce "
+                f"{LEAK_TOL:.1e} at n_max={self.ws.n_max}; increase n_max or reduce "
                 "the squeezing"
             )
-        return mean, second - mean * mean, boundary[0]
-
-    def _dots(self, state: ThermalState) -> list[float]:
-        return (self.weights @ _same_workspace(self, state).probs).tolist()
+        mean, second, boundary = self.moments[:, state, point].tolist()
+        return mean, second - mean * mean, boundary
 
 
-def _weights(ws: FockWorkspace, abs2, squeezed=()) -> np.ndarray:
-    """`Chain.weights` from the per-bucket |core|^2 stacks `abs2`, taken one
-    at a time (outer phases move no population, so every read is of the
-    core): the moment rows, whose boundary row is the core's
-    `boundary_weights` bit for bit (one-hot on each sector's last state),
-    then those of each `squeezed` partial product of the core."""
-    moments = [(r @ a).transpose(1, 0, 2) for r, a in zip(ws.moment_rows, abs2)]
-    return np.vstack([ws._gather(moments), *(s.boundary_weights for s in squeezed)])
+def _populations(ws: FockWorkspace, states) -> np.ndarray:
+    """The (states, stored states) populations of `states`, each on ws."""
+    return np.stack([_same_workspace(ws, state).probs for state in states])
 
 
-def _chain(label: str, core: BlockOperator, outer: tuple[float, float]) -> Chain:
-    """The chain exp(i b K_z) core exp(i a K_z) of a built real core,
-    `outer = (a, b)`."""
-    weights = _weights(core.ws, map(_abs2, core.stacks))
-    return Chain(core.ws, lambda: core, outer, weights, label)
+def _series(h: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The sum over a bucket's sectors of c^T h c for each angle: h
+    (..., k, W, W) and the angles' columns c (k, W, P) give (..., P)."""
+    return ((h @ c) * c).sum(axis=(-3, -2))
+
+
+def _mass(probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_j rho_j row_j^2 over a bucket's sectors: the populations
+    (states, k, W) and the rows (k, P, W) give (states, P)."""
+    return (probs.transpose(1, 0, 2) @ (rows * rows).mT).sum(axis=0)
+
+
+def _congruence(f: np.ndarray, diagonals: np.ndarray) -> np.ndarray:
+    """F^T diag(x) F for each diagonal x: f (k, h, h) and diagonals (Q, k, h)
+    give (Q, k, h, h)."""
+    return (f * diagonals[..., None]).mT @ f
+
+
+def unitary_product(y: BlockOperator, phis, states) -> GridRead:
+    """The product form exp(-i zeta K_x) exp(-i phi K_z) exp(i zeta K_x) =
+    D+ Y^T P Y D read at every phi of `phis` for every thermal state of
+    `states`: Y = `_exp_i_ky(ws, zeta)`, which a caller builds once per zeta
+    and which memoises its boundary weights and Gram norms, P = exp(-i phi
+    K_z), and D = diag((-i)^k), exp(-i (pi/2) K_z) times one unit-modulus
+    constant per sector, an outer phase.  The cosine series of the module
+    docstring, one bucket at a time: the sandwiches M_N, M_(N^2) and one R
+    per state are operator products on the bucket's `_BucketSpace`.  It
+    guards the squeezed state Y D, the binding constraint (it spreads the
+    state by zeta even when the composed chi is small), and the final
+    state."""
+    ws = y.ws
+    probs = _populations(ws, states)
+    phases = _kz_phases(ws, -np.asarray(phis, float))
+    eps = np.max([np.max(np.abs(1.0 - _abs2(z)), axis=(0, 1)) for z in phases], axis=0)
+    # per bucket, the diagonals of N, N^2 and each state, and the (k, W, 2 n)
+    # columns cos(phi K_z), then -sin(phi K_z)
+    diagonals = ws._padded(np.vstack((ws.n, ws.n * ws.n, probs)))
+    moments = np.zeros((3, len(probs), len(phis)))
+    for b, stack, d, z in zip(ws.buckets, y.stacks, diagonals, phases):
+        moments += _product_moments(b, stack, d, np.concatenate((z.real, z.imag), axis=-1))
+    occupancy = np.maximum(moments[2], (probs @ y.boundary_weights)[:, None])
+
+    def bound():
+        return np.array([_product_defect_bound(ws.n_max + 1, *y.gram_norms, float(e)) for e in eps])
+
+    return GridRead(ws, "unitary_product", moments, occupancy, bound)
+
+
+def _product_moments(bucket: Bucket, y: np.ndarray, diagonals: np.ndarray, c: np.ndarray):
+    """One bucket's share of `unitary_product`'s moments, (3, states, n): y is
+    the bucket's (k, W, W) stack of Y, diagonals the (2 + states, k, W)
+    diagonals of N, N^2 and each state, and c the (k, W, 2 n) columns."""
+    n = c.shape[-1] // 2
+    space = _BucketSpace((bucket,))
+    left, right = BlockOperator(space, (y,)), BlockOperator(space, (y.mT,))
+
+    def sandwich(x):
+        return (left @ BlockOperator(space, (x,), True) @ right).stacks[0]
+
+    out = np.empty((3, len(diagonals) - 2, n))
+    observables = np.stack([sandwich(x) for x in diagonals[:2]])
+    for j, r in enumerate(map(sandwich, diagonals[2:])):
+        q = _series(observables * r, c)
+        out[:2, j] = q[:, :n] + q[:, n:]
+    last = y[np.arange(len(bucket.sizes)), :, bucket.sizes - 1]  # Y[:, last], (k, W)
+    rows = (last[:, :, None] * c).mT @ y
+    out[2] = _mass(diagonals[2:], rows[:, :n]) + _mass(diagonals[2:], rows[:, n:])
+    return out
+
+
+def unitary_equiv(endpoints: Sequence[ProtocolEndpoints], ws: FockWorkspace, states) -> GridRead:
+    """The endpoint form exp(i theta K_z) exp(i chi K_y) exp(-i theta K_z) read
+    at every `ProtocolEndpoints` of `endpoints` for every thermal state of
+    `states`.  Its outer phases move no population, so every read is of
+    exp(i chi K_y): the series in chi of the module docstring on the signed
+    factors of `kx_eig`, every chi at once per bucket, and its last row.  Its
+    unitarity defect is `_equiv_defect_bound` from the workspace's
+    `kx_eig_gram_norms` and each chi's rotation, taken when first read."""
+    probs = _populations(ws, states)
+    chis = np.array([e.chi for e in endpoints])
+    moments = np.zeros((3, len(probs), len(chis)))
+    eps = np.zeros(len(chis))
+    # per bucket, the diagonals of N, N^2 and each state
+    diagonals = ws._padded(np.vstack((ws.n, ws.n * ws.n, probs)))
+    for b, (sigma, u, v), d in zip(ws.buckets, ws.kx_eig, diagonals):
+        angles = sigma[..., None] * chis
+        c, s = np.cos(angles), np.sin(angles)
+        eps = np.maximum(eps, np.max(np.abs(1.0 - (c * c + s * s)), axis=(0, 1)))
+        even, odd = _congruence(u, d[..., 0::2]), _congruence(v, d[..., 1::2])
+        x_e, x_o, r_e, r_o = even[:2, None], odd[:2, None], even[2:], odd[2:]
+        moments[:2] += _series(x_e * r_e + x_o * r_o, c) + _series(x_o * r_e + x_e * r_o, s)
+        # the last row: w o c on E and w o s on O, w the last row of U~, when the
+        # sector size is odd; w o s and w o c, w the last row of V~, when even
+        j, m = np.arange(len(b.sizes)), b.sizes
+        odd_size = (m % 2 == 1)[:, None, None]
+        w = np.where(odd_size[..., 0], u[j, (m - 1) // 2], v[j, (m - 2) // 2])[..., None]
+        rows_e = (w * np.where(odd_size, c, s)).mT @ u.mT
+        rows_o = (w * np.where(odd_size, s, c)).mT @ v.mT
+        moments[2] += _mass(d[2:, :, 0::2], rows_e) + _mass(d[2:, :, 1::2], rows_o)
+    half = (ws.n_max + 2) // 2
+
+    def bound():
+        return np.array([_equiv_defect_bound(half, *ws.kx_eig_gram_norms, e) for e in eps])
+
+    return GridRead(ws, "unitary_equiv", moments, moments[2], bound)
+
+
+def evolution_endpoint(f_y_tf: float, f_z_tf: float, ws: FockWorkspace) -> BlockOperator:
+    """The time-ordered endpoint unitary exp(-i f_z K_z) exp(-i f_y K_y).  It is
+    the endpoint form at (chi, theta) = (-f_y, -f_z) times the outer phase
+    exp(i theta K_z), so the gate reads it from `unitary_equiv`."""
+    return _phase_kz(ws, -f_z_tf) @ _exp_i_ky(ws, -f_y_tf)
 
 
 def evolved_boundary_occupancy(factors, state: ThermalState) -> float:
@@ -592,87 +683,53 @@ def evolved_boundary_occupancy(factors, state: ThermalState) -> float:
     return max(boundary_occupancy(p, state) for p, f in zip(partials, factors) if not f.is_diagonal)
 
 
-def unitary_product(y: BlockOperator, phi: float) -> Chain:
-    """The chain of the squeeze / phase / anti-squeeze product
-    exp(-i zeta K_x) exp(-i phi K_z) exp(i zeta K_x) = D+ Y^T P Y D, with
-    Y = exp(i zeta K_y) = `_exp_i_ky(ws, zeta)` real, P = exp(-i phi K_z)
-    and D = diag((-i)^k), which is exp(-i (pi/2) K_z) (K_z = (d + 1)/2 + k
-    on sector d) times one unit-modulus constant per sector that cancels
-    between D and D+: the outer angles are (-pi/2, pi/2).  Y depends on zeta
-    alone, so a caller builds it once and passes the same operator for every
-    phi; the boundary weights of the squeezed state are memoised on it.
-
-    It guards the intermediate squeezed state Y D and the final state (the
-    intermediate squeeze is the binding constraint: it spreads the state
-    by zeta even when the composed chi is small).  The weights are read
-    from the core one bucket at a time, and the chain keeps Y and phi, not
-    a core: `Chain.core` forms it when read, from the same products.  Its
-    unitarity defect is the bound of `Chain.defect`, from Y's memoised
-    `gram_norms` and P's phases."""
-    ws = y.ws
-    p = _phase_kz(ws, -phi)
-    weights = _weights(ws, map(_abs2_interleaved, _product_parts(y, p)), squeezed=(y,))
-    eps_p = max(float(np.max(np.abs(1.0 - _abs2(v)))) for v in p.stacks)
-    bound = _product_defect_bound(ws.n_max + 1, *y.gram_norms, eps_p)
-
-    def form_core():
-        parts = _product_parts(y, _phase_kz(ws, -phi))
-        return BlockOperator(ws, tuple(r.view(np.complex128) for r in parts))
-
-    return Chain(ws, form_core, (-math.pi / 2, math.pi / 2), weights, "unitary_product", bound)
+def _exact_norms(m: int, delta: float, eta: float, eps: float) -> tuple[float, float, float]:
+    """The shared steps of the module docstring's bounds, for a real factor of
+    block size <= m whose Gram reads (delta, eta) and phases whose moduli read
+    eps: (kappa >= |f_j|^2, g >= ||F^T F - 1||_2, e >= max |1 - |p|^2|)."""
+    g_m = _gamma(m)
+    kappa = (1.0 + delta) / (1.0 - g_m)
+    g = (eta + m * g_m * kappa) / (1.0 - g_m)
+    e = (eps + _gamma(2)) / (1.0 - _gamma(2))
+    return kappa, g, e
 
 
-def _product_parts(y: BlockOperator, p: BlockOperator):
-    """Per bucket, the core Y^T (P Y) of `unitary_product` as one real
-    product on the interleaved real view of P Y: a fresh (k, W, 2W) stack
-    whose complex view is the core's (k, W, W) stack, made as it is read."""
-    py = p @ y
-    return (b.mT @ c.view(b.dtype) for b, c in zip(y.stacks, py.stacks))
-
-
-def _abs2_interleaved(r: np.ndarray) -> np.ndarray:
-    """`_abs2` of the complex view of the fresh buffer r, bit for bit,
-    squaring r in place."""
-    np.square(r, out=r)
-    return np.add(r[..., 0::2], r[..., 1::2])
+def _equiv_defect_bound(m: int, delta: float, eta: float, eps: float) -> float:
+    """un2's bound g + e (1 + g) + g (1 + e) (1 + g) on the unitarity defect of
+    W R W^T (module docstring), times 1 + gamma_64 for evaluating it."""
+    _, g, e = _exact_norms(m, delta, eta, eps)
+    return (g + e * (1.0 + g) + g * (1.0 + e) * (1.0 + g)) * (1.0 + _gamma(64))
 
 
 def _product_defect_bound(m: int, delta: float, eta: float, eps_p: float) -> float:
-    """The bound of `Chain.defect` on the unitarity defect of fl(Y^T fl(P Y)),
-    term by term as derived there."""
-    g_m = _gamma(m)
-    gram, kappa = _exact_gram(m, delta)
-    g = (eta + m * g_m * kappa) / (1.0 - g_m)
-    e = (eps_p + _gamma(2)) / (1.0 - _gamma(2))
-    exact = gram + e * kappa + (1.0 + e) * kappa * g
+    """un1's bound on the unitarity defect of fl(Y^T fl(P Y)), Y real, P
+    diagonal, m the largest block size (the bound grows with m and each
+    input, so the worst inputs over the blocks bound every block), from Y's
+    Gram norms and P's moduli (kappa, g and e as in the module docstring):
+
+    * exact core: C+ C - 1 = G + Y^T Q Y + Y^T P+ H P Y, Q = P+ P - 1,
+      H = Y Y^T - 1, and ||H||_2 = ||G||_2 for square Y.  By Cauchy-Schwarz
+      on the columns, |C+ C - 1|_jk <= delta + gamma_m kappa + e kappa +
+      (1 + e) kappa g.
+    * rounding: fl(P Y) rounds each part of each entry once, u |P| |Y|, and
+      Y^T fl(P Y) as one real product on its interleaved real view rounds
+      gamma_m |Y|^T |fl(P Y)| in each part.  So every entry of the computed
+      core's error R is <= rho = gamma_(m+1) sqrt(1 + e) kappa, every column
+      of R has norm <= sqrt(m) rho, and every column Y^T P y_j of C norm <=
+      ||Y||_2 sqrt((1 + e) kappa) <= c = sqrt((1 + g)(1 + e) kappa).  R adds
+      C+ R + R+ C + R+ R to C+ C - 1, entrywise <= 2 sqrt(m) rho c + m rho^2.
+
+    The sum, times 1 + gamma_64 for evaluating it, is the bound."""
+    kappa, g, e = _exact_norms(m, delta, eta, eps_p)
+    exact = delta + _gamma(m) * kappa + e * kappa + (1.0 + e) * kappa * g
     rho = _gamma(m + 1) * math.sqrt(1.0 + e) * kappa
     c = math.sqrt((1.0 + g) * (1.0 + e) * kappa)
     return (exact + 2.0 * math.sqrt(m) * rho * c + m * rho * rho) * (1.0 + _gamma(64))
 
 
-def _exact_gram(m: int, delta: float) -> tuple[float, float]:
-    """`Chain.defect`'s exact G step for a real Y of block size <= m whose Gram
-    reads delta: (delta + gamma_m kappa >= max |Y^T Y - 1|, kappa >= |y_j|^2)."""
-    kappa = (1.0 + delta) / (1.0 - _gamma(m))
-    return delta + _gamma(m) * kappa, kappa
-
-
 def _gamma(k: int) -> float:
     """gamma_k = k u / (1 - k u), u the unit roundoff of double."""
     return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
-
-
-def unitary_equiv(endpoints: ProtocolEndpoints, ws: FockWorkspace) -> Chain:
-    """The chain of the endpoint form exp(i theta K_z) exp(i chi K_y) exp(-i theta K_z);
-    its core is the real exp(i chi K_y)."""
-    theta = endpoints.theta
-    return _chain("unitary_equiv", _exp_i_ky(ws, endpoints.chi), (-theta, theta))
-
-
-def evolution_endpoint(f_y_tf: float, f_z_tf: float, ws: FockWorkspace) -> Chain:
-    """The chain of the time-ordered endpoint unitary exp(-i f_z K_z) exp(-i f_y K_y);
-    its core is the real exp(-i f_y K_y)."""
-    return _chain("evolution_endpoint", _exp_i_ky(ws, -f_y_tf), (0.0, -f_z_tf))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -699,7 +756,7 @@ def hamiltonian_final(omega_f: float, f_y_tf: float, ws: FockWorkspace) -> Tridi
 
 def expect(op: Tridiagonal, state: ThermalState) -> float:
     """Tr[O rho] for the diagonal state: its populations against O's diagonal."""
-    return float(op.diagonal @ _same_workspace(op, state).probs)
+    return float(op.diagonal @ _same_workspace(op.ws, state).probs)
 
 
 def variance(op: Tridiagonal, state: ThermalState) -> float:

@@ -9,7 +9,7 @@ Runs the whole dual-route check suite and returns typed records:
   blockwise with no dense matrix;
 * thermal machinery: partition function, mean occupation, tail leakage;
 * the endpoint equivalence of the product form un1 and the endpoint form
-  un2, with the time-ordered form tiev read from the un2 chain it provably
+  un2, with the time-ordered form tiev read from the un2 read it provably
   equals (`_equivalence_records`): diagonal-state averages of N and H agree
   pairwise and match omega_f cosh(chi) coth(beta omega_i / 2);
 * variance arbitration: the number-variance formula against direct linear
@@ -26,18 +26,16 @@ apart), and "skipped" for grid points the truncation guard refuses at the
 configured basis size, with the worst guarded occupancy as their leakage.
 
 The endpoint unitaries depend on (zeta, phi) only; the bath enters
-through the thermal input state alone.  So the equivalence grid is
-evaluated (zeta, phi)-major: each distinct chain is built once, each
-beta*omega's state reads the chain under the truncation guard, and the
-records are reported beta*omega-major.  Within it the grid runs
-zeta-major: the squeeze exp(i zeta K_y) of the product form un1 depends on
-zeta alone, so it is built once per zeta and every phi's `unitary_product`
-composes that same operator.  The unitarity records read each chain's
-`defect`: for un1 a proven bound from its factors, the squeeze's one real
-Gram per zeta and the phases' moduli, so it certifies the factors and the
-rounding of the one product expression; for un2 (and tiev) the real
-core's own Gram plus the most the exact defect can exceed it by, once per
-admitted (zeta, phi).
+through the thermal input state alone.  So the equivalence grid is read
+whole by `fock`'s two grid reads, each thermal state against every point at
+once, and the records are reported beta*omega-major.  The endpoint form
+un2 depends on chi alone and is read once for the whole grid; the squeeze
+exp(i zeta K_y) of the product form un1 depends on zeta alone, so it is
+built once per zeta and read at every phi.  The unitarity records are the
+reads' proven bounds from their factors: for un1 the squeeze's one real
+Gram per zeta and the phases' moduli, for un2 (and tiev) the Grams of
+`kx_eig`'s factors once per workspace and each chi's rotation, each taken
+at the first admitted point that reads it.
 """
 
 from __future__ import annotations
@@ -224,12 +222,12 @@ def _thermal_records(states) -> list[GateRecord]:
     return recs
 
 
-def _admitted_records(chains, reads, n_max, bw, chi, tag) -> list[GateRecord]:
-    """Records of one admitted grid point from its three forms' chains and reads."""
+def _admitted_records(defects, reads, n_max, bw, chi, tag) -> list[GateRecord]:
+    """Records of one admitted grid point from its three forms' defect bounds and reads."""
     coth_in = _bath_coth(bw, 1.0)
     recs = [
-        _cmp(f"unitarity_defect[{name}]{tag}", 0.0, chain.defect, 1e-10, n_max)
-        for name, chain in chains.items()
+        _cmp(f"unitarity_defect[{name}]{tag}", 0.0, defect, 1e-10, n_max)
+        for name, defect in defects.items()
     ]
     leak = max(m[2] for m in reads.values())
     for na, nb in (("un1", "un2"), ("un1", "tiev"), ("un2", "tiev")):
@@ -252,52 +250,43 @@ def _admitted_records(chains, reads, n_max, bw, chi, tag) -> list[GateRecord]:
 
 
 def _equivalence_records(ws, states, zeta_grid, phi_grid) -> list[GateRecord]:
-    """Records of every (beta*omega, zeta, phi) grid point, beta*omega-major.
+    """Records of every (beta*omega, zeta, phi) grid point, beta*omega-major,
+    from one un2 read of every point and one un1 read per zeta (module
+    docstring).  A point where a read trips the guard at one beta*omega is
+    'skipped' there alone.
 
-    The forms depend on (zeta, phi) only, so the grid runs (zeta, phi)-major:
-    each distinct chain is built once and read by each thermal state in
-    turn.  un2's core Gram is formed at the first beta*omega that admits
-    it; un1's defect bound is a few floats, taken when its chain is built.
-    A point where a read trips the guard at one beta*omega is 'skipped'
-    there alone.
-
-    Two chains per (zeta, phi) suffice: the time-ordered form tiev,
-    `evolution_endpoint(-chi, -theta)`, reads the un2 chain
-    `unitary_equiv(chi, theta)`, with the same records to the bit:
-
-    1. U_tiev = exp(i theta K_z) exp(i chi K_y)
-              = [exp(i theta K_z) exp(i chi K_y) exp(-i theta K_z)] exp(i theta K_z)
-              = U_un2 exp(i theta K_z).
-    2. Both builders pass their K_z phases to `fock._chain` as outer
-       angles, so both chains have the core `_exp_i_ky(ws, chi)`; the
-       trailing exp(i theta K_z) of step 1 and un2's leading
-       exp(-i theta K_z) are outer phases.
-    3. Outer phases move no population: the weights and the core's
-       unitarity defect are functions of the core alone, so they are the
-       same array and the same float in both chains.
+    The time-ordered form tiev, `evolution_endpoint(-chi, -theta)`, reads the
+    un2 read, with the same records to the bit: U_tiev = exp(i theta K_z)
+    exp(i chi K_y) = U_un2 exp(i theta K_z), and outer K_z phases move no
+    population, so both have the populations of exp(i chi K_y), all that the
+    un2 read reads, and the defect bound of its factors at chi.
     """
+    thermal = [state for _, state in states]
+    ends = [
+        ProtocolEndpoints(float(chi_of(zeta, phi)), float(theta_of(zeta, phi)))
+        for zeta in zeta_grid
+        for phi in phi_grid
+    ]
+    un2 = unitary_equiv(ends, ws, thermal)
     per_bath = [[] for _ in states]
-    for zeta in zeta_grid:
-        squeeze = _exp_i_ky(ws, zeta)
-        for phi in phi_grid:
-            chi = float(chi_of(zeta, phi))
-            theta = float(theta_of(zeta, phi))
-            un1 = unitary_product(squeeze, phi)
-            un2 = unitary_equiv(ProtocolEndpoints(chi, theta), ws)
-            chains = {"un1": un1, "un2": un2, "tiev": un2}
-            for recs, (bw, state) in zip(per_bath, states):
+    for iz, zeta in enumerate(zeta_grid):
+        un1 = unitary_product(_exp_i_ky(ws, zeta), phi_grid, thermal)
+        for i, (recs, (bw, _)) in enumerate(zip(per_bath, states)):
+            for ip, phi in enumerate(phi_grid):
+                j = iz * len(phi_grid) + ip
                 tag = f"[bw={bw:g},zeta={zeta:g},phi={phi:g}]"
                 try:
-                    reads = {"un1": un1.read(state), "un2": un2.read(state)}
+                    reads = {"un1": un1.read(i, ip), "un2": un2.read(i, j)}
                 except TruncationError:
-                    leak = max(un1.occupancy(state), un2.occupancy(state))
+                    leak = float(max(un1.occupancy[i, ip], un2.occupancy[i, j]))
                     nan = math.nan
                     recs.append(
                         _cmp(f"equivalence{tag}", nan, nan, 1e-8, ws.n_max, leak, miss="skipped")
                     )
                     continue
                 reads["tiev"] = reads["un2"]
-                recs.extend(_admitted_records(chains, reads, ws.n_max, bw, chi, tag))
+                defects = {"un1": un1.defect[ip], "un2": un2.defect[j], "tiev": un2.defect[j]}
+                recs.extend(_admitted_records(defects, reads, ws.n_max, bw, ends[j].chi, tag))
     return [rec for recs in per_bath for rec in recs]
 
 
@@ -392,7 +381,7 @@ def _convergence_record(bw, zeta, phi, grid_ws: FockWorkspace) -> GateRecord:
     for n_max in (n, 2 * n):
         ws = grid_ws if grid_ws.n_max == n_max else FockWorkspace(n_max)
         state = thermal_state(ws, bw, 1.0)
-        means.append(unitary_product(_exp_i_ky(ws, zeta), phi).read(state)[0])
+        means.append(unitary_product(_exp_i_ky(ws, zeta), (phi,), (state,)).read(0, 0)[0])
     tag = f"[bw={bw:g},zeta={zeta:g},phi={phi:g},n={n}->{2 * n}]"
     return _cmp(f"truncation_convergence{tag}", means[0], means[1], 1e-8, 2 * n)
 

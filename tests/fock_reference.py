@@ -1,10 +1,11 @@
 """Dense reference for the tests of `su11otto.fock`.
 
 `fock` holds only what the gate runs: operators as size-bucketed stacks over
-the stored sectors d >= 0, observables as their diagonal and band.  The tests
-check it against what is built here, from the public layout alone (a
-workspace's `sectors`, its per-sector views `_views`, an operator's stacks)
-or from the ladder operators on the full (n_max + 1)^2 basis:
+the stored sectors d >= 0, observables as their diagonal and band, and the
+two endpoint forms as grid reads that never form a unitary.  The tests check
+it against what is built here, from the public layout alone (a workspace's
+`sectors`, its per-sector views `_views`, an operator's stacks) or from the
+ladder operators on the full (n_max + 1)^2 basis:
 
 * `block_operator` and `diagonal` pack per-sector blocks or diagonals into
   stacks padded with the identity, as the builders pad theirs;
@@ -12,16 +13,23 @@ or from the ladder operators on the full (n_max + 1)^2 basis:
   `quarter_phases` is the exact D = diag((-i)^k) and `dag` an operator's
   adjoint;
 * `to_dense` writes an operator out over the full basis, mirror blocks
-  included, in its stacks' dtype; `product` multiplies out a chain;
+  included, in its stacks' dtype;
+* `product_form` and `endpoint_form` multiply the two forms out of the
+  oracle's own factors, and `reads` reads an operator's moments per stored
+  sector from |U|^2 p: the per-point route the grid reads replace;
 * `generators`, `hamiltonian` and `thermal_weights` are K_x, K_y, K_z, the
   end-of-stroke Hamiltonian and the thermal populations over the full,
   unfolded basis, from `kron` ladder operators, so no block of the oracle
-  is reused.
+  is reused; `imbalance_blocks` and `blockwise` build an operator that
+  conserves n1 - n2 from the blocks of the same ladder product, with
+  `product_block` and `endpoint_block` the forms as dense `expm`s, and
+  `dense_reads` reads it from those blocks.
 """
 
 import numpy as np
+from scipy.linalg import expm
 
-from su11otto.fock import BlockOperator
+from su11otto.fock import BlockOperator, _exp_i_ky
 
 DENSE_LIMIT = 4096  # refuse to assemble dense matrices larger than this
 
@@ -86,10 +94,35 @@ def to_dense(op):
     return out
 
 
-def product(chain):
-    """The unitary exp(i b K_z) core exp(i a K_z) of a `Chain`, `outer = (a, b)`."""
-    ws, (a, b) = chain.ws, chain.outer
-    return diagonal(ws, np.exp(1j * b * ws.kz)) @ chain.core @ diagonal(ws, np.exp(1j * a * ws.kz))
+def phase(ws, s):
+    """exp(i s K_z) as a diagonal operator."""
+    return diagonal(ws, np.exp(1j * s * ws.kz))
+
+
+def product_form(zeta, phi, ws):
+    """un1 = exp(-i zeta K_x) exp(-i phi K_z) exp(i zeta K_x) = D+ Y^T P Y D from
+    the oracle's squeeze Y = exp(i zeta K_y), P = exp(-i phi K_z) and the
+    exact D."""
+    y, d = _exp_i_ky(ws, zeta), quarter_phases(ws)
+    y_t = block_operator(ws, [b.T for b in y.blocks])
+    return dag(d) @ y_t @ phase(ws, -phi) @ y @ d
+
+
+def endpoint_form(chi, theta, ws):
+    """un2 = exp(i theta K_z) exp(i chi K_y) exp(-i theta K_z) from the oracle's
+    exp(i chi K_y)."""
+    return phase(ws, theta) @ _exp_i_ky(ws, chi) @ phase(ws, -theta)
+
+
+def reads(op, state):
+    """<N>, Delta^2 N and the boundary mass of op rho op+, the populations
+    |op|^2 p per stored sector against the state's folded populations."""
+    ws = op.ws
+    pops = np.concatenate(
+        [np.abs(b) ** 2 @ p for b, p in zip(op.blocks, per_sector(ws, state.probs))]
+    )
+    mean = ws.n @ pops
+    return mean, (ws.n * ws.n) @ pops - mean * mean, pops[ws.last].sum()
 
 
 def annihilator(n_max):
@@ -111,6 +144,65 @@ def generators(n_max):
     number = np.kron(a.T @ a, eye) + np.kron(eye, a.T @ a)
     kz = (number + np.eye(len(pair))) / 2.0
     return (pair.T + pair) / 2.0, 1j * (pair - pair.T) / 2.0, kz
+
+
+def imbalance_blocks(n_max, block):
+    """(indices, block) for each imbalance d = n1 - n2 of the full basis: the
+    block is block(pair, kz) of that block of the ladder product
+    a1 a2 = a (x) a and of the K_z diagonal, states labelled on the full
+    basis, so no block, stack or index of the oracle is reused."""
+    a = annihilator(n_max)
+    pair = np.kron(a, a)
+    n1, n2 = np.divmod(np.arange(len(pair)), n_max + 1)
+    kz = (n1 + n2 + 1) / 2.0
+    for d in range(-n_max, n_max + 1):
+        idx = np.flatnonzero(n1 - n2 == d)
+        yield idx, block(pair[np.ix_(idx, idx)], kz[idx])
+
+
+def blockwise(n_max, block):
+    """The dense (n_max + 1)^2 matrix of the `imbalance_blocks`."""
+    dim = (n_max + 1) ** 2
+    out = np.zeros((dim, dim), complex)
+    for idx, b in imbalance_blocks(n_max, block):
+        out[np.ix_(idx, idx)] = b
+    return out
+
+
+def product_block(zeta, phi):
+    """The `imbalance_blocks` block of un1: expm(-i zeta K_x) diag(exp(-i phi K_z))
+    expm(i zeta K_x)."""
+
+    def block(pair, kz):
+        kx = (pair + pair.T) / 2.0
+        return expm(-1j * zeta * kx) @ np.diag(np.exp(-1j * phi * kz)) @ expm(1j * zeta * kx)
+
+    return block
+
+
+def endpoint_block(chi, theta):
+    """The `imbalance_blocks` block of un2: exp(i theta K_z) expm(i chi K_y)
+    exp(-i theta K_z), K_y = i (a1 a2 - a1+ a2+)/2."""
+
+    def block(pair, kz):
+        phase = np.exp(1j * theta * kz)
+        return phase[:, None] * expm(1j * chi * (1j * (pair - pair.T) / 2.0)) * phase.conj()
+
+    return block
+
+
+def dense_reads(n_max, block, bw):
+    """<N>, Delta^2 N and the boundary mass of U rho U+ for the U of the
+    `imbalance_blocks`: |U|^2 p block by block with the thermal weights over
+    the full, unfolded basis."""
+    p = thermal_weights(n_max, bw)
+    pops = np.zeros(len(p))
+    for idx, u in imbalance_blocks(n_max, block):
+        pops[idx] = np.abs(u) ** 2 @ p[idx]
+    n1, n2 = np.divmod(np.arange(len(p)), n_max + 1)
+    n = (n1 + n2).astype(float)
+    mean = n @ pops
+    return mean, (n * n) @ pops - mean * mean, pops[(n1 == n_max) | (n2 == n_max)].sum()
 
 
 def hamiltonian(n_max, omega_f, f_y):

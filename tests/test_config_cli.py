@@ -305,6 +305,20 @@ class TestCsvCommands:
         assert [int(n) for n in counts] == [printed[m] for m in markers]
         assert set(printed) <= set(markers) and printed["SKIP"] > 0
 
+    def test_oracle_overflowing_chi_exits_one(self, tmp_path, capsys):
+        # zeta = 400 overflows sinh(zeta)^2, so chi is inf: the oracle stops on
+        # the typed endpoint error before any grid read, and prints no record
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"oracle": {
+            "n_max": 60, "algebra_n_max": 6, "beta_omega": [1.0],
+            "zeta_grid": [0.2, 400.0], "phi_grid": [0.5],
+        }}))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = main(["--config", str(cfg), "--out", str(tmp_path), "oracle"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert "error: chi must be finite and >= 0, got inf" in err
+
     def test_oracle_variance_arbitration_basis_is_named(self, tmp_path, capsys):
         # every configured bath fits n_max = 40; the variance arbitration's
         # beta_h omega2 = 0.5 does not, and the error says which keys set it

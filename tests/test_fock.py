@@ -1,7 +1,6 @@
 """Truncated-Fock machinery: basis bookkeeping, generators, thermal states,
 unitaries and the truncation guards."""
 
-import contextlib
 import dataclasses
 import math
 import tracemalloc
@@ -25,6 +24,7 @@ from su11otto.fock import (
     Tridiagonal,
     _exp_i_ky,
     _phase_kz,
+    GridRead,
     boundary_occupancy,
     evolution_endpoint,
     evolved_boundary_occupancy,
@@ -66,10 +66,21 @@ def _dense_reads(u, bw):
     return mean, (n * n) @ pops - mean**2, edge
 
 
+def _close(got, want, rel=1e-12, mass_abs=1e-26):
+    """(mean, variance or second moment, boundary mass) against a reference:
+    the moments relative to rel.  A mass m = sum_j p_j |u_j|^2 read from
+    entries u_j that each route rounds by ~1e-16 moves by up to
+    ~2 sqrt(m) 1e-16, so the mass is compared within 1e-14 sqrt(m), and
+    within mass_abs, below which both routes read rounding noise."""
+    assert got[:2] == pytest.approx(want[:2], rel=rel)
+    assert got[2] >= 0.0
+    assert got[2] == pytest.approx(want[2], rel=rel, abs=mass_abs + 1e-14 * math.sqrt(want[2]))
+
+
 def test_public_surface_is_pinned():
     # a new export, a test-only reference route included, is a deliberate edit of this list
     assert sorted(fock.__all__) == [
-        "BlockOperator", "Chain", "FockWorkspace", "ThermalState", "Tridiagonal",
+        "BlockOperator", "FockWorkspace", "GridRead", "ThermalState", "Tridiagonal",
         "boundary_occupancy", "evolution_endpoint", "evolved_boundary_occupancy", "expect",
         "hamiltonian_final", "thermal_state", "unitary_equiv", "unitary_product",
         "variance",
@@ -77,14 +88,14 @@ def test_public_surface_is_pinned():
     assert all(hasattr(fock, name) for name in fock.__all__)
 
 
-def test_chain_surface_is_pinned():
-    # `read` is the one read of a chain's moments, and it holds the leakage
+def test_grid_read_surface_is_pinned():
+    # `read` is the one read of a form's moments, and it holds the leakage
     # guard: a new field or public method is a deliberate edit of these lists
-    assert [f.name for f in dataclasses.fields(fock.Chain)] == [
-        "ws", "form_core", "outer", "weights", "label", "defect_bound",
+    assert [f.name for f in dataclasses.fields(GridRead)] == [
+        "ws", "label", "moments", "occupancy", "bound",
     ]
-    public = sorted(name for name in dir(fock.Chain) if not name.startswith("_"))
-    assert public == ["core", "defect", "defect_bound", "occupancy", "read"]
+    public = sorted(name for name in dir(GridRead) if not name.startswith("_"))
+    assert public == ["defect", "read"]
 
 
 class TestWorkspace:
@@ -159,9 +170,9 @@ class TestGenerators:
             kx,
             ky,
             kz,
-            ref.product(unitary_product(_exp_i_ky(ws, 0.7), 1.3)),
-            ref.product(unitary_equiv(ProtocolEndpoints(0.9, 0.4), ws)),
-            ref.product(evolution_endpoint(-0.6, 1.1, ws)),
+            ref.product_form(0.7, 1.3, ws),
+            ref.endpoint_form(0.9, 0.4, ws),
+            evolution_endpoint(-0.6, 1.1, ws),
         )
         for op in ops:
             dense = ref.to_dense(op)
@@ -227,65 +238,112 @@ class TestThermalState:
         assert thermal_state(ws, math.log(1e3), 1.0).leakage < THERMAL_LEAK_TOL
 
 
+def _grid_read(name, a, b, ws, states):
+    """The gate's read of one form at the one point (a, b), against each of
+    `states`: (zeta, phi) for the product form, (chi, theta) for the endpoint
+    form, and (f_y, f_z) for the time-ordered form, whose populations the gate
+    reads from the endpoint form at (-f_y, -f_z)."""
+    if name == "unitary_product":
+        return unitary_product(_exp_i_ky(ws, a), (b,), states)
+    if name == "evolution_endpoint":
+        a, b = -a, -b
+    return unitary_equiv([ProtocolEndpoints(a, b)], ws, states)
+
+
+# each form's operator on the same two scalar arguments, multiplied out
+OPERATORS = {
+    "unitary_product": ref.product_form,
+    "unitary_equiv": ref.endpoint_form,
+    "evolution_endpoint": evolution_endpoint,
+}
+
+
 class TestUnitaries:
     def test_zero_squeezing_is_pure_phase(self):
         ws = FockWorkspace(8)
-        u = ref.product(unitary_product(_exp_i_ky(ws, 0.0), 0.7))
+        u = ref.product_form(0.0, 0.7, ws)
         for block, kz in zip(u.blocks, ref.per_sector(ws, ws.kz)):
             assert np.max(np.abs(block - np.diag(np.exp(-0.7j * kz)))) < 1e-14
+        # and the read leaves the thermal populations where they were
+        state = thermal_state(ws, 5.0, 1.0)
+        mean, var, _ = unitary_product(_exp_i_ky(ws, 0.0), (0.7,), [state]).read(0, 0)
+        assert mean == pytest.approx(state.mean_number(), rel=1e-14)
+        assert var == pytest.approx(variance(Tridiagonal(ws, ws.n, 0.0 * ws.n), state), rel=1e-13)
 
     def test_zero_phase_is_identity(self):
         ws = FockWorkspace(8)
-        u = ref.product(unitary_product(_exp_i_ky(ws, 1.1), 0.0))
+        u = ref.product_form(1.1, 0.0, ws)
         for block in u.blocks:
             assert np.max(np.abs(block - np.eye(block.shape[0]))) < 1e-12
+        state = thermal_state(ws, 5.0, 1.0)
+        # the intermediate squeeze trips the guard at n_max = 8; the moments do not
+        mean = unitary_product(_exp_i_ky(ws, 1.1), (0.0,), [state]).moments[0, 0, 0]
+        assert mean == pytest.approx(state.mean_number(), rel=1e-12)
 
     def test_zero_chi_equiv_is_identity(self):
         ws = FockWorkspace(8)
-        u = ref.product(unitary_equiv(ProtocolEndpoints(chi=0.0, theta=1.2), ws))
+        u = ref.endpoint_form(0.0, 1.2, ws)
         for block in u.blocks:
             assert np.max(np.abs(block - np.eye(block.shape[0]))) < 1e-13
+        state = thermal_state(ws, 5.0, 1.0)
+        read = unitary_equiv([ProtocolEndpoints(chi=0.0, theta=1.2)], ws, [state])
+        assert read.read(0, 0)[0] == pytest.approx(state.mean_number(), rel=1e-14)
+        assert read.defect[0] < 1e-13
 
     def test_pure_phase_endpoint_preserves_diagonal_averages(self):
         ws = FockWorkspace(30)
         state = thermal_state(ws, 1.0, 1.0)
-        chain = evolution_endpoint(0.0, 1.3, ws)
-        assert chain.read(state)[0] == pytest.approx(state.mean_number(), abs=1e-12)
+        assert ref.reads(evolution_endpoint(0.0, 1.3, ws), state)[0] == pytest.approx(
+            state.mean_number(), abs=1e-12
+        )
+        mean = _grid_read("evolution_endpoint", 0.0, 1.3, ws, [state]).read(0, 0)[0]
+        assert mean == pytest.approx(state.mean_number(), abs=1e-12)
 
     def test_unitarity_defects(self):
         ws = FockWorkspace(30)
-        for chain in (
-            unitary_product(_exp_i_ky(ws, 0.8), 0.7),
-            unitary_equiv(ProtocolEndpoints(chi=0.9, theta=0.4), ws),
+        for u in (
+            ref.product_form(0.8, 0.7, ws),
+            ref.endpoint_form(0.9, 0.4, ws),
             evolution_endpoint(-0.9, -0.4, ws),
         ):
-            assert ref.product(chain).unitarity_defect() < 1e-12
+            assert u.unitarity_defect() < 1e-12
 
     @pytest.mark.parametrize("build", ["unitary_equiv", "evolution_endpoint"])
     def test_real_core_record_bounds_its_exact_gram(self, build):
-        # a built real core's record is its computed Gram plus gamma_m kappa, the
-        # most the exact defect can exceed it by: at or above the Gram's defect
-        # summed in extended precision, whose own rounding is ~1e-18
+        # un2's record, which tiev reads too, bounds the defect of the exact
+        # W R W^T of `kx_eig`'s factors and the computed rotation at chi,
+        # summed in extended precision, whose own rounding is ~1e-18; and that
+        # W R W^T is the exp(i chi K_y) both forms build, to rounding
         ws = FockWorkspace(40)
-        chain = BUILDERS[build](0.9, 0.4, ws)
-        wide = [b.astype(np.longdouble) for b in chain.core.blocks]
-        exact = max(float(np.max(np.abs(b.T @ b - np.eye(len(b))))) for b in wide)
-        gamma_m = 41 * 2.0**-53 / (1 - 41 * 2.0**-53)
-        assert chain.defect >= chain.core.unitarity_defect() + gamma_m
-        assert exact <= chain.defect < 1e-13
+        state = thermal_state(ws, 3.0, 1.0)
+        args = {"unitary_equiv": (0.9, 0.4), "evolution_endpoint": (-0.9, -0.4)}[build]
+        read = _grid_read(build, *args, ws, [state])
+        built = _exp_i_ky(ws, 0.9)
+        exact = 0.0
+        for (sigma, u, v), y in zip(ws.kx_eig, built.stacks):
+            c, s = np.cos(0.9 * sigma)[:, None, :], np.sin(0.9 * sigma)[:, None, :]
+            u, v, c, s = (a.astype(np.longdouble) for a in (u, v, c, s))
+            wide = np.empty(y.shape, np.longdouble)
+            wide[:, 0::2, 0::2], wide[:, 1::2, 1::2] = (u * c) @ u.mT, (v * c) @ v.mT
+            wide[:, 1::2, 0::2], wide[:, 0::2, 1::2] = (v * s) @ u.mT, -(u * s) @ v.mT
+            assert np.max(np.abs(wide - y)) < 1e-15
+            gram = wide.mT @ wide - np.eye(y.shape[-1])
+            exact = max(exact, float(np.max(np.abs(gram))))
+        half = 21  # the rows of U~ at n_max = 40
+        gamma = half * 2.0**-53 / (1 - half * 2.0**-53)
+        assert read.defect[0] >= ws.kx_eig_gram_norms[0] + gamma
+        assert exact <= read.defect[0] < 1e-12
 
     def test_three_forms_share_diagonal_averages(self):
         ws = FockWorkspace(40)
         state = thermal_state(ws, 1.0, 1.0)
         zeta, phi = 0.5, 1.1
         chi, theta = float(chi_of(zeta, phi)), float(theta_of(zeta, phi))
-        means = []
-        for chain in (
-            unitary_product(_exp_i_ky(ws, zeta), phi),
-            unitary_equiv(ProtocolEndpoints(chi, theta), ws),
-            evolution_endpoint(-chi, -theta, ws),
-        ):
-            means.append(chain.read(state)[0])
+        means = [
+            unitary_product(_exp_i_ky(ws, zeta), (phi,), [state]).read(0, 0)[0],
+            unitary_equiv([ProtocolEndpoints(chi, theta)], ws, [state]).read(0, 0)[0],
+            ref.reads(evolution_endpoint(-chi, -theta, ws), state)[0],
+        ]
         analytic = (state.mean_number() + 1.0) * math.cosh(chi) - 1.0
         assert means[0] == pytest.approx(means[1], abs=1e-10)
         assert means[1] == pytest.approx(means[2], abs=1e-12)
@@ -294,38 +352,40 @@ class TestUnitaries:
     @pytest.mark.parametrize("zeta", DEFAULTS["oracle"]["zeta_grid"])
     @pytest.mark.parametrize("phi", DEFAULTS["oracle"]["phi_grid"])
     def test_time_ordered_form_is_the_equiv_chain_times_a_phase(self, zeta, phi):
-        # the gate reads the tiev records from the un2 chain: both have the
-        # core exp(i chi K_y), and U_tiev = U_equiv exp(i theta K_z)
+        # the gate reads the tiev records from the un2 read: U_tiev = U_equiv
+        # exp(i theta K_z), and the outer phase moves no population
         ws = FockWorkspace(30)
         chi, theta = float(chi_of(zeta, phi)), float(theta_of(zeta, phi))
         tiev = evolution_endpoint(-chi, -theta, ws)
-        un2 = unitary_equiv(ProtocolEndpoints(chi, theta), ws)
-        assert all(np.array_equal(a, b) for a, b in zip(tiev.core.blocks, un2.core.blocks))
-        assert np.array_equal(tiev.weights, un2.weights)
-        shifted = ref.product(un2) @ _phase_kz(ws, theta)
-        for a, b in zip(ref.product(tiev).blocks, shifted.blocks):
+        shifted = ref.endpoint_form(chi, theta, ws) @ _phase_kz(ws, theta)
+        for a, b in zip(tiev.blocks, shifted.blocks):
             assert np.max(np.abs(a - b)) <= 1e-14
+        state = thermal_state(ws, 3.0, 1.0)
+        read = _grid_read("evolution_endpoint", -chi, -theta, ws, [state])
+        mean, second, edge = read.moments[:, 0, 0]
+        _close((mean, second - mean * mean, edge), ref.reads(tiev, state), rel=1e-11, mass_abs=1e-24)
 
     def test_phis_share_the_squeeze_and_its_boundary_weights(self):
         # the squeezed state's boundary row is memoised on the shared kernel and
-        # is each chain's last weights row; the moments' boundary row is the
-        # core's last rows
+        # guards every phi; a grid of phis reads what each phi reads alone
         ws = FockWorkspace(30)
         y = _exp_i_ky(ws, 0.9)
-        chains = [unitary_product(y, phi) for phi in (0.5, 1.5)]
+        states = [thermal_state(ws, bw, 1.0) for bw in (3.0, 1.0)]
+        read = unitary_product(y, (0.5, 1.5), states)
         assert vars(y)["boundary_weights"] is y.boundary_weights
-        for chain in chains:
-            assert chain.weights.shape == (4, len(y.boundary_weights))
-            assert np.array_equal(chain.weights[3], y.boundary_weights)
-            assert np.array_equal(chain.weights[2], chain.core.boundary_weights)
+        squeezed = np.array([y.boundary_weights @ state.probs for state in states])
+        assert np.array_equal(read.occupancy, np.maximum(read.moments[2], squeezed[:, None]))
+        for j, phi in enumerate((0.5, 1.5)):
+            alone = unitary_product(y, (phi,), states)
+            assert np.allclose(alone.moments[..., 0], read.moments[..., j], rtol=1e-13, atol=1e-28)
 
     def test_truncation_guard_trips_on_aggressive_squeezing(self):
         ws = FockWorkspace(28)
         # fits comfortably unsqueezed
         state = thermal_state(ws, 1.0, 1.0)
-        chain = unitary_product(_exp_i_ky(ws, 2.5), 1.0)
+        read = unitary_product(_exp_i_ky(ws, 2.5), (1.0,), [state])
         with pytest.raises(TruncationError, match="unitary_product: boundary occupancy"):
-            chain.read(state)
+            read.read(0, 0)
 
     def test_guard_reads_the_interior_phase(self):
         # the phase between squeeze and anti-squeeze stops them cancelling, so the
@@ -333,33 +393,28 @@ class TestUnitaries:
         ws = FockWorkspace(30)
         state = thermal_state(ws, 2.0, 1.0)
         d, y = ref.quarter_phases(ws), _exp_i_ky(ws, 0.8)
-        chain = unitary_product(y, 3.0)
+        read = unitary_product(y, (3.0,), [state])
         with pytest.raises(TruncationError):
-            chain.read(state)
+            read.read(0, 0)
         # exp(+-0.8 i K_x) = D+ exp(+-0.8 i K_y) D as whole factors
         squeeze = ref.dag(d) @ y @ d
         anti_squeeze = ref.dag(d) @ ref.block_operator(ws, [b.T for b in y.blocks]) @ d
         factors = (squeeze, _phase_kz(ws, -3.0), anti_squeeze)
-        product = ref.product(chain)
+        product = ref.product_form(0.8, 3.0, ws)
         assert boundary_occupancy(product, state) > LEAK_TOL
         assert evolved_boundary_occupancy(factors, state) >= boundary_occupancy(product, state)
+        assert read.moments[2, 0, 0] == pytest.approx(boundary_occupancy(product, state), rel=1e-12)
 
     def test_boundary_occupancy_small_in_guarded_regime(self):
         ws = FockWorkspace(60)
         state = thermal_state(ws, 1.0, 1.0)
-        chain = unitary_equiv(ProtocolEndpoints(chi=0.6, theta=0.0), ws)
-        assert chain.read(state)[2] == chain.occupancy(state) < 1e-12
-        assert boundary_occupancy(ref.product(chain), state) < 1e-12
+        read = unitary_equiv([ProtocolEndpoints(chi=0.6, theta=0.0)], ws, [state])
+        assert read.read(0, 0)[2] == read.occupancy[0, 0] < 1e-12
+        assert boundary_occupancy(ref.endpoint_form(0.6, 0.0, ws), state) < 1e-12
 
 
-# each builder on two scalar arguments: (zeta, phi), (chi, theta) and (f_y, f_z)
-BUILDERS = {
-    "unitary_product": lambda a, b, ws: unitary_product(_exp_i_ky(ws, a), b),
-    "unitary_equiv": lambda a, b, ws: unitary_equiv(ProtocolEndpoints(a, b), ws),
-    "evolution_endpoint": evolution_endpoint,
-}
-# at n_max = 30 each builder's chain at these arguments is admitted for the
-# cold state (beta omega = 3) and trips the guard for the hot one (beta omega = 1)
+# at n_max = 30 each form at these arguments is admitted for the cold state
+# (beta omega = 3) and trips the guard for the hot one (beta omega = 1)
 _CHI, _THETA = float(chi_of(0.9, 1.5)), float(theta_of(0.9, 1.5))
 BAND_ARGS = {
     "unitary_product": (0.9, 1.5),
@@ -368,8 +423,13 @@ BAND_ARGS = {
 }
 
 
+def _cold_state(ws):
+    """The vacuum to 1e-17, admitted by the thermal guard at every n_max."""
+    return thermal_state(ws, 40.0, 1.0)
+
+
 class TestProductDefectBound:
-    """The un1 core's unitarity defect is a bound from its factors (`Chain.defect`)."""
+    """un1's unitarity defect is a bound from its factors (`_product_defect_bound`)."""
 
     @settings(max_examples=60)
     @given(
@@ -378,19 +438,22 @@ class TestProductDefectBound:
         phi=st.floats(0.0, 2.0 * math.pi),
     )
     def test_bound_is_never_below_the_gram_defect(self, n_max, zeta, phi):
-        chain = unitary_product(_exp_i_ky(FockWorkspace(n_max), zeta), phi)
-        assert chain.defect_bound is not None
-        assert chain.core.unitarity_defect() <= chain.defect < 1e-11
+        ws = FockWorkspace(n_max)
+        y = _exp_i_ky(ws, zeta)
+        read = unitary_product(y, (phi,), [_cold_state(ws)])
+        core = ref.block_operator(ws, [b.T for b in y.blocks]) @ _phase_kz(ws, -phi) @ y
+        assert core.unitarity_defect() <= read.defect[0] < 1e-11
 
     @pytest.mark.parametrize("n_max", [60, 120])
     def test_bound_stays_below_1e11_to_n_max_120(self, n_max):
         # the bound grows with the largest block size m and with each input, so
         # m = 121 at inputs above any measured here bounds every n_max <= 120
-        y = _exp_i_ky(FockWorkspace(n_max), 1.5)
+        ws = FockWorkspace(n_max)
+        y = _exp_i_ky(ws, 1.5)
         delta, eta = y.gram_norms
         assert delta < 1e-13 and eta < 1e-12
         cap = fock._product_defect_bound(121, 1e-13, 1e-12, 1e-15)
-        assert unitary_product(y, 2.0).defect < cap < 1e-11
+        assert unitary_product(y, (2.0,), [_cold_state(ws)]).defect[0] < cap < 1e-11
 
     def test_bound_reaches_the_gate_tolerance_near_n_max_900(self):
         # the m^2 u term alone: a false `fail` past there, the safe direction
@@ -398,63 +461,70 @@ class TestProductDefectBound:
         assert bound(880, 0.0, 0.0, 0.0) < 1e-10 < bound(940, 0.0, 0.0, 0.0)
 
     def test_chain_retains_its_weights_not_a_core(self):
-        # the chain keeps Y, which every phi shares, and reads its weights from the
-        # core one bucket at a time: it retains its weights plus a small fixed
-        # overhead (its outer phases are two angles), and beside P Y, its one
-        # operator product, the build never holds a second complex core
-        y = _exp_i_ky(FockWorkspace(60), 0.7)
-        unitary_product(y, 0.3)  # memoises Y's Gram norms and boundary weights
-        core_bytes = 2 * sum(s.nbytes for s in y.stacks)  # complex, in Y's shape, as is P Y
+        # a read of many phis keeps its moments and occupancies plus a small fixed
+        # overhead (its bound is a closure over Y and each phi's modulus); it
+        # streams one bucket at a time, so its build never holds the sandwiches
+        # of every bucket at once beside the Y it shares with every phi, and it
+        # takes no Gram until its defect is read
+        ws = FockWorkspace(60)
+        y = _exp_i_ky(ws, 0.7)
+        states = [thermal_state(ws, bw, 1.0) for bw in (1.0, 2.0, 3.0)]
+        unitary_product(y, (0.3,), states)  # memoises Y's boundary weights
+        y_bytes = sum(s.nbytes for s in y.stacks)
+        phis = np.linspace(0.1, 3.0, 10)
         tracemalloc.start()
         try:
-            chain = unitary_product(y, 0.9)
+            read = unitary_product(y, phis, states)
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert retained < chain.weights.nbytes + 16_384
-        assert peak < core_bytes + 0.75 * core_bytes  # P Y, and under 3/4 of a core beside it
-        assert chain.defect == chain.defect_bound and "core" not in vars(chain)
-
-
-def _same_blocks(u, v):
-    return all(np.array_equal(a, b) for a, b in zip(u.blocks, v.blocks))
+        assert retained < read.moments.nbytes + read.occupancy.nbytes + 16_384
+        # M_N, M_(N^2) and one R as whole operators would take 3 y_bytes alone
+        assert peak < 3 * y_bytes
+        assert "defect" not in vars(read) and "gram_norms" not in vars(y)
 
 
 class TestKeptChains:
-    """One chain, kept across states, is guarded against each of them."""
+    """One read, kept across states, is guarded against each of them."""
 
     @staticmethod
-    def _guard(chain, bw):
-        ws = chain.ws
+    def _guard(read, state):
         try:
-            return chain.read(thermal_state(ws, bw, 1.0))
+            return read.read(state, 0)
         except TruncationError:
             return None
 
-    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    @pytest.mark.parametrize("name", sorted(BAND_ARGS))
     def test_repeat_call_reguards_every_state(self, name):
-        build, args = BUILDERS[name], BAND_ARGS[name]
-        chain = build(*args, FockWorkspace(30))
+        args = BAND_ARGS[name]
+        ws = FockWorkspace(30)
         # the hot state comes second and must still trip; the cold one after it
         # must still be admitted, with the reads it had the first time
-        decisions = [self._guard(chain, bw) for bw in (3.0, 1.0, 3.0)]
+        states = [thermal_state(ws, bw, 1.0) for bw in (3.0, 1.0, 3.0)]
+        read = _grid_read(name, *args, ws, states)
+        decisions = [self._guard(read, i) for i in range(3)]
         assert decisions[1] is None
         assert decisions[0] is not None and decisions[2] == decisions[0]
-        # the same decisions and the same product as builds on fresh workspaces
-        fresh = [self._guard(build(*args, FockWorkspace(30)), bw) for bw in (3.0, 1.0)]
-        assert decisions[:2] == fresh
-        assert _same_blocks(ref.product(chain), ref.product(build(*args, FockWorkspace(30))))
+        # the same decisions and reads as one state at a time on fresh workspaces
+        for bw, decision in zip((3.0, 1.0), decisions):
+            fresh_ws = FockWorkspace(30)
+            fresh = self._guard(_grid_read(name, *args, fresh_ws, [thermal_state(fresh_ws, bw, 1.0)]), 0)
+            assert (fresh is None) == (decision is None)
+            assert fresh is None or fresh == pytest.approx(decision, rel=1e-13, abs=1e-28)
 
     def test_state_of_another_workspace_rejected(self):
-        chain = unitary_product(_exp_i_ky(FockWorkspace(12), 0.4), 0.7)
-        state = thermal_state(FockWorkspace(12), 3.0, 1.0)
+        ws, other = FockWorkspace(12), FockWorkspace(12)
+        state = thermal_state(other, 3.0, 1.0)
         with pytest.raises(ValueError, match="different workspaces"):
-            chain.read(state)
+            unitary_product(_exp_i_ky(ws, 0.4), (0.7,), [state])
+        with pytest.raises(ValueError, match="different workspaces"):
+            unitary_equiv([ProtocolEndpoints(0.4, 0.7)], ws, [state])
 
 
 class TestAgainstDenseExponentials:
-    """Each builder against scipy's expm of dense generators made from the
-    ladder operators, so no block of the oracle is reused."""
+    """Each form against scipy's expm of dense generators made from the
+    ladder operators, so no block of the oracle is reused: its operator, and
+    the grid read's moments against |U|^2 p over the full basis."""
 
     TOL = 1e-12
 
@@ -467,19 +537,37 @@ class TestAgainstDenseExponentials:
         rng = np.random.default_rng(4033)
         return [rng.uniform((0.1, 0.1, -1.5), (1.5, 3.0, 1.5)) for _ in range(4)]
 
+    @staticmethod
+    def _check_reads(read, unitaries):
+        # bw = 3 at n_max = 10: the thermal guard admits it, and the reads are
+        # compared whether or not the squeezing trips the leakage guard
+        for j, u in enumerate(unitaries):
+            n1, n2 = np.divmod(np.arange(len(u)), 11)
+            n = (n1 + n2).astype(float)
+            pops = np.abs(u) ** 2 @ ref.thermal_weights(10, 3.0)
+            edge = pops[(n1 == 10) | (n2 == 10)].sum()
+            _close(read.moments[:, 0, j], (n @ pops, (n * n) @ pops, edge), rel=1e-11)
+
     def test_unitary_product(self, dense):
         ws, kx, _, kz = dense
-        for zeta, phi, _ in self._points():
+        points = self._points()
+        for zeta, phi, _ in points:
             expected = expm(-1j * zeta * kx) @ expm(-1j * phi * kz) @ expm(1j * zeta * kx)
-            u = ref.product(unitary_product(_exp_i_ky(ws, zeta), phi))
-            assert np.max(np.abs(ref.to_dense(u) - expected)) < self.TOL
+            assert np.max(np.abs(ref.to_dense(ref.product_form(zeta, phi, ws)) - expected)) < self.TOL
+            read = unitary_product(_exp_i_ky(ws, zeta), (phi,), [thermal_state(ws, 3.0, 1.0)])
+            self._check_reads(read, [expected])
 
     def test_unitary_equiv(self, dense):
         ws, _, ky, kz = dense
-        for chi, theta, _ in self._points():
+        points = self._points()
+        unitaries = []
+        for chi, theta, _ in points:
             expected = expm(1j * theta * kz) @ expm(1j * chi * ky) @ expm(-1j * theta * kz)
-            u = ref.product(unitary_equiv(ProtocolEndpoints(chi, theta), ws))
-            assert np.max(np.abs(ref.to_dense(u) - expected)) < self.TOL
+            assert np.max(np.abs(ref.to_dense(ref.endpoint_form(chi, theta, ws)) - expected)) < self.TOL
+            unitaries.append(expected)
+        # every point of the grid at once
+        ends = [ProtocolEndpoints(chi, theta) for chi, theta, _ in points]
+        self._check_reads(unitary_equiv(ends, ws, [thermal_state(ws, 3.0, 1.0)]), unitaries)
 
     def test_real_kernel(self, dense):
         ws, _, ky, _ = dense
@@ -493,7 +581,7 @@ class TestAgainstDenseExponentials:
         signs = set()
         for _, f_z, f_y in self._points():
             expected = expm(-1j * f_z * kz) @ expm(-1j * f_y * ky)
-            u = ref.product(evolution_endpoint(f_y, f_z, ws))
+            u = evolution_endpoint(f_y, f_z, ws)
             assert np.max(np.abs(ref.to_dense(u) - expected)) < self.TOL
             signs.add(np.sign(f_y))
         assert signs == {-1.0, 1.0}
@@ -537,22 +625,6 @@ class TestRealKernel:
                 assert not np.any((y - y_back)[~odd])
 
 
-def _blockwise_reference(n_max, block):
-    """The dense (n_max+1)^2 matrix of an operator that conserves n1 - n2: each
-    imbalance block is block(pair, kz) of that block of the ladder product
-    a1 a2 = a (x) a and of the K_z diagonal, states labelled on the full basis,
-    so no block, stack or index of the oracle is reused."""
-    a = ref.annihilator(n_max)
-    pair = np.kron(a, a)
-    n1, n2 = np.divmod(np.arange(len(pair)), n_max + 1)
-    kz = (n1 + n2 + 1) / 2.0
-    out = np.zeros(pair.shape, complex)
-    for d in range(-n_max, n_max + 1):
-        idx = np.flatnonzero(n1 - n2 == d)
-        out[np.ix_(idx, idx)] = block(pair[np.ix_(idx, idx)], kz[idx])
-    return out
-
-
 class TestBucketPadding:
     """Sectors padded to the next multiple of 8 across the bucket edges: the
     padding of every unitary factor is exactly the identity, and every read
@@ -569,107 +641,132 @@ class TestBucketPadding:
         ws = FockWorkspace(n_max)
         chi, theta = float(chi_of(zeta, phi)), float(theta_of(zeta, phi))
         y = _exp_i_ky(ws, zeta)
-        un1 = unitary_product(y, phi)
-        un2 = unitary_equiv(ProtocolEndpoints(chi, theta), ws)
+        un1 = ref.product_form(zeta, phi, ws)
+        un2 = ref.endpoint_form(chi, theta, ws)
+        tiev = evolution_endpoint(-chi, -theta, ws)  # its phase is built on the padded K_z
         assert [b.width for b in ws.buckets] == list(range(8 * math.ceil((n_max + 1) / 8), 0, -8))
-        for op in (y, un1.core, un2.core):
-            for b, stack, rows in zip(ws.buckets, op.stacks, ws.moment_rows):
+        for op in (y, un1, un2, tiev):
+            for b, stack in zip(ws.buckets, op.stacks):
                 positions = np.arange(b.width)
                 real = positions < b.sizes[:, None]
                 padded = ~(real[:, :, None] & real[:, None, :])
                 eye = np.broadcast_to(np.eye(b.width), stack.shape)
                 assert np.array_equal(stack[padded], eye[padded])
-                # the moment rows n, n^2 and the boundary, one-hot on the last real state
-                assert not np.any(rows.transpose(1, 0, 2)[:, ~real])
-                assert np.array_equal(rows[:, 2], positions == b.sizes[:, None] - 1)
-                moments = rows @ np.abs(stack) ** 2
-                assert not np.any(moments.transpose(1, 0, 2)[:, ~real])
                 boundary = stack[np.arange(len(b.sizes)), b.sizes - 1]
                 assert not np.any(boundary[~real])
             assert len(op.boundary_weights) == len(ws.n)
-        # C-ordered, so that each read is a row dot product: column-major weights
-        # made `Chain.read` sum sequentially, ~3x the rounding at n_max = 120
-        assert un1.weights.flags.c_contiguous and un2.weights.flags.c_contiguous
+        # the grid reads of the padded stacks against the per-sector reads of
+        # the real blocks alone
+        state = _cold_state(ws)
+        read1 = unitary_product(y, (phi,), [state])
+        read2 = unitary_equiv([ProtocolEndpoints(chi, theta)], ws, [state])
+        for read, op in ((read1, un1), (read2, un2)):
+            mean, second, edge = read.moments[:, 0, 0]
+            _close((mean, second - mean * mean, edge), ref.reads(op, state), rel=1e-9, mass_abs=1e-30)
         # the views and dense assembly of the stacks against dense exponentials
-        ref_y = _blockwise_reference(n_max, lambda p, kz: expm(-zeta * (p - p.T) / 2.0))
-
-        def product_block(p, kz):
-            kx = (p + p.T) / 2.0
-            return expm(-1j * zeta * kx) @ np.diag(np.exp(-1j * phi * kz)) @ expm(1j * zeta * kx)
-
-        ref_un1 = _blockwise_reference(n_max, product_block)
+        ref_y = ref.blockwise(n_max, lambda p, kz: expm(-zeta * (p - p.T) / 2.0))
+        ref_un1 = ref.blockwise(n_max, ref.product_block(zeta, phi))
         assert np.max(np.abs(ref.to_dense(y) - ref_y)) < 1e-12
-        assert np.max(np.abs(ref.to_dense(ref.product(un1)) - ref_un1)) < 1e-12
+        assert np.max(np.abs(ref.to_dense(un1) - ref_un1)) < 1e-12
 
 
-# the chain of each builder at n_max = 30; at (0.9, 0.5) the intermediate squeeze
-# of unitary_product holds more boundary weight than its final state
+# each form at n_max = 30; at (0.9, 0.5) the intermediate squeeze of the
+# product form holds more boundary weight than its final state
 SUMMARY_CASES = sorted(BAND_ARGS.items()) + [("unitary_product", (0.9, 0.5))]
 
 
 class TestChainSummaries:
-    """The dot-product reads of a chain against dense linear algebra on its
-    product, over the full basis with no sector folding."""
+    """Each form's grid read against dense linear algebra on its product, over
+    the full basis with no sector folding."""
 
     @pytest.mark.parametrize("name, args", SUMMARY_CASES)
     def test_moments_and_guard_match_the_product_route(self, name, args):
         ws = FockWorkspace(30)
-        chain = BUILDERS[name](*args, ws)
-        for bw in (1.0, 3.0):
-            state = thermal_state(ws, bw, 1.0)
-            reference = _dense_reads(ref.product(chain), bw)
-            mean, second, edge = chain.weights[:3] @ state.probs
-            assert (mean, second - mean * mean, edge) == pytest.approx(reference, rel=1e-13)
+        states = [thermal_state(ws, bw, 1.0) for bw in (1.0, 3.0)]
+        read = _grid_read(name, *args, ws, states)
+        for i, bw in enumerate((1.0, 3.0)):
+            reference = _dense_reads(OPERATORS[name](*args, ws), bw)
+            mean, second, edge = read.moments[:, i, 0]
+            _close((mean, second - mean * mean, edge), reference, rel=1e-12)
             partials = [reference[2]]
             if name == "unitary_product":
                 # the intermediate squeeze exp(i zeta K_x) has the |.|^2 of exp(i zeta K_y)
-                squeeze = ref.product(evolution_endpoint(-args[0], 0.0, ws))
+                squeeze = evolution_endpoint(-args[0], 0.0, ws)
                 partials.append(_dense_reads(squeeze, bw)[2])
-            assert chain.occupancy(state) == pytest.approx(max(partials), rel=1e-13)
+            assert read.occupancy[i, 0] == pytest.approx(max(partials), rel=1e-9, abs=1e-26)
             if max(partials) > LEAK_TOL:
                 with pytest.raises(TruncationError):
-                    chain.read(state)
+                    read.read(i, 0)
             else:
-                assert chain.read(state) == pytest.approx(reference, rel=1e-13)
+                _close(read.read(i, 0), reference, rel=1e-12)
 
     @pytest.mark.parametrize("n_max", [1, 7, 8, 9, 30])
     def test_product_weights_are_those_of_its_lazy_core(self, n_max):
-        # un1's reads reach the weights alone; its core, formed on first read from
-        # the products its weights were read from, gives rows 0-2 bit for bit
+        # un1's read is that of its core Y^T P Y, formed here from the same Y
+        # and P and read per sector as |core|^2 p; the read itself forms no
+        # core and takes no Gram
         ws = FockWorkspace(n_max)
-        chain = unitary_product(_exp_i_ky(ws, 0.6), 1.3)
-        state = thermal_state(ws, 40.0, 1.0)
-        chain.occupancy(state)
-        with contextlib.suppress(TruncationError):
-            chain.read(state)
-        assert "core" not in vars(chain)
-        stacks = chain.core.stacks
-        moments = [(r @ fock._abs2(c)).transpose(1, 0, 2) for r, c in zip(ws.moment_rows, stacks)]
-        assert np.array_equal(chain.weights[:3], ws._gather(moments))
+        y = _exp_i_ky(ws, 0.6)
+        state = _cold_state(ws)
+        read = unitary_product(y, (1.3,), [state])
+        assert "gram_norms" not in vars(y) and "defect" not in vars(read)
+        core = ref.block_operator(ws, [b.T for b in y.blocks]) @ _phase_kz(ws, -1.3) @ y
+        mean, second, edge = read.moments[:, 0, 0]
+        _close((mean, second - mean * mean, edge), ref.reads(core, state), rel=1e-12, mass_abs=1e-30)
+
+
+@settings(max_examples=12)
+@example(n_max=20, zeta=1.2, phi=2.5, bw=1.5)
+@example(n_max=25, zeta=0.3, phi=0.2, bw=4.0)
+@given(
+    n_max=st.integers(20, 32),
+    zeta=st.floats(0.0, 1.5),
+    phi=st.floats(0.0, 2.0 * math.pi),
+    bw=st.floats(1.5, 4.0),
+)
+def test_grid_reads_match_the_dense_exponentials(n_max, zeta, phi, bw):
+    # both grid reads against |U|^2 p of dense `expm`s on the `kron` ladder
+    # blocks: every n_max has sectors of every size 1 ... n_max + 1, so the
+    # last state of a sector sits at even and at odd positions; every boundary
+    # mass is a sum of squares, never negative
+    ws = FockWorkspace(n_max)
+    state = thermal_state(ws, bw, 1.0)
+    chi, theta = float(chi_of(zeta, phi)), float(theta_of(zeta, phi))
+    forms = (
+        (unitary_product(_exp_i_ky(ws, zeta), (phi,), [state]), ref.product_block(zeta, phi)),
+        (unitary_equiv([ProtocolEndpoints(chi, theta)], ws, [state]), ref.endpoint_block(chi, theta)),
+    )
+    for read, block in forms:
+        mean, second, edge = read.moments[:, 0, 0]
+        reference = ref.dense_reads(n_max, block, bw)
+        _close((mean, second - mean * mean, edge), reference, rel=1e-10, mass_abs=1e-26)
+        assert np.all(read.moments[2] >= 0.0) and np.all(read.occupancy >= 0.0)
 
 
 class TestPopulations:
     def test_population_route_matches_operator_route(self):
-        # <N> and Delta^2 N of a chain's |U|^2 p read against the evolved operator
+        # <N> and Delta^2 N of each form's grid read against the evolved operator
         # U+ (N + 1) U = 2 [cosh(chi) K_z - sinh(chi) K_x] (`hamiltonian_final` at
         # unit frequency), and its boundary mass against the dense reference, for
-        # each builder at seeded points inside the guard
+        # each form at seeded points inside the guard
         ws = FockWorkspace(40)
         rng = np.random.default_rng(20240611)
         for _ in range(4):
             bw, zeta, phi = rng.uniform(1.0, 3.0), rng.uniform(0.05, 0.6), rng.uniform(0.1, 3.0)
             state = thermal_state(ws, bw, 1.0)
             chi, theta = float(chi_of(zeta, phi)), float(theta_of(zeta, phi))
-            for chain in (
-                unitary_product(_exp_i_ky(ws, zeta), phi),
-                unitary_equiv(ProtocolEndpoints(chi, theta), ws),
-                evolution_endpoint(-chi, -theta, ws),
+            for name, args in (
+                ("unitary_product", (zeta, phi)),
+                ("unitary_equiv", (chi, theta)),
+                ("evolution_endpoint", (-chi, -theta)),
             ):
-                mean, var, edge = chain.read(state)
+                mean, var, edge = _grid_read(name, *args, ws, [state]).read(0, 0)
                 evolved = hamiltonian_final(1.0, -chi, ws)
                 assert mean + 1.0 == pytest.approx(expect(evolved, state), rel=1e-12)
                 assert var == pytest.approx(variance(evolved, state), rel=1e-12)
-                assert edge == pytest.approx(_dense_reads(ref.product(chain), bw)[2], rel=1e-12)
+                assert edge == pytest.approx(
+                    _dense_reads(OPERATORS[name](*args, ws), bw)[2], rel=1e-9, abs=1e-26
+                )
 
 
 class TestHamiltonianFinal:

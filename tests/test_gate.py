@@ -18,7 +18,6 @@ from su11otto.core import (
 )
 from su11otto.fock import (
     LEAK_TOL,
-    BlockOperator,
     FockWorkspace,
     evolution_endpoint,
     thermal_state,
@@ -49,8 +48,9 @@ CONFIG = EngineConfig(omega1=0.1, omega2=1.0, t_hot=0.5, t_cold=0.01)
 
 
 def _reference_records():
-    """Each (beta omega, zeta, phi) point's three forms built on a fresh workspace,
-    tiev by its own `evolution_endpoint` where the gate reads the un2 chain."""
+    """Each (beta omega, zeta, phi) point read alone on a fresh workspace, tiev
+    from its own `evolution_endpoint` operator, |U|^2 p per stored sector,
+    where the gate reads the un2 grid."""
     records = []
     for bw in BETA_OMEGAS:
         for zeta in ZETAS:
@@ -59,20 +59,19 @@ def _reference_records():
                 state = thermal_state(ws, bw, 1.0)
                 chi, theta = float(chi_of(zeta, phi)), float(theta_of(zeta, phi))
                 tag = f"[bw={bw:g},zeta={zeta:g},phi={phi:g}]"
-                chains = {
-                    "un1": unitary_product(fock._exp_i_ky(ws, zeta), phi),
-                    "un2": unitary_equiv(ProtocolEndpoints(chi, theta), ws),
-                    "tiev": evolution_endpoint(-chi, -theta, ws),
-                }
-                leak = max(c.occupancy(state) for c in chains.values())
+                un1 = unitary_product(fock._exp_i_ky(ws, zeta), (phi,), [state])
+                un2 = unitary_equiv([ProtocolEndpoints(chi, theta)], ws, [state])
+                tiev = ref.reads(evolution_endpoint(-chi, -theta, ws), state)
+                leak = max(un1.occupancy[0, 0], un2.occupancy[0, 0], tiev[2])
                 if leak > LEAK_TOL:
                     nan = math.nan
                     records.append(
                         GateRecord(f"equivalence{tag}", nan, nan, 1e-8, N_MAX, leak, "skipped")
                     )
                     continue
-                reads = {name: chain.read(state) for name, chain in chains.items()}
-                records.extend(_admitted_records(chains, reads, N_MAX, bw, chi, tag))
+                reads = {"un1": un1.read(0, 0), "un2": un2.read(0, 0), "tiev": tiev}
+                defects = {"un1": un1.defect[0], "un2": un2.defect[0], "tiev": un2.defect[0]}
+                records.extend(_admitted_records(defects, reads, N_MAX, bw, chi, tag))
     return records
 
 
@@ -81,9 +80,22 @@ def _fields(records):
     return [repr(dataclasses.astuple(r)) for r in records]
 
 
+def _same_records(grid, reference):
+    """Every record's quantity, status, tolerance and basis, and its values to
+    the rounding of the routes: the means to 1e-12, and the leakage, a
+    boundary mass near 1e-20 and below, to 1e-14 of its square root."""
+    assert [(r.quantity, r.status, r.tolerance, r.n_max) for r in grid] == [
+        (r.quantity, r.status, r.tolerance, r.n_max) for r in reference
+    ]
+    for a, b in zip(grid, reference):
+        for got, want in ((a.analytic, b.analytic), (a.oracle, b.oracle)):
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-13, nan_ok=True), a.quantity
+        assert a.leakage == pytest.approx(b.leakage, rel=1e-9, abs=1e-14 * b.leakage**0.5)
+
+
 def test_equivalence_grid_matches_point_by_point_reference(monkeypatch):
-    # the tiev records read the un2 chain: one unitary_product and one
-    # unitary_equiv per (zeta, phi), plus the convergence record's two products
+    # un2 is read once for the whole grid, un1 once per zeta, plus the
+    # convergence record's two reads; tiev reads the un2 read
     calls = dict.fromkeys(("unitary_product", "unitary_equiv", "evolution_endpoint"), 0)
     for name in calls:
         build = getattr(fock, name)
@@ -93,15 +105,6 @@ def test_equivalence_grid_matches_point_by_point_reference(monkeypatch):
             return build(*args)
 
         monkeypatch.setattr(gate, name, counted, raising=False)
-    # the un1 squeeze depends on zeta alone: the grid builds it once per zeta,
-    # not once per (zeta, phi); the convergence record builds its own two
-    kernels = []
-
-    def counted_kernel(ws, s):
-        kernels.append((ws.n_max, s))
-        return fock._exp_i_ky(ws, s)
-
-    monkeypatch.setattr(gate, "_exp_i_ky", counted_kernel)
     result = run_gate(
         CONFIG,
         n_max=N_MAX,
@@ -114,10 +117,8 @@ def test_equivalence_grid_matches_point_by_point_reference(monkeypatch):
         r for r in result.records
         if ",zeta=" in r.quantity and not r.quantity.startswith("truncation_convergence")
     ]
-    assert calls == {"unitary_product": 8, "unitary_equiv": 6, "evolution_endpoint": 0}
-    assert kernels == [(N_MAX, 0.6), (N_MAX, 0.9), (60, 0.4), (120, 0.4)]
-    reference = _reference_records()
-    assert _fields(grid) == _fields(reference)
+    assert calls == {"unitary_product": 4, "unitary_equiv": 1, "evolution_endpoint": 0}
+    _same_records(grid, _reference_records())
     skipped = [r.quantity for r in grid if r.status == "skipped"]
     assert skipped == [
         "equivalence[bw=3,zeta=0.9,phi=3]",
@@ -125,22 +126,23 @@ def test_equivalence_grid_matches_point_by_point_reference(monkeypatch):
         "equivalence[bw=1,zeta=0.9,phi=1.5]",
         "equivalence[bw=1,zeta=0.9,phi=3]",
     ]
+    # the tiev records read the un2 read to the bit
+    admitted = [r for r in grid if r.quantity.startswith("mean_n_un2_vs_tiev")]
+    assert admitted and all(r.abs_err == 0.0 for r in admitted)
 
 
 @pytest.mark.parametrize("builder", ["unitary_product", "unitary_equiv"])
 def test_point_skipped_when_any_one_form_trips(monkeypatch, builder):
-    # one chain gets the boundary rows of a chain squeezed far past n_max = 30
-    # appended to its weights, the other keeps its own: every point must be
-    # skipped at every bath
-    ws = FockWorkspace(N_MAX)
-    over_squeezed = unitary_product(fock._exp_i_ky(ws, 3.0), 1.0).weights[2:]
+    # one form's guard reads an occupancy past the budget at every point, the
+    # other keeps its own: every point must be skipped at every bath
     build = getattr(gate, builder)
 
     def tripping(*args):
-        chain = build(*args)
-        return dataclasses.replace(chain, weights=np.vstack([chain.weights, over_squeezed]))
+        read = build(*args)
+        return dataclasses.replace(read, occupancy=read.occupancy + 2.0 * LEAK_TOL)
 
     monkeypatch.setattr(gate, builder, tripping)
+    ws = FockWorkspace(N_MAX)
     states = [(bw, thermal_state(ws, bw, 1.0)) for bw in BETA_OMEGAS]
     records = _equivalence_records(ws, states, ZETAS, PHIS)
     assert [r.status for r in records] == ["skipped"] * (len(BETA_OMEGAS) * len(ZETAS) * len(PHIS))
@@ -153,29 +155,66 @@ def _scaled(op):
     return ref.block_operator(op.ws, scaled, op.is_diagonal)
 
 
+def _scale_squeeze(monkeypatch):
+    """The squeeze kernel of the gate, its operator's sector-5 block scaled."""
+    build = gate._exp_i_ky
+    monkeypatch.setattr(gate, "_exp_i_ky", lambda *args: _scaled(build(*args)))
+
+
+def _scale_phases(monkeypatch):
+    """`fock._kz_phases` with the phases of sector 5, the sixth of the first
+    bucket at n_max = 30, scaled by 1 + 1e-9."""
+    build = fock._kz_phases
+
+    def scaled(ws, angles):
+        stacks = [z.copy() for z in build(ws, angles)]
+        stacks[0][5] *= 1.0 + 1e-9
+        return tuple(stacks)
+
+    monkeypatch.setattr(fock, "_kz_phases", scaled)
+
+
+def _scale_column(monkeypatch, which):
+    """The un2 read, made while column 3 of sector 5's signed factor U~ (which
+    = 1) or V~ (which = 2) of `kx_eig` is scaled by 1 + 1e-9, and its defect
+    bound taken then; the unscaled factors are put back for un1's squeeze."""
+    build = gate.unitary_equiv
+    assert len(FockWorkspace(N_MAX).buckets[0].sizes) > 5
+
+    def scaled(endpoints, ws, states):
+        clean = ws.kx_eig
+        # sector 5 (26 states) is the sixth of the first bucket (width 32) at n_max = 30
+        factors = [list(f) for f in clean]
+        factors[0][which] = factors[0][which].copy()
+        factors[0][which][5, :, 3] *= 1.0 + 1e-9
+        vars(ws)["kx_eig"] = tuple(map(tuple, factors))
+        try:
+            read = build(endpoints, ws, states)
+            _ = read.defect  # the bound, taken with the scaled factors
+        finally:
+            vars(ws)["kx_eig"] = clean
+        return read
+
+    monkeypatch.setattr(gate, "unitary_equiv", scaled)
+
+
 @pytest.mark.parametrize(
-    "module, factor, names",
+    "mutate, names",
     [
-        (gate, "_exp_i_ky", {"un1"}),
-        (fock, "_phase_kz", {"un1"}),
-        (gate, "unitary_equiv", {"un2", "tiev"}),
+        (_scale_squeeze, {"un1"}),
+        (_scale_phases, {"un1"}),
+        (lambda mp: _scale_column(mp, 1), {"un2", "tiev"}),
+        (lambda mp: _scale_column(mp, 2), {"un2", "tiev"}),
     ],
-    ids=["unitary_product-un1", "unitary_product-phase-un1", "unitary_equiv-un2"],
+    ids=["unitary_product-un1", "unitary_product-phase-un1", "unitary_equiv-un2",
+         "unitary_equiv-v-un2"],
 )
-def test_scaled_core_block_fails_its_defect_record(monkeypatch, module, factor, names):
-    # a 1e-9 error in one block is no longer unitary: the defect records of the
-    # forms that read it (tiev reads un2's), and only those, must fail.  un1's
-    # record is a bound from its factors, so its error goes into one block of
-    # the squeeze Y or into |P|; un2's goes into its built core
-    build = getattr(module, factor)
-
-    def scaled(*args):
-        out = build(*args)
-        if isinstance(out, fock.Chain):
-            return dataclasses.replace(out, form_core=lambda: _scaled(out.core))
-        return _scaled(out)
-
-    monkeypatch.setattr(module, factor, scaled)
+def test_scaled_core_block_fails_its_defect_record(monkeypatch, mutate, names):
+    # a 1e-9 error in one factor is no longer unitary: the defect records of the
+    # forms that read it (tiev reads un2's), and only those, must fail.  Each
+    # record is a bound from its form's factors: un1's error goes into one block
+    # of the squeeze Y or into |P|, un2's into a column of U~ or V~
+    mutate(monkeypatch)
     ws = FockWorkspace(N_MAX)
     states = [(3.0, thermal_state(ws, 3.0, 1.0))]
     records = _equivalence_records(ws, states, (0.6,), (0.5,))
@@ -186,37 +225,36 @@ def test_scaled_core_block_fails_its_defect_record(monkeypatch, module, factor, 
     }
 
 
-def test_gram_runs_only_on_the_un2_cores(monkeypatch):
-    # un1's defect is a bound from its factors: `unitarity_defect` runs once per
-    # admitted (zeta, phi), on the real core of that point's un2 chain, and never
-    # on a complex block
-    cores, grammed = [], []
-    build, gram = gate.unitary_equiv, BlockOperator.unitarity_defect
+def test_kernels_and_grams_run_per_zeta_and_per_workspace(monkeypatch):
+    # the cost shape of the grid: the squeeze kernel once per zeta (plus the
+    # convergence record's two), a Gram of Y once per zeta and one of kx_eig's
+    # factors once per workspace, each bucket by bucket, and none of them per
+    # (zeta, phi); the convergence record reads no defect, so takes no Gram
+    kernels, grams = [], []
+    kernel, gram = fock._exp_i_ky, fock._gram_minus_one
 
-    def recording_build(*args):
-        chain = build(*args)
-        cores.append(chain.core)
-        return chain
+    def counted_kernel(ws, s):
+        kernels.append((ws.n_max, s))
+        return kernel(ws, s)
 
-    def recording_gram(op):
-        grammed.append(op)
-        return gram(op)
+    def counted_gram(b):
+        grams.append(b.shape[-1])
+        return gram(b)
 
-    monkeypatch.setattr(gate, "unitary_equiv", recording_build)
-    monkeypatch.setattr(BlockOperator, "unitarity_defect", recording_gram)
-    ws = FockWorkspace(N_MAX)
-    states = [(bw, thermal_state(ws, bw, 1.0)) for bw in BETA_OMEGAS]
-    records = _equivalence_records(ws, states, ZETAS, PHIS)
-    admitted = {
-        r.quantity.split(",", 1)[1]
-        for r in records
-        if r.quantity.startswith("unitarity_defect[un2]")
-    }
-    # (0.9, 3.0) is skipped at both baths
-    assert len(admitted) == len(ZETAS) * len(PHIS) - 1
-    assert len(grammed) == len(admitted) == len({id(op) for op in grammed})
-    assert all(any(op is core for core in cores) for op in grammed)
-    assert all(np.isrealobj(b) for op in grammed for b in op.blocks)
+    for module in (gate, fock):
+        monkeypatch.setattr(module, "_exp_i_ky", counted_kernel)
+    monkeypatch.setattr(fock, "_gram_minus_one", counted_gram)
+    run_gate(
+        CONFIG,
+        n_max=N_MAX,
+        algebra_n_max=4,
+        beta_omegas=BETA_OMEGAS,
+        zeta_grid=ZETAS,
+        phi_grid=PHIS,
+    )
+    assert kernels == [(N_MAX, 0.6), (N_MAX, 0.9), (60, 0.4), (120, 0.4)]
+    widths = [b.width for b in FockWorkspace(N_MAX).buckets]
+    assert sorted(grams) == sorted(widths * len(ZETAS) + [w // 2 for w in widths])
 
 
 def test_partition_function_closed_form():
