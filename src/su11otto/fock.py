@@ -95,8 +95,9 @@ against |U|^2 p for dense exponentials over the full, unfolded basis.
 
 Grid reads
 ----------
-Each moment is Tr(X U rho U+) for X in {N, N^2} and the diagonal state rho,
-a real series in the grid's angles (o the entrywise product):
+Each form is read once for a whole grid into one `GridRead`.  Each moment
+is Tr(X U rho U+) for X in {N, N^2} and the diagonal state rho, a real
+series in the grid's angles (o the entrywise product):
 
 * un2 = exp(i theta K_z) Y(chi) exp(-i theta K_z), Y(chi) = exp(i chi K_y)
   = W R W^T up to the exact interleave of the even and odd positions E and
@@ -109,7 +110,8 @@ a real series in the grid's angles (o the entrywise product):
   (`unitary_product`): with C = Y^T P Y, M_X = Y X Y^T and R = Y rho Y^T,
   Tr(X C rho C+) = Tr(M_X P R P+), so
       <X> = c^T (R o M_X) c + s^T (R o M_X) s,  c, s = cos, sin(phi K_z):
-  the sandwiches once per zeta, O(m^2) per phi.
+  the sandwiches once per zeta, O(m^2) per phi, the points zeta-major.
+  Each zeta's Y is let go before the next is built.
 
 The boundary mass is sum_j rho_j |U_(last, j)|^2, a sum of squares of each
 sector's evolved boundary row, never a quadratic form in the boundary
@@ -140,7 +142,7 @@ e^ = max |1 - fl(|p|^2)| have max |1 - |p|^2| <= e = (e^ + gamma_2) / (1 - gamma
   and e^ per chi: 8.6e-13 at n_max = 120.  It certifies the factors and the
   rotation that the series reads, not the series' own rounding, which the
   pairwise mean records check.
-* un1: from Y's Gram once per zeta (`BlockOperator.gram_norms`) and P's
+* un1: from Y's Gram, taken once per zeta while Y is alive, and P's
   moduli per phi (`_product_defect_bound`).  It also covers the rounding
   of forming fl(Y^T fl(P Y)), which the series does not incur.  It is
   ~m^2 u for the largest block size m: 1.97e-12 at n_max = 120, against
@@ -151,7 +153,7 @@ e^ = max |1 - fl(|p|^2)| have max |1 - |p|^2| <= e = (e^ + gamma_2) / (1 - gamma
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -397,10 +399,6 @@ class BlockOperator:
     def unitarity_defect(self) -> float:
         return max(float(np.max(np.abs(_gram_minus_one(s)))) for s in self._dense)
 
-    @cached_property
-    def gram_norms(self) -> tuple[float, float]:
-        return _gram_norms(self._dense)
-
 
 def _gram_norms(stacks) -> tuple[float, float]:
     """(delta, eta) over the Grams G = fl(b+ b) - 1 of the blocks of `stacks`:
@@ -526,20 +524,15 @@ class GridRead:
 
     `moments` is (3, states, points): <N>, <N^2> and the boundary mass of
     U rho U+.  `occupancy` is (states, points), the worst boundary mass after
-    any guarded partial product.  `bound` evaluates the per-point bound on
-    the unitarity defect of the form's factors (module docstring) when
-    `defect` is first read.
+    any guarded partial product.  `defect` is (points,), the bound on the
+    unitarity defect of the form's factors at each point (module docstring).
     """
 
     ws: FockWorkspace
     label: str
     moments: np.ndarray
     occupancy: np.ndarray
-    bound: Callable[[], np.ndarray]
-
-    @cached_property
-    def defect(self) -> np.ndarray:
-        return self.bound()
+    defect: np.ndarray
 
     def read(self, state: int, point: int) -> tuple[float, float, float]:
         """<N>, Delta^2 N and the boundary mass of U rho U+ at the state and
@@ -579,40 +572,43 @@ def _congruence(f: np.ndarray, diagonals: np.ndarray) -> np.ndarray:
     return (f * diagonals[..., None]).mT @ f
 
 
-def unitary_product(y: BlockOperator, phis, states) -> GridRead:
+def unitary_product(ws: FockWorkspace, zetas, phis, states) -> GridRead:
     """The product form exp(-i zeta K_x) exp(-i phi K_z) exp(i zeta K_x) =
-    D+ Y^T P Y D read at every phi of `phis` for every thermal state of
-    `states`: Y = `_exp_i_ky(ws, zeta)`, which a caller builds once per zeta
-    and which memoises its boundary weights and Gram norms, P = exp(-i phi
-    K_z), and D = diag((-i)^k), exp(-i (pi/2) K_z) times one unit-modulus
-    constant per sector, an outer phase.  The cosine series of the module
-    docstring, one bucket at a time: the sandwiches M_N, M_(N^2) and one R
-    per state are operator products on the bucket's `_BucketSpace`.  It
-    guards the squeezed state Y D, the binding constraint (it spreads the
-    state by zeta even when the composed chi is small), and the final
-    state."""
-    ws = y.ws
+    D+ Y^T P Y D read at every (zeta, phi) of `zetas` x `phis`, zeta-major,
+    for every thermal state of `states`: Y = `_exp_i_ky(ws, zeta)`, P =
+    exp(-i phi K_z), and D = diag((-i)^k), exp(-i (pi/2) K_z) times one
+    unit-modulus constant per sector, an outer phase.  It guards the squeezed
+    state Y D, the binding constraint (it spreads the state by zeta even when
+    the composed chi is small), and the final state."""
     probs = _populations(ws, states)
     phases = _kz_phases(ws, -np.asarray(phis, float))
     eps = np.max([np.max(np.abs(1.0 - _abs2(z)), axis=(0, 1)) for z in phases], axis=0)
     # per bucket, the diagonals of N, N^2 and each state, and the (k, W, 2 n)
-    # columns cos(phi K_z), then -sin(phi K_z)
+    # columns cos(phi K_z), then -sin(phi K_z), which replace the phases
     diagonals = ws._padded(np.vstack((ws.n, ws.n * ws.n, probs)))
-    moments = np.zeros((3, len(probs), len(phis)))
-    for b, stack, d, z in zip(ws.buckets, y.stacks, diagonals, phases):
-        moments += _product_moments(b, stack, d, np.concatenate((z.real, z.imag), axis=-1))
-    occupancy = np.maximum(moments[2], (probs @ y.boundary_weights)[:, None])
-
-    def bound():
-        return np.array([_product_defect_bound(ws.n_max + 1, *y.gram_norms, float(e)) for e in eps])
-
-    return GridRead(ws, "unitary_product", moments, occupancy, bound)
+    columns = [np.concatenate((z.real, z.imag), axis=-1) for z in phases]
+    del phases
+    moments = np.zeros((3, len(probs), len(zetas), len(phis)))
+    occupancy, defect = np.zeros(moments.shape[1:]), np.zeros(moments.shape[2:])
+    for i, zeta in enumerate(zetas):
+        y = _exp_i_ky(ws, zeta)
+        moments[:, :, i] = sum(map(_product_moments, ws.buckets, y.stacks, diagonals, columns))
+        occupancy[:, i] = np.maximum(moments[2, :, i], (probs @ y.boundary_weights)[:, None])
+        norms = _gram_norms(y.stacks)
+        defect[i] = [_product_defect_bound(ws.n_max + 1, *norms, float(e)) for e in eps]
+        del y  # so that no squeeze outlives its zeta
+    grid = (len(probs), -1)
+    return GridRead(
+        ws, "unitary_product", moments.reshape(3, *grid), occupancy.reshape(grid), defect.ravel()
+    )
 
 
 def _product_moments(bucket: Bucket, y: np.ndarray, diagonals: np.ndarray, c: np.ndarray):
     """One bucket's share of `unitary_product`'s moments, (3, states, n): y is
     the bucket's (k, W, W) stack of Y, diagonals the (2 + states, k, W)
-    diagonals of N, N^2 and each state, and c the (k, W, 2 n) columns."""
+    diagonals of N, N^2 and each state, and c the (k, W, 2 n) columns.  The
+    sandwiches M_N, M_(N^2) and one R per state are operator products on the
+    bucket's `_BucketSpace`."""
     n = c.shape[-1] // 2
     space = _BucketSpace((bucket,))
     left, right = BlockOperator(space, (y,)), BlockOperator(space, (y.mT,))
@@ -621,24 +617,27 @@ def _product_moments(bucket: Bucket, y: np.ndarray, diagonals: np.ndarray, c: np
         return (left @ BlockOperator(space, (x,), True) @ right).stacks[0]
 
     out = np.empty((3, len(diagonals) - 2, n))
-    observables = np.stack([sandwich(x) for x in diagonals[:2]])
-    for j, r in enumerate(map(sandwich, diagonals[2:])):
-        q = _series(observables * r, c)
-        out[:2, j] = q[:, :n] + q[:, n:]
+    observables = [sandwich(x) for x in diagonals[:2]]
+    for j, x in enumerate(diagonals[2:]):
+        r = sandwich(x)
+        for i, m in enumerate(observables):
+            q = _series(m * r, c)
+            out[i, j] = q[:n] + q[n:]
+        del r  # so that the next R is built without it
     last = y[np.arange(len(bucket.sizes)), :, bucket.sizes - 1]  # Y[:, last], (k, W)
     rows = (last[:, :, None] * c).mT @ y
     out[2] = _mass(diagonals[2:], rows[:, :n]) + _mass(diagonals[2:], rows[:, n:])
     return out
 
 
-def unitary_equiv(endpoints: Sequence[ProtocolEndpoints], ws: FockWorkspace, states) -> GridRead:
+def unitary_equiv(ws: FockWorkspace, endpoints: Sequence[ProtocolEndpoints], states) -> GridRead:
     """The endpoint form exp(i theta K_z) exp(i chi K_y) exp(-i theta K_z) read
     at every `ProtocolEndpoints` of `endpoints` for every thermal state of
     `states`.  Its outer phases move no population, so every read is of
     exp(i chi K_y): the series in chi of the module docstring on the signed
     factors of `kx_eig`, every chi at once per bucket, and its last row.  Its
     unitarity defect is `_equiv_defect_bound` from the workspace's
-    `kx_eig_gram_norms` and each chi's rotation, taken when first read."""
+    `kx_eig_gram_norms` and each chi's rotation."""
     probs = _populations(ws, states)
     chis = np.array([e.chi for e in endpoints])
     moments = np.zeros((3, len(probs), len(chis)))
@@ -661,11 +660,8 @@ def unitary_equiv(endpoints: Sequence[ProtocolEndpoints], ws: FockWorkspace, sta
         rows_o = (w * np.where(odd_size, s, c)).mT @ v.mT
         moments[2] += _mass(d[2:, :, 0::2], rows_e) + _mass(d[2:, :, 1::2], rows_o)
     half = (ws.n_max + 2) // 2
-
-    def bound():
-        return np.array([_equiv_defect_bound(half, *ws.kx_eig_gram_norms, e) for e in eps])
-
-    return GridRead(ws, "unitary_equiv", moments, moments[2], bound)
+    defect = np.array([_equiv_defect_bound(half, *ws.kx_eig_gram_norms, e) for e in eps])
+    return GridRead(ws, "unitary_equiv", moments, moments[2], defect)
 
 
 def evolution_endpoint(f_y_tf: float, f_z_tf: float, ws: FockWorkspace) -> BlockOperator:

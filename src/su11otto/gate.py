@@ -27,15 +27,15 @@ configured basis size, with the worst guarded occupancy as their leakage.
 
 The endpoint unitaries depend on (zeta, phi) only; the bath enters
 through the thermal input state alone.  So the equivalence grid is read
-whole by `fock`'s two grid reads, each thermal state against every point at
-once, and the records are reported beta*omega-major.  The endpoint form
-un2 depends on chi alone and is read once for the whole grid; the squeeze
-exp(i zeta K_y) of the product form un1 depends on zeta alone, so it is
-built once per zeta and read at every phi.  The unitarity records are the
-reads' proven bounds from their factors: for un1 the squeeze's one real
-Gram per zeta and the phases' moduli, for un2 (and tiev) the Grams of
-`kx_eig`'s factors once per workspace and each chi's rotation, each taken
-at the first admitted point that reads it.
+whole by `fock`'s two grid reads, one per form, each thermal state against
+every point at once, and the records are reported beta*omega-major.  The
+endpoint form un2 depends on chi alone; the squeeze exp(i zeta K_y) of the
+product form un1 depends on zeta alone, so its read builds it once per zeta
+and reads it at every phi.  The unitarity records are the reads' proven
+bounds from their factors, taken by each read for every point: for un1 the
+squeeze's one real Gram per zeta and the phases' moduli, for un2 (and
+tiev) the Grams of `kx_eig`'s factors once per workspace and each chi's
+rotation.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .cycle import stage_energies
 from .errors import TruncationError
 from .fock import (
     FockWorkspace,
-    _exp_i_ky,
     expect,
     hamiltonian_final,
     thermal_state,
@@ -251,9 +250,9 @@ def _admitted_records(defects, reads, n_max, bw, chi, tag) -> list[GateRecord]:
 
 def _equivalence_records(ws, states, zeta_grid, phi_grid) -> list[GateRecord]:
     """Records of every (beta*omega, zeta, phi) grid point, beta*omega-major,
-    from one un2 read of every point and one un1 read per zeta (module
-    docstring).  A point where a read trips the guard at one beta*omega is
-    'skipped' there alone.
+    from one read of the grid per form (module docstring), all read at one
+    zeta-major point index.  A point where a read trips the guard at one
+    beta*omega is 'skipped' there alone.
 
     The time-ordered form tiev, `evolution_endpoint(-chi, -theta)`, reads the
     un2 read, with the same records to the bit: U_tiev = exp(i theta K_z)
@@ -262,32 +261,26 @@ def _equivalence_records(ws, states, zeta_grid, phi_grid) -> list[GateRecord]:
     un2 read reads, and the defect bound of its factors at chi.
     """
     thermal = [state for _, state in states]
-    ends = [
-        ProtocolEndpoints(float(chi_of(zeta, phi)), float(theta_of(zeta, phi)))
-        for zeta in zeta_grid
-        for phi in phi_grid
-    ]
-    un2 = unitary_equiv(ends, ws, thermal)
-    per_bath = [[] for _ in states]
-    for iz, zeta in enumerate(zeta_grid):
-        un1 = unitary_product(_exp_i_ky(ws, zeta), phi_grid, thermal)
-        for i, (recs, (bw, _)) in enumerate(zip(per_bath, states)):
-            for ip, phi in enumerate(phi_grid):
-                j = iz * len(phi_grid) + ip
-                tag = f"[bw={bw:g},zeta={zeta:g},phi={phi:g}]"
-                try:
-                    reads = {"un1": un1.read(i, ip), "un2": un2.read(i, j)}
-                except TruncationError:
-                    leak = float(max(un1.occupancy[i, ip], un2.occupancy[i, j]))
-                    nan = math.nan
-                    recs.append(
-                        _cmp(f"equivalence{tag}", nan, nan, 1e-8, ws.n_max, leak, miss="skipped")
-                    )
-                    continue
-                reads["tiev"] = reads["un2"]
-                defects = {"un1": un1.defect[ip], "un2": un2.defect[j], "tiev": un2.defect[j]}
-                recs.extend(_admitted_records(defects, reads, ws.n_max, bw, ends[j].chi, tag))
-    return [rec for recs in per_bath for rec in recs]
+    points = [(zeta, phi) for zeta in zeta_grid for phi in phi_grid]
+    ends = [ProtocolEndpoints(float(chi_of(*p)), float(theta_of(*p))) for p in points]
+    un2 = unitary_equiv(ws, ends, thermal)
+    forms = {"un1": unitary_product(ws, zeta_grid, phi_grid, thermal), "un2": un2, "tiev": un2}
+    records = []
+    for i, (bw, _) in enumerate(states):
+        for j, ((zeta, phi), end) in enumerate(zip(points, ends)):
+            tag = f"[bw={bw:g},zeta={zeta:g},phi={phi:g}]"
+            try:
+                reads = {name: form.read(i, j) for name, form in forms.items()}
+            except TruncationError:
+                leak = float(max(form.occupancy[i, j] for form in forms.values()))
+                nan = math.nan
+                records.append(
+                    _cmp(f"equivalence{tag}", nan, nan, 1e-8, ws.n_max, leak, miss="skipped")
+                )
+                continue
+            defects = {name: form.defect[j] for name, form in forms.items()}
+            records.extend(_admitted_records(defects, reads, ws.n_max, bw, end.chi, tag))
+    return records
 
 
 def _variance_arbitration(config: EngineConfig, ws: FockWorkspace) -> list[GateRecord]:
@@ -375,13 +368,20 @@ def _derivative_arbitration(config: EngineConfig) -> list[GateRecord]:
 
 def _convergence_record(bw, zeta, phi, grid_ws: FockWorkspace) -> GateRecord:
     """Doubling the basis from _CONVERGENCE_N must leave a guarded average
-    unchanged to 1e-8.  A basis the size of the grid's workspace reuses it."""
+    unchanged to 1e-8.  A basis the size of the grid's workspace reuses it.
+
+    The average is the endpoint form's at (zeta, phi), read without a squeeze.
+    Either form is a valid witness: both are the same unitary on the
+    untruncated space, so either one's average moves under the doubling by
+    its truncation error, and the equivalence records check that the two
+    forms' truncated reads agree."""
     n = _CONVERGENCE_N
+    end = ProtocolEndpoints(float(chi_of(zeta, phi)), float(theta_of(zeta, phi)))
     means = []
     for n_max in (n, 2 * n):
         ws = grid_ws if grid_ws.n_max == n_max else FockWorkspace(n_max)
         state = thermal_state(ws, bw, 1.0)
-        means.append(unitary_product(_exp_i_ky(ws, zeta), (phi,), (state,)).read(0, 0)[0])
+        means.append(unitary_equiv(ws, [end], [state]).read(0, 0)[0])
     tag = f"[bw={bw:g},zeta={zeta:g},phi={phi:g},n={n}->{2 * n}]"
     return _cmp(f"truncation_convergence{tag}", means[0], means[1], 1e-8, 2 * n)
 

@@ -92,10 +92,10 @@ def test_grid_read_surface_is_pinned():
     # `read` is the one read of a form's moments, and it holds the leakage
     # guard: a new field or public method is a deliberate edit of these lists
     assert [f.name for f in dataclasses.fields(GridRead)] == [
-        "ws", "label", "moments", "occupancy", "bound",
+        "ws", "label", "moments", "occupancy", "defect",
     ]
     public = sorted(name for name in dir(GridRead) if not name.startswith("_"))
-    assert public == ["defect", "read"]
+    assert public == ["read"]
 
 
 class TestWorkspace:
@@ -244,10 +244,10 @@ def _grid_read(name, a, b, ws, states):
     form, and (f_y, f_z) for the time-ordered form, whose populations the gate
     reads from the endpoint form at (-f_y, -f_z)."""
     if name == "unitary_product":
-        return unitary_product(_exp_i_ky(ws, a), (b,), states)
+        return unitary_product(ws, (a,), (b,), states)
     if name == "evolution_endpoint":
         a, b = -a, -b
-    return unitary_equiv([ProtocolEndpoints(a, b)], ws, states)
+    return unitary_equiv(ws, [ProtocolEndpoints(a, b)], states)
 
 
 # each form's operator on the same two scalar arguments, multiplied out
@@ -266,7 +266,7 @@ class TestUnitaries:
             assert np.max(np.abs(block - np.diag(np.exp(-0.7j * kz)))) < 1e-14
         # and the read leaves the thermal populations where they were
         state = thermal_state(ws, 5.0, 1.0)
-        mean, var, _ = unitary_product(_exp_i_ky(ws, 0.0), (0.7,), [state]).read(0, 0)
+        mean, var, _ = unitary_product(ws, (0.0,), (0.7,), [state]).read(0, 0)
         assert mean == pytest.approx(state.mean_number(), rel=1e-14)
         assert var == pytest.approx(variance(Tridiagonal(ws, ws.n, 0.0 * ws.n), state), rel=1e-13)
 
@@ -277,7 +277,7 @@ class TestUnitaries:
             assert np.max(np.abs(block - np.eye(block.shape[0]))) < 1e-12
         state = thermal_state(ws, 5.0, 1.0)
         # the intermediate squeeze trips the guard at n_max = 8; the moments do not
-        mean = unitary_product(_exp_i_ky(ws, 1.1), (0.0,), [state]).moments[0, 0, 0]
+        mean = unitary_product(ws, (1.1,), (0.0,), [state]).moments[0, 0, 0]
         assert mean == pytest.approx(state.mean_number(), rel=1e-12)
 
     def test_zero_chi_equiv_is_identity(self):
@@ -286,7 +286,7 @@ class TestUnitaries:
         for block in u.blocks:
             assert np.max(np.abs(block - np.eye(block.shape[0]))) < 1e-13
         state = thermal_state(ws, 5.0, 1.0)
-        read = unitary_equiv([ProtocolEndpoints(chi=0.0, theta=1.2)], ws, [state])
+        read = unitary_equiv(ws, [ProtocolEndpoints(chi=0.0, theta=1.2)], [state])
         assert read.read(0, 0)[0] == pytest.approx(state.mean_number(), rel=1e-14)
         assert read.defect[0] < 1e-13
 
@@ -340,8 +340,8 @@ class TestUnitaries:
         zeta, phi = 0.5, 1.1
         chi, theta = float(chi_of(zeta, phi)), float(theta_of(zeta, phi))
         means = [
-            unitary_product(_exp_i_ky(ws, zeta), (phi,), [state]).read(0, 0)[0],
-            unitary_equiv([ProtocolEndpoints(chi, theta)], ws, [state]).read(0, 0)[0],
+            unitary_product(ws, (zeta,), (phi,), [state]).read(0, 0)[0],
+            unitary_equiv(ws, [ProtocolEndpoints(chi, theta)], [state]).read(0, 0)[0],
             ref.reads(evolution_endpoint(-chi, -theta, ws), state)[0],
         ]
         analytic = (state.mean_number() + 1.0) * math.cosh(chi) - 1.0
@@ -366,24 +366,23 @@ class TestUnitaries:
         _close((mean, second - mean * mean, edge), ref.reads(tiev, state), rel=1e-11, mass_abs=1e-24)
 
     def test_phis_share_the_squeeze_and_its_boundary_weights(self):
-        # the squeezed state's boundary row is memoised on the shared kernel and
-        # guards every phi; a grid of phis reads what each phi reads alone
+        # the squeezed state's boundary row guards every phi of its zeta; a grid
+        # of phis reads what each phi reads alone
         ws = FockWorkspace(30)
         y = _exp_i_ky(ws, 0.9)
         states = [thermal_state(ws, bw, 1.0) for bw in (3.0, 1.0)]
-        read = unitary_product(y, (0.5, 1.5), states)
-        assert vars(y)["boundary_weights"] is y.boundary_weights
+        read = unitary_product(ws, (0.9,), (0.5, 1.5), states)
         squeezed = np.array([y.boundary_weights @ state.probs for state in states])
         assert np.array_equal(read.occupancy, np.maximum(read.moments[2], squeezed[:, None]))
         for j, phi in enumerate((0.5, 1.5)):
-            alone = unitary_product(y, (phi,), states)
+            alone = unitary_product(ws, (0.9,), (phi,), states)
             assert np.allclose(alone.moments[..., 0], read.moments[..., j], rtol=1e-13, atol=1e-28)
 
     def test_truncation_guard_trips_on_aggressive_squeezing(self):
         ws = FockWorkspace(28)
         # fits comfortably unsqueezed
         state = thermal_state(ws, 1.0, 1.0)
-        read = unitary_product(_exp_i_ky(ws, 2.5), (1.0,), [state])
+        read = unitary_product(ws, (2.5,), (1.0,), [state])
         with pytest.raises(TruncationError, match="unitary_product: boundary occupancy"):
             read.read(0, 0)
 
@@ -393,7 +392,7 @@ class TestUnitaries:
         ws = FockWorkspace(30)
         state = thermal_state(ws, 2.0, 1.0)
         d, y = ref.quarter_phases(ws), _exp_i_ky(ws, 0.8)
-        read = unitary_product(y, (3.0,), [state])
+        read = unitary_product(ws, (0.8,), (3.0,), [state])
         with pytest.raises(TruncationError):
             read.read(0, 0)
         # exp(+-0.8 i K_x) = D+ exp(+-0.8 i K_y) D as whole factors
@@ -408,7 +407,7 @@ class TestUnitaries:
     def test_boundary_occupancy_small_in_guarded_regime(self):
         ws = FockWorkspace(60)
         state = thermal_state(ws, 1.0, 1.0)
-        read = unitary_equiv([ProtocolEndpoints(chi=0.6, theta=0.0)], ws, [state])
+        read = unitary_equiv(ws, [ProtocolEndpoints(chi=0.6, theta=0.0)], [state])
         assert read.read(0, 0)[2] == read.occupancy[0, 0] < 1e-12
         assert boundary_occupancy(ref.endpoint_form(0.6, 0.0, ws), state) < 1e-12
 
@@ -440,7 +439,7 @@ class TestProductDefectBound:
     def test_bound_is_never_below_the_gram_defect(self, n_max, zeta, phi):
         ws = FockWorkspace(n_max)
         y = _exp_i_ky(ws, zeta)
-        read = unitary_product(y, (phi,), [_cold_state(ws)])
+        read = unitary_product(ws, (zeta,), (phi,), [_cold_state(ws)])
         core = ref.block_operator(ws, [b.T for b in y.blocks]) @ _phase_kz(ws, -phi) @ y
         assert core.unitarity_defect() <= read.defect[0] < 1e-11
 
@@ -449,39 +448,46 @@ class TestProductDefectBound:
         # the bound grows with the largest block size m and with each input, so
         # m = 121 at inputs above any measured here bounds every n_max <= 120
         ws = FockWorkspace(n_max)
-        y = _exp_i_ky(ws, 1.5)
-        delta, eta = y.gram_norms
+        delta, eta = fock._gram_norms(_exp_i_ky(ws, 1.5).stacks)
         assert delta < 1e-13 and eta < 1e-12
         cap = fock._product_defect_bound(121, 1e-13, 1e-12, 1e-15)
-        assert unitary_product(y, (2.0,), [_cold_state(ws)]).defect[0] < cap < 1e-11
+        assert unitary_product(ws, (1.5,), (2.0,), [_cold_state(ws)]).defect[0] < cap < 1e-11
 
     def test_bound_reaches_the_gate_tolerance_near_n_max_900(self):
         # the m^2 u term alone: a false `fail` past there, the safe direction
         bound = fock._product_defect_bound
         assert bound(880, 0.0, 0.0, 0.0) < 1e-10 < bound(940, 0.0, 0.0, 0.0)
 
-    def test_chain_retains_its_weights_not_a_core(self):
-        # a read of many phis keeps its moments and occupancies plus a small fixed
-        # overhead (its bound is a closure over Y and each phi's modulus); it
-        # streams one bucket at a time, so its build never holds the sandwiches
-        # of every bucket at once beside the Y it shares with every phi, and it
-        # takes no Gram until its defect is read
+    def test_chain_retains_its_weights_not_a_core(self, monkeypatch):
+        # a read of three zetas at many phis keeps its moments, occupancies and
+        # defects plus a small fixed overhead, and no squeeze: each zeta's Y is
+        # read, its Gram taken and let go before the next is built, and the
+        # read streams one bucket at a time, so it never holds two squeezes,
+        # nor the sandwiches of every bucket at once beside its Y
         ws = FockWorkspace(60)
-        y = _exp_i_ky(ws, 0.7)
         states = [thermal_state(ws, bw, 1.0) for bw in (1.0, 2.0, 3.0)]
-        unitary_product(y, (0.3,), states)  # memoises Y's boundary weights
-        y_bytes = sum(s.nbytes for s in y.stacks)
+        unitary_product(ws, (0.7,), (0.3,), states)  # builds kx_eig, kept by ws
+        y_bytes = sum(s.nbytes for s in _exp_i_ky(ws, 0.7).stacks)
         phis = np.linspace(0.1, 3.0, 10)
+        kernel, live = fock._exp_i_ky, []
+
+        def traced_kernel(*args):
+            live.append(tracemalloc.get_traced_memory()[0])
+            return kernel(*args)
+
+        monkeypatch.setattr(fock, "_exp_i_ky", traced_kernel)
         tracemalloc.start()
         try:
-            read = unitary_product(y, phis, states)
+            read = unitary_product(ws, (0.3, 0.7, 1.1), phis, states)
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert retained < read.moments.nbytes + read.occupancy.nbytes + 16_384
+        kept = read.moments.nbytes + read.occupancy.nbytes + read.defect.nbytes
+        assert retained <= kept + 16_384 < y_bytes
+        # no earlier Y is alive when the next is built
+        assert len(live) == 3 and max(live) < y_bytes
         # M_N, M_(N^2) and one R as whole operators would take 3 y_bytes alone
         assert peak < 3 * y_bytes
-        assert "defect" not in vars(read) and "gram_norms" not in vars(y)
 
 
 class TestKeptChains:
@@ -516,9 +522,9 @@ class TestKeptChains:
         ws, other = FockWorkspace(12), FockWorkspace(12)
         state = thermal_state(other, 3.0, 1.0)
         with pytest.raises(ValueError, match="different workspaces"):
-            unitary_product(_exp_i_ky(ws, 0.4), (0.7,), [state])
+            unitary_product(ws, (0.4,), (0.7,), [state])
         with pytest.raises(ValueError, match="different workspaces"):
-            unitary_equiv([ProtocolEndpoints(0.4, 0.7)], ws, [state])
+            unitary_equiv(ws, [ProtocolEndpoints(0.4, 0.7)], [state])
 
 
 class TestAgainstDenseExponentials:
@@ -554,7 +560,7 @@ class TestAgainstDenseExponentials:
         for zeta, phi, _ in points:
             expected = expm(-1j * zeta * kx) @ expm(-1j * phi * kz) @ expm(1j * zeta * kx)
             assert np.max(np.abs(ref.to_dense(ref.product_form(zeta, phi, ws)) - expected)) < self.TOL
-            read = unitary_product(_exp_i_ky(ws, zeta), (phi,), [thermal_state(ws, 3.0, 1.0)])
+            read = unitary_product(ws, (zeta,), (phi,), [thermal_state(ws, 3.0, 1.0)])
             self._check_reads(read, [expected])
 
     def test_unitary_equiv(self, dense):
@@ -567,7 +573,7 @@ class TestAgainstDenseExponentials:
             unitaries.append(expected)
         # every point of the grid at once
         ends = [ProtocolEndpoints(chi, theta) for chi, theta, _ in points]
-        self._check_reads(unitary_equiv(ends, ws, [thermal_state(ws, 3.0, 1.0)]), unitaries)
+        self._check_reads(unitary_equiv(ws, ends, [thermal_state(ws, 3.0, 1.0)]), unitaries)
 
     def test_real_kernel(self, dense):
         ws, _, ky, _ = dense
@@ -658,8 +664,8 @@ class TestBucketPadding:
         # the grid reads of the padded stacks against the per-sector reads of
         # the real blocks alone
         state = _cold_state(ws)
-        read1 = unitary_product(y, (phi,), [state])
-        read2 = unitary_equiv([ProtocolEndpoints(chi, theta)], ws, [state])
+        read1 = unitary_product(ws, (zeta,), (phi,), [state])
+        read2 = unitary_equiv(ws, [ProtocolEndpoints(chi, theta)], [state])
         for read, op in ((read1, un1), (read2, un2)):
             mean, second, edge = read.moments[:, 0, 0]
             _close((mean, second - mean * mean, edge), ref.reads(op, state), rel=1e-9, mass_abs=1e-30)
@@ -703,43 +709,47 @@ class TestChainSummaries:
     @pytest.mark.parametrize("n_max", [1, 7, 8, 9, 30])
     def test_product_weights_are_those_of_its_lazy_core(self, n_max):
         # un1's read is that of its core Y^T P Y, formed here from the same Y
-        # and P and read per sector as |core|^2 p; the read itself forms no
-        # core and takes no Gram
+        # and P and read per sector as |core|^2 p; the read itself forms no core
         ws = FockWorkspace(n_max)
         y = _exp_i_ky(ws, 0.6)
         state = _cold_state(ws)
-        read = unitary_product(y, (1.3,), [state])
-        assert "gram_norms" not in vars(y) and "defect" not in vars(read)
+        read = unitary_product(ws, (0.6,), (1.3,), [state])
         core = ref.block_operator(ws, [b.T for b in y.blocks]) @ _phase_kz(ws, -1.3) @ y
         mean, second, edge = read.moments[:, 0, 0]
         _close((mean, second - mean * mean, edge), ref.reads(core, state), rel=1e-12, mass_abs=1e-30)
 
 
 @settings(max_examples=12)
-@example(n_max=20, zeta=1.2, phi=2.5, bw=1.5)
-@example(n_max=25, zeta=0.3, phi=0.2, bw=4.0)
+@example(n_max=20, zeta=1.2, zeta2=0.5, phi=2.5, bw=1.5)
+@example(n_max=25, zeta=0.3, zeta2=1.4, phi=0.2, bw=4.0)
 @given(
     n_max=st.integers(20, 32),
     zeta=st.floats(0.0, 1.5),
+    zeta2=st.floats(0.0, 1.5),
     phi=st.floats(0.0, 2.0 * math.pi),
     bw=st.floats(1.5, 4.0),
 )
-def test_grid_reads_match_the_dense_exponentials(n_max, zeta, phi, bw):
+def test_grid_reads_match_the_dense_exponentials(n_max, zeta, zeta2, phi, bw):
     # both grid reads against |U|^2 p of dense `expm`s on the `kron` ladder
     # blocks: every n_max has sectors of every size 1 ... n_max + 1, so the
     # last state of a sector sits at even and at odd positions; every boundary
-    # mass is a sum of squares, never negative
+    # mass is a sum of squares, never negative.  The product form reads the
+    # grid (zeta, zeta2) x (phi, 0) at its zeta-major index, which a second phi
+    # tells from the phi-major one
     ws = FockWorkspace(n_max)
     state = thermal_state(ws, bw, 1.0)
     chi, theta = float(chi_of(zeta, phi)), float(theta_of(zeta, phi))
-    forms = (
-        (unitary_product(_exp_i_ky(ws, zeta), (phi,), [state]), ref.product_block(zeta, phi)),
-        (unitary_equiv([ProtocolEndpoints(chi, theta)], ws, [state]), ref.endpoint_block(chi, theta)),
-    )
-    for read, block in forms:
-        mean, second, edge = read.moments[:, 0, 0]
+    un1 = unitary_product(ws, (zeta, zeta2), (phi, 0.0), [state])
+    un2 = unitary_equiv(ws, [ProtocolEndpoints(chi, theta)], [state])
+    forms = [(un2, 0, ref.endpoint_block(chi, theta))] + [
+        (un1, j, ref.product_block(z, p))
+        for j, (z, p) in enumerate((z, p) for z in (zeta, zeta2) for p in (phi, 0.0))
+    ]
+    for read, j, block in forms:
+        mean, second, edge = read.moments[:, 0, j]
         reference = ref.dense_reads(n_max, block, bw)
         _close((mean, second - mean * mean, edge), reference, rel=1e-10, mass_abs=1e-26)
+    for read in (un1, un2):
         assert np.all(read.moments[2] >= 0.0) and np.all(read.occupancy >= 0.0)
 
 

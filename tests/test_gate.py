@@ -59,8 +59,8 @@ def _reference_records():
                 state = thermal_state(ws, bw, 1.0)
                 chi, theta = float(chi_of(zeta, phi)), float(theta_of(zeta, phi))
                 tag = f"[bw={bw:g},zeta={zeta:g},phi={phi:g}]"
-                un1 = unitary_product(fock._exp_i_ky(ws, zeta), (phi,), [state])
-                un2 = unitary_equiv([ProtocolEndpoints(chi, theta)], ws, [state])
+                un1 = unitary_product(ws, (zeta,), (phi,), [state])
+                un2 = unitary_equiv(ws, [ProtocolEndpoints(chi, theta)], [state])
                 tiev = ref.reads(evolution_endpoint(-chi, -theta, ws), state)
                 leak = max(un1.occupancy[0, 0], un2.occupancy[0, 0], tiev[2])
                 if leak > LEAK_TOL:
@@ -94,8 +94,8 @@ def _same_records(grid, reference):
 
 
 def test_equivalence_grid_matches_point_by_point_reference(monkeypatch):
-    # un2 is read once for the whole grid, un1 once per zeta, plus the
-    # convergence record's two reads; tiev reads the un2 read
+    # each form is read once for the whole grid, un2 also for the convergence
+    # record's two bases; tiev reads the un2 read
     calls = dict.fromkeys(("unitary_product", "unitary_equiv", "evolution_endpoint"), 0)
     for name in calls:
         build = getattr(fock, name)
@@ -117,8 +117,12 @@ def test_equivalence_grid_matches_point_by_point_reference(monkeypatch):
         r for r in result.records
         if ",zeta=" in r.quantity and not r.quantity.startswith("truncation_convergence")
     ]
-    assert calls == {"unitary_product": 4, "unitary_equiv": 1, "evolution_endpoint": 0}
-    _same_records(grid, _reference_records())
+    assert calls == {"unitary_product": 1, "unitary_equiv": 3, "evolution_endpoint": 0}
+    reference = _reference_records()
+    _same_records(grid, reference)
+    # each point's bounds are its own zeta's Gram and phases to the bit
+    defects = [(a.oracle, b.oracle) for a, b in zip(grid, reference) if "defect" in a.quantity]
+    assert defects and all(a == b for a, b in defects)
     skipped = [r.quantity for r in grid if r.status == "skipped"]
     assert skipped == [
         "equivalence[bw=3,zeta=0.9,phi=3]",
@@ -156,9 +160,9 @@ def _scaled(op):
 
 
 def _scale_squeeze(monkeypatch):
-    """The squeeze kernel of the gate, its operator's sector-5 block scaled."""
-    build = gate._exp_i_ky
-    monkeypatch.setattr(gate, "_exp_i_ky", lambda *args: _scaled(build(*args)))
+    """The squeeze kernel of the product form, its operator's sector-5 block scaled."""
+    build = fock._exp_i_ky
+    monkeypatch.setattr(fock, "_exp_i_ky", lambda *args: _scaled(build(*args)))
 
 
 def _scale_phases(monkeypatch):
@@ -175,13 +179,13 @@ def _scale_phases(monkeypatch):
 
 
 def _scale_column(monkeypatch, which):
-    """The un2 read, made while column 3 of sector 5's signed factor U~ (which
-    = 1) or V~ (which = 2) of `kx_eig` is scaled by 1 + 1e-9, and its defect
-    bound taken then; the unscaled factors are put back for un1's squeeze."""
+    """The un2 read, with its defect bound, made while column 3 of sector 5's
+    signed factor U~ (which = 1) or V~ (which = 2) of `kx_eig` is scaled by
+    1 + 1e-9; the unscaled factors are put back for un1's squeeze."""
     build = gate.unitary_equiv
     assert len(FockWorkspace(N_MAX).buckets[0].sizes) > 5
 
-    def scaled(endpoints, ws, states):
+    def scaled(ws, endpoints, states):
         clean = ws.kx_eig
         # sector 5 (26 states) is the sixth of the first bucket (width 32) at n_max = 30
         factors = [list(f) for f in clean]
@@ -189,8 +193,7 @@ def _scale_column(monkeypatch, which):
         factors[0][which][5, :, 3] *= 1.0 + 1e-9
         vars(ws)["kx_eig"] = tuple(map(tuple, factors))
         try:
-            read = build(endpoints, ws, states)
-            _ = read.defect  # the bound, taken with the scaled factors
+            read = build(ws, endpoints, states)
         finally:
             vars(ws)["kx_eig"] = clean
         return read
@@ -226,12 +229,12 @@ def test_scaled_core_block_fails_its_defect_record(monkeypatch, mutate, names):
 
 
 def test_kernels_and_grams_run_per_zeta_and_per_workspace(monkeypatch):
-    # the cost shape of the grid: the squeeze kernel once per zeta (plus the
-    # convergence record's two), a Gram of Y once per zeta and one of kx_eig's
-    # factors once per workspace, each bucket by bucket, and none of them per
-    # (zeta, phi); the convergence record reads no defect, so takes no Gram
-    kernels, grams = [], []
-    kernel, gram = fock._exp_i_ky, fock._gram_minus_one
+    # the cost shape of the grid: the squeeze kernel and a Gram of Y once per
+    # zeta, bucket by bucket, and none of them per (zeta, phi); a Gram of
+    # kx_eig's factors once per workspace the endpoint form reads: the grid's,
+    # then each basis of the convergence record, which builds no squeeze
+    kernels, grams, bases = [], [], []
+    kernel, gram, equiv = fock._exp_i_ky, fock._gram_minus_one, gate.unitary_equiv
 
     def counted_kernel(ws, s):
         kernels.append((ws.n_max, s))
@@ -241,9 +244,13 @@ def test_kernels_and_grams_run_per_zeta_and_per_workspace(monkeypatch):
         grams.append(b.shape[-1])
         return gram(b)
 
-    for module in (gate, fock):
-        monkeypatch.setattr(module, "_exp_i_ky", counted_kernel)
+    def counted_equiv(ws, *args):
+        bases.append(ws.n_max)
+        return equiv(ws, *args)
+
+    monkeypatch.setattr(fock, "_exp_i_ky", counted_kernel)
     monkeypatch.setattr(fock, "_gram_minus_one", counted_gram)
+    monkeypatch.setattr(gate, "unitary_equiv", counted_equiv)
     run_gate(
         CONFIG,
         n_max=N_MAX,
@@ -252,9 +259,15 @@ def test_kernels_and_grams_run_per_zeta_and_per_workspace(monkeypatch):
         zeta_grid=ZETAS,
         phi_grid=PHIS,
     )
-    assert kernels == [(N_MAX, 0.6), (N_MAX, 0.9), (60, 0.4), (120, 0.4)]
+    assert kernels == [(N_MAX, 0.6), (N_MAX, 0.9)]
+    assert bases == [N_MAX, 60, 120]
+
+    def halves(n_max):
+        return [b.width // 2 for b in FockWorkspace(n_max).buckets]
+
     widths = [b.width for b in FockWorkspace(N_MAX).buckets]
-    assert sorted(grams) == sorted(widths * len(ZETAS) + [w // 2 for w in widths])
+    expected = widths * len(ZETAS) + halves(N_MAX) + halves(60) + halves(120)
+    assert sorted(grams) == sorted(expected)
 
 
 def test_partition_function_closed_form():

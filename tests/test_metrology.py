@@ -115,7 +115,7 @@ class TestVariances:
         # spec point: beta_h*omega2 = 0.5, chi = 0.8, basis 160
         ws = FockWorkspace(160)
         state = thermal_state(ws, fig3_config.beta_h, fig3_config.omega2)
-        read = unitary_equiv([ProtocolEndpoints(chi=0.8, theta=0.3)], ws, [state])
+        read = unitary_equiv(ws, [ProtocolEndpoints(chi=0.8, theta=0.3)], [state])
         oracle = read.read(0, 0)[1]
         assert float(variance_n(fig3_config, 0.8)) == pytest.approx(oracle, rel=1e-6)
 
