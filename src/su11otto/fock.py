@@ -52,11 +52,12 @@ keeps and relies on:
   one workspace index `FockWorkspace.index`; `BlockOperator.blocks` and
   `.diags` are per-sector views into the stacks.
 
-Every exponential is the one real kernel `_exp_i_ky`: exp(i s K_y) is
-real orthogonal in the Fock basis (Yurke, McCall & Klauder, PRA 33, 4033
-(1986)).  K_x is tridiagonal with a zero diagonal, so it only couples the
-even positions E of a sector to the odd ones O: K_x = [[0, B], [B^T, 0]]
-with the bidiagonal B = U S V^T of size ceil(m/2) x floor(m/2).  Hence
+Every exponential is the one real kernel `_squeeze`, a bucket of
+exp(i s K_y) (`_exp_i_ky` stacks them), real orthogonal in the Fock basis
+(Yurke, McCall & Klauder, PRA 33, 4033 (1986)).  K_x is tridiagonal with a
+zero diagonal, so it only couples the even positions E of a sector to the
+odd ones O: K_x = [[0, B], [B^T, 0]] with the bidiagonal B = U S V^T of
+size ceil(m/2) x floor(m/2).  Hence
 cos(s K_x) is U cos(sS) U^T on EE (1 on U's null column when m is odd) and
 V cos(sS) V^T on OO, and sin(s K_x) is U sin(sS) V^T on EO and its
 transpose on OE: the even checkerboard (j - k even) holds the cosine and
@@ -96,8 +97,8 @@ against |U|^2 p for dense exponentials over the full, unfolded basis.
 Grid reads
 ----------
 Each form is read once for a whole grid into one `GridRead`.  Each moment
-is Tr(X U rho U+) for X in {N, N^2} and the diagonal state rho, a real
-series in the grid's angles (o the entrywise product):
+is Tr(X U rho U+) for X = N (and N^2, un2 only) and the diagonal state rho,
+a real series in the grid's angles (o the entrywise product):
 
 * un2 = exp(i theta K_z) Y(chi) exp(-i theta K_z), Y(chi) = exp(i chi K_y)
   = W R W^T up to the exact interleave of the even and odd positions E and
@@ -106,48 +107,50 @@ series in the grid's angles (o the entrywise product):
       <X> = c^T [(U~^T X_E U~) o (U~^T rho_E U~) + (V~^T X_O V~) o (V~^T rho_O V~)] c
           + s^T [(V~^T X_O V~) o (U~^T rho_E U~) + (U~^T X_E U~) o (V~^T rho_O V~)] s,
   c, s = cos, sin(chi S): half-size congruences once, O(m^2) per chi;
-* un1 = D+ Y^T P Y D, Y = exp(i zeta K_y), P = exp(-i phi K_z)
-  (`unitary_product`): with C = Y^T P Y, M_X = Y X Y^T and R = Y rho Y^T,
-  Tr(X C rho C+) = Tr(M_X P R P+), so
-      <X> = c^T (R o M_X) c + s^T (R o M_X) s,  c, s = cos, sin(phi K_z):
-  the sandwiches once per zeta, O(m^2) per phi, the points zeta-major.
-  Each zeta's Y is let go before the next is built.
+* un1 = D+ Y^T P Y D, Y = Y(zeta), P = exp(-i phi K_z) (`unitary_product`):
+  with C = Y^T P Y, M_N = Y N Y^T, R = Y rho Y^T, Tr(N C rho C+) = Tr(M_N P R P+):
+      <N> = c^T (R o M_N) c + s^T (R o M_N) s,  c, s = cos, sin(phi K_z):
+  the sandwiches once per zeta, O(m^2) per phi, the points zeta-major.  Y
+  is built, read and let go one bucket at a time (`_squeeze`).
 
 The boundary mass is sum_j rho_j |U_(last, j)|^2, a sum of squares of each
 sector's evolved boundary row, never a quadratic form in the boundary
 projector, whose cancellations can read a negative mass.  un1 also guards
-its squeezed intermediate state by Y's `boundary_weights`.
+its squeezed state, whose mass is un2's at chi = zeta (`_last_row_mass`,
+from the factors, before any Y is built): a state refused there is refused
+at every phi, and its R is never formed.
 
 Unitarity bounds
 ----------------
 `GridRead.defect` bounds max |U+ U - 1| for the exact unitary of the
 computed factors (u = 2^-53, gamma_k = k u / (1 - k u); Higham, Accuracy and
-Stability of Numerical Algorithms, 2nd ed., sec. 3.5).  The shared steps
-(`_exact_norms`): a real factor F of block size <= m whose Gram
-G^ = fl(F^T F) - 1 reads delta = max |G^| and eta = the largest row or
-column sum of |G^|, >= ||G^||_2 (`_gram_norms`; the - 1 is exact by
-Sterbenz while delta < 1/2, and past that the bound exceeds any tolerance),
-has |G^ - G| <= gamma_m |F|^T |F| for the exact G = F^T F - 1, so every
-column has |f_j|^2 = 1 + G_jj <= kappa = (1 + delta) / (1 - gamma_m) and
-||G||_2 <= g = (eta + m gamma_m kappa) / (1 - gamma_m), the division
-covering the rounding of eta's sums; phases whose computed moduli read
-e^ = max |1 - fl(|p|^2)| have max |1 - |p|^2| <= e = (e^ + gamma_2) / (1 - gamma_2).
+Stability of Numerical Algorithms, 2nd ed., sec. 3.5).  A real factor F of
+block size <= m whose Gram G^ = fl(F^T F) - 1 reads delta = max |G^| and
+eta = the largest row or column sum of |G^|, >= ||G^||_2 (`_gram_norms`;
+the - 1 is exact by Sterbenz while delta < 1/2, and past that the bound
+exceeds any tolerance), has |G^ - G| <= gamma_m |F|^T |F| for the exact
+G = F^T F - 1, so every column has |f_j|^2 = 1 + G_jj <= kappa =
+(1 + delta) / (1 - gamma_m) and ||G||_2 <= g = (eta + m gamma_m kappa) /
+(1 - gamma_m), the division covering the rounding of eta's sums; phases
+whose computed moduli read e^ = max |1 - fl(|p|^2)| have
+max |1 - |p|^2| <= e = (e^ + gamma_2) / (1 - gamma_2).
 
-* un2 (and tiev, which reads it): with H = W W^T - 1 (||H||_2 = ||G||_2
-  for square W) and Q = R^T R - 1 = diag(q, q), q = c^2 + s^2 - 1 (C and S
-  commute), Y^T Y - 1 = H + W Q W^T + W R^T G R W^T exactly.  Rows of W
-  have |w_j|^2 = 1 + H_jj <= 1 + g and ||R||_2^2 <= 1 + e, so every entry
-  is <= g + e (1 + g) + g (1 + e) (1 + g) (`_equiv_defect_bound`), from the
-  Grams of U~ and V~ once per workspace (`kx_eig_gram_norms`, m their rows)
-  and e^ per chi: 8.6e-13 at n_max = 120.  It certifies the factors and the
-  rotation that the series reads, not the series' own rounding, which the
-  pairwise mean records check.
-* un1: from Y's Gram, taken once per zeta while Y is alive, and P's
-  moduli per phi (`_product_defect_bound`).  It also covers the rounding
-  of forming fl(Y^T fl(P Y)), which the series does not incur.  It is
-  ~m^2 u for the largest block size m: 1.97e-12 at n_max = 120, against
-  Gram defects near 1e-14, and alone it reaches the gate's 1e-10 near
-  n_max = 900, where the record would fail falsely, the safe direction.
+Both forms compose X = F M F^T, F square with ||F^T F - 1||_2 <= g and
+||M+ M - 1||_2 <= e: with H = F F^T - 1 (||H||_2 = ||G||_2, F square) and
+Q = M+ M - 1, X+ X - 1 = H + F Q F^T + F M+ G M F^T exactly, and
+||F||_2^2 <= 1 + g, ||M||_2^2 <= 1 + e, so ||X+ X - 1||_2 (and every entry)
+is <= g + e (1 + g) + g (1 + e) (1 + g), evaluated times 1 + gamma_64
+(`_conjugation_bound`).  Each certifies its factors, not the read's
+rounding, as neither read forms U; the pairwise mean records check that:
+
+* un2 (and tiev, which reads it): Y(chi) = W R W^T, g from the Grams of U~
+  and V~ once per workspace (`kx_eig_gram_norms`, m their rows), e from
+  each chi's R, R^T R - 1 = diag(q, q), q = c^2 + s^2 - 1 (C and S
+  commute) (`_equiv_defect_bound`): 8.6e-13 at n_max = 120;
+* un1: C = Y^T P Y, Y = Y(zeta), so g is un2's bound at zeta's R and e
+  P's moduli per phi (`_product_defect_bound`): 1.72e-12 at n_max = 120,
+  O(1) per point.  Its m gamma_m terms alone reach the gate's 1e-10 near
+  n_max = 950, where the record would fail falsely, the safe direction.
 """
 
 from __future__ import annotations
@@ -329,7 +332,7 @@ class FockWorkspace:
     @cached_property
     def kx_eig_gram_norms(self) -> tuple[float, float]:
         """`_gram_norms` over the signed factors U~ and V~ of `kx_eig`, the
-        factor Grams of un2's bound (module docstring)."""
+        factor Grams of both forms' bounds (module docstring)."""
         return _gram_norms(np.concatenate((u, v)) for _, u, v in self.kx_eig)
 
 
@@ -476,7 +479,19 @@ def thermal_state(ws: FockWorkspace, beta: float, omega: float) -> ThermalState:
 
 
 def _exp_i_ky(ws: FockWorkspace, s: float) -> BlockOperator:
-    """exp(i s K_y) as real orthogonal blocks, one batched kernel per bucket.
+    """exp(i s K_y) as real orthogonal blocks: the stack of `_squeeze` per bucket."""
+    return BlockOperator(ws, tuple(_squeeze(u, v, *_rotation(sigma, (s,))) for sigma, u, v in ws.kx_eig))
+
+
+def _rotation(sigma: np.ndarray, angles) -> tuple[np.ndarray, np.ndarray]:
+    """cos, sin(a S) of one bucket's singular values S for each angle a:
+    sigma (k, h) and the angles (P,) give (k, h, P) each."""
+    a = np.multiply.outer(sigma, angles)
+    return np.cos(a), np.sin(a)
+
+
+def _squeeze(u: np.ndarray, v: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """A bucket's (k, W, W) stack of exp(i s K_y) from its `_rotation` at s.
 
     The sign (-1)^floor((j-k)/2) of entry jk (module docstring) is t_j t_k,
     t_k = (-1)^floor(k/2), negated where j is even and k odd.  With the
@@ -486,17 +501,26 @@ def _exp_i_ky(ws: FockWorkspace, s: float) -> BlockOperator:
     half-size products, and the known zeros of each checkerboard part are
     never computed.  On the padding, S = 0 and U~ = V~ = 1 give the identity
     (module docstring), and the extra columns of V~ sin(sS) U~^T are 0."""
-    stacks = []
-    for sigma, u, v in ws.kx_eig:
-        cos, sin = np.cos(s * sigma)[:, None, :], np.sin(s * sigma)[:, None, :]
-        y = np.empty((len(sigma), *(2 * sigma.shape[1],) * 2))
-        y[:, 0::2, 0::2] = (u * cos) @ u.mT
-        y[:, 1::2, 1::2] = (v * cos) @ v.mT
-        y[:, 1::2, 0::2] = oe = (v * sin) @ u.mT
-        # from oe, not from y: numpy 2.4 misreads a transposed view of y here
-        np.negative(oe.mT, out=y[:, 0::2, 1::2])
-        stacks.append(y)
-    return BlockOperator(ws, tuple(stacks))
+    y = np.empty((len(u), *(2 * u.shape[-1],) * 2))
+    y[:, 0::2, 0::2] = (u * cos.mT) @ u.mT
+    y[:, 1::2, 1::2] = (v * cos.mT) @ v.mT
+    y[:, 1::2, 0::2] = oe = (v * sin.mT) @ u.mT
+    # from oe, not from y: numpy 2.4 misreads a transposed view of y here
+    np.negative(oe.mT, out=y[:, 0::2, 1::2])
+    return y
+
+
+def _last_row_mass(bucket: Bucket, u, v, c, s, probs: np.ndarray) -> np.ndarray:
+    """sum_j rho_j Y_(last, j)^2 over a bucket for Y = exp(i a K_y) at each
+    angle of the `_rotation` c, s, never formed: probs (states, k, W) gives
+    (states, P).  The last row is w o c on E and w o s on O, w U~'s last row,
+    for an odd sector size; w o s and w o c, w V~'s last row, for even."""
+    j, m = np.arange(len(bucket.sizes)), bucket.sizes
+    odd_size = (m % 2 == 1)[:, None, None]
+    w = np.where(odd_size[..., 0], u[j, (m - 1) // 2], v[j, (m - 2) // 2])[..., None]
+    rows_e = (w * np.where(odd_size, c, s)).mT @ u.mT
+    rows_o = (w * np.where(odd_size, s, c)).mT @ v.mT
+    return _mass(probs[:, :, 0::2], rows_e) + _mass(probs[:, :, 1::2], rows_o)
 
 
 def _kz_phases(ws: FockWorkspace, angles) -> tuple[np.ndarray, ...]:
@@ -522,10 +546,11 @@ def boundary_occupancy(op: BlockOperator, state: ThermalState) -> float:
 class GridRead:
     """One form's moments at every (thermal state, grid point), and the name of its read.
 
-    `moments` is (3, states, points): <N>, <N^2> and the boundary mass of
-    U rho U+.  `occupancy` is (states, points), the worst boundary mass after
-    any guarded partial product.  `defect` is (points,), the bound on the
-    unitarity defect of the form's factors at each point (module docstring).
+    `moments` is (rows, states, points): <N>, then <N^2> where the form reads
+    it (un2 alone), then the boundary mass of U rho U+.  `occupancy` is
+    (states, points), the worst boundary mass after any guarded partial
+    product.  `defect` is (points,), the bound on the unitarity defect of the
+    form's factors at each point (module docstring).
     """
 
     ws: FockWorkspace
@@ -534,10 +559,10 @@ class GridRead:
     occupancy: np.ndarray
     defect: np.ndarray
 
-    def read(self, state: int, point: int) -> tuple[float, float, float]:
-        """<N>, Delta^2 N and the boundary mass of U rho U+ at the state and
-        point of these indices; raises TruncationError past an `occupancy` of
-        LEAK_TOL."""
+    def read(self, state: int, point: int) -> tuple[float, ...]:
+        """<N>, Delta^2 N where the form reads <N^2>, and the boundary mass of
+        U rho U+ at the state and point of these indices; raises
+        TruncationError past an `occupancy` of LEAK_TOL."""
         worst = float(self.occupancy[state, point])
         if worst > LEAK_TOL:
             raise TruncationError(
@@ -545,8 +570,8 @@ class GridRead:
                 f"{LEAK_TOL:.1e} at n_max={self.ws.n_max}; increase n_max or reduce "
                 "the squeezing"
             )
-        mean, second, boundary = self.moments[:, state, point].tolist()
-        return mean, second - mean * mean, boundary
+        mean, *second, boundary = self.moments[:, state, point].tolist()
+        return (mean, *(x - mean * mean for x in second), boundary)
 
 
 def _populations(ws: FockWorkspace, states) -> np.ndarray:
@@ -579,36 +604,40 @@ def unitary_product(ws: FockWorkspace, zetas, phis, states) -> GridRead:
     exp(-i phi K_z), and D = diag((-i)^k), exp(-i (pi/2) K_z) times one
     unit-modulus constant per sector, an outer phase.  It guards the squeezed
     state Y D, the binding constraint (it spreads the state by zeta even when
-    the composed chi is small), and the final state."""
+    the composed chi is small), and the final state.  A state whose squeezed
+    state is past LEAK_TOL is refused at every phi of that zeta, so its R is
+    never formed and its <N> there is NaN, which `read` never returns."""
     probs = _populations(ws, states)
     phases = _kz_phases(ws, -np.asarray(phis, float))
     eps = np.max([np.max(np.abs(1.0 - _abs2(z)), axis=(0, 1)) for z in phases], axis=0)
-    # per bucket, the diagonals of N, N^2 and each state, and the (k, W, 2 n)
+    # per bucket, the diagonals of N and each state, and the (k, W, 2 n)
     # columns cos(phi K_z), then -sin(phi K_z), which replace the phases
-    diagonals = ws._padded(np.vstack((ws.n, ws.n * ws.n, probs)))
+    diagonals = ws._padded(np.vstack((ws.n, probs)))
     columns = [np.concatenate((z.real, z.imag), axis=-1) for z in phases]
     del phases
-    moments = np.zeros((3, len(probs), len(zetas), len(phis)))
+    n = len(phis)
+    moments = np.zeros((2, len(probs), len(zetas) * n))
     occupancy, defect = np.zeros(moments.shape[1:]), np.zeros(moments.shape[2:])
+    half, norms = (ws.n_max + 2) // 2, ws.kx_eig_gram_norms
     for i, zeta in enumerate(zetas):
-        y = _exp_i_ky(ws, zeta)
-        moments[:, :, i] = sum(map(_product_moments, ws.buckets, y.stacks, diagonals, columns))
-        occupancy[:, i] = np.maximum(moments[2, :, i], (probs @ y.boundary_weights)[:, None])
-        norms = _gram_norms(y.stacks)
-        defect[i] = [_product_defect_bound(ws.n_max + 1, *norms, float(e)) for e in eps]
-        del y  # so that no squeeze outlives its zeta
-    grid = (len(probs), -1)
-    return GridRead(
-        ws, "unitary_product", moments.reshape(3, *grid), occupancy.reshape(grid), defect.ravel()
-    )
+        at = slice(i * n, (i + 1) * n)  # zeta's points
+        parts = [(b, u, v, *_rotation(sigma, (zeta,))) for b, (sigma, u, v) in zip(ws.buckets, ws.kx_eig)]
+        squeezed = sum(_last_row_mass(*part, d[1:]) for part, d in zip(parts, diagonals))[:, 0]
+        admitted = squeezed <= LEAK_TOL
+        for (b, u, v, c, s), d, col in zip(parts, diagonals, columns):  # one bucket's Y at a time
+            moments[:, :, at] += _product_moments(b, _squeeze(u, v, c, s), d, col, admitted)
+        moments[0, ~admitted, at] = np.nan
+        occupancy[:, at] = np.maximum(moments[1, :, at], squeezed[:, None])
+        eps_y = max(float(np.max(np.abs(1.0 - (c * c + s * s)))) for *_, c, s in parts)
+        defect[at] = [_product_defect_bound(half, *norms, eps_y, float(e)) for e in eps]
+    return GridRead(ws, "unitary_product", moments, occupancy, defect)
 
 
-def _product_moments(bucket: Bucket, y: np.ndarray, diagonals: np.ndarray, c: np.ndarray):
-    """One bucket's share of `unitary_product`'s moments, (3, states, n): y is
-    the bucket's (k, W, W) stack of Y, diagonals the (2 + states, k, W)
-    diagonals of N, N^2 and each state, and c the (k, W, 2 n) columns.  The
-    sandwiches M_N, M_(N^2) and one R per state are operator products on the
-    bucket's `_BucketSpace`."""
+def _product_moments(bucket: Bucket, y: np.ndarray, diagonals: np.ndarray, c: np.ndarray, admitted):
+    """One bucket's (2, states, n) share of `unitary_product` at one zeta:
+    <N> of each `admitted` state and every state's boundary mass, from the
+    bucket's Y, the diagonals of N and each state, and the 2 n columns c.
+    The sandwiches M_N and R are operator products on a `_BucketSpace`."""
     n = c.shape[-1] // 2
     space = _BucketSpace((bucket,))
     left, right = BlockOperator(space, (y,)), BlockOperator(space, (y.mT,))
@@ -616,17 +645,14 @@ def _product_moments(bucket: Bucket, y: np.ndarray, diagonals: np.ndarray, c: np
     def sandwich(x):
         return (left @ BlockOperator(space, (x,), True) @ right).stacks[0]
 
-    out = np.empty((3, len(diagonals) - 2, n))
-    observables = [sandwich(x) for x in diagonals[:2]]
-    for j, x in enumerate(diagonals[2:]):
-        r = sandwich(x)
-        for i, m in enumerate(observables):
-            q = _series(m * r, c)
-            out[i, j] = q[:n] + q[n:]
-        del r  # so that the next R is built without it
+    out = np.zeros((2, len(diagonals) - 1, n))
+    m_n = sandwich(diagonals[0])
+    for j in np.flatnonzero(admitted):
+        q = _series(m_n * sandwich(diagonals[1 + j]), c)
+        out[0, j] = q[:n] + q[n:]
     last = y[np.arange(len(bucket.sizes)), :, bucket.sizes - 1]  # Y[:, last], (k, W)
     rows = (last[:, :, None] * c).mT @ y
-    out[2] = _mass(diagonals[2:], rows[:, :n]) + _mass(diagonals[2:], rows[:, n:])
+    out[1] = _mass(diagonals[1:], rows[:, :n]) + _mass(diagonals[1:], rows[:, n:])
     return out
 
 
@@ -645,20 +671,12 @@ def unitary_equiv(ws: FockWorkspace, endpoints: Sequence[ProtocolEndpoints], sta
     # per bucket, the diagonals of N, N^2 and each state
     diagonals = ws._padded(np.vstack((ws.n, ws.n * ws.n, probs)))
     for b, (sigma, u, v), d in zip(ws.buckets, ws.kx_eig, diagonals):
-        angles = sigma[..., None] * chis
-        c, s = np.cos(angles), np.sin(angles)
+        c, s = _rotation(sigma, chis)
         eps = np.maximum(eps, np.max(np.abs(1.0 - (c * c + s * s)), axis=(0, 1)))
         even, odd = _congruence(u, d[..., 0::2]), _congruence(v, d[..., 1::2])
         x_e, x_o, r_e, r_o = even[:2, None], odd[:2, None], even[2:], odd[2:]
         moments[:2] += _series(x_e * r_e + x_o * r_o, c) + _series(x_o * r_e + x_e * r_o, s)
-        # the last row: w o c on E and w o s on O, w the last row of U~, when the
-        # sector size is odd; w o s and w o c, w the last row of V~, when even
-        j, m = np.arange(len(b.sizes)), b.sizes
-        odd_size = (m % 2 == 1)[:, None, None]
-        w = np.where(odd_size[..., 0], u[j, (m - 1) // 2], v[j, (m - 2) // 2])[..., None]
-        rows_e = (w * np.where(odd_size, c, s)).mT @ u.mT
-        rows_o = (w * np.where(odd_size, s, c)).mT @ v.mT
-        moments[2] += _mass(d[2:, :, 0::2], rows_e) + _mass(d[2:, :, 1::2], rows_o)
+        moments[2] += _last_row_mass(b, u, v, c, s, d[2:])
     half = (ws.n_max + 2) // 2
     defect = np.array([_equiv_defect_bound(half, *ws.kx_eig_gram_norms, e) for e in eps])
     return GridRead(ws, "unitary_equiv", moments, moments[2], defect)
@@ -679,48 +697,26 @@ def evolved_boundary_occupancy(factors, state: ThermalState) -> float:
     return max(boundary_occupancy(p, state) for p, f in zip(partials, factors) if not f.is_diagonal)
 
 
-def _exact_norms(m: int, delta: float, eta: float, eps: float) -> tuple[float, float, float]:
-    """The shared steps of the module docstring's bounds, for a real factor of
-    block size <= m whose Gram reads (delta, eta) and phases whose moduli read
-    eps: (kappa >= |f_j|^2, g >= ||F^T F - 1||_2, e >= max |1 - |p|^2|)."""
-    g_m = _gamma(m)
-    kappa = (1.0 + delta) / (1.0 - g_m)
-    g = (eta + m * g_m * kappa) / (1.0 - g_m)
+def _conjugation_bound(g: float, eps: float) -> float:
+    """g + e (1 + g) + g (1 + e) (1 + g) >= ||X+ X - 1||_2 for X = F M F^T, F
+    square with ||F^T F - 1||_2 <= g, and e >= ||M+ M - 1||_2 from the moduli
+    eps that M reads (module docstring), times 1 + gamma_64 for evaluating it."""
     e = (eps + _gamma(2)) / (1.0 - _gamma(2))
-    return kappa, g, e
-
-
-def _equiv_defect_bound(m: int, delta: float, eta: float, eps: float) -> float:
-    """un2's bound g + e (1 + g) + g (1 + e) (1 + g) on the unitarity defect of
-    W R W^T (module docstring), times 1 + gamma_64 for evaluating it."""
-    _, g, e = _exact_norms(m, delta, eta, eps)
     return (g + e * (1.0 + g) + g * (1.0 + e) * (1.0 + g)) * (1.0 + _gamma(64))
 
 
-def _product_defect_bound(m: int, delta: float, eta: float, eps_p: float) -> float:
-    """un1's bound on the unitarity defect of fl(Y^T fl(P Y)), Y real, P
-    diagonal, m the largest block size (the bound grows with m and each
-    input, so the worst inputs over the blocks bound every block), from Y's
-    Gram norms and P's moduli (kappa, g and e as in the module docstring):
+def _equiv_defect_bound(m: int, delta: float, eta: float, eps: float) -> float:
+    """un2's bound for Y = W R W^T: g >= ||W^T W - 1||_2 from the Gram reads
+    (delta, eta) of W's blocks of size <= m, and R's moduli."""
+    g_m = _gamma(m)
+    kappa = (1.0 + delta) / (1.0 - g_m)
+    return _conjugation_bound((eta + m * g_m * kappa) / (1.0 - g_m), eps)
 
-    * exact core: C+ C - 1 = G + Y^T Q Y + Y^T P+ H P Y, Q = P+ P - 1,
-      H = Y Y^T - 1, and ||H||_2 = ||G||_2 for square Y.  By Cauchy-Schwarz
-      on the columns, |C+ C - 1|_jk <= delta + gamma_m kappa + e kappa +
-      (1 + e) kappa g.
-    * rounding: fl(P Y) rounds each part of each entry once, u |P| |Y|, and
-      Y^T fl(P Y) as one real product on its interleaved real view rounds
-      gamma_m |Y|^T |fl(P Y)| in each part.  So every entry of the computed
-      core's error R is <= rho = gamma_(m+1) sqrt(1 + e) kappa, every column
-      of R has norm <= sqrt(m) rho, and every column Y^T P y_j of C norm <=
-      ||Y||_2 sqrt((1 + e) kappa) <= c = sqrt((1 + g)(1 + e) kappa).  R adds
-      C+ R + R+ C + R+ R to C+ C - 1, entrywise <= 2 sqrt(m) rho c + m rho^2.
 
-    The sum, times 1 + gamma_64 for evaluating it, is the bound."""
-    kappa, g, e = _exact_norms(m, delta, eta, eps_p)
-    exact = delta + _gamma(m) * kappa + e * kappa + (1.0 + e) * kappa * g
-    rho = _gamma(m + 1) * math.sqrt(1.0 + e) * kappa
-    c = math.sqrt((1.0 + g) * (1.0 + e) * kappa)
-    return (exact + 2.0 * math.sqrt(m) * rho * c + m * rho * rho) * (1.0 + _gamma(64))
+def _product_defect_bound(m: int, delta: float, eta: float, eps_y: float, eps_p: float) -> float:
+    """un1's bound for C = Y^T P Y: un2's at the squeeze's rotation, whose
+    moduli read eps_y, and P's moduli."""
+    return _conjugation_bound(_equiv_defect_bound(m, delta, eta, eps_y), eps_p)
 
 
 def _gamma(k: int) -> float:

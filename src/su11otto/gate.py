@@ -32,10 +32,10 @@ every point at once, and the records are reported beta*omega-major.  The
 endpoint form un2 depends on chi alone; the squeeze exp(i zeta K_y) of the
 product form un1 depends on zeta alone, so its read builds it once per zeta
 and reads it at every phi.  The unitarity records are the reads' proven
-bounds from their factors, taken by each read for every point: for un1 the
-squeeze's one real Gram per zeta and the phases' moduli, for un2 (and
-tiev) the Grams of `kx_eig`'s factors once per workspace and each chi's
-rotation.
+bounds from their factors, taken by each read for every point from the
+Grams of `kx_eig`'s factors, once per workspace, and the moduli of each
+rotation: un2's (and tiev's) at chi, un1's at the squeeze angle zeta,
+composed with the phases' moduli.
 """
 
 from __future__ import annotations
@@ -228,7 +228,7 @@ def _admitted_records(defects, reads, n_max, bw, chi, tag) -> list[GateRecord]:
         _cmp(f"unitarity_defect[{name}]{tag}", 0.0, defect, 1e-10, n_max)
         for name, defect in defects.items()
     ]
-    leak = max(m[2] for m in reads.values())
+    leak = max(m[-1] for m in reads.values())
     for na, nb in (("un1", "un2"), ("un1", "tiev"), ("un2", "tiev")):
         recs.append(
             _cmp(f"mean_n_{na}_vs_{nb}{tag}", reads[na][0], reads[nb][0], 1e-8, n_max, leak)

@@ -4,6 +4,7 @@ unitaries and the truncation guards."""
 import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -67,14 +68,36 @@ def _dense_reads(u, bw):
 
 
 def _close(got, want, rel=1e-12, mass_abs=1e-26):
-    """(mean, variance or second moment, boundary mass) against a reference:
-    the moments relative to rel.  A mass m = sum_j p_j |u_j|^2 read from
+    """(mean, variance, boundary mass) against a reference (mean, variance,
+    mass), the variance only where `got` holds one (un1 reads no <N^2>): the
+    moments relative to rel.  A mass m = sum_j p_j |u_j|^2 read from
     entries u_j that each route rounds by ~1e-16 moves by up to
     ~2 sqrt(m) 1e-16, so the mass is compared within 1e-14 sqrt(m), and
     within mass_abs, below which both routes read rounding noise."""
-    assert got[:2] == pytest.approx(want[:2], rel=rel)
-    assert got[2] >= 0.0
-    assert got[2] == pytest.approx(want[2], rel=rel, abs=mass_abs + 1e-14 * math.sqrt(want[2]))
+    moments = list(got[:-1])
+    assert moments == pytest.approx(list(want[: len(moments)]), rel=rel)
+    assert got[-1] >= 0.0
+    assert got[-1] == pytest.approx(want[-1], rel=rel, abs=mass_abs + 1e-14 * math.sqrt(want[-1]))
+
+
+def _moments(read, i=0, j=0):
+    """<N>, Delta^2 N where the form reads <N^2>, and the boundary mass of
+    `read` at state i and point j, taken past the guard."""
+    mean, *second, edge = read.moments[:, i, j].tolist()
+    return (mean, *(x - mean * mean for x in second), edge)
+
+
+def _close_read(read, i, j, want, rel=1e-12, mass_abs=1e-26):
+    """`_moments` of `read` against a reference by `_close`.  un1 forms no <N>
+    for a state that its squeezed guard refuses, whose R it never builds:
+    that <N> is NaN, `read` must refuse the point, and the mass alone is
+    compared."""
+    got = _moments(read, i, j)
+    if math.isnan(got[0]):
+        with pytest.raises(TruncationError):
+            read.read(i, j)
+        got, want = got[-1:], want[-1:]
+    _close(got, want, rel, mass_abs)
 
 
 def test_public_surface_is_pinned():
@@ -266,9 +289,9 @@ class TestUnitaries:
             assert np.max(np.abs(block - np.diag(np.exp(-0.7j * kz)))) < 1e-14
         # and the read leaves the thermal populations where they were
         state = thermal_state(ws, 5.0, 1.0)
-        mean, var, _ = unitary_product(ws, (0.0,), (0.7,), [state]).read(0, 0)
+        mean, edge = unitary_product(ws, (0.0,), (0.7,), [state]).read(0, 0)
         assert mean == pytest.approx(state.mean_number(), rel=1e-14)
-        assert var == pytest.approx(variance(Tridiagonal(ws, ws.n, 0.0 * ws.n), state), rel=1e-13)
+        assert edge == pytest.approx(state.probs[ws.last].sum(), rel=1e-12, abs=1e-30)
 
     def test_zero_phase_is_identity(self):
         ws = FockWorkspace(8)
@@ -276,8 +299,18 @@ class TestUnitaries:
         for block in u.blocks:
             assert np.max(np.abs(block - np.eye(block.shape[0]))) < 1e-12
         state = thermal_state(ws, 5.0, 1.0)
-        # the intermediate squeeze trips the guard at n_max = 8; the moments do not
-        mean = unitary_product(ws, (1.1,), (0.0,), [state]).moments[0, 0, 0]
+        # the intermediate squeeze trips the guard at n_max = 8, so the read
+        # forms no R and no <N> there and refuses the point; the final state is
+        # the thermal one, boundary mass included
+        read = unitary_product(ws, (1.1,), (0.0,), [state])
+        with pytest.raises(TruncationError, match="unitary_product: boundary occupancy"):
+            read.read(0, 0)
+        assert math.isnan(read.moments[0, 0, 0])
+        assert read.moments[-1, 0, 0] == pytest.approx(state.probs[ws.last].sum(), rel=1e-9)
+        # admitted at n_max = 30, where the read gives the thermal mean
+        ws = FockWorkspace(30)
+        state = thermal_state(ws, 5.0, 1.0)
+        mean, _ = unitary_product(ws, (1.1,), (0.0,), [state]).read(0, 0)
         assert mean == pytest.approx(state.mean_number(), rel=1e-12)
 
     def test_zero_chi_equiv_is_identity(self):
@@ -366,14 +399,18 @@ class TestUnitaries:
         _close((mean, second - mean * mean, edge), ref.reads(tiev, state), rel=1e-11, mass_abs=1e-24)
 
     def test_phis_share_the_squeeze_and_its_boundary_weights(self):
-        # the squeezed state's boundary row guards every phi of its zeta; a grid
-        # of phis reads what each phi reads alone
+        # the squeezed state's boundary row guards every phi of its zeta: it is
+        # exp(i zeta K_y)'s, the endpoint form's at chi = zeta, read from the
+        # same factors by the same helper, and the kernel's Y's last row to
+        # rounding; a grid of phis reads what each phi reads alone
         ws = FockWorkspace(30)
         y = _exp_i_ky(ws, 0.9)
         states = [thermal_state(ws, bw, 1.0) for bw in (3.0, 1.0)]
         read = unitary_product(ws, (0.9,), (0.5, 1.5), states)
-        squeezed = np.array([y.boundary_weights @ state.probs for state in states])
-        assert np.array_equal(read.occupancy, np.maximum(read.moments[2], squeezed[:, None]))
+        squeezed = unitary_equiv(ws, [ProtocolEndpoints(0.9, 0.0)], states).moments[-1]
+        assert np.array_equal(read.occupancy, np.maximum(read.moments[-1], squeezed))
+        kernel = np.array([y.boundary_weights @ state.probs for state in states])
+        assert squeezed[:, 0] == pytest.approx(kernel, rel=1e-12)
         for j, phi in enumerate((0.5, 1.5)):
             alone = unitary_product(ws, (0.9,), (phi,), states)
             assert np.allclose(alone.moments[..., 0], read.moments[..., j], rtol=1e-13, atol=1e-28)
@@ -402,7 +439,7 @@ class TestUnitaries:
         product = ref.product_form(0.8, 3.0, ws)
         assert boundary_occupancy(product, state) > LEAK_TOL
         assert evolved_boundary_occupancy(factors, state) >= boundary_occupancy(product, state)
-        assert read.moments[2, 0, 0] == pytest.approx(boundary_occupancy(product, state), rel=1e-12)
+        assert read.moments[-1, 0, 0] == pytest.approx(boundary_occupancy(product, state), rel=1e-12)
 
     def test_boundary_occupancy_small_in_guarded_regime(self):
         ws = FockWorkspace(60)
@@ -428,7 +465,8 @@ def _cold_state(ws):
 
 
 class TestProductDefectBound:
-    """un1's unitarity defect is a bound from its factors (`_product_defect_bound`)."""
+    """un1's unitarity defect is a bound from its factors (`_product_defect_bound`):
+    un2's bound on Y = W R W^T at the squeeze's rotation, composed with P."""
 
     @settings(max_examples=60)
     @given(
@@ -437,45 +475,104 @@ class TestProductDefectBound:
         phi=st.floats(0.0, 2.0 * math.pi),
     )
     def test_bound_is_never_below_the_gram_defect(self, n_max, zeta, phi):
+        # the exact C = Y^T P Y of `kx_eig`'s factors, the computed rotation at
+        # zeta and the computed phases, in extended precision (its own rounding
+        # ~1e-18): the bound certifies the factors, not the read's rounding
         ws = FockWorkspace(n_max)
-        y = _exp_i_ky(ws, zeta)
         read = unitary_product(ws, (zeta,), (phi,), [_cold_state(ws)])
-        core = ref.block_operator(ws, [b.T for b in y.blocks]) @ _phase_kz(ws, -phi) @ y
-        assert core.unitarity_defect() <= read.defect[0] < 1e-11
+        exact = 0.0
+        phases = fock._kz_phases(ws, (-phi,))
+        for (sigma, u, v), p in zip(ws.kx_eig, phases):
+            c, s = (x.astype(np.longdouble) for x in fock._rotation(sigma, (zeta,)))
+            u, v = u.astype(np.longdouble), v.astype(np.longdouble)
+            y = np.empty((len(u), 2 * u.shape[-1], 2 * u.shape[-1]), np.longdouble)
+            y[:, 0::2, 0::2], y[:, 1::2, 1::2] = (u * c.mT) @ u.mT, (v * c.mT) @ v.mT
+            y[:, 1::2, 0::2], y[:, 0::2, 1::2] = (v * s.mT) @ u.mT, -(u * s.mT) @ v.mT
+            core = y.mT @ (p.astype(np.clongdouble) * y)
+            gram = core.conj().mT @ core - np.eye(y.shape[-1])
+            exact = max(exact, float(np.max(np.abs(gram))))
+        assert exact <= read.defect[0] < 1e-11
+
+    @staticmethod
+    def _derived(m, delta, eta, eps_y, eps_p):
+        """un2's and un1's bounds as the `fock` docstring derives them, in exact
+        rationals and without the allowance for evaluating them in floats."""
+        u = Fraction(1, 2**53)
+
+        def gamma(k):
+            return k * u / (1 - k * u)
+
+        def moduli(eps):
+            return (Fraction(eps) + gamma(2)) / (1 - gamma(2))
+
+        def conjugation(g, e):
+            return g + e * (1 + g) + g * (1 + e) * (1 + g)
+
+        kappa = (1 + Fraction(delta)) / (1 - gamma(m))
+        g = (Fraction(eta) + m * gamma(m) * kappa) / (1 - gamma(m))
+        un2 = conjugation(g, moduli(eps_y))
+        return un2, conjugation(un2, moduli(eps_p)), 1 + gamma(64)
+
+    @pytest.mark.parametrize(
+        "m, delta, eta, eps_y, eps_p",
+        [
+            (1, 0.0, 0.0, 0.0, 0.0),
+            (21, 2.7e-15, 6.2e-15, 4.4e-16, 2.2e-16),
+            (61, 3.1e-15, 1.7e-14, 6.7e-16, 4.4e-16),
+            (476, 1e-12, 3e-11, 1e-13, 1e-14),
+            # inputs of distinct sizes, so that every term and factor shows
+            (7, 1e-3, 2e-2, 3e-4, 5e-3),
+            (3, 0.1, 0.3, 0.05, 0.2),
+        ],
+    )
+    def test_bounds_are_their_derivation(self, m, delta, eta, eps_y, eps_p):
+        # each float bound is at least its exact value, and above it by no more
+        # than its allowance 1 + gamma_64 and a few ulp: a dropped or padded
+        # term fails.  un1 carries un2's allowance inside it, twice in its
+        # b (1 + e) (1 + b) term, and one of its own
+        un2, un1, allowance = self._derived(m, delta, eta, eps_y, eps_p)
+        got2 = Fraction(fock._equiv_defect_bound(m, delta, eta, eps_y))
+        got1 = Fraction(fock._product_defect_bound(m, delta, eta, eps_y, eps_p))
+        ulps = 1 + Fraction(4, 2**53)
+        assert un2 <= got2 <= un2 * allowance * ulps
+        assert un1 <= got1 <= un1 * allowance**3 * ulps
 
     @pytest.mark.parametrize("n_max", [60, 120])
     def test_bound_stays_below_1e11_to_n_max_120(self, n_max):
-        # the bound grows with the largest block size m and with each input, so
-        # m = 121 at inputs above any measured here bounds every n_max <= 120
+        # the bound grows with the factors' half-block size m and with each
+        # input, so m = 61 (n_max = 120) at inputs above any measured here bounds
+        # every n_max <= 120
         ws = FockWorkspace(n_max)
-        delta, eta = fock._gram_norms(_exp_i_ky(ws, 1.5).stacks)
+        delta, eta = ws.kx_eig_gram_norms
         assert delta < 1e-13 and eta < 1e-12
-        cap = fock._product_defect_bound(121, 1e-13, 1e-12, 1e-15)
+        cap = fock._product_defect_bound(61, 1e-13, 1e-12, 1e-15, 1e-15)
         assert unitary_product(ws, (1.5,), (2.0,), [_cold_state(ws)]).defect[0] < cap < 1e-11
 
     def test_bound_reaches_the_gate_tolerance_near_n_max_900(self):
-        # the m^2 u term alone: a false `fail` past there, the safe direction
+        # the m^2 u terms alone, m = (n_max + 2) // 2: past n_max ~ 950 the
+        # record would fail falsely, the safe direction
         bound = fock._product_defect_bound
-        assert bound(880, 0.0, 0.0, 0.0) < 1e-10 < bound(940, 0.0, 0.0, 0.0)
+        assert bound(460, 0.0, 0.0, 0.0, 0.0) < 1e-10 < bound(480, 0.0, 0.0, 0.0, 0.0)
 
     def test_chain_retains_its_weights_not_a_core(self, monkeypatch):
         # a read of three zetas at many phis keeps its moments, occupancies and
-        # defects plus a small fixed overhead, and no squeeze: each zeta's Y is
-        # read, its Gram taken and let go before the next is built, and the
-        # read streams one bucket at a time, so it never holds two squeezes,
-        # nor the sandwiches of every bucket at once beside its Y
+        # defects plus a small fixed overhead, and no squeeze: it builds, reads
+        # and lets go one bucket's Y at a time, so its peak is one bucket's
+        # working set beside the moments and the per-bucket inputs, never a
+        # whole Y
         ws = FockWorkspace(60)
         states = [thermal_state(ws, bw, 1.0) for bw in (1.0, 2.0, 3.0)]
-        unitary_product(ws, (0.7,), (0.3,), states)  # builds kx_eig, kept by ws
+        unitary_product(ws, (0.7,), (0.3,), states)  # builds kx_eig and its Grams, kept by ws
         y_bytes = sum(s.nbytes for s in _exp_i_ky(ws, 0.7).stacks)
+        bucket_bytes = max(s.nbytes for s in _exp_i_ky(ws, 0.7).stacks)
         phis = np.linspace(0.1, 3.0, 10)
-        kernel, live = fock._exp_i_ky, []
+        kernel, live = fock._squeeze, []
 
         def traced_kernel(*args):
             live.append(tracemalloc.get_traced_memory()[0])
             return kernel(*args)
 
-        monkeypatch.setattr(fock, "_exp_i_ky", traced_kernel)
+        monkeypatch.setattr(fock, "_squeeze", traced_kernel)
         tracemalloc.start()
         try:
             read = unitary_product(ws, (0.3, 0.7, 1.1), phis, states)
@@ -483,11 +580,18 @@ class TestProductDefectBound:
         finally:
             tracemalloc.stop()
         kept = read.moments.nbytes + read.occupancy.nbytes + read.defect.nbytes
-        assert retained <= kept + 16_384 < y_bytes
-        # no earlier Y is alive when the next is built
-        assert len(live) == 3 and max(live) < y_bytes
-        # M_N, M_(N^2) and one R as whole operators would take 3 y_bytes alone
-        assert peak < 3 * y_bytes
+        assert retained <= kept + 16_384 < bucket_bytes
+        assert len(live) == 3 * len(ws.buckets)
+        # live at the first kernel call: the padded diagonals of N and each state,
+        # the 2 x 10 phase columns, the populations and one zeta's rotations
+        padded = 8 * sum(b.width * len(b.sizes) for b in ws.buckets)
+        inputs = padded * (1 + len(states) + 2 * len(phis) + 1) + 8 * len(states) * len(ws.n)
+        assert live[0] < inputs + 16_384
+        # no earlier bucket's Y, nor its sandwiches, is alive when the next is built
+        assert max(live) - live[0] < 16_384
+        # above that, one bucket's Y, M_N, one R and M_N o R at once; the parent
+        # read held whole squeezes, and peaked near 3 Y
+        assert peak - live[0] < 5 * bucket_bytes < 3 * y_bytes
 
 
 class TestKeptChains:
@@ -552,7 +656,8 @@ class TestAgainstDenseExponentials:
             n = (n1 + n2).astype(float)
             pops = np.abs(u) ** 2 @ ref.thermal_weights(10, 3.0)
             edge = pops[(n1 == 10) | (n2 == 10)].sum()
-            _close(read.moments[:, 0, j], (n @ pops, (n * n) @ pops, edge), rel=1e-11)
+            mean = n @ pops
+            _close_read(read, 0, j, (mean, (n * n) @ pops - mean * mean, edge), rel=1e-11)
 
     def test_unitary_product(self, dense):
         ws, kx, _, kz = dense
@@ -667,8 +772,7 @@ class TestBucketPadding:
         read1 = unitary_product(ws, (zeta,), (phi,), [state])
         read2 = unitary_equiv(ws, [ProtocolEndpoints(chi, theta)], [state])
         for read, op in ((read1, un1), (read2, un2)):
-            mean, second, edge = read.moments[:, 0, 0]
-            _close((mean, second - mean * mean, edge), ref.reads(op, state), rel=1e-9, mass_abs=1e-30)
+            _close_read(read, 0, 0, ref.reads(op, state), rel=1e-9, mass_abs=1e-30)
         # the views and dense assembly of the stacks against dense exponentials
         ref_y = ref.blockwise(n_max, lambda p, kz: expm(-zeta * (p - p.T) / 2.0))
         ref_un1 = ref.blockwise(n_max, ref.product_block(zeta, phi))
@@ -692,8 +796,7 @@ class TestChainSummaries:
         read = _grid_read(name, *args, ws, states)
         for i, bw in enumerate((1.0, 3.0)):
             reference = _dense_reads(OPERATORS[name](*args, ws), bw)
-            mean, second, edge = read.moments[:, i, 0]
-            _close((mean, second - mean * mean, edge), reference, rel=1e-12)
+            _close_read(read, i, 0, reference, rel=1e-12)
             partials = [reference[2]]
             if name == "unitary_product":
                 # the intermediate squeeze exp(i zeta K_x) has the |.|^2 of exp(i zeta K_y)
@@ -715,8 +818,7 @@ class TestChainSummaries:
         state = _cold_state(ws)
         read = unitary_product(ws, (0.6,), (1.3,), [state])
         core = ref.block_operator(ws, [b.T for b in y.blocks]) @ _phase_kz(ws, -1.3) @ y
-        mean, second, edge = read.moments[:, 0, 0]
-        _close((mean, second - mean * mean, edge), ref.reads(core, state), rel=1e-12, mass_abs=1e-30)
+        _close_read(read, 0, 0, ref.reads(core, state), rel=1e-12, mass_abs=1e-30)
 
 
 @settings(max_examples=12)
@@ -746,17 +848,50 @@ def test_grid_reads_match_the_dense_exponentials(n_max, zeta, zeta2, phi, bw):
         for j, (z, p) in enumerate((z, p) for z in (zeta, zeta2) for p in (phi, 0.0))
     ]
     for read, j, block in forms:
-        mean, second, edge = read.moments[:, 0, j]
-        reference = ref.dense_reads(n_max, block, bw)
-        _close((mean, second - mean * mean, edge), reference, rel=1e-10, mass_abs=1e-26)
+        _close_read(read, 0, j, ref.dense_reads(n_max, block, bw), rel=1e-10, mass_abs=1e-26)
     for read in (un1, un2):
-        assert np.all(read.moments[2] >= 0.0) and np.all(read.occupancy >= 0.0)
+        assert np.all(read.moments[-1] >= 0.0) and np.all(read.occupancy >= 0.0)
+
+
+@settings(max_examples=6)
+@example(n_max=30, zeta=1.2, phi=0.5, bw=1.0, bw2=4.0)
+@example(n_max=30, zeta=0.8, phi=3.0, bw=2.0, bw2=4.0)
+@given(
+    n_max=st.integers(28, 32),
+    zeta=st.floats(0.5, 2.0),
+    phi=st.floats(0.0, 2.0 * math.pi),
+    bw=st.floats(1.0, 4.0),
+    bw2=st.floats(1.0, 4.0),
+)
+def test_refused_states_are_never_read(n_max, zeta, phi, bw, bw2):
+    # zeta reaches past the squeezed guard at these bases, so one read holds
+    # states it refuses beside states it admits (the first example); the second
+    # trips the final guard alone, at phi = 3 for bw = 2.  A state the squeezed
+    # guard refuses has no R, and `read` refuses each of its points; every
+    # admitted point reads
+    # the dense reference's <N> and boundary mass, and every guarded
+    # occupancy is the worse of the squeezed and the final boundary mass
+    ws = FockWorkspace(n_max)
+    read = unitary_product(ws, (zeta,), (phi, 0.0), [thermal_state(ws, b, 1.0) for b in (bw, bw2)])
+    for i, b in enumerate((bw, bw2)):
+        squeezed = ref.dense_reads(n_max, ref.endpoint_block(zeta, 0.0), b)[2]
+        for j, p in enumerate((phi, 0.0)):
+            reference = ref.dense_reads(n_max, ref.product_block(zeta, p), b)
+            worst = max(squeezed, reference[2])
+            tol = 1e-26 + 1e-14 * math.sqrt(worst)  # as `_close` compares a mass
+            assert read.occupancy[i, j] == pytest.approx(worst, rel=1e-9, abs=tol)
+            assert math.isnan(read.moments[0, i, j]) == (squeezed > LEAK_TOL)
+            if read.occupancy[i, j] > LEAK_TOL:
+                with pytest.raises(TruncationError):
+                    read.read(i, j)
+            else:
+                _close(read.read(i, j), reference, rel=1e-10)
 
 
 class TestPopulations:
     def test_population_route_matches_operator_route(self):
-        # <N> and Delta^2 N of each form's grid read against the evolved operator
-        # U+ (N + 1) U = 2 [cosh(chi) K_z - sinh(chi) K_x] (`hamiltonian_final` at
+        # <N> of each form's grid read, and Delta^2 N of each that reads <N^2>,
+        # against the evolved operator U+ (N + 1) U = 2 [cosh(chi) K_z - sinh(chi) K_x] (`hamiltonian_final` at
         # unit frequency), and its boundary mass against the dense reference, for
         # each form at seeded points inside the guard
         ws = FockWorkspace(40)
@@ -770,10 +905,12 @@ class TestPopulations:
                 ("unitary_equiv", (chi, theta)),
                 ("evolution_endpoint", (-chi, -theta)),
             ):
-                mean, var, edge = _grid_read(name, *args, ws, [state]).read(0, 0)
+                mean, *var, edge = _grid_read(name, *args, ws, [state]).read(0, 0)
                 evolved = hamiltonian_final(1.0, -chi, ws)
                 assert mean + 1.0 == pytest.approx(expect(evolved, state), rel=1e-12)
-                assert var == pytest.approx(variance(evolved, state), rel=1e-12)
+                # un1 reads no <N^2>: the gate takes Delta^2 N from un2
+                want = [] if name == "unitary_product" else [variance(evolved, state)]
+                assert var == pytest.approx(want, rel=1e-12)
                 assert edge == pytest.approx(
                     _dense_reads(OPERATORS[name](*args, ws), bw)[2], rel=1e-9, abs=1e-26
                 )

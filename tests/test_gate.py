@@ -120,7 +120,7 @@ def test_equivalence_grid_matches_point_by_point_reference(monkeypatch):
     assert calls == {"unitary_product": 1, "unitary_equiv": 3, "evolution_endpoint": 0}
     reference = _reference_records()
     _same_records(grid, reference)
-    # each point's bounds are its own zeta's Gram and phases to the bit
+    # each point's bounds are those of its own zeta's rotation and phases, to the bit
     defects = [(a.oracle, b.oracle) for a, b in zip(grid, reference) if "defect" in a.quantity]
     assert defects and all(a == b for a, b in defects)
     skipped = [r.quantity for r in grid if r.status == "skipped"]
@@ -152,20 +152,24 @@ def test_point_skipped_when_any_one_form_trips(monkeypatch, builder):
     assert [r.status for r in records] == ["skipped"] * (len(BETA_OMEGAS) * len(ZETAS) * len(PHIS))
 
 
-def _scaled(op):
-    """op with its sector-5 block or phases scaled by 1 + 1e-9."""
-    parts = op.diags if op.is_diagonal else op.blocks
-    scaled = [a * (1.0 + 1e-9) if i == 5 else a for i, a in enumerate(parts)]
-    return ref.block_operator(op.ws, scaled, op.is_diagonal)
+def _scale_rotation(monkeypatch, ws):
+    """`fock._rotation` with cos(zeta sigma) of sector 5's singular value 3
+    scaled by 1 + 1e-9 at the squeeze angle zeta = 0.6, which un1 reads (un2
+    reads the rotation at chi).  Sector 5 (26 states) is the sixth of the first
+    bucket (width 32, so 16 singular values) at n_max = 30."""
+    build = fock._rotation
+
+    def scaled(sigma, angles):
+        c, s = build(sigma, angles)
+        if sigma is ws.kx_eig[0][0] and list(angles) == [0.6]:
+            c = c.copy()
+            c[5, 3] *= 1.0 + 1e-9
+        return c, s
+
+    monkeypatch.setattr(fock, "_rotation", scaled)
 
 
-def _scale_squeeze(monkeypatch):
-    """The squeeze kernel of the product form, its operator's sector-5 block scaled."""
-    build = fock._exp_i_ky
-    monkeypatch.setattr(fock, "_exp_i_ky", lambda *args: _scaled(build(*args)))
-
-
-def _scale_phases(monkeypatch):
+def _scale_phases(monkeypatch, ws):
     """`fock._kz_phases` with the phases of sector 5, the sixth of the first
     bucket at n_max = 30, scaled by 1 + 1e-9."""
     build = fock._kz_phases
@@ -178,47 +182,36 @@ def _scale_phases(monkeypatch):
     monkeypatch.setattr(fock, "_kz_phases", scaled)
 
 
-def _scale_column(monkeypatch, which):
-    """The un2 read, with its defect bound, made while column 3 of sector 5's
-    signed factor U~ (which = 1) or V~ (which = 2) of `kx_eig` is scaled by
-    1 + 1e-9; the unscaled factors are put back for un1's squeeze."""
-    build = gate.unitary_equiv
-    assert len(FockWorkspace(N_MAX).buckets[0].sizes) > 5
-
-    def scaled(ws, endpoints, states):
-        clean = ws.kx_eig
-        # sector 5 (26 states) is the sixth of the first bucket (width 32) at n_max = 30
-        factors = [list(f) for f in clean]
-        factors[0][which] = factors[0][which].copy()
-        factors[0][which][5, :, 3] *= 1.0 + 1e-9
-        vars(ws)["kx_eig"] = tuple(map(tuple, factors))
-        try:
-            read = build(ws, endpoints, states)
-        finally:
-            vars(ws)["kx_eig"] = clean
-        return read
-
-    monkeypatch.setattr(gate, "unitary_equiv", scaled)
+def _scale_column(ws, which):
+    """The workspace with column 3 of sector 5's signed factor U~ (which = 1)
+    or V~ (which = 2) of `kx_eig` scaled by 1 + 1e-9, for every read of it."""
+    assert len(ws.buckets[0].sizes) > 5
+    # sector 5 (26 states) is the sixth of the first bucket (width 32) at n_max = 30
+    factors = [list(f) for f in ws.kx_eig]
+    factors[0][which] = factors[0][which].copy()
+    factors[0][which][5, :, 3] *= 1.0 + 1e-9
+    vars(ws)["kx_eig"] = tuple(map(tuple, factors))
 
 
 @pytest.mark.parametrize(
     "mutate, names",
     [
-        (_scale_squeeze, {"un1"}),
+        (_scale_rotation, {"un1"}),
         (_scale_phases, {"un1"}),
-        (lambda mp: _scale_column(mp, 1), {"un2", "tiev"}),
-        (lambda mp: _scale_column(mp, 2), {"un2", "tiev"}),
+        (lambda mp, ws: _scale_column(ws, 1), {"un1", "un2", "tiev"}),
+        (lambda mp, ws: _scale_column(ws, 2), {"un1", "un2", "tiev"}),
     ],
     ids=["unitary_product-un1", "unitary_product-phase-un1", "unitary_equiv-un2",
          "unitary_equiv-v-un2"],
 )
 def test_scaled_core_block_fails_its_defect_record(monkeypatch, mutate, names):
     # a 1e-9 error in one factor is no longer unitary: the defect records of the
-    # forms that read it (tiev reads un2's), and only those, must fail.  Each
-    # record is a bound from its form's factors: un1's error goes into one block
-    # of the squeeze Y or into |P|, un2's into a column of U~ or V~
-    mutate(monkeypatch)
+    # forms that read it, and only those, must fail.  Each record is a bound
+    # from its form's factors: un1's rotation at zeta and its phases P, un2's
+    # rotation at chi (tiev reads un2's record), and the signed factors U~ and
+    # V~ of `kx_eig`, which both forms read, un1 as the factors of its squeeze
     ws = FockWorkspace(N_MAX)
+    mutate(monkeypatch, ws)
     states = [(3.0, thermal_state(ws, 3.0, 1.0))]
     records = _equivalence_records(ws, states, (0.6,), (0.5,))
     defects = {r.quantity: r.status for r in records if r.quantity.startswith("unitarity_defect")}
@@ -229,16 +222,33 @@ def test_scaled_core_block_fails_its_defect_record(monkeypatch, mutate, names):
 
 
 def test_kernels_and_grams_run_per_zeta_and_per_workspace(monkeypatch):
-    # the cost shape of the grid: the squeeze kernel and a Gram of Y once per
-    # zeta, bucket by bucket, and none of them per (zeta, phi); a Gram of
-    # kx_eig's factors once per workspace the endpoint form reads: the grid's,
-    # then each basis of the convergence record, which builds no squeeze
-    kernels, grams, bases = [], [], []
-    kernel, gram, equiv = fock._exp_i_ky, fock._gram_minus_one, gate.unitary_equiv
+    # the cost shape of the grid: per (zeta, bucket), the squeeze kernel once,
+    # then one sandwich M_N and one R per state that the squeezed guard admits
+    # (two `BlockOperator.__matmul__` each), none per (zeta, phi), and no Gram
+    # of a squeeze; a Gram of kx_eig's factors once per workspace that the
+    # endpoint form reads: the grid's, then each basis of the convergence
+    # record, which builds no squeeze
+    ws = FockWorkspace(N_MAX)
+    states = [thermal_state(ws, bw, 1.0) for bw in BETA_OMEGAS]
 
-    def counted_kernel(ws, s):
-        kernels.append((ws.n_max, s))
-        return kernel(ws, s)
+    def admitted(zeta):
+        y = fock._exp_i_ky(ws, zeta)
+        return sum(float(y.boundary_weights @ s.probs) <= LEAK_TOL for s in states)
+
+    # the grid admits both baths at each zeta; at zeta = 1.2 the hot bath is refused
+    sandwiches = {zeta: 1 + admitted(zeta) for zeta in (*ZETAS, 1.2)}
+    assert sandwiches == {0.6: 3, 0.9: 3, 1.2: 2}
+    log, grams, bases = [], [], []
+    kernel, gram = fock._squeeze, fock._gram_minus_one
+    equiv, matmul = gate.unitary_equiv, fock.BlockOperator.__matmul__
+
+    def counted_kernel(u, *args):
+        log.append(("kernel", 2 * u.shape[-1]))
+        return kernel(u, *args)
+
+    def counted_matmul(a, b):
+        log.append(("matmul", a.stacks[0].shape[-1]))
+        return matmul(a, b)
 
     def counted_gram(b):
         grams.append(b.shape[-1])
@@ -248,7 +258,8 @@ def test_kernels_and_grams_run_per_zeta_and_per_workspace(monkeypatch):
         bases.append(ws.n_max)
         return equiv(ws, *args)
 
-    monkeypatch.setattr(fock, "_exp_i_ky", counted_kernel)
+    monkeypatch.setattr(fock, "_squeeze", counted_kernel)
+    monkeypatch.setattr(fock.BlockOperator, "__matmul__", counted_matmul)
     monkeypatch.setattr(fock, "_gram_minus_one", counted_gram)
     monkeypatch.setattr(gate, "unitary_equiv", counted_equiv)
     run_gate(
@@ -259,15 +270,27 @@ def test_kernels_and_grams_run_per_zeta_and_per_workspace(monkeypatch):
         zeta_grid=ZETAS,
         phi_grid=PHIS,
     )
-    assert kernels == [(N_MAX, 0.6), (N_MAX, 0.9)]
+    widths = [b.width for b in ws.buckets]
+
+    def shape(zetas):
+        return [
+            event
+            for zeta in zetas
+            for w in widths
+            for event in [("kernel", w)] + [("matmul", w)] * 2 * sandwiches[zeta]
+        ]
+
+    assert log == shape(ZETAS)
     assert bases == [N_MAX, 60, 120]
 
     def halves(n_max):
         return [b.width // 2 for b in FockWorkspace(n_max).buckets]
 
-    widths = [b.width for b in FockWorkspace(N_MAX).buckets]
-    expected = widths * len(ZETAS) + halves(N_MAX) + halves(60) + halves(120)
-    assert sorted(grams) == sorted(expected)
+    assert sorted(grams) == sorted(halves(N_MAX) + halves(60) + halves(120))
+    # a refused state's R is never formed, at every phi of its zeta
+    log.clear()
+    unitary_product(ws, (1.2,), PHIS, states)
+    assert log == shape((1.2,))
 
 
 def test_partition_function_closed_form():
