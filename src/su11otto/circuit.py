@@ -23,11 +23,13 @@ import math
 import cmath
 from dataclasses import dataclass, field
 
-from .core import EngineConfig, ProtocolEndpoints, angles_from, chi_max
+import numpy as np
+
+from .core import TWO_PI, EngineConfig, ProtocolEndpoints, angles_of, chi_max
 from .cycle import carnot, efficiency
 from .errors import IdentityViolationError, ImaginaryCouplingError, NoSolutionError
 from .gammafn import complex_log_gamma
-from .metrology import sensitivity
+from .metrology import delta_phi, snl
 
 __all__ = [
     "HBAR",
@@ -36,7 +38,6 @@ __all__ = [
     "KELVIN_TO_RAD_PER_S",
     "CircuitParams",
     "BogoliubovPair",
-    "ScenarioPoint",
     "ScenarioReport",
     "dispersion",
     "asymptotic_frequencies",
@@ -208,10 +209,10 @@ def map_to_protocol(pair: BogoliubovPair, t_f: float) -> ProtocolEndpoints:
     coupling is (nearly) real.
 
     chi = arccosh(1 + 2 |beta|^2) >= 0 (any sign lives in theta, matching
-    the endpoint convention) and theta = -omega_f t_f wrapped to (-pi, pi].
-    Raises ImaginaryCouplingError when |Im{alpha beta}| exceeds _IM_TOL:
-    outside the fast-ramp regime the final Hamiltonian has a quadrature
-    component this two-parameter protocol cannot represent.
+    the endpoint convention) and theta = -omega_f t_f wrapped to (-pi, pi]
+    (`_stop_phase`).  Raises ImaginaryCouplingError when |Im{alpha beta}|
+    exceeds _IM_TOL: outside the fast-ramp regime the final Hamiltonian has
+    a quadrature component this two-parameter protocol cannot represent.
     """
     re_ab, im_ab = coupling_coefficients(pair)
     if abs(im_ab) > _IM_TOL:
@@ -220,32 +221,27 @@ def map_to_protocol(pair: BogoliubovPair, t_f: float) -> ProtocolEndpoints:
             "real-coupling protocol mapping"
         )
     chi = math.acosh(1.0 + 2.0 * pair.n_created)
-    theta = -pair.omega_f * t_f
-    theta = math.remainder(theta, 2.0 * math.pi)
-    if theta <= -math.pi:
-        theta = math.pi
-    return ProtocolEndpoints(chi=chi, theta=theta)
+    return ProtocolEndpoints(chi=chi, theta=float(_stop_phase(pair.omega_f, t_f)))
 
 
-@dataclass(frozen=True)
-class ScenarioPoint:
-    """One t_f sample of the circuit sweep; flag is empty when valid."""
+def _stop_phase(omega_f: float, t_f):
+    """theta = -omega_f t_f wrapped to (-pi, pi], at one or many stop times.
 
-    t_f: float
-    theta: float
-    zeta: float
-    phi: float
-    chi: float
-    eta: float
-    eta_norm: float
-    dphi_h: float
-    dphi_norm: float
-    flag: str = ""
+    fmod is exact, and so is the one shift by 2 pi that can follow (Sterbenz),
+    so this is the exact representative math.remainder gives, -pi sent to pi.
+    """
+    theta = np.fmod(-omega_f * np.asarray(t_f), TWO_PI)
+    theta = np.where(theta > math.pi, theta - TWO_PI, theta)
+    return np.where(theta <= -math.pi, theta + TWO_PI, theta)
 
 
 @dataclass(frozen=True)
 class ScenarioReport:
-    """End-to-end circuit run: ramp data, engine mapping and the t_f sweep."""
+    """End-to-end circuit run: ramp data, engine mapping and the t_f sweep as
+    columns, one entry per stop time.  zeta, phi and the dphi columns are NaN
+    at the flagged stop times, whose theta no (zeta, phi) realizes at the
+    ramp's chi.  best indexes the sensitivity-optimal stop time, None when
+    none has a finite dphi_norm."""
 
     engine: EngineConfig
     pair: BogoliubovPair  # the expansion ramp's
@@ -253,8 +249,17 @@ class ScenarioReport:
     chi_max: float
     eta: float
     eta_norm: float
-    points: list[ScenarioPoint] = field(repr=False)
-    best: ScenarioPoint | None
+    t_f: np.ndarray = field(repr=False)
+    theta: np.ndarray = field(repr=False)
+    zeta: np.ndarray = field(repr=False)
+    phi: np.ndarray = field(repr=False)
+    dphi_h: np.ndarray = field(repr=False)
+    dphi_norm: np.ndarray = field(repr=False)
+    best: int | None
+
+    @property
+    def flagged(self) -> np.ndarray:
+        return np.isnan(self.zeta)
 
     @property
     def eta_norm_deviation(self) -> float:
@@ -262,9 +267,8 @@ class ScenarioReport:
 
     @property
     def dphi_norm_deviation(self) -> float:
-        if self.best is None:
-            return math.nan
-        return self.best.dphi_norm - REFERENCE_DPHI_NORM
+        norm = math.nan if self.best is None else float(self.dphi_norm[self.best])
+        return norm - REFERENCE_DPHI_NORM
 
 
 def engine_config_from_circuit(params: CircuitParams) -> EngineConfig:
@@ -289,52 +293,39 @@ def circuit_scenario(params: CircuitParams, *, derivative_mode: str) -> Scenario
     The ramp fixes chi, so the cycle efficiency is one number; sweeping the
     stop time t_f at params.t_f_points samples over one 2*pi period of
     theta = -omega_f t_f moves the operating point along the fixed-chi
-    family of (zeta, phi).  Sweep points whose theta is incompatible with
-    chi are flagged and skipped (they correspond to no real (zeta, phi));
-    the sensitivity-optimal valid point is reported together with the
-    deviation from the reference normalized pair (REFERENCE_ETA_NORM,
-    REFERENCE_DPHI_NORM), which is NOT asserted: the stop time, the
-    rapidity units and the kelvin mapping are modeling choices recorded in
-    the report header.
+    family of (zeta, phi), in one array pass over the stop times.  Stop
+    times whose theta is incompatible with chi are flagged: they correspond
+    to no real (zeta, phi) and hold NaN.  The sensitivity-optimal valid point
+    is reported together with the deviation from the reference normalized pair
+    (REFERENCE_ETA_NORM, REFERENCE_DPHI_NORM), which is NOT asserted: the
+    stop time, the rapidity units and the kelvin mapping are modeling
+    choices recorded in the report header.
     """
     engine = engine_config_from_circuit(params)
     omega_i, omega_f = engine.omega2, engine.omega1
     nu = params.rapidity if params.rapidity_absolute else params.rapidity * omega_i
     pair = bogoliubov(omega_i, omega_f, nu)
-    endpoints0 = map_to_protocol(pair, 0.0)
-    chi = endpoints0.chi
-    chi_bound = chi_max(engine)
+    chi = map_to_protocol(pair, 0.0).chi
     eta = efficiency(engine, chi)
-    eta_c = carnot(engine)
-    points: list[ScenarioPoint] = []
-    best: ScenarioPoint | None = None
     period = 2.0 * math.pi / pair.omega_f
-    for k in range(1, params.t_f_points + 1):
-        t_f = k * period / params.t_f_points
-        endpoints = map_to_protocol(pair, t_f)
-        try:
-            angles = angles_from(endpoints)
-        except NoSolutionError:
-            zeta = phi = dphi_h = dphi_norm = math.nan
-            flag = "no-solution"
-        else:
-            zeta, phi, flag = angles.zeta, angles.phi, ""
-            point = sensitivity(engine, zeta, phi, derivative_mode)
-            dphi_h, dphi_norm = point.delta_phi_h, point.norm_h
-        sp = ScenarioPoint(
-            t_f=t_f, theta=endpoints.theta, zeta=zeta, phi=phi, chi=chi, eta=eta,
-            eta_norm=eta / eta_c, dphi_h=dphi_h, dphi_norm=dphi_norm, flag=flag,
-        )
-        points.append(sp)
-        if math.isfinite(sp.dphi_norm) and (best is None or sp.dphi_norm < best.dphi_norm):
-            best = sp
+    t_f = np.arange(1, params.t_f_points + 1) * period / params.t_f_points
+    theta = _stop_phase(pair.omega_f, t_f)
+    zeta, phi = angles_of(chi, theta)
+    _, dphi_h = delta_phi(engine, zeta, phi, derivative_mode)
+    dphi_norm = dphi_h / snl(engine, zeta)
+    finite = np.isfinite(dphi_norm)
     return ScenarioReport(
         engine=engine,
         pair=pair,
         chi=chi,
-        chi_max=chi_bound,
+        chi_max=chi_max(engine),
         eta=eta,
-        eta_norm=eta / eta_c,
-        points=points,
-        best=best,
+        eta_norm=eta / carnot(engine),
+        t_f=t_f,
+        theta=theta,
+        zeta=zeta,
+        phi=phi,
+        dphi_h=dphi_h,
+        dphi_norm=dphi_norm,
+        best=int(np.argmin(np.where(finite, dphi_norm, np.inf))) if finite.any() else None,
     )

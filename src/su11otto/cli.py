@@ -198,8 +198,7 @@ def cmd_circuit(args, config: ScenarioConfig) -> int:
     mode = config.derivative_mode
     report = circuit_mod.circuit_scenario(config.circuit, derivative_mode=mode)
     pair = report.pair
-    rows = [(p.t_f, p.theta, p.zeta, p.phi, p.chi, p.eta, p.eta_norm, p.dphi_h, p.dphi_norm, p.flag)
-            for p in report.points]
+    n = report.t_f.size
     header = [
         UNITS_HEADER,
         f"kelvin -> rad/s conversion: k_B/hbar = {fmt(circuit_mod.KELVIN_TO_RAD_PER_S)}",
@@ -213,20 +212,21 @@ def cmd_circuit(args, config: ScenarioConfig) -> int:
     path = write_csv(
         Path(args.out) / "circuit_scenario.csv",
         ("t_f", "theta", "zeta", "phi", "chi", "eta", "eta_norm", "dphi_h", "dphi_norm", "flags"),
-        table(*zip(*rows)),
+        table(report.t_f, report.theta, report.zeta, report.phi, np.full(n, report.chi),
+              np.full(n, report.eta), np.full(n, report.eta_norm), report.dphi_h,
+              report.dphi_norm, np.where(report.flagged, "no-solution", "")),
         header,
     )
-    skipped = sum(1 for p in report.points if p.flag)
     print(f"expansion ramp: omega_i={report.engine.omega2:.6e} omega_f={report.engine.omega1:.6e} rad/s")
     print(f"chi={report.chi:.6f} (engine bound chi_max={report.chi_max:.6f}) "
           f"eta={report.eta:.6f} eta_norm={report.eta_norm:.6f}")
-    if report.best is not None:
-        print(f"sensitivity-optimal t_f={report.best.t_f:.6e} s: "
-              f"dphi_norm={report.best.dphi_norm:.6f} (zeta={report.best.zeta:.4f}, "
-              f"phi={report.best.phi:.6f})")
+    if (b := report.best) is not None:
+        print(f"sensitivity-optimal t_f={report.t_f[b]:.6e} s: "
+              f"dphi_norm={report.dphi_norm[b]:.6f} (zeta={report.zeta[b]:.4f}, "
+              f"phi={report.phi[b]:.6f})")
         print(f"deviation from reference normalized pair: "
               f"eta_norm {report.eta_norm_deviation:+.4f}, dphi_norm {report.dphi_norm_deviation:+.4f}")
-    print(f"wrote {path} ({len(rows)} rows, {skipped} flagged sweep points)")
+    print(f"wrote {path} ({n} rows, {int(report.flagged.sum())} flagged sweep points)")
     return 0
 
 

@@ -14,8 +14,9 @@ The forward map is
     cosh(chi) = 1 + 2 sin^2(phi/2) sinh^2(zeta)
     tan(theta) = tan(phi/2) cosh(zeta)
 
-and this module also provides the exact inverse, the particle-number
-output law and the engine operating-range bounds chi_max / phi_max.
+(chi_of, theta_of), and this module also provides its exact inverse
+angles_of (NaN where no (zeta, phi) exists), the particle-number output
+law and the engine operating-range bounds chi_max / phi_max.
 All functions are pure; hbar = k_B = 1 throughout.
 """
 
@@ -173,8 +174,9 @@ def theta_from(angles: InterferometerAngles) -> float:
     return float(theta_of(angles.zeta, angles.phi))
 
 
-def angles_from(endpoints: ProtocolEndpoints) -> InterferometerAngles:
-    """Invert the (zeta, phi) -> (chi, theta) map.
+def angles_of(chi, theta):
+    """Invert the (zeta, phi) -> (chi, theta) map: (zeta, phi) for scalars or
+    arrays that broadcast together, NaN where no (zeta, phi) exists.
 
     The two constituent relations reduce algebraically to
 
@@ -182,58 +184,59 @@ def angles_from(endpoints: ProtocolEndpoints) -> InterferometerAngles:
         sinh^2(zeta) = sinh^2(chi/2) / sin^2(phi/2)
 
     so the inversion is closed-form; the theta <= pi/2 branch maps to
-    phi in (0, pi], the theta > pi/2 branch to phi in (pi, 2*pi).  A
-    solution exists iff tan^2(theta) > sinh^2(chi/2); otherwise the
-    requested (chi, theta) are incompatible and NoSolutionError reports
-    the residual.  The result is verified to reproduce the inputs to
-    1e-10 before returning.  The arcsine needs no clamp: sin^2(phi/2) is
-    sin^2(theta) <= 1 minus a non-negative term, in floating point too.
+    phi in (0, pi], the theta > pi/2 branch to phi in (pi, 2*pi) (theta is
+    folded to [0, pi] first: the sign of sin(theta) is unobservable).  A
+    solution exists iff tan^2(theta) > sinh^2(chi/2) and theta is not a
+    multiple of pi; elsewhere both results are NaN.  Every solution is
+    verified to reproduce its inputs to 1e-10 (NonConvergenceError
+    otherwise).  The arcsine needs no clamp: sin^2(phi/2) is sin^2(theta)
+    <= 1 minus a non-negative term, in floating point too.
     """
-    chi = endpoints.chi
-    if chi <= 0.0:
-        raise ValueError("angles_from requires chi > 0 (identity endpoint has no unique angles)")
-    theta = abs(endpoints.theta) % TWO_PI
-    if theta > math.pi:
-        theta = TWO_PI - theta  # sign of sin(theta) is unobservable; fold to (0, pi] keeping cos
-    if theta in (0.0, math.pi):
-        raise NoSolutionError(
-            f"theta = {endpoints.theta}: no (zeta, phi) reproduces chi = {chi} at a phase "
-            "multiple of pi"
-        )
-    sh2 = math.sinh(chi / 2.0) ** 2
-    st, ct = math.sin(theta), math.cos(theta)
+    if not np.all(chi > 0.0):
+        raise ValueError("angles_of requires chi > 0 (identity endpoint has no unique angles)")
+    theta = np.abs(theta) % TWO_PI
+    theta = np.where(theta > math.pi, TWO_PI - theta, theta)
+    sh2 = np.sinh(chi / 2.0) ** 2
+    st, ct = np.sin(theta), np.cos(theta)
     u = st * st - sh2 * ct * ct  # = sin^2(phi/2)
-    if u <= 0.0:
-        raise NoSolutionError(
-            f"incompatible endpoints chi={chi}, theta={endpoints.theta}: "
-            f"sin^2(phi/2) would be {u:.3e} (needs tan^2(theta) > sinh^2(chi/2))"
-        )
-    half_phi = math.asin(math.sqrt(u))
-    phi = 2.0 * half_phi if theta <= math.pi / 2.0 else TWO_PI - 2.0 * half_phi
-    zeta = math.asinh(math.sqrt(sh2 / u))
-    if chi < 1e-12:
+    solvable = (u > 0.0) & (theta != 0.0) & (theta != math.pi)
+    u = np.where(solvable, u, np.nan)  # NaN carries through without a warning
+    half_phi = np.arcsin(np.sqrt(u))
+    phi = np.where(theta <= math.pi / 2.0, 2.0 * half_phi, TWO_PI - 2.0 * half_phi)
+    zeta = np.arcsinh(np.sqrt(sh2 / u))
+    if np.any(solvable & (chi < 1e-12)):
         warnings.warn(
             "chi is at the identity limit; returning the minimal-zeta representative "
             "of the degenerate family",
             DegenerateLimitWarning,
             stacklevel=2,
         )
-    angles = InterferometerAngles(zeta=zeta, phi=phi)
-    res_chi = abs(chi_from(angles) - chi)
-    res_theta = abs(math.cos(theta_from(angles)) - ct)
-    if res_chi > 1e-10 or res_theta > 1e-10:
+    res_chi = np.abs(chi_of(zeta, phi) - chi)
+    res_theta = np.abs(np.cos(theta_of(zeta, phi)) - ct)
+    if np.any(solvable & ~((res_chi <= 1e-10) & (res_theta <= 1e-10))):
         raise NonConvergenceError(
-            f"inversion residuals too large: |d chi| = {res_chi:.3e}, "
-            f"|d cos(theta)| = {res_theta:.3e}"
+            f"inversion residuals too large: |d chi| = {np.nanmax(res_chi):.3e}, "
+            f"|d cos(theta)| = {np.nanmax(res_theta):.3e}"
         )
-    return angles
+    return zeta, phi
 
 
-def n_out(n_in: float, chi: float) -> float:
-    """Mean particle number leaving the transformation: (n_in + 1) cosh(chi) - 1."""
+def angles_from(endpoints: ProtocolEndpoints) -> InterferometerAngles:
+    """`angles_of` at one (chi, theta); NoSolutionError where it returns NaN,
+    that is where tan^2(theta) <= sinh^2(chi/2) or theta is a multiple of pi."""
+    zeta, phi = angles_of(endpoints.chi, endpoints.theta)
+    if np.isnan(zeta):
+        raise NoSolutionError(f"incompatible endpoints chi={endpoints.chi}, theta="
+                              f"{endpoints.theta}: needs tan^2(theta) > sinh^2(chi/2)")
+    return InterferometerAngles(zeta=float(zeta), phi=float(phi))
+
+
+def n_out(n_in: float, chi):
+    """Mean particle number leaving the transformation: (n_in + 1) cosh(chi) - 1,
+    at one or many chi."""
     if n_in < 0.0:
         raise ValueError(f"n_in must be >= 0, got {n_in}")
-    return (n_in + 1.0) * math.cosh(chi) - 1.0
+    return (n_in + 1.0) * np.cosh(chi) - 1.0
 
 
 def chi_max_from_params(omega1: float, omega2: float, beta_c: float, beta_h: float) -> float:

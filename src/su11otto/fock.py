@@ -156,14 +156,12 @@ rounding, as neither read forms U; the pairwise mean records check that:
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
 
-from .core import ProtocolEndpoints
 from .errors import TruncationError
 
 __all__ = [
@@ -656,16 +654,19 @@ def _product_moments(bucket: Bucket, y: np.ndarray, diagonals: np.ndarray, c: np
     return out
 
 
-def unitary_equiv(ws: FockWorkspace, endpoints: Sequence[ProtocolEndpoints], states) -> GridRead:
+def unitary_equiv(ws: FockWorkspace, chis, states) -> GridRead:
     """The endpoint form exp(i theta K_z) exp(i chi K_y) exp(-i theta K_z) read
-    at every `ProtocolEndpoints` of `endpoints` for every thermal state of
-    `states`.  Its outer phases move no population, so every read is of
-    exp(i chi K_y): the series in chi of the module docstring on the signed
-    factors of `kx_eig`, every chi at once per bucket, and its last row.  Its
-    unitarity defect is `_equiv_defect_bound` from the workspace's
-    `kx_eig_gram_norms` and each chi's rotation."""
+    at every chi of `chis` for every thermal state of `states`, at any theta.
+    Its outer phases move no population, so every read is of exp(i chi K_y):
+    the series in chi of the module docstring on the signed factors of
+    `kx_eig`, every chi at once per bucket, and its last row.  Its unitarity
+    defect is `_equiv_defect_bound` from the workspace's `kx_eig_gram_norms`
+    and each chi's rotation.  Every chi must be finite and >= 0."""
+    chis = np.asarray(chis, dtype=float)
+    bad = chis[~((chis >= 0.0) & (chis < math.inf))]
+    if bad.size:
+        raise ValueError(f"chi must be finite and >= 0, got {bad[0]}")
     probs = _populations(ws, states)
-    chis = np.array([e.chi for e in endpoints])
     moments = np.zeros((3, len(probs), len(chis)))
     eps = np.zeros(len(chis))
     # per bucket, the diagonals of N, N^2 and each state

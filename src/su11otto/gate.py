@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import EngineConfig, ProtocolEndpoints, _bath_coth, chi_of, n_out, theta_of
+from .core import EngineConfig, _bath_coth, chi_of, n_out
 from .cycle import stage_energies
 from .errors import TruncationError
 from .fock import (
@@ -58,7 +58,7 @@ from .fock import (
     unitary_product,
     variance,
 )
-from .metrology import dn_dphi_chain, dn_dphi_paper, variance_h, variance_n
+from .metrology import _variance_n, dn_dphi_chain, dn_dphi_paper, variance_h, variance_n
 
 __all__ = ["GateRecord", "GateResult", "run_gate"]
 
@@ -235,13 +235,11 @@ def _admitted_records(defects, reads, n_max, bw, chi, tag) -> list[GateRecord]:
         )
     mean_n, var_n, _ = reads["un2"]
     # <H> after the stroke: the evolved observable 2 w_f K_z = w_f (N + 1),
-    # evaluated at unit final frequency
-    omega_f = 1.0
-    analytic_h = omega_f * math.cosh(chi) * coth_in
-    oracle_h = omega_f * (mean_n + 1.0)
-    recs.append(_cmp(f"mean_h_vs_closed_form{tag}", analytic_h, oracle_h, 1e-7, n_max, leak))
+    # evaluated at unit final frequency, with N_in + 1 = coth_in
+    analytic_h = n_out(coth_in - 1.0, chi) + 1.0
+    recs.append(_cmp(f"mean_h_vs_closed_form{tag}", analytic_h, mean_n + 1.0, 1e-7, n_max, leak))
     # number variance against the printed closed form (this one is expected to hold)
-    var_closed = 0.5 * (math.cosh(2.0 * chi) * coth_in**2 - 1.0)
+    var_closed = _variance_n(coth_in, chi)
     recs.append(
         _cmp(f"delta2_n_formula{tag}", var_closed, var_n, 1e-6, n_max, leak, relative=True)
     )
@@ -262,12 +260,12 @@ def _equivalence_records(ws, states, zeta_grid, phi_grid) -> list[GateRecord]:
     """
     thermal = [state for _, state in states]
     points = [(zeta, phi) for zeta in zeta_grid for phi in phi_grid]
-    ends = [ProtocolEndpoints(float(chi_of(*p)), float(theta_of(*p))) for p in points]
-    un2 = unitary_equiv(ws, ends, thermal)
+    chis = [float(chi_of(*p)) for p in points]
+    un2 = unitary_equiv(ws, chis, thermal)
     forms = {"un1": unitary_product(ws, zeta_grid, phi_grid, thermal), "un2": un2, "tiev": un2}
     records = []
     for i, (bw, _) in enumerate(states):
-        for j, ((zeta, phi), end) in enumerate(zip(points, ends)):
+        for j, ((zeta, phi), chi) in enumerate(zip(points, chis)):
             tag = f"[bw={bw:g},zeta={zeta:g},phi={phi:g}]"
             try:
                 reads = {name: form.read(i, j) for name, form in forms.items()}
@@ -279,7 +277,7 @@ def _equivalence_records(ws, states, zeta_grid, phi_grid) -> list[GateRecord]:
                 )
                 continue
             defects = {name: form.defect[j] for name, form in forms.items()}
-            records.extend(_admitted_records(defects, reads, ws.n_max, bw, end.chi, tag))
+            records.extend(_admitted_records(defects, reads, ws.n_max, bw, chi, tag))
     return records
 
 
@@ -376,12 +374,12 @@ def _convergence_record(bw, zeta, phi, grid_ws: FockWorkspace) -> GateRecord:
     its truncation error, and the equivalence records check that the two
     forms' truncated reads agree."""
     n = _CONVERGENCE_N
-    end = ProtocolEndpoints(float(chi_of(zeta, phi)), float(theta_of(zeta, phi)))
+    chi = float(chi_of(zeta, phi))
     means = []
     for n_max in (n, 2 * n):
         ws = grid_ws if grid_ws.n_max == n_max else FockWorkspace(n_max)
         state = thermal_state(ws, bw, 1.0)
-        means.append(unitary_equiv(ws, [end], [state]).read(0, 0)[0])
+        means.append(unitary_equiv(ws, [chi], [state]).read(0, 0)[0])
     tag = f"[bw={bw:g},zeta={zeta:g},phi={phi:g},n={n}->{2 * n}]"
     return _cmp(f"truncation_convergence{tag}", means[0], means[1], 1e-8, 2 * n)
 

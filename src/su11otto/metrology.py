@@ -117,8 +117,12 @@ def variance_n(config: EngineConfig, chi) -> float:
 
     At chi = 0 this is the two-mode thermal value 2 nbar (nbar + 1).
     """
-    c = config.coth_hot
-    return 0.5 * (np.cosh(2.0 * np.asarray(chi)) * c * c - 1.0)
+    return _variance_n(config.coth_hot, chi)
+
+
+def _variance_n(coth, chi):
+    """[cosh(2 chi) coth^2 - 1] / 2 for a thermal pair of bath factor coth = N_in + 1."""
+    return 0.5 * (np.cosh(2.0 * np.asarray(chi)) * coth * coth - 1.0)
 
 
 def variance_h(config: EngineConfig, chi) -> float:
@@ -159,35 +163,37 @@ def _dn_dphi(config: EngineConfig, zeta, phi, derivative_mode: str):
     raise ValueError(f"derivative_mode must be one of {DERIVATIVE_MODES}, got {derivative_mode!r}")
 
 
-def photon_number_at_phase(n_in: float, zeta: float) -> float:
-    """Photons present at the phase stage: (n_in + 1) cosh(zeta) - 1.
+def photon_number_at_phase(n_in: float, zeta):
+    """Photons present at the phase stage: (n_in + 1) cosh(zeta) - 1, at one or many zeta.
 
     Raises PhotonNumberError when nonpositive (vacuum input with no
     squeezing leaves nothing to modulate).
     """
     n_phi = n_out(n_in, zeta)
-    if n_phi <= 0.0:
+    if np.any(n_phi <= 0.0):
         raise PhotonNumberError(
-            f"N_phi = {n_phi:.6g} <= 0 for n_in = {n_in}, zeta = {zeta}: "
+            f"N_phi = {np.nanmin(n_phi):.6g} <= 0 for n_in = {n_in}, zeta = {zeta}: "
             "no photons undergo the phase shift"
         )
     return n_phi
 
 
-def snl(config: EngineConfig, zeta: float) -> float:
-    """Shot-noise benchmark 1/sqrt(N_phi) with the hot-thermal input of the expansion.
+def snl(config: EngineConfig, zeta):
+    """Shot-noise benchmark 1/sqrt(N_phi) at one or many zeta, hot-thermal input.
 
     N_in + 1 = coth(bh w2/2); strictly decreasing in zeta.
     """
     n_in = config.coth_hot - 1.0
-    return 1.0 / math.sqrt(photon_number_at_phase(n_in, zeta))
+    return 1.0 / np.sqrt(photon_number_at_phase(n_in, zeta))
 
 
-def delta_phi(config: EngineConfig, zeta: float, phi, derivative_mode: str):
-    """(delta_phi_n, delta_phi_h) at one or many phases; +inf where dN/dphi vanishes.
+def delta_phi(config: EngineConfig, zeta, phi, derivative_mode: str):
+    """(delta_phi_n, delta_phi_h) at one or many points; +inf where dN/dphi
+    vanishes, NaN at a NaN zeta or phi.
 
-    The array entry point behind every sensitivity: phi may be a scalar or
-    an array, and both results have its shape.  The energy derivative is
+    The array entry point behind every sensitivity: zeta and phi may be
+    scalars or arrays that broadcast together, and both results have their
+    broadcast shape.  The energy derivative is
     dH/dphi = w1 dN/dphi, so the w1 factors cancel in delta_phi_h and the
     strict ordering delta_phi_h > delta_phi_n comes entirely from the extra
     vacuum term in the printed energy variance.
@@ -198,8 +204,8 @@ def delta_phi(config: EngineConfig, zeta: float, phi, derivative_mode: str):
     sig_n = np.sqrt(variance_n(config, chi))
     sig_h = np.sqrt(variance_h(config, chi))
     with np.errstate(divide="ignore", over="ignore"):
-        d_n = np.where(dn > _DERIVATIVE_FLOOR, sig_n / dn, np.inf)
-        d_h = np.where(dn > _DERIVATIVE_FLOOR, sig_h / (config.omega1 * dn), np.inf)
+        d_n = np.where(dn <= _DERIVATIVE_FLOOR, np.inf, sig_n / dn)
+        d_h = np.where(dn <= _DERIVATIVE_FLOOR, np.inf, sig_h / (config.omega1 * dn))
     return d_n, d_h
 
 
@@ -213,7 +219,7 @@ def sensitivity(
     """
     d_n, d_h = delta_phi(config, zeta, phi, derivative_mode)
     d_n, d_h = float(d_n), float(d_h)
-    benchmark = snl(config, zeta)
+    benchmark = float(snl(config, zeta))
     return SensitivityPoint(
         phi=float(phi),
         delta_phi_n=d_n,
@@ -370,7 +376,7 @@ def solve_zeta_snl(
         chi_snl=chi_snl,
         eta_snl=efficiency(config, chi_snl),
         delta_phi_min=d_min,
-        snl_value=snl(config, zeta_snl),
+        snl_value=float(snl(config, zeta_snl)),
         observable=observable,
         derivative_mode=derivative_mode,
     )

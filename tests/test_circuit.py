@@ -12,6 +12,7 @@ tests pin the log-Gamma route against.
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -30,8 +31,9 @@ from su11otto.circuit import (
     map_to_protocol,
 )
 from su11otto.config import load_config
-from su11otto.core import chi_max
-from su11otto.errors import IdentityViolationError, ImaginaryCouplingError
+from su11otto.core import ProtocolEndpoints, angles_from, chi_from, chi_max
+from su11otto.errors import IdentityViolationError, ImaginaryCouplingError, NoSolutionError
+from su11otto.metrology import sensitivity
 
 # reference numbers for the default (published) parameter set
 OMEGA_I_EXP = 128835690635.9954  # rad/s at E/C = (E0/C)(A+B)
@@ -58,7 +60,7 @@ def test_public_surface_is_pinned():
     # adding or removing a circuit name is a deliberate edit of this list
     assert sorted(circuit.__all__) == [
         "BogoliubovPair", "CircuitParams", "FLUX_QUANTUM", "HBAR", "KELVIN_TO_RAD_PER_S",
-        "K_BOLTZMANN", "ScenarioPoint", "ScenarioReport", "asymptotic_frequencies",
+        "K_BOLTZMANN", "ScenarioReport", "asymptotic_frequencies",
         "bogoliubov", "circuit_scenario", "coupling_coefficients", "dispersion",
         "map_to_protocol",
     ]
@@ -218,8 +220,6 @@ class TestProtocolMap:
     def test_round_trip_through_angle_inversion(self):
         # endpoints from the ramp invert to (zeta, phi) that re-evaluate to
         # the same effective squeezing
-        from su11otto.core import angles_from, chi_from
-
         pair = bogoliubov(1.0, 0.35, 20.0)
         endpoints = map_to_protocol(pair, 0.7 / pair.omega_f)
         angles = angles_from(endpoints)
@@ -243,9 +243,8 @@ class TestScenario:
         assert report.chi < report.chi_max  # engine regime
         assert report.eta_norm == pytest.approx(ETA_NORM_CIRCUIT, rel=1e-8)
         assert 0.0 < report.eta_norm < 1.0
-        assert report.best is not None and report.best.dphi_norm > 0.0
-        flagged = sum(1 for p in report.points if p.flag)
-        assert 0 < flagged < len(report.points)
+        assert report.best is not None and report.dphi_norm[report.best] > 0.0
+        assert 0 < report.flagged.sum() < report.t_f.size
         assert math.isfinite(report.eta_norm_deviation)
         assert math.isfinite(report.dphi_norm_deviation)
 
@@ -272,10 +271,41 @@ class TestScenario:
         mode = load_config().derivative_mode
         relative_report = circuit_scenario(params, derivative_mode=mode)
         absolute_report = circuit_scenario(absolute, derivative_mode=mode)
-        # repr: flagged points hold nan, which never compares equal
-        assert repr(absolute_report.points) == repr(relative_report.points)
-        assert any(p.flag for p in relative_report.points)
-        assert any(not p.flag for p in relative_report.points)
+        # equal_nan: flagged points hold nan, which never compares equal
+        for name in ("t_f", "theta", "zeta", "phi", "dphi_h", "dphi_norm"):
+            assert np.array_equal(
+                getattr(absolute_report, name), getattr(relative_report, name), equal_nan=True
+            )
+        assert absolute_report.best == relative_report.best
+        assert relative_report.flagged.any() and not relative_report.flagged.all()
+
+    @pytest.mark.parametrize("mode", ["chain", "paper"])
+    def test_sweep_matches_a_per_point_reference(self, params, mode):
+        # the one array pass against the sweep taken one stop time at a time:
+        # math.remainder for theta, then angles_from and sensitivity per point
+        report = circuit_scenario(params, derivative_mode=mode)
+        omega_f, n = report.pair.omega_f, params.t_f_points
+        period = 2.0 * math.pi / omega_f
+        rows = []
+        for k in range(1, n + 1):
+            t_f = k * period / n
+            theta = math.remainder(-omega_f * t_f, 2.0 * math.pi)
+            theta = math.pi if theta <= -math.pi else theta
+            try:
+                angles = angles_from(ProtocolEndpoints(chi=report.chi, theta=theta))
+            except NoSolutionError:
+                rows.append((t_f, theta) + (math.nan,) * 4)
+                continue
+            point = sensitivity(report.engine, angles.zeta, angles.phi, mode)
+            rows.append((t_f, theta, angles.zeta, angles.phi, point.delta_phi_h, point.norm_h))
+        t_f, theta, *columns = map(np.array, zip(*rows))
+        assert np.array_equal(report.t_f, t_f) and np.array_equal(report.theta, theta)
+        got = (report.zeta, report.phi, report.dphi_h, report.dphi_norm)
+        for name, a, b in zip(("zeta", "phi", "dphi_h", "dphi_norm"), got, columns):
+            assert np.array_equal(np.isnan(a), np.isnan(b)), name
+            np.testing.assert_allclose(a, b, rtol=1e-14, atol=0.0, err_msg=name)
+        assert np.isnan(columns[0]).any() and not np.isnan(columns[0]).all()
+        assert report.best == int(np.nanargmin(columns[-1]))
 
     def test_validation(self, params):
         with pytest.raises(ValueError):

@@ -6,10 +6,11 @@ double-precision evaluation error, not by trust in any printed rounding.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -25,7 +26,7 @@ from su11otto import (
     theta_from,
     works_and_heats,
 )
-from su11otto.core import chi_max_from_params, chi_of, theta_of
+from su11otto.core import TWO_PI, angles_of, chi_max_from_params, chi_of, theta_of
 from su11otto.errors import (
     DegenerateLimitWarning,
     DegeneratePhaseError,
@@ -187,6 +188,72 @@ class TestAnglesFrom:
             angles = angles_from(ProtocolEndpoints(chi=1e-13, theta=0.7))
         assert angles.zeta < 1e-6
         assert angles.phi == pytest.approx(1.4, abs=1e-6)
+
+
+def _folded(theta: float) -> float:
+    """theta as the inverse reads it: modulo the float 2 pi, folded onto [0, pi]."""
+    t = abs(theta) % TWO_PI
+    return TWO_PI - t if t > math.pi else t
+
+
+class TestAnglesOf:
+    @example(chi=1.0, theta=0.0)
+    @example(chi=1e-13, theta=math.pi)
+    @example(chi=1e-20, theta=math.pi)  # u > 0 here: only the axis clause refuses it
+    @example(chi=1.0, theta=-math.pi)
+    @example(chi=1.0, theta=math.pi / 2.0)
+    @example(chi=1.0, theta=3.0 * math.pi / 4.0)
+    @example(chi=1e-13, theta=0.7)
+    @example(chi=40.0, theta=-1.5707963)
+    @given(chi=st.floats(1e-100, 40.0), theta=st.floats(-50.0, 50.0))
+    def test_nan_exactly_off_the_solution_set(self, chi, theta):
+        # a solution exists iff tan^2(theta) > sinh^2(chi/2) off the multiples of
+        # pi (the floats folding onto 0 or pi).  Each side is good to a few ulps
+        # here, so one part in 1e9 either side of the edge is left to rounding
+        folded = _folded(theta)
+        t2, s2 = math.tan(folded) ** 2, math.sinh(chi / 2.0) ** 2
+        on_axis = folded in (0.0, math.pi)
+        assume(on_axis or abs(t2 - s2) > 1e-9 * s2)
+        solvable = not on_axis and t2 > s2
+        endpoints = ProtocolEndpoints(chi=chi, theta=theta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateLimitWarning)
+            try:
+                zeta, phi = angles_of(chi, theta)
+            except NonConvergenceError:
+                # the documented refusal: the forward map of a solution misses
+                # the inputs by more than 1e-10 (small chi, ROADMAP item 2)
+                assert solvable
+                with pytest.raises(NonConvergenceError):
+                    angles_from(endpoints)
+                return
+            assert np.isnan(zeta) == np.isnan(phi) == (not solvable)
+            if not solvable:
+                with pytest.raises(NoSolutionError):
+                    angles_from(endpoints)
+                return
+            # the branch: phi in (0, pi] for theta <= pi/2, else in [pi, 2 pi]
+            # (pi itself where phi/2 rounds onto pi/2, 2 pi where it rounds off 0)
+            assert 0.0 < phi <= math.pi if folded <= math.pi / 2.0 else math.pi <= phi <= TWO_PI
+            assert zeta > 0.0
+            # the scalar wrapper is the array function, bit for bit
+            assert angles_from(endpoints) == InterferometerAngles(float(zeta), float(phi))
+
+    def test_arrays_read_as_their_scalars(self):
+        chis = np.array([0.3, 1.0, 1.0, 2.5, 1e-13])
+        thetas = np.array([1.2, 0.1, -2.0, math.pi / 2.0, 0.7])
+        with pytest.warns(DegenerateLimitWarning):
+            zetas, phis = angles_of(chis, thetas)
+        for chi, theta, zeta, phi in zip(chis, thetas, zetas, phis):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegenerateLimitWarning)
+                one = angles_of(chi, theta)
+            np.testing.assert_array_equal((zeta, phi), one)
+        assert np.isnan(zetas[1]) and not np.isnan(zetas[[0, 2, 3, 4]]).any()
+
+    def test_nonpositive_chi_rejected(self):
+        with pytest.raises(ValueError):
+            angles_of(np.array([0.5, 0.0]), 0.4)
 
 
 class TestNOut:

@@ -15,7 +15,7 @@ from scipy.linalg import expm
 import fock_reference as ref
 from su11otto import fock
 from su11otto.config import DEFAULTS
-from su11otto.core import ProtocolEndpoints, chi_of, theta_of
+from su11otto.core import chi_of, theta_of
 from su11otto.errors import TruncationError
 from su11otto.fock import (
     LEAK_TOL,
@@ -264,13 +264,13 @@ class TestThermalState:
 def _grid_read(name, a, b, ws, states):
     """The gate's read of one form at the one point (a, b), against each of
     `states`: (zeta, phi) for the product form, (chi, theta) for the endpoint
-    form, and (f_y, f_z) for the time-ordered form, whose populations the gate
-    reads from the endpoint form at (-f_y, -f_z)."""
+    form, which reads chi alone, and (f_y, f_z) for the time-ordered form, whose
+    populations the gate reads from the endpoint form at -f_y."""
     if name == "unitary_product":
         return unitary_product(ws, (a,), (b,), states)
     if name == "evolution_endpoint":
         a, b = -a, -b
-    return unitary_equiv(ws, [ProtocolEndpoints(a, b)], states)
+    return unitary_equiv(ws, [a], states)
 
 
 # each form's operator on the same two scalar arguments, multiplied out
@@ -319,7 +319,7 @@ class TestUnitaries:
         for block in u.blocks:
             assert np.max(np.abs(block - np.eye(block.shape[0]))) < 1e-13
         state = thermal_state(ws, 5.0, 1.0)
-        read = unitary_equiv(ws, [ProtocolEndpoints(chi=0.0, theta=1.2)], [state])
+        read = unitary_equiv(ws, [0.0], [state])
         assert read.read(0, 0)[0] == pytest.approx(state.mean_number(), rel=1e-14)
         assert read.defect[0] < 1e-13
 
@@ -374,7 +374,7 @@ class TestUnitaries:
         chi, theta = float(chi_of(zeta, phi)), float(theta_of(zeta, phi))
         means = [
             unitary_product(ws, (zeta,), (phi,), [state]).read(0, 0)[0],
-            unitary_equiv(ws, [ProtocolEndpoints(chi, theta)], [state]).read(0, 0)[0],
+            unitary_equiv(ws, [chi], [state]).read(0, 0)[0],
             ref.reads(evolution_endpoint(-chi, -theta, ws), state)[0],
         ]
         analytic = (state.mean_number() + 1.0) * math.cosh(chi) - 1.0
@@ -407,7 +407,7 @@ class TestUnitaries:
         y = _exp_i_ky(ws, 0.9)
         states = [thermal_state(ws, bw, 1.0) for bw in (3.0, 1.0)]
         read = unitary_product(ws, (0.9,), (0.5, 1.5), states)
-        squeezed = unitary_equiv(ws, [ProtocolEndpoints(0.9, 0.0)], states).moments[-1]
+        squeezed = unitary_equiv(ws, [0.9], states).moments[-1]
         assert np.array_equal(read.occupancy, np.maximum(read.moments[-1], squeezed))
         kernel = np.array([y.boundary_weights @ state.probs for state in states])
         assert squeezed[:, 0] == pytest.approx(kernel, rel=1e-12)
@@ -444,7 +444,7 @@ class TestUnitaries:
     def test_boundary_occupancy_small_in_guarded_regime(self):
         ws = FockWorkspace(60)
         state = thermal_state(ws, 1.0, 1.0)
-        read = unitary_equiv(ws, [ProtocolEndpoints(chi=0.6, theta=0.0)], [state])
+        read = unitary_equiv(ws, [0.6], [state])
         assert read.read(0, 0)[2] == read.occupancy[0, 0] < 1e-12
         assert boundary_occupancy(ref.endpoint_form(0.6, 0.0, ws), state) < 1e-12
 
@@ -628,7 +628,7 @@ class TestKeptChains:
         with pytest.raises(ValueError, match="different workspaces"):
             unitary_product(ws, (0.4,), (0.7,), [state])
         with pytest.raises(ValueError, match="different workspaces"):
-            unitary_equiv(ws, [ProtocolEndpoints(0.4, 0.7)], [state])
+            unitary_equiv(ws, [0.4], [state])
 
 
 class TestAgainstDenseExponentials:
@@ -677,8 +677,8 @@ class TestAgainstDenseExponentials:
             assert np.max(np.abs(ref.to_dense(ref.endpoint_form(chi, theta, ws)) - expected)) < self.TOL
             unitaries.append(expected)
         # every point of the grid at once
-        ends = [ProtocolEndpoints(chi, theta) for chi, theta, _ in points]
-        self._check_reads(unitary_equiv(ws, ends, [thermal_state(ws, 3.0, 1.0)]), unitaries)
+        chis = [chi for chi, _, _ in points]
+        self._check_reads(unitary_equiv(ws, chis, [thermal_state(ws, 3.0, 1.0)]), unitaries)
 
     def test_real_kernel(self, dense):
         ws, _, ky, _ = dense
@@ -770,7 +770,7 @@ class TestBucketPadding:
         # the real blocks alone
         state = _cold_state(ws)
         read1 = unitary_product(ws, (zeta,), (phi,), [state])
-        read2 = unitary_equiv(ws, [ProtocolEndpoints(chi, theta)], [state])
+        read2 = unitary_equiv(ws, [chi], [state])
         for read, op in ((read1, un1), (read2, un2)):
             _close_read(read, 0, 0, ref.reads(op, state), rel=1e-9, mass_abs=1e-30)
         # the views and dense assembly of the stacks against dense exponentials
@@ -842,7 +842,7 @@ def test_grid_reads_match_the_dense_exponentials(n_max, zeta, zeta2, phi, bw):
     state = thermal_state(ws, bw, 1.0)
     chi, theta = float(chi_of(zeta, phi)), float(theta_of(zeta, phi))
     un1 = unitary_product(ws, (zeta, zeta2), (phi, 0.0), [state])
-    un2 = unitary_equiv(ws, [ProtocolEndpoints(chi, theta)], [state])
+    un2 = unitary_equiv(ws, [chi], [state])
     forms = [(un2, 0, ref.endpoint_block(chi, theta))] + [
         (un1, j, ref.product_block(z, p))
         for j, (z, p) in enumerate((z, p) for z in (zeta, zeta2) for p in (phi, 0.0))

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import fock_reference as ref
 from su11otto.core import (
     EngineConfig,
-    ProtocolEndpoints,
     chi_of,
     theta_of,
 )
@@ -24,7 +23,7 @@ from su11otto.fock import (
     unitary_equiv,
     unitary_product,
 )
-from su11otto import fock, gate
+from su11otto import core, fock, gate, metrology
 from su11otto.gate import (
     GateRecord,
     _admitted_records,
@@ -60,7 +59,7 @@ def _reference_records():
                 chi, theta = float(chi_of(zeta, phi)), float(theta_of(zeta, phi))
                 tag = f"[bw={bw:g},zeta={zeta:g},phi={phi:g}]"
                 un1 = unitary_product(ws, (zeta,), (phi,), [state])
-                un2 = unitary_equiv(ws, [ProtocolEndpoints(chi, theta)], [state])
+                un2 = unitary_equiv(ws, [chi], [state])
                 tiev = ref.reads(evolution_endpoint(-chi, -theta, ws), state)
                 leak = max(un1.occupancy[0, 0], un2.occupancy[0, 0], tiev[2])
                 if leak > LEAK_TOL:
@@ -219,6 +218,28 @@ def test_scaled_core_block_fails_its_defect_record(monkeypatch, mutate, names):
         f"unitarity_defect[{form}][bw=3,zeta=0.6,phi=0.5]": "fail" if form in names else "pass"
         for form in ("un1", "un2", "tiev")
     }
+
+
+@pytest.mark.parametrize(
+    "name, mutant, failing",
+    [
+        ("n_out", lambda n_in, chi: core.n_out(n_in, chi) + 0.5, "mean_h_vs_closed_form"),
+        ("_variance_n", lambda c, chi: metrology._variance_n(c, chi) * (1.0 + 1e-5),
+         "delta2_n_formula"),
+    ],
+)
+def test_mutated_closed_form_fails_its_record(monkeypatch, name, mutant, failing):
+    # <H> and Delta^2 N are read against the shipped closed forms, `n_out` and
+    # the formula of `metrology.variance_n`: a mutant of either (n_out's
+    # - 1 -> - 0.5, Delta^2 N off by 1e-5) must fail its record, and only that one
+    ws = FockWorkspace(N_MAX)
+    states = [(3.0, thermal_state(ws, 3.0, 1.0))]
+    assert all(r.status == "pass" for r in _equivalence_records(ws, states, (0.6,), (0.5,)))
+    monkeypatch.setattr(gate, name, mutant)
+    records = _equivalence_records(ws, states, (0.6,), (0.5,))
+    assert [r.quantity for r in records if r.status != "pass"] == [
+        f"{failing}[bw=3,zeta=0.6,phi=0.5]"
+    ]
 
 
 def test_kernels_and_grams_run_per_zeta_and_per_workspace(monkeypatch):

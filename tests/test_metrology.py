@@ -27,7 +27,6 @@ from su11otto.config import load_config
 from su11otto.core import chi_of, n_out
 from su11otto.errors import NoSolutionError, PhotonNumberError
 from su11otto.fock import FockWorkspace, thermal_state, unitary_equiv
-from su11otto.core import ProtocolEndpoints
 from su11otto.metrology import (
     dn_dphi_chain,
     dn_dphi_paper,
@@ -115,7 +114,7 @@ class TestVariances:
         # spec point: beta_h*omega2 = 0.5, chi = 0.8, basis 160
         ws = FockWorkspace(160)
         state = thermal_state(ws, fig3_config.beta_h, fig3_config.omega2)
-        read = unitary_equiv(ws, [ProtocolEndpoints(chi=0.8, theta=0.3)], [state])
+        read = unitary_equiv(ws, [0.8], [state])
         oracle = read.read(0, 0)[1]
         assert float(variance_n(fig3_config, 0.8)) == pytest.approx(oracle, rel=1e-6)
 
