@@ -24,6 +24,11 @@ coth^2 expression literally so the discrepancy stays measurable.  The same
 dual-route policy applies to the energy variance: variance_h evaluates the
 printed formula, while the oracle records its disagreement with direct
 linear algebra (see the gate module).
+
+delta_phi_objective (one zeta, observable and mode) is the one home of the
+delta_phi formula; delta_phi and every solver step evaluate through it.  It
+must equal delta_phi bit for bit: phi_snl sits in a minimum flat to rounding,
+where one ulp in delta_phi moves it by about 1e-8 relative.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EngineConfig, chi_of, n_out
+from .core import EngineConfig, _chi_of_sinh2, chi_of, n_out
 from .cycle import efficiency
 from .errors import NoSolutionError, PhotonNumberError
 
@@ -48,6 +53,7 @@ __all__ = [
     "dn_dphi_paper",
     "dn_dphi_chain",
     "delta_phi",
+    "delta_phi_objective",
     "sensitivity",
     "photon_number_at_phase",
     "snl",
@@ -117,12 +123,12 @@ def variance_n(config: EngineConfig, chi) -> float:
 
     At chi = 0 this is the two-mode thermal value 2 nbar (nbar + 1).
     """
-    return _variance_n(config.coth_hot, chi)
+    return _variance_n(config.coth_hot, np.asarray(chi))
 
 
 def _variance_n(coth, chi):
     """[cosh(2 chi) coth^2 - 1] / 2 for a thermal pair of bath factor coth = N_in + 1."""
-    return 0.5 * (np.cosh(2.0 * np.asarray(chi)) * coth * coth - 1.0)
+    return 0.5 * (np.cosh(2.0 * chi) * coth * coth - 1.0)
 
 
 def variance_h(config: EngineConfig, chi) -> float:
@@ -135,8 +141,16 @@ def variance_h(config: EngineConfig, chi) -> float:
     direct linear algebra gives w1^2 Delta^2 N instead; the oracle gate
     records the discrepancy rather than silently correcting it.
     """
+    scale, offset, _ = _observable_terms(config, "energy")
+    return scale * (variance_n(config, chi) + offset)
+
+
+def _observable_terms(config: EngineConfig, observable: str) -> tuple[float, float, float]:
+    """(scale, offset, w): Delta^2 O = scale (Delta^2 N + offset), dO/dphi = w dN/dphi."""
+    if observable == "number":
+        return 1.0, 0.0, 1.0
     c = config.coth_hot
-    return 2.0 * config.omega1**2 * (variance_n(config, chi) + 0.25 * (c * c + 1.0))
+    return 2.0 * config.omega1**2, 0.25 * (c * c + 1.0), config.omega1
 
 
 def dn_dphi_paper(config: EngineConfig, zeta, phi) -> float:
@@ -152,15 +166,19 @@ def dn_dphi_chain(config: EngineConfig, zeta, phi) -> float:
     one power of coth lower than the printed form; matches central finite
     differences of the composed map.
     """
-    return np.sin(np.asarray(phi)) * np.sinh(zeta) ** 2 * config.coth_hot
+    return _dn_dphi_chain(config.coth_hot, np.sinh(zeta) ** 2, np.asarray(phi))
 
 
-def _dn_dphi(config: EngineConfig, zeta, phi, derivative_mode: str):
-    if derivative_mode == "paper":
-        return dn_dphi_paper(config, zeta, phi)
-    if derivative_mode == "chain":
-        return dn_dphi_chain(config, zeta, phi)
-    raise ValueError(f"derivative_mode must be one of {DERIVATIVE_MODES}, got {derivative_mode!r}")
+def _dn_dphi_chain(coth, sinh2, phi):
+    """dn_dphi_chain with sinh^2(zeta) = sinh2 already formed: (sin(phi) sinh2) coth."""
+    return np.sin(phi) * sinh2 * coth
+
+
+def _check_choices(observable: str, derivative_mode: str) -> None:
+    if observable not in OBSERVABLES:
+        raise ValueError(f"observable must be one of {OBSERVABLES}, got {observable!r}")
+    if derivative_mode not in DERIVATIVE_MODES:
+        raise ValueError(f"derivative_mode must be one of {DERIVATIVE_MODES}, got {derivative_mode!r}")
 
 
 def photon_number_at_phase(n_in: float, zeta):
@@ -191,22 +209,37 @@ def delta_phi(config: EngineConfig, zeta, phi, derivative_mode: str):
     """(delta_phi_n, delta_phi_h) at one or many points; +inf where dN/dphi
     vanishes, NaN at a NaN zeta or phi.
 
-    The array entry point behind every sensitivity: zeta and phi may be
-    scalars or arrays that broadcast together, and both results have their
-    broadcast shape.  The energy derivative is
-    dH/dphi = w1 dN/dphi, so the w1 factors cancel in delta_phi_h and the
-    strict ordering delta_phi_h > delta_phi_n comes entirely from the extra
-    vacuum term in the printed energy variance.
+    zeta and phi may be scalars or arrays that broadcast together.  Since
+    dH/dphi = w1 dN/dphi, w1 cancels in delta_phi_h, and delta_phi_h >
+    delta_phi_n comes entirely from the printed energy variance's vacuum term.
     """
-    phi = np.asarray(phi, dtype=float)
-    chi = chi_of(zeta, phi)
-    dn = np.abs(_dn_dphi(config, zeta, phi, derivative_mode))
-    sig_n = np.sqrt(variance_n(config, chi))
-    sig_h = np.sqrt(variance_h(config, chi))
-    with np.errstate(divide="ignore", over="ignore"):
-        d_n = np.where(dn <= _DERIVATIVE_FLOOR, np.inf, sig_n / dn)
-        d_h = np.where(dn <= _DERIVATIVE_FLOOR, np.inf, sig_h / (config.omega1 * dn))
-    return d_n, d_h
+    return tuple(delta_phi_objective(config, zeta, o, derivative_mode)(phi) for o in OBSERVABLES)
+
+
+def delta_phi_objective(config: EngineConfig, zeta, observable: str, derivative_mode: str):
+    """delta_phi of one observable as a function of phi, at fixed zeta.
+
+    Checks its arguments and forms the zeta-only factors once.  A float phi (a
+    solver step) gives a float, with no array temporaries and no errstate.
+    """
+    _check_choices(observable, derivative_mode)
+    coth = config.coth_hot
+    sinh2 = np.sinh(zeta) ** 2
+    mode_factor = coth if derivative_mode == "paper" else 1.0  # x * 1.0 == x exactly
+    scale, offset, w = _observable_terms(config, observable)
+
+    def objective(phi):
+        scalar = isinstance(phi, float) and isinstance(sinh2, float)
+        phi = phi if scalar else np.asarray(phi, dtype=float)
+        dn = abs(_dn_dphi_chain(coth, sinh2, phi) * mode_factor)
+        sig = np.sqrt(scale * (_variance_n(coth, _chi_of_sinh2(sinh2, phi)) + offset))
+        den = w * dn
+        if scalar and den:  # den = 0 (dn = 0, or w1 dn underflowed) takes numpy's sig / 0
+            return math.inf if dn <= _DERIVATIVE_FLOOR else float(sig) / float(den)
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.where(dn <= _DERIVATIVE_FLOOR, np.inf, sig / den)
+
+    return objective
 
 
 def sensitivity(
@@ -229,12 +262,6 @@ def sensitivity(
         norm_h=d_h / benchmark,
         diverged=not math.isfinite(d_n),
     )
-
-
-def _delta_phi_grid(config, zeta, phis, observable, derivative_mode):
-    if observable not in OBSERVABLES:
-        raise ValueError(f"observable must be one of {OBSERVABLES}, got {observable!r}")
-    return delta_phi(config, zeta, phis, derivative_mode)[OBSERVABLES.index(observable)]
 
 
 def _golden_section(f, lo: float, hi: float, xtol: float) -> float:
@@ -287,20 +314,18 @@ def minimize_sensitivity(
     in phi on (0, pi).  A coarse scan brackets the minimum; golden-section
     refines it to _PHI_XTOL.  A minimum refined onto the scan floor _PHI_LO
     (past zeta ~ 14.7 on the default engine) is not the minimum: NoSolutionError.
+    At zeta = 0, delta_phi is +inf at every phi and phi* is arbitrary: the
+    result is (~1.57e-3, the top of the first scan step; +inf).
     """
+    f = delta_phi_objective(config, zeta, observable, derivative_mode)
     phis = np.linspace(_PHI_LO, math.pi - _PHI_LO, _COARSE_POINTS)
-    vals = _delta_phi_grid(config, zeta, phis, observable, derivative_mode)
-    i_best = int(np.argmin(vals))
-
-    def f(p: float) -> float:
-        return float(_delta_phi_grid(config, zeta, p, observable, derivative_mode))
-
+    i_best = int(np.argmin(f(phis)))
     lo = phis[max(i_best - 1, 0)]
     hi = phis[min(i_best + 1, len(phis) - 1)]
     phi_star = _golden_section(f, lo, hi, _PHI_XTOL)
     if phi_star - phis[0] < _PHI_XTOL:
         raise NoSolutionError(f"zeta = {zeta:g}: the optimal phi is below the scan floor {_PHI_LO:g}")
-    return phi_star, f(phi_star)
+    return phi_star, float(f(phi_star))
 
 
 def supersensitivity_range(
@@ -316,9 +341,10 @@ def supersensitivity_range(
     point (from zeta ~ 10 on the default engine) has its edge past the scan:
     NoSolutionError.
     """
+    f = delta_phi_objective(config, zeta, observable, derivative_mode)
     benchmark = snl(config, zeta)
     phis = np.linspace(_RANGE_RESOLUTION, math.pi - _RANGE_RESOLUTION, _RANGE_SCAN_POINTS)
-    below = _delta_phi_grid(config, zeta, phis, observable, derivative_mode) < benchmark
+    below = f(phis) < benchmark
     if not below.any():
         return SupersensitivityRange(lo=math.nan, hi=math.nan, empty=True)
     if below[0] or below[-1]:
@@ -326,7 +352,7 @@ def supersensitivity_range(
         raise NoSolutionError(f"zeta = {zeta:g}: delta_phi is below the benchmark at the scan {edge}")
 
     def h(p: float) -> float:
-        return float(_delta_phi_grid(config, zeta, p, observable, derivative_mode)) - benchmark
+        return f(p) - benchmark
 
     def bisect(a: float, b: float) -> float:
         return _bisect(h, a, b, h(a), _RANGE_RESOLUTION)
@@ -349,8 +375,10 @@ def solve_zeta_snl(
     Bisection on g(zeta) = delta_phi_min(zeta) - snl(zeta) over the bracket
     to _ZETA_TOL; raises NoSolutionError when g has one sign across it.  The
     solution carries the minimizing phase, the implied chi and the cycle
-    efficiency at that chi.
+    efficiency at that chi.  g(0) = +inf, so the bracket may start at zeta = 0.
+    All three solvers check observable and derivative_mode before any work.
     """
+    _check_choices(observable, derivative_mode)
 
     def g(z: float) -> float:
         _, val = minimize_sensitivity(config, z, observable, derivative_mode)

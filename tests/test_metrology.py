@@ -5,11 +5,14 @@ of the composed map phi -> n_out(N_in, chi(zeta, phi)); the Fock-basis
 arbitration of the variances lives in the gate suite.
 """
 
+import collections
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
@@ -23,11 +26,16 @@ from su11otto import (
     variance_h,
     variance_n,
 )
+from su11otto import core, metrology
 from su11otto.config import load_config
 from su11otto.core import chi_of, n_out
 from su11otto.errors import NoSolutionError, PhotonNumberError
 from su11otto.fock import FockWorkspace, thermal_state, unitary_equiv
 from su11otto.metrology import (
+    DERIVATIVE_MODES,
+    OBSERVABLES,
+    delta_phi,
+    delta_phi_objective,
     dn_dphi_chain,
     dn_dphi_paper,
     photon_number_at_phase,
@@ -64,19 +72,24 @@ def _phase_of(x):
     return 2.0 * math.asin(math.sqrt(x))
 
 
-# valid engines with bh w2 in [0.01, 10], each with a squeezing, an observable and a mode
-OPERATING_POINTS = dict(
-    config=st.builds(
+def _engines(bw_max):
+    """Valid engines with bh w2 in [0.01, bw_max]."""
+    return st.builds(
         lambda bw, ratio, omega2, cold: EngineConfig(
             omega1=ratio * omega2, omega2=omega2, t_hot=omega2 / bw, t_cold=cold * omega2 / bw
         ),
-        bw=st.floats(0.01, 10.0),
+        bw=st.floats(0.01, bw_max),
         ratio=st.floats(1e-3, 1.0, exclude_min=True, exclude_max=True),
         omega2=st.floats(0.1, 10.0),
         # t_cold must stay below t_hot after rounding: a cold within an ulp or
         # so of 1 rounds cold * omega2 / bw up to omega2 / bw, an invalid engine
         cold=st.floats(1e-3, 1.0 - 1e-9),
-    ),
+    )
+
+
+# valid engines with bh w2 in [0.01, 10], each with a squeezing, an observable and a mode
+OPERATING_POINTS = dict(
+    config=_engines(10.0),
     zeta=st.floats(0.05, 8.0),
     observable=st.sampled_from(["number", "energy"]),
     derivative_mode=st.sampled_from(["paper", "chain"]),
@@ -181,6 +194,71 @@ class TestSensitivityPoint:
             / (fig3_config.omega1 * dn),
             rel=1e-14,
         )
+
+
+def _delta_phi_reference(config, zeta, phi, derivative_mode):
+    """delta_phi with every formula written out, in the operation order the
+    package must keep: chi_of, dn_dphi_*, variance_n and variance_h inline."""
+    phi = np.asarray(phi, dtype=float)
+    c = config.coth_hot
+    chi = np.arccosh(1.0 + 2.0 * np.sin(phi / 2.0) ** 2 * np.sinh(zeta) ** 2)
+    dn = np.sin(phi) * np.sinh(zeta) ** 2 * c
+    dn = np.abs(dn * c if derivative_mode == "paper" else dn)
+    var_n = 0.5 * (np.cosh(2.0 * chi) * c * c - 1.0)
+    sig_n = np.sqrt(var_n)
+    sig_h = np.sqrt(2.0 * config.omega1**2 * (var_n + 0.25 * (c * c + 1.0)))
+    with np.errstate(divide="ignore", over="ignore"):
+        return {
+            "number": np.where(dn <= 1e-300, np.inf, sig_n / dn),
+            "energy": np.where(dn <= 1e-300, np.inf, sig_h / (config.omega1 * dn)),
+        }
+
+
+def _with_warnings(fn):
+    """fn() and the messages of the warnings it raised; numpy's "scalar " prefix dropped."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = fn()
+    return value, {(w.category, str(w.message).replace("scalar ", "")) for w in caught}
+
+
+# zeta on [0, 20] and phi on [0, pi], each endpoint and NaN drawn on purpose
+ZETAS = st.one_of(st.sampled_from([0.0, 20.0, math.nan]), st.floats(0.0, 20.0))
+PHIS = st.one_of(st.sampled_from([0.0, math.pi, math.nan]), st.floats(0.0, math.pi))
+
+
+class TestObjective:
+    @settings(max_examples=300)
+    @given(
+        # bh w2 up to 100 reaches the cold limit, where coth(bh w2/2) rounds to 1
+        config=_engines(100.0),
+        zeta=ZETAS,
+        phi=PHIS,
+        phis=st.lists(PHIS, min_size=1, max_size=8),
+        observable=st.sampled_from(OBSERVABLES),
+        derivative_mode=st.sampled_from(DERIVATIVE_MODES),
+    )
+    # w1 dN/dphi underflows to 0 above the derivative floor: sig / 0 = +inf
+    @example(
+        config=EngineConfig(omega1=1e-30, omega2=1.0, t_hot=2.0, t_cold=0.01),
+        zeta=1.0, phi=1e-296, phis=[1e-296], observable="energy", derivative_mode="chain",
+    )
+    def test_matches_delta_phi_bit_for_bit(
+        self, config, zeta, phi, phis, observable, derivative_mode
+    ):
+        # the solvers' scalar steps and the scans must read exactly what delta_phi
+        # writes (== or both NaN), and warn about nothing delta_phi does not
+        f = delta_phi_objective(config, zeta, observable, derivative_mode)
+        column = OBSERVABLES.index(observable)
+        for p in (phi, np.float64(phi), np.array(phis)):
+            ref, ref_warned = _with_warnings(
+                lambda: _delta_phi_reference(config, zeta, p, derivative_mode)[observable]
+            )
+            value, warned = _with_warnings(lambda: f(p))
+            np.testing.assert_array_equal(value, ref, strict=True)  # NaN equals NaN here
+            assert warned <= ref_warned
+            value, _ = _with_warnings(lambda: delta_phi(config, zeta, p, derivative_mode)[column])
+            np.testing.assert_array_equal(value, ref, strict=True)
 
 
 class TestShotNoise:
@@ -294,6 +372,17 @@ class TestMinimizer:
         assert value == pytest.approx(d_min, rel=1e-12)
         assert phi_star == pytest.approx(_phase_of(x), abs=1e-6)
 
+    @pytest.mark.parametrize("derivative_mode", DERIVATIVE_MODES)
+    @pytest.mark.parametrize("observable", OBSERVABLES)
+    def test_zero_squeezing_is_infinite_at_every_phase(
+        self, fig3_config, observable, derivative_mode
+    ):
+        # at zeta = 0 dN/dphi vanishes at every phi, so delta_phi is +inf throughout
+        # and phi* is arbitrary: the golden section settles at the first scan step's top
+        phi_star, value = minimize_sensitivity(fig3_config, 0.0, observable, derivative_mode)
+        assert value == math.inf
+        assert 1e-6 < phi_star <= 1e-6 + (math.pi - 2e-6) / 1999
+
     @pytest.mark.parametrize("derivative_mode", ["chain", "paper"])
     @pytest.mark.parametrize("observable", ["number", "energy"])
     def test_optimum_below_the_scan_floor_raises(self, fig3_config, observable, derivative_mode):
@@ -333,3 +422,78 @@ class TestSnlSolver:
     def test_no_crossing_raises(self, fig3_config):
         with pytest.raises(NoSolutionError):
             solve_zeta_snl(fig3_config, "energy", "chain", zeta_bracket=(0.5, 0.7))
+
+    @pytest.mark.parametrize("derivative_mode", DERIVATIVE_MODES)
+    @pytest.mark.parametrize("observable", OBSERVABLES)
+    def test_bracket_from_zero_squeezing_solves(self, fig3_config, observable, derivative_mode):
+        # g(0) = +inf - snl(0) > 0, so a bracket may start at zeta = 0
+        sol = solve_zeta_snl(fig3_config, observable, derivative_mode, zeta_bracket=(0.0, 8.0))
+        ref = solve_zeta_snl(fig3_config, observable, derivative_mode, zeta_bracket=ZETA_BRACKET)
+        assert sol.zeta_snl == pytest.approx(ref.zeta_snl, abs=2e-6)
+
+    def test_cost_shape_on_defaults(self, monkeypatch):
+        # the snl command's solves build one objective per minimization and call
+        # neither delta_phi nor chi_of in a golden-section or bisection step:
+        # chi_of runs once per solution, for chi_snl after the loops
+        calls = collections.Counter()
+
+        def count(owner, name, key):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for name in ("delta_phi", "delta_phi_objective", "minimize_sensitivity", "chi_of"):
+            count(metrology, name, name)
+        count(core, "chi_of", "core.chi_of")
+        config = load_config()
+        for observable in OBSERVABLES:
+            for mode in DERIVATIVE_MODES:
+                metrology.solve_zeta_snl(
+                    config.engine, observable, mode, zeta_bracket=config.zeta_bracket
+                )
+        assert calls["minimize_sensitivity"] > 0
+        assert calls["delta_phi_objective"] == calls["minimize_sensitivity"]
+        assert calls["delta_phi"] == calls["core.chi_of"] == 0
+        assert calls["chi_of"] == 4
+        builds = calls["delta_phi_objective"]
+        metrology.supersensitivity_range(config.engine, 4.0, "energy", "chain")
+        assert calls["delta_phi_objective"] == builds + 1
+        assert calls["delta_phi"] == calls["core.chi_of"] == 0 and calls["chi_of"] == 4
+
+
+class _NoWork:
+    """Stands in for numpy and the solvers' callees: any use is work before the check."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"work before the argument check: {name}")
+
+    def __call__(self, *args, **kwargs):
+        raise AssertionError("work before the argument check")
+
+
+SOLVERS = {
+    "minimize_sensitivity": lambda config, o, d: minimize_sensitivity(config, 3.4, o, d),
+    "supersensitivity_range": lambda config, o, d: supersensitivity_range(config, 4.0, o, d),
+    "solve_zeta_snl": lambda config, o, d: solve_zeta_snl(config, o, d, zeta_bracket=ZETA_BRACKET),
+}
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+@pytest.mark.parametrize(
+    "observable, derivative_mode, message",
+    [
+        ("bogus", "chain", "observable must be one of ('number', 'energy'), got 'bogus'"),
+        ("number", "bogus", "derivative_mode must be one of ('paper', 'chain'), got 'bogus'"),
+    ],
+)
+def test_bad_choice_raises_before_any_work(
+    monkeypatch, fig3_config, solver, observable, derivative_mode, message
+):
+    for name in ("np", "snl", "minimize_sensitivity"):
+        monkeypatch.setattr(metrology, name, _NoWork())
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SOLVERS[solver](fig3_config, observable, derivative_mode)
