@@ -41,7 +41,7 @@ from .cycle import carnot, otto_ideal, works_and_heats
 from .errors import EngineError
 from .gate import run_gate
 from .metrology import delta_phi, snl, solve_zeta_snl, supersensitivity_range
-from .reports import fmt, table, write_csv
+from .reports import fmt, write_csv
 
 UNITS_HEADER = "units: hbar = k_B = 1; frequencies and temperatures on a common energy scale"
 INPUT_HEADER = "expansion input state: hot thermal at (beta_h, omega2); N_in + 1 = coth(beta_h*omega2/2)"
@@ -50,6 +50,11 @@ INPUT_HEADER = "expansion input state: hot thermal at (beta_h, omega2); N_in + 1
 def _phi_grid(phi_points: int) -> np.ndarray:
     # open grid: phi = j*pi/N for j = 1 .. N-1 (the endpoints are degenerate)
     return np.arange(1, phi_points) * math.pi / phi_points
+
+
+def _cells(values, repeat: int = 1) -> list[str]:
+    # a grid or constant shared by many rows, formatted once
+    return list(map(fmt, np.ravel(values).tolist())) * repeat
 
 
 def _engine_header(config: ScenarioConfig) -> list[str]:
@@ -92,16 +97,18 @@ def cmd_cycle(args, config: ScenarioConfig) -> int:
     for zeta in config.zeta_panels:
         chi = chi_of(zeta, phis)
         rep = works_and_heats(engine, chi)
-        panels.append((phis, np.full_like(phis, zeta), chi, rep.w_ab, rep.q_bc, rep.w_cd,
-                       rep.q_da, rep.w_net, rep.eta, rep.eta / eta_c, rep.w_fric))
-    rows = table(*map(np.concatenate, zip(*panels)))
+        panels.append((chi, rep.w_ab, rep.q_bc, rep.w_cd, rep.q_da, rep.w_net, rep.eta,
+                       rep.eta / eta_c, rep.w_fric))
+    phi_cells = _cells(phis, len(panels))
     path = write_csv(
         Path(args.out) / "cycle_sweep.csv",
         ("phi", "zeta", "chi", "w_ab", "q_bc", "w_cd", "q_da", "w_net", "eta", "eta_norm", "w_fric"),
-        rows,
-        _engine_header(config) + ["sign convention: positive = energy into the working substance"],
+        phi_cells, [c for zeta in config.zeta_panels for c in _cells(zeta, phis.size)],
+        *map(np.concatenate, zip(*panels)),
+        header_comments=_engine_header(config)
+        + ["sign convention: positive = energy into the working substance"],
     )
-    print(f"wrote {path} ({len(rows)} rows)")
+    print(f"wrote {path} ({len(phi_cells)} rows)")
     return 0
 
 
@@ -112,6 +119,7 @@ def cmd_figure3(args, config: ScenarioConfig) -> int:
     eta_o = otto_ideal(engine)
     chi_bound = chi_max(engine)
     phis = _phi_grid(config.phi_points)
+    phi_cells = _cells(phis)
     header = _engine_header(config) + [INPUT_HEADER, f"derivative_mode: {mode}"]
     summary_rows = []
     for zeta in config.zeta_panels:
@@ -123,9 +131,9 @@ def cmd_figure3(args, config: ScenarioConfig) -> int:
             Path(args.out) / f"figure3_zeta{zeta:g}.csv",
             ("phi", "delta_phi_n", "delta_phi_h", "snl", "norm_n", "norm_h",
              "eta", "eta_norm", "derivative_mode"),
-            table(phis, d_n, d_h, np.full_like(phis, benchmark), norm_n, norm_h,
-                  eta, eta / eta_c, [mode] * phis.size),
-            header + [f"zeta: {fmt(zeta)}"],
+            phi_cells, d_n, d_h, _cells(benchmark, phis.size), norm_n, norm_h,
+            eta, eta / eta_c, [mode] * phis.size,
+            header_comments=header + [f"zeta: {fmt(zeta)}"],
         )
         rng_n = supersensitivity_range(engine, zeta, "number", mode)
         rng_h = supersensitivity_range(engine, zeta, "energy", mode)
@@ -142,8 +150,8 @@ def cmd_figure3(args, config: ScenarioConfig) -> int:
         ("zeta", "eta_otto", "eta_carnot", "phi_max", "min_norm_n", "min_norm_h",
          "range_n_lo", "range_n_hi", "range_n_empty",
          "range_h_lo", "range_h_hi", "range_h_empty", "derivative_mode"),
-        table(*zip(*summary_rows)),
-        header,
+        *zip(*summary_rows),
+        header_comments=header,
     )
     print(f"eta_otto={fmt(eta_o)} eta_carnot={fmt(eta_c)}  wrote {spath}")
     return 0
@@ -161,9 +169,10 @@ def cmd_figure4(args, config: ScenarioConfig) -> int:
     path = write_csv(
         Path(args.out) / "figure4_coupling.csv",
         ("nu", "re_alphabeta", "im_alphabeta", "identity_residual"),
-        table(FIG4_NU_GRID, re_ab, im_ab, residual),
-        [f"reference ramp frequencies: omega_i={fmt(FIG4_OMEGA_I)} omega_f={fmt(FIG4_OMEGA_F)}",
-         "nu in units of omega_i"],
+        FIG4_NU_GRID, re_ab, im_ab, residual,
+        header_comments=[
+            f"reference ramp frequencies: omega_i={fmt(FIG4_OMEGA_I)} omega_f={fmt(FIG4_OMEGA_F)}",
+            "nu in units of omega_i"],
     )
     print(f"wrote {path} ({len(pairs)} rows); worst |alpha|^2-|beta|^2 residual {max(residual):.3e}")
     return 0
@@ -186,9 +195,9 @@ def cmd_snl(args, config: ScenarioConfig) -> int:
         Path(args.out) / "snl_solutions.csv",
         ("observable", "derivative_mode", "zeta_snl", "phi_snl", "chi_snl", "eta_snl",
          "delta_phi_min", "snl", "norm_min"),
-        table(*zip(*rows)),
-        _engine_header(config) + [INPUT_HEADER,
-                                  "solver: coarse scan + golden section in phi, bisection in zeta"],
+        *zip(*rows),
+        header_comments=_engine_header(config) + [
+            INPUT_HEADER, "solver: coarse scan + golden section in phi, bisection in zeta"],
     )
     print(f"wrote {path}")
     return 0
@@ -212,10 +221,10 @@ def cmd_circuit(args, config: ScenarioConfig) -> int:
     path = write_csv(
         Path(args.out) / "circuit_scenario.csv",
         ("t_f", "theta", "zeta", "phi", "chi", "eta", "eta_norm", "dphi_h", "dphi_norm", "flags"),
-        table(report.t_f, report.theta, report.zeta, report.phi, np.full(n, report.chi),
-              np.full(n, report.eta), np.full(n, report.eta_norm), report.dphi_h,
-              report.dphi_norm, np.where(report.flagged, "no-solution", "")),
-        header,
+        report.t_f, report.theta, report.zeta, report.phi, _cells(report.chi, n),
+        _cells(report.eta, n), _cells(report.eta_norm, n), report.dphi_h,
+        report.dphi_norm, np.where(report.flagged, "no-solution", ""),
+        header_comments=header,
     )
     print(f"expansion ramp: omega_i={report.engine.omega2:.6e} omega_f={report.engine.omega1:.6e} rad/s")
     print(f"chi={report.chi:.6f} (engine bound chi_max={report.chi_max:.6f}) "
@@ -244,8 +253,8 @@ def cmd_oracle(args, config: ScenarioConfig) -> int:
     path = write_csv(
         Path(args.out) / "oracle_report.csv",
         columns,
-        table(*([getattr(rec, name) for rec in result.records] for name in columns)),
-        _engine_header(config) + [
+        *([getattr(rec, name) for rec in result.records] for name in columns),
+        header_comments=_engine_header(config) + [
             "status legend: discrepancy = printed formula contradicted by the oracle "
             "(exit code 2); skipped = outside the truncation guard at this n_max",
         ],

@@ -35,14 +35,15 @@ _COEFFS = (
     -0.26190838401581408670e-4,
     0.36899182659531622704e-5,
 )
+_TERMS = tuple(enumerate(_COEFFS[1:], start=1))
 _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def _lanczos_log_gamma(z: complex) -> complex:
     """Lanczos sum, valid for Re(z) >= 0.5."""
-    series = _COEFFS[0]
-    for k, c in enumerate(_COEFFS[1:], start=1):
-        series += c / (z - 1.0 + k)
+    series, zm1 = _COEFFS[0], z - 1.0
+    for k, c in _TERMS:
+        series += c / (zm1 + k)
     t = z + (_G - 0.5)
     return _LOG_SQRT_TWO_PI + (z - 0.5) * cmath.log(t) - t + cmath.log(series)
 
@@ -53,9 +54,11 @@ def complex_log_gamma(z: complex) -> complex:
     For Re(z) < 0.5 the argument is shifted up with
     log Gamma(z) = log Gamma(z + 1) - log(z), which preserves the principal
     branch away from the cut; nonpositive integers are poles and raise
-    GammaPoleError.  log Gamma(1) = log Gamma(2) = 0 exactly.
+    GammaPoleError, a non-finite z ValueError.  log Gamma(1) = log Gamma(2) = 0 exactly.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"log-Gamma needs a finite z, got z = {z}")
     if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
         raise GammaPoleError(f"log-Gamma pole at z = {z.real:.0f}")
     if z == 1.0 or z == 2.0:

@@ -25,7 +25,7 @@ from su11otto import (
 from su11otto.cli import build_parser, main
 from su11otto.config import DEFAULTS, OracleConfig, load_config
 from su11otto.errors import ConfigError
-from su11otto.reports import fmt, table, write_csv
+from su11otto.reports import fmt, write_csv
 
 
 class TestConfig:
@@ -358,7 +358,7 @@ class TestCsvCommands:
                 raise RuntimeError(f"unprintable cell (temp file open: {tmp.exists()})")
 
         with pytest.raises(RuntimeError, match=r"unprintable cell \(temp file open: True\)"):
-            write_csv(tmp_path / "x.csv", ("a", "b"), table([1.0, 2.0], ["ok", Unprintable()]))
+            write_csv(tmp_path / "x.csv", ("a", "b"), [1.0, 2.0], ["ok", Unprintable()])
         assert list(tmp_path.iterdir()) == []
 
     def test_derivative_mode_flag(self, tmp_path, capsys):
@@ -383,16 +383,36 @@ _CELLS = {
 }
 
 
+# a typed ndarray column takes its conversion from its dtype kind: (cells, dtype)
+_TYPED = [
+    (_CELLS[float], np.float64),
+    (st.floats(width=32, allow_subnormal=True), np.float32),
+    (st.integers(-2**63, 2**63 - 1), np.int64),
+    (st.integers(0, 2**64 - 1), np.uint64),
+    (_CELLS[bool], np.bool_),
+    (_TEXT, np.str_),
+]
+
+
 @st.composite
 def _csv_tables(draw):
-    """(names, Python columns, the same columns as handed to `table`, comments)."""
+    """(names, each column's Python cells, the columns as handed to `write_csv`, comments)."""
     n_rows = draw(st.integers(0, 12))
-    kinds = draw(st.lists(st.sampled_from(list(_CELLS)), min_size=1, max_size=5))
-    columns = [draw(st.lists(_CELLS[k], min_size=n_rows, max_size=n_rows)) for k in kinds]
-    # a column reaches `table` as a list, a tuple or an ndarray (ints past int64 give dtype object)
-    passed = [draw(st.sampled_from([list, tuple, np.array]))(c) for c in columns]
-    names = [f"c{i}" for i in range(len(columns))]
-    return names, columns, passed, draw(st.lists(_TEXT, max_size=3))
+    cells, passed = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            strategy, dtype = draw(st.sampled_from(_TYPED))
+            column = np.array(draw(st.lists(strategy, min_size=n_rows, max_size=n_rows)), dtype=dtype)
+        else:
+            # a list, a tuple, an object array, or an ndarray of inferred dtype
+            # (ints past int64 give dtype object; no rows gives float64)
+            kind = draw(st.sampled_from(list(_CELLS)))
+            column = draw(st.sampled_from([list, tuple, np.array, lambda c: np.array(c, dtype=object)]))(
+                draw(st.lists(_CELLS[kind], min_size=n_rows, max_size=n_rows)))
+        cells.append(column.tolist() if isinstance(column, np.ndarray) else list(column))
+        passed.append(column)
+    names = [f"c{i}" for i in range(len(passed))]
+    return names, cells, passed, draw(st.lists(_TEXT, max_size=3))
 
 
 class TestWriteCsv:
@@ -402,7 +422,7 @@ class TestWriteCsv:
     def test_bytes_equal_the_per_cell_reference(self, tmp_path_factory, drawn):
         names, columns, passed, comments = drawn
         path = tmp_path_factory.getbasetemp() / "property.csv"
-        write_csv(path, names, table(*passed), comments)
+        write_csv(path, names, *passed, header_comments=comments)
         expected = "".join(
             [f"# {line}\n" for line in comments] + [",".join(names) + "\n"]
             + [",".join(fmt(v) for v in row) + "\n" for row in zip(*columns)]
@@ -421,7 +441,28 @@ class TestWriteCsv:
     def test_mixed_or_unprintable_column_is_refused_by_name(self, tmp_path, cells, held):
         # refused before the temp file opens, not printed cell by cell
         with pytest.raises(TypeError, match=re.escape(f"column 'b' holds {held}")):
-            write_csv(tmp_path / "x.csv", ("a", "b"), table(np.zeros(len(cells)), cells))
+            write_csv(tmp_path / "x.csv", ("a", "b"), np.zeros(len(cells)), cells)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.uint64, np.bool_,
+                                       np.str_, object])
+    def test_zero_row_columns_write_the_header_alone(self, tmp_path, dtype):
+        path = write_csv(tmp_path / "x.csv", ("a", "b"), np.array([], dtype=dtype), [],
+                         header_comments=["c"])
+        assert path.read_bytes() == b"# c\na,b\n"
+
+    @pytest.mark.parametrize("names, columns, message", [
+        (("a", "b"), ([1.0, 2.0], [1.0]), r"names \('a', 'b'\) for columns of lengths \[2, 1\]"),
+        (("a", "b"), (np.zeros(2), ()), r"names \('a', 'b'\) for columns of lengths \[2, 0\]"),
+        (("a", "b", "c"), (np.zeros(3), ["x"] * 3, np.zeros(4, bool)), r"lengths \[3, 3, 4\]"),
+        (("a",), ([1.0], [2.0]), r"names \('a',\) for columns of lengths \[1, 1\]"),
+        (("a", "b"), ([1.0],), r"names \('a', 'b'\) for columns of lengths \[1\]"),
+        ((), ([1.0],), r"names \(\) for columns of lengths \[1\]"),
+    ])
+    def test_ragged_or_misnamed_columns_are_refused(self, tmp_path, names, columns, message):
+        # refused before the output directory is made, so before the temp file opens
+        with pytest.raises(ValueError, match=message):
+            write_csv(tmp_path / "sub" / "x.csv", names, *columns)
         assert list(tmp_path.iterdir()) == []
 
 

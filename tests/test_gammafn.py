@@ -2,6 +2,8 @@
 
 import cmath
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import loggamma as scipy_loggamma
 
+from su11otto import gammafn
+from su11otto.cli import FIG4_NU_GRID, FIG4_OMEGA_F, FIG4_OMEGA_I
 from su11otto.errors import GammaPoleError
 from su11otto.gammafn import complex_log_gamma
 
@@ -81,3 +85,39 @@ def test_matches_scipy_off_the_real_axis(re, im, below):
     mine = complex_log_gamma(z)
     ref = complex(scipy_loggamma(z))
     assert abs(mine - ref) <= 1e-13 * max(1.0, abs(ref)), f"z={z}"
+
+
+@pytest.mark.parametrize("z", [complex(-math.inf), math.nan, complex(0.3, math.nan),
+                               complex(math.inf, 1.0), complex(1.0, -math.inf), math.inf])
+def test_non_finite_argument_is_refused_by_name(z):
+    with pytest.raises(ValueError, match=re.escape(f"z = {complex(z)}")):
+        complex_log_gamma(z)
+
+
+def _lanczos_as_first_written(z):
+    """`_lanczos_log_gamma` with z - 1.0 formed inside the loop, term by term."""
+    series = gammafn._COEFFS[0]
+    for k, c in enumerate(gammafn._COEFFS[1:], start=1):
+        series += c / (z - 1.0 + k)
+    t = z + (gammafn._G - 0.5)
+    return gammafn._LOG_SQRT_TWO_PI + (z - 0.5) * cmath.log(t) - t + cmath.log(series)
+
+
+def _bits(z):
+    return struct.pack("<dd", z.real, z.imag)
+
+
+@given(x=st.floats(0.5, 50.0), y=st.floats(-1e3, 1e3))
+def test_lanczos_sum_is_bit_identical_to_the_loop_as_first_written(x, y):
+    z = complex(x, y)
+    assert _bits(gammafn._lanczos_log_gamma(z)) == _bits(_lanczos_as_first_written(z))
+
+
+def test_lanczos_sum_is_bit_identical_on_the_figure4_arguments():
+    # the ramp quotients reach the Lanczos sum at 1 +- i w/nu, directly or as
+    # a pure-imaginary argument shifted up by one
+    w_plus, w_minus = 0.5 * (FIG4_OMEGA_I + FIG4_OMEGA_F), 0.5 * (FIG4_OMEGA_F - FIG4_OMEGA_I)
+    for nu in FIG4_NU_GRID.tolist():
+        for w in (FIG4_OMEGA_I, FIG4_OMEGA_F, w_plus, w_minus):
+            for z in (1.0 + 1j * w / nu, 1.0 - 1j * w / nu, 1j * w / nu + 1, -1j * w / nu + 1):
+                assert _bits(gammafn._lanczos_log_gamma(z)) == _bits(_lanczos_as_first_written(z)), z

@@ -81,6 +81,10 @@ def test_traced_oracle_emits_every_layer_metric(tmp_path):
     # trace.overhead_s compares a traced with an untraced pass: bench/run.py adds it
     assert set(metrics) == {m["name"] for m in spec["per_layer"]} - {"trace.overhead_s"}
     assert metrics["fock.matmul_flop"] > 0 and metrics["gate.skipped"] > 0
+    # the row counter reads write_csv's first column: one count per record, not per column
+    lines = (tmp_path / "oracle_report.csv").read_text().splitlines()
+    written = sum(1 for line in lines if not line.startswith("#")) - 1  # less the header
+    assert metrics["reports.rows"] == written == metrics["gate.records"]
 
 
 def test_seed0_outputs_pass_the_benchmark_checks(tmp_path):
