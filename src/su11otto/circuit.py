@@ -28,7 +28,7 @@ import numpy as np
 from .core import TWO_PI, EngineConfig, ProtocolEndpoints, angles_of, chi_max
 from .cycle import carnot, efficiency
 from .errors import IdentityViolationError, ImaginaryCouplingError, NoSolutionError
-from .gammafn import complex_log_gamma
+from .gammafn import complex_log_gamma, log_gamma_shifted_down
 from .metrology import delta_phi, snl
 
 __all__ = [
@@ -166,27 +166,31 @@ def bogoliubov(omega_i: float, omega_f: float, nu: float) -> BogoliubovPair:
 
     Degenerate frequencies (w- = 0 would sit on Gamma poles) take the
     no-particle-creation limit beta = 0, alpha = 1.
+
+    The Lanczos sums at 1 - i w+/nu and 1 + i w-/nu are taken once, and shifted
+    down for G(-i w+/nu), G(i w-/nu); G(-+i wf/nu) are not proven exact conjugates.
     """
     for name, value in (("omega_i", omega_i), ("omega_f", omega_f), ("nu", nu)):
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value}")
     if abs(omega_f - omega_i) <= 1e-12 * (omega_i + omega_f):
         return BogoliubovPair(alpha=1.0 + 0j, beta=0j, omega_i=omega_i, omega_f=omega_f, nu=nu)
-    w_plus = 0.5 * (omega_i + omega_f)
-    w_minus = 0.5 * (omega_f - omega_i)
+    w_plus, w_minus = 0.5 * (omega_i + omega_f), 0.5 * (omega_f - omega_i)
     # the log of the factor sqrt(wf/wi) G(1 - i wi/nu) that alpha and beta share
     head = 0.5 * math.log(omega_f / omega_i) + complex_log_gamma(1.0 - 1j * omega_i / nu)
+    z_plus, z_minus = -1j * w_plus / nu, 1j * w_minus / nu
+    up_plus, up_minus = complex_log_gamma(z_plus + 1), complex_log_gamma(z_minus + 1)
     log_alpha = (
         head
         + complex_log_gamma(-1j * omega_f / nu)
-        - complex_log_gamma(-1j * w_plus / nu)
-        - complex_log_gamma(1.0 - 1j * w_plus / nu)
+        - log_gamma_shifted_down(z_plus, 1, up_plus)
+        - up_plus
     )
     log_beta = (
         head
         + complex_log_gamma(1j * omega_f / nu)
-        - complex_log_gamma(1j * w_minus / nu)
-        - complex_log_gamma(1.0 + 1j * w_minus / nu)
+        - log_gamma_shifted_down(z_minus, 1, up_minus)
+        - up_minus
     )
     pair = BogoliubovPair(cmath.exp(log_alpha), cmath.exp(log_beta), omega_i, omega_f, nu)
     if pair.identity_residual > 1e-8:

@@ -139,12 +139,12 @@ def chi_of(zeta, phi):
     same right-hand side as (1 - cos(phi)) cosh^2(zeta) + cos(phi) but is
     >= 1 by construction in floating point, so no clamping is needed.
     """
-    return _chi_of_sinh2(np.sinh(zeta) ** 2, np.asarray(phi))
+    return _chi_of_sinh2(np.sinh(zeta) ** 2, np.sin(np.asarray(phi) / 2.0) ** 2)
 
 
-def _chi_of_sinh2(sinh2, phi):
-    """chi_of with sinh^2(zeta) = sinh2 already formed, for callers that hold zeta fixed."""
-    return np.arccosh(1.0 + 2.0 * np.sin(phi / 2.0) ** 2 * sinh2)
+def _chi_of_sinh2(sinh2, sin2_half):
+    """chi_of from sinh^2(zeta) and sin^2(phi/2) already formed, for callers that hold either fixed."""
+    return np.arccosh(1.0 + 2.0 * sin2_half * sinh2)
 
 
 def theta_of(zeta, phi):

@@ -13,7 +13,7 @@ import math
 
 from .errors import GammaPoleError
 
-__all__ = ["complex_log_gamma"]
+__all__ = ["complex_log_gamma", "log_gamma_shifted_down"]
 
 # Godfrey's coefficients for g = 607/128, 15 terms; relative error below
 # 1e-14 on Re(z) >= 0.5.
@@ -66,7 +66,12 @@ def complex_log_gamma(z: complex) -> complex:
     if z.real >= 0.5:
         return _lanczos_log_gamma(z)
     shift = int(math.ceil(0.5 - z.real))
+    return log_gamma_shifted_down(z, shift, _lanczos_log_gamma(z + shift))
+
+
+def log_gamma_shifted_down(z: complex, shift: int, log_gamma_up: complex) -> complex:
+    """log Gamma(z) from log_gamma_up = log Gamma(z + shift) by the recurrence; z is no pole."""
     acc = 0j
     for j in range(shift):
         acc += cmath.log(z + j)
-    return _lanczos_log_gamma(z + shift) - acc
+    return log_gamma_up - acc

@@ -239,7 +239,7 @@ def _admitted_records(defects, reads, n_max, bw, chi, tag) -> list[GateRecord]:
     analytic_h = n_out(coth_in - 1.0, chi) + 1.0
     recs.append(_cmp(f"mean_h_vs_closed_form{tag}", analytic_h, mean_n + 1.0, 1e-7, n_max, leak))
     # number variance against the printed closed form (this one is expected to hold)
-    var_closed = _variance_n(coth_in, chi)
+    var_closed = _variance_n(coth_in, np.cosh(2.0 * chi))
     recs.append(
         _cmp(f"delta2_n_formula{tag}", var_closed, var_n, 1e-6, n_max, leak, relative=True)
     )

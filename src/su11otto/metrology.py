@@ -28,11 +28,14 @@ linear algebra (see the gate module).
 delta_phi_objective (one zeta, observable and mode) is the one home of the
 delta_phi formula; delta_phi and every solver step evaluate through it.  It
 must equal delta_phi bit for bit: phi_snl sits in a minimum flat to rounding,
-where one ulp in delta_phi moves it by about 1e-8 relative.
+where one ulp in delta_phi moves it by about 1e-8 relative.  Solver steps run
+on Python floats, with numpy only for sin, arccosh and cosh (math's differ by an
+ulp); scans read two phi tables built once.  Solvers refuse a bad zeta first.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -123,12 +126,12 @@ def variance_n(config: EngineConfig, chi) -> float:
 
     At chi = 0 this is the two-mode thermal value 2 nbar (nbar + 1).
     """
-    return _variance_n(config.coth_hot, np.asarray(chi))
+    return _variance_n(config.coth_hot, np.cosh(2.0 * np.asarray(chi)))
 
 
-def _variance_n(coth, chi):
+def _variance_n(coth, cosh_2chi):
     """[cosh(2 chi) coth^2 - 1] / 2 for a thermal pair of bath factor coth = N_in + 1."""
-    return 0.5 * (np.cosh(2.0 * chi) * coth * coth - 1.0)
+    return 0.5 * (cosh_2chi * coth * coth - 1.0)
 
 
 def variance_h(config: EngineConfig, chi) -> float:
@@ -166,19 +169,21 @@ def dn_dphi_chain(config: EngineConfig, zeta, phi) -> float:
     one power of coth lower than the printed form; matches central finite
     differences of the composed map.
     """
-    return _dn_dphi_chain(config.coth_hot, np.sinh(zeta) ** 2, np.asarray(phi))
+    return _dn_dphi_chain(config.coth_hot, np.sinh(zeta) ** 2, np.sin(np.asarray(phi)))
 
 
-def _dn_dphi_chain(coth, sinh2, phi):
-    """dn_dphi_chain with sinh^2(zeta) = sinh2 already formed: (sin(phi) sinh2) coth."""
-    return np.sin(phi) * sinh2 * coth
+def _dn_dphi_chain(coth, sinh2, sin_phi):
+    """dn_dphi_chain from sinh^2(zeta) and sin(phi) already formed: (sin(phi) sinh2) coth."""
+    return sin_phi * sinh2 * coth
 
 
-def _check_choices(observable: str, derivative_mode: str) -> None:
+def _check_choices(observable: str, derivative_mode: str, zeta: float = 0.0) -> None:
     if observable not in OBSERVABLES:
         raise ValueError(f"observable must be one of {OBSERVABLES}, got {observable!r}")
     if derivative_mode not in DERIVATIVE_MODES:
         raise ValueError(f"derivative_mode must be one of {DERIVATIVE_MODES}, got {derivative_mode!r}")
+    if not 0.0 <= zeta < math.inf:  # NaN fails too
+        raise ValueError(f"zeta must be finite and >= 0, got {zeta}")
 
 
 def photon_number_at_phase(n_in: float, zeta):
@@ -216,28 +221,47 @@ def delta_phi(config: EngineConfig, zeta, phi, derivative_mode: str):
     return tuple(delta_phi_objective(config, zeta, o, derivative_mode)(phi) for o in OBSERVABLES)
 
 
+def _sines(phi):
+    """(sin(phi), sin^2(phi/2)): all of delta_phi's phi dependence but arccosh and cosh."""
+    return np.sin(phi), np.sin(phi / 2.0) ** 2
+
+
+@functools.cache
+def _scan_table(edge: float, points: int) -> np.ndarray:
+    """Rows phi, *_sines(phi) at points phases on [edge, pi - edge]; read-only, built on first use."""
+    phi = np.linspace(edge, math.pi - edge, points)
+    (table := np.array([phi, *_sines(phi)])).flags.writeable = False
+    return table
+
+
 def delta_phi_objective(config: EngineConfig, zeta, observable: str, derivative_mode: str):
     """delta_phi of one observable as a function of phi, at fixed zeta.
 
-    Checks its arguments and forms the zeta-only factors once.  A float phi (a
-    solver step) gives a float, with no array temporaries and no errstate.
+    Checks its arguments and forms the zeta-only factors once.  A scan may
+    pass _sines(phi) as sines.  A float phi (a solver step) gives a float.
     """
     _check_choices(observable, derivative_mode)
     coth = config.coth_hot
     sinh2 = np.sinh(zeta) ** 2
+    if scalar := isinstance(sinh2, float):
+        sinh2 = float(sinh2)
     mode_factor = coth if derivative_mode == "paper" else 1.0  # x * 1.0 == x exactly
     scale, offset, w = _observable_terms(config, observable)
 
-    def objective(phi):
-        scalar = isinstance(phi, float) and isinstance(sinh2, float)
-        phi = phi if scalar else np.asarray(phi, dtype=float)
-        dn = abs(_dn_dphi_chain(coth, sinh2, phi) * mode_factor)
-        sig = np.sqrt(scale * (_variance_n(coth, _chi_of_sinh2(sinh2, phi)) + offset))
+    def ratio(sin_phi, sin2_half, real, sqrt):  # math.sqrt is IEEE-exact, as np.sqrt
+        dn = abs(_dn_dphi_chain(coth, sinh2, sin_phi) * mode_factor)
+        chi = real(_chi_of_sinh2(sinh2, sin2_half))
+        sig = sqrt(scale * (_variance_n(coth, real(np.cosh(2.0 * chi))) + offset))
         den = w * dn
-        if scalar and den:  # den = 0 (dn = 0, or w1 dn underflowed) takes numpy's sig / 0
-            return math.inf if dn <= _DERIVATIVE_FLOOR else float(sig) / float(den)
+        if real is float and den:  # den = 0 (dn = 0, or w1 dn underflowed) takes numpy's sig / 0
+            return math.inf if dn <= _DERIVATIVE_FLOOR else sig / den
         with np.errstate(divide="ignore", over="ignore"):
-            return np.where(dn <= _DERIVATIVE_FLOOR, np.inf, sig / den)
+            return np.where(dn <= _DERIVATIVE_FLOOR, np.inf, np.divide(sig, den))
+
+    def objective(phi, sines=None):
+        if scalar and isinstance(phi, float):
+            return ratio(float(np.sin(phi)), float(np.sin(phi / 2.0)) ** 2, float, math.sqrt)
+        return ratio(*(sines or _sines(np.asarray(phi, dtype=float))), np.asarray, np.sqrt)
 
     return objective
 
@@ -250,8 +274,7 @@ def sensitivity(
     Returns +inf sensitivities with diverged=True where dN/dphi vanishes
     (phi -> 0 or pi).
     """
-    d_n, d_h = delta_phi(config, zeta, phi, derivative_mode)
-    d_n, d_h = float(d_n), float(d_h)
+    d_n, d_h = map(float, delta_phi(config, zeta, phi, derivative_mode))
     benchmark = float(snl(config, zeta))
     return SensitivityPoint(
         phi=float(phi),
@@ -317,11 +340,11 @@ def minimize_sensitivity(
     At zeta = 0, delta_phi is +inf at every phi and phi* is arbitrary: the
     result is (~1.57e-3, the top of the first scan step; +inf).
     """
+    _check_choices(observable, derivative_mode, zeta)
     f = delta_phi_objective(config, zeta, observable, derivative_mode)
-    phis = np.linspace(_PHI_LO, math.pi - _PHI_LO, _COARSE_POINTS)
-    i_best = int(np.argmin(f(phis)))
-    lo = phis[max(i_best - 1, 0)]
-    hi = phis[min(i_best + 1, len(phis) - 1)]
+    phis, *sines = _scan_table(_PHI_LO, _COARSE_POINTS)
+    i_best = int(np.argmin(f(phis, sines)))
+    lo, hi = phis[[max(i_best - 1, 0), min(i_best + 1, len(phis) - 1)]].tolist()
     phi_star = _golden_section(f, lo, hi, _PHI_XTOL)
     if phi_star - phis[0] < _PHI_XTOL:
         raise NoSolutionError(f"zeta = {zeta:g}: the optimal phi is below the scan floor {_PHI_LO:g}")
@@ -341,10 +364,11 @@ def supersensitivity_range(
     point (from zeta ~ 10 on the default engine) has its edge past the scan:
     NoSolutionError.
     """
+    _check_choices(observable, derivative_mode, zeta)
     f = delta_phi_objective(config, zeta, observable, derivative_mode)
-    benchmark = snl(config, zeta)
-    phis = np.linspace(_RANGE_RESOLUTION, math.pi - _RANGE_RESOLUTION, _RANGE_SCAN_POINTS)
-    below = f(phis) < benchmark
+    benchmark = float(snl(config, zeta))
+    phis, *sines = _scan_table(_RANGE_RESOLUTION, _RANGE_SCAN_POINTS)
+    below = f(phis, sines) < benchmark
     if not below.any():
         return SupersensitivityRange(lo=math.nan, hi=math.nan, empty=True)
     if below[0] or below[-1]:
@@ -358,8 +382,8 @@ def supersensitivity_range(
         return _bisect(h, a, b, h(a), _RANGE_RESOLUTION)
 
     idx = np.flatnonzero(below)
-    lo = bisect(phis[idx[0] - 1], phis[idx[0]])
-    hi = bisect(phis[idx[-1]], phis[idx[-1] + 1])
+    lo = bisect(float(phis[idx[0] - 1]), float(phis[idx[0]]))
+    hi = bisect(float(phis[idx[-1]]), float(phis[idx[-1] + 1]))
     return SupersensitivityRange(lo=lo, hi=hi, empty=False)
 
 
@@ -376,15 +400,17 @@ def solve_zeta_snl(
     to _ZETA_TOL; raises NoSolutionError when g has one sign across it.  The
     solution carries the minimizing phase, the implied chi and the cycle
     efficiency at that chi.  g(0) = +inf, so the bracket may start at zeta = 0.
-    All three solvers check observable and derivative_mode before any work.
+    All three solvers check observable, derivative_mode and zeta first.
     """
     _check_choices(observable, derivative_mode)
+    lo, hi = zeta_bracket
+    if not 0.0 <= lo < hi < math.inf:  # NaN fails too
+        raise ValueError(f"zeta_bracket must be finite with 0 <= lo < hi, got {zeta_bracket}")
 
     def g(z: float) -> float:
         _, val = minimize_sensitivity(config, z, observable, derivative_mode)
         return val - snl(config, z)
 
-    lo, hi = zeta_bracket
     g_lo, g_hi = g(lo), g(hi)
     if g_lo == 0.0:
         hi = lo

@@ -9,12 +9,13 @@ with w+- = (wf +- wi)/2 ... (w+ = (wi+wf)/2, w- = (wf-wi)/2), which the
 tests pin the log-Gamma route against.
 """
 
+import cmath
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from su11otto import circuit
@@ -30,9 +31,11 @@ from su11otto.circuit import (
     engine_config_from_circuit,
     map_to_protocol,
 )
+from su11otto.cli import FIG4_NU_GRID, FIG4_OMEGA_F, FIG4_OMEGA_I
 from su11otto.config import load_config
 from su11otto.core import ProtocolEndpoints, angles_from, chi_from, chi_max
 from su11otto.errors import IdentityViolationError, ImaginaryCouplingError, NoSolutionError
+from su11otto.gammafn import complex_log_gamma
 from su11otto.metrology import sensitivity
 
 # reference numbers for the default (published) parameter set
@@ -54,6 +57,32 @@ def _closed_form_moduli(wi, wf, nu):
     wp, wm = (wi + wf) / 2.0, (wf - wi) / 2.0
     denom = math.sinh(math.pi * wi / nu) * math.sinh(math.pi * wf / nu)
     return math.sinh(math.pi * wp / nu) ** 2 / denom, math.sinh(math.pi * wm / nu) ** 2 / denom
+
+
+def _seven_call_coefficients(omega_i, omega_f, nu):
+    """(alpha, beta) as bogoliubov first wrote them: seven log-Gamma calls, no sum shared."""
+    w_plus, w_minus = 0.5 * (omega_i + omega_f), 0.5 * (omega_f - omega_i)
+    head = 0.5 * math.log(omega_f / omega_i) + complex_log_gamma(1.0 - 1j * omega_i / nu)
+    log_alpha = (
+        head
+        + complex_log_gamma(-1j * omega_f / nu)
+        - complex_log_gamma(-1j * w_plus / nu)
+        - complex_log_gamma(1.0 - 1j * w_plus / nu)
+    )
+    log_beta = (
+        head
+        + complex_log_gamma(1j * omega_f / nu)
+        - complex_log_gamma(1j * w_minus / nu)
+        - complex_log_gamma(1.0 + 1j * w_minus / nu)
+    )
+    return cmath.exp(log_alpha), cmath.exp(log_beta)
+
+
+def _assert_seven_call_bits(omega_i, omega_f, nu):
+    pair = bogoliubov(omega_i, omega_f, nu)
+    alpha, beta = _seven_call_coefficients(omega_i, omega_f, nu)
+    assert (pair.alpha.real, pair.alpha.imag) == (alpha.real, alpha.imag), (omega_i, omega_f, nu)
+    assert (pair.beta.real, pair.beta.imag) == (beta.real, beta.imag), (omega_i, omega_f, nu)
 
 
 def test_public_surface_is_pinned():
@@ -123,6 +152,34 @@ class TestBogoliubov:
         pair = bogoliubov(omega_i, omega_f, max(omega_i, omega_f) / omega_over_nu)
         a2, b2 = abs(pair.alpha) ** 2, abs(pair.beta) ** 2
         assert abs(a2 - b2 - 1.0) <= 1e-11 * (a2 + b2)
+
+    def test_shared_lanczos_sums_keep_the_seven_call_bits(self, params, monkeypatch):
+        # the figure4 grid, and the ramp circuit_scenario runs on the default line
+        for nu in FIG4_NU_GRID.tolist():
+            _assert_seven_call_bits(FIG4_OMEGA_I, FIG4_OMEGA_F, nu)
+        ramps = []
+        monkeypatch.setattr(circuit, "bogoliubov", lambda *args: ramps.append(args) or bogoliubov(*args))
+        circuit_scenario(replace(params, t_f_points=8), derivative_mode="chain")
+        assert len(ramps) == 1
+        _assert_seven_call_bits(*ramps[0])
+
+    @given(
+        omega_i=st.floats(1e-3, 1e3),
+        ratio=st.floats(1.0 + 1e-9, 1e3),
+        below=st.booleans(),
+        omega_over_nu=st.floats(1e-6, 1e3),
+    )
+    def test_shared_lanczos_sums_keep_the_seven_call_bits_when_drawn(
+        self, omega_i, ratio, below, omega_over_nu
+    ):
+        # omega_f on either side of omega_i: Re(i w-/nu) is -0.0 below, +0.0 above
+        omega_f = omega_i / ratio if below else omega_i * ratio
+        assume(abs(omega_f - omega_i) > 1e-12 * (omega_i + omega_f))
+        nu = max(omega_i, omega_f) / omega_over_nu
+        assert math.copysign(1.0, (1j * (0.5 * (omega_f - omega_i)) / nu).real) == (
+            -1.0 if below else 1.0
+        )
+        _assert_seven_call_bits(omega_i, omega_f, nu)
 
     @pytest.mark.parametrize(
         "args, name",

@@ -222,6 +222,13 @@ def _with_warnings(fn):
     return value, {(w.category, str(w.message).replace("scalar ", "")) for w in caught}
 
 
+# (edge, points) of the two scan tables: minimize_sensitivity's and supersensitivity_range's
+SCAN_GRIDS = [
+    (metrology._PHI_LO, metrology._COARSE_POINTS),
+    (metrology._RANGE_RESOLUTION, metrology._RANGE_SCAN_POINTS),
+]
+
+
 # zeta on [0, 20] and phi on [0, pi], each endpoint and NaN drawn on purpose
 ZETAS = st.one_of(st.sampled_from([0.0, 20.0, math.nan]), st.floats(0.0, 20.0))
 PHIS = st.one_of(st.sampled_from([0.0, math.pi, math.nan]), st.floats(0.0, math.pi))
@@ -259,6 +266,36 @@ class TestObjective:
             assert warned <= ref_warned
             value, _ = _with_warnings(lambda: delta_phi(config, zeta, p, derivative_mode)[column])
             np.testing.assert_array_equal(value, ref, strict=True)
+
+    @settings(max_examples=100)
+    @given(
+        config=_engines(100.0),
+        zeta=ZETAS,
+        observable=st.sampled_from(OBSERVABLES),
+        derivative_mode=st.sampled_from(DERIVATIVE_MODES),
+    )
+    def test_scan_tables_read_as_their_grids(self, config, zeta, observable, derivative_mode):
+        # a scan on a table reuses its sines, and must read what the same phases
+        # give as a plain array, to the objective and to delta_phi alike
+        f = delta_phi_objective(config, zeta, observable, derivative_mode)
+        column = OBSERVABLES.index(observable)
+        for phi, *sines in (metrology._scan_table(*grid) for grid in SCAN_GRIDS):
+            value, warned = _with_warnings(lambda: f(phi, sines))
+            ref, ref_warned = _with_warnings(lambda: f(phi))
+            np.testing.assert_array_equal(value, ref, strict=True)
+            assert warned == ref_warned
+            ref, _ = _with_warnings(lambda: delta_phi(config, zeta, phi, derivative_mode)[column])
+            np.testing.assert_array_equal(value, ref, strict=True)
+
+    @pytest.mark.parametrize("edge, points", SCAN_GRIDS)
+    def test_scan_tables_are_the_grids_and_read_only(self, edge, points):
+        table = metrology._scan_table(edge, points)
+        phi = np.linspace(edge, math.pi - edge, points)
+        for column, ref in zip(table, (phi, np.sin(phi), np.sin(phi / 2.0) ** 2), strict=True):
+            np.testing.assert_array_equal(column, ref, strict=True)
+        for column in table:
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0.0
 
 
 class TestShotNoise:
@@ -434,7 +471,8 @@ class TestSnlSolver:
     def test_cost_shape_on_defaults(self, monkeypatch):
         # the snl command's solves build one objective per minimization and call
         # neither delta_phi nor chi_of in a golden-section or bisection step:
-        # chi_of runs once per solution, for chi_snl after the loops
+        # chi_of runs once per solution, for chi_snl after the loops.  The scans
+        # read two tables, each built once, however many minimizations run
         calls = collections.Counter()
 
         def count(owner, name, key):
@@ -449,6 +487,8 @@ class TestSnlSolver:
         for name in ("delta_phi", "delta_phi_objective", "minimize_sensitivity", "chi_of"):
             count(metrology, name, name)
         count(core, "chi_of", "core.chi_of")
+        count(metrology.np, "linspace", "linspace")
+        metrology._scan_table.cache_clear()
         config = load_config()
         for observable in OBSERVABLES:
             for mode in DERIVATIVE_MODES:
@@ -463,6 +503,7 @@ class TestSnlSolver:
         metrology.supersensitivity_range(config.engine, 4.0, "energy", "chain")
         assert calls["delta_phi_objective"] == builds + 1
         assert calls["delta_phi"] == calls["core.chi_of"] == 0 and calls["chi_of"] == 4
+        assert calls["linspace"] <= 2 < calls["minimize_sensitivity"]
 
 
 class _NoWork:
@@ -475,25 +516,49 @@ class _NoWork:
         raise AssertionError("work before the argument check")
 
 
+# each solver at a good zeta (or bracket) by default
 SOLVERS = {
-    "minimize_sensitivity": lambda config, o, d: minimize_sensitivity(config, 3.4, o, d),
-    "supersensitivity_range": lambda config, o, d: supersensitivity_range(config, 4.0, o, d),
-    "solve_zeta_snl": lambda config, o, d: solve_zeta_snl(config, o, d, zeta_bracket=ZETA_BRACKET),
+    "minimize_sensitivity": lambda config, o, d, z=3.4: minimize_sensitivity(config, z, o, d),
+    "supersensitivity_range": lambda config, o, d, z=4.0: supersensitivity_range(config, z, o, d),
+    "solve_zeta_snl": lambda config, o, d, z=ZETA_BRACKET: solve_zeta_snl(
+        config, o, d, zeta_bracket=z
+    ),
 }
+BAD_ZETAS = [math.nan, math.inf, -math.inf, -0.5, -1e-300]
+BAD_BRACKETS = [
+    (0.5, math.nan), (math.nan, 8.0), (0.5, math.inf), (-0.5, 8.0), (8.0, 0.5), (3.0, 3.0),
+]
+BAD_CALLS = [
+    *(
+        pytest.param(solver, observable, derivative_mode, {}, message,
+                     id=f"{observable}-{derivative_mode}-{message}-{solver}")
+        for observable, derivative_mode, message in [
+            ("bogus", "chain", "observable must be one of ('number', 'energy'), got 'bogus'"),
+            ("number", "bogus", "derivative_mode must be one of ('paper', 'chain'), got 'bogus'"),
+        ]
+        for solver in SOLVERS
+    ),
+    *(
+        pytest.param(solver, "energy", "chain", {"z": z}, f"zeta must be finite and >= 0, got {z}",
+                     id=f"{solver}-zeta={z}")
+        for solver in ("minimize_sensitivity", "supersensitivity_range")
+        for z in BAD_ZETAS
+    ),
+    *(
+        pytest.param("solve_zeta_snl", "energy", "chain", {"z": b},
+                     f"zeta_bracket must be finite with 0 <= lo < hi, got {b}",
+                     id=f"solve_zeta_snl-zeta_bracket={b}")
+        for b in BAD_BRACKETS
+    ),
+]
 
 
-@pytest.mark.parametrize("solver", SOLVERS)
-@pytest.mark.parametrize(
-    "observable, derivative_mode, message",
-    [
-        ("bogus", "chain", "observable must be one of ('number', 'energy'), got 'bogus'"),
-        ("number", "bogus", "derivative_mode must be one of ('paper', 'chain'), got 'bogus'"),
-    ],
-)
+@pytest.mark.parametrize("solver, observable, derivative_mode, kwargs, message", BAD_CALLS)
 def test_bad_choice_raises_before_any_work(
-    monkeypatch, fig3_config, solver, observable, derivative_mode, message
+    monkeypatch, fig3_config, solver, observable, derivative_mode, kwargs, message
 ):
+    # a bad observable, mode, zeta or bracket is refused before any numpy work
     for name in ("np", "snl", "minimize_sensitivity"):
         monkeypatch.setattr(metrology, name, _NoWork())
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        SOLVERS[solver](fig3_config, observable, derivative_mode)
+        SOLVERS[solver](fig3_config, observable, derivative_mode, **kwargs)
