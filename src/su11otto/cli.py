@@ -244,16 +244,19 @@ def cmd_oracle(args, config: ScenarioConfig) -> int:
     result = run_gate(config.engine, n_max=oracle.n_max, algebra_n_max=oracle.algebra_n_max,
                       beta_omegas=oracle.beta_omega, zeta_grid=oracle.zeta_grid,
                       phi_grid=oracle.phi_grid)
-    for rec in result.records:
-        marker = {"pass": "PASS", "fail": "FAIL", "discrepancy": "DISCREPANCY",
-                  "skipped": "SKIP"}[rec.status]
-        print(f"{marker:11s} {rec.quantity}  analytic={fmt(rec.analytic)} "
-              f"oracle={fmt(rec.oracle)} abs_err={rec.abs_err:.3e}")
-    columns = ("quantity", "analytic", "oracle", "abs_err", "rel_err", "n_max", "leakage")
+    records = result.records
+    # each value cell formatted once, for stdout and the report alike
+    analytic, oracle_cells = ([fmt(getattr(r, name)) for r in records] for name in ("analytic", "oracle"))
+    abs_err = [r.abs_err for r in records]
+    markers = {"pass": "PASS", "fail": "FAIL", "discrepancy": "DISCREPANCY", "skipped": "SKIP"}
+    sys.stdout.write("".join(
+        f"{markers[r.status]:11s} {r.quantity}  analytic={a} oracle={o} abs_err={e:.3e}\n"
+        for r, a, o, e in zip(records, analytic, oracle_cells, abs_err)))
     path = write_csv(
         Path(args.out) / "oracle_report.csv",
-        columns,
-        *([getattr(rec, name) for rec in result.records] for name in columns),
+        ("quantity", "analytic", "oracle", "abs_err", "rel_err", "n_max", "leakage"),
+        [r.quantity for r in records], analytic, oracle_cells, abs_err,
+        *([getattr(r, name) for r in records] for name in ("rel_err", "n_max", "leakage")),
         header_comments=_engine_header(config) + [
             "status legend: discrepancy = printed formula contradicted by the oracle "
             "(exit code 2); skipped = outside the truncation guard at this n_max",

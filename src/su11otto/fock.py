@@ -97,8 +97,10 @@ against |U|^2 p for dense exponentials over the full, unfolded basis.
 Grid reads
 ----------
 Each form is read once for a whole grid into one `GridRead`.  Each moment
-is Tr(X U rho U+) for X = N (and N^2, un2 only) and the diagonal state rho,
-a real series in the grid's angles (o the entrywise product):
+is Tr(X U rho U+) for X = N (and N^2, un2 only, for a caller that reads
+Delta^2 N: the truncation-convergence record reads <N> and the guard) and
+the diagonal state rho, a real series in the grid's angles (o the
+entrywise product):
 
 * un2 = exp(i theta K_z) Y(chi) exp(-i theta K_z), Y(chi) = exp(i chi K_y)
   = W R W^T up to the exact interleave of the even and odd positions E and
@@ -133,7 +135,8 @@ G = F^T F - 1, so every column has |f_j|^2 = 1 + G_jj <= kappa =
 (1 + delta) / (1 - gamma_m) and ||G||_2 <= g = (eta + m gamma_m kappa) /
 (1 - gamma_m), the division covering the rounding of eta's sums; phases
 whose computed moduli read e^ = max |1 - fl(|p|^2)| have
-max |1 - |p|^2| <= e = (e^ + gamma_2) / (1 - gamma_2).
+max |1 - |p|^2| <= e = (e^ + gamma_2) / (1 - gamma_2).  The bound is taken
+when first read, so a basis whose bound no record reads forms no Gram.
 
 Both forms compose X = F M F^T, F square with ||F^T F - 1||_2 <= g and
 ||M+ M - 1||_2 <= e: with H = F F^T - 1 (||H||_2 = ||G||_2, F square) and
@@ -156,6 +159,7 @@ rounding, as neither read forms U; the pairwise mean records check that:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -224,8 +228,8 @@ class FockWorkspace:
     """
 
     def __init__(self, n_max: int):
-        if n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {n_max}")
+        if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral) or n_max < 1:
+            raise ValueError(f"n_max must be an integer >= 1, got {n_max!r}")
         self.n_max = int(n_max)
         self.dim = (self.n_max + 1) ** 2
         self._sizes = sizes = self.n_max + 1 - np.arange(self.n_max + 1)
@@ -239,9 +243,13 @@ class FockWorkspace:
         self.last = np.cumsum(sizes) - 1  # each sector's boundary state, its last
         # where each stored state sits in the padded concatenation of the sectors
         self.index = np.repeat(np.cumsum(self._widths) - self._widths, sizes) + n2
-        self._cuts = starts[1:]
-        per_sector = [np.split(a, self._cuts) for a in (n1, n2, n1 * (self.n_max + 1) + n2)]
-        self.sectors: tuple[Sector, ...] = tuple(map(Sector, range(self.n_max + 1), *per_sector))
+
+    @cached_property
+    def sectors(self) -> tuple[Sector, ...]:
+        """Per stored sector, its states: built when first read, by the ladder record alone."""
+        n1, n2 = self._n1, self._n2
+        per_sector = [np.split(a, self.last[:-1] + 1) for a in (n1, n2, n1 * (self.n_max + 1) + n2)]
+        return tuple(map(Sector, range(self.n_max + 1), *per_sector))
 
     @cached_property
     def buckets(self) -> tuple[Bucket, ...]:
@@ -322,8 +330,8 @@ class FockWorkspace:
             for j, m in enumerate(b.sizes):
                 u, s, vt = np.linalg.svd(blocks[j, : -(-m // 2), : m // 2])
                 sigma[j, : len(s)] = s
-                us[j, : len(u), : len(u)] = signs[: len(u), None] * u
-                vs[j, : len(vt), : len(vt)] = signs[: len(vt), None] * vt.T
+                np.multiply(signs[: len(u), None], u, out=us[j, : len(u), : len(u)])
+                np.multiply(signs[: len(vt), None], vt.T, out=vs[j, : len(vt), : len(vt)])
             packed.append((sigma, us, vs))
         return tuple(packed)
 
@@ -544,25 +552,33 @@ def boundary_occupancy(op: BlockOperator, state: ThermalState) -> float:
 class GridRead:
     """One form's moments at every (thermal state, grid point), and the name of its read.
 
-    `moments` is (rows, states, points): <N>, then <N^2> where the form reads
-    it (un2 alone), then the boundary mass of U rho U+.  `occupancy` is
-    (states, points), the worst boundary mass after any guarded partial
-    product.  `defect` is (points,), the bound on the unitarity defect of the
-    form's factors at each point (module docstring).
+    `moments` is (rows, states, points): <N>, then <N^2> where the caller
+    reads it (un2 alone), then the boundary mass of U rho U+.  `occupancy`
+    is (states, points), the worst boundary mass after any guarded partial
+    product.  `moduli` is (points, 1), each chi's rotation moduli read (un2),
+    or (points, 2), the squeeze's and the phases' (un1), from which `defect`,
+    the (points,) bound on the unitarity defect of the form's factors
+    (module docstring), is taken when first read.
     """
 
     ws: FockWorkspace
     label: str
     moments: np.ndarray
     occupancy: np.ndarray
-    defect: np.ndarray
+    moduli: np.ndarray
+
+    @cached_property
+    def defect(self) -> np.ndarray:
+        half, norms = (self.ws.n_max + 2) // 2, self.ws.kx_eig_gram_norms
+        bound = _equiv_defect_bound if self.moduli.shape[1] == 1 else _product_defect_bound
+        return np.array([bound(half, *norms, *eps) for eps in self.moduli.tolist()])
 
     def read(self, state: int, point: int) -> tuple[float, ...]:
         """<N>, Delta^2 N where the form reads <N^2>, and the boundary mass of
         U rho U+ at the state and point of these indices; raises
-        TruncationError past an `occupancy` of LEAK_TOL."""
+        TruncationError past an `occupancy` of LEAK_TOL, or at a NaN one."""
         worst = float(self.occupancy[state, point])
-        if worst > LEAK_TOL:
+        if not worst <= LEAK_TOL:
             raise TruncationError(
                 f"{self.label}: boundary occupancy {worst:.3e} exceeds leakage budget "
                 f"{LEAK_TOL:.1e} at n_max={self.ws.n_max}; increase n_max or reduce "
@@ -574,6 +590,8 @@ class GridRead:
 
 def _populations(ws: FockWorkspace, states) -> np.ndarray:
     """The (states, stored states) populations of `states`, each on ws."""
+    if len(states) == 0:
+        raise ValueError("states must hold at least one thermal state")
     return np.stack([_same_workspace(ws, state).probs for state in states])
 
 
@@ -604,7 +622,9 @@ def unitary_product(ws: FockWorkspace, zetas, phis, states) -> GridRead:
     state Y D, the binding constraint (it spreads the state by zeta even when
     the composed chi is small), and the final state.  A state whose squeezed
     state is past LEAK_TOL is refused at every phi of that zeta, so its R is
-    never formed and its <N> there is NaN, which `read` never returns."""
+    never formed and its <N> there is NaN, which `read` never returns.  Every
+    zeta and phi must be finite."""
+    _finite("zeta", zetas), _finite("phi", phis)
     probs = _populations(ws, states)
     phases = _kz_phases(ws, -np.asarray(phis, float))
     eps = np.max([np.max(np.abs(1.0 - _abs2(z)), axis=(0, 1)) for z in phases], axis=0)
@@ -615,8 +635,7 @@ def unitary_product(ws: FockWorkspace, zetas, phis, states) -> GridRead:
     del phases
     n = len(phis)
     moments = np.zeros((2, len(probs), len(zetas) * n))
-    occupancy, defect = np.zeros(moments.shape[1:]), np.zeros(moments.shape[2:])
-    half, norms = (ws.n_max + 2) // 2, ws.kx_eig_gram_norms
+    occupancy, eps_ys = np.zeros(moments.shape[1:]), []
     for i, zeta in enumerate(zetas):
         at = slice(i * n, (i + 1) * n)  # zeta's points
         parts = [(b, u, v, *_rotation(sigma, (zeta,))) for b, (sigma, u, v) in zip(ws.buckets, ws.kx_eig)]
@@ -626,9 +645,9 @@ def unitary_product(ws: FockWorkspace, zetas, phis, states) -> GridRead:
             moments[:, :, at] += _product_moments(b, _squeeze(u, v, c, s), d, col, admitted)
         moments[0, ~admitted, at] = np.nan
         occupancy[:, at] = np.maximum(moments[1, :, at], squeezed[:, None])
-        eps_y = max(float(np.max(np.abs(1.0 - (c * c + s * s)))) for *_, c, s in parts)
-        defect[at] = [_product_defect_bound(half, *norms, eps_y, float(e)) for e in eps]
-    return GridRead(ws, "unitary_product", moments, occupancy, defect)
+        eps_ys.append(max(float(np.max(np.abs(1.0 - (c * c + s * s)))) for *_, c, s in parts))
+    moduli = np.column_stack((np.repeat(eps_ys, n), np.tile(eps, len(zetas))))
+    return GridRead(ws, "unitary_product", moments, occupancy, moduli)
 
 
 def _product_moments(bucket: Bucket, y: np.ndarray, diagonals: np.ndarray, c: np.ndarray, admitted):
@@ -654,33 +673,40 @@ def _product_moments(bucket: Bucket, y: np.ndarray, diagonals: np.ndarray, c: np
     return out
 
 
-def unitary_equiv(ws: FockWorkspace, chis, states) -> GridRead:
+def unitary_equiv(ws: FockWorkspace, chis, states, *, with_variance: bool = True) -> GridRead:
     """The endpoint form exp(i theta K_z) exp(i chi K_y) exp(-i theta K_z) read
     at every chi of `chis` for every thermal state of `states`, at any theta.
     Its outer phases move no population, so every read is of exp(i chi K_y):
     the series in chi of the module docstring on the signed factors of
-    `kx_eig`, every chi at once per bucket, and its last row.  Its unitarity
-    defect is `_equiv_defect_bound` from the workspace's `kx_eig_gram_norms`
-    and each chi's rotation.  Every chi must be finite and >= 0."""
-    chis = np.asarray(chis, dtype=float)
-    bad = chis[~((chis >= 0.0) & (chis < math.inf))]
-    if bad.size:
-        raise ValueError(f"chi must be finite and >= 0, got {bad[0]}")
+    `kx_eig`, every chi at once per bucket, and its last row.  Its <N^2> row
+    is formed only `with_variance`, for a caller that reads Delta^2 N; its
+    unitarity defect is `_equiv_defect_bound` from the workspace's
+    `kx_eig_gram_norms` and each chi's rotation.  Every chi must be finite
+    and >= 0."""
+    chis = _finite("chi", chis, 0.0)
     probs = _populations(ws, states)
-    moments = np.zeros((3, len(probs), len(chis)))
+    r = 2 if with_variance else 1  # the rows of N, then N^2
+    moments = np.zeros((r + 1, len(probs), len(chis)))
     eps = np.zeros(len(chis))
-    # per bucket, the diagonals of N, N^2 and each state
-    diagonals = ws._padded(np.vstack((ws.n, ws.n * ws.n, probs)))
+    # per bucket, the diagonals of the r observables and each state
+    diagonals = ws._padded(np.vstack((ws.n, ws.n * ws.n)[:r] + (probs,)))
     for b, (sigma, u, v), d in zip(ws.buckets, ws.kx_eig, diagonals):
         c, s = _rotation(sigma, chis)
         eps = np.maximum(eps, np.max(np.abs(1.0 - (c * c + s * s)), axis=(0, 1)))
         even, odd = _congruence(u, d[..., 0::2]), _congruence(v, d[..., 1::2])
-        x_e, x_o, r_e, r_o = even[:2, None], odd[:2, None], even[2:], odd[2:]
-        moments[:2] += _series(x_e * r_e + x_o * r_o, c) + _series(x_o * r_e + x_e * r_o, s)
-        moments[2] += _last_row_mass(b, u, v, c, s, d[2:])
-    half = (ws.n_max + 2) // 2
-    defect = np.array([_equiv_defect_bound(half, *ws.kx_eig_gram_norms, e) for e in eps])
-    return GridRead(ws, "unitary_equiv", moments, moments[2], defect)
+        x_e, x_o, r_e, r_o = even[:r, None], odd[:r, None], even[r:], odd[r:]
+        moments[:r] += _series(x_e * r_e + x_o * r_o, c) + _series(x_o * r_e + x_e * r_o, s)
+        moments[r] += _last_row_mass(b, u, v, c, s, d[r:])
+    return GridRead(ws, "unitary_equiv", moments, moments[r], eps[:, None])
+
+
+def _finite(name: str, values, lo: float = -math.inf) -> np.ndarray:
+    """`values` as floats, once each is finite and >= lo."""
+    values = np.asarray(values, dtype=float)
+    bad = values[~(np.isfinite(values) & (values >= lo))]
+    if bad.size:
+        raise ValueError(f"{name} must be finite{' and >= 0' if lo == 0.0 else ''}, got {bad[0]}")
+    return values
 
 
 def evolution_endpoint(f_y_tf: float, f_z_tf: float, ws: FockWorkspace) -> BlockOperator:

@@ -32,10 +32,10 @@ every point at once, and the records are reported beta*omega-major.  The
 endpoint form un2 depends on chi alone; the squeeze exp(i zeta K_y) of the
 product form un1 depends on zeta alone, so its read builds it once per zeta
 and reads it at every phi.  The unitarity records are the reads' proven
-bounds from their factors, taken by each read for every point from the
-Grams of `kx_eig`'s factors, once per workspace, and the moduli of each
-rotation: un2's (and tiev's) at chi, un1's at the squeeze angle zeta,
-composed with the phases' moduli.
+bounds from their factors, taken when a record first reads them, for every
+point, from the Grams of `kx_eig`'s factors, once per workspace, and the
+moduli of each rotation: un2's (and tiev's) at chi, un1's at the squeeze
+angle zeta, composed with the phases' moduli.
 """
 
 from __future__ import annotations
@@ -261,7 +261,7 @@ def _equivalence_records(ws, states, zeta_grid, phi_grid) -> list[GateRecord]:
     thermal = [state for _, state in states]
     points = [(zeta, phi) for zeta in zeta_grid for phi in phi_grid]
     chis = [float(chi_of(*p)) for p in points]
-    un2 = unitary_equiv(ws, chis, thermal)
+    un2 = unitary_equiv(ws, chis, thermal, with_variance=True)
     forms = {"un1": unitary_product(ws, zeta_grid, phi_grid, thermal), "un2": un2, "tiev": un2}
     records = []
     for i, (bw, _) in enumerate(states):
@@ -372,14 +372,16 @@ def _convergence_record(bw, zeta, phi, grid_ws: FockWorkspace) -> GateRecord:
     Either form is a valid witness: both are the same unitary on the
     untruncated space, so either one's average moves under the doubling by
     its truncation error, and the equivalence records check that the two
-    forms' truncated reads agree."""
+    forms' truncated reads agree.  The record reads <N> and the guard alone:
+    each basis's read forms no <N^2>, and no record reads its defect bound,
+    so a fresh basis forms no Gram."""
     n = _CONVERGENCE_N
     chi = float(chi_of(zeta, phi))
     means = []
     for n_max in (n, 2 * n):
         ws = grid_ws if grid_ws.n_max == n_max else FockWorkspace(n_max)
         state = thermal_state(ws, bw, 1.0)
-        means.append(unitary_equiv(ws, [chi], [state]).read(0, 0)[0])
+        means.append(unitary_equiv(ws, [chi], [state], with_variance=False).read(0, 0)[0])
     tag = f"[bw={bw:g},zeta={zeta:g},phi={phi:g},n={n}->{2 * n}]"
     return _cmp(f"truncation_convergence{tag}", means[0], means[1], 1e-8, 2 * n)
 

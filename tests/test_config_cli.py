@@ -1,5 +1,8 @@
 """Configuration loading and the command-line surface."""
 
+import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,6 +11,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,9 +26,11 @@ from su11otto import (
     stage_energies,
     works_and_heats,
 )
+from su11otto import cli
 from su11otto.cli import build_parser, main
 from su11otto.config import DEFAULTS, OracleConfig, load_config
 from su11otto.errors import ConfigError
+from su11otto.gate import GateRecord, GateResult
 from su11otto.reports import fmt, write_csv
 
 
@@ -464,6 +470,43 @@ class TestWriteCsv:
         with pytest.raises(ValueError, match=message):
             write_csv(tmp_path / "sub" / "x.csv", names, *columns)
         assert list(tmp_path.iterdir()) == []
+
+
+_RECORDS = st.lists(st.builds(
+    GateRecord,
+    quantity=st.text("abcxyz_0123456789[]=,.->", min_size=1, max_size=40),
+    analytic=_CELLS[float],
+    oracle=_CELLS[float],
+    tolerance=st.floats(0.0, 1.0),
+    n_max=st.integers(0, 400),
+    leakage=st.floats(0.0, 1.0) | st.sampled_from([5e-324, 1.5e-8]),
+    status=st.sampled_from(["pass", "fail", "discrepancy", "skipped"]),
+), max_size=8)
+
+
+@given(records=_RECORDS)
+def test_oracle_report_cells_are_each_records_own_formatting(tmp_path_factory, records):
+    # `cmd_oracle` formats each record's analytic and oracle once for stdout
+    # and the report: every line and cell must be the per-record `fmt` and
+    # `.3e` formatting it replaces, whatever the values
+    out = tmp_path_factory.getbasetemp() / "oracle-property"
+    markers = {"pass": "PASS", "fail": "FAIL", "discrepancy": "DISCREPANCY", "skipped": "SKIP"}
+    stdout = io.StringIO()
+    with mock.patch.object(cli, "run_gate", lambda *a, **k: GateResult(records)):
+        with contextlib.redirect_stdout(stdout):
+            cli.cmd_oracle(argparse.Namespace(out=str(out)), load_config())
+    *lines, summary = stdout.getvalue().splitlines()
+    assert lines == [
+        f"{markers[r.status]:11s} {r.quantity}  analytic={fmt(r.analytic)} "
+        f"oracle={fmt(r.oracle)} abs_err={r.abs_err:.3e}"
+        for r in records
+    ]
+    assert summary.startswith("wrote ")
+    rows = [l for l in (out / "oracle_report.csv").read_text().splitlines() if not l.startswith("#")]
+    assert rows == ["quantity,analytic,oracle,abs_err,rel_err,n_max,leakage"] + [
+        ",".join(map(fmt, (r.quantity, r.analytic, r.oracle, r.abs_err, r.rel_err, r.n_max, r.leakage)))
+        for r in records
+    ]
 
 
 def _csv_rows(path):

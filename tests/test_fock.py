@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -113,12 +113,13 @@ def test_public_surface_is_pinned():
 
 def test_grid_read_surface_is_pinned():
     # `read` is the one read of a form's moments, and it holds the leakage
-    # guard: a new field or public method is a deliberate edit of these lists
+    # guard; `defect` is taken from the moduli when first read: a new field or
+    # public member is a deliberate edit of these lists
     assert [f.name for f in dataclasses.fields(GridRead)] == [
-        "ws", "label", "moments", "occupancy", "defect",
+        "ws", "label", "moments", "occupancy", "moduli",
     ]
     public = sorted(name for name in dir(GridRead) if not name.startswith("_"))
-    assert public == ["read"]
+    assert public == ["defect", "read"]
 
 
 class TestWorkspace:
@@ -631,6 +632,41 @@ class TestKeptChains:
             unitary_equiv(ws, [0.4], [state])
 
 
+class TestInputChecks:
+    """Each read refuses what it cannot read before any work, and the guard
+    refuses a NaN occupancy."""
+
+    @pytest.mark.parametrize("n_max", [2.5, 3.0, True, "7"])
+    def test_non_integer_basis_size_rejected(self, n_max):
+        with pytest.raises(ValueError, match="n_max must be an integer >= 1"):
+            FockWorkspace(n_max)
+        assert FockWorkspace(np.int64(7)).n_max == 7
+
+    @pytest.mark.parametrize(
+        "zetas, phis, name",
+        [((math.nan,), (0.2,), "zeta"), ((0.4, -math.inf), (0.2,), "zeta"), ((0.4,), (0.2, math.inf), "phi")],
+    )
+    def test_product_form_refuses_a_non_finite_angle(self, zetas, phis, name):
+        ws = FockWorkspace(12)
+        state = thermal_state(ws, 3.0, 1.0)
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got"):
+            unitary_product(ws, zetas, phis, [state])
+        assert "kx_eig" not in vars(ws)
+
+    @pytest.mark.parametrize("name", ["unitary_product", "unitary_equiv"])
+    def test_empty_state_list_rejected(self, name):
+        with pytest.raises(ValueError, match="^states must hold at least one thermal state"):
+            _grid_read(name, 0.4, 0.7, FockWorkspace(12), [])
+
+    def test_guard_refuses_a_nan_occupancy(self):
+        ws = FockWorkspace(12)
+        read = unitary_equiv(ws, [0.4], [thermal_state(ws, 3.0, 1.0)])
+        assert len(read.read(0, 0)) == 3
+        broken = dataclasses.replace(read, occupancy=np.full_like(read.occupancy, math.nan))
+        with pytest.raises(TruncationError, match="boundary occupancy nan exceeds"):
+            broken.read(0, 0)
+
+
 class TestAgainstDenseExponentials:
     """Each form against scipy's expm of dense generators made from the
     ladder operators, so no block of the oracle is reused: its operator, and
@@ -886,6 +922,49 @@ def test_refused_states_are_never_read(n_max, zeta, phi, bw, bw2):
                     read.read(i, j)
             else:
                 _close(read.read(i, j), reference, rel=1e-10)
+
+
+@settings(max_examples=25, deadline=None)
+@example(n_max=4, chis=[0.0, 2.5], zetas=[0.7], phis=[0.0, -3.0], bws=[8.0])
+@given(
+    n_max=st.integers(4, 40),
+    chis=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=3),
+    zetas=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=2),
+    phis=st.lists(st.floats(-2.0 * math.pi, 2.0 * math.pi), min_size=1, max_size=3),
+    bws=st.lists(st.floats(1.0, 8.0), min_size=1, max_size=2),
+)
+def test_lazy_bounds_and_mean_only_reads_are_the_full_reads(n_max, chis, zetas, phis, bws):
+    # a read forms no Gram until its defect is read, and a mean-only read of
+    # the endpoint form is the full read without its <N^2> row, bit for bit;
+    # each bound is `_equiv_defect_bound` or `_product_defect_bound` of the
+    # moduli of its own rotations and phases, recomputed here one angle at a time
+    ws = FockWorkspace(n_max)
+    try:
+        states = [thermal_state(ws, bw, 1.0) for bw in bws]
+    except TruncationError:
+        assume(False)
+    full = unitary_equiv(ws, chis, states)
+    mean_only = unitary_equiv(ws, chis, states, with_variance=False)
+    product = unitary_product(ws, zetas, phis, states)
+    assert "kx_eig_gram_norms" not in vars(ws) and "sectors" not in vars(ws)
+    assert np.array_equal(mean_only.moments, full.moments[[0, 2]])
+    assert np.array_equal(mean_only.occupancy, full.occupancy)
+    half, norms = (n_max + 2) // 2, ws.kx_eig_gram_norms
+
+    def rotation(angle):
+        parts = (fock._rotation(sigma, (angle,)) for sigma, _, _ in ws.kx_eig)
+        return max(float(np.max(np.abs(1.0 - (c * c + s * s)))) for c, s in parts)
+
+    def phases(phi):
+        p = np.exp(1j * (ws.kz * -phi))
+        return float(np.max(np.abs(1.0 - (p.real**2 + p.imag**2))))
+
+    equiv = [fock._equiv_defect_bound(half, *norms, rotation(chi)) for chi in chis]
+    assert full.defect.tolist() == mean_only.defect.tolist() == equiv
+    assert product.defect.tolist() == [
+        fock._product_defect_bound(half, *norms, rotation(zeta), phases(phi))
+        for zeta in zetas for phi in phis
+    ]
 
 
 class TestPopulations:

@@ -99,9 +99,9 @@ def test_equivalence_grid_matches_point_by_point_reference(monkeypatch):
     for name in calls:
         build = getattr(fock, name)
 
-        def counted(*args, name=name, build=build):
+        def counted(*args, name=name, build=build, **kwargs):
             calls[name] += 1
-            return build(*args)
+            return build(*args, **kwargs)
 
         monkeypatch.setattr(gate, name, counted, raising=False)
     result = run_gate(
@@ -140,8 +140,8 @@ def test_point_skipped_when_any_one_form_trips(monkeypatch, builder):
     # other keeps its own: every point must be skipped at every bath
     build = getattr(gate, builder)
 
-    def tripping(*args):
-        read = build(*args)
+    def tripping(*args, **kwargs):
+        read = build(*args, **kwargs)
         return dataclasses.replace(read, occupancy=read.occupancy + 2.0 * LEAK_TOL)
 
     monkeypatch.setattr(gate, builder, tripping)
@@ -246,9 +246,9 @@ def test_kernels_and_grams_run_per_zeta_and_per_workspace(monkeypatch):
     # the cost shape of the grid: per (zeta, bucket), the squeeze kernel once,
     # then one sandwich M_N and one R per state that the squeezed guard admits
     # (two `BlockOperator.__matmul__` each), none per (zeta, phi), and no Gram
-    # of a squeeze; a Gram of kx_eig's factors once per workspace that the
-    # endpoint form reads: the grid's, then each basis of the convergence
-    # record, which builds no squeeze
+    # of a squeeze; a Gram of kx_eig's factors once per workspace whose bound a
+    # record reads: the grid's alone, as the convergence record reads each of
+    # its bases' <N> and guard, with no <N^2> row, and builds no squeeze
     ws = FockWorkspace(N_MAX)
     states = [thermal_state(ws, bw, 1.0) for bw in BETA_OMEGAS]
 
@@ -275,9 +275,10 @@ def test_kernels_and_grams_run_per_zeta_and_per_workspace(monkeypatch):
         grams.append(b.shape[-1])
         return gram(b)
 
-    def counted_equiv(ws, *args):
-        bases.append(ws.n_max)
-        return equiv(ws, *args)
+    def counted_equiv(ws, *args, **kwargs):
+        read = equiv(ws, *args, **kwargs)
+        bases.append((ws.n_max, kwargs["with_variance"], len(read.moments)))
+        return read
 
     monkeypatch.setattr(fock, "_squeeze", counted_kernel)
     monkeypatch.setattr(fock.BlockOperator, "__matmul__", counted_matmul)
@@ -302,12 +303,8 @@ def test_kernels_and_grams_run_per_zeta_and_per_workspace(monkeypatch):
         ]
 
     assert log == shape(ZETAS)
-    assert bases == [N_MAX, 60, 120]
-
-    def halves(n_max):
-        return [b.width // 2 for b in FockWorkspace(n_max).buckets]
-
-    assert sorted(grams) == sorted(halves(N_MAX) + halves(60) + halves(120))
+    assert bases == [(N_MAX, True, 3), (60, False, 2), (120, False, 2)]
+    assert sorted(grams) == sorted(b.width // 2 for b in ws.buckets)
     # a refused state's R is never formed, at every phi of its zeta
     log.clear()
     unitary_product(ws, (1.2,), PHIS, states)
