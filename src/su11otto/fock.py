@@ -113,7 +113,7 @@ entrywise product):
   with C = Y^T P Y, M_N = Y N Y^T, R = Y rho Y^T, Tr(N C rho C+) = Tr(M_N P R P+):
       <N> = c^T (R o M_N) c + s^T (R o M_N) s,  c, s = cos, sin(phi K_z):
   the sandwiches once per zeta, O(m^2) per phi, the points zeta-major.  Y
-  is built, read and let go one bucket at a time (`_squeeze`).
+  is built and read one bucket at a time (`_squeeze`).
 
 The boundary mass is sum_j rho_j |U_(last, j)|^2, a sum of squares of each
 sector's evolved boundary row, never a quadratic form in the boundary
@@ -121,6 +121,17 @@ projector, whose cancellations can read a negative mass.  un1 also guards
 its squeezed state, whose mass is un2's at chi = zeta (`_last_row_mass`,
 from the factors, before any Y is built): a state refused there is refused
 at every phi, and its R is never formed.
+
+Scratch.  A read writes its per-bucket stacks into buffers it reuses over
+its zetas and buckets (`_Scratch`), as regrowing them took fresh pages at
+every point: un1's Y, Y scaled by a diagonal (its head holds `_squeeze`'s
+half-size products), M_N and R; un2's scaled factors, congruences and the
+Hadamard sums fed to `_series`.  Each is made on first request for the
+read's largest k W^2 and dies with the read.  A smaller bucket's view of
+its head holds stale entries, a larger bucket's padding among them, and
+the padding invariant holds as each is overwritten before it is read:
+`_squeeze` writes all four checkerboard parts of Y, and every other use is
+the whole `out` of a numpy call.
 
 Unitarity bounds
 ----------------
@@ -321,17 +332,21 @@ class FockWorkspace:
         the sector, as `_exp_i_ky` reads them, and S given one entry per
         column of U, a singular value 0 for U's null column when the sector
         size is odd.  The padding is the identity in U and V and 0 in S."""
-        signs = 1.0 - 2.0 * (np.arange(self.n_max // 2 + 1) % 2)
         packed = []
         for b, blocks in zip(self.buckets, self._parity_blocks()):
             k, half = len(b.sizes), b.width // 2
-            sigma = np.zeros((k, half))
-            us, vs = np.tile(np.eye(half), (2, k, 1, 1))
+            sigma, (us, vs) = np.zeros((k, half)), np.zeros((2, k, half, half))
             for j, m in enumerate(b.sizes):
                 u, s, vt = np.linalg.svd(blocks[j, : -(-m // 2), : m // 2])
                 sigma[j, : len(s)] = s
-                np.multiply(signs[: len(u), None], u, out=us[j, : len(u), : len(u)])
-                np.multiply(signs[: len(vt), None], vt.T, out=vs[j, : len(vt), : len(vt)])
+                us[j, : len(u), : len(u)], vs[j, : len(vt), : len(vt)] = u, vt.T
+            # one sign mask per factor, (-1)^i on row i of a real block and 1 on
+            # the padding, then the identity on the padded diagonal
+            i = np.arange(half)
+            for f, rows in ((us, -(-b.sizes // 2)), (vs, b.sizes // 2)):
+                real = i < rows[:, None]
+                f *= np.where(real, 1.0 - 2.0 * (i % 2), 1.0)[..., None]
+                f[:, i, i] = np.where(real, f[:, i, i], 1.0)
             packed.append((sigma, us, vs))
         return tuple(packed)
 
@@ -345,10 +360,27 @@ class FockWorkspace:
 @dataclass(frozen=True, eq=False)
 class _BucketSpace:
     """One bucket of a workspace as a space of its own: a read that streams
-    one bucket at a time multiplies `BlockOperator`s of it, one stack each."""
+    one bucket at a time multiplies `BlockOperator`s of it, one stack each,
+    and writes a dense product into `out`, a buffer of the read's scratch."""
 
     buckets: tuple[Bucket]
+    out: np.ndarray
     _views = FockWorkspace._views
+
+
+class _Scratch:
+    """The buffers of one grid read (module docstring, Scratch)."""
+
+    def __init__(self, ws: FockWorkspace):
+        self._most, self._flat = max(len(b.sizes) * b.width**2 for b in ws.buckets), {}
+
+    def __call__(self, key: str, width: int, *shape: int) -> np.ndarray:
+        """Buffer `key` as `shape`, (..., k, m, m) for k sectors padded to
+        `width`, each key's shapes one multiple of k width^2."""
+        size = math.prod(shape)
+        if key not in self._flat:
+            self._flat[key] = np.empty(size * self._most // (shape[-3] * width * width))
+        return self._flat[key][:size].reshape(shape)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -380,7 +412,8 @@ class BlockOperator:
         elif other.is_diagonal:
             stacks = tuple(b * v[:, None, :] for b, v in pairs)
         else:
-            stacks = tuple(a @ b for a, b in pairs)
+            out = getattr(self.ws, "out", None)  # a `_BucketSpace` lends its scratch
+            stacks = tuple(np.matmul(a, b, out=out) for a, b in pairs)
         return BlockOperator(self.ws, stacks)
 
     @cached_property
@@ -496,7 +529,7 @@ def _rotation(sigma: np.ndarray, angles) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(a), np.sin(a)
 
 
-def _squeeze(u: np.ndarray, v: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+def _squeeze(u: np.ndarray, v: np.ndarray, cos: np.ndarray, sin: np.ndarray, scratch=None):
     """A bucket's (k, W, W) stack of exp(i s K_y) from its `_rotation` at s.
 
     The sign (-1)^floor((j-k)/2) of entry jk (module docstring) is t_j t_k,
@@ -506,13 +539,16 @@ def _squeeze(u: np.ndarray, v: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> 
     on OO, V~ sin(sS) U~^T on OE and minus its transpose on EO: three
     half-size products, and the known zeros of each checkerboard part are
     never computed.  On the padding, S = 0 and U~ = V~ = 1 give the identity
-    (module docstring), and the extra columns of V~ sin(sS) U~^T are 0."""
-    y = np.empty((len(u), *(2 * u.shape[-1],) * 2))
-    y[:, 0::2, 0::2] = (u * cos.mT) @ u.mT
-    y[:, 1::2, 1::2] = (v * cos.mT) @ v.mT
-    y[:, 1::2, 0::2] = oe = (v * sin.mT) @ u.mT
-    # from oe, not from y: numpy 2.4 misreads a transposed view of y here
-    np.negative(oe.mT, out=y[:, 0::2, 1::2])
+    (module docstring), and the extra columns of V~ sin(sS) U~^T are 0.  Y
+    and the half-size buffers are the read's `scratch` if given, else new."""
+    k, h = u.shape[:2]
+    lend = scratch or (lambda key, width, *shape: np.empty(shape))
+    # the halves are the head of the buffer that `_product_moments` scales Y into
+    y, (scaled, product) = lend("y", 2 * h, k, 2 * h, 2 * h), lend("scaled", 2 * h, 4, k, h, h)[:2]
+    for f, g, t, rows, cols in ((u, u, cos, 0, 0), (v, v, cos, 1, 1), (v, u, sin, 1, 0)):
+        y[:, rows::2, cols::2] = np.matmul(np.multiply(f, t.mT, out=scaled), g.mT, out=product)
+    # from the OE product, not from y: numpy 2.4 misreads a transposed view of y here
+    np.negative(product.mT, out=y[:, 0::2, 1::2])
     return y
 
 
@@ -526,7 +562,7 @@ def _last_row_mass(bucket: Bucket, u, v, c, s, probs: np.ndarray) -> np.ndarray:
     w = np.where(odd_size[..., 0], u[j, (m - 1) // 2], v[j, (m - 2) // 2])[..., None]
     rows_e = (w * np.where(odd_size, c, s)).mT @ u.mT
     rows_o = (w * np.where(odd_size, s, c)).mT @ v.mT
-    return _mass(probs[:, :, 0::2], rows_e) + _mass(probs[:, :, 1::2], rows_o)
+    return _mass(probs[:, :, 0::2], rows_e * rows_e) + _mass(probs[:, :, 1::2], rows_o * rows_o)
 
 
 def _kz_phases(ws: FockWorkspace, angles) -> tuple[np.ndarray, ...]:
@@ -598,19 +634,20 @@ def _populations(ws: FockWorkspace, states) -> np.ndarray:
 def _series(h: np.ndarray, c: np.ndarray) -> np.ndarray:
     """The sum over a bucket's sectors of c^T h c for each angle: h
     (..., k, W, W) and the angles' columns c (k, W, P) give (..., P)."""
-    return ((h @ c) * c).sum(axis=(-3, -2))
+    hc = h @ c
+    return np.multiply(hc, c, out=hc).sum(axis=(-3, -2))
 
 
-def _mass(probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _mass(probs: np.ndarray, squares: np.ndarray) -> np.ndarray:
     """sum_j rho_j row_j^2 over a bucket's sectors: the populations
-    (states, k, W) and the rows (k, P, W) give (states, P)."""
-    return (probs.transpose(1, 0, 2) @ (rows * rows).mT).sum(axis=0)
+    (states, k, W) and the squared rows (k, P, W) give (states, P)."""
+    return (probs.transpose(1, 0, 2) @ squares.mT).sum(axis=0)
 
 
-def _congruence(f: np.ndarray, diagonals: np.ndarray) -> np.ndarray:
-    """F^T diag(x) F for each diagonal x: f (k, h, h) and diagonals (Q, k, h)
-    give (Q, k, h, h)."""
-    return (f * diagonals[..., None]).mT @ f
+def _congruence(f: np.ndarray, diagonals: np.ndarray, scaled: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """F^T diag(x) F for each diagonal x into `out`, through `scaled`: f
+    (k, h, h) and diagonals (Q, k, h) give (Q, k, h, h)."""
+    return np.matmul(np.multiply(f, diagonals[..., None], out=scaled).mT, f, out=out)
 
 
 def unitary_product(ws: FockWorkspace, zetas, phis, states) -> GridRead:
@@ -635,14 +672,15 @@ def unitary_product(ws: FockWorkspace, zetas, phis, states) -> GridRead:
     del phases
     n = len(phis)
     moments = np.zeros((2, len(probs), len(zetas) * n))
-    occupancy, eps_ys = np.zeros(moments.shape[1:]), []
+    occupancy, eps_ys, scratch = np.zeros(moments.shape[1:]), [], _Scratch(ws)
     for i, zeta in enumerate(zetas):
         at = slice(i * n, (i + 1) * n)  # zeta's points
         parts = [(b, u, v, *_rotation(sigma, (zeta,))) for b, (sigma, u, v) in zip(ws.buckets, ws.kx_eig)]
         squeezed = sum(_last_row_mass(*part, d[1:]) for part, d in zip(parts, diagonals))[:, 0]
         admitted = squeezed <= LEAK_TOL
         for (b, u, v, c, s), d, col in zip(parts, diagonals, columns):  # one bucket's Y at a time
-            moments[:, :, at] += _product_moments(b, _squeeze(u, v, c, s), d, col, admitted)
+            y = _squeeze(u, v, c, s, scratch)
+            moments[:, :, at] += _product_moments(b, y, d, col, admitted, scratch)
         moments[0, ~admitted, at] = np.nan
         occupancy[:, at] = np.maximum(moments[1, :, at], squeezed[:, None])
         eps_ys.append(max(float(np.max(np.abs(1.0 - (c * c + s * s)))) for *_, c, s in parts))
@@ -650,26 +688,30 @@ def unitary_product(ws: FockWorkspace, zetas, phis, states) -> GridRead:
     return GridRead(ws, "unitary_product", moments, occupancy, moduli)
 
 
-def _product_moments(bucket: Bucket, y: np.ndarray, diagonals: np.ndarray, c: np.ndarray, admitted):
+def _product_moments(bucket: Bucket, y: np.ndarray, diagonals: np.ndarray, c: np.ndarray, admitted, scratch):
     """One bucket's (2, states, n) share of `unitary_product` at one zeta:
     <N> of each `admitted` state and every state's boundary mass, from the
     bucket's Y, the diagonals of N and each state, and the 2 n columns c.
-    The sandwiches M_N and R are operator products on a `_BucketSpace`."""
-    n = c.shape[-1] // 2
-    space = _BucketSpace((bucket,))
-    left, right = BlockOperator(space, (y,)), BlockOperator(space, (y.mT,))
+    Each sandwich Y diag(x) Y^T scales Y into the read's scratch and writes
+    M_N or R there by one product on a `_BucketSpace`; M_N o R is formed in R."""
+    n, k, w = c.shape[-1] // 2, len(bucket.sizes), bucket.width
+    scaled = scratch("scaled", w, k, w, w)
 
-    def sandwich(x):
-        return (left @ BlockOperator(space, (x,), True) @ right).stacks[0]
+    def sandwich(x, key):
+        space = _BucketSpace((bucket,), scratch(key, w, k, w, w))
+        left = BlockOperator(space, (np.multiply(y, x[:, None, :], out=scaled),))
+        return (left @ BlockOperator(space, (y.mT,))).stacks[0]
 
     out = np.zeros((2, len(diagonals) - 1, n))
-    m_n = sandwich(diagonals[0])
+    m_n = sandwich(diagonals[0], "m_n")
     for j in np.flatnonzero(admitted):
-        q = _series(m_n * sandwich(diagonals[1 + j]), c)
+        r = sandwich(diagonals[1 + j], "r")
+        q = _series(np.multiply(m_n, r, out=r), c)
         out[0, j] = q[:n] + q[n:]
     last = y[np.arange(len(bucket.sizes)), :, bucket.sizes - 1]  # Y[:, last], (k, W)
     rows = (last[:, :, None] * c).mT @ y
-    out[1] = _mass(diagonals[1:], rows[:, :n]) + _mass(diagonals[1:], rows[:, n:])
+    squares = np.multiply(rows, rows, out=rows)
+    out[1] = _mass(diagonals[1:], squares[:, :n]) + _mass(diagonals[1:], squares[:, n:])
     return out
 
 
@@ -690,12 +732,18 @@ def unitary_equiv(ws: FockWorkspace, chis, states, *, with_variance: bool = True
     eps = np.zeros(len(chis))
     # per bucket, the diagonals of the r observables and each state
     diagonals = ws._padded(np.vstack((ws.n, ws.n * ws.n)[:r] + (probs,)))
+    scratch = _Scratch(ws)
     for b, (sigma, u, v), d in zip(ws.buckets, ws.kx_eig, diagonals):
         c, s = _rotation(sigma, chis)
         eps = np.maximum(eps, np.max(np.abs(1.0 - (c * c + s * s)), axis=(0, 1)))
-        even, odd = _congruence(u, d[..., 0::2]), _congruence(v, d[..., 1::2])
+        scaled, even, odd = (scratch(key, b.width, len(d), *u.shape) for key in ("scaled", "even", "odd"))
+        even, odd = _congruence(u, d[..., 0::2], scaled, even), _congruence(v, d[..., 1::2], scaled, odd)
         x_e, x_o, r_e, r_o = even[:r, None], odd[:r, None], even[r:], odd[r:]
-        moments[:r] += _series(x_e * r_e + x_o * r_o, c) + _series(x_o * r_e + x_e * r_o, s)
+        total, term = (scratch(key, b.width, r, len(probs), *u.shape) for key in ("total", "term"))
+        np.add(np.multiply(x_e, r_e, out=total), np.multiply(x_o, r_o, out=term), out=total)
+        cos_terms = _series(total, c)
+        np.add(np.multiply(x_o, r_e, out=total), np.multiply(x_e, r_o, out=term), out=total)
+        moments[:r] += cos_terms + _series(total, s)
         moments[r] += _last_row_mass(b, u, v, c, s, d[r:])
     return GridRead(ws, "unitary_equiv", moments, moments[r], eps[:, None])
 

@@ -588,10 +588,14 @@ class TestProductDefectBound:
         padded = 8 * sum(b.width * len(b.sizes) for b in ws.buckets)
         inputs = padded * (1 + len(states) + 2 * len(phis) + 1) + 8 * len(states) * len(ws.n)
         assert live[0] < inputs + 16_384
-        # no earlier bucket's Y, nor its sandwiches, is alive when the next is built
-        assert max(live) - live[0] < 16_384
-        # above that, one bucket's Y, M_N, one R and M_N o R at once; the parent
-        # read held whole squeezes, and peaked near 3 Y
+        # from the second kernel call on, the read's scratch is alive: Y, Y
+        # scaled by a diagonal, M_N and R, each the largest bucket's size, lent
+        # again to every bucket; no earlier bucket's Y, nor its sandwiches, is
+        # alive beside it when the next is built
+        assert live[1] - live[0] < 4 * bucket_bytes + 16_384
+        assert max(live[1:]) - live[1] < 16_384
+        # above that, the scratch and one bucket's smaller temporaries at once;
+        # a read that held whole squeezes peaked near 3 Y
         assert peak - live[0] < 5 * bucket_bytes < 3 * y_bytes
 
 
@@ -965,6 +969,67 @@ def test_lazy_bounds_and_mean_only_reads_are_the_full_reads(n_max, chis, zetas, 
         fock._product_defect_bound(half, *norms, rotation(zeta), phases(phi))
         for zeta in zetas for phi in phis
     ]
+
+
+_ANGLES = st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3)
+_GRID_READS = st.one_of(
+    st.tuples(st.just("equiv"), st.lists(st.floats(0.0, 3.0), min_size=1, max_size=3), st.booleans()),
+    st.tuples(st.just("product"), _ANGLES, st.lists(st.floats(-6.3, 6.3), min_size=1, max_size=3)),
+)
+
+
+def _grid_arrays(read):
+    return read.moments, read.occupancy, read.moduli
+
+
+def _same_read(a, b) -> bool:
+    """Bit for bit, NaN positions included."""
+    return all(np.array_equal(x, y, equal_nan=True) for x, y in zip(_grid_arrays(a), _grid_arrays(b)))
+
+
+@settings(max_examples=15, deadline=None)
+@example(n_max=40, bws=[1.0, 4.0], reads=[("product", [0.3, 1.6], [0.5, 2.0]), ("equiv", [1.1], True),
+                                          ("product", [1.6, -0.8], [3.0]), ("equiv", [0.2, 2.5], False)])
+@given(
+    n_max=st.integers(4, 40),
+    bws=st.lists(st.floats(1.0, 8.0), min_size=1, max_size=2),
+    reads=st.lists(_GRID_READS, min_size=2, max_size=4),
+)
+def test_reads_reusing_scratch_are_those_of_a_fresh_workspace(n_max, bws, reads):
+    # each grid read reuses its scratch buffers across its zetas and buckets
+    # (module docstring, Scratch): interleaved reads on one workspace must be
+    # the same reads on a fresh one bit for bit, no read may change what an
+    # earlier one returned, and a product read's zetas are each zeta read alone
+    # (read on fresh workspaces in reverse order, so no buffer of theirs holds
+    # what the joint read's previous zeta left there)
+
+    def grid_read(ws, kind, angles, extra):
+        states = [thermal_state(ws, bw, 1.0) for bw in bws]
+        if kind == "equiv":
+            return unitary_equiv(ws, angles, states, with_variance=extra)
+        return unitary_product(ws, angles, extra, states)
+
+    ws = FockWorkspace(n_max)
+    try:
+        [thermal_state(ws, bw, 1.0) for bw in bws]
+    except TruncationError:
+        assume(False)
+    done = []
+    for read in reads:
+        got = grid_read(ws, *read)
+        for _, earlier, arrays in done:
+            assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(_grid_arrays(earlier), arrays))
+        done.append((read, got, [a.copy() for a in _grid_arrays(got)]))
+    for (kind, angles, extra), got, _ in done:
+        assert _same_read(got, grid_read(FockWorkspace(n_max), kind, angles, extra))
+        if kind == "product":
+            n = len(extra)
+            for i in reversed(range(len(angles))):
+                alone = grid_read(FockWorkspace(n_max), kind, angles[i : i + 1], extra)
+                at = slice(i * n, (i + 1) * n)
+                assert np.array_equal(got.moments[..., at], alone.moments, equal_nan=True)
+                assert np.array_equal(got.occupancy[:, at], alone.occupancy)
+                assert np.array_equal(got.moduli[at], alone.moduli)
 
 
 class TestPopulations:

@@ -1,8 +1,11 @@
 """The gate's equivalence grid against a point-by-point reference loop, and its
 algebra records against dense products of the same blocks."""
 
+import collections.abc
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -245,7 +248,8 @@ def test_mutated_closed_form_fails_its_record(monkeypatch, name, mutant, failing
 def test_kernels_and_grams_run_per_zeta_and_per_workspace(monkeypatch):
     # the cost shape of the grid: per (zeta, bucket), the squeeze kernel once,
     # then one sandwich M_N and one R per state that the squeezed guard admits
-    # (two `BlockOperator.__matmul__` each), none per (zeta, phi), and no Gram
+    # (one dense `BlockOperator.__matmul__` each, Y already scaled by the
+    # diagonal), none per (zeta, phi), and no Gram
     # of a squeeze; a Gram of kx_eig's factors once per workspace whose bound a
     # record reads: the grid's alone, as the convergence record reads each of
     # its bases' <N> and guard, with no <N^2> row, and builds no squeeze
@@ -268,7 +272,8 @@ def test_kernels_and_grams_run_per_zeta_and_per_workspace(monkeypatch):
         return kernel(u, *args)
 
     def counted_matmul(a, b):
-        log.append(("matmul", a.stacks[0].shape[-1]))
+        dense = not (a.is_diagonal or b.is_diagonal)  # the W^3 product the tracer prices
+        log.append(("matmul" if dense else "diagonal", a.stacks[0].shape[-1]))
         return matmul(a, b)
 
     def counted_gram(b):
@@ -299,7 +304,7 @@ def test_kernels_and_grams_run_per_zeta_and_per_workspace(monkeypatch):
             event
             for zeta in zetas
             for w in widths
-            for event in [("kernel", w)] + [("matmul", w)] * 2 * sandwiches[zeta]
+            for event in [("kernel", w)] + [("matmul", w)] * sandwiches[zeta]
         ]
 
     assert log == shape(ZETAS)
@@ -309,6 +314,34 @@ def test_kernels_and_grams_run_per_zeta_and_per_workspace(monkeypatch):
     log.clear()
     unitary_product(ws, (1.2,), PHIS, states)
     assert log == shape((1.2,))
+
+
+def test_a_gate_run_leaves_no_workspace_and_fock_no_cache(monkeypatch):
+    # a process may run the gate again and again (the benchmark repeats whole
+    # oracle passes in one worker), so a run keeps nothing for the next: every
+    # workspace it builds dies with its result, and `fock` holds no array, cache
+    # or mutable container beside its constants, at module or class level; a
+    # cache of workspaces, or a scratch kept past its read, fails here
+    built, init = [], FockWorkspace.__init__
+
+    def tracked_init(self, n_max):
+        init(self, n_max)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(FockWorkspace, "__init__", tracked_init)
+    result = run_gate(
+        CONFIG, n_max=N_MAX, algebra_n_max=4, beta_omegas=BETA_OMEGAS, zeta_grid=ZETAS, phi_grid=PHIS
+    )
+    assert result.records and len(built) >= 3  # the grid's, the algebra's and the convergence bases
+    del result
+    gc.collect()
+    assert [w() for w in built] == [None] * len(built)
+    kept = (np.ndarray, collections.abc.MutableMapping, collections.abc.MutableSequence, collections.abc.MutableSet)
+    owners = [vars(fock)] + [vars(c) for c in vars(fock).values() if getattr(c, "__module__", None) == fock.__name__]
+    for owner in owners:
+        for name, value in owner.items():
+            if not name.startswith("__"):
+                assert not isinstance(value, kept) and not hasattr(value, "cache_info"), name
 
 
 def test_partition_function_closed_form():
