@@ -15,6 +15,8 @@ sinh(f_y) = -2 Re{alpha beta}, theta ~ -omega_f t_f.
 
 Kelvin temperatures are converted to natural units (hbar = k_B = 1) at
 this module's boundary only; everything downstream is dimensionless.
+`CircuitParams`, the `circuit` config block, is `config`'s and re-exported
+here; only `figure4` and `circuit` execute this module (and its `gammafn`).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import CircuitParams
 from .core import TWO_PI, EngineConfig, ProtocolEndpoints, angles_of, chi_max
 from .cycle import carnot, efficiency
 from .errors import IdentityViolationError, ImaginaryCouplingError, NoSolutionError
@@ -57,53 +60,6 @@ _IM_TOL = 1e-3
 # published normalized (eta, delta_phi) pair the scenario reports its deviation from
 REFERENCE_ETA_NORM = 0.23
 REFERENCE_DPHI_NORM = 0.56
-
-
-@dataclass(frozen=True)
-class CircuitParams:
-    """Transmission-line constants: the `circuit` config block, key for key.
-
-    Shipped values live in `config.DEFAULTS["circuit"]`; every field is
-    required here.  Units are in the names (_h henry, _f farad, _kelvin).
-    josephson_scale_j_per_f is E_0/C (only the ratio is physical here).
-    rapidity nu is in units of the ramp's initial frequency omega_i (at the
-    upper plateau) unless rapidity_absolute is true, when it is in rad/s.
-    mode_index selects the degenerate +/-k pair; t_f_points is the number
-    of stop times sampled over one period of theta by `circuit_scenario`.
-    """
-
-    inductance_h: float
-    capacitance_f: float
-    josephson_scale_j_per_f: float
-    amp_a: float
-    amp_b: float
-    rapidity: float
-    rapidity_absolute: bool
-    n_cell: int
-    mode_index: int
-    t_hot_kelvin: float
-    t_cold_kelvin: float
-    t_f_points: int
-
-    def __post_init__(self):
-        for name in ("inductance_h", "capacitance_f", "josephson_scale_j_per_f", "rapidity"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"circuit.{name} must be positive, got {getattr(self, name)!r}")
-        if not self.amp_a > self.amp_b >= 0.0:
-            raise ValueError(
-                f"need amp_a > amp_b >= 0 so both asymptotic Josephson energies are "
-                f"positive, got A={self.amp_a}, B={self.amp_b}"
-            )
-        if self.n_cell < 2:
-            raise ValueError(f"circuit.n_cell must be >= 2, got {self.n_cell!r}")
-        if not (1 <= self.mode_index < self.n_cell):
-            raise ValueError(
-                f"circuit.mode_index must satisfy 1 <= j < n_cell, got {self.mode_index}"
-            )
-        if not self.t_hot_kelvin > self.t_cold_kelvin > 0.0:
-            raise ValueError("need circuit.t_hot_kelvin > circuit.t_cold_kelvin > 0")
-        if self.t_f_points < 1:
-            raise ValueError(f"circuit.t_f_points must be >= 1, got {self.t_f_points!r}")
 
 
 @dataclass(frozen=True)

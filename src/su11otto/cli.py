@@ -19,13 +19,13 @@ Every CSV is deterministic: rerunning a command reproduces it byte for byte.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import circuit as circuit_mod
 from .config import ScenarioConfig, load_config
 from .core import (
     InterferometerAngles,
@@ -39,9 +39,28 @@ from .core import (
 )
 from .cycle import carnot, otto_ideal, works_and_heats
 from .errors import EngineError
-from .gate import run_gate
 from .metrology import delta_phi, snl, solve_zeta_snl, supersensitivity_range
 from .reports import fmt, write_csv
+
+
+def _deferred(name: str):
+    """Module `name` (kept if already loaded), else registered to execute on its first
+    attribute read: only the commands that run a deferred layer pay for it.  Not a
+    local import, because bench/spans.py indexes `sys.modules` for every module it
+    wraps; local imports can replace this once the benchmark reads a run manifest."""
+    if name not in sys.modules:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[spec.parent], name.rpartition(".")[2], module)
+    return sys.modules[name]
+
+
+_deferred("su11otto.gammafn")
+_deferred("su11otto.fock")
+circuit_mod = _deferred("su11otto.circuit")
+gate = _deferred("su11otto.gate")
 
 UNITS_HEADER = "units: hbar = k_B = 1; frequencies and temperatures on a common energy scale"
 INPUT_HEADER = "expansion input state: hot thermal at (beta_h, omega2); N_in + 1 = coth(beta_h*omega2/2)"
@@ -66,27 +85,33 @@ def _engine_header(config: ScenarioConfig) -> list[str]:
 
 
 def cmd_convert(args, config: ScenarioConfig) -> int:
-    if args.zeta is not None:
-        angles = InterferometerAngles(zeta=args.zeta, phi=args.phi)
-        chi = chi_from(angles)
-        if angles.phi == 0.0 or angles.zeta == 0.0:
-            print(f"zeta={fmt(angles.zeta)} phi={fmt(angles.phi)} -> chi=0 "
-                  "(identity transformation; theta undefined)")
+    given = "zeta" if args.zeta is not None else "chi"
+    try:  # refuse an input past float64's range by its name, not by the inf it turns into
+        with np.errstate(over="raise"):
+            if args.zeta is not None:
+                angles = InterferometerAngles(zeta=args.zeta, phi=args.phi)
+                if angles.phi == 0.0 or angles.zeta == 0.0:
+                    print(f"zeta={fmt(angles.zeta)} phi={fmt(angles.phi)} -> chi=0 "
+                          "(identity transformation; theta undefined)")
+                    return 0
+                chi = chi_from(angles)
+                theta = theta_from(angles)
+                back = angles_from(ProtocolEndpoints(chi=chi, theta=theta))
+                residual = max(abs(back.zeta - angles.zeta), abs(back.phi - angles.phi))
+                print(f"zeta={fmt(angles.zeta)} phi={fmt(angles.phi)} -> "
+                      f"chi={fmt(chi)} theta={fmt(theta)} (round-trip residual {residual:.3e})")
+            else:
+                endpoints = ProtocolEndpoints(chi=args.chi, theta=args.theta)
+                angles = angles_from(endpoints)
+                chi = chi_from(angles)
+                theta = theta_from(angles)
+                residual = max(abs(chi - endpoints.chi), abs(math.cos(theta) - math.cos(endpoints.theta)))
+                print(f"chi={fmt(endpoints.chi)} theta={fmt(endpoints.theta)} -> "
+                      f"zeta={fmt(angles.zeta)} phi={fmt(angles.phi)} (round-trip residual {residual:.3e})")
             return 0
-        theta = theta_from(angles)
-        back = angles_from(ProtocolEndpoints(chi=chi, theta=theta))
-        residual = max(abs(back.zeta - angles.zeta), abs(back.phi - angles.phi))
-        print(f"zeta={fmt(angles.zeta)} phi={fmt(angles.phi)} -> "
-              f"chi={fmt(chi)} theta={fmt(theta)} (round-trip residual {residual:.3e})")
-    else:
-        endpoints = ProtocolEndpoints(chi=args.chi, theta=args.theta)
-        angles = angles_from(endpoints)
-        chi = chi_from(angles)
-        theta = theta_from(angles)
-        residual = max(abs(chi - endpoints.chi), abs(math.cos(theta) - math.cos(endpoints.theta)))
-        print(f"chi={fmt(endpoints.chi)} theta={fmt(endpoints.theta)} -> "
-              f"zeta={fmt(angles.zeta)} phi={fmt(angles.phi)} (round-trip residual {residual:.3e})")
-    return 0
+    except FloatingPointError:
+        raise ValueError(f"{given}={fmt(getattr(args, given))} is too large: the map between "
+                         "(zeta, phi) and (chi, theta) overflows float64 there") from None
 
 
 def cmd_cycle(args, config: ScenarioConfig) -> int:
@@ -241,9 +266,9 @@ def cmd_circuit(args, config: ScenarioConfig) -> int:
 
 def cmd_oracle(args, config: ScenarioConfig) -> int:
     oracle = config.oracle
-    result = run_gate(config.engine, n_max=oracle.n_max, algebra_n_max=oracle.algebra_n_max,
-                      beta_omegas=oracle.beta_omega, zeta_grid=oracle.zeta_grid,
-                      phi_grid=oracle.phi_grid)
+    result = gate.run_gate(config.engine, n_max=oracle.n_max, algebra_n_max=oracle.algebra_n_max,
+                           beta_omegas=oracle.beta_omega, zeta_grid=oracle.zeta_grid,
+                           phi_grid=oracle.phi_grid)
     records = result.records
     # each value cell formatted once, for stdout and the report alike
     analytic, oracle_cells = ([fmt(getattr(r, name)) for r in records] for name in ("analytic", "oracle"))

@@ -3,14 +3,17 @@
 The config file is plain JSON with the same nesting as the defaults below.
 Parsing is strict: unknown sections or keys are fatal, because silently
 ignored physics parameters are the classic way sweeps go wrong, and so are
-a NaN, an infinity and a value whose JSON type differs from its default's
-(an integer may stand for a number; true/false never does).  DEFAULTS is
+a key given twice in one object (JSON would keep the last silently), a NaN,
+an infinity and a value whose JSON type differs from its default's (an
+integer may stand for a number; true/false never does).  DEFAULTS is
 the one home of every shipped setting: the library's functions and
 dataclasses take these settings explicitly.  The oracle's truncation
 budgets are not settings but constants of `fock`, so no config can switch
 the guard off.  Units are annotated in the key names where dimensional
 (_h henry, _f farad, _kelvin); the engine block is in natural units
 (hbar = k_B = 1, frequencies and temperatures on a common energy scale).
+Every block's typed class lives here, so loading a config executes no
+layer that only some commands run (`circuit` re-exports `CircuitParams`).
 """
 
 from __future__ import annotations
@@ -20,12 +23,11 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .circuit import CircuitParams
 from .core import EngineConfig
 from .errors import ConfigError
 from .metrology import DERIVATIVE_MODES
 
-__all__ = ["OracleConfig", "ScenarioConfig", "DEFAULTS", "load_config"]
+__all__ = ["CircuitParams", "OracleConfig", "ScenarioConfig", "DEFAULTS", "load_config"]
 
 # the largest oracle.algebra_n_max whose dense K_x once fitted a 4096 x 4096 matrix,
 # (63 + 1)^2 = 4096 states; the ladder record is now blockwise, and the bound stays so
@@ -113,6 +115,53 @@ class OracleConfig:
 
 
 @dataclass(frozen=True)
+class CircuitParams:
+    """Transmission-line constants: the `circuit` config block, key for key.
+
+    Shipped values live in `DEFAULTS["circuit"]`; every field is
+    required here.  Units are in the names (_h henry, _f farad, _kelvin).
+    josephson_scale_j_per_f is E_0/C (only the ratio is physical here).
+    rapidity nu is in units of the ramp's initial frequency omega_i (at the
+    upper plateau) unless rapidity_absolute is true, when it is in rad/s.
+    mode_index selects the degenerate +/-k pair; t_f_points is the number
+    of stop times sampled over one period of theta by `circuit_scenario`.
+    """
+
+    inductance_h: float
+    capacitance_f: float
+    josephson_scale_j_per_f: float
+    amp_a: float
+    amp_b: float
+    rapidity: float
+    rapidity_absolute: bool
+    n_cell: int
+    mode_index: int
+    t_hot_kelvin: float
+    t_cold_kelvin: float
+    t_f_points: int
+
+    def __post_init__(self):
+        for name in ("inductance_h", "capacitance_f", "josephson_scale_j_per_f", "rapidity"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"circuit.{name} must be positive, got {getattr(self, name)!r}")
+        if not self.amp_a > self.amp_b >= 0.0:
+            raise ValueError(
+                f"need amp_a > amp_b >= 0 so both asymptotic Josephson energies are "
+                f"positive, got A={self.amp_a}, B={self.amp_b}"
+            )
+        if self.n_cell < 2:
+            raise ValueError(f"circuit.n_cell must be >= 2, got {self.n_cell!r}")
+        if not (1 <= self.mode_index < self.n_cell):
+            raise ValueError(
+                f"circuit.mode_index must satisfy 1 <= j < n_cell, got {self.mode_index}"
+            )
+        if not self.t_hot_kelvin > self.t_cold_kelvin > 0.0:
+            raise ValueError("need circuit.t_hot_kelvin > circuit.t_cold_kelvin > 0")
+        if self.t_f_points < 1:
+            raise ValueError(f"circuit.t_f_points must be >= 1, got {self.t_f_points!r}")
+
+
+@dataclass(frozen=True)
 class ScenarioConfig:
     """Validated run configuration for the command-line surface."""
 
@@ -123,6 +172,16 @@ class ScenarioConfig:
     zeta_bracket: tuple[float, float]
     oracle: OracleConfig = field(repr=False)
     circuit: CircuitParams = field(repr=False)
+
+
+_REPEATED = object()  # the value of a key its JSON object gives twice, refused by its path
+
+
+def _refuse_repeats(pairs: list) -> dict:
+    obj: dict = {}
+    for key, value in pairs:
+        obj[key] = _REPEATED if key in obj else value
+    return obj
 
 
 _JSON_TYPES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
@@ -152,6 +211,8 @@ def _merge_strict(defaults: dict, override: dict, path: str = "") -> dict:
         where = f"{path}.{key}" if path else key
         if key not in defaults:
             raise ConfigError(f"unknown config key: {where}")
+        if value is _REPEATED:
+            raise ConfigError(f"config key {where} is given more than once")
         if isinstance(defaults[key], dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"{where} must be a table of settings")
@@ -205,7 +266,7 @@ def load_config(path: str | Path | None = None) -> ScenarioConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         try:
-            override = json.loads(text)
+            override = json.loads(text, object_pairs_hook=_refuse_repeats)
         except ValueError as exc:  # a JSONDecodeError, or an integer past int's digit limit
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(override, dict):

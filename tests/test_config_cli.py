@@ -153,6 +153,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match=message):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ('{"oracle": {"n_max": 60}, "oracle": {"n_max": 120}}', "oracle"),
+            ('{"engine": {"t_hot": 2.0, "t_hot": 3.0}}', "engine.t_hot"),
+        ],
+    )
+    def test_key_given_twice_fatal(self, tmp_path, text, where):
+        # JSON keeps the last of a repeated key, which would silently drop the first
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=rf"^config key {re.escape(where)} is given more than once$"):
+            load_config(path)
+
     def test_truncation_budget_is_not_a_setting(self, tmp_path):
         # a budget of 1e300 would switch the guard off and turn the 5 default
         # skips into formula fails
@@ -237,6 +251,17 @@ class TestConvertCommand:
     def test_non_finite_input_names_the_field(self, capsys, argv, name):
         assert main(["convert", *argv]) == 1
         assert f"error: {name} must be finite, got nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, given",
+        [(["--zeta", "400", "--phi", "0.5"], "zeta=400"), (["--chi", "800", "--theta", "0.3"], "chi=800")],
+    )
+    def test_input_past_float_range_names_the_coordinate(self, capsys, recwarn, argv, given):
+        # sinh^2 of either overflows float64: no overflow warning, and no chi = inf
+        # the user never gave
+        assert main(["convert", *argv]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {given} is too large")
+        assert len(recwarn) == 0
 
     def test_usage_error(self):
         with pytest.raises(SystemExit):
@@ -492,7 +517,7 @@ def test_oracle_report_cells_are_each_records_own_formatting(tmp_path_factory, r
     out = tmp_path_factory.getbasetemp() / "oracle-property"
     markers = {"pass": "PASS", "fail": "FAIL", "discrepancy": "DISCREPANCY", "skipped": "SKIP"}
     stdout = io.StringIO()
-    with mock.patch.object(cli, "run_gate", lambda *a, **k: GateResult(records)):
+    with mock.patch.object(cli.gate, "run_gate", lambda *a, **k: GateResult(records)):
         with contextlib.redirect_stdout(stdout):
             cli.cmd_oracle(argparse.Namespace(out=str(out)), load_config())
     *lines, summary = stdout.getvalue().splitlines()
