@@ -38,7 +38,7 @@ from .core import (
     theta_from,
 )
 from .cycle import carnot, otto_ideal, works_and_heats
-from .errors import EngineError
+from .errors import EngineError, NoSolutionError
 from .metrology import delta_phi, snl, solve_zeta_snl, supersensitivity_range
 from .reports import fmt, write_csv
 
@@ -96,10 +96,20 @@ def cmd_convert(args, config: ScenarioConfig) -> int:
                     return 0
                 chi = chi_from(angles)
                 theta = theta_from(angles)
-                back = angles_from(ProtocolEndpoints(chi=chi, theta=theta))
+                forward = (f"zeta={fmt(angles.zeta)} phi={fmt(angles.phi)} -> "
+                           f"chi={fmt(chi)} theta={fmt(theta)}")
+                try:  # the forward map is valid: only its rounding can lose the way back
+                    back = angles_from(ProtocolEndpoints(chi=chi, theta=theta)) if chi > 0.0 else None
+                except NoSolutionError:
+                    back = None
+                if back is None:
+                    why = ("chi rounds to 0 there, and chi = 0 has no unique angles" if chi == 0.0 else
+                           "the inverse needs tan^2(theta) > sinh^2(chi/2), and here the two differ "
+                           "by less than their rounding")
+                    print(f"{forward} (round trip cannot be resolved in float64: {why})")
+                    return 0
                 residual = max(abs(back.zeta - angles.zeta), abs(back.phi - angles.phi))
-                print(f"zeta={fmt(angles.zeta)} phi={fmt(angles.phi)} -> "
-                      f"chi={fmt(chi)} theta={fmt(theta)} (round-trip residual {residual:.3e})")
+                print(f"{forward} (round-trip residual {residual:.3e})")
             else:
                 endpoints = ProtocolEndpoints(chi=args.chi, theta=args.theta)
                 angles = angles_from(endpoints)

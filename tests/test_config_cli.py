@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -31,7 +32,7 @@ from su11otto.cli import build_parser, main
 from su11otto.config import DEFAULTS, OracleConfig, load_config
 from su11otto.errors import ConfigError
 from su11otto.gate import GateRecord, GateResult
-from su11otto.reports import fmt, write_csv
+from su11otto.reports import _BLOCK_ROWS, fmt, write_csv
 
 
 class TestConfig:
@@ -263,6 +264,22 @@ class TestConvertCommand:
         assert capsys.readouterr().err.startswith(f"error: {given} is too large")
         assert len(recwarn) == 0
 
+    @pytest.mark.parametrize("argv, forward, why", [
+        (["--zeta", "40", "--phi", "0.5"], "chi=77.206534368604423 theta=1.5707963267948966",
+         "the two differ by less than their rounding"),
+        (["--zeta", "1e-300", "--phi", "0.5"], "chi=0 theta=0.25", "chi rounds to 0 there"),
+    ])
+    def test_round_trip_lost_to_rounding_still_prints_the_forward_map(self, capsys, recwarn, argv,
+                                                                      forward, why):
+        # theta rounds to pi/2 at zeta = 40, and chi to 0 at zeta = 1e-300: a valid
+        # forward input, so no error about a value the user never gave
+        assert main(["convert", *argv]) == 0
+        out, err = capsys.readouterr()
+        assert f"-> {forward} (round trip cannot be resolved in float64: " in out
+        assert why in out
+        assert err == ""
+        assert len(recwarn) == 0
+
     def test_usage_error(self):
         with pytest.raises(SystemExit):
             main(["convert", "--zeta", "2"])
@@ -481,6 +498,49 @@ class TestWriteCsv:
         path = write_csv(tmp_path / "x.csv", ("a", "b"), np.array([], dtype=dtype), [],
                          header_comments=["c"])
         assert path.read_bytes() == b"# c\na,b\n"
+
+    @pytest.mark.parametrize("rows", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                      2 * _BLOCK_ROWS + 3])
+    def test_rows_across_block_seams_equal_the_per_cell_reference(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+        floats[::97] = np.nan
+        floats[1::101] = -np.inf
+        words = [f"w{i}" * (i % 3) for i in range(rows)]  # "" every third row
+        columns = [
+            floats,
+            rng.standard_normal(rows).astype(np.float32),
+            rng.integers(-2**63, 2**63 - 1, rows, dtype=np.int64),
+            rng.integers(0, 2**64 - 1, rows, dtype=np.uint64, endpoint=True),
+            rng.random(rows) < 0.5,
+            np.array(words, dtype=str),
+            floats.tolist(),
+            tuple(rng.integers(-5, 5, rows).tolist()),
+            (rng.random(rows) < 0.5).tolist(),
+            words,
+            np.array(words, dtype=object),
+            np.array(floats.tolist(), dtype=object),
+        ]
+        names = [f"c{i}" for i in range(len(columns))]
+        path = write_csv(tmp_path / "x.csv", names, *columns, header_comments=["c"])
+        cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+        expected = "".join(["# c\n", ",".join(names) + "\n"]
+                           + [",".join(map(fmt, row)) + "\n" for row in zip(*cells)])
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_peak_memory_stays_near_one_block(self, tmp_path):
+        # held whole as Python floats, 20,000 rows x 9 columns trace ~5.8 MB; streamed,
+        # the writer holds one block of cells whatever the file's length
+        rng = np.random.default_rng(0)
+        columns = [rng.standard_normal(20_000) for _ in range(9)]
+        names = [f"c{i}" for i in range(9)]
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "x.csv", names, *columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
 
     @pytest.mark.parametrize("names, columns, message", [
         (("a", "b"), ([1.0, 2.0], [1.0]), r"names \('a', 'b'\) for columns of lengths \[2, 1\]"),
