@@ -22,6 +22,7 @@ import argparse
 import importlib.util
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -112,12 +113,21 @@ def cmd_convert(args, config: ScenarioConfig) -> int:
                 print(f"{forward} (round-trip residual {residual:.3e})")
             else:
                 endpoints = ProtocolEndpoints(chi=args.chi, theta=args.theta)
-                angles = angles_from(endpoints)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")  # held here, and issued below if they stand
+                    angles = angles_from(endpoints)
+                inverse = (f"chi={fmt(endpoints.chi)} theta={fmt(endpoints.theta)} -> "
+                           f"zeta={fmt(angles.zeta)} phi={fmt(angles.phi)}")
+                if angles.zeta == 0.0:  # for a chi > 0, which angles_from alone admits
+                    print(f"{inverse} (round trip cannot be resolved in float64: sinh^2(chi/2) underflows "
+                          "to 0 there, so the inverse reads chi = 0 and returns the identity)")
+                    return 0
+                for w in caught:  # the inverse is resolved, so its warnings stand
+                    warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
                 chi = chi_from(angles)
                 theta = theta_from(angles)
                 residual = max(abs(chi - endpoints.chi), abs(math.cos(theta) - math.cos(endpoints.theta)))
-                print(f"chi={fmt(endpoints.chi)} theta={fmt(endpoints.theta)} -> "
-                      f"zeta={fmt(angles.zeta)} phi={fmt(angles.phi)} (round-trip residual {residual:.3e})")
+                print(f"{inverse} (round-trip residual {residual:.3e})")
             return 0
     except FloatingPointError:
         raise ValueError(f"{given}={fmt(getattr(args, given))} is too large: the map between "

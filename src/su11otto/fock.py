@@ -31,11 +31,18 @@ diagonals.
 
 Size-bucketed stacks.  No kernel loops over sectors, apart from the one-time
 SVD of each sector's K_x parity block in `kx_eig`: each stored sector is
-padded to the next multiple of _PAD = 8 states, and the sectors of one
-padded size W form a bucket, held as one (k, W, W) stack of blocks (one
-(k, W) stack of diagonals), so each kernel is one numpy call per bucket,
-ceil((n_max + 1) / 8) of them.  The padding invariant, which every kernel
-keeps and relies on:
+padded to the next multiple of _PAD = 8 states, and a bucket is a run of
+consecutive sectors of one padded size W, held as one (k, W, W) stack of
+blocks (one (k, W) stack of diagonals), so each kernel is one numpy call per
+bucket.  The sectors of one width form one bucket unless its stack k W^2
+would pass _STACK_ENTRIES = 2^16 entries (512 KiB of doubles): such a run is
+split into the fewest consecutive, near-equal buckets of at most
+max(1, _STACK_ENTRIES // W^2) sectors, so a read's stacks are bounded by the
+budget instead of growing as 8 W^2.  Nothing splits up to n_max = 94; at
+n_max = 120 the runs of widths 96 ... 120 split in two, and the
+ceil((n_max + 1) / 8) = 16 runs are 20 buckets.  Splitting regroups only the
+sums over sectors.  The padding invariant, which every kernel keeps and
+relies on:
 
 * the padded rows and columns of every unitary factor are exactly the
   identity: `kx_eig`'s padded U and V are the identity and its padded
@@ -125,13 +132,15 @@ at every phi, and its R is never formed.
 Scratch.  A read writes its per-bucket stacks into buffers it reuses over
 its zetas and buckets (`_Scratch`), as regrowing them took fresh pages at
 every point: un1's Y, Y scaled by a diagonal (its head holds `_squeeze`'s
-half-size products), M_N and R; un2's scaled factors, congruences and the
-Hadamard sums fed to `_series`.  Each is made on first request for the
-read's largest k W^2 and dies with the read.  A smaller bucket's view of
-its head holds stale entries, a larger bucket's padding among them, and
-the padding invariant holds as each is overwritten before it is read:
-`_squeeze` writes all four checkerboard parts of Y, and every other use is
-the whole `out` of a numpy call.
+half-size products), M_N and R; un2's factor scaled by one diagonal at a
+time, the congruences of its r observables and S states on each parity, and
+the two Hadamard sums of one observable over every state fed to `_series`,
+2 (r + S) + 2 S + 1 half-size (k, W/2, W/2) stacks in all.  Each is made on
+first request for the read's largest k W^2 and dies with the read.  A
+smaller bucket's view of its head holds stale entries, a larger bucket's
+padding among them, and the padding invariant holds as each is overwritten
+before it is read: `_squeeze` writes all four checkerboard parts of Y, and
+every other use is the whole `out` of a numpy call.
 
 Unitarity bounds
 ----------------
@@ -197,6 +206,7 @@ __all__ = [
 ]
 
 _PAD = 8  # every stored sector is padded to a multiple of this many states
+_STACK_ENTRIES = 2**16  # a bucket's k W^2 stack past this is split, unless k = 1
 
 LEAK_TOL = 1e-8  # boundary occupancy of an evolved state
 THERMAL_LEAK_TOL = 1e-10  # thermal tail weight cut off past n_max
@@ -220,9 +230,10 @@ class Sector:
 
 @dataclass(frozen=True)
 class Bucket:
-    """The stored sectors padded to one `width`, a run of consecutive d: each
-    holds sizes[j] real states, and all of them fill `flat` of the padded
-    concatenation (module docstring)."""
+    """Stored sectors padded to one `width`, consecutive d: each holds
+    sizes[j] real states, and all of them fill `flat` of the padded
+    concatenation.  A run of one width past the stack budget is several
+    buckets (module docstring)."""
 
     sizes: np.ndarray
     width: int
@@ -264,11 +275,15 @@ class FockWorkspace:
 
     @cached_property
     def buckets(self) -> tuple[Bucket, ...]:
+        """The stored sectors in order, as runs of one padded width W, each run
+        of k sectors split into the fewest near-equal parts of at most
+        max(1, _STACK_ENTRIES // W^2) sectors (module docstring)."""
         widths, ends = self._widths, np.cumsum(self._widths)
-        cuts = [0, *(np.flatnonzero(np.diff(widths)) + 1), self.n_max + 1]
+        runs = np.split(np.arange(self.n_max + 1), np.flatnonzero(np.diff(widths)) + 1)
+        parts = (np.array_split(d, -(-len(d) // max(1, _STACK_ENTRIES // widths[d[0]] ** 2))) for d in runs)
         return tuple(
-            Bucket(self._sizes[a:b], int(widths[a]), slice(ends[a] - widths[a], ends[b - 1]))
-            for a, b in zip(cuts, cuts[1:])
+            Bucket(self._sizes[d], int(widths[d[0]]), slice(ends[d[0]] - widths[d[0]], ends[d[-1]]))
+            for run in parts for d in run
         )
 
     def _padded(self, values, fill=0.0) -> tuple[np.ndarray, ...]:
@@ -645,9 +660,11 @@ def _mass(probs: np.ndarray, squares: np.ndarray) -> np.ndarray:
 
 
 def _congruence(f: np.ndarray, diagonals: np.ndarray, scaled: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """F^T diag(x) F for each diagonal x into `out`, through `scaled`: f
-    (k, h, h) and diagonals (Q, k, h) give (Q, k, h, h)."""
-    return np.matmul(np.multiply(f, diagonals[..., None], out=scaled).mT, f, out=out)
+    """F^T diag(x) F for each diagonal x into `out`, one x at a time through
+    `scaled`: f and scaled (k, h, h) and diagonals (Q, k, h) give (Q, k, h, h)."""
+    for x, o in zip(diagonals, out):
+        np.matmul(np.multiply(f, x[..., None], out=scaled).mT, f, out=o)
+    return out
 
 
 def unitary_product(ws: FockWorkspace, zetas, phis, states) -> GridRead:
@@ -736,14 +753,16 @@ def unitary_equiv(ws: FockWorkspace, chis, states, *, with_variance: bool = True
     for b, (sigma, u, v), d in zip(ws.buckets, ws.kx_eig, diagonals):
         c, s = _rotation(sigma, chis)
         eps = np.maximum(eps, np.max(np.abs(1.0 - (c * c + s * s)), axis=(0, 1)))
-        scaled, even, odd = (scratch(key, b.width, len(d), *u.shape) for key in ("scaled", "even", "odd"))
+        scaled = scratch("scaled", b.width, *u.shape)
+        even, odd = (scratch(key, b.width, len(d), *u.shape) for key in ("even", "odd"))
         even, odd = _congruence(u, d[..., 0::2], scaled, even), _congruence(v, d[..., 1::2], scaled, odd)
-        x_e, x_o, r_e, r_o = even[:r, None], odd[:r, None], even[r:], odd[r:]
-        total, term = (scratch(key, b.width, r, len(probs), *u.shape) for key in ("total", "term"))
-        np.add(np.multiply(x_e, r_e, out=total), np.multiply(x_o, r_o, out=term), out=total)
-        cos_terms = _series(total, c)
-        np.add(np.multiply(x_o, r_e, out=total), np.multiply(x_e, r_o, out=term), out=total)
-        moments[:r] += cos_terms + _series(total, s)
+        r_e, r_o = even[r:], odd[r:]
+        total, term = (scratch(key, b.width, len(probs), *u.shape) for key in ("total", "term"))
+        for i, x_e, x_o in zip(range(r), even, odd):  # one observable at a time, every state at once
+            np.add(np.multiply(x_e, r_e, out=total), np.multiply(x_o, r_o, out=term), out=total)
+            cos_terms = _series(total, c)
+            np.add(np.multiply(x_o, r_e, out=total), np.multiply(x_e, r_o, out=term), out=total)
+            moments[i] += cos_terms + _series(total, s)
         moments[r] += _last_row_mass(b, u, v, c, s, d[r:])
     return GridRead(ws, "unitary_equiv", moments, moments[r], eps[:, None])
 

@@ -30,7 +30,7 @@ from su11otto import (
 from su11otto import cli
 from su11otto.cli import build_parser, main
 from su11otto.config import DEFAULTS, OracleConfig, load_config
-from su11otto.errors import ConfigError
+from su11otto.errors import ConfigError, DegenerateLimitWarning
 from su11otto.gate import GateRecord, GateResult
 from su11otto.reports import _BLOCK_ROWS, fmt, write_csv
 
@@ -268,17 +268,25 @@ class TestConvertCommand:
         (["--zeta", "40", "--phi", "0.5"], "chi=77.206534368604423 theta=1.5707963267948966",
          "the two differ by less than their rounding"),
         (["--zeta", "1e-300", "--phi", "0.5"], "chi=0 theta=0.25", "chi rounds to 0 there"),
+        (["--chi", "1e-300", "--theta", "1"], "zeta=0 phi=2", "sinh^2(chi/2) underflows to 0 there"),
     ])
     def test_round_trip_lost_to_rounding_still_prints_the_forward_map(self, capsys, recwarn, argv,
                                                                       forward, why):
         # theta rounds to pi/2 at zeta = 40, and chi to 0 at zeta = 1e-300: a valid
-        # forward input, so no error about a value the user never gave
+        # forward input, so no error about a value the user never gave; at
+        # chi = 1e-300 the inverse reads chi as 0, and says so without a warning
         assert main(["convert", *argv]) == 0
         out, err = capsys.readouterr()
         assert f"-> {forward} (round trip cannot be resolved in float64: " in out
         assert why in out
         assert err == ""
         assert len(recwarn) == 0
+
+    def test_resolved_inverse_near_the_identity_keeps_its_warning(self, capsys):
+        # chi = 1e-160 is past the identity limit's warning but within float64
+        with pytest.warns(DegenerateLimitWarning):
+            assert main(["convert", "--chi", "1e-160", "--theta", "1"]) == 0
+        assert "(round-trip residual " in capsys.readouterr().out
 
     def test_usage_error(self):
         with pytest.raises(SystemExit):

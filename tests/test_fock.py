@@ -556,12 +556,19 @@ class TestProductDefectBound:
         assert bound(460, 0.0, 0.0, 0.0, 0.0) < 1e-10 < bound(480, 0.0, 0.0, 0.0, 0.0)
 
     def test_chain_retains_its_weights_not_a_core(self, monkeypatch):
+        self._assert_chain_retains_its_weights(monkeypatch, 60)
+
+    def test_chain_on_split_buckets_retains_its_weights(self, monkeypatch):
+        self._assert_chain_retains_its_weights(monkeypatch, 100)  # two buckets of width 96
+
+    @staticmethod
+    def _assert_chain_retains_its_weights(monkeypatch, n_max):
         # a read of three zetas at many phis keeps its moments, occupancies and
         # defects plus a small fixed overhead, and no squeeze: it builds, reads
         # and lets go one bucket's Y at a time, so its peak is one bucket's
         # working set beside the moments and the per-bucket inputs, never a
         # whole Y
-        ws = FockWorkspace(60)
+        ws = FockWorkspace(n_max)
         states = [thermal_state(ws, bw, 1.0) for bw in (1.0, 2.0, 3.0)]
         unitary_product(ws, (0.7,), (0.3,), states)  # builds kx_eig and its Grams, kept by ws
         y_bytes = sum(s.nbytes for s in _exp_i_ky(ws, 0.7).stacks)
@@ -597,6 +604,38 @@ class TestProductDefectBound:
         # above that, the scratch and one bucket's smaller temporaries at once;
         # a read that held whole squeezes peaked near 3 Y
         assert peak - live[0] < 5 * bucket_bytes < 3 * y_bytes
+
+    @pytest.mark.parametrize("n_max", [80, 100])  # at 100, two buckets of one width
+    def test_endpoint_read_holds_one_observable_at_a_time(self, monkeypatch, n_max):
+        # above its inputs, the read's scratch: the r + S congruences of the r
+        # observables and S states on each parity, each one (k, W/2, W/2) stack
+        # of the largest bucket, one factor scaled by one diagonal, and the
+        # two Hadamard sums of one observable over every state, 2 (r + S) +
+        # 2 S + 1 stacks; one more covers numpy's ufunc buffer (8192 doubles,
+        # under one stack from n_max = 80) and the few chis' temporaries.  A
+        # read that scaled every diagonal and summed every observable at once
+        # held 3 (r + S) + 2 r S stacks, 27 here
+        ws = FockWorkspace(n_max)
+        states = [thermal_state(ws, bw, 1.0) for bw in (2.0, 3.0, 5.0)]
+        unitary_equiv(ws, [0.5], states)  # builds kx_eig, kept by ws
+        stack = max(u.nbytes for _, u, _ in ws.kx_eig)
+        rotation, live = fock._rotation, []
+
+        def traced_rotation(*args):
+            live.append(tracemalloc.get_traced_memory()[0])
+            return rotation(*args)
+
+        monkeypatch.setattr(fock, "_rotation", traced_rotation)
+        tracemalloc.start()
+        try:
+            unitary_equiv(ws, [0.3, 0.9, 1.7], states, with_variance=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        r, s = 2, len(states)
+        # live at the first rotation: the populations and padded diagonals
+        assert len(live) == len(ws.buckets)
+        assert peak - live[0] < (2 * (r + s) + 2 * s + 2) * stack
 
 
 class TestKeptChains:
@@ -776,6 +815,69 @@ class TestRealKernel:
                 assert not np.any((y - y_back)[~odd])
 
 
+def _assert_padding_weighs_nothing(ws, ops):
+    """The padded rows and columns of each operator's stacks are exactly the
+    identity, its boundary rows are 0 on the padding, and its boundary
+    weights are over the stored states alone."""
+    for op in ops:
+        for b, stack in zip(ws.buckets, op.stacks):
+            positions = np.arange(b.width)
+            real = positions < b.sizes[:, None]
+            padded = ~(real[:, :, None] & real[:, None, :])
+            eye = np.broadcast_to(np.eye(b.width), stack.shape)
+            assert np.array_equal(stack[padded], eye[padded])
+            boundary = stack[np.arange(len(b.sizes)), b.sizes - 1]
+            assert not np.any(boundary[~real])
+        assert len(op.boundary_weights) == len(ws.n)
+
+
+class TestBucketLayout:
+    """`FockWorkspace.buckets` over bases up to n_max = 300, the layout alone:
+    the stored sectors in order, each padded to a multiple of 8, in buckets
+    of one width whose (k, W, W) stacks stay within `_STACK_ENTRIES` unless
+    they hold one sector (module docstring)."""
+
+    @settings(max_examples=60)
+    @example(n_max=87)
+    @example(n_max=94)
+    @example(n_max=95)
+    @example(n_max=120)
+    @example(n_max=300)
+    @given(n_max=st.integers(1, 300))
+    def test_buckets_tile_the_padded_sectors_within_the_budget(self, n_max):
+        ws, budget = FockWorkspace(n_max), fock._STACK_ENTRIES
+        buckets = ws.buckets
+        assert np.array_equal(np.concatenate([b.sizes for b in buckets]), np.arange(n_max + 1, 0, -1))
+        # the flat slices tile the padded concatenation, end to end
+        starts = [b.flat.start for b in buckets]
+        assert starts[0] == 0 and buckets[-1].flat.stop == sum(8 * math.ceil(m / 8) for m in range(1, n_max + 2))
+        assert [b.flat.stop for b in buckets[:-1]] == starts[1:]
+        for b in buckets:
+            k = len(b.sizes)
+            assert b.flat.step is None and b.flat.stop - b.flat.start == k * b.width
+            assert np.all(8 * np.ceil(b.sizes / 8) == b.width)
+            assert k == 1 or k * b.width**2 <= budget
+        widths = [b.width for b in buckets]
+        assert widths == sorted(widths, reverse=True)
+        # a run of one width within the budget is one bucket; past it, the
+        # fewest parts within it, their sizes at most one apart
+        for w in set(widths):
+            parts = [len(b.sizes) for b in buckets if b.width == w]
+            k = sum(parts)
+            if k * w**2 <= budget:
+                assert parts == [k]
+            else:
+                assert max(parts) - min(parts) <= 1
+                assert len(parts) == 1 or math.ceil(k / (len(parts) - 1)) * w**2 > budget
+
+    def test_the_oracle_basis_splits_its_four_widest_full_runs(self):
+        # n_max = 120: widths 96 ... 120 hold 8 sectors each, 73,728 to 115,200
+        # entries, so each splits in two, and 16 buckets become 20
+        widths = [(b.width, len(b.sizes)) for b in FockWorkspace(120).buckets]
+        assert widths[:9] == [(128, 1)] + [(w, 4) for w in (120, 120, 112, 112, 104, 104, 96, 96)]
+        assert widths[9:] == [(w, 8) for w in range(88, 0, -8)]
+
+
 class TestBucketPadding:
     """Sectors padded to the next multiple of 8 across the bucket edges: the
     padding of every unitary factor is exactly the identity, and every read
@@ -796,16 +898,7 @@ class TestBucketPadding:
         un2 = ref.endpoint_form(chi, theta, ws)
         tiev = evolution_endpoint(-chi, -theta, ws)  # its phase is built on the padded K_z
         assert [b.width for b in ws.buckets] == list(range(8 * math.ceil((n_max + 1) / 8), 0, -8))
-        for op in (y, un1, un2, tiev):
-            for b, stack in zip(ws.buckets, op.stacks):
-                positions = np.arange(b.width)
-                real = positions < b.sizes[:, None]
-                padded = ~(real[:, :, None] & real[:, None, :])
-                eye = np.broadcast_to(np.eye(b.width), stack.shape)
-                assert np.array_equal(stack[padded], eye[padded])
-                boundary = stack[np.arange(len(b.sizes)), b.sizes - 1]
-                assert not np.any(boundary[~real])
-            assert len(op.boundary_weights) == len(ws.n)
+        _assert_padding_weighs_nothing(ws, (y, un1, un2, tiev))
         # the grid reads of the padded stacks against the per-sector reads of
         # the real blocks alone
         state = _cold_state(ws)
@@ -818,6 +911,44 @@ class TestBucketPadding:
         ref_un1 = ref.blockwise(n_max, ref.product_block(zeta, phi))
         assert np.max(np.abs(ref.to_dense(y) - ref_y)) < 1e-12
         assert np.max(np.abs(ref.to_dense(un1) - ref_un1)) < 1e-12
+
+
+class TestSplitBuckets:
+    """At n_max = 100 the width-96 run of 8 sectors passes `_STACK_ENTRIES` and
+    is read as two buckets of 4: the padding invariant holds on them, and
+    both grid reads are those of the unsplit layout up to the order of their
+    sums over the sectors."""
+
+    N_MAX = 100
+
+    def test_padding_is_the_identity_on_split_buckets(self):
+        ws = FockWorkspace(self.N_MAX)
+        assert [(b.width, len(b.sizes)) for b in ws.buckets[:3]] == [(104, 5), (96, 4), (96, 4)]
+        zeta, phi = 0.9, 2.3
+        chi, theta = float(chi_of(zeta, phi)), float(theta_of(zeta, phi))
+        ops = (_exp_i_ky(ws, zeta), ref.product_form(zeta, phi, ws), ref.endpoint_form(chi, theta, ws),
+               evolution_endpoint(-chi, -theta, ws))
+        _assert_padding_weighs_nothing(ws, ops)
+
+    def test_grid_reads_are_those_of_the_unsplit_layout(self, monkeypatch):
+        def reads():
+            ws = FockWorkspace(self.N_MAX)
+            states = [thermal_state(ws, bw, 1.0) for bw in (1.0, 3.0, 6.0)]
+            equiv = unitary_equiv(ws, (0.0, 0.5, 1.1, 2.2), states)
+            product = unitary_product(ws, (0.4, 1.0, 1.6), (0.3, 1.9, 4.0), states)
+            return len(ws.buckets), equiv, product
+
+        split, *got = reads()
+        monkeypatch.setattr(fock, "_STACK_ENTRIES", 2**40)
+        unsplit, *want = reads()
+        assert (split, unsplit) == (14, 13)
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a.moments, b.moments, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(a.occupancy, b.occupancy, rtol=1e-13, atol=0.0)
+            assert np.array_equal(a.occupancy <= LEAK_TOL, b.occupancy <= LEAK_TOL)
+            assert np.array_equal(a.defect, b.defect)
+        # the hot state trips the guard somewhere, so both decisions are read
+        assert not np.all(got[1].occupancy <= LEAK_TOL)
 
 
 # each form at n_max = 30; at (0.9, 0.5) the intermediate squeeze of the
